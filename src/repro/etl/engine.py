@@ -13,61 +13,33 @@ additionally records them into the shared metrics registry
 (``etl.link.<name>.rows``, ``etl.stage.<name>.seconds``) and emits one
 ``etl.stage.<type>`` span per executed stage under an ``etl.run`` root.
 
-Fault tolerance (see ``docs/robustness.md``) is layered on the same
-loop:
+The engine is an adapter over the shared run harness
+(:mod:`repro.exec.run`: option resolution, degradation ladder,
+supervised wavefront scheduler — ``docs/execution-model.md``). What is
+the ETL runtime's own lives here (``docs/robustness.md``):
 
-* a per-run (or per-stage ``on_error``) row policy — ``fail_fast`` /
-  ``skip`` / ``reject`` — absorbed via a per-stage
-  :class:`~repro.resilience.ErrorContext`; rejected rows flow onto a
-  stage's dedicated reject link when one is declared
-  (:meth:`Job.reject_link`), otherwise into
-  :attr:`EtlRunStats.rejected`;
-* transient source/target failures are retried under a
-  :class:`~repro.resilience.RetryPolicy` with exponential backoff;
-* a :class:`~repro.resilience.CheckpointStore` snapshots each completed
-  stage so an interrupted run resumes from the last good frontier;
-* a failing batched kernel degrades per stage to row kernels, then to
-  the interpreting oracle (``exec.degrade.*`` counters), never changing
-  results — only how they are computed.
+* source/target endpoints, retried under a
+  :class:`~repro.resilience.RetryPolicy` *inside* a
+  :class:`~repro.supervision.CircuitBreaker`;
+* a :class:`~repro.resilience.CheckpointStore` snapshot per completed
+  stage, so an interrupted run resumes from the last good frontier;
+* the reject channel: rows rejected under a stage's row policy flow onto
+  its dedicated reject link when one is declared
+  (:meth:`Job.reject_link`), otherwise into :attr:`EtlRunStats.rejected`.
 """
 
 from __future__ import annotations
 
 import warnings
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.data.dataset import Dataset, Instance
-from repro.errors import STATIC_ERRORS, ExecutionError, RunCancelled
+from repro.errors import ExecutionError
 from repro.etl.model import Job
 from repro.etl.stages.access import TableSource, TableTarget
-from repro.exec import (
-    ExpressionPlanner,
-    degrade_counter,
-    resolve_batch_size,
-    resolve_batched,
-    resolve_compiled,
-    resolve_fused,
-    resolve_mode,
-    resolve_parallel,
-    resolve_workers,
-)
-from repro.exec.parallel import WorkerUnavailable, topological_waves
-from repro.obs import NULL_OBS, Observability
-from repro.resilience import (
-    ErrorContext,
-    RejectedRow,
-    rejects_dataset,
-    resolve_checkpoint,
-    resolve_on_error,
-    resolve_retry,
-)
-from repro.supervision import (
-    governed,
-    resolve_breaker,
-    resolve_memory_budget,
-    resolve_supervisor,
-)
+from repro.exec.run import Runtime, run_waves, start_run
+from repro.obs import Observability
+from repro.resilience import ErrorContext, RejectedRow, rejects_dataset
 
 
 class EtlRunStats:
@@ -117,7 +89,7 @@ class EtlRunStats:
         )
 
 
-class EtlEngine:
+class EtlEngine(Runtime):
     """Executes jobs; collects per-link row counts and per-stage timings
     as runtime statistics.
 
@@ -126,93 +98,13 @@ class EtlEngine:
     two callers (or a re-entrant run) never observes a half-filled
     snapshot — each run's numbers replace the previous run's wholesale.
 
-    ``on_error`` / ``retry`` / ``checkpoint`` default to the process
-    triads (``REPRO_ON_ERROR``, ``REPRO_MAX_RETRIES``,
-    ``REPRO_CHECKPOINT_DIR``); ``degrade=False`` disables the batched →
-    rows → oracle fallback ladder (useful when debugging a kernel — the
-    first failure then surfaces directly).
+    Keywords are those of :class:`~repro.exec.run.RunOptions` (``None``
+    means the process default: ``REPRO_ON_ERROR``, ``REPRO_MAX_RETRIES``,
+    ``REPRO_CHECKPOINT_DIR``, …), each readable back as an attribute.
     """
 
-    def __init__(
-        self,
-        obs: Optional[Observability] = None,
-        compiled: Optional[bool] = None,
-        batched: Optional[bool] = None,
-        batch_size: Optional[int] = None,
-        on_error: Optional[str] = None,
-        retry=None,
-        checkpoint=None,
-        degrade: bool = True,
-        parallel: Optional[bool] = None,
-        workers: Optional[int] = None,
-        mode: Optional[str] = None,
-        catalog=None,
-        fused: Optional[bool] = None,
-        deadline: Optional[float] = None,
-        memory_budget=None,
-        breaker=None,
-        supervisor=None,
-        check: Optional[bool] = None,
-    ):
-        self._obs = obs or NULL_OBS
-        # local import: repro.analysis itself imports the stage/operator
-        # catalogues, so a module-level import here would be circular
-        from repro.analysis import resolve_check
-
-        #: whether :func:`repro.analysis.check_plan` vets the job before
-        #: any row is processed (``REPRO_CHECK`` ladder).
-        self.check = resolve_check(check)
-        #: whether stages lower expressions through the compiler
-        #: (``False`` falls back to the interpreting oracle; ``None``
-        #: at the constructor meant the process default).
-        self.compiled = resolve_compiled(compiled)
-        #: whether stages route through the columnar block kernels
-        #: (requires the compiler; stages fall back per operator).
-        self.batched = self.compiled and resolve_batched(batched)
-        self.batch_size = resolve_batch_size(batch_size)
-        #: the run-level row error policy (stages may override per-stage
-        #: via ``Stage.on_error``).
-        self.on_error = resolve_on_error(on_error)
-        #: retry policy for transient source/target failures, or None.
-        self.retry = resolve_retry(retry)
-        #: checkpoint store for resumable runs, or None.
-        self.checkpoint = resolve_checkpoint(checkpoint)
-        self.degrade = degrade
-        #: wavefront scheduling: independent stages of one topological
-        #: level run concurrently on a worker pool; with ``batched``,
-        #: large joins/aggregations additionally partition across the
-        #: same pool. Serial when workers < 2.
-        self._parallel_opt = parallel
-        self.workers = resolve_workers(workers)
-        self.parallel = resolve_parallel(parallel) and self.workers >= 2
-        #: execution-tier mode: "rows"/"block"/"parallel" pin the tier,
-        #: "auto" picks per run from the input size via the cost model,
-        #: None keeps the per-flag resolution above.
-        self.mode = resolve_mode(mode)
-        #: whether batched stages chain block operators through fused
-        #: selection-vector pipelines (falls back per chain).
-        self._fused_opt = fused
-        self.fused = self.batched and resolve_fused(fused)
-        if self.mode is not None:
-            probe = ExpressionPlanner(
-                None, compiled, batched, self.batch_size,
-                parallel=parallel, workers=self.workers, mode=self.mode,
-                fused=fused,
-            )
-            self.batched = probe.batched
-            self.parallel = probe.parallel
-            self.fused = probe.fused
-        #: per-run deadline supervision, or None (no per-boundary work).
-        self.supervisor = resolve_supervisor(
-            supervisor, deadline, obs=self._obs
-        )
-        #: resident-row budget blocking kernels obey during runs, or None.
-        self.memory_budget = resolve_memory_budget(memory_budget)
-        #: circuit breaker guarding source/target endpoints, or None.
-        self.breaker = resolve_breaker(breaker)
-        #: statistics catalog fed back with source stats and per-link
-        #: actuals after every run (None disables the feedback loop).
-        self.catalog = catalog
+    def __init__(self, obs: Optional[Observability] = None, **options):
+        super().__init__(True, obs=obs, **options)
         #: statistics of the most recently *completed* run.
         self.last_run: EtlRunStats = EtlRunStats()
 
@@ -232,200 +124,19 @@ class EtlEngine:
         )
         return dict(self.last_run.link_counts)
 
-    # -- fault-tolerant building blocks ---------------------------------------
-
     def _endpoint(self, fn, name: str):
         """Run a source extract / target load: retry absorbs transients
         *inside* the breaker, so only an exhausted retry budget counts
         as one breaker failure — and an open breaker fails fast without
         touching the endpoint (or burning the backoff schedule)."""
-        if self.retry is not None:
-            call = lambda: self.retry.call(  # noqa: E731
-                fn, name=name, obs=self._obs
-            )
+        retry, breaker = self.retry, self.breaker
+        if retry is not None:
+            call = lambda: retry.call(fn, name=name, obs=self._obs)  # noqa: E731
         else:
             call = fn
-        if self.breaker is not None:
-            return self.breaker.call(name, call, obs=self._obs)
+        if breaker is not None:
+            return breaker.call(name, call, obs=self._obs)
         return call()
-
-    def _ladder(self, planner: ExpressionPlanner) -> List[ExpressionPlanner]:
-        """The degradation ladder for this run, most capable tier first:
-        fused pipelines → batched blocks → compiled row kernels →
-        interpreting oracle."""
-        tiers = [planner]
-        if not self.degrade:
-            return tiers
-        if planner.fused:
-            tiers.append(
-                ExpressionPlanner(
-                    planner.registry, True, True, self.batch_size,
-                    fused=False,
-                )
-            )
-        if planner.batched:
-            tiers.append(
-                ExpressionPlanner(
-                    planner.registry, True, False, self.batch_size
-                )
-            )
-        if self.compiled:
-            tiers.append(
-                ExpressionPlanner(
-                    planner.registry, False, False, self.batch_size
-                )
-            )
-        return tiers
-
-    def _execute_stage(
-        self, stage, inputs, out_relations, registry, tiers, ctx, metrics
-    ):
-        """One stage through the degradation ladder.
-
-        Each failing tier drops to the next; the context is reset per
-        attempt so a failed attempt's partial rejects are not counted
-        twice. When every tier fails, the last tier's exception (the
-        oracle's — the most trustworthy diagnosis) propagates."""
-        if not stage.supports_compiled:
-            if stage.supports_policies:
-                return stage.execute(inputs, out_relations, registry, errors=ctx)
-            return stage.execute(inputs, out_relations, registry)
-        last_exc = None
-        for i, planner in enumerate(tiers):
-            if i:
-                metrics.count(degrade_counter(tiers[i - 1]))
-            ctx.reset()
-            kwargs = {"planner": planner, "obs": self._obs}
-            if stage.supports_policies:
-                kwargs["errors"] = ctx
-            try:
-                return stage.execute(inputs, out_relations, registry, **kwargs)
-            except RunCancelled:
-                raise  # cancellation is not a tier failure — never degrade
-            except STATIC_ERRORS:
-                # a plan defect fails identically at every tier: degrading
-                # would only bury the diagnosis under tier noise
-                raise
-            except Exception as exc:  # noqa: BLE001 — ladder decides
-                last_exc = exc
-        raise last_exc
-
-    # -- the run loop ---------------------------------------------------------
-
-    def _restore_stage(
-        self, stage, restored, out_edges, targets, by_port, link_data, stats
-    ) -> None:
-        """Wire a checkpoint-restored stage's saved outputs in place of
-        executing it."""
-        metrics = self._obs.metrics
-        saved_outputs, delivered = restored
-        outputs = [saved_outputs[e.name] for e in out_edges]
-        if delivered is not None:
-            targets.put(delivered)
-        stats.restored_stages.append(stage.name)
-        metrics.count("exec.checkpoint.restored")
-        for edge, dataset in zip(out_edges, outputs):
-            by_port[(edge.src, edge.src_port)] = dataset
-            link_data[edge.name] = dataset
-            stats.link_counts[edge.name] = len(dataset)
-        if self.supervisor is not None:
-            self.supervisor.committed(stage.uid)
-
-    def _compute_stage(
-        self, stage, inputs, data_edges, instance, registry, tiers, ctx
-    ):
-        """One stage's pure compute (endpoint retry included) — safe off
-        the main thread: no spans, no shared-state writes (the metrics
-        registry is internally locked). Returns ``(outputs,
-        delivered)``."""
-        metrics = self._obs.metrics
-        if isinstance(stage, TableTarget):
-            delivered = self._endpoint(
-                lambda: stage.load(
-                    inputs[0],
-                    trusted=self.compiled,
-                    errors=ctx if ctx.handling else None,
-                ),
-                stage.name,
-            )
-            return [], delivered
-        if isinstance(stage, TableSource):
-            outputs = self._endpoint(
-                lambda: [
-                    stage.extract(instance).renamed(e.name)
-                    for e in data_edges
-                ],
-                stage.name,
-            )
-            return outputs, None
-        out_relations = [e.schema for e in data_edges]
-        outputs = self._execute_stage(
-            stage, inputs, out_relations, registry, tiers, ctx, metrics
-        )
-        if len(outputs) != len(data_edges):
-            raise ExecutionError(
-                f"{stage.STAGE_TYPE} {stage.name!r} produced "
-                f"{len(outputs)} outputs for {len(data_edges)} links",
-                stage=stage.name,
-            )
-        return outputs, None
-
-    def _finish_stage(
-        self, stage, inputs, outputs, delivered, reject_edge, ctx, span,
-        seconds, targets, stats,
-    ):
-        """One stage's bookkeeping — always on the calling thread, in
-        topological order, so wavefront runs publish byte-identically to
-        serial runs. Returns the outputs with the reject-link dataset
-        appended when the stage declares one."""
-        metrics = self._obs.metrics
-        if isinstance(stage, TableTarget):
-            targets.put(delivered)
-        # a reject edge is out-of-band for the producer: data edges
-        # carry stage outputs, the (always last) reject edge carries
-        # this stage's rejected-row dataset
-        if reject_edge is not None:
-            outputs = list(outputs) + [
-                rejects_dataset(ctx.rejected, reject_edge.name)
-            ]
-        elif ctx.rejected:
-            stats.rejected.extend(ctx.rejected)
-        if ctx.rejected:
-            stats.reject_counts[stage.name] = len(ctx.rejected)
-        if ctx.skipped:
-            stats.skip_counts[stage.name] = ctx.skipped
-        ctx.publish(metrics, span)
-        if self._obs.enabled:
-            stats.stage_seconds[stage.name] = seconds
-            metrics.observe(f"etl.stage.{stage.name}.seconds", seconds)
-            span.set(
-                rows_in=sum(len(d) for d in inputs),
-                rows_out=sum(len(d) for d in outputs),
-            )
-        return outputs
-
-    def _commit_stage(
-        self, job, stage, out_edges, outputs, delivered, by_port,
-        link_data, stats,
-    ) -> None:
-        """Checkpoint and wire a finished stage's outputs onto its
-        links."""
-        metrics = self._obs.metrics
-        if self.checkpoint is not None:
-            self.checkpoint.save_stage(
-                job,
-                stage.uid,
-                [(e.name, d) for e, d in zip(out_edges, outputs)],
-                delivered=delivered,
-            )
-            metrics.count("exec.checkpoint.saved")
-        for edge, dataset in zip(out_edges, outputs):
-            by_port[(edge.src, edge.src_port)] = dataset
-            link_data[edge.name] = dataset
-            stats.link_counts[edge.name] = len(dataset)
-            metrics.count(f"etl.link.{edge.name}.rows", len(dataset))
-        if self.supervisor is not None:
-            self.supervisor.committed(stage.uid)
 
     def run(
         self, job: Job, instance: Optional[Instance] = None
@@ -435,210 +146,21 @@ class EtlEngine:
         Returns ``(targets, link_data)``: datasets delivered to each
         target stage (keyed by target relation name) and the dataset that
         flowed over every link (keyed by link name)."""
-        tracer = self._obs.tracer
-        observing = self._obs.enabled
-        stats = EtlRunStats()
         instance = instance or Instance()
-        if self.check:
-            from repro.analysis import check_plan
-
-            check_plan(job, registry=job.registry)
-        # one planner per run: expressions shared by several stages are
-        # lowered once, and the job's own registry is captured
-        planner = ExpressionPlanner(
-            job.registry, self.compiled, self.batched, self.batch_size,
-            parallel=self._parallel_opt, workers=self.workers,
-            mode=self.mode, fused=self._fused_opt,
-        )
-        if self.mode == "auto":
-            n_rows = max((len(d) for d in instance), default=0)
-            tier = planner.tune_for(n_rows, memory_budget=self.memory_budget)
-            self._obs.metrics.count(f"exec.auto.tier.{tier}")
-        parallel = planner.parallel if self.mode is not None else self.parallel
-        tiers = self._ladder(planner)
+        planner, ladder = start_run(self.options, job, job.registry, instance)
         job.propagate_schemas()
-        by_port: Dict[Tuple[str, int], Dataset] = {}
-        link_data: Dict[str, Dataset] = {}
-        targets = Instance()
-        supervisor = self.supervisor
-        if supervisor is not None:
-            supervisor.start(self._obs)
-        frontier = (
-            self.checkpoint.load_frontier(job) if self.checkpoint else {}
-        )
-        order = job.topological_order()
-        if parallel:
-            waves = topological_waves(
-                order,
-                lambda s: s.uid,
-                lambda s: (e.src for e in job.in_edges(s.uid)),
-            )
-        else:
-            waves = [order]
-        with governed(self.memory_budget), tracer.span(
-            "etl.run", job=job.name
-        ):
-            for wave in waves:
-                if supervisor is not None:
-                    supervisor.check("wave")
-                if parallel and len(wave) >= 2:
-                    self._run_stage_wave(
-                        wave, job, instance, tiers, planner, frontier,
-                        targets, by_port, link_data, stats, supervisor,
-                    )
-                    continue
-                for stage in wave:
-                    if supervisor is not None:
-                        supervisor.check(stage.name)
-                    inputs = [
-                        by_port[(e.src, e.src_port)]
-                        for e in job.in_edges(stage.uid)
-                    ]
-                    out_edges = job.out_edges(stage.uid)
-                    data_edges = [e for e in out_edges if not e.is_reject]
-                    reject_edge = next(
-                        (e for e in out_edges if e.is_reject), None
-                    )
-                    restored = frontier.get(stage.uid)
-                    if restored is not None and all(
-                        e.name in restored[0] for e in out_edges
-                    ):
-                        self._restore_stage(
-                            stage, restored, out_edges,
-                            targets, by_port, link_data, stats,
-                        )
-                        continue
-                    ctx = ErrorContext(
-                        stage.name, stage.on_error or self.on_error
-                    )
-                    with tracer.span(
-                        f"etl.stage.{stage.STAGE_TYPE}", stage=stage.name
-                    ) as span:
-                        started = perf_counter() if observing else 0.0
-                        outputs, delivered = self._compute_stage(
-                            stage, inputs, data_edges, instance,
-                            job.registry, tiers, ctx,
-                        )
-                        seconds = (
-                            perf_counter() - started if observing else 0.0
-                        )
-                        outputs = self._finish_stage(
-                            stage, inputs, outputs, delivered, reject_edge,
-                            ctx, span, seconds, targets, stats,
-                        )
-                    self._commit_stage(
-                        job, stage, out_edges, outputs, delivered,
-                        by_port, link_data, stats,
-                    )
+        run = _JobRun(self, job, instance, ladder)
+        with self._obs.tracer.span("etl.run", job=job.name):
+            run_waves(job.topological_order(), run, self.options, planner)
         if self.checkpoint is not None:
             self.checkpoint.clear(job)
         if self.catalog is not None:
             # close the feedback loop: the next estimate_graph over the
             # same link names re-plans from these actuals
             self.catalog.observe_instance(instance)
-            self.catalog.observe_link_counts(stats.link_counts)
-        self.last_run = stats
-        return targets, link_data
-
-    def _run_stage_wave(
-        self, wave, job, instance, tiers, planner, frontier,
-        targets, by_port, link_data, stats, supervisor=None,
-    ) -> None:
-        """Run one topological wave of mutually-independent stages on the
-        planner's worker pool. Compute (including endpoint retries) fans
-        out to workers; bookkeeping — spans, stats, checkpoints, link
-        wiring — replays on this thread in topological order, so results,
-        reject routing, and checkpoints are byte-identical to a serial
-        run. An unavailable worker recomputes its stage inline
-        (``exec.degrade.parallel_to_serial``); a genuine stage error
-        propagates exactly as the serial loop's would. A supervisor
-        guards each task, so once a run is cancelled the still-queued
-        tasks of the wave short-circuit while in-flight ones drain —
-        the pool joins every future before bookkeeping replays."""
-        tracer = self._obs.tracer
-        metrics = self._obs.metrics
-        prepared = []
-        for stage in wave:
-            inputs = [
-                by_port[(e.src, e.src_port)]
-                for e in job.in_edges(stage.uid)
-            ]
-            out_edges = job.out_edges(stage.uid)
-            data_edges = [e for e in out_edges if not e.is_reject]
-            reject_edge = next((e for e in out_edges if e.is_reject), None)
-            restored = frontier.get(stage.uid)
-            if restored is not None and all(
-                e.name in restored[0] for e in out_edges
-            ):
-                prepared.append(
-                    {"stage": stage, "out_edges": out_edges,
-                     "restored": restored}
-                )
-                continue
-            ctx = ErrorContext(stage.name, stage.on_error or self.on_error)
-            prepared.append(
-                {"stage": stage, "inputs": inputs, "out_edges": out_edges,
-                 "data_edges": data_edges, "reject_edge": reject_edge,
-                 "ctx": ctx, "restored": None}
-            )
-
-        def make_task(entry):
-            def task():
-                started = perf_counter()
-                result = self._compute_stage(
-                    entry["stage"], entry["inputs"], entry["data_edges"],
-                    instance, job.registry, tiers, entry["ctx"],
-                )
-                return result, perf_counter() - started
-
-            if supervisor is not None:
-                return supervisor.guard(task)
-            return task
-
-        live = [e for e in prepared if e["restored"] is None]
-        pool = planner.pool()
-        entries = pool.run_all([make_task(e) for e in live])
-        metrics.count("exec.parallel.waves")
-        metrics.count("exec.parallel.tasks", len(live))
-        results = iter(entries)
-        with tracer.span(
-            "exec.parallel.wave", stages=len(wave), workers=pool.workers
-        ):
-            for entry in prepared:
-                stage = entry["stage"]
-                if entry["restored"] is not None:
-                    self._restore_stage(
-                        stage, entry["restored"], entry["out_edges"],
-                        targets, by_port, link_data, stats,
-                    )
-                    continue
-                error, payload = next(results)
-                if isinstance(error, WorkerUnavailable):
-                    metrics.count("exec.degrade.parallel_to_serial")
-                    entry["ctx"].reset()
-                    started = perf_counter()
-                    payload = (
-                        self._compute_stage(
-                            stage, entry["inputs"], entry["data_edges"],
-                            instance, job.registry, tiers, entry["ctx"],
-                        ),
-                        perf_counter() - started,
-                    )
-                elif error is not None:
-                    raise error
-                (outputs, delivered), seconds = payload
-                with tracer.span(
-                    f"etl.stage.{stage.STAGE_TYPE}", stage=stage.name
-                ) as span:
-                    outputs = self._finish_stage(
-                        stage, entry["inputs"], outputs, delivered,
-                        entry["reject_edge"], entry["ctx"], span, seconds,
-                        targets, stats,
-                    )
-                self._commit_stage(
-                    job, stage, entry["out_edges"], outputs, delivered,
-                    by_port, link_data, stats,
-                )
+            self.catalog.observe_link_counts(run.stats.link_counts)
+        self.last_run = run.stats
+        return run.targets, run.link_data
 
     def execute(self, job: Job, instance: Optional[Instance] = None) -> Instance:
         """Run and return only the target datasets."""
@@ -646,77 +168,211 @@ class EtlEngine:
         return targets
 
 
+class _StageState:
+    """One stage's wiring for one run, gathered once its inputs exist."""
+
+    __slots__ = ("inputs", "out_edges", "data_edges", "reject_edge",
+                 "restored", "ctx")
+
+    def __init__(self, inputs, out_edges, restored, ctx):
+        self.inputs = inputs
+        self.out_edges = out_edges
+        # a reject edge is out-of-band for the producer: data edges
+        # carry stage outputs, the (always last) reject edge carries
+        # this stage's rejected-row dataset
+        self.data_edges = [e for e in out_edges if not e.is_reject]
+        self.reject_edge = next((e for e in out_edges if e.is_reject), None)
+        #: the checkpointed ``(outputs, delivered)`` to wire in place of
+        #: executing the stage (then there is no context), or None
+        self.restored = restored
+        self.ctx = ctx
+
+
+class _JobRun:
+    """One run of one job: its stages as the scheduler's nodes
+    (:class:`repro.exec.run.Nodes`), plus the run-scoped state their
+    bookkeeping fills — never the engine's."""
+
+    unit = "stages"
+
+    def __init__(self, engine: EtlEngine, job: Job, instance: Instance, ladder):
+        self.engine = engine
+        self.job = job
+        self.instance = instance
+        self.ladder = ladder
+        self.obs = engine.options.obs
+        self.stats = EtlRunStats()
+        self.targets = Instance()
+        self.by_port: Dict[Tuple[str, int], Dataset] = {}
+        self.link_data: Dict[str, Dataset] = {}
+        checkpoint = engine.checkpoint
+        self.frontier = checkpoint.load_frontier(job) if checkpoint else {}
+
+    def key(self, stage):
+        return stage.uid
+
+    def parents(self, stage):
+        return (e.src for e in self.job.in_edges(stage.uid))
+
+    def name(self, stage) -> str:
+        return stage.name
+
+    def prepare(self, stage):
+        inputs = [
+            self.by_port[(e.src, e.src_port)]
+            for e in self.job.in_edges(stage.uid)
+        ]
+        out_edges = self.job.out_edges(stage.uid)
+        restored = self.frontier.get(stage.uid)
+        if restored is not None and all(
+            e.name in restored[0] for e in out_edges
+        ):
+            ctx = None
+        else:
+            restored = None
+            ctx = ErrorContext(
+                stage.name, stage.on_error or self.engine.on_error
+            )
+        return ctx, _StageState(inputs, out_edges, restored, ctx)
+
+    def compute(self, stage, state):
+        """One stage's pure compute (endpoint retry included): returns
+        ``(outputs, delivered)``."""
+        engine, ctx = self.engine, state.ctx
+        if isinstance(stage, TableTarget):
+            delivered = engine._endpoint(
+                lambda: stage.load(
+                    state.inputs[0],
+                    trusted=engine.compiled,
+                    errors=ctx if ctx.handling else None,
+                ),
+                stage.name,
+            )
+            return [], delivered
+        if isinstance(stage, TableSource):
+            outputs = engine._endpoint(
+                lambda: [
+                    stage.extract(self.instance).renamed(e.name)
+                    for e in state.data_edges
+                ],
+                stage.name,
+            )
+            return outputs, None
+        outputs = self._execute(stage, state)
+        if len(outputs) != len(state.data_edges):
+            raise ExecutionError(
+                f"{stage.STAGE_TYPE} {stage.name!r} produced "
+                f"{len(outputs)} outputs for {len(state.data_edges)} links",
+                stage=stage.name,
+            )
+        return outputs, None
+
+    def _execute(self, stage, state):
+        """A transformation stage, through the ladder when it lowers
+        expressions at all."""
+        registry = self.job.registry
+        out_relations = [e.schema for e in state.data_edges]
+        policies = {"errors": state.ctx} if stage.supports_policies else {}
+        if not stage.supports_compiled:
+            return stage.execute(
+                state.inputs, out_relations, registry, **policies
+            )
+        return self.ladder.attempt(
+            lambda planner: stage.execute(
+                state.inputs, out_relations, registry,
+                planner=planner, obs=self.obs, **policies,
+            ),
+            state.ctx,
+            self.obs.metrics,
+        )
+
+    def book(self, stage, state, result) -> None:
+        if result is None:
+            outputs, delivered = self._restore(stage, state)
+        else:
+            with self.obs.tracer.span(
+                f"etl.stage.{stage.STAGE_TYPE}", stage=stage.name
+            ) as span:
+                (outputs, delivered), seconds = result()
+                outputs = self._finish(
+                    stage, state, outputs, delivered, seconds, span
+                )
+            self._checkpoint(stage, state, outputs, delivered)
+        metrics = self.obs.metrics
+        for edge, dataset in zip(state.out_edges, outputs):
+            self.by_port[(edge.src, edge.src_port)] = dataset
+            self.link_data[edge.name] = dataset
+            self.stats.link_counts[edge.name] = len(dataset)
+            if result is not None:
+                metrics.count(f"etl.link.{edge.name}.rows", len(dataset))
+
+    def _restore(self, stage, state):
+        """A checkpoint-restored stage's saved outputs, in place of
+        executing it."""
+        saved_outputs, delivered = state.restored
+        if delivered is not None:
+            self.targets.put(delivered)
+        self.stats.restored_stages.append(stage.name)
+        self.obs.metrics.count("exec.checkpoint.restored")
+        return [saved_outputs[e.name] for e in state.out_edges], delivered
+
+    def _finish(self, stage, state, outputs, delivered, seconds, span):
+        """An executed stage's statistics; returns its outputs with the
+        reject-link dataset appended when the stage declares one."""
+        metrics, stats, ctx = self.obs.metrics, self.stats, state.ctx
+        if isinstance(stage, TableTarget):
+            self.targets.put(delivered)
+        if state.reject_edge is not None:
+            outputs = list(outputs) + [
+                rejects_dataset(ctx.rejected, state.reject_edge.name)
+            ]
+        elif ctx.rejected:
+            stats.rejected.extend(ctx.rejected)
+        if ctx.rejected:
+            stats.reject_counts[stage.name] = len(ctx.rejected)
+        if ctx.skipped:
+            stats.skip_counts[stage.name] = ctx.skipped
+        ctx.publish(metrics, span)
+        if self.obs.enabled:
+            stats.stage_seconds[stage.name] = seconds
+            metrics.observe(f"etl.stage.{stage.name}.seconds", seconds)
+            span.set(
+                rows_in=sum(len(d) for d in state.inputs),
+                rows_out=sum(len(d) for d in outputs),
+            )
+        return outputs
+
+    def _checkpoint(self, stage, state, outputs, delivered) -> None:
+        checkpoint = self.engine.checkpoint
+        if checkpoint is not None:
+            checkpoint.save_stage(
+                self.job,
+                stage.uid,
+                [(e.name, d) for e, d in zip(state.out_edges, outputs)],
+                delivered=delivered,
+            )
+            self.obs.metrics.count("exec.checkpoint.saved")
+
+
 def run_job(
     job: Job,
     instance: Optional[Instance] = None,
     obs: Optional[Observability] = None,
-    compiled: Optional[bool] = None,
-    batched: Optional[bool] = None,
-    batch_size: Optional[int] = None,
-    on_error: Optional[str] = None,
-    retry=None,
-    checkpoint=None,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
-    fused: Optional[bool] = None,
-    deadline: Optional[float] = None,
-    memory_budget=None,
-    breaker=None,
-    check: Optional[bool] = None,
+    **options,
 ) -> Instance:
-    """Convenience: run ``job`` and return the target datasets."""
-    return EtlEngine(
-        obs=obs,
-        compiled=compiled,
-        batched=batched,
-        batch_size=batch_size,
-        on_error=on_error,
-        retry=retry,
-        checkpoint=checkpoint,
-        parallel=parallel,
-        workers=workers,
-        fused=fused,
-        deadline=deadline,
-        memory_budget=memory_budget,
-        breaker=breaker,
-        check=check,
-    ).execute(job, instance)
+    """Convenience: run ``job`` and return the target datasets
+    (``options`` are :class:`EtlEngine`'s keywords)."""
+    return EtlEngine(obs, **options).execute(job, instance)
 
 
 def run_job_with_links(
     job: Job,
     instance: Optional[Instance] = None,
     obs: Optional[Observability] = None,
-    compiled: Optional[bool] = None,
-    batched: Optional[bool] = None,
-    batch_size: Optional[int] = None,
-    on_error: Optional[str] = None,
-    retry=None,
-    checkpoint=None,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
-    fused: Optional[bool] = None,
-    deadline: Optional[float] = None,
-    memory_budget=None,
-    breaker=None,
-    check: Optional[bool] = None,
+    **options,
 ) -> Tuple[Instance, Dict[str, Dataset]]:
     """Run ``job`` returning targets plus every link's dataset."""
-    return EtlEngine(
-        obs=obs,
-        compiled=compiled,
-        batched=batched,
-        batch_size=batch_size,
-        on_error=on_error,
-        retry=retry,
-        checkpoint=checkpoint,
-        parallel=parallel,
-        workers=workers,
-        fused=fused,
-        deadline=deadline,
-        memory_budget=memory_budget,
-        breaker=breaker,
-    ).run(job, instance)
+    return EtlEngine(obs, **options).run(job, instance)
 
 
 __all__ = ["EtlEngine", "EtlRunStats", "run_job", "run_job_with_links"]

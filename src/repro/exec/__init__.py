@@ -53,6 +53,12 @@ is on by default there — ``fused=False`` engine kwargs,
 switch it off — and any chain whose operators decline to fuse falls
 back to the unfused block kernels per chain
 (``exec.degrade.fused_to_block``), never changing results.
+
+How a run uses these tiers — option resolution, the degradation ladder,
+the supervised wavefront scheduler — is :mod:`repro.exec.run`, the one
+harness under the three runtimes. This package does not import it (it
+needs :mod:`repro.resilience`, which imports the ETL stages, which
+import this package); the runtimes import it directly.
 """
 
 from __future__ import annotations

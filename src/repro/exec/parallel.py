@@ -312,6 +312,16 @@ def topological_waves(
     return waves
 
 
+def graph_waves(graph: Any) -> List[List[Any]]:
+    """:func:`topological_waves` of a dataflow graph (an ETL job or an
+    OHM graph): nodes keyed by ``uid``, parents read off the in-edges."""
+    return topological_waves(
+        graph.topological_order(),
+        lambda node: node.uid,
+        lambda node: (e.src for e in graph.in_edges(node.uid)),
+    )
+
+
 def max_wavefront(waves: Sequence[Sequence[Any]]) -> int:
     """The widest wave — the graph's available stage-level parallelism."""
     return max((len(wave) for wave in waves), default=0)
@@ -698,6 +708,7 @@ __all__ = [
     "WorkerUnavailable",
     "default_parallel",
     "default_workers",
+    "graph_waves",
     "max_wavefront",
     "parallel_threshold",
     "partitioned_group_aggregate",

@@ -27,147 +27,39 @@ import itertools
 from typing import Dict, List, Optional
 
 from repro.data.dataset import Dataset, Instance, Row
-from repro.errors import STATIC_ERRORS, ExecutionError, RunCancelled
-from repro.exec import (
-    ExpressionPlanner,
-    block,
-    degrade_counter,
-    fuse,
-    kernels,
-    resolve_parallel,
-)
-from repro.exec.parallel import WorkerUnavailable, topological_waves
+from repro.errors import ExecutionError
+from repro.exec import ExpressionPlanner, block, fuse, kernels
+from repro.exec.run import Runtime, run_waves, start_run
 from repro.expr.algebra import transform
 from repro.expr.ast import AggregateCall, ColumnRef, Expr, Literal
 from repro.expr.evaluator import Environment, evaluate
 from repro.expr.functions import DEFAULT_REGISTRY, FunctionRegistry
 from repro.mapping.model import Mapping, MappingSet
-from repro.obs import NULL_OBS, Observability
-from repro.resilience import (
-    ErrorContext,
-    rejects_dataset,
-    resolve_on_error,
-)
-from repro.supervision import (
-    governed,
-    resolve_memory_budget,
-    resolve_supervisor,
-)
+from repro.obs import Observability
+from repro.resilience import ErrorContext, RejectedRow, rejects_dataset
 
 
-class MappingExecutor:
+class MappingExecutor(Runtime):
     """Interprets mappings over instances.
 
     ``on_error`` sets the row error policy (``fail_fast`` / ``skip`` /
     ``reject``) applied per mapping: a source-row combination whose
     where clause or derivations error is dropped (``skip``) or captured
     (``reject`` — see :meth:`run_with_rejects`) instead of aborting.
-    A failing execution tier degrades per mapping from fused
-    selection-vector chains through batched blocks and compiled row
-    kernels to the interpreting oracle."""
+    The executor is an adapter over the shared run harness
+    (:mod:`repro.exec.run` — ``docs/execution-model.md``): keywords are
+    those of :class:`~repro.exec.run.RunOptions` (no endpoint options),
+    each readable back as an attribute, and every run gets its own
+    planner, so an executor carries no run-scoped state."""
 
     def __init__(
         self,
         registry: Optional[FunctionRegistry] = None,
         obs: Optional[Observability] = None,
-        compiled: Optional[bool] = None,
-        batched: Optional[bool] = None,
-        batch_size: Optional[int] = None,
-        on_error: Optional[str] = None,
-        degrade: bool = True,
-        parallel: Optional[bool] = None,
-        workers: Optional[int] = None,
-        mode: Optional[str] = None,
-        catalog=None,
-        fused: Optional[bool] = None,
-        deadline: Optional[float] = None,
-        memory_budget=None,
-        supervisor=None,
-        check: Optional[bool] = None,
+        **options,
     ):
+        super().__init__(False, obs=obs, **options)
         self.registry = registry or DEFAULT_REGISTRY
-        self._obs = obs or NULL_OBS
-        # local import: repro.analysis imports the mapping model, so a
-        # module-level import here would be circular
-        from repro.analysis import resolve_check
-
-        #: whether :func:`repro.analysis.check_plan` vets the mapping
-        #: set before any row is processed (``REPRO_CHECK`` ladder).
-        self.check = resolve_check(check)
-        self._planner = ExpressionPlanner(
-            self.registry, compiled, batched, batch_size,
-            parallel=parallel, workers=workers, mode=mode, fused=fused,
-        )
-        self.compiled = self._planner.compiled
-        self.batched = self._planner.batched
-        #: selection-vector pipeline fusion (requires ``batched``).
-        self.fused = self._planner.fused
-        #: execution-tier mode: "rows"/"block"/"parallel" pin the tier,
-        #: "auto" picks per run from the input size via the cost model,
-        #: None keeps the per-flag resolution.
-        self.mode = self._planner.mode
-        self.on_error = resolve_on_error(on_error)
-        self.degrade = degrade
-        #: wavefront scheduling: mappings whose source relations are all
-        #: settled run concurrently (a mapping waits for every producer
-        #: of each relation it reads); merge order of a shared target is
-        #: the dependency order, exactly as in the serial loop.
-        self.workers = self._planner.workers
-        if self.mode is not None:
-            self.parallel = self._planner.parallel
-        else:
-            self.parallel = resolve_parallel(parallel) and self.workers >= 2
-        #: statistics catalog fed back with per-relation actuals after
-        #: every run (None disables the feedback loop).
-        self.catalog = catalog
-        #: run supervision: wall-clock deadline / cooperative cancel
-        #: checked at wave and mapping boundaries, and the resident-row
-        #: budget blocking kernels consult (both None = unsupervised).
-        self.supervisor = resolve_supervisor(supervisor, deadline, obs=self._obs)
-        self.memory_budget = resolve_memory_budget(memory_budget)
-
-    # -- fault tolerance -----------------------------------------------------------
-
-    def _tiers(self) -> List["MappingExecutor"]:
-        """Degradation ladder: this executor, then (on failure) sibling
-        executors at the lower tiers sharing registry and obs."""
-        tiers: List[MappingExecutor] = [self]
-        if not self.degrade:
-            return tiers
-        if self.fused:
-            tiers.append(
-                MappingExecutor(
-                    self.registry,
-                    self._obs,
-                    compiled=True,
-                    batched=True,
-                    batch_size=self._planner.batch_size,
-                    fused=False,
-                    degrade=False,
-                )
-            )
-        if self.batched:
-            tiers.append(
-                MappingExecutor(
-                    self.registry,
-                    self._obs,
-                    compiled=True,
-                    batched=False,
-                    batch_size=self._planner.batch_size,
-                    degrade=False,
-                )
-            )
-        if self.compiled:
-            tiers.append(
-                MappingExecutor(
-                    self.registry,
-                    self._obs,
-                    compiled=False,
-                    batched=False,
-                    degrade=False,
-                )
-            )
-        return tiers
 
     @staticmethod
     def _source_row_of(mapping: Mapping):
@@ -189,31 +81,32 @@ class MappingExecutor:
         mapping: Mapping,
         instance: Instance,
         errors: Optional[ErrorContext] = None,
+        planner: Optional[ExpressionPlanner] = None,
     ) -> Dataset:
         """Evaluate one mapping; returns the dataset it asserts into its
         target relation. Row errors are absorbed into ``errors`` when an
-        active policy context is supplied."""
+        active policy context is supplied. ``planner`` is the tier to
+        evaluate at — a run passes each ladder rung's; a direct call
+        gets a fresh one at the executor's own tier."""
         if mapping.is_opaque:
             return self._execute_opaque(mapping, instance)
-        if self._planner.fused:
-            result = self._execute_fused(mapping, instance)
+        planner = planner or self.options.planner(self.registry)
+        if planner.fused:
+            result = self._execute_fused(mapping, instance, planner)
             if result is not None:
                 return result
-        if self._planner.batched:
-            result = self._execute_block(mapping, instance)
+        if planner.batched:
+            result = self._execute_block(mapping, instance, planner)
             if result is not None:
                 return result
         handling = errors is not None and errors.handling
         row_of = self._source_row_of(mapping) if handling else None
-        joined = self._satisfying_rows(mapping, instance, errors=errors)
+        joined = self._satisfying_rows(mapping, instance, planner, errors)
         if mapping.is_grouping:
-            return self._grouped_result(mapping, joined)
+            return self._grouped_result(mapping, joined, planner)
         rows = kernels.project_rows(
             joined,
-            [
-                (col, self._planner.scalar(expr))
-                for col, expr in mapping.derivations
-            ],
+            [(col, planner.scalar(expr)) for col, expr in mapping.derivations],
             defaults={attr.name: None for attr in mapping.target},
             obs=self._obs,
             on_error=(
@@ -223,7 +116,7 @@ class MappingExecutor:
         return Dataset(mapping.target, rows, validate=False)
 
     def _execute_fused(
-        self, mapping: Mapping, instance: Instance
+        self, mapping: Mapping, instance: Instance, planner: ExpressionPlanner
     ) -> Optional[Dataset]:
         """Fused evaluation of the single-source, non-grouping mapping
         shape: the where clause narrows a selection vector over the
@@ -239,7 +132,7 @@ class MappingExecutor:
         if any(col not in target_names for col, _e in mapping.derivations):
             return None
         dataset = self._source_dataset(binding.relation.name, instance)
-        chain = self._planner.fused_chain(dataset, self._obs)
+        chain = planner.fused_chain(dataset, self._obs)
         if chain is None:
             return None
         names = set(chain.handles)
@@ -252,7 +145,7 @@ class MappingExecutor:
                 return ref.name if ref.name in names else None
             return None
 
-        predicate = self._planner.block_predicate(
+        predicate = planner.block_predicate(
             mapping.where, resolve, tier="fused"
         )
         if predicate is None:
@@ -265,7 +158,7 @@ class MappingExecutor:
                     # pass-through: rename the handle, never gather
                     lowered.append((col, None, key))
                     continue
-            fn = self._planner.block_scalar(expr, resolve, tier="fused")
+            fn = planner.block_scalar(expr, resolve, tier="fused")
             if fn is None:
                 return None
             lowered.append((col, expr, fn))
@@ -288,7 +181,7 @@ class MappingExecutor:
         return Dataset.adopt_fused(mapping.target, child.derive(handles))
 
     def _execute_block(
-        self, mapping: Mapping, instance: Instance
+        self, mapping: Mapping, instance: Instance, planner: ExpressionPlanner
     ) -> Optional[Dataset]:
         """Columnar evaluation of the common single-source, non-grouping
         mapping shape (filter then project over one bound relation), or
@@ -314,23 +207,23 @@ class MappingExecutor:
                 return ref.name if ref.name in names else None
             return None
 
-        predicate = self._planner.block_predicate(mapping.where, resolve)
+        predicate = planner.block_predicate(mapping.where, resolve)
         if predicate is None:
             return None
         derivations = [
-            (col, self._planner.block_scalar(expr, resolve))
+            (col, planner.block_scalar(expr, resolve))
             for col, expr in mapping.derivations
         ]
         if any(fn is None for _col, fn in derivations):
             return None
         filtered = block.filter_block(
-            blk, predicate, self._planner.batch_size, obs=self._obs
+            blk, predicate, planner.batch_size, obs=self._obs
         )
         projected = block.project_block(
             filtered,
             derivations,
             defaults={attr.name: None for attr in mapping.target},
-            batch_size=self._planner.batch_size,
+            batch_size=planner.batch_size,
             obs=self._obs,
         )
         return Dataset.adopt_block(mapping.target, projected)
@@ -346,6 +239,7 @@ class MappingExecutor:
         self,
         mapping: Mapping,
         instance: Instance,
+        planner: ExpressionPlanner,
         errors: Optional[ErrorContext] = None,
     ) -> List[Environment]:
         """Environments for every combination of source rows satisfying
@@ -364,7 +258,7 @@ class MappingExecutor:
         handling = errors is not None and errors.handling
         return kernels.filter_rows(
             candidates,
-            self._planner.predicate(mapping.where),
+            planner.predicate(mapping.where),
             obs=self._obs,
             on_error=(
                 errors.kernel_handler(row_of=self._source_row_of(mapping))
@@ -374,16 +268,19 @@ class MappingExecutor:
         )
 
     def _grouped_result(
-        self, mapping: Mapping, joined: List[Environment]
+        self,
+        mapping: Mapping,
+        joined: List[Environment],
+        planner: ExpressionPlanner,
     ) -> Dataset:
         groups = kernels.group_rows(
             joined,
-            [self._planner.scalar(e) for e in mapping.group_by],
+            [planner.scalar(e) for e in mapping.group_by],
             obs=self._obs,
         )
         result = Dataset(mapping.target, validate=False)
         scalar_fns = {
-            col: self._planner.scalar(expr)
+            col: planner.scalar(expr)
             for col, expr in mapping.derivations
             if not expr.contains_aggregate()
         }
@@ -392,24 +289,31 @@ class MappingExecutor:
             row: Row = {a.name: None for a in mapping.target}
             for col, expr in mapping.derivations:
                 if expr.contains_aggregate():
-                    row[col] = self._evaluate_aggregated(expr, members)
+                    row[col] = self._evaluate_aggregated(
+                        expr, members, planner
+                    )
                 else:
                     row[col] = scalar_fns[col](representative)
             result.append(row, validate=False)
         return result
 
     def _evaluate_aggregated(
-        self, expr: Expr, members: List[Environment]
+        self,
+        expr: Expr,
+        members: List[Environment],
+        planner: ExpressionPlanner,
     ) -> object:
         """Evaluate an expression containing aggregate calls over a group
         (each aggregate is computed over the group, then the surrounding
         scalar expression is evaluated)."""
         if isinstance(expr, AggregateCall):
-            return self._aggregate_over_envs(expr, members)
+            return self._aggregate_over_envs(expr, members, planner)
 
         def fold(node: Expr):
             if isinstance(node, AggregateCall):
-                return Literal(self._aggregate_over_envs(node, members))
+                return Literal(
+                    self._aggregate_over_envs(node, members, planner)
+                )
             return None
 
         # the folded expression embeds this group's aggregate values as
@@ -419,16 +323,19 @@ class MappingExecutor:
         return evaluate(folded, members[0], self.registry)
 
     def _aggregate_over_envs(
-        self, agg: AggregateCall, members: List[Environment]
+        self,
+        agg: AggregateCall,
+        members: List[Environment],
+        planner: ExpressionPlanner,
     ):
         """Aggregate over a group of multi-source environments by
         evaluating the argument per member first."""
         if agg.arg is None:
             return len(members)
-        arg = self._planner.scalar(agg.arg)
+        arg = planner.scalar(agg.arg)
         values = [{"__v": arg(env)} for env in members]
         rewritten = AggregateCall(agg.func, ColumnRef("__v"), agg.distinct)
-        return self._planner.aggregate(rewritten)(values)
+        return planner.aggregate(rewritten)(values)
 
     def _execute_opaque(self, mapping: Mapping, instance: Instance) -> Dataset:
         if mapping.executor is None:
@@ -465,100 +372,17 @@ class MappingExecutor:
         targets, intermediates, rejected = self._run_impl(mappings, instance)
         return targets, intermediates, rejects_dataset(rejected)
 
-    def _compute_mapping(self, mapping, working, tiers, ctx, metrics):
-        """One mapping through the degradation ladder — pure compute,
-        safe off the main thread (``working`` is only read)."""
-        last_exc = None
-        for i, executor in enumerate(tiers):
-            if i:
-                metrics.count(degrade_counter(tiers[i - 1]._planner))
-            ctx.reset()
-            try:
-                return executor.execute_mapping(mapping, working, errors=ctx)
-            except RunCancelled:
-                raise  # cancellation is not a tier failure
-            except STATIC_ERRORS:
-                # a plan defect fails identically at every tier: degrading
-                # would only bury the diagnosis under tier noise
-                raise
-            except Exception as exc:  # noqa: BLE001 — ladder decides
-                last_exc = exc
-        raise last_exc
-
-    def _finish_mapping(
-        self, mapping, result, ctx, produced, working, rejected
-    ) -> None:
-        """One mapping's bookkeeping — always on the calling thread, in
-        dependency order: publish row-error outcomes, union (bag) into a
-        shared target, make the result visible to later mappings."""
-        rejected.extend(ctx.rejected)
-        ctx.publish(self._obs.metrics)
-        if mapping.target.name in produced:
-            existing = produced[mapping.target.name]
-            merged = Dataset(existing.relation, validate=False)
-            merged.extend(existing.rows, validate=False)
-            merged.extend(result.rows, validate=False)
-            produced[mapping.target.name] = merged
-            working.put(merged)
-        else:
-            produced[mapping.target.name] = result
-            working.put(result)
-
     def _run_impl(self, mappings: MappingSet, instance: Instance):
-        metrics = self._obs.metrics
-        if self.check:
-            from repro.analysis import check_plan
-
-            check_plan(mappings, registry=self.registry)
-        if self.supervisor is not None:
-            self.supervisor.start(self._obs)
-        if self.mode == "auto":
-            n_rows = max((len(d) for d in instance), default=0)
-            tier = self._planner.tune_for(
-                n_rows, memory_budget=self.memory_budget
-            )
-            self.batched = self._planner.batched
-            self.fused = self._planner.fused
-            metrics.count(f"exec.auto.tier.{tier}")
-        parallel = (
-            self._planner.parallel if self.mode is not None else self.parallel
+        planner, ladder = start_run(
+            self.options, mappings, self.registry, instance
         )
-        tiers = self._tiers()
-        rejected = []
-        working = Instance()
-        for dataset in instance:
-            working.put(dataset)
-        produced: Dict[str, Dataset] = {}
         order = mappings.in_dependency_order()
-        if parallel:
-            waves = self._mapping_waves(order)
-        else:
-            waves = [order]
-        with governed(self.memory_budget):
-            for wave in waves:
-                if self.supervisor is not None:
-                    self.supervisor.check("wave")
-                if parallel and len(wave) >= 2:
-                    self._run_mapping_wave(
-                        wave, working, tiers, produced, rejected, metrics
-                    )
-                    continue
-                for mapping in wave:
-                    if self.supervisor is not None:
-                        self.supervisor.check(mapping.name)
-                    ctx = ErrorContext(mapping.name, self.on_error)
-                    result = self._compute_mapping(
-                        mapping, working, tiers, ctx, metrics
-                    )
-                    self._finish_mapping(
-                        mapping, result, ctx, produced, working, rejected
-                    )
-                    if self.supervisor is not None:
-                        self.supervisor.committed(mapping.name)
+        run = _MappingRun(self, order, instance, ladder)
+        run_waves(order, run, self.options, planner)
         final_names = set(mappings.final_target_names())
         targets = Instance()
         intermediates: Dict[str, Dataset] = {}
-        for name, dataset in produced.items():
+        for name, dataset in run.produced.items():
             if name in final_names:
                 # re-validate against the declared target relation
                 targets.put(dataset.with_relation(dataset.relation))
@@ -568,80 +392,82 @@ class MappingExecutor:
             # close the feedback loop: produced relations become
             # observed actuals for the next estimate
             self.catalog.observe_instance(instance)
-            for name, dataset in produced.items():
+            for name, dataset in run.produced.items():
                 self.catalog.observe_link(name, len(dataset))
-        return targets, intermediates, rejected
+        return targets, intermediates, run.rejected
 
-    def _mapping_waves(self, order: List[Mapping]) -> List[List[Mapping]]:
-        """Group dependency-ordered mappings into waves of mutually
-        independent mappings: a mapping depends on *every* producer of
-        each source relation it reads (matching
-        :meth:`MappingSet.in_dependency_order`), so two producers of one
-        shared target may share a wave, while any reader of that target
-        lands strictly later."""
-        producers: Dict[str, List[int]] = {}
-        for i, mapping in enumerate(order):
-            producers.setdefault(mapping.target.name, []).append(i)
-        index = {id(m): i for i, m in enumerate(order)}
-        return topological_waves(
-            order,
-            lambda m: index[id(m)],
-            lambda m: (
-                i
-                for b in m.sources
-                for i in producers.get(b.relation.name, ())
-                if i != index[id(m)]
+
+class _MappingRun:
+    """One run of one mapping set: its mappings as the scheduler's nodes
+    (:class:`repro.exec.run.Nodes`), plus the run-scoped state their
+    bookkeeping fills — never the executor's.
+
+    A mapping depends on *every* producer of each source relation it
+    reads (matching :meth:`MappingSet.in_dependency_order`), so two
+    producers of one shared target may share a wave — their merge order
+    is the dependency order, exactly as in the serial loop — while any
+    reader of that target lands strictly later."""
+
+    unit = "mappings"
+
+    def __init__(self, executor: MappingExecutor, order, instance, ladder):
+        self.executor = executor
+        self.ladder = ladder
+        self.metrics = executor.options.obs.metrics
+        self.rejected: List[RejectedRow] = []
+        self.produced: Dict[str, Dataset] = {}
+        #: the sources plus every relation produced so far; compute only
+        #: reads it
+        self.working = Instance()
+        for dataset in instance:
+            self.working.put(dataset)
+        self.producers: Dict[str, List[int]] = {}
+        for mapping in order:
+            self.producers.setdefault(mapping.target.name, []).append(
+                id(mapping)
+            )
+
+    key = staticmethod(id)
+
+    def parents(self, mapping):
+        return (
+            producer
+            for binding in mapping.sources
+            for producer in self.producers.get(binding.relation.name, ())
+            if producer != id(mapping)
+        )
+
+    def name(self, mapping) -> str:
+        return mapping.name
+
+    def prepare(self, mapping):
+        ctx = ErrorContext(mapping.name, self.executor.on_error)
+        return ctx, ctx
+
+    def compute(self, mapping, ctx):
+        """One mapping through the degradation ladder."""
+        return self.ladder.attempt(
+            lambda planner: self.executor.execute_mapping(
+                mapping, self.working, errors=ctx, planner=planner
             ),
+            ctx,
+            self.metrics,
         )
 
-    def _run_mapping_wave(
-        self, wave, working, tiers, produced, rejected, metrics
-    ) -> None:
-        """Run one wave of independent mappings on the planner's worker
-        pool. Compute fans out against a read-only ``working`` instance;
-        bookkeeping (reject publication, shared-target unions, making
-        results visible) replays on this thread in dependency order, so
-        merge order and the rejected multiset are byte-identical to a
-        serial run. An unavailable worker recomputes inline
-        (``exec.degrade.parallel_to_serial``); a genuine mapping error
-        propagates exactly as the serial loop's would."""
-        contexts = [
-            ErrorContext(mapping.name, self.on_error) for mapping in wave
-        ]
-
-        def make_task(mapping, ctx):
-            def task():
-                return self._compute_mapping(
-                    mapping, working, tiers, ctx, metrics
-                )
-
-            if self.supervisor is not None:
-                return self.supervisor.guard(task)
-            return task
-
-        pool = self._planner.pool()
-        entries = pool.run_all(
-            [make_task(m, c) for m, c in zip(wave, contexts)]
-        )
-        metrics.count("exec.parallel.waves")
-        metrics.count("exec.parallel.tasks", len(wave))
-        with self._obs.tracer.span(
-            "exec.parallel.wave", mappings=len(wave), workers=pool.workers
-        ):
-            for mapping, ctx, (error, result) in zip(wave, contexts, entries):
-                if isinstance(error, WorkerUnavailable):
-                    metrics.count("exec.degrade.parallel_to_serial")
-                    ctx.reset()
-                    result = self._compute_mapping(
-                        mapping, working, tiers, ctx, metrics
-                    )
-                elif error is not None:
-                    raise error
-                self._finish_mapping(
-                    mapping, result, ctx, produced, working, rejected
-                )
-                if self.supervisor is not None:
-                    self.supervisor.committed(mapping.name)
+    def book(self, mapping, ctx, result) -> None:
+        """Publish row-error outcomes, union (bag) into a shared target,
+        make the result visible to later mappings."""
+        dataset, _seconds = result()
+        self.rejected.extend(ctx.rejected)
+        ctx.publish(self.metrics)
+        existing = self.produced.get(mapping.target.name)
+        if existing is not None:
+            merged = Dataset(existing.relation, validate=False)
+            merged.extend(existing.rows, validate=False)
+            merged.extend(dataset.rows, validate=False)
+            dataset = merged
+        self.produced[mapping.target.name] = dataset
+        self.working.put(dataset)
 
 
 def execute_mappings(
@@ -649,28 +475,11 @@ def execute_mappings(
     instance: Instance,
     registry: Optional[FunctionRegistry] = None,
     obs: Optional[Observability] = None,
-    compiled: Optional[bool] = None,
-    batched: Optional[bool] = None,
-    batch_size: Optional[int] = None,
-    on_error: Optional[str] = None,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
-    fused: Optional[bool] = None,
-    check: Optional[bool] = None,
+    **options,
 ) -> Instance:
-    """Convenience wrapper over :class:`MappingExecutor`."""
-    return MappingExecutor(
-        registry,
-        obs=obs,
-        compiled=compiled,
-        batched=batched,
-        batch_size=batch_size,
-        on_error=on_error,
-        parallel=parallel,
-        workers=workers,
-        fused=fused,
-        check=check,
-    ).execute(mappings, instance)
+    """Convenience wrapper over :class:`MappingExecutor` (``options``
+    are its keywords)."""
+    return MappingExecutor(registry, obs, **options).execute(mappings, instance)
 
 
 __all__ = ["MappingExecutor", "execute_mappings"]

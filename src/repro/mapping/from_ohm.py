@@ -134,7 +134,7 @@ def _operator_executor(op: Operator, in_edge_names: List[str], out_index: int):
             for i in range(max(out_index + 1, op.min_outputs))
         ]
         out_relations = op.output_relations(input_relations, out_names)
-        outputs = OhmExecutor()._run_operator(op, renamed, out_relations)
+        outputs = OhmExecutor().run_operator(op, renamed, out_relations)
         return list(outputs[out_index].rows)
 
     return run

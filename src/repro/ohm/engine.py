@@ -41,36 +41,28 @@ plus per-operator metrics ``ohm.operator.<uid>.rows_in`` /
 numbers a query-plan monitor would show for the abstract layer — and
 the per-kernel ``exec.kernel.*`` row counts.
 
-Fault tolerance mirrors the ETL engine (``docs/robustness.md``): an
-``on_error`` policy (``fail_fast`` / ``skip`` / ``reject``) absorbs
-row-level expression errors in FILTER, PROJECT, and TARGET delivery;
-:meth:`OhmExecutor.run_with_rejects` additionally returns the rejected
-rows as a reject :class:`~repro.data.dataset.Dataset`. A failing tier
-(a fused chain, then a batched kernel, then the compiled row kernels)
-degrades per operator down to the interpreting oracle, counted in
-``exec.degrade.*``.
+The executor is an adapter over the shared run harness
+(:mod:`repro.exec.run`: option resolution, degradation ladder,
+supervised wavefront scheduler — ``docs/execution-model.md``); what it
+owns are the per-operator kernels below. An ``on_error`` policy
+(``docs/robustness.md``) absorbs row-level expression errors in FILTER,
+PROJECT, and TARGET delivery; :meth:`OhmExecutor.run_with_rejects`
+additionally returns the rejected rows as a reject
+:class:`~repro.data.dataset.Dataset`.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.data.dataset import Dataset, Instance, Row
-from repro.errors import STATIC_ERRORS, ExecutionError, RunCancelled
-from repro.exec import (
-    ExpressionPlanner,
-    block,
-    degrade_counter,
-    fuse,
-    kernels,
-    resolve_parallel,
-)
+from repro.errors import ExecutionError
+from repro.exec import ExpressionPlanner, block, fuse, kernels
 from repro.exec.block import relation_resolver
-from repro.exec.parallel import WorkerUnavailable, topological_waves
+from repro.exec.run import Runtime, run_waves, start_run
 from repro.expr.ast import ColumnRef
 from repro.expr.functions import DEFAULT_REGISTRY, FunctionRegistry
-from repro.obs import NULL_OBS, Observability
+from repro.obs import Observability
 from repro.ohm.graph import OhmGraph
 from repro.ohm.operators import (
     Filter,
@@ -86,88 +78,28 @@ from repro.ohm.operators import (
     Unknown,
     Unnest,
 )
-from repro.resilience import (
-    ErrorContext,
-    RejectedRow,
-    rejects_dataset,
-    resolve_on_error,
-)
+from repro.resilience import ErrorContext, RejectedRow, rejects_dataset
 from repro.schema.model import Relation
-from repro.supervision import (
-    governed,
-    resolve_memory_budget,
-    resolve_supervisor,
-)
 
 
-class OhmExecutor:
+class OhmExecutor(Runtime):
     """Executes a schema-propagated OHM graph over an :class:`Instance`.
 
-    An executor carries no run-scoped state — the source instance is
-    threaded through the call chain — so one executor can run several
-    graphs concurrently (or recursively) without interference."""
+    An executor carries no run-scoped state — the source instance, the
+    run's planner and its results are threaded through the call chain —
+    so one executor can run several graphs concurrently (or recursively)
+    without interference. Keywords are those of
+    :class:`~repro.exec.run.RunOptions` (no endpoint options), each
+    readable back as an attribute."""
 
     def __init__(
         self,
         registry: Optional[FunctionRegistry] = None,
         obs: Optional[Observability] = None,
-        compiled: Optional[bool] = None,
-        batched: Optional[bool] = None,
-        batch_size: Optional[int] = None,
-        on_error: Optional[str] = None,
-        degrade: bool = True,
-        parallel: Optional[bool] = None,
-        workers: Optional[int] = None,
-        mode: Optional[str] = None,
-        catalog=None,
-        fused: Optional[bool] = None,
-        deadline: Optional[float] = None,
-        memory_budget=None,
-        supervisor=None,
-        check: Optional[bool] = None,
+        **options,
     ):
+        super().__init__(False, obs=obs, **options)
         self.registry = registry or DEFAULT_REGISTRY
-        self._obs = obs or NULL_OBS
-        # local import: repro.analysis imports the operator catalogue,
-        # so a module-level import here would be circular
-        from repro.analysis import resolve_check
-
-        #: whether :func:`repro.analysis.check_plan` vets the graph
-        #: before any row is processed (``REPRO_CHECK`` ladder).
-        self.check = resolve_check(check)
-        self._planner = ExpressionPlanner(
-            self.registry, compiled, batched, batch_size,
-            parallel=parallel, workers=workers, mode=mode, fused=fused,
-        )
-        self.compiled = self._planner.compiled
-        self.batched = self._planner.batched
-        #: selection-vector pipeline fusion (requires ``batched``).
-        self.fused = self._planner.fused
-        #: execution-tier mode: "rows"/"block"/"parallel" pin the tier,
-        #: "auto" picks per run from the input size via the cost model,
-        #: None keeps the per-flag resolution.
-        self.mode = self._planner.mode
-        #: wavefront scheduling: independent operators of one
-        #: topological level run concurrently on the planner's worker
-        #: pool (kernel partitioning additionally requires ``batched``).
-        self.workers = self._planner.workers
-        if self.mode is not None:
-            self.parallel = self._planner.parallel
-        else:
-            self.parallel = resolve_parallel(parallel) and self.workers >= 2
-        #: run-level row error policy; an operator may override via an
-        #: ``on_error`` attribute of its own.
-        self.on_error = resolve_on_error(on_error)
-        self.degrade = degrade
-        #: per-run deadline supervision, or None (no per-boundary work).
-        self.supervisor = resolve_supervisor(
-            supervisor, deadline, obs=self._obs
-        )
-        #: resident-row budget blocking kernels obey during runs, or None.
-        self.memory_budget = resolve_memory_budget(memory_budget)
-        #: statistics catalog fed back with per-edge actuals after every
-        #: run (None disables the feedback loop).
-        self.catalog = catalog
 
     def run(
         self, graph: OhmGraph, instance: Instance
@@ -195,53 +127,19 @@ class OhmExecutor:
         targets, _edges = self.run(graph, instance)
         return targets
 
-    # -- fault tolerance ------------------------------------------------------
-
-    def _ladder(self) -> List[ExpressionPlanner]:
-        """Degradation tiers, most capable first (see the ETL engine)."""
-        tiers = [self._planner]
-        if not self.degrade:
-            return tiers
-        if self._planner.fused:
-            tiers.append(
-                ExpressionPlanner(
-                    self.registry, True, True, self._planner.batch_size,
-                    fused=False,
-                )
-            )
-        if self._planner.batched:
-            tiers.append(
-                ExpressionPlanner(
-                    self.registry, True, False, self._planner.batch_size
-                )
-            )
-        if self.compiled:
-            tiers.append(
-                ExpressionPlanner(
-                    self.registry, False, False, self._planner.batch_size
-                )
-            )
-        return tiers
-
-    def _attempt(self, fn, tiers, ctx, metrics):
-        """Run ``fn(planner)`` down the degradation ladder; the context
-        is reset per attempt and the last tier's error propagates."""
-        last_exc = None
-        for i, planner in enumerate(tiers):
-            if i:
-                metrics.count(degrade_counter(tiers[i - 1]))
-            ctx.reset()
-            try:
-                return fn(planner)
-            except RunCancelled:
-                raise  # cancellation is not a tier failure — never degrade
-            except STATIC_ERRORS:
-                # a plan defect fails identically at every tier: degrading
-                # would only bury the diagnosis under tier noise
-                raise
-            except Exception as exc:  # noqa: BLE001 — ladder decides
-                last_exc = exc
-        raise last_exc
+    def run_operator(
+        self,
+        op: Operator,
+        inputs: List[Dataset],
+        out_relations: List[Relation],
+        instance: Optional[Instance] = None,
+    ) -> List[Dataset]:
+        """One operator's reference semantics outside any graph run:
+        its output datasets, one per relation of ``out_relations``."""
+        return self._run_operator(
+            op, inputs, out_relations, instance,
+            planner=self.options.planner(self.registry),
+        )
 
     # -- per-operator semantics ----------------------------------------------
 
@@ -251,10 +149,10 @@ class OhmExecutor:
         inputs: List[Dataset],
         out_relations: List[Relation],
         instance: Optional[Instance] = None,
-        planner: Optional[ExpressionPlanner] = None,
+        *,
+        planner: ExpressionPlanner,
         errors: Optional[ErrorContext] = None,
     ) -> List[Dataset]:
-        planner = planner or self._planner
         if isinstance(op, Source):
             return [
                 self._run_source(op, out, instance) for out in out_relations
@@ -675,23 +573,75 @@ class OhmExecutor:
             result.append({n: row.get(n) for n in names})
         return result
 
-    def _compute_op(self, op, inputs, out_edges, instance, tiers, ctx, metrics):
-        """One operator's pure compute through the degradation ladder —
-        safe off the main thread (no spans, no shared-state writes)."""
+    def _run_impl(
+        self, graph: OhmGraph, instance: Instance
+    ) -> Tuple[Instance, Dict[str, Dataset], List[RejectedRow]]:
+        planner, ladder = start_run(self.options, graph, self.registry, instance)
+        graph.propagate_schemas()
+        run = _GraphRun(self, graph, instance, ladder)
+        with self._obs.tracer.span("ohm.run", graph=graph.name):
+            run_waves(graph.topological_order(), run, self.options, planner)
+        if self.catalog is not None:
+            # close the feedback loop: the next estimate_graph over the
+            # same edge names re-plans from these actuals
+            self.catalog.observe_instance(instance)
+            for name, dataset in run.edge_data.items():
+                self.catalog.observe_link(name, len(dataset))
+        return run.targets, run.edge_data, run.rejected
+
+
+class _GraphRun:
+    """One run of one graph: its operators as the scheduler's nodes
+    (:class:`repro.exec.run.Nodes`), plus the run-scoped state their
+    bookkeeping fills — never the executor's."""
+
+    unit = "operators"
+
+    def __init__(self, executor: OhmExecutor, graph: OhmGraph, instance, ladder):
+        self.executor = executor
+        self.graph = graph
+        self.instance = instance
+        self.ladder = ladder
+        self.obs = executor.options.obs
+        self.targets = Instance()
+        self.by_edge: Dict[Tuple[str, int], Dataset] = {}
+        self.edge_data: Dict[str, Dataset] = {}
+        self.rejected: List[RejectedRow] = []
+
+    def key(self, op):
+        return op.uid
+
+    def parents(self, op):
+        return (e.src for e in self.graph.in_edges(op.uid))
+
+    name = key
+
+    def prepare(self, op):
+        inputs = [
+            self.by_edge[(e.src, e.src_port)]
+            for e in self.graph.in_edges(op.uid)
+        ]
+        ctx = ErrorContext(
+            op.uid, getattr(op, "on_error", None) or self.executor.on_error
+        )
+        return ctx, (inputs, self.graph.out_edges(op.uid), ctx)
+
+    def compute(self, op, state):
+        """One operator's pure compute through the degradation ladder."""
+        inputs, out_edges, ctx = state
+        executor, metrics = self.executor, self.obs.metrics
         if isinstance(op, Target):
-            delivered = self._attempt(
-                lambda p: self._run_target(op, inputs[0], p, errors=ctx),
-                tiers,
+            delivered = self.ladder.attempt(
+                lambda p: executor._run_target(op, inputs[0], p, errors=ctx),
                 ctx,
                 metrics,
             )
             return [delivered]
         out_relations = [e.schema for e in out_edges]
-        outputs = self._attempt(
-            lambda p: self._run_operator(
-                op, inputs, out_relations, instance, planner=p, errors=ctx
+        outputs = self.ladder.attempt(
+            lambda p: executor._run_operator(
+                op, inputs, out_relations, self.instance, planner=p, errors=ctx
             ),
-            tiers,
             ctx,
             metrics,
         )
@@ -703,180 +653,27 @@ class OhmExecutor:
             )
         return outputs
 
-    def _finish_op(
-        self, op, inputs, outputs, out_edges, ctx, span, seconds,
-        targets, by_edge, edge_data, rejected,
-    ) -> None:
-        """One operator's bookkeeping — always on the calling thread, in
-        topological order, so wavefront runs publish byte-identically to
-        serial runs."""
-        metrics = self._obs.metrics
-        if isinstance(op, Target):
-            targets.put(outputs[0])
-        rejected.extend(ctx.rejected)
-        ctx.publish(metrics, span)
-        if self._obs.enabled:
-            rows_in = sum(len(d) for d in inputs)
-            rows_out = sum(len(d) for d in outputs)
-            span.set(rows_in=rows_in, rows_out=rows_out)
-            prefix = f"ohm.operator.{op.uid}"
-            metrics.count(f"{prefix}.rows_in", rows_in)
-            metrics.count(f"{prefix}.rows_out", rows_out)
-            metrics.observe(f"{prefix}.seconds", seconds)
-        if not isinstance(op, Target):
-            for edge, dataset in zip(out_edges, outputs):
-                by_edge[(edge.src, edge.src_port)] = dataset
-                edge_data[edge.name] = dataset
-
-    def _run_impl(
-        self, graph: OhmGraph, instance: Instance
-    ) -> Tuple[Instance, Dict[str, Dataset], List[RejectedRow]]:
-        tracer = self._obs.tracer
-        metrics = self._obs.metrics
-        observing = self._obs.enabled
-        if self.check:
-            from repro.analysis import check_plan
-
-            check_plan(graph, registry=self.registry)
-        supervisor = self.supervisor
-        if supervisor is not None:
-            supervisor.start(self._obs)
-        if self.mode == "auto":
-            n_rows = max((len(d) for d in instance), default=0)
-            tier = self._planner.tune_for(
-                n_rows, memory_budget=self.memory_budget
-            )
-            self.batched = self._planner.batched
-            self.fused = self._planner.fused
-            metrics.count(f"exec.auto.tier.{tier}")
-        parallel = (
-            self._planner.parallel if self.mode is not None else self.parallel
-        )
-        tiers = self._ladder()
-        graph.propagate_schemas()
-        edge_data: Dict[str, Dataset] = {}
-        by_edge: Dict[Tuple[str, int], Dataset] = {}
-        targets = Instance()
-        rejected: List[RejectedRow] = []
-        order = graph.topological_order()
-        if parallel:
-            waves = topological_waves(
-                order,
-                lambda op: op.uid,
-                lambda op: (e.src for e in graph.in_edges(op.uid)),
-            )
-        else:
-            waves = [order]
-        with governed(self.memory_budget), tracer.span(
-            "ohm.run", graph=graph.name
-        ):
-            for wave in waves:
-                if supervisor is not None:
-                    supervisor.check("wave")
-                if parallel and len(wave) >= 2:
-                    self._run_wave(
-                        wave, graph, instance, tiers,
-                        targets, by_edge, edge_data, rejected, supervisor,
-                    )
-                    continue
-                for op in wave:
-                    if supervisor is not None:
-                        supervisor.check(op.uid)
-                    inputs = [
-                        by_edge[(e.src, e.src_port)]
-                        for e in graph.in_edges(op.uid)
-                    ]
-                    out_edges = graph.out_edges(op.uid)
-                    ctx = ErrorContext(
-                        op.uid, getattr(op, "on_error", None) or self.on_error
-                    )
-                    with tracer.span(f"ohm.op.{op.KIND}", uid=op.uid) as span:
-                        started = perf_counter() if observing else 0.0
-                        outputs = self._compute_op(
-                            op, inputs, out_edges, instance, tiers, ctx, metrics
-                        )
-                        seconds = (
-                            perf_counter() - started if observing else 0.0
-                        )
-                        self._finish_op(
-                            op, inputs, outputs, out_edges, ctx, span, seconds,
-                            targets, by_edge, edge_data, rejected,
-                        )
-                    if supervisor is not None:
-                        supervisor.committed(op.uid)
-        if self.catalog is not None:
-            # close the feedback loop: the next estimate_graph over the
-            # same edge names re-plans from these actuals
-            self.catalog.observe_instance(instance)
-            for name, dataset in edge_data.items():
-                self.catalog.observe_link(name, len(dataset))
-        return targets, edge_data, rejected
-
-    def _run_wave(
-        self, wave, graph, instance, tiers,
-        targets, by_edge, edge_data, rejected, supervisor=None,
-    ) -> None:
-        """Run one topological wave of mutually-independent operators on
-        the planner's worker pool. Compute fans out; bookkeeping (spans,
-        metrics, output wiring) replays on this thread in topological
-        order. An unavailable worker recomputes inline
-        (``exec.degrade.parallel_to_serial``); a genuine operator error
-        propagates exactly as the serial loop's would."""
-        tracer = self._obs.tracer
-        metrics = self._obs.metrics
-        prepared = []
-        for op in wave:
-            inputs = [
-                by_edge[(e.src, e.src_port)] for e in graph.in_edges(op.uid)
-            ]
-            out_edges = graph.out_edges(op.uid)
-            ctx = ErrorContext(
-                op.uid, getattr(op, "on_error", None) or self.on_error
-            )
-            prepared.append((op, inputs, out_edges, ctx))
-
-        def make_task(op, inputs, out_edges, ctx):
-            def task():
-                started = perf_counter()
-                outputs = self._compute_op(
-                    op, inputs, out_edges, instance, tiers, ctx, metrics
-                )
-                return outputs, perf_counter() - started
-
-            if supervisor is not None:
-                return supervisor.guard(task)
-            return task
-
-        pool = self._planner.pool()
-        entries = pool.run_all([make_task(*entry) for entry in prepared])
-        metrics.count("exec.parallel.waves")
-        metrics.count("exec.parallel.tasks", len(wave))
-        with tracer.span(
-            "exec.parallel.wave", operators=len(wave), workers=pool.workers
-        ):
-            for (op, inputs, out_edges, ctx), (error, payload) in zip(
-                prepared, entries
-            ):
-                if isinstance(error, WorkerUnavailable):
-                    metrics.count("exec.degrade.parallel_to_serial")
-                    ctx.reset()
-                    started = perf_counter()
-                    payload = (
-                        self._compute_op(
-                            op, inputs, out_edges, instance, tiers, ctx, metrics
-                        ),
-                        perf_counter() - started,
-                    )
-                elif error is not None:
-                    raise error
-                outputs, seconds = payload
-                with tracer.span(f"ohm.op.{op.KIND}", uid=op.uid) as span:
-                    self._finish_op(
-                        op, inputs, outputs, out_edges, ctx, span, seconds,
-                        targets, by_edge, edge_data, rejected,
-                    )
-                if supervisor is not None:
-                    supervisor.committed(op.uid)
+    def book(self, op, state, result) -> None:
+        inputs, out_edges, ctx = state
+        metrics = self.obs.metrics
+        with self.obs.tracer.span(f"ohm.op.{op.KIND}", uid=op.uid) as span:
+            outputs, seconds = result()
+            if isinstance(op, Target):
+                self.targets.put(outputs[0])
+            self.rejected.extend(ctx.rejected)
+            ctx.publish(metrics, span)
+            if self.obs.enabled:
+                rows_in = sum(len(d) for d in inputs)
+                rows_out = sum(len(d) for d in outputs)
+                span.set(rows_in=rows_in, rows_out=rows_out)
+                prefix = f"ohm.operator.{op.uid}"
+                metrics.count(f"{prefix}.rows_in", rows_in)
+                metrics.count(f"{prefix}.rows_out", rows_out)
+                metrics.observe(f"{prefix}.seconds", seconds)
+            if not isinstance(op, Target):
+                for edge, dataset in zip(out_edges, outputs):
+                    self.by_edge[(edge.src, edge.src_port)] = dataset
+                    self.edge_data[edge.name] = dataset
 
 
 def execute(
@@ -884,30 +681,11 @@ def execute(
     instance: Instance,
     registry: Optional[FunctionRegistry] = None,
     obs: Optional[Observability] = None,
-    compiled: Optional[bool] = None,
-    batched: Optional[bool] = None,
-    batch_size: Optional[int] = None,
-    on_error: Optional[str] = None,
-    fused: Optional[bool] = None,
-    deadline: Optional[float] = None,
-    memory_budget=None,
-    supervisor=None,
-    check: Optional[bool] = None,
+    **options,
 ) -> Instance:
-    """Execute ``graph`` over ``instance``; returns the target datasets."""
-    return OhmExecutor(
-        registry,
-        obs=obs,
-        compiled=compiled,
-        batched=batched,
-        batch_size=batch_size,
-        on_error=on_error,
-        fused=fused,
-        deadline=deadline,
-        memory_budget=memory_budget,
-        supervisor=supervisor,
-        check=check,
-    ).execute(graph, instance)
+    """Execute ``graph`` over ``instance``; returns the target datasets
+    (``options`` are :class:`OhmExecutor`'s keywords)."""
+    return OhmExecutor(registry, obs, **options).execute(graph, instance)
 
 
 def execute_with_edges(
@@ -915,30 +693,10 @@ def execute_with_edges(
     instance: Instance,
     registry: Optional[FunctionRegistry] = None,
     obs: Optional[Observability] = None,
-    compiled: Optional[bool] = None,
-    batched: Optional[bool] = None,
-    batch_size: Optional[int] = None,
-    on_error: Optional[str] = None,
-    fused: Optional[bool] = None,
-    deadline: Optional[float] = None,
-    memory_budget=None,
-    supervisor=None,
-    check: Optional[bool] = None,
+    **options,
 ) -> Tuple[Instance, Dict[str, Dataset]]:
     """Execute and also return every intermediate edge's data by name."""
-    return OhmExecutor(
-        registry,
-        obs=obs,
-        compiled=compiled,
-        batched=batched,
-        batch_size=batch_size,
-        on_error=on_error,
-        fused=fused,
-        deadline=deadline,
-        memory_budget=memory_budget,
-        supervisor=supervisor,
-        check=check,
-    ).run(graph, instance)
+    return OhmExecutor(registry, obs, **options).run(graph, instance)
 
 
 __all__ = ["OhmExecutor", "execute", "execute_with_edges"]

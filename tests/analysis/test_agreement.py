@@ -14,7 +14,7 @@ from repro.analysis import (
 from repro.compile import compile_job
 from repro.data.dataset import Instance
 from repro.errors import ValidationError
-from repro.etl import EtlEngine, run_job
+from repro.etl import EtlEngine, run_job, run_job_with_links
 from repro.etl.model import Job
 from repro.etl.stages import (
     FilterOutput,
@@ -125,6 +125,12 @@ class TestDefectsCaughtBeforeRowOne:
 
     def test_dangling_link_rejected_statically(self):
         self.run_counting(self.dangling_job())
+
+    @pytest.mark.parametrize("wrapper", [run_job, run_job_with_links])
+    def test_wrappers_forward_check(self, wrapper):
+        # regression: run_job_with_links accepted check= and dropped it
+        with pytest.raises(ValidationError, match="static analysis"):
+            wrapper(self.bad_type_job(), Instance(), check=True)
 
     def test_dead_column_is_a_warning_not_a_rejection(self):
         job = Job("dead")

@@ -78,6 +78,35 @@ class TestExplicitModes:
             EtlEngine(mode="turbo")
 
 
+class TestNoRunScopedState:
+    """``mode="auto"`` re-tiers every run on a planner of its own: the
+    engine's public attributes keep their constructor-time meaning."""
+
+    @pytest.mark.parametrize("runtime", ["etl", "ohm", "mapping"])
+    def test_large_then_small_run_leaves_the_engine_unchanged(self, runtime):
+        from repro.mapping import ohm_to_mappings
+
+        job = build_chain_job(4)
+        graph = compile_job(job)
+        engine_cls, plan = {
+            "etl": (EtlEngine, job),
+            "ohm": (OhmExecutor, graph),
+            "mapping": (MappingExecutor, ohm_to_mappings(graph)),
+        }[runtime]
+        obs = Observability(stats=True)
+        engine = engine_cls(obs=obs, mode="auto", workers=2)
+        before = (engine.options, engine.batched, engine.fused, engine.parallel)
+        for n, tier in ((derived_block_min_rows() * 3, "block"), (20, "rows")):
+            instance = generate_chain_instance(n)
+            oracle = engine_cls(compiled=False).execute(plan, instance)
+            assert engine.execute(plan, instance).same_bags(oracle)
+            assert _auto_tier_metric(obs) == tier
+            assert before == (
+                engine.options, engine.batched, engine.fused, engine.parallel
+            )
+        assert "_planner" not in vars(engine)
+
+
 class TestAutoParity:
     """Whatever tier auto picks, results match the interpreting oracle."""
 

@@ -6,15 +6,19 @@ modes (the interpreter is the semantic oracle), and executors must carry
 no run-scoped state that a concurrent or recursive run could stomp.
 """
 
+import pytest
+
+from repro.cost import StatisticsCatalog
 from repro.data.dataset import Dataset, Instance
-from repro.etl.engine import EtlEngine
+from repro.etl.engine import EtlEngine, run_job, run_job_with_links
 from repro.fasttrack.orchid import Orchid
-from repro.mapping.executor import MappingExecutor
-from repro.ohm.engine import OhmExecutor
+from repro.mapping.executor import MappingExecutor, execute_mappings
+from repro.ohm.engine import OhmExecutor, execute, execute_with_edges
 from repro.ohm.graph import OhmGraph
 from repro.ohm.operators import Filter, Source, Target, Unknown
 from repro.schema.model import Attribute, Relation
 from repro.schema.types import INTEGER
+from repro.supervision import RunSupervisor
 from repro.workloads import (
     build_example_job,
     build_kitchen_sink_job,
@@ -100,3 +104,40 @@ def test_ohm_executor_is_reentrant():
 
 def test_ohm_executor_keeps_no_run_state():
     assert not hasattr(OhmExecutor, "_source_instance")
+
+
+def test_wrappers_forward_every_engine_option():
+    """The five convenience wrappers pass ``**options`` straight to
+    their engine, so none can fall behind its constructor again."""
+    job = build_example_job()
+    instance = generate_instance(n_customers=40)
+    orchid = Orchid()
+    graph = orchid.import_etl(job)
+    mappings = orchid.to_mappings(graph)
+    baseline = EtlEngine(compiled=False).execute(job, instance)
+    for wrapper, plan, first_result in (
+        (run_job, job, lambda out: out),
+        (run_job_with_links, job, lambda out: out[0]),
+        (execute, graph, lambda out: out),
+        (execute_with_edges, graph, lambda out: out[0]),
+        (execute_mappings, mappings, lambda out: out),
+    ):
+        catalog = StatisticsCatalog()
+        supervisor = RunSupervisor()
+        out = wrapper(
+            plan, instance, catalog=catalog, supervisor=supervisor,
+            mode="block", parallel=True, workers=2, deadline=60,
+            memory_budget=10**6, degrade=False,
+        )
+        assert first_result(out).same_bags(baseline), wrapper.__name__
+        assert supervisor.frontier, wrapper.__name__  # it supervised the run
+        assert catalog.has_table("Customers"), wrapper.__name__  # fed back
+        with pytest.raises(TypeError, match="turbo"):
+            wrapper(plan, instance, turbo=True)
+
+
+@pytest.mark.parametrize("executor", [OhmExecutor, MappingExecutor])
+def test_endpoint_options_stay_etl_only(executor):
+    for option in ("retry", "checkpoint", "breaker"):
+        with pytest.raises(TypeError, match=option):
+            executor(**{option: 1})

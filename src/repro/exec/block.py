@@ -43,8 +43,8 @@ from typing import (
 
 from repro.errors import ExecutionError
 from repro.exec.kernels import (
-    _hash_key,
     _sort_value,
+    hash_key,
     key_encoder,
     split_equi_condition,
 )
@@ -603,12 +603,12 @@ def hash_join_block(
     index: Dict[tuple, List[int]] = {}
     if len(right_key_cols) == 1:
         for i, value in enumerate(right_key_cols[0]):
-            key = _hash_key((value,))
+            key = hash_key((value,))
             if key is not None:
                 index.setdefault(key, []).append(i)
     else:
         for i in range(right.length):
-            key = _hash_key([col[i] for col in right_key_cols])
+            key = hash_key([col[i] for col in right_key_cols])
             if key is not None:
                 index.setdefault(key, []).append(i)
 
@@ -618,10 +618,10 @@ def hash_join_block(
     right_idx: List[int] = []
     matched_right = [False] * right.length
     if len(left_key_cols) == 1:
-        probe_keys = ((_hash_key((v,)) for v in left_key_cols[0]))
+        probe_keys = ((hash_key((v,)) for v in left_key_cols[0]))
     else:
         probe_keys = (
-            _hash_key([col[i] for col in left_key_cols])
+            hash_key([col[i] for col in left_key_cols])
             for i in range(left.length)
         )
     for i, key in enumerate(probe_keys):

@@ -619,7 +619,7 @@ def split_equi_condition(
     return pairs, residual
 
 
-def _hash_key(values: Sequence[object]) -> Optional[tuple]:
+def hash_key(values: Sequence[object]) -> Optional[tuple]:
     """A hashable join key; None when any component is NULL (never
     matches under SQL semantics). Numbers are normalized so int and
     float keys compare equal."""
@@ -682,11 +682,11 @@ def hash_join(
         left_key_fns = [planner.scalar(l) for l, _r in pairs]
         right_key_fns = [planner.scalar(r) for _l, r in pairs]
         left_keys = [
-            _hash_key([fn(bind_left(row)) for fn in left_key_fns])
+            hash_key([fn(bind_left(row)) for fn in left_key_fns])
             for row in left_rows
         ]
         right_keys = [
-            _hash_key([fn(bind_right(row)) for fn in right_key_fns])
+            hash_key([fn(bind_right(row)) for fn in right_key_fns])
             for row in right_rows
         ]
         emitted = grace_hash_join(
@@ -726,13 +726,13 @@ def hash_join(
         index: Dict[tuple, List[int]] = {}
         for i, right_row in enumerate(right_rows):
             env = bind_right(right_row)
-            key = _hash_key([fn(env) for fn in right_keys])
+            key = hash_key([fn(env) for fn in right_keys])
             if key is not None:
                 index.setdefault(key, []).append(i)
 
         for left_row in left_rows:
             env = bind_left(left_row)
-            key = _hash_key([fn(env) for fn in left_keys])
+            key = hash_key([fn(env) for fn in left_keys])
             matched = False
             for i in index.get(key, ()) if key is not None else ():
                 right_row = right_rows[i]
@@ -786,5 +786,6 @@ __all__ = [
     "union_rows",
     "sort_rows",
     "split_equi_condition",
+    "hash_key",
     "hash_join",
 ]

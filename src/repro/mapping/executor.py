@@ -6,10 +6,16 @@ mapping formulas directly, so the reproduction can check that ETL jobs,
 OHM graphs, and extracted mappings all compute the same instances (the
 three-way equivalence in the integration tests).
 
-A single mapping executes as: cross product of the source bindings,
-filtered by ``where``; if grouping, rows are grouped by the group-by
-expressions and aggregate derivations evaluate per group; each result row
-populates the target relation (underived nullable columns get NULL).
+A single mapping executes as the paper's Figure 9 template: the source
+bindings are joined left-deep in binding order — each binding's rows
+tested, on one reused environment, against the ``where`` conjuncts
+``lhs = rhs`` that tie it to the bindings before it (a nested loop; no
+hash index yet), or extended by product when it has none (placeholder
+and theta joins) — and the full ``where`` then filters the surviving
+combinations, which come out in the cross product's own order. If
+grouping, rows are grouped by the group-by expressions and aggregate
+derivations evaluate per group; each result row populates the target
+relation (underived nullable columns get NULL).
 
 Row work runs on the shared :mod:`repro.exec.kernels`, with expressions
 lowered once per mapping by an :class:`~repro.exec.ExpressionPlanner`
@@ -24,14 +30,20 @@ of section VI-A.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.data.dataset import Dataset, Instance, Row
-from repro.errors import ExecutionError
+from repro.errors import (
+    INFRASTRUCTURE_ERRORS,
+    STATIC_ERRORS,
+    ExecutionError,
+    MappingError,
+    RunCancelled,
+)
 from repro.exec import ExpressionPlanner, block, fuse, kernels
 from repro.exec.run import Runtime, run_waves, start_run
-from repro.expr.algebra import transform
-from repro.expr.ast import AggregateCall, ColumnRef, Expr, Literal
+from repro.expr.algebra import conjoin, transform
+from repro.expr.ast import AggregateCall, BinaryOp, ColumnRef, Expr, Literal
 from repro.expr.evaluator import Environment, evaluate
 from repro.expr.functions import DEFAULT_REGISTRY, FunctionRegistry
 from repro.mapping.model import Mapping, MappingSet
@@ -185,7 +197,7 @@ class MappingExecutor(Runtime):
     ) -> Optional[Dataset]:
         """Columnar evaluation of the common single-source, non-grouping
         mapping shape (filter then project over one bound relation), or
-        ``None`` for the row path — multi-source cross products,
+        ``None`` for the row path — multi-source joins,
         grouping, and expressions the block compiler cannot lower all
         fall back."""
         if len(mapping.sources) != 1 or mapping.is_grouping:
@@ -243,17 +255,28 @@ class MappingExecutor(Runtime):
         errors: Optional[ErrorContext] = None,
     ) -> List[Environment]:
         """Environments for every combination of source rows satisfying
-        the where clause (with a straightforward nested-loop join)."""
-        datasets = [
-            self._source_dataset(b.relation.name, instance)
+        the where clause, in the cross product's enumeration order. The
+        candidates come from the left-deep join (:meth:`_joined`); the
+        whole where clause still decides each of them, so the rest of
+        the clause never sees a combination the join conjuncts exclude
+        (as in :func:`kernels.hash_join`). A join conjunct that raises a
+        data error abandons the join: the product is enumerated and the
+        where clause meets the error under the run's own policy."""
+        rows = [
+            self._source_dataset(b.relation.name, instance).rows
             for b in mapping.sources
         ]
         variables = [b.var for b in mapping.sources]
+        try:
+            combos = self._joined(mapping, variables, rows, planner)
+        except (*INFRASTRUCTURE_ERRORS, *STATIC_ERRORS, RunCancelled):
+            raise
+        except Exception:
+            combos = itertools.product(*rows)
         candidates = []
-        for combo in itertools.product(*(d.rows for d in datasets)):
+        for combo in combos:
             env = Environment()
-            for var, row in zip(variables, combo):
-                env.bind(var, row)
+            env.bindings.update(zip(variables, combo))
             candidates.append(env)
         handling = errors is not None and errors.handling
         return kernels.filter_rows(
@@ -267,6 +290,54 @@ class MappingExecutor(Runtime):
             ),
         )
 
+    def _joined(
+        self,
+        mapping: Mapping,
+        variables: List[str],
+        rows: List[List[Row]],
+        planner: ExpressionPlanner,
+    ) -> List[tuple]:
+        """Left-deep nested-loop join of the bindings: a superset of the
+        satisfying combinations (one row per binding), left-major with
+        each binding's rows in relation order. Binding *k* extends every
+        partial combination by each of its rows and keeps the extensions
+        that the equality conjuncts tying *k* to the bindings before it
+        accept — evaluated by the conjunct itself on one rebound
+        environment, so NULL never matches and ``3 = 3.0`` does; a
+        binding without such a conjunct keeps the whole product."""
+        equalities = []
+        for conjunct in mapping.where_conjuncts():
+            if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
+                try:
+                    equalities.append((conjunct, mapping._vars_of(conjunct)))
+                except MappingError:
+                    continue  # ambiguous column: the where clause reports it
+        combos = [(row,) for row in rows[0]]
+        env = Environment()  # rebound per candidate, as row_binder
+        rows_in = rows_out = 0
+        for k in range(1, len(variables)):
+            var, bound = variables[k], set(variables[: k + 1])
+            ties = [
+                conjunct
+                for conjunct, used in equalities
+                if var in used and len(used) > 1 and used <= bound
+            ]
+            extended = (combo + (row,) for combo in combos for row in rows[k])
+            if not ties:
+                combos = list(extended)
+                continue
+            accepts = planner.predicate(conjoin(ties))
+            rows_in += len(combos) + len(rows[k])
+            combos = []
+            for combo in extended:
+                env.bindings.update(zip(variables, combo))
+                if accepts(env):
+                    combos.append(combo)
+            rows_out += len(combos)
+        if rows_in:
+            kernels._observe(self._obs, "join", rows_in, rows_out)
+        return combos
+
     def _grouped_result(
         self,
         mapping: Mapping,
@@ -278,24 +349,41 @@ class MappingExecutor(Runtime):
             [planner.scalar(e) for e in mapping.group_by],
             obs=self._obs,
         )
-        result = Dataset(mapping.target, validate=False)
-        scalar_fns = {
-            col: planner.scalar(expr)
+        derivations = [
+            (col, self._group_fn(expr, planner))
             for col, expr in mapping.derivations
-            if not expr.contains_aggregate()
-        }
+        ]
+        result = Dataset(mapping.target, validate=False)
         for members in groups:
-            representative = members[0]
             row: Row = {a.name: None for a in mapping.target}
-            for col, expr in mapping.derivations:
-                if expr.contains_aggregate():
-                    row[col] = self._evaluate_aggregated(
-                        expr, members, planner
-                    )
-                else:
-                    row[col] = scalar_fns[col](representative)
+            for col, fn in derivations:
+                row[col] = fn(members)
             result.append(row, validate=False)
         return result
+
+    def _group_fn(
+        self, expr: Expr, planner: ExpressionPlanner
+    ) -> Callable[[List[Environment]], object]:
+        """``members → value`` for one derivation of a grouping mapping:
+        a scalar reads the group's first member, a bare aggregate folds
+        its argument over the members, and a scalar expression *over*
+        aggregates goes through :meth:`_evaluate_aggregated`."""
+        if not expr.contains_aggregate():
+            scalar = planner.scalar(expr)
+            return lambda members: scalar(members[0])
+        if not isinstance(expr, AggregateCall):
+            return lambda members: self._evaluate_aggregated(
+                expr, members, planner
+            )
+        if expr.arg is None:
+            return len
+        # multi-source environments: evaluate the argument per member,
+        # then fold the values
+        arg = planner.scalar(expr.arg)
+        fold = planner.aggregate(
+            AggregateCall(expr.func, ColumnRef("__v"), expr.distinct)
+        )
+        return lambda members: fold([{"__v": arg(env)} for env in members])
 
     def _evaluate_aggregated(
         self,
@@ -303,17 +391,13 @@ class MappingExecutor(Runtime):
         members: List[Environment],
         planner: ExpressionPlanner,
     ) -> object:
-        """Evaluate an expression containing aggregate calls over a group
-        (each aggregate is computed over the group, then the surrounding
-        scalar expression is evaluated)."""
-        if isinstance(expr, AggregateCall):
-            return self._aggregate_over_envs(expr, members, planner)
+        """Evaluate a scalar expression over aggregate calls for one
+        group (each aggregate is computed over the group, then the
+        surrounding scalar expression is evaluated)."""
 
         def fold(node: Expr):
             if isinstance(node, AggregateCall):
-                return Literal(
-                    self._aggregate_over_envs(node, members, planner)
-                )
+                return Literal(self._group_fn(node, planner)(members))
             return None
 
         # the folded expression embeds this group's aggregate values as
@@ -321,21 +405,6 @@ class MappingExecutor(Runtime):
         # instead of polluting the planner's compilation cache
         folded = transform(expr, fold)
         return evaluate(folded, members[0], self.registry)
-
-    def _aggregate_over_envs(
-        self,
-        agg: AggregateCall,
-        members: List[Environment],
-        planner: ExpressionPlanner,
-    ):
-        """Aggregate over a group of multi-source environments by
-        evaluating the argument per member first."""
-        if agg.arg is None:
-            return len(members)
-        arg = planner.scalar(agg.arg)
-        values = [{"__v": arg(env)} for env in members]
-        rewritten = AggregateCall(agg.func, ColumnRef("__v"), agg.distinct)
-        return planner.aggregate(rewritten)(values)
 
     def _execute_opaque(self, mapping: Mapping, instance: Instance) -> Dataset:
         if mapping.executor is None:

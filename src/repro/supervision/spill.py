@@ -372,7 +372,7 @@ def grace_hash_join(
     pairs of both sides are hash-partitioned so only one partition's
     build index is resident, then the match set is replayed in the
     serial kernel's emission order. ``left_keys`` / ``right_keys`` are
-    the pre-computed ``_hash_key`` tuples (``None`` = NULL key, never
+    the pre-computed ``hash_key`` tuples (``None`` = NULL key, never
     matches). Returns the number of emitted rows."""
     n_partitions = max(2, budget.runs_for(len(right_rows)))
     matches: Dict[int, List[int]] = {}

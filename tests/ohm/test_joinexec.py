@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.data.dataset import Dataset, Instance
 from repro.expr.parser import parse
 from repro.ohm import BasicProject, Join, OhmGraph, Source, Target, execute
-from repro.ohm.joinexec import split_equi_condition
+from repro.exec.kernels import split_equi_condition
 from repro.schema import relation
 
 

@@ -1,11 +1,15 @@
 """PUSH-COST — cost-based placement vs the static pushdown policies.
 
 The adversarial pair: the paper's example job *reduces* heavily before
-the frontier (SQL should win), while a pass-through projection over many
-rows pays DBMS load + transfer for nothing (the ETL engine should win).
-A static policy — always push the maximal pushable region, or never push
-— loses one of the two; cost-based placement picks the right side of
-each and beats both statics on the pair combined.
+the frontier (SQL should win), while a join that fans 800 rows out to
+20 000 pays DBMS -> Python transfer on every expanded row (the ETL
+engine should win). A static policy — always push the maximal pushable
+region, or never push — loses one of the two; cost-based placement
+picks the right side of each and beats both statics on the cases
+combined. The third case is the seed's ETL-side adversary, a
+pass-through projection: since query results come back as columns its
+load + transfer cost less than the row kernel, so SQL wins it now and
+cost-based placement must follow.
 
 Also checks ``mode="auto"`` tier selection against every hand-picked
 tier. Records ``BENCH_PUSHDOWN.json`` at the repo root.
@@ -15,9 +19,10 @@ import time
 
 from repro.compile import compile_job
 from repro.cost import catalog_for
+from repro.data.dataset import Dataset, Instance
 from repro.deploy import deploy_to_job, plan_pushdown
 from repro.etl import EtlEngine, run_job
-from repro.ohm import OhmGraph, Project, Source, Target
+from repro.ohm import Join, OhmGraph, Project, Source, Target
 from repro.schema import relation
 from repro.workloads import (
     build_chain_job,
@@ -31,6 +36,9 @@ from _artifacts import record, record_baseline
 
 N_CUSTOMERS = 4000
 N_PASS_THROUGH = 20000
+#: the expanding join: N_FAN_OUT rows a side over N_FAN_OUT_KEYS keys
+#: -> 400 * 400 / 8 = 20 000 rows, each with 2 * PAYLOAD payload cells
+N_FAN_OUT, N_FAN_OUT_KEYS, PAYLOAD = 400, 8, 4
 REPEATS = 5
 
 
@@ -51,6 +59,44 @@ def _pass_through_graph():
     t = g.add(Target(relation("Out", ("id", "int"), ("v", "float"))))
     g.chain(s, p, t, names=["in", "out"])
     return g
+
+
+def _fan_out_case():
+    """A fully pushable join whose output is 25x its input, and its
+    instance."""
+    left = relation(
+        "A", ("id", "int", False), ("k", "int"),
+        *((f"a{i}", "float") for i in range(PAYLOAD)), keys=["id"],
+    )
+    right = relation(
+        "B", ("bid", "int", False), ("kk", "int"),
+        *((f"b{i}", "varchar") for i in range(PAYLOAD)), keys=["bid"],
+    )
+    g = OhmGraph()
+    join = g.add(Join("k = kk"))
+    g.connect(g.add(Source(left)), join, dst_port=0, name="left")
+    g.connect(g.add(Source(right)), join, dst_port=1, name="right")
+    out = relation("Out", *((a.name, a.dtype.name) for a in (*left, *right)))
+    g.connect(join, g.add(Target(out)), name="expanded")
+    instance = Instance([
+        Dataset(left, [
+            dict({"id": i, "k": i % N_FAN_OUT_KEYS},
+                 **{f"a{j}": float(i + j) for j in range(PAYLOAD)})
+            for i in range(N_FAN_OUT)
+        ]),
+        Dataset(right, [
+            dict({"bid": i, "kk": i % N_FAN_OUT_KEYS},
+                 **{f"b{j}": f"s{i % 97}" for j in range(PAYLOAD)})
+            for i in range(N_FAN_OUT)
+        ]),
+    ])
+    return g, instance
+
+
+def _deployed(graph):
+    work = graph.shallow_copy()
+    work.propagate_schemas()
+    return deploy_to_job(work)[0]
 
 
 def _policy_times(graph, pure_job, instance, catalog):
@@ -74,53 +120,71 @@ def test_bench_cost_based_beats_static_policies():
     )
     assert len(sql_plan.pushed_operator_uids) > 0  # it chose to push
 
-    # case 2: a pass-through projection over many rows
+    # case 2: a join that fans 800 rows out to 20 000
+    fan_graph, fan_instance = _fan_out_case()
+    etl_times, etl_plan = _policy_times(
+        fan_graph, _deployed(fan_graph), fan_instance,
+        catalog_for(fan_instance),
+    )
+    assert etl_plan.pushed_operator_uids == set()  # it chose not to
+
+    # case 3: a pass-through projection over many rows (SQL's since
+    # the sqlite boundary went columnar)
     pass_graph = _pass_through_graph()
     pass_instance = synthesize_instance(
         [pass_graph.sources()[0].relation], N_PASS_THROUGH
     )
-    work = pass_graph.shallow_copy()
-    work.propagate_schemas()
-    pass_job, _plan = deploy_to_job(work)
-    etl_times, etl_plan = _policy_times(
-        pass_graph, pass_job, pass_instance, catalog_for(pass_instance)
+    pass_times, pass_plan = _policy_times(
+        pass_graph, _deployed(pass_graph), pass_instance,
+        catalog_for(pass_instance),
     )
-    assert etl_plan.pushed_operator_uids == set()  # it chose not to
+    assert len(pass_plan.pushed_operator_uids) > 0  # it follows
 
     combined = {
-        policy: sql_times[policy] + etl_times[policy]
+        policy: sql_times[policy] + etl_times[policy] + pass_times[policy]
         for policy in ("never_push", "always_push", "cost_based")
     }
     # cost-based matches the winning static on each case, so on the
-    # pair it beats both (1.10 tolerance absorbs timer noise)
+    # three it beats both (1.10 tolerance absorbs timer noise)
     assert combined["cost_based"] <= 1.10 * combined["never_push"]
     assert combined["cost_based"] <= 1.10 * combined["always_push"]
 
     payload = {
         "n_customers": N_CUSTOMERS,
         "n_pass_through": N_PASS_THROUGH,
+        "n_fan_out_rows": N_FAN_OUT * N_FAN_OUT // N_FAN_OUT_KEYS,
         "sql_wins_seconds": {k: round(v, 4) for k, v in sql_times.items()},
         "etl_wins_seconds": {k: round(v, 4) for k, v in etl_times.items()},
+        "pass_through_seconds": {
+            k: round(v, 4) for k, v in pass_times.items()
+        },
         "combined_seconds": {k: round(v, 4) for k, v in combined.items()},
         "sql_wins_pushed_operators": len(sql_plan.pushed_operator_uids),
         "etl_wins_pushed_operators": len(etl_plan.pushed_operator_uids),
+        "pass_through_pushed_operators": len(pass_plan.pushed_operator_uids),
     }
     record_baseline("PUSHDOWN", payload)
     record(
         "PUSH_COST",
         "\n".join(
             [
-                "Cost-based pushdown vs static policies (adversarial pair):",
+                "Cost-based pushdown vs static policies (adversarial cases):",
                 "",
                 f"  reducing job ({N_CUSTOMERS} customers):",
                 *(
                     f"    {k:<12} {v:.3f}s"
                     for k, v in sql_times.items()
                 ),
-                f"  pass-through projection ({N_PASS_THROUGH} rows):",
+                f"  expanding join ({2 * N_FAN_OUT} rows in, "
+                f"{N_FAN_OUT * N_FAN_OUT // N_FAN_OUT_KEYS} out):",
                 *(
                     f"    {k:<12} {v:.3f}s"
                     for k, v in etl_times.items()
+                ),
+                f"  pass-through projection ({N_PASS_THROUGH} rows):",
+                *(
+                    f"    {k:<12} {v:.3f}s"
+                    for k, v in pass_times.items()
                 ),
                 "  combined:",
                 *(
@@ -131,6 +195,8 @@ def test_bench_cost_based_beats_static_policies():
                 sql_plan.describe(),
                 "",
                 etl_plan.describe(),
+                "",
+                pass_plan.describe(),
             ]
         ),
     )

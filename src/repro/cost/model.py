@@ -8,11 +8,15 @@ calibrated against the repository's own benchmarks:
   (``BENCH_engines``: 1.6-2.3x end to end with materialization amortized);
 * block kernels are ~0.35x — the ~2.1x columnar speedup of
   ``BENCH_columnar`` plus the batch-build overhead modelled separately;
-* sqlite evaluates an operator in C at ~0.2x, but *moving* rows costs:
-  loading a row into the DBMS is ~0.3 units (executemany), and
-  materializing a result row back out into Python dicts is ~2.0 units —
-  which is exactly why pushing a pass-through projection loses while
-  pushing a reducing filter + group wins;
+* sqlite evaluates an operator in C at ~0.2x, but *moving* rows costs.
+  Both boundaries are columnar (``repro.data.columns``), timed at
+  20 000 rows against ``BENCH_PUSHDOWN``'s pass-through case (scan +
+  PROJECT + write = 1.4 units a row, 2.2 us a unit): loading a row
+  (``executemany``) takes 1.0-1.5 us, ~0.5 units, fetching a result row
+  back as a column block 0.6-0.95 us, ~0.3 units (docs/planning.md has
+  the table) — which is why a reducing filter + group and even a
+  pass-through projection are worth pushing, while a join that expands
+  rows is not: every expanded row pays the transfer;
 * a partitioned-kernel task costs ~``PARALLEL_TASK_ROWS`` units of fixed
   dispatch overhead, which is where the partition threshold comes from.
 
@@ -54,9 +58,9 @@ BLOCK_SETUP_ROWS = 256.0
 #: per-row cost of one operator evaluated inside sqlite.
 SQL_ROW_COST = 0.2
 #: per-row cost of loading a base row into the DBMS.
-SQL_LOAD_COST = 0.3
-#: per-row cost of materializing a query-result row back into Python.
-SQL_TRANSFER_COST = 2.0
+SQL_LOAD_COST = 0.5
+#: per-row cost of fetching a query-result row back into Python columns.
+SQL_TRANSFER_COST = 0.3
 #: fixed dispatch overhead per partitioned-kernel task, in row-units.
 PARALLEL_TASK_ROWS = 700.0
 #: per-row cost of reading a base row in the ETL engine (source scan).

@@ -8,59 +8,16 @@ NULL.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import datetime
 import io
 import os
-from typing import Iterable, List, Optional, TextIO, Union
+from typing import List, TextIO, Union
 
+from repro.data.columns import PARSERS, checked_column, format_column, parse_column
 from repro.data.dataset import Dataset
-from repro.errors import SerializationError
+from repro.errors import SchemaError, SerializationError
 from repro.schema.model import Relation
-from repro.schema.types import (
-    BOOLEAN,
-    DATE,
-    DECIMAL,
-    FLOAT,
-    INTEGER,
-    STRING,
-    TIMESTAMP,
-    AtomicType,
-)
-
-
-def _parse_cell(dtype: AtomicType, text: str):
-    if text == "":
-        return None
-    try:
-        if dtype is INTEGER:
-            return int(text)
-        if dtype in (FLOAT, DECIMAL):
-            return float(text)
-        if dtype is BOOLEAN:
-            lowered = text.strip().lower()
-            if lowered in ("true", "t", "1", "yes"):
-                return True
-            if lowered in ("false", "f", "0", "no"):
-                return False
-            raise ValueError(f"bad boolean {text!r}")
-        if dtype is DATE:
-            return datetime.date.fromisoformat(text)
-        if dtype is TIMESTAMP:
-            return datetime.datetime.fromisoformat(text)
-        return text
-    except ValueError as exc:
-        raise SerializationError(f"cannot parse {text!r} as {dtype!r}: {exc}") from exc
-
-
-def _format_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (datetime.date, datetime.datetime)):
-        return value.isoformat()
-    return str(value)
 
 
 def read_csv(
@@ -71,19 +28,19 @@ def read_csv(
     """Read a CSV file (path or open text file) into a dataset.
 
     With ``has_header`` the header row selects/reorders columns; without,
-    columns are taken positionally in relation order."""
-    close = False
+    columns are taken positionally in relation order. The result is
+    block-backed (``.rows`` materializes on first access) and validated
+    against ``relation``; a defect is reported as ``line N, column 'c':
+    ...``, the header being line 1.
+
+    Known limitation: the empty string and NULL are the same cell on
+    disk, so an empty STRING written by :func:`write_csv` reads back as
+    NULL."""
     if isinstance(source, str):
-        handle: TextIO = open(source, "r", newline="")
-        close = True
+        with open(source, "r", newline="") as handle:
+            rows = list(csv.reader(handle))
     else:
-        handle = source
-    try:
-        reader = csv.reader(handle)
-        rows = list(reader)
-    finally:
-        if close:
-            handle.close()
+        rows = list(csv.reader(source))
     if not relation.is_flat():
         raise SerializationError(
             f"relation {relation.name!r} is nested; CSV supports flat relations"
@@ -91,38 +48,84 @@ def read_csv(
     if has_header:
         if not rows:
             return Dataset(relation)
-        header, data_rows = rows[0], rows[1:]
+        header = rows.pop(0)
         unknown = set(header) - set(relation.attribute_names)
         if unknown:
             raise SerializationError(
                 f"CSV header columns {sorted(unknown)} not in relation "
                 f"{relation.name!r}"
             )
-        columns = header
-    else:
-        data_rows = rows
-        columns = list(relation.attribute_names)
-    dataset = Dataset(relation)
-    for line_number, cells in enumerate(data_rows, start=2 if has_header else 1):
-        if len(cells) != len(columns):
+        repeated = sorted({n for n in header if header.count(n) > 1})
+        if repeated:
             raise SerializationError(
-                f"line {line_number}: expected {len(columns)} cells, "
+                f"CSV header names columns {repeated} more than once"
+            )
+    else:
+        header = list(relation.attribute_names)
+    block = _parse_columns(relation, header, rows)
+    if block is not None:
+        return Dataset.adopt_checked(relation, block)
+    return _parse_rows(relation, header, rows, first_line=2 if has_header else 1)
+
+
+def _parse_columns(relation: Relation, header: List[str], rows: List[List[str]]):
+    """The file's cells as a validated block, parsed a column at a
+    time, or ``None`` on any defect (:func:`_parse_rows` words it)."""
+    if not set(map(len, rows)) <= {len(header)}:
+        return None
+    cells = dict(zip(header, zip(*rows))) if rows else {}
+    nulls = [None] * len(rows)
+    columns = {}
+    for attr in relation:
+        col = nulls  # a column the header leaves out
+        if attr.name in cells:
+            col = parse_column(attr.dtype, cells[attr.name])
+        if col is not None:
+            col = checked_column(attr.dtype, attr.nullable, col)
+        if col is None:
+            return None
+        columns[attr.name] = col
+    from repro.exec.block import RowBlock
+
+    return RowBlock(columns, len(rows))
+
+
+def _parse_rows(
+    relation: Relation, header: List[str], rows: List[List[str]], first_line: int
+) -> Dataset:
+    """The row path: checks as it goes and raises for the first defect
+    in line order, naming the line and the column."""
+    dataset = Dataset(relation)
+    for line_number, cells in enumerate(rows, start=first_line):
+        if len(cells) != len(header):
+            raise SerializationError(
+                f"line {line_number}: expected {len(header)} cells, "
                 f"got {len(cells)}"
             )
-        row = {
-            name: _parse_cell(relation.attribute(name).dtype, cell)
-            for name, cell in zip(columns, cells)
-        }
+        row = {}
+        for name, cell in zip(header, cells):
+            dtype = relation.attribute(name).dtype
+            try:
+                row[name] = PARSERS.get(dtype, str)(cell) if cell else None
+            except ValueError as exc:
+                raise SerializationError(
+                    f"line {line_number}, column {name!r}: cannot parse "
+                    f"{cell!r} as {dtype!r}: {exc}"
+                ) from exc
+        for attr in relation:
+            if not attr.nullable and row.get(attr.name) is None:
+                raise SchemaError(
+                    f"line {line_number}, column {attr.name!r}: NULL in "
+                    f"non-nullable column {relation.name}.{attr.name}"
+                )
         dataset.append(row)
     return dataset
 
 
-def _write_rows(dataset: Dataset, handle: TextIO) -> None:
+def _write_columns(dataset: Dataset, handle: TextIO) -> None:
     writer = csv.writer(handle)
-    names = list(dataset.relation.attribute_names)
-    writer.writerow(names)
-    for row in dataset:
-        writer.writerow([_format_cell(row.get(n)) for n in names])
+    writer.writerow(dataset.relation.attribute_names)
+    writer.writerows(zip(*map(format_column, dataset.columns())))
 
 
 def write_csv(dataset: Dataset, target: Union[str, TextIO]) -> None:
@@ -132,16 +135,26 @@ def write_csv(dataset: Dataset, target: Union[str, TextIO]) -> None:
     ``.tmp`` sibling that is fsynced and atomically renamed over the
     destination, so a crash mid-write never leaves a torn or
     half-written file — readers see either the old file or the new one,
-    complete."""
-    if isinstance(target, str):
-        tmp = target + ".tmp"
+    complete — and a write that raises removes the sibling on its way
+    out, leaving the destination untouched.
+
+    Known limitation: NULL is written as the empty cell, which is also
+    how an empty STRING is written; :func:`read_csv` reads both as
+    NULL."""
+    if not isinstance(target, str):
+        _write_columns(dataset, target)
+        return
+    tmp = target + ".tmp"
+    try:
         with open(tmp, "w", newline="") as handle:
-            _write_rows(dataset, handle)
+            _write_columns(dataset, handle)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, target)
-        return
-    _write_rows(dataset, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def dataset_from_csv_text(text: str, relation: Relation) -> Dataset:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.data.columns import checked_column
 from repro.errors import SchemaError
 from repro.schema.model import Relation
 from repro.schema.types import coerce_value
@@ -69,6 +70,15 @@ class Dataset:
         out = cls(relation)
         out._rows = None
         out._block = block
+        return out
+
+    @classmethod
+    def adopt_checked(cls, relation: Relation, block) -> "Dataset":
+        """:meth:`adopt_block` for a block the caller has just validated
+        against ``relation`` column by column: the :meth:`with_relation`
+        memo starts primed for that relation's signature."""
+        out = cls.adopt_block(relation, block)
+        out._checked[_signature(relation)] = block
         return out
 
     @classmethod
@@ -187,27 +197,57 @@ class Dataset:
             out._rows = [dict(r) for r in self._rows]
         return out
 
+    def columns(self, names: Optional[Sequence[str]] = None) -> List[List[object]]:
+        """One list a name (default: the attributes, in order); a name a
+        row or the block lacks reads as NULL. Block-backed data hands
+        out its own (immutable) lists; no rows are materialized."""
+        names = self._relation.attribute_names if names is None else names
+        if self._rows is not None:
+            return [[row.get(n) for row in self._rows] for n in names]
+        block = self.as_block()
+        nulls = [None] * block.length
+        return [block.columns.get(n, nulls) for n in names]
+
     def with_relation(self, relation: Relation) -> "Dataset":
         """Same rows, re-validated against ``relation``.
 
         Validation is memoized per schema: the first call over a given
-        (name, dtype, nullable) signature pays the full per-row check
-        and caches the normalized result as an immutable
+        (name, dtype, nullable) signature pays the full check and
+        caches the normalized result as an immutable
         :class:`~repro.exec.block.RowBlock`; later calls with an
         equivalent schema share that block (every engine re-extracting
         the same source revalidates it for free). Only successful
         validations are cached — bad data raises on every call — and
         any mutation of this dataset drops the memo."""
-        signature = tuple(
-            (a.name, a.dtype, a.nullable) for a in relation
-        )
+        signature = _signature(relation)
         cached = self._checked.get(signature)
         if cached is None:
-            # full checked path: unknown-column detection, NULL checks,
-            # lossless numeric coercion (see append)
-            cached = Dataset(relation, self.rows).as_block()
+            cached = self._checked_columns(relation)
+            if cached is None:  # a defect: the row path (append) words it
+                cached = Dataset(relation, self.rows).as_block()
             self._checked[signature] = cached
         return Dataset.adopt_block(relation, cached)
+
+    def _checked_columns(self, relation: Relation):
+        """:meth:`append`'s checks, a column at a time and straight from
+        the block when there is one: the validated block, or ``None`` on
+        any defect."""
+        names = relation.attribute_names
+        if self._rows is not None:
+            known = frozenset(names)
+            if not all(map(known.issuperset, self._rows)):
+                return None
+        elif len(self) and not set(self._relation.attribute_names) <= set(names):
+            return None
+        columns = {}
+        for attr, col in zip(relation, self.columns(names)):
+            col = checked_column(attr.dtype, attr.nullable, col)
+            if col is None:
+                return None
+            columns[attr.name] = col
+        from repro.exec.block import RowBlock
+
+        return RowBlock(columns, len(self))
 
     def head(self, n: int = 5) -> List[Row]:
         return self.rows[:n]
@@ -275,6 +315,11 @@ class Dataset:
         if len(self) > limit:
             lines.append(f"... ({len(self) - limit} more rows)")
         return "\n".join(lines)
+
+
+def _signature(relation: Relation) -> Tuple:
+    """What a validation depends on: :meth:`Dataset.with_relation`'s key."""
+    return tuple((a.name, a.dtype, a.nullable) for a in relation)
 
 
 def _orderable(value: object) -> Tuple:

@@ -20,9 +20,9 @@ covering the pushable sources (and ``cost`` resolves to True — kwarg >
 ``set_default_cost_based`` > ``REPRO_COST`` > True), it starts from the
 maximal pushable region and greedily *peels* operators back onto the ETL
 side while the modelled total cost improves: pushing a reducing
-filter + join + group wins (few rows cross the expensive DBMS→Python
-transfer boundary), pushing a pass-through projection loses (every row
-pays transfer for no reduction). The all-ETL plan is a legal outcome —
+filter + join + group wins (few rows cross the DBMS→Python transfer
+boundary), pushing a join that expands rows loses (every expanded row
+pays transfer). The all-ETL plan is a legal outcome —
 an empty pushed region skips the DBMS entirely. ``cost=False`` (or no
 catalog) keeps the paper's pushability-only maximal pushdown exactly.
 """

@@ -22,8 +22,10 @@ import datetime
 import sqlite3
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.data.columns import from_sql_column, to_sql_column
 from repro.data.dataset import Dataset, Instance
 from repro.errors import DeploymentError, ExecutionError
+from repro.exec.block import RowBlock
 from repro.expr.ast import (
     AggregateCall,
     Between,
@@ -40,7 +42,7 @@ from repro.expr.ast import (
 )
 from repro.mapping.model import Mapping, MappingSet
 from repro.schema.model import Relation
-from repro.schema.types import BOOLEAN, DATE, TIMESTAMP, AtomicType
+from repro.schema.types import BOOLEAN
 
 
 class SqliteDialect:
@@ -227,28 +229,6 @@ def mappings_to_select(
 # --- sqlite execution -------------------------------------------------------------
 
 
-def _to_sql_value(value):
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (datetime.date, datetime.datetime)):
-        return value.isoformat(sep=" ") if isinstance(
-            value, datetime.datetime
-        ) else value.isoformat()
-    return value
-
-
-def _from_sql_value(dtype: AtomicType, value):
-    if value is None:
-        return None
-    if dtype is BOOLEAN:
-        return bool(value)
-    if dtype is DATE:
-        return datetime.date.fromisoformat(str(value))
-    if dtype is TIMESTAMP:
-        return datetime.datetime.fromisoformat(str(value))
-    return value
-
-
 class SqliteRunner:
     """Loads an :class:`Instance` into an in-memory sqlite database and
     executes generated SELECT statements against it — the stand-in for
@@ -304,10 +284,7 @@ class SqliteRunner:
     def _insert_rows(self, table_sql_name: str, dataset: Dataset) -> None:
         rel = dataset.relation
         placeholders = ", ".join("?" for _ in rel.attributes)
-        rows = [
-            tuple(_to_sql_value(row.get(a.name)) for a in rel)
-            for row in dataset
-        ]
+        rows = list(zip(*map(to_sql_column, dataset.columns())))
         sql = f"INSERT INTO {table_sql_name} VALUES ({placeholders})"
         self._guarded(
             lambda: self._executemany(sql, rows), name="deploy.sql.write"
@@ -358,18 +335,15 @@ class SqliteRunner:
             cursor = self._guarded(lambda: self.connection.execute(sql))
         except sqlite3.Error as exc:
             raise ExecutionError(f"sqlite rejected generated SQL: {exc}\n{sql}")
+        rows = cursor.fetchall()
         names = [d[0] for d in cursor.description]
-        result = Dataset(result_relation, validate=False)
-        for row in cursor.fetchall():
-            values = dict(zip(names, row))
-            result.append(
-                {
-                    a.name: _from_sql_value(a.dtype, values.get(a.name))
-                    for a in result_relation
-                },
-                validate=False,
-            )
-        return result
+        fetched = dict(zip(names, zip(*rows))) if rows else {}
+        nulls = [None] * len(rows)
+        columns = {
+            a.name: from_sql_column(a.dtype, fetched.get(a.name, nulls))
+            for a in result_relation
+        }
+        return Dataset.adopt_block(result_relation, RowBlock(columns, len(rows)))
 
     def close(self) -> None:
         self.connection.close()

@@ -18,7 +18,7 @@ structurally.
 from __future__ import annotations
 
 import datetime
-from typing import Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.errors import SchemaError
 
@@ -88,23 +88,8 @@ class AtomicType(DataType):
     def accepts_value(self, value: object) -> bool:
         if value is None:
             return True
-        if self is ANY:
-            return True
-        if self is INTEGER:
-            return isinstance(value, int) and not isinstance(value, bool)
-        if self in (FLOAT, DECIMAL):
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
-        if self is STRING:
-            return isinstance(value, str)
-        if self is BOOLEAN:
-            return isinstance(value, bool)
-        if self is DATE:
-            return isinstance(value, datetime.date) and not isinstance(
-                value, datetime.datetime
-            )
-        if self is TIMESTAMP:
-            return isinstance(value, datetime.datetime)
-        return False
+        accepted, refused = VALUE_CLASSES.get(self, ((), ()))
+        return isinstance(value, accepted) and not isinstance(value, refused)
 
     def __repr__(self) -> str:
         return self._name
@@ -125,6 +110,20 @@ TIMESTAMP = AtomicType("TIMESTAMP")
 ANY = AtomicType("ANY")
 #: Bottom type of the literal NULL before inference resolves it.
 NULL = AtomicType("NULL")
+
+#: dtype → (classes a legal value is an instance of, classes it must not
+#: be): :meth:`AtomicType.accepts_value` per value, and per column in
+#: ``repro.data.columns``. NULL, absent, accepts only ``None``.
+VALUE_CLASSES: Dict[AtomicType, Tuple[Tuple[type, ...], Tuple[type, ...]]] = {
+    ANY: ((object,), ()),
+    INTEGER: ((int,), (bool,)),
+    FLOAT: ((int, float), (bool,)),
+    DECIMAL: ((int, float), (bool,)),
+    STRING: ((str,), ()),
+    BOOLEAN: ((bool,), ()),
+    DATE: ((datetime.date,), (datetime.datetime,)),
+    TIMESTAMP: ((datetime.datetime,), ()),
+}
 
 
 class RecordType(DataType):

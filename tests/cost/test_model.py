@@ -82,10 +82,22 @@ class TestOperatorCosts:
             ]
             assert costs == sorted(costs)
 
-    def test_sql_transfer_dominates_pass_through(self):
-        # evaluating in sqlite is cheap, but a pass-through region pays
-        # load + transfer on every row: pushing it must cost more than
-        # the ETL engine's row kernel
+    def test_sql_transfer_dominates_an_expanding_join(self):
+        # evaluating in sqlite is cheap, but a join that fans 800 rows
+        # out to 20000 pays transfer on every expanded row: pushing it
+        # must cost more than the ETL engine's row kernel
+        n, out = 800.0, 20000.0
+        pushed = (
+            DEFAULT_MODEL.sql_load(n)
+            + DEFAULT_MODEL.sql_operator_cost("JOIN", n, out)
+            + DEFAULT_MODEL.sql_transfer(out)
+        )
+        etl = DEFAULT_MODEL.etl_operator_cost("JOIN", n, out, "rows")
+        assert pushed > etl
+
+    def test_pass_through_is_worth_pushing(self):
+        # since results come back as columns, load + transfer of a row
+        # cost less than one PROJECT row kernel touching it
         n = 10000.0
         pushed = (
             DEFAULT_MODEL.sql_load(n)
@@ -93,7 +105,7 @@ class TestOperatorCosts:
             + DEFAULT_MODEL.sql_transfer(n)
         )
         etl = DEFAULT_MODEL.etl_operator_cost("PROJECT", n, n, "rows")
-        assert pushed > etl
+        assert pushed < etl
 
     def test_sql_wins_when_it_reduces(self):
         # a filter+group region collapsing 10000 rows to 100 pays the

@@ -1,6 +1,7 @@
 """CSV I/O unit tests."""
 
 import datetime
+import io
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.data.csvio import (
     write_csv,
 )
 from repro.data.dataset import Dataset
-from repro.errors import SerializationError
+from repro.errors import SchemaError, SerializationError
 from repro.schema import relation
 from repro.schema.model import Attribute, Relation
 from repro.schema.types import INTEGER, RecordType, SetType
@@ -60,6 +61,37 @@ class TestParsing:
         with pytest.raises(SerializationError):
             dataset_from_csv_text("id\nnot-a-number\n", rel)
 
+    def test_duplicate_header_column_rejected(self, rel):
+        with pytest.raises(SerializationError) as info:
+            dataset_from_csv_text("id,name,name\n1,a,b\n", rel)
+        assert "['name'] more than once" in str(info.value)
+
+    def test_bad_cell_is_located(self, rel):
+        text = "id,score,name\n1,2.5,a\n2,x,b\nz,y,c\n"
+        with pytest.raises(SerializationError) as info:
+            dataset_from_csv_text(text, rel)
+        assert str(info.value).startswith(
+            "line 3, column 'score': cannot parse 'x' as FLOAT"
+        )
+
+    def test_null_in_non_nullable_column_is_located(self, rel):
+        with pytest.raises(SchemaError) as info:
+            dataset_from_csv_text("name,id\na,1\nb,\n", rel)
+        assert str(info.value) == (
+            "line 3, column 'id': NULL in non-nullable column T.id"
+        )
+        # a required column the header leaves out is NULL on every line
+        with pytest.raises(SchemaError, match="line 2, column 'id'"):
+            dataset_from_csv_text("name\na\n", rel)
+        # without a header the first record is line 1
+        with pytest.raises(SchemaError, match="line 1, column 'id'"):
+            read_csv(io.StringIO(",a,,,\n"), rel, has_header=False)
+
+    def test_first_defect_in_line_order_is_reported(self, rel):
+        text = "id,score\n1,1.0\n2\n3,x\n"
+        with pytest.raises(SerializationError, match="line 3: expected 2 cells"):
+            dataset_from_csv_text(text, rel)
+
     def test_boolean_spellings(self, rel):
         text = "id,active\n1,yes\n2,0\n3,T\n"
         data = dataset_from_csv_text(text, rel)
@@ -73,8 +105,6 @@ class TestParsing:
                 Attribute("items", SetType(RecordType([("v", INTEGER)]))),
             ],
         )
-        import io
-
         with pytest.raises(SerializationError):
             read_csv(io.StringIO("id,items\n"), nested)
 
@@ -109,3 +139,32 @@ class TestRoundTrip:
 
     def test_empty_file_with_header_expected(self, rel):
         assert len(dataset_from_csv_text("", rel)) == 0
+
+    def test_header_only_file_is_an_empty_dataset(self, rel):
+        data = dataset_from_csv_text("id,name\n", rel)
+        assert len(data) == 0 and data.rows == []
+
+
+class TestTransactionalWrite:
+    def test_failed_write_leaves_no_temp_file_and_the_old_destination(
+        self, rel, tmp_path
+    ):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("no text form")
+
+        path = str(tmp_path / "data.csv")
+        write_csv(Dataset(rel, [{"id": 1, "name": "old"}]), path)
+        before = open(path).read()
+        bad = Dataset.adopt(
+            rel, [{"id": 2, "name": "new"}, {"id": 3, "name": Unprintable()}]
+        )
+        with pytest.raises(RuntimeError, match="no text form"):
+            write_csv(bad, path)
+        assert open(path).read() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+    def test_successful_write_leaves_no_temp_file(self, rel, tmp_path):
+        path = str(tmp_path / "data.csv")
+        write_csv(Dataset(rel, [{"id": 1}]), path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]

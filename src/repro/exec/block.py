@@ -230,24 +230,17 @@ def filter_block(
 def project_block(
     block: RowBlock,
     derivations: Sequence[Tuple[str, BlockFn]],
-    defaults: Optional[dict] = None,
     batch_size: Optional[int] = None,
     obs=None,
 ) -> RowBlock:
     """Column rebinding: evaluate each derivation as a whole column.
     A pass-through column reference costs nothing — the output aliases
-    the input list. ``defaults`` broadcast constant columns (e.g.
-    NULL-filled underived target columns) before derivations apply."""
+    the input list."""
     outputs: List[RowBlock] = []
     chunks_seen = 0
     for chunk in block.chunks(batch_size):
         chunks_seen += 1
-        columns: Dict[str, List[Any]] = {}
-        if defaults:
-            for name, value in defaults.items():
-                columns[name] = [value] * chunk.length
-        for name, fn in derivations:
-            columns[name] = fn(chunk)
+        columns = {name: fn(chunk) for name, fn in derivations}
         outputs.append(RowBlock(columns, chunk.length))
     out = RowBlock.concat(outputs)
     _observe_block(obs, "project", chunks_seen, 1, block.length, out.length)

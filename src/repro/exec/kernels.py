@@ -5,10 +5,11 @@ are views of one abstract operator model; this module mirrors that
 unification at the *execution* layer. Each kernel implements the row
 semantics of one operator family (filter, project/derive, hash join,
 grouped aggregate, union/funnel, routing/switch, nest/unnest, dedup,
-sort) exactly once, over lists of row-dicts (or, for the mapping
-executor, :class:`~repro.expr.evaluator.Environment` members), so the
-OHM engine, the ETL stages, and the mapping executor all exercise the
-same code — and the three-way translation-verification tests check one
+sort) exactly once, over lists of row-dicts (or, for the ETL
+Transformer and the mapping reference reading,
+:class:`~repro.expr.evaluator.Environment` members), so the OHM engine
+— which also runs lowered mappings — and the ETL stages exercise the
+same code, and the three-way translation-verification tests check one
 shared semantics rather than three.
 
 Kernels are strategy-agnostic: they take already-built per-member
@@ -34,9 +35,8 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ExecutionError
 from repro.expr.algebra import split_conjuncts
-from repro.expr.ast import BinaryOp, ColumnRef, Expr
+from repro.expr.ast import BinaryOp, Expr
 from repro.expr.evaluator import Environment
 from repro.schema.model import Relation
 from repro.supervision.memory import active_memory_budget
@@ -317,69 +317,6 @@ def switch_rows(
 # -- grouping kernels ----------------------------------------------------------
 
 
-def group_rows(
-    items: Sequence,
-    key_fns: Sequence[ValueFn],
-    bind: BindFn = None,
-    obs=None,
-    on_error: OnErrorFn = None,
-) -> List[List]:
-    """Partition items into groups by the encoded key-function values
-    (NULL keys compare equal); groups come back in first-seen order.
-    ``on_error(index, item, exc)`` absorbs a key evaluation error (the
-    item joins no group)."""
-    budget = active_memory_budget()
-    if budget is not None and budget.exceeded(len(items)):
-        from repro.supervision.spill import external_group_rows
-
-        encoders = [key_encoder() for _ in key_fns]
-        keyed: List[Tuple[int, tuple]] = []
-        for index, item in enumerate(items):
-            env = bind(item) if bind is not None else item
-            if on_error is not None:
-                try:
-                    key = tuple(
-                        encode(fn(env))
-                        for encode, fn in zip(encoders, key_fns)
-                    )
-                except Exception as exc:
-                    on_error(index, item, exc)
-                    continue
-            else:
-                key = tuple(
-                    encode(fn(env)) for encode, fn in zip(encoders, key_fns)
-                )
-            keyed.append((index, key))
-        result = external_group_rows(items, keyed, budget, obs)
-        _observe(obs, "group", len(items), len(result))
-        return result
-    groups: Dict[tuple, List] = {}
-    order: List[tuple] = []
-    encoders = [key_encoder() for _ in key_fns]
-    for index, item in enumerate(items):
-        env = bind(item) if bind is not None else item
-        if on_error is not None:
-            try:
-                key = tuple(
-                    encode(fn(env)) for encode, fn in zip(encoders, key_fns)
-                )
-            except Exception as exc:
-                on_error(index, item, exc)
-                continue
-        else:
-            key = tuple(
-                encode(fn(env)) for encode, fn in zip(encoders, key_fns)
-            )
-        members = groups.get(key)
-        if members is None:
-            groups[key] = members = []
-            order.append(key)
-        members.append(item)
-    result = [groups[key] for key in order]
-    _observe(obs, "group", len(items), len(result))
-    return result
-
-
 def group_aggregate_rows(
     rows: Sequence[dict],
     key_names: Sequence[str],
@@ -636,6 +573,34 @@ def hash_key(values: Sequence[object]) -> Optional[tuple]:
     return tuple(key)
 
 
+def _join_keys(
+    rows: Sequence[dict],
+    relation_name: str,
+    key_fns: Sequence[ValueFn],
+    on_error: OnErrorFn,
+) -> Tuple[Sequence[dict], List[Optional[tuple]]]:
+    """One join input's rows with their :func:`hash_key`. Under an
+    active error policy a row whose key expression raises goes to
+    ``on_error`` and takes no part in the join (it is not among the
+    rows returned)."""
+    bind = row_binder(relation_name)
+    if on_error is None:
+        return rows, [
+            hash_key([fn(bind(row)) for fn in key_fns]) for row in rows
+        ]
+    kept: List[dict] = []
+    keys: List[Optional[tuple]] = []
+    for index, row in enumerate(rows):
+        try:
+            key = hash_key([fn(bind(row)) for fn in key_fns])
+        except Exception as exc:
+            on_error(index, row, exc)
+            continue
+        kept.append(row)
+        keys.append(key)
+    return kept, keys
+
+
 def hash_join(
     left_rows: Sequence[dict],
     right_rows: Sequence[dict],
@@ -647,6 +612,7 @@ def hash_join(
     emit: Callable[[dict], None],
     planner,
     obs=None,
+    on_error: OnErrorFn = None,
 ) -> None:
     """Hash join on equi-conjuncts with a nested-loop fallback, calling
     ``emit`` once per output row (matches first, then the outer paddings
@@ -660,50 +626,19 @@ def hash_join(
     :class:`~repro.exec.ExpressionPlanner`), not re-walked per row.
 
     SQL semantics are preserved exactly: NULL keys never match (they
-    are not inserted into, nor probed against, the index)."""
+    are not inserted into, nor probed against, the index).
+
+    ``on_error(index, item, exc)`` — an active skip/reject policy —
+    absorbs a data error: in a key expression, the input row (by its
+    index in that input), which then joins nothing and pads nothing; in
+    the rest of the condition, the merged pair (no index), which then
+    does not match."""
     left_name = left_relation.name
     right_name = right_relation.name
+    n_in = len(left_rows) + len(right_rows)
     pairs, residual = split_equi_condition(
         condition, left_relation, right_relation
     )
-
-    budget = active_memory_budget()
-    if (
-        budget is not None
-        and pairs
-        and not residual
-        and budget.exceeded(len(right_rows))
-    ):
-        # build side over budget: grace-partition instead of one index
-        from repro.supervision.spill import grace_hash_join
-
-        bind_left = row_binder(left_name)
-        bind_right = row_binder(right_name)
-        left_key_fns = [planner.scalar(l) for l, _r in pairs]
-        right_key_fns = [planner.scalar(r) for _l, r in pairs]
-        left_keys = [
-            hash_key([fn(bind_left(row)) for fn in left_key_fns])
-            for row in left_rows
-        ]
-        right_keys = [
-            hash_key([fn(bind_right(row)) for fn in right_key_fns])
-            for row in right_rows
-        ]
-        emitted = grace_hash_join(
-            left_rows,
-            right_rows,
-            left_keys,
-            right_keys,
-            kind,
-            merge,
-            emit,
-            budget,
-            obs,
-        )
-        _observe(obs, "join", len(left_rows) + len(right_rows), emitted)
-        return
-
-    emitted = 0
 
     def env_for(left_row: Optional[dict], right_row: Optional[dict]):
         env = Environment()
@@ -714,52 +649,72 @@ def hash_join(
         env.bind(None, merge(left_row, right_row))
         return env
 
-    matched_right = [False] * len(right_rows)
+    def holds(left_row: dict, right_row: dict) -> bool:
+        """Whether the pair passes what the keys did not decide."""
+        env = env_for(left_row, right_row)
+        try:
+            for pred in residual_preds:
+                if not pred(env):
+                    return False
+        except Exception as exc:
+            if on_error is None:
+                raise
+            on_error(None, merge(left_row, right_row), exc)
+            return False
+        return True
 
+    emitted = 0
     if pairs:
-        left_keys = [planner.scalar(left_expr) for left_expr, _r in pairs]
-        right_keys = [planner.scalar(right_expr) for _l, right_expr in pairs]
-        residual_preds = [planner.predicate(c) for c in residual]
-        bind_left = row_binder(left_name)
-        bind_right = row_binder(right_name)
+        left_rows, left_keys = _join_keys(
+            left_rows, left_name,
+            [planner.scalar(expr) for expr, _r in pairs], on_error,
+        )
+        right_rows, right_keys = _join_keys(
+            right_rows, right_name,
+            [planner.scalar(expr) for _l, expr in pairs], on_error,
+        )
+        budget = active_memory_budget()
+        if (
+            budget is not None
+            and not residual
+            and budget.exceeded(len(right_rows))
+        ):
+            # build side over budget: grace-partition instead of one index
+            from repro.supervision.spill import grace_hash_join
 
+            emitted = grace_hash_join(
+                left_rows, right_rows, left_keys, right_keys,
+                kind, merge, emit, budget, obs,
+            )
+            _observe(obs, "join", n_in, emitted)
+            return
+        residual_preds = [planner.predicate(c) for c in residual]
         index: Dict[tuple, List[int]] = {}
-        for i, right_row in enumerate(right_rows):
-            env = bind_right(right_row)
-            key = hash_key([fn(env) for fn in right_keys])
+        for i, key in enumerate(right_keys):
             if key is not None:
                 index.setdefault(key, []).append(i)
-
-        for left_row in left_rows:
-            env = bind_left(left_row)
-            key = hash_key([fn(env) for fn in left_keys])
-            matched = False
-            for i in index.get(key, ()) if key is not None else ():
-                right_row = right_rows[i]
-                if residual_preds:
-                    pair_env = env_for(left_row, right_row)
-                    if not all(pred(pair_env) for pred in residual_preds):
-                        continue
-                matched = True
-                matched_right[i] = True
-                emit(merge(left_row, right_row))
-                emitted += 1
-            if not matched and kind in ("left", "full"):
-                emit(merge(left_row, None))
-                emitted += 1
+        candidates = (
+            index.get(key, ()) if key is not None else () for key in left_keys
+        )
     else:
-        condition_pred = planner.predicate(condition)
-        for left_row in left_rows:
-            matched = False
-            for i, right_row in enumerate(right_rows):
-                if condition_pred(env_for(left_row, right_row)):
-                    matched = True
-                    matched_right[i] = True
-                    emit(merge(left_row, right_row))
-                    emitted += 1
-            if not matched and kind in ("left", "full"):
-                emit(merge(left_row, None))
-                emitted += 1
+        residual_preds = [planner.predicate(condition)]
+        every = range(len(right_rows))
+        candidates = (every for _row in left_rows)
+
+    matched_right = [False] * len(right_rows)
+    for left_row, indexes in zip(left_rows, candidates):
+        matched = False
+        for i in indexes:
+            right_row = right_rows[i]
+            if residual_preds and not holds(left_row, right_row):
+                continue
+            matched = True
+            matched_right[i] = True
+            emit(merge(left_row, right_row))
+            emitted += 1
+        if not matched and kind in ("left", "full"):
+            emit(merge(left_row, None))
+            emitted += 1
 
     if kind in ("right", "full"):
         for i, right_row in enumerate(right_rows):
@@ -767,7 +722,7 @@ def hash_join(
                 emit(merge(None, right_row))
                 emitted += 1
 
-    _observe(obs, "join", len(left_rows) + len(right_rows), emitted)
+    _observe(obs, "join", n_in, emitted)
 
 
 __all__ = [
@@ -778,7 +733,6 @@ __all__ = [
     "project_rows",
     "route_rows",
     "switch_rows",
-    "group_rows",
     "group_aggregate_rows",
     "dedup_rows",
     "nest_rows",

@@ -1,9 +1,10 @@
 """repro.exec.run — the one run harness under the three runtimes.
 
-``EtlEngine``, ``OhmExecutor`` and ``MappingExecutor`` differ in what a
-node *is* (a stage, an operator, a mapping) and in what they own beyond
-running nodes (endpoints and checkpoints; the operator kernels; the
-shared-target union). Everything else about a run is written here once:
+``EtlEngine`` and ``OhmExecutor`` differ in what a node *is* (a stage,
+an operator) and in what they own beyond running nodes (endpoints and
+checkpoints; the operator kernels); ``MappingExecutor`` lowers its
+mappings to OHM and is an ``OhmExecutor`` from there. Everything else
+about a run is written here once:
 
 * :class:`RunOptions` — every engine keyword, resolved exactly once
   through :mod:`repro.config` (kwarg > setter > env > default);

@@ -21,6 +21,14 @@ the same pruning, expressed constructively. A separate assembly step
 wires the per-mapping graphs together: "the output of M1 flows into both
 M2 and M3, and thus Orchid creates a SPLIT operator ... If two or more
 mappings share a common target relation Orchid creates a UNION operator."
+
+The lowering is a function of its input: operator uids and edge names
+are derived from the mapping (``M1.filter1``, ``M1.join4``, one serial
+per mapping) or the relation (``Customers.source``, ``T.union``) they
+stand for, never from a process-wide counter. The mapping runtime lowers
+on every run (:mod:`repro.mapping.executor`), so these names are what a
+run's ``ohm.operator.<uid>.*`` metrics, reject rows' ``stage`` and a
+cancelled run's committed frontier show.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MappingError
 from repro.expr.algebra import conjoin, transform
-from repro.expr.ast import AggregateCall, ColumnRef, Expr, TRUE
+from repro.expr.ast import AggregateCall, ColumnRef, Expr, NULL_LITERAL, TRUE
 from repro.mapping.model import Mapping, MappingSet, SourceBinding
 from repro.ohm.graph import OhmGraph
 from repro.ohm.operators import (
@@ -46,16 +54,9 @@ from repro.ohm.operators import (
     Unknown,
 )
 from repro.ohm.subtypes import BasicProject
-from repro.schema.model import Attribute, Relation
 
 #: (operator, port) attachment point
 Port = Tuple[Operator, int]
-
-_edge_counter = itertools.count(1)
-
-
-def _edge_name(mapping_name: str, hint: str) -> str:
-    return f"{mapping_name}.{hint}{next(_edge_counter)}"
 
 
 class _SourcePipeline:
@@ -69,7 +70,6 @@ class _SourcePipeline:
         self.target_columns: Dict[str, str] = {}
         self.entry: Optional[Port] = None
         self.exit: Optional[Port] = None
-        self.exit_edge_name: Optional[str] = None
 
 
 class _MappingCompiler:
@@ -78,8 +78,19 @@ class _MappingCompiler:
     output port."""
 
     def __init__(self, mapping: Mapping, graph: OhmGraph):
-        self.mapping = mapping
+        self.mapping = _qualified(mapping)
         self.graph = graph
+        self._serial = itertools.count(1)
+
+    def _name(self, hint: str) -> str:
+        """The next operator uid / edge name of this mapping."""
+        return f"{self.mapping.name}.{hint}{next(self._serial)}"
+
+    def _add(self, kind, *args, **kwargs) -> Operator:
+        """Add a ``kind`` operator named and labelled after the mapping."""
+        kwargs.setdefault("label", self.mapping.name)
+        uid = self._name(kind.KIND.lower().replace(" ", "_"))
+        return self.graph.add(kind(*args, uid=uid, **kwargs))
 
     def compile(self) -> Tuple[List[Port], Port]:
         mapping = self.mapping
@@ -89,9 +100,8 @@ class _MappingCompiler:
         pipelines = [
             self._compile_source(binding) for binding in mapping.sources
         ]
-        joined, column_of, target_of = self._compile_joins(pipelines)
         out_port = self._compile_projection_and_group(
-            joined, column_of, target_of
+            *self._compile_joins(pipelines)
         )
         if pipelines[0].entry is None:
             # a single-source mapping with no filter: the assembled
@@ -110,10 +120,6 @@ class _MappingCompiler:
 
     # -- template slots -------------------------------------------------------------
 
-    #: (var, source column) → disambiguated name, filled for mappings
-    #: that contain a placeholder join (see :meth:`_plan_raw_renames`).
-    _raw_renames: Dict[Tuple[str, str], str] = {}
-
     def _plan_raw_renames(self) -> None:
         """When the mapping requires a join it does not state (the
         FastTrack incomplete-mapping case), every source column survives
@@ -122,7 +128,8 @@ class _MappingCompiler:
         Join stage then has no colliding inputs, which keeps the
         skeleton's downstream column references stable while the
         programmer fills the predicate in."""
-        self._raw_renames = {}
+        #: (var, source column) → disambiguated name
+        self._raw_renames: Dict[Tuple[str, str], str] = {}
         mapping = self.mapping
         if len(mapping.sources) < 2:
             return
@@ -182,23 +189,20 @@ class _MappingCompiler:
         pipeline = _SourcePipeline(binding)
         last: Optional[Port] = None
 
-        def connect(op: Operator, hint: str) -> Port:
+        def connect(kind, *args) -> None:
             nonlocal last
-            self.graph.add(op)
+            op = self._add(kind, *args)
             if last is None:
                 pipeline.entry = (op, 0)
             else:
                 self.graph.connect(
-                    last[0], op, src_port=last[1],
-                    name=_edge_name(mapping.name, hint),
+                    last[0], op, src_port=last[1], name=self._name(var)
                 )
             last = (op, 0)
-            return last
 
         filters = mapping.filter_conjuncts_of(var)
         if filters:
-            condition = _unqualify(conjoin(filters), var)
-            connect(Filter(condition, label=mapping.name), var)
+            connect(Filter, _unqualify(conjoin(filters), var))
 
         if len(mapping.sources) == 1:
             # single-source mapping: the template's single projection is
@@ -232,22 +236,14 @@ class _MappingCompiler:
                 pipeline.column_names.setdefault(expr.name, col)
         pipeline.target_columns = {col: col for col, _e in derived}
         if derivations:
-            needs_general = any(
-                not isinstance(expr, ColumnRef) for _c, expr in derivations
-            )
-            if needs_general:
-                project: Project = Project(derivations, label=mapping.name)
-            else:
-                project = BasicProject(
-                    [(c, e.name) for c, e in derivations], label=mapping.name
-                )
-            connect(project, var)
+            connect(*_projection(derivations))
         if last is None:
             # bare identity pipeline: no filter, no projection — wire the
             # source straight through an identity BASIC PROJECT so the
             # pipeline has a handle (the cleanup rewrite removes it)
-            identity = BasicProject.identity(binding.relation, label=mapping.name)
-            connect(identity, var)
+            connect(
+                BasicProject, [(a.name, a.name) for a in binding.relation]
+            )
             for attr in binding.relation:
                 pipeline.column_names.setdefault(attr.name, attr.name)
         pipeline.exit = last
@@ -255,8 +251,9 @@ class _MappingCompiler:
 
     def _compile_joins(
         self, pipelines: List[_SourcePipeline]
-    ) -> Tuple[Port, Dict[Tuple[str, str], str], Dict[str, str]]:
-        """Left-deep join tree. Returns the output port, the mapping from
+    ) -> Tuple[Port, str, Dict[Tuple[str, str], str], Dict[str, str]]:
+        """Left-deep join tree. Returns the output port, the name of the
+        edge leaving it, the mapping from
         (var, source column) to the column name in the joined stream
         (dotted names where branches collided), and the analogous mapping
         for target columns computed by the per-source projections."""
@@ -264,7 +261,7 @@ class _MappingCompiler:
         column_of: Dict[Tuple[str, str], str] = {}
         target_of: Dict[str, str] = {}
         first = pipelines[0]
-        first_edge = _edge_name(mapping.name, first.binding.var)
+        first_edge = self._name(first.binding.var)
         for source_col, name in first.column_names.items():
             column_of[(first.binding.var, source_col)] = name
         target_of.update(first.target_columns)
@@ -277,18 +274,18 @@ class _MappingCompiler:
         joined_vars = {first.binding.var}
         for pipeline in pipelines[1:]:
             var = pipeline.binding.var
-            right_edge = _edge_name(mapping.name, var)
+            right_edge = self._name(var)
             usable = [
                 c
                 for c in remaining_conjuncts
-                if _vars_of(c, mapping) <= joined_vars | {var}
+                if mapping._vars_of(c) <= joined_vars | {var}
             ]
             for c in usable:
                 remaining_conjuncts.remove(c)
             condition = self._rewrite_conjuncts(
                 usable, column_of, pipeline, current_edge_name, right_edge
             )
-            join = self.graph.add(Join(condition, label=mapping.name))
+            join = self._add(Join, condition)
             if not usable:
                 # FastTrack behaviour: "an analyst might not know how to
                 # join two or more input tables, but FastTrack ... detects
@@ -331,20 +328,19 @@ class _MappingCompiler:
                 | {f"{right_edge}.{c}" for c in shared}
             )
             current = (join, 0)
-            current_edge_name = _edge_name(mapping.name, "join")
+            current_edge_name = self._name("joined")
             joined_vars.add(var)
         if remaining_conjuncts:
             condition = self._rewrite_refs(
                 conjoin(remaining_conjuncts), column_of
             )
-            filter_op = self.graph.add(Filter(condition, label=mapping.name))
+            filter_op = self._add(Filter, condition)
             self.graph.connect(
                 current[0], filter_op, src_port=current[1], name=current_edge_name
             )
             current = (filter_op, 0)
-            current_edge_name = _edge_name(mapping.name, "where")
-        self._current_edge_name = current_edge_name
-        return current, column_of, target_of
+            current_edge_name = self._name("where")
+        return current, current_edge_name, column_of, target_of
 
     def _rewrite_conjuncts(
         self, conjuncts, column_of, right_pipeline, left_edge, right_edge
@@ -358,21 +354,15 @@ class _MappingCompiler:
                 return None
             if node.qualifier == var:
                 name = right_pipeline.column_names.get(node.name)
-                if name is None:
-                    raise MappingError(
-                        f"{self.mapping.name}: join condition references "
-                        f"{var}.{node.name}, not kept by the source project"
-                    )
-                return ColumnRef(name, qualifier=right_edge)
-            name = column_of.get((node.qualifier, node.name))
+            else:
+                name = column_of.get((node.qualifier, node.name))
             if name is None:
                 raise MappingError(
                     f"{self.mapping.name}: join condition references "
                     f"{node.to_sql()}, not kept by the source project"
                 )
-            if "." in name:  # already dotted from an earlier collision
-                return ColumnRef(name, qualifier=left_edge)
-            return ColumnRef(name, qualifier=left_edge)
+            edge = right_edge if node.qualifier == var else left_edge
+            return ColumnRef(name, qualifier=edge)
 
         return transform(conjoin(conjuncts), rewrite)
 
@@ -393,92 +383,142 @@ class _MappingCompiler:
         return transform(expr, rewrite)
 
     def _compile_projection_and_group(
-        self, current: Port, column_of, target_of
+        self, current: Port, edge: str, column_of, target_of
     ) -> Port:
-        """The post-join PROJECT assembling the target columns, and the
-        GROUP when the mapping aggregates."""
+        """The post-join PROJECT assembling the target columns — NULL
+        for every target column no derivation names — and, when the
+        mapping aggregates, the GROUP, followed by a second PROJECT only
+        when the GROUP's output is not yet the target's: a scalar
+        expression over aggregates, an underived target column, or a
+        group-by expression no derivation carries."""
         mapping = self.mapping
-        current_edge = self._current_edge_name
-        derivations: List[Tuple[str, Expr]] = []
-        group_keys: List[str] = []
-        aggregates: List[Tuple[str, AggregateCall]] = []
+
+        def scalar(col: str, expr: Expr) -> Expr:
+            if col in target_of:  # computed by a per-source projection
+                return ColumnRef(target_of[col])
+            return self._rewrite_refs(expr, column_of)
+
+        unfilled = [
+            (attr.name, NULL_LITERAL)
+            for attr in mapping.target
+            if attr.name not in dict(mapping.derivations)
+        ]
+        if not mapping.is_grouping:
+            assembled = [
+                (col, scalar(col, expr)) for col, expr in mapping.derivations
+            ]
+            return self._project(current, edge, assembled + unfilled)
+
         # a mapping whose aggregates are all FIRST/LAST is a
         # duplicate-removal: name the pre-projected columns after the
         # target columns so the GROUP is a pure passthrough dedup (the
         # shape the RemoveDuplicates runtime operator implements)
-        aggregate_derivations = [
-            (col, expr)
-            for col, expr in mapping.derivations
-            if expr.contains_aggregate()
-        ]
-        dedup_style = aggregate_derivations and all(
+        dedup_style = all(
             isinstance(expr, AggregateCall)
             and expr.func in ("FIRST", "LAST")
             and expr.arg is not None
-            for _c, expr in aggregate_derivations
+            for _c, expr in mapping.derivations
+            if expr.contains_aggregate()
         )
+        #: the GROUP emits its keys under their input names, so the
+        #: scalar derivations own theirs in the assembling PROJECT
+        keyed = {
+            col: scalar(col, expr)
+            for col, expr in mapping.derivations
+            if not expr.contains_aggregate()
+        }
+        assembled: Dict[str, Expr] = {}
+
+        def column(name: str, expr: Expr) -> str:
+            """The assembled column carrying ``expr``, named ``name``
+            unless another expression holds that name."""
+            while keyed.get(name, assembled.get(name, expr)) != expr:
+                name = f"_{name}"
+            assembled[name] = expr
+            return name
+
+        aggregates: List[Tuple[str, AggregateCall]] = []
+
+        def aggregate(name: str, call: AggregateCall) -> None:
+            arg = None
+            if call.arg is not None:
+                arg_expr = self._rewrite_refs(call.arg, column_of)
+                if dedup_style:
+                    hint = name
+                elif isinstance(arg_expr, ColumnRef):
+                    hint = arg_expr.name
+                else:
+                    hint = f"__agg_{name}"
+                arg = ColumnRef(column(hint, arg_expr))
+            aggregates.append((name, AggregateCall(call.func, arg, call.distinct)))
+
+        #: group-by expression → the GROUP key column carrying it
+        key_of: Dict[tuple, str] = {}
+        #: aggregate inside a scalar expression → its generated column
+        generated: Dict[tuple, str] = {}
+
+        def over_group(node: Expr) -> Expr:
+            """``node`` over the GROUP's output columns."""
+            if isinstance(node, AggregateCall):
+                return ColumnRef(generated[node.key()])
+            if node.key() in key_of:
+                return ColumnRef(key_of[node.key()])
+            if isinstance(node, ColumnRef):
+                raise MappingError(
+                    f"{mapping.name}: {node.to_sql()} is neither grouped "
+                    "nor aggregated"
+                )
+            children = node.children()
+            if not children:
+                return node
+            return node.replace_children([over_group(c) for c in children])
+
+        keys: List[str] = []
+        mixed = set()  # columns derived by a scalar over aggregates
         for col, expr in mapping.derivations:
-            if expr.contains_aggregate():
-                if not isinstance(expr, AggregateCall):
-                    raise MappingError(
-                        f"{mapping.name}: derivation {col!r} mixes aggregates "
-                        "with scalar computation; not compilable to a single "
-                        "GROUP operator"
-                    )
-                arg = None
-                if expr.arg is not None:
-                    arg_expr = self._rewrite_refs(expr.arg, column_of)
-                    if dedup_style:
-                        arg_name = col
-                    elif isinstance(arg_expr, ColumnRef):
-                        arg_name = arg_expr.name
-                    else:
-                        arg_name = f"__agg_{col}"
-                    derivations.append((arg_name, arg_expr))
-                    arg = ColumnRef(arg_name)
-                aggregates.append((col, AggregateCall(expr.func, arg, expr.distinct)))
-            elif col in target_of:
-                # already computed by a per-source projection
-                derivations.append((col, ColumnRef(target_of[col])))
-                group_keys.append(col)
+            if col in keyed:
+                keys.append(column(col, keyed[col]))
+                key_of.setdefault(expr.key(), col)
+            elif isinstance(expr, AggregateCall):
+                aggregate(col, expr)
             else:
-                derivations.append((col, self._rewrite_refs(expr, column_of)))
-                group_keys.append(col)
-        seen = {}
-        deduped = []
-        for name, expr in derivations:
-            if name in seen:
-                if seen[name] != expr:
-                    raise MappingError(
-                        f"{mapping.name}: conflicting projection for {name!r}"
-                    )
-                continue
-            seen[name] = expr
-            deduped.append((name, expr))
-        derivations = deduped
-        if all(isinstance(e, ColumnRef) and e.qualifier is None for _c, e in derivations):
-            project: Project = BasicProject(
-                [(c, e.name) for c, e in derivations], label=mapping.name
-            )
-        else:
-            project = Project(derivations, label=mapping.name)
-        self.graph.add(project)
+                mixed.add(col)
+                for node in expr.walk():
+                    if isinstance(node, AggregateCall) and (
+                        node.key() not in generated
+                    ):
+                        generated[node.key()] = f"__agg{len(generated) + 1}"
+                        aggregate(generated[node.key()], node)
+        for i, expr in enumerate(mapping.group_by, 1):
+            if expr.key() not in key_of:
+                key_of[expr.key()] = column(
+                    f"__key{i}", self._rewrite_refs(expr, column_of)
+                )
+                keys.append(key_of[expr.key()])
+        final = [
+            (col, over_group(expr) if col in mixed else ColumnRef(col))
+            for col, expr in mapping.derivations
+        ] + unfilled
+        current = self._project(current, edge, list(assembled.items()))
+        group = self._add(Group, keys, aggregates)
+        self.graph.connect(current[0], group, name=self._name("pregroup"))
+        if len(final) == len(keys) + len(aggregates) and all(
+            expr == ColumnRef(col) for col, expr in final
+        ):
+            return (group, 0)  # the GROUP's output is the target's
+        return self._project((group, 0), self._name("grouped"), final)
+
+    def _project(self, current: Optional[Port], edge: str, derivations) -> Port:
+        """A PROJECT of ``derivations`` fed from ``current`` along
+        ``edge`` (the mapping's entry when nothing precedes it)."""
+        project = self._add(*_projection(derivations))
         if current is None:
             self._entry_port = (project, 0)
         else:
             self.graph.connect(
-                current[0], project, src_port=current[1], name=current_edge
+                current[0], project, src_port=current[1], name=edge
             )
-        current = (project, 0)
-        if mapping.is_grouping:
-            group = self.graph.add(
-                Group(group_keys, aggregates, label=mapping.name)
-            )
-            self.graph.connect(
-                current[0], group, name=_edge_name(mapping.name, "pregroup")
-            )
-            current = (group, 0)
-        return current
+        return (project, 0)
 
     def _compile_opaque(self) -> Tuple[List[Port], Port]:
         mapping = self.mapping
@@ -489,18 +529,43 @@ class _MappingCompiler:
             def executor(inputs, _fn=mapping.executor):
                 return [_fn(inputs)]
 
-        op = self.graph.add(
-            Unknown(
-                [mapping.target],
-                reference=mapping.reference,
-                executor=executor,
-                label=mapping.name,
-                annotations=dict(mapping.annotations),
-            )
+        op = self._add(
+            Unknown,
+            [mapping.target],
+            reference=mapping.reference,
+            executor=executor,
+            annotations=dict(mapping.annotations),
         )
         return [(op, i) for i in range(len(mapping.sources))], (op, 0)
 
-    _current_edge_name: str = ""
+
+def _qualified(mapping: Mapping) -> Mapping:
+    """``mapping`` with every unqualified column reference qualified by
+    the one source variable whose relation holds the column — the
+    template places a conjunct or derivation by the variables it names.
+    (An ambiguous column is reported by ``Mapping._vars_of``.)"""
+
+    def qualify(node: Expr) -> Optional[Expr]:
+        if isinstance(node, ColumnRef) and node.qualifier is None:
+            holders = [
+                b.var for b in mapping.sources
+                if b.relation.has_attribute(node.name)
+            ]
+            if len(holders) == 1:
+                return node.with_qualifier(holders[0])
+        return None
+
+    return Mapping(
+        mapping.sources,
+        mapping.target,
+        [(col, transform(e, qualify)) for col, e in mapping.derivations],
+        where=transform(mapping.where, qualify),
+        group_by=[transform(e, qualify) for e in mapping.group_by],
+        name=mapping.name,
+        reference=mapping.reference,
+        executor=mapping.executor,
+        annotations=mapping.annotations,
+    )
 
 
 def _unqualify(expr: Expr, var: str) -> Expr:
@@ -512,8 +577,12 @@ def _unqualify(expr: Expr, var: str) -> Expr:
     return transform(expr, rewrite)
 
 
-def _vars_of(expr: Expr, mapping: Mapping) -> set:
-    return mapping._vars_of(expr)
+def _projection(derivations: Sequence[Tuple[str, Expr]]):
+    """``(operator class, its argument)`` for a projection: BASIC
+    PROJECT when it only renames and drops columns."""
+    if all(isinstance(e, ColumnRef) and e.qualifier is None for _c, e in derivations):
+        return BasicProject, [(c, e.name) for c, e in derivations]
+    return Project, list(derivations)
 
 
 def mappings_to_ohm(
@@ -542,7 +611,9 @@ def mappings_to_ohm(
             rel_name = binding.relation.name
             if rel_name in produced or rel_name in producers:
                 continue
-            source = graph.add(Source(binding.relation))
+            source = graph.add(
+                Source(binding.relation, uid=f"{rel_name}.source")
+            )
             producers[rel_name] = (source, 0)
 
     # mapping outputs: UNION shared targets, then route
@@ -550,7 +621,7 @@ def mappings_to_ohm(
         producing = mappings.producers_of(rel_name)
         ports = [compiled[m.name][1] for m in producing]
         if len(ports) > 1:
-            union = graph.add(Union(label=rel_name))
+            union = graph.add(Union(label=rel_name, uid=f"{rel_name}.union"))
             for i, (op, port) in enumerate(ports):
                 graph.connect(
                     op, union, src_port=port, dst_port=i,
@@ -565,7 +636,7 @@ def mappings_to_ohm(
     for rel_name, entries in entries_by_relation.items():
         producer = producers[rel_name]
         if len(entries) > 1:
-            split = graph.add(Split(label=rel_name))
+            split = graph.add(Split(label=rel_name, uid=f"{rel_name}.split"))
             graph.connect(
                 producer[0], split, src_port=producer[1], name=rel_name
             )
@@ -585,7 +656,9 @@ def mappings_to_ohm(
     for mapping in mappings:
         rel_name = mapping.target.name
         if rel_name in final_targets and rel_name in producers:
-            target = graph.add(Target(mapping.target))
+            target = graph.add(
+                Target(mapping.target, uid=f"{rel_name}.target")
+            )
             producer = producers.pop(rel_name)
             graph.connect(
                 producer[0], target, src_port=producer[1], name=rel_name

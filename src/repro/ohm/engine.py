@@ -46,7 +46,7 @@ The executor is an adapter over the shared run harness
 supervised wavefront scheduler — ``docs/execution-model.md``); what it
 owns are the per-operator kernels below. An ``on_error`` policy
 (``docs/robustness.md``) absorbs row-level expression errors in FILTER,
-PROJECT, and TARGET delivery; :meth:`OhmExecutor.run_with_rejects`
+PROJECT, JOIN, and TARGET delivery; :meth:`OhmExecutor.run_with_rejects`
 additionally returns the rejected rows as a reject
 :class:`~repro.data.dataset.Dataset`.
 """
@@ -167,7 +167,9 @@ class OhmExecutor(Runtime):
             ]
         if isinstance(op, Join):
             return [
-                self._run_join(op, inputs[0], inputs[1], out_relations[0], planner)
+                self._run_join(
+                    op, inputs[0], inputs[1], out_relations[0], planner, errors
+                )
             ]
         if isinstance(op, Union):
             return [self._run_union(op, inputs, out_relations[0], planner)]
@@ -353,6 +355,7 @@ class OhmExecutor(Runtime):
         right: Dataset,
         out: Relation,
         planner: ExpressionPlanner,
+        errors: Optional[ErrorContext] = None,
     ) -> Dataset:
         attrs = Join.joined_attributes(left.relation, right.relation)
         if planner.batched:
@@ -391,6 +394,7 @@ class OhmExecutor(Runtime):
             rows.append,
             planner,
             obs=self._obs,
+            on_error=errors.kernel_handler() if errors is not None else None,
         )
         return planner.materialize(out, rows, fresh=True)
 
@@ -578,6 +582,14 @@ class OhmExecutor(Runtime):
     ) -> Tuple[Instance, Dict[str, Dataset], List[RejectedRow]]:
         planner, ladder = start_run(self.options, graph, self.registry, instance)
         graph.propagate_schemas()
+        return self._run_graph(graph, instance, planner, ladder)
+
+    def _run_graph(
+        self, graph: OhmGraph, instance: Instance, planner, ladder
+    ) -> Tuple[Instance, Dict[str, Dataset], List[RejectedRow]]:
+        """The run proper, of a schema-propagated graph after
+        :func:`~repro.exec.run.start_run` (the mapping runtime starts its
+        runs on the mapping set, then runs the lowered graph here)."""
         run = _GraphRun(self, graph, instance, ladder)
         with self._obs.tracer.span("ohm.run", graph=graph.name):
             run_waves(graph.topological_order(), run, self.options, planner)

@@ -26,7 +26,7 @@ from typing import Callable, List, Optional
 from repro import config
 from repro.config import check_policy
 from repro.data.dataset import Dataset
-from repro.errors import INFRASTRUCTURE_ERRORS, STATIC_ERRORS
+from repro.errors import INFRASTRUCTURE_ERRORS, STATIC_ERRORS, RunCancelled
 from repro.schema.model import Relation, relation
 
 FAIL_FAST = "fail_fast"
@@ -170,8 +170,9 @@ class ErrorContext:
         exc: BaseException,
         link: Optional[str] = None,
     ) -> None:
-        if isinstance(exc, INFRASTRUCTURE_ERRORS):
-            # not a data error: let retry / the degradation ladder see it
+        if isinstance(exc, (*INFRASTRUCTURE_ERRORS, RunCancelled)):
+            # not a data error: let retry / the degradation ladder (or,
+            # for a cancellation, the caller) see it
             raise exc
         if isinstance(exc, STATIC_ERRORS):
             # a deterministic plan defect (bad schema, unparseable or

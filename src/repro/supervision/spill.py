@@ -259,41 +259,6 @@ def external_group_aggregate_rows(
     return [row for _, row in results]
 
 
-def external_group_rows(
-    items: Sequence,
-    keyed: Sequence[Tuple[int, tuple]],
-    budget,
-    obs=None,
-) -> List[list]:
-    """Budget-bound :func:`repro.exec.kernels.group_rows`: ``keyed`` is
-    the ``(input index, encoded key)`` pair of every item that joined a
-    group (error-absorbed items are already dropped by the caller).
-    Only the pairs are spilled — hash-partitioned so one partition's
-    group table is resident at a time — and groups come back in the
-    serial kernel's first-seen order with members in input order."""
-    n_partitions = max(2, budget.runs_for(len(items)))
-    results: List[Tuple[int, List[int]]] = []
-    with tempfile.TemporaryDirectory(prefix="repro-spill-group-") as tmp:
-        writer = _PartitionWriter(tmp, "part", n_partitions)
-        for index, key in keyed:
-            writer.append(hash(key) % n_partitions, (index, key))
-        writer.close()
-        for path in writer.paths:
-            groups: Dict[tuple, List[int]] = {}
-            order: List[tuple] = []
-            for index, key in _iter_run(path):
-                members = groups.get(key)
-                if members is None:
-                    groups[key] = members = []
-                    order.append(key)
-                members.append(index)
-            for key in order:
-                results.append((groups[key][0], groups[key]))
-    results.sort(key=lambda item: item[0])
-    _spill_metrics(obs, "group", n_partitions, writer.rows_written)
-    return [[items[i] for i in members] for _first, members in results]
-
-
 def external_group_aggregate_block(
     block,
     key_names: Sequence[str],
@@ -426,7 +391,6 @@ __all__ = [
     "composite_sort_key",
     "external_group_aggregate_block",
     "external_group_aggregate_rows",
-    "external_group_rows",
     "external_sort_indices",
     "external_sort_rows",
     "grace_hash_join",

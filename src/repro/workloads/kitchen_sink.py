@@ -8,10 +8,11 @@ optionally SurrogateKey — so the integration suite can check that the
 complete translation pipeline preserves semantics for every stage type
 *in combination*, not just in isolation.
 
-Surrogate keys are order-dependent: the ETL engine, the OHM engine, and
-redeployed jobs process rows in the same deterministic order, but the
-mapping executor enumerates join candidates differently, so mapping-level
-equivalence is only checked for the ``with_surrogate_key=False`` variant.
+Surrogate keys are order-dependent: the ETL engine, the OHM engine,
+redeployed jobs and the extracted mappings (lowered to OHM, or read by
+the reference) all meet the rows in the same deterministic order;
+``with_surrogate_key=False`` serves the comparisons that reset no key
+sequence between runs.
 """
 
 from __future__ import annotations

@@ -135,11 +135,12 @@ class TestLaddersNeverRetryStaticErrors:
     def test_mapping_ladder(self, monkeypatch):
         calls = []
 
-        def boom(self, mapping, working, **kwargs):
+        def boom(self, op, inputs, out_relations, instance, **kwargs):
             calls.append(1)
             raise TypeCheckError("planted plan defect")
 
-        monkeypatch.setattr(MappingExecutor, "execute_mapping", boom)
+        # a mapping run is a run of the lowered graph
+        monkeypatch.setattr(OhmExecutor, "_run_operator", boom)
         with pytest.raises(TypeCheckError, match="planted"):
             MappingExecutor(compiled=True).execute(
                 make_mappings(), synthesize_instance([REL], 5)

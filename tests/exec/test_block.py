@@ -3,7 +3,7 @@
 Mirrors :mod:`tests.exec.test_kernels` over the columnar tier: the same
 fixtures, the same expected outputs (the kernels must agree row-for-row
 with the row path), plus the container's structural contracts — column
-aliasing survives slice/take, defaults broadcast, NULL keys group.
+aliasing survives slice/take, NULL keys group.
 """
 
 import pytest
@@ -129,15 +129,13 @@ def test_filter_block_chunking_is_invisible(batch_size):
     assert ids(out) == [1, 2]
 
 
-def test_project_block_defaults_and_pass_through_aliasing():
+def test_project_block_pass_through_aliasing():
     blk = make_block()
     out = block.project_block(
-        blk,
-        [("double", scalar("id * 2")), ("v", scalar("v"))],
-        defaults={"extra": None, "double": 0},
+        blk, [("double", scalar("id * 2")), ("v", scalar("v"))]
     )
-    assert out.to_rows(["extra", "double", "v"]) == [
-        {"extra": None, "double": r["id"] * 2, "v": r["v"]} for r in ROWS
+    assert out.to_rows(["double", "v"]) == [
+        {"double": r["id"] * 2, "v": r["v"]} for r in ROWS
     ]
     # a bare column reference costs nothing: the output aliases the input
     assert out.columns["v"] is blk.columns["v"]

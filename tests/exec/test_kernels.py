@@ -98,11 +98,6 @@ def test_switch_rows_first_match_and_default():
     assert [r["id"] for r in outs[2]] == [4, 5]  # NULL selector → default
 
 
-def test_group_rows_null_keys_equal():
-    groups = kernels.group_rows(ROWS, [PLANNER.scalar(parse("grp"))], bind())
-    assert [[r["id"] for r in g] for g in groups] == [[1, 3], [2], [4, 5]]
-
-
 def test_group_aggregate_rows():
     out = kernels.group_aggregate_rows(
         ROWS,

@@ -1,11 +1,38 @@
-"""Mapping executor tests: direct interpretation of mapping formulas."""
+"""Mapping executor tests: mappings lowered to OHM and run on the OHM
+executor, and the reference reading (``compiled=False``) they must
+agree with."""
+
+from collections import Counter
 
 import pytest
 
+from repro.compile import compile_job
 from repro.data.dataset import Dataset, Instance
-from repro.errors import ExecutionError
-from repro.mapping import Mapping, MappingExecutor, MappingSet, SourceBinding, execute_mappings
+from repro.errors import ExecutionError, SchemaError
+from repro.mapping import (
+    Mapping,
+    MappingExecutor,
+    MappingSet,
+    SourceBinding,
+    execute_mappings,
+    ohm_to_mappings,
+)
+from repro.obs import Observability
+from repro.ohm.subtypes import reset_keygen_sequences
 from repro.schema import relation
+from repro.workloads import (
+    build_chain_job,
+    build_example_job,
+    build_fanout_job,
+    build_faulty_job,
+    build_kitchen_sink_job,
+    build_star_join_job,
+    generate_chain_instance,
+    generate_faulty_instance,
+    generate_instance,
+    generate_kitchen_sink_instance,
+    generate_star_instance,
+)
 
 
 @pytest.fixture
@@ -150,7 +177,7 @@ class TestMappingSets:
             MappingSet([first, second]), instance
         )
         assert sorted(targets.dataset("Big").column("customerID")) == [1, 2]
-        assert "Mid" in intermediates
+        assert list(intermediates) == ["Mid"]
         assert targets.names == ["Big"]
 
     def test_shared_target_unions(self, customers, instance):
@@ -174,3 +201,96 @@ class TestMappingSets:
         )
         result = MappingExecutor().execute_mapping(mapping, instance)
         assert len(result) == 3
+
+
+# -- the lowered run against the reference reading ------------------------------
+
+#: job family → (job, instance): what the benchmark corpus builds (the
+#: kitchen sink travels with its opaque outer-join mapping, and with its
+#: surrogate key: every tier meets the rows in the reference's order),
+#: plus the poisoned-rows job, whose reject channel is not empty
+FAMILIES = {
+    "example": lambda: (build_example_job(), generate_instance(60, seed=7)),
+    "kitchen-sink": lambda: (
+        build_kitchen_sink_job(),
+        generate_kitchen_sink_instance(150, 15, seed=7),
+    ),
+    "chain": lambda: (build_chain_job(25, seed=7), generate_chain_instance(90, seed=7)),
+    # the reference reads a star as a product: 40 facts x 6**3 dimension rows
+    "star": lambda: (
+        build_star_join_job(3), generate_star_instance(3, 40, dim_size=6, seed=7)
+    ),
+    "fan-out": lambda: (build_fanout_job(16, seed=7), generate_chain_instance(90, seed=7)),
+    "faulty": lambda: (
+        build_faulty_job(), generate_faulty_instance(n=60, seed=11, poison=7)[0]
+    ),
+}
+
+LOWERED_TIERS = {
+    "rows": dict(mode="rows"),
+    "block": dict(batched=True, fused=False),
+    "fused": dict(batched=True, fused=True),
+    "parallel": dict(mode="parallel", workers=2),
+    "auto": dict(mode="auto", workers=2),
+}
+
+
+def _accepted_and_rejected(mappings, instance, **options):
+    reset_keygen_sequences()
+    targets, _inter, rejects = MappingExecutor(
+        on_error="reject", **options
+    ).run_with_rejects(mappings, instance)
+    return targets, Counter((r["error_code"], r["row"]) for r in rejects)
+
+
+@pytest.fixture(scope="module", params=FAMILIES)
+def family(request):
+    job, instance = FAMILIES[request.param]()
+    mappings = ohm_to_mappings(compile_job(job))
+    return mappings, instance, _accepted_and_rejected(
+        mappings, instance, compiled=False
+    )
+
+
+@pytest.mark.parametrize("tier", LOWERED_TIERS)
+def test_lowered_run_accepts_and_rejects_what_the_reference_does(family, tier):
+    mappings, instance, (expected, expected_rejects) = family
+    targets, rejects = _accepted_and_rejected(
+        mappings, instance, compiled=True, **LOWERED_TIERS[tier]
+    )
+    assert targets.names == expected.names
+    assert sum(len(d) for d in targets) > 0
+    assert targets.same_bags(expected)
+    assert rejects == expected_rejects
+
+
+@pytest.mark.parametrize("tier", ["oracle", *LOWERED_TIERS])
+@pytest.mark.parametrize("policy", ["fail_fast", "reject"])
+def test_a_value_the_target_cannot_hold_is_a_schema_error_at_every_tier(tier, policy):
+    accounts = relation("Accounts", ("customerID", "int"), ("type", "varchar"))
+    mapping = Mapping(
+        [SourceBinding("a", accounts)],
+        relation("T", ("customerID", "int", False)),
+        [("customerID", "a.customerID")],
+    )
+    instance = Instance([Dataset(accounts, [
+        {"customerID": 1, "type": "S"}, {"customerID": None, "type": "L"},
+    ])])
+    options = LOWERED_TIERS.get(tier, dict(compiled=False))
+    with pytest.raises(SchemaError, match="non-nullable"):
+        MappingExecutor(on_error=policy, **options).execute(
+            MappingSet([mapping]), instance
+        )
+
+
+def test_two_runs_on_one_observability_emit_the_same_metric_names():
+    job, instance = FAMILIES["example"]()
+    mappings = ohm_to_mappings(compile_job(job))
+    names = []
+    obs = Observability(stats=True)
+    for _run in range(2):
+        MappingExecutor(obs=obs, compiled=True).execute(mappings, instance)
+        snapshot = obs.metrics.snapshot()
+        names.append(sorted(list(snapshot["counters"]) + list(snapshot["timers"])))
+    assert names[0] == names[1]
+    assert any(name.startswith("ohm.operator.M") for name in names[0])

@@ -1,7 +1,8 @@
-"""The mapping executor's left-deep join against an oracle the plan
-cannot reach: a brute-force ``itertools.product`` in the test itself.
-``MappingExecutor(compiled=False)`` shares ``_satisfying_rows`` with
-every other tier, so it is not an independent reference here."""
+"""The lowering of a mapping (Figure 9's left-deep join, run on the OHM
+executor) against an oracle the plan cannot reach: a brute-force
+``itertools.product`` in the test itself, and against
+``MappingExecutor(compiled=False)``, the reference reading that shares
+nothing with ``mappings_to_ohm``."""
 
 import itertools
 import random
@@ -17,7 +18,7 @@ from repro.errors import (
     RunCancelled,
     TransientError,
 )
-from repro.exec import ExpressionPlanner, set_kernel_fault_hook
+from repro.exec import set_kernel_fault_hook
 from repro.expr.evaluator import Environment, evaluate
 from repro.faults import FaultPlan
 from repro.mapping import (
@@ -30,7 +31,7 @@ from repro.mapping import (
 )
 from repro.obs import Observability
 from repro.ohm import OhmExecutor
-from repro.resilience import ErrorContext
+from repro.resilience import format_row
 from repro.schema import relation
 from repro.workloads import build_example_job
 from repro.workloads.paper_example import generate_instance
@@ -39,14 +40,14 @@ A = relation("A", ("akey", "int"), ("code", "varchar"), ("balance", "float"))
 B = relation("B", ("a_id", "float"), ("bkey", "int"), ("code", "varchar"))
 C = relation("C", ("b_id", "int"), ("cap", "float"))
 
-PLANNERS = {
-    "oracle": lambda: ExpressionPlanner(None, False, mode="rows", fused=False),
-    "rows": lambda: ExpressionPlanner(None, True, mode="rows", fused=False),
-    "block": lambda: ExpressionPlanner(None, True, mode="block", fused=False),
-    "fused": lambda: ExpressionPlanner(None, True, mode="block", fused=True),
-    "parallel": lambda: ExpressionPlanner(
-        None, True, mode="parallel", workers=2, fused=False
-    ),
+#: tier → ``MappingExecutor`` keywords; every tier but ``oracle`` lowers
+#: the mapping to OHM and runs the graph
+TIERS = {
+    "oracle": dict(compiled=False),
+    "rows": dict(compiled=True, mode="rows"),
+    "block": dict(compiled=True, batched=True, fused=False),
+    "fused": dict(compiled=True, batched=True, fused=True),
+    "parallel": dict(compiled=True, mode="parallel", workers=2),
 }
 
 
@@ -98,10 +99,15 @@ def reference(mapping, instance):
     ]
 
 
-OUT_TYPES = {"x": "float", "y": "int", "z": "varchar", "w": "float"}
+OUT_TYPES = {
+    "x": "float", "y": "int", "z": "varchar", "w": "float",
+    "k": "int", "last": "varchar", "n": "int",
+}
 
 
 def mapping_of(sources, where, derivations, **kwargs):
+    """(Derivation columns are typed by ``OUT_TYPES``: the lowering
+    validates the mapping set, as every translation does.)"""
     bindings = [SourceBinding(var, rel) for var, rel in sources]
     target = relation(
         "T", *((col, OUT_TYPES.get(col, "float")) for col, _e in derivations)
@@ -125,7 +131,7 @@ SHAPES = {
     "self-join": (
         [("a1", A), ("a2", A)],
         "a1.akey = a2.akey AND a1.balance < a2.balance",
-        [("x", "a1.balance"), ("y", "a2.balance")], {},
+        [("x", "a1.balance"), ("w", "a2.balance")], {},
     ),
     "null-keys-both-sides": (AB, "a.akey = b.a_id", AB_OUT, {"null_rate": 0.6}),
     "no-nulls-duplicate-keys": (AB, "a.akey = b.a_id", AB_OUT, {"null_rate": 0}),
@@ -154,20 +160,18 @@ SHAPES = {
 }
 
 
-@pytest.mark.parametrize("tier", PLANNERS)
+@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_rows_come_out_in_product_order(shape, seed, tier):
     sources, where, derivations, options = SHAPES[shape]
     mapping = mapping_of(sources, where, derivations)
     instance = random_instance(seed, **options)
-    result = MappingExecutor().execute_mapping(
-        mapping, instance, planner=PLANNERS[tier]()
-    )
+    result = MappingExecutor(**TIERS[tier]).execute_mapping(mapping, instance)
     assert result.rows == reference(mapping, instance)
 
 
-@pytest.mark.parametrize("tier", PLANNERS)
+@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_grouping_with_first_and_sum_over_the_joined_rows(seed, tier):
     mapping = mapping_of(
@@ -194,9 +198,7 @@ def test_grouping_with_first_and_sum_over_the_joined_rows(seed, tier):
             "n": len(members),
             "mean": total / len(members),
         })
-    result = MappingExecutor().execute_mapping(
-        mapping, instance, planner=PLANNERS[tier]()
-    )
+    result = MappingExecutor(**TIERS[tier]).execute_mapping(mapping, instance)
     assert result.rows == expected
 
 
@@ -212,6 +214,19 @@ def test_agrees_with_the_figure_9_ohm_graph_as_bags():
 
 
 # -- error policies ------------------------------------------------------------
+#
+# The lowered graph and the reference reading accept the same rows; what
+# they put on the reject channel differs where a join is involved, and
+# ``docs/robustness.md`` ("Mappings") says how. These tests pin both.
+
+
+def _run(mapping, instance, **options):
+    """``(accepted rows, reject rows, metrics)`` of one mapping."""
+    obs = Observability(stats=True)
+    targets, _inter, rejects = MappingExecutor(obs=obs, **options).run_with_rejects(
+        MappingSet([mapping]), instance
+    )
+    return targets.dataset("T").rows, rejects.rows, obs.metrics
 
 
 def _zero_divisor_instance():
@@ -233,30 +248,73 @@ def _zero_divisor_instance():
 def test_residual_error_on_a_key_matched_combination_is_absorbed_and_an_excluded_combination_is_never_evaluated(
     policy,
 ):
-    mapping = mapping_of(AB, "a.akey = b.a_id AND 10 / b.bkey > 1", AB_OUT)
-    instance = _zero_divisor_instance()
-    a_rows, b_rows = instance.dataset("A").rows, instance.dataset("B").rows
-    ctx = ErrorContext(mapping.name, policy)
-    result = MappingExecutor(on_error=policy).execute_mapping(
-        mapping, instance, errors=ctx
+    """A conjunct over both sources stays on the JOIN as its residual:
+    it is evaluated on key-matched pairs only, and a pair it raises on
+    is rejected as the merged row, without a row index."""
+    mapping = mapping_of(
+        AB, "a.akey = b.a_id AND 10 / b.bkey > a.balance", AB_OUT, name="M"
     )
-    assert result.rows == [{"x": 1.0, "y": 5, "z": "Y"}]
+    instance = _zero_divisor_instance()
+    accepted, rejects, metrics = _run(
+        mapping, instance, compiled=True, mode="rows", on_error=policy
+    )
+    expected, _r, _m = _run(mapping, instance, compiled=False, on_error=policy)
+    assert accepted == expected == [{"x": 1.0, "y": 5, "z": "Y"}]
     # B's third row divides by zero too, but its key matches nothing
     if policy == "skip":
-        assert ctx.skipped == 2 and not ctx.rejected
+        assert metrics.counter("exec.errors.total") == 2 and not rejects
         return
-    assert [r.row for r in ctx.rejected] == [
-        {"a": a_rows[0], "b": b_rows[0]},
-        {"a": a_rows[1], "b": b_rows[3]},
+    assert [(r["stage"], r["row_index"], r["error_code"]) for r in rejects] == [
+        ("M.join5", None, "EvaluationError"), ("M.join5", None, "EvaluationError"),
     ]
-    assert {r.error_code for r in ctx.rejected} == {"EvaluationError"}
+    assert [r["row"] for r in rejects] == [
+        format_row({"x": 1.0, "akey": 1, "balance": 1.0,
+                    "a_id": 1.0, "bkey": 0, "y": 0, "z": "X"}),
+        format_row({"x": 2.0, "akey": 2, "balance": 2.0,
+                    "a_id": 2.0, "bkey": 0, "y": 0, "z": "W"}),
+    ]
+
+
+@pytest.mark.parametrize("policy", ["reject", "skip"])
+def test_single_source_conjunct_error_is_absorbed_at_that_sources_filter(policy):
+    """``10 / b.bkey > 1`` names one source, so Figure 9 places it on
+    B's FILTER, before the join: every B row is tested — the one no A
+    row would have reached too — and a row that raises is rejected as
+    the source row, by its position in B."""
+    mapping = mapping_of(AB, "a.akey = b.a_id AND 10 / b.bkey > 1", AB_OUT, name="M")
+    instance = _zero_divisor_instance()
+    b_rows = instance.dataset("B").rows
+    for tier in ("rows", "block", "fused"):
+        accepted, rejects, metrics = _run(mapping, instance, on_error=policy, **TIERS[tier])
+        assert accepted == [{"x": 1.0, "y": 5, "z": "Y"}]
+        if policy == "skip":
+            assert metrics.counter("exec.errors.total") == 3 and not rejects
+            continue
+        assert [(r["stage"], r["row_index"], r["row"]) for r in rejects] == [
+            ("M.filter2", i, format_row(b_rows[i])) for i in (0, 2, 3)
+        ]
+    # the reference reads the where clause over the product: one reject
+    # per combination holding a poisoned row, as per-variable rows
+    accepted, rejects, _m = _run(mapping, instance, compiled=False, on_error=policy)
+    assert accepted == [{"x": 1.0, "y": 5, "z": "Y"}]
+    if policy == "reject":
+        assert [(r["stage"], r["row_index"]) for r in rejects] == [
+            ("M", i) for i in (0, 2, 3, 4, 6, 7)
+        ]
+        assert rejects[0]["row"] == format_row(
+            {"a": instance.dataset("A").rows[0], "b": b_rows[0]}
+        )
 
 
 @pytest.mark.parametrize("policy", ["fail_fast", "reject", "skip"])
 def test_key_data_error_abandons_the_join_and_the_where_clause_meets_it(policy):
-    """``10 / a.akey`` raises on A's zero key while the join conjunct
-    is tested: the product is enumerated instead, as before this plan."""
-    mapping = mapping_of(AB, "10 / a.akey = b.a_id", AB_OUT)
+    """``10 / a.akey`` raises on A's zero key. A join-key data error is
+    rejected, skipped or raised under the run's policy, with the same
+    accepted bag as the reference: there the where clause meets it once
+    per combination of the poisoned row; in the lowered graph the JOIN
+    meets it once — the row (as projected for the join, by its position
+    in that input) joins nothing."""
+    mapping = mapping_of(AB, "10 / a.akey = b.a_id", AB_OUT, name="M")
     instance = Instance([
         Dataset(A, [
             {"akey": 5, "code": "x", "balance": 1.0},
@@ -268,25 +326,26 @@ def test_key_data_error_abandons_the_join_and_the_where_clause_meets_it(policy):
             {"a_id": 1.0, "bkey": 2, "code": "Y"},
         ]),
     ])
-    obs = Observability(stats=True)
-    executor = MappingExecutor(obs=obs, on_error=policy)
-    ctx = ErrorContext(mapping.name, policy)
-    if policy == "fail_fast":
-        with pytest.raises(EvaluationError, match="division by zero"):
-            executor.execute_mapping(mapping, instance, errors=ctx)
-        return
-    result = executor.execute_mapping(mapping, instance, errors=ctx)
-    assert result.rows == [
-        {"x": 1.0, "y": 1, "z": "X"}, {"x": 3.0, "y": 2, "z": "Y"},
-    ]
-    # one absorbed error per combination of the poisoned row, by its
-    # position in the product
-    if policy == "reject":
-        assert [r.row_index for r in ctx.rejected] == [2, 3]
-    else:
-        assert ctx.skipped == 2
-    assert obs.metrics.counter("exec.kernel.filter.rows_in") == 6
-    assert obs.metrics.counter("exec.kernel.join.rows_in") == 0
+    expected = [{"x": 1.0, "y": 1, "z": "X"}, {"x": 3.0, "y": 2, "z": "Y"}]
+    for tier in TIERS:
+        if policy == "fail_fast":
+            with pytest.raises(EvaluationError, match="division by zero"):
+                _run(mapping, instance, on_error=policy, **TIERS[tier])
+            continue
+        accepted, rejects, metrics = _run(
+            mapping, instance, on_error=policy, **TIERS[tier]
+        )
+        assert accepted == expected
+        absorbed = 2 if tier == "oracle" else 1
+        assert metrics.counter("exec.errors.total") == absorbed
+        if policy == "skip":
+            assert not rejects
+        elif tier == "oracle":
+            assert [(r["stage"], r["row_index"]) for r in rejects] == [("M", 2), ("M", 3)]
+        else:
+            assert [(r["stage"], r["row_index"], r["row"]) for r in rejects] == [
+                ("M.join5", 1, format_row({"akey": 0, "x": 2.0}))
+            ]
 
 
 @pytest.mark.parametrize(
@@ -297,8 +356,8 @@ def test_key_data_error_abandons_the_join_and_the_where_clause_meets_it(policy):
 )
 def test_non_data_errors_from_a_join_conjunct_are_not_mistaken_for_bad_rows(error):
     """Infrastructure, static and cancellation errors leave the join
-    the way they came — no product fallback, nothing on the reject
-    channel — so the tier ladder sees them."""
+    the way they came — nothing on the reject channel — so the tier
+    ladder (switched off here, to see them) can act on them."""
 
     calls = []
 
@@ -307,8 +366,7 @@ def test_non_data_errors_from_a_join_conjunct_are_not_mistaken_for_bad_rows(erro
             return fn
 
         def raising(env):
-            # the first predicate a two-source mapping calls is the
-            # join's; were it swallowed, nothing else would raise
+            # the only predicate of this graph is the JOIN's residual
             calls.append(env)
             if len(calls) == 1:
                 raise error
@@ -316,24 +374,24 @@ def test_non_data_errors_from_a_join_conjunct_are_not_mistaken_for_bad_rows(erro
 
         return raising
 
-    mapping = mapping_of(AB, "a.akey = b.a_id", AB_OUT)
-    ctx = ErrorContext(mapping.name, "reject")
+    mapping = mapping_of(AB, "a.akey = b.a_id AND a.balance > b.bkey - 1000", AB_OUT)
+    obs = Observability(stats=True)
+    executor = MappingExecutor(
+        obs=obs, compiled=True, mode="rows", on_error="reject", degrade=False
+    )
     set_kernel_fault_hook(hook)
     try:
         with pytest.raises(type(error)):
-            MappingExecutor(on_error="reject").execute_mapping(
-                mapping, random_instance(1), errors=ctx
-            )
+            executor.run_with_rejects(MappingSet([mapping]), random_instance(1))
     finally:
         set_kernel_fault_hook(None)
-    assert len(calls) == 1 and not ctx.rejected and not ctx.skipped
+    assert len(calls) == 1
+    assert obs.metrics.counter("exec.errors.total") == 0
 
 
 def test_injected_key_fault_degrades_the_tier_instead_of_enumerating_the_product():
     mapping = mapping_of(AB, "a.akey = b.a_id", AB_OUT)
     instance = random_instance(4)
-    # the first compiled closure a two-source mapping calls is the
-    # join conjunct
     plan = FaultPlan(seed=3).fault_kernels(tier="compiled", first=1)
     obs = Observability(stats=True)
     executor = MappingExecutor(
@@ -360,11 +418,13 @@ def test_figure_3_join_filters_key_matches_not_the_cross_product():
         for d in drawn
     )
     obs = Observability(stats=True)
-    MappingExecutor(obs=obs).execute_mapping(m1, instance)
-    counter = obs.metrics.counter
-    assert counter("exec.kernel.join.rows_in") == 300 + 660
-    assert counter("exec.kernel.join.rows_out") <= 660
-    # 198 000 when the candidates were the cross product
-    assert counter("exec.kernel.filter.rows_in") == counter(
-        "exec.kernel.join.rows_out"
-    )
+    MappingExecutor(obs=obs, compiled=True).execute_mapping(m1, instance)
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters["exec.kernel.join.rows_in"] <= 300 + 660
+    assert 0 < counters["exec.kernel.join.rows_out"] <= 660
+    # the filter kernel saw 198 000 rows when the candidates were the
+    # cross product; a kernel's counter sums over the graph's operators
+    assert max(
+        count for name, count in counters.items()
+        if name.startswith("exec.kernel.") and name.endswith(".rows_in")
+    ) < 198_000 // 10

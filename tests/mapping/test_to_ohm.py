@@ -5,6 +5,7 @@ import pytest
 
 from repro.compile import compile_job
 from repro.data.dataset import Dataset, Instance
+from repro.deploy import deploy_to_job
 from repro.errors import MappingError
 from repro.etl import run_job
 from repro.expr.ast import TRUE
@@ -59,10 +60,12 @@ def processing_kinds(graph):
 
 
 def check(mappings, instance):
+    """The lowered graph computes what the reference reading of the
+    mappings does (``compiled=False`` never sees the graph)."""
     graph = mappings_to_ohm(mappings)
-    assert execute(graph, instance).same_bags(
-        execute_mappings(mappings, instance)
-    )
+    expected = execute_mappings(mappings, instance, compiled=False)
+    assert sum(len(d) for d in expected) > 0
+    assert execute(graph, instance).same_bags(expected)
     return graph
 
 
@@ -145,6 +148,108 @@ class TestTemplatePruning:
         )
         graph = check(MappingSet([mapping]), instance)
         assert processing_kinds(graph).count("JOIN") == 2
+
+
+class TestTotalOverWhatTheReferenceReads:
+    """Shapes the reference reading accepts and the template has no
+    slot for as written: the lowering adds what is missing, and only
+    then."""
+
+    def test_underived_target_columns_are_null_and_deploy(self, customers, instance):
+        target = relation("Out", ("name", "varchar"), ("extra", "int"))
+        mapping = Mapping(
+            [SourceBinding("c", customers)], target, [("name", "c.name")]
+        )
+        graph = check(MappingSet([mapping]), instance)
+        # the assembling PROJECT emits the NULL: no extra operator
+        assert processing_kinds(graph) == ["PROJECT"]
+        job, _plan = deploy_to_job(graph)
+        rows = run_job(job, instance).dataset("Out").rows
+        assert sorted(r["name"] for r in rows) == ["ada", "ben"]
+        assert all(r["extra"] is None for r in rows)
+
+    def test_scalar_over_aggregates_is_a_project_after_the_group(
+        self, accounts, instance
+    ):
+        target = relation(
+            "Out", ("customerID", "int"), ("mean", "float"), ("n", "int"),
+            ("note", "varchar"),
+        )
+        mapping = Mapping(
+            [SourceBinding("a", accounts)], target,
+            [("customerID", "a.customerID"),
+             ("mean", "SUM(a.balance) / COUNT(*) + a.customerID"),
+             ("n", "COUNT(*)")],
+            group_by=["a.customerID"],
+        )
+        graph = check(MappingSet([mapping]), instance)
+        assert processing_kinds(graph) == ["BASIC PROJECT", "GROUP", "PROJECT"]
+        (group,) = graph.operators_of_kind("GROUP")
+        # one generated column per distinct aggregate call of the scalar
+        assert [name for name, _agg in group.aggregates] == [
+            "__agg1", "__agg2", "n",
+        ]
+        job, _plan = deploy_to_job(graph)
+        assert run_job(job, instance).same_bags(execute(graph, instance))
+
+    def test_a_column_neither_grouped_nor_aggregated_is_refused(self, accounts):
+        mapping = Mapping(
+            [SourceBinding("a", accounts)],
+            relation("Out", ("customerID", "int"), ("x", "float")),
+            [("customerID", "a.customerID"), ("x", "SUM(a.balance) + a.balance")],
+            group_by=["a.customerID"],
+        )
+        with pytest.raises(MappingError, match="neither grouped nor aggregated"):
+            mappings_to_ohm(MappingSet([mapping]))
+
+    def test_group_by_expression_no_derivation_carries(self, accounts, instance):
+        mapping = Mapping(
+            [SourceBinding("a", accounts)],
+            relation("Out", ("total", "float")),
+            [("total", "SUM(a.balance)")],
+            group_by=["a.customerID"],
+        )
+        graph = check(MappingSet([mapping]), instance)
+        assert len(execute(graph, instance).dataset("Out")) == 2
+        assert processing_kinds(graph) == [
+            "BASIC PROJECT", "GROUP", "BASIC PROJECT",
+        ]
+
+    def test_unqualified_columns_in_a_join(self, customers, accounts, instance):
+        mapping = Mapping(
+            [SourceBinding("c", customers), SourceBinding("a", accounts)],
+            relation("Out", ("name", "varchar"), ("balance", "float")),
+            [("name", "name"), ("balance", "balance")],
+            where="c.customerID = a.customerID AND age > 30 AND type = 'S'",
+        )
+        graph = check(MappingSet([mapping]), instance)
+        assert processing_kinds(graph).count("FILTER") == 2
+
+
+class TestLoweringIsAFunctionOfItsInput:
+    def test_two_lowerings_name_operators_and_edges_alike(self):
+        mappings = ohm_to_mappings(compile_job(build_example_job()))
+        first, second = mappings_to_ohm(mappings), mappings_to_ohm(mappings)
+        assert [op.uid for op in first.operators] == [
+            op.uid for op in second.operators
+        ]
+        assert [e.name for e in first.edges] == [e.name for e in second.edges]
+
+    def test_names_come_from_the_mapping_or_the_relation(self, customers, accounts):
+        mapping = Mapping(
+            [SourceBinding("c", customers), SourceBinding("a", accounts)],
+            relation("T", ("name", "varchar"), ("balance", "float")),
+            [("name", "c.name"), ("balance", "a.balance")],
+            where="c.customerID = a.customerID AND a.type = 'S'", name="M7",
+        )
+        graph = mappings_to_ohm(MappingSet([mapping]))
+        names = [op.uid for op in graph.operators] + [e.name for e in graph.edges]
+        relations = ("Customers", "Accounts", "T")
+        assert all(
+            name.startswith("M7.") or name.split(".")[0] in relations
+            for name in names
+        )
+        assert "M7.join7" in names and "Customers.source" in names
 
 
 class TestAssembly:

@@ -32,23 +32,12 @@ Run:  python examples/quickstart.py
 import argparse
 import sys
 
-from repro import Orchid
+from repro import Orchid, config
 from repro.etl import EtlEngine
-from repro.exec import (
-    set_default_batched,
-    set_default_compiled,
-    set_default_fused,
-    set_default_parallel,
-    set_default_workers,
-)
 from repro.errors import RunCancelled
 from repro.mapping import execute_mappings
 from repro.obs import Observability
 from repro.ohm import execute
-from repro.supervision import (
-    set_default_deadline,
-    set_default_memory_budget,
-)
 from repro.workloads import build_example_job, generate_instance
 
 
@@ -146,19 +135,20 @@ def main(argv=None) -> None:
             handle.write(job_to_xml(build_example_job()))
         print(f"wrote {args.export_job}", file=sys.stderr)
         return
+    # the flags given, as repro.config options (docs/execution-model.md)
+    flags = {}
     if args.interpreted:
-        set_default_compiled(False)
+        flags["compiled"] = False
     if args.batched:
-        set_default_batched(True)
+        flags["batched"] = True
     if args.no_fuse:
-        set_default_fused(False)
+        flags["fused"] = False
     if args.workers is not None:
-        set_default_workers(args.workers)
-        set_default_parallel(args.workers > 1)
+        flags.update(workers=args.workers, parallel=args.workers > 1)
     if args.memory_budget is not None:
-        set_default_memory_budget(args.memory_budget)
+        flags["memory_budget"] = args.memory_budget
     if args.deadline is not None:
-        set_default_deadline(args.deadline)
+        flags["deadline"] = args.deadline
 
     obs = Observability(trace=args.trace, stats=args.stats is not None)
     # with --stats json, stdout is reserved for the metrics document
@@ -167,7 +157,8 @@ def main(argv=None) -> None:
     orchid = Orchid(obs=obs)
 
     try:
-        _run_demo(args, orchid, obs, out)
+        with config.overriding(**flags):
+            _run_demo(args, orchid, obs, out)
         exit_code = 0
     except RunCancelled as exc:
         print(
@@ -186,10 +177,6 @@ def main(argv=None) -> None:
     elif args.stats == "text":
         print("\n=== Metrics ===", file=out)
         print(obs.metrics.to_text(), file=out)
-    if args.memory_budget is not None:
-        set_default_memory_budget(None)
-    if args.deadline is not None:
-        set_default_deadline(None)
     if exit_code:
         raise SystemExit(exit_code)
 

@@ -18,14 +18,10 @@ Entry points:
   error-severity finding, before a single row is processed;
 * the ``orchid lint`` CLI subcommand renders reports as text or JSON.
 
-Whether engines run the pre-run check resolves through the usual knob
-ladder: explicit ``check=`` argument > :func:`set_default_check` >
-``REPRO_CHECK`` > off.
+Whether engines run the pre-run check is the ``check`` option of
+:mod:`repro.config` (off unless set).
 """
 
-from typing import Optional
-
-from repro import config
 from repro.analysis.analyzer import (
     analyze,
     analyze_expression,
@@ -51,25 +47,6 @@ from repro.analysis.nullness import (
 )
 
 
-def default_check() -> bool:
-    """The process-wide pre-run-check default: a
-    :func:`set_default_check` override wins, else ``REPRO_CHECK=1``
-    enables, else False (no static check before running)."""
-    return config.CHECK.default()
-
-
-def set_default_check(value: Optional[bool]) -> None:
-    """Override the process-wide check default (None restores the
-    environment-variable/False resolution)."""
-    config.CHECK.set(value)
-
-
-def resolve_check(value: Optional[bool]) -> bool:
-    """Resolve an engine constructor's ``check`` argument: an explicit
-    True/False wins, None means the process default."""
-    return default_check() if value is None else bool(value)
-
-
 __all__ = [
     "AnalysisReport",
     "AttributeResolver",
@@ -86,9 +63,6 @@ __all__ = [
     "analyze_job",
     "analyze_mappings",
     "check_plan",
-    "default_check",
     "infer_nullable",
     "relation_resolver",
-    "resolve_check",
-    "set_default_check",
 ]

@@ -13,63 +13,31 @@
 ``lint`` reports ORC-coded diagnostics (``docs/analysis.md``) as text or
 ``--format json`` and exits 1 on errors (with ``--strict``, on warnings
 too). ``--check`` on any subcommand makes every plan the invocation
-executes pass the same analysis first (equivalent to REPRO_CHECK=1).
+executes pass the same analysis first.
 
 Every subcommand additionally accepts ``--trace`` (print the span tree
-of the run), ``--stats {json,text}`` (print the metrics registry),
-``--interpreted`` (evaluate expressions with the tree-walking oracle
-instead of the compiler), ``--row-mode`` (force row-at-a-time execution
-even when ``REPRO_BATCH`` enables the columnar tier), and
-``--batch-size N`` (enable columnar batches of N rows — see
-``docs/execution.md``), and ``--workers N`` (run independent
-stages/operators and partitioned kernels on N worker threads — see
-``docs/execution-model.md``). Trace/stats reports go to *stderr* so the
-primary document on stdout stays machine-readable; see
-``docs/observability.md`` for the span and metric naming conventions.
+of the run) and ``--stats {json,text}`` (print the metrics registry);
+both reports go to *stderr* so the primary document on stdout stays
+machine-readable (``docs/observability.md`` has the naming conventions).
 
-Fault-tolerance flags (``docs/robustness.md``) set the matching process
-defaults for anything the invocation executes: ``--on-error
-{fail_fast,skip,reject}`` (row error policy, REPRO_ON_ERROR),
-``--max-retries N`` (transient-failure retry budget, REPRO_MAX_RETRIES)
-and ``--checkpoint-dir DIR`` (resumable ETL runs, REPRO_CHECKPOINT_DIR).
-
-Supervision flags: ``--deadline SECONDS`` (cooperative wall-clock
-cancellation, REPRO_DEADLINE; a cancelled run exits with status 4 and
-prints the committed frontier) and ``--memory-budget ROWS`` (blocking
-operators above the resident-row budget spill to temp-file runs,
-REPRO_MEMORY_BUDGET).
+The remaining shared flags each state one or two options of
+:mod:`repro.config` for whatever the invocation executes — the table in
+``docs/execution-model.md`` ("Options") lists flag, keyword, variable,
+default and accepted values side by side. A run cancelled by
+``--deadline`` exits with status 4 and prints the committed frontier.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
-from repro.analysis import set_default_check
-from repro.config import MODES
-from repro.errors import RunCancelled
-from repro.exec import (
-    set_default_batch_size,
-    set_default_batched,
-    set_default_compiled,
-    set_default_fused,
-    set_default_mode,
-    set_default_parallel,
-    set_default_workers,
-)
+from repro import config
+from repro.config import ERROR_POLICIES, MODES
+from repro.errors import RunCancelled, ValidationError
 from repro.fasttrack.orchid import Orchid
 from repro.obs import Observability
-from repro.resilience import (
-    POLICIES,
-    set_default_checkpoint_dir,
-    set_default_max_retries,
-    set_default_on_error,
-)
-from repro.supervision import (
-    set_default_deadline,
-    set_default_memory_budget,
-)
 
 
 def _read(path: str) -> str:
@@ -150,7 +118,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     observability.add_argument(
         "--on-error",
-        choices=list(POLICIES),
+        choices=list(ERROR_POLICIES),
         help="row-level error policy for everything this invocation "
         "executes (equivalent to REPRO_ON_ERROR)",
     )
@@ -311,45 +279,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     if args.row_mode and args.batch_size is not None:
         parser.error("--row-mode and --batch-size are mutually exclusive")
-    if args.interpreted:
-        set_default_compiled(False)
-    if args.row_mode:
-        set_default_batched(False)
-    elif args.batch_size is not None:
-        if args.batch_size < 1:
-            parser.error("--batch-size must be >= 1")
-        set_default_batched(True)
-        set_default_batch_size(args.batch_size)
-    if args.no_fuse:
-        set_default_fused(False)
-    if args.workers is not None:
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
-        set_default_workers(args.workers)
-        set_default_parallel(args.workers > 1)
-    if args.mode:
-        set_default_mode(args.mode)
-    if args.max_retries is not None and args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.on_error:
-        set_default_on_error(args.on_error)
-    if args.max_retries is not None:
-        set_default_max_retries(args.max_retries)
-    if args.checkpoint_dir:
-        set_default_checkpoint_dir(args.checkpoint_dir)
-    if args.deadline is not None:
-        if args.deadline <= 0:
-            parser.error("--deadline must be > 0 seconds")
-        set_default_deadline(args.deadline)
-    if args.memory_budget is not None:
-        if args.memory_budget < 1:
-            parser.error("--memory-budget must be >= 1 row")
-        set_default_memory_budget(args.memory_budget)
-    if args.check:
-        set_default_check(True)
+    flags = _flags(args)
+    for name, value in flags.items():
+        try:
+            config.resolve(name, value)
+        except (ValueError, ValidationError):
+            flag = "--" + name.replace("_", "-")
+            parser.error(f"{flag} must be {config.OPTIONS[name].accepts}")
     orchid = Orchid(obs=obs)
     try:
-        return _dispatch(args, orchid)
+        with config.overriding(**flags):
+            return _dispatch(args, orchid)
     except RunCancelled as exc:
         # a deadline or cancel is an orderly outcome, not a crash:
         # report the committed (resumable) frontier and exit distinctly
@@ -360,36 +300,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 4
     finally:
-        if args.interpreted:
-            set_default_compiled(None)
-        if args.row_mode or args.batch_size is not None:
-            set_default_batched(None)
-            set_default_batch_size(None)
-        if args.no_fuse:
-            set_default_fused(None)
-        if args.workers is not None:
-            set_default_workers(None)
-            set_default_parallel(None)
-        if args.mode:
-            set_default_mode(None)
-        if args.on_error:
-            set_default_on_error(None)
-        if args.max_retries is not None:
-            set_default_max_retries(None)
-        if args.checkpoint_dir:
-            set_default_checkpoint_dir(None)
-        if args.deadline is not None:
-            set_default_deadline(None)
-        if args.memory_budget is not None:
-            set_default_memory_budget(None)
-        if args.check:
-            set_default_check(None)
         if args.trace:
             sys.stderr.write(obs.tracer.to_text() + "\n")
         if args.stats == "json":
             sys.stderr.write(obs.metrics.to_json() + "\n")
         elif args.stats == "text":
             sys.stderr.write(obs.metrics.to_text() + "\n")
+
+
+def _flags(args: argparse.Namespace) -> Dict[str, Any]:
+    """The :mod:`repro.config` options this invocation's flags state —
+    only those given, so an unstated flag leaves its option to the
+    environment."""
+    flags: Dict[str, Any] = {}
+    if args.interpreted:
+        flags["compiled"] = False
+    if args.row_mode:
+        flags["batched"] = False
+    elif args.batch_size is not None:
+        flags.update(batched=True, batch_size=args.batch_size)
+    if args.no_fuse:
+        flags["fused"] = False
+    if args.workers is not None:
+        flags.update(workers=args.workers, parallel=args.workers > 1)
+    if args.check:
+        flags["check"] = True
+    for name in ("mode", "on_error", "max_retries", "checkpoint_dir",
+                 "deadline", "memory_budget"):
+        value = getattr(args, name)
+        if value not in (None, ""):
+            flags[name] = value
+    return flags
 
 
 def _synthetic_instance(graph, n_rows: int):

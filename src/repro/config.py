@@ -1,72 +1,73 @@
-"""repro.config — the central tuning-knob registry.
+"""repro.config — the options table.
 
-Every data-size and robustness decision the system makes used to carry
-its own scattered module-level triad (``default_*`` / ``set_default_*``
-/ ``resolve_*`` plus a ``REPRO_*`` environment variable). This module
-centralizes the machinery: a :class:`Knob` implements the established
-resolution precedence exactly once —
+Everything about a run that is not the plan or the data is one of the
+sixteen rows of :data:`OPTIONS`, and a row's value is found one way:
 
-    explicit kwarg  >  process-wide setter  >  REPRO_* env var  >  default
+    explicit keyword  >  ``overriding(...)``  >  ``REPRO_*`` variable  >  default
 
-— and every knob in the system is an instance registered here. The
-public triads in :mod:`repro.exec`, :mod:`repro.exec.parallel`, and
-:mod:`repro.resilience` are thin delegations onto these instances, so
-existing call sites (and the CLI flags) keep working unchanged.
+:func:`resolve` applies that precedence, :func:`overriding` is the only
+writer of the process-wide layer (a context manager: it restores what it
+found), and :func:`snapshot` shows what an engine built with no keywords
+would get. The engines read the table once per construction, through
+:class:`repro.exec.run.RunOptions`; nothing reads it per row.
 
-Registered knobs:
-
-================== ============================= =========================
-name               environment variable(s)       default
-================== ============================= =========================
-compiled           REPRO_COMPILED                True
-batched            REPRO_BATCH                   False
-batch_size         REPRO_BATCH_SIZE, REPRO_BATCH 1024
-fused              REPRO_FUSE                    True (needs batched)
-parallel           REPRO_PARALLEL                False
-workers            REPRO_WORKERS, REPRO_PARALLEL cpu count clamped [2, 8]
-parallel_min_rows  REPRO_PARALLEL_MIN_ROWS       derived by the cost model
-on_error           REPRO_ON_ERROR                "fail_fast"
-max_retries        REPRO_MAX_RETRIES             0
-checkpoint_dir     REPRO_CHECKPOINT_DIR          None (off)
-cost_based         REPRO_COST                    True
-mode               REPRO_MODE                    None (explicit flags)
-deadline           REPRO_DEADLINE                None (unbounded)
-memory_budget      REPRO_MEMORY_BUDGET           None (unbounded)
-breaker            REPRO_BREAKER                 None (breakers off)
-check              REPRO_CHECK                   False (no pre-run lint)
-================== ============================= =========================
-
-``parallel_min_rows`` is the one knob whose default is *derived*: with
-no override anywhere, the partitioned-kernel threshold comes from the
-cost model's crossover analysis (:func:`repro.cost.model.
-derived_parallel_min_rows`) instead of a hard-coded constant — see
-``docs/planning.md``.
+``docs/execution-model.md`` ("Options") is the user-facing table:
+engine keyword, CLI flag, variable(s), default and accepted values per
+option. ``tests/cost/test_options_docs.py`` keeps the two in lockstep.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from contextlib import contextmanager
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import ValidationError
 
-#: strings that mean "off" for boolean REPRO_* variables.
+#: strings that mean "off" for an on/off ``REPRO_*`` variable.
 FALSE_VALUES = ("0", "false", "no", "off")
-
-#: default rows per block in batched mode.
-DEFAULT_BATCH_SIZE = 1024
-
-#: workers used when ``REPRO_WORKERS`` and the setter are both unset:
-#: the machine's cores, clamped to [2, 8] so ``parallel=True`` always
-#: means real fan-out even on single-core boxes.
-DEFAULT_WORKERS = max(2, min(8, os.cpu_count() or 1))
 
 #: the row error policies of :mod:`repro.resilience` (authoritative
 #: tuple; ``repro.resilience.POLICIES`` re-exports it).
 ERROR_POLICIES = ("fail_fast", "skip", "reject")
 
-#: the execution-tier modes an engine's ``mode`` kwarg accepts.
+#: the execution-tier modes an engine's ``mode`` keyword accepts.
 MODES = ("rows", "block", "parallel", "auto")
+
+
+class Option(NamedTuple):
+    """One row of :data:`OPTIONS`."""
+
+    #: ``(variable, parser)`` pairs, read in order. A parser takes the
+    #: stripped, non-empty string and returns a candidate value (which
+    #: ``check`` then vets), or ``None`` when the string says nothing
+    #: about *this* option — ``REPRO_BATCH=1`` switches batching on and
+    #: leaves the batch size alone. It raises ``ValueError`` on a string
+    #: it cannot read.
+    env: Tuple[Tuple[str, Callable[[str], Any]], ...]
+    #: normalises a keyword, an override or a parsed variable;
+    #: ``ValueError`` or ``ValidationError`` on a value out of range.
+    check: Callable[[Any], Any]
+    #: what ``check`` lets through, worded to follow "<name> must be".
+    accepts: str
+    #: the built-in value, or a 0-argument callable evaluated at each
+    #: resolution (a derived default stays live).
+    default: Any
+    #: what a rejected keyword or override raises (a rejected variable
+    #: is always a :class:`~repro.errors.ValidationError`).
+    error: type = ValidationError
+
+
+# -- parsers and checks -------------------------------------------------------
 
 
 def parse_bool(raw: str) -> bool:
@@ -74,140 +75,32 @@ def parse_bool(raw: str) -> bool:
     return raw.strip().lower() not in FALSE_VALUES
 
 
-def _parse_false_only(raw: str) -> Optional[bool]:
-    """Only an explicit false value overrides (for knobs defaulting on)."""
-    return False if raw.strip().lower() in FALSE_VALUES else None
-
-
-def _parse_int_above(minimum: int) -> Callable[[str], Optional[int]]:
-    def parse(raw: str) -> Optional[int]:
-        try:
-            value = int(raw)
-        except ValueError:
-            return None
-        return value if value >= minimum else None
-
-    return parse
-
-
-class Knob:
-    """One named tuning knob with the standard resolution precedence.
-
-    :param env: environment variable name(s), tried in order.
-    :param default: the baked-in default — a value, or a 0-arg callable
-        evaluated at resolution time (so derived defaults stay live).
-    :param parse: turns an env string into a value; returning ``None``
-        skips that variable (it may also raise, e.g. on a malformed
-        ``REPRO_MAX_RETRIES``).
-    :param validate: normalizes/checks explicit values — applied to both
-        setter and kwarg inputs, never to the default.
-    """
-
-    __slots__ = ("name", "env", "_default", "_parse", "_validate", "_override")
-
-    def __init__(
-        self,
-        name: str,
-        env: Union[str, Tuple[str, ...]] = (),
-        default: Any = None,
-        parse: Optional[Callable[[str], Any]] = None,
-        validate: Optional[Callable[[Any], Any]] = None,
-    ):
-        self.name = name
-        self.env = (env,) if isinstance(env, str) else tuple(env)
-        self._default = default
-        self._parse = parse
-        self._validate = validate
-        self._override: Any = None
-
-    def set(self, value: Any) -> None:
-        """Install a process-wide override (``None`` removes it,
-        restoring the env-var/default resolution)."""
-        if value is not None and self._validate is not None:
-            value = self._validate(value)
-        self._override = value
-
-    def override(self) -> Any:
-        """The current setter override, or None."""
-        return self._override
-
-    def from_env(self) -> Any:
-        """The value the environment supplies, or None."""
-        for variable in self.env:
-            raw = os.environ.get(variable)
-            if raw is None:
-                continue
-            value = self._parse(raw) if self._parse is not None else raw
-            if value is not None:
-                return value
+def _count_in_switch(raw: str) -> Optional[int]:
+    """The count an on/off variable may also carry: ``REPRO_BATCH=4096``
+    is "on, blocks of 4096" and ``REPRO_PARALLEL=4`` is "on, 4 workers";
+    ``1``, ``0`` and words only switch."""
+    try:
+        count = int(raw)
+    except ValueError:
         return None
-
-    def default(self) -> Any:
-        """Resolve without an explicit kwarg: setter > env > default."""
-        if self._override is not None:
-            return self._override
-        value = self.from_env()
-        if value is not None:
-            return value
-        base = self._default
-        return base() if callable(base) else base
-
-    def resolve(self, explicit: Any) -> Any:
-        """Resolve an engine constructor's kwarg: an explicit value wins
-        (validated), ``None`` means :meth:`default`."""
-        if explicit is not None:
-            if self._validate is not None:
-                return self._validate(explicit)
-            return explicit
-        return self.default()
-
-    def __repr__(self) -> str:
-        return f"Knob({self.name!r}, env={self.env!r})"
+    return count if count > 1 else None
 
 
-_REGISTRY: Dict[str, Knob] = {}
+def _at_least(minimum: int) -> Callable[[Any], int]:
+    def check(value: Any) -> int:
+        number = int(value)
+        if number < minimum:
+            raise ValueError(value)
+        return number
+
+    return check
 
 
-def register(knob: Knob) -> Knob:
-    """Add ``knob`` to the process registry (idempotent by name)."""
-    _REGISTRY[knob.name] = knob
-    return knob
-
-
-def knob(name: str) -> Knob:
-    """Look up a registered knob by name."""
-    return _REGISTRY[name]
-
-
-def snapshot() -> Dict[str, Any]:
-    """Every registered knob's currently-resolved default — what an
-    engine built with no kwargs would use. Diagnostic surface for
-    ``--explain`` and tests."""
-    return {name: k.default() for name, k in sorted(_REGISTRY.items())}
-
-
-# -- validators ---------------------------------------------------------------
-
-
-def _check_batch_size(value: Any) -> int:
-    size = int(value)
-    if size < 1:
-        raise ValueError(f"batch size must be >= 1, got {value!r}")
-    return size
-
-
-def _check_workers(value: Any) -> int:
-    workers = int(value)
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {value!r}")
-    return workers
-
-
-def _check_threshold(value: Any) -> int:
-    threshold = int(value)
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {value!r}")
-    return threshold
+def _seconds(value: Any) -> float:
+    seconds = float(value)
+    if seconds <= 0:
+        raise ValueError(value)
+    return seconds
 
 
 def check_policy(policy: str) -> str:
@@ -230,100 +123,6 @@ def check_mode(mode: str) -> str:
     return mode
 
 
-def _parse_on_error(raw: str) -> Optional[str]:
-    value = raw.strip().lower()
-    return check_policy(value) if value else None
-
-
-def _parse_max_retries(raw: str) -> Optional[int]:
-    value = raw.strip()
-    if not value:
-        return None
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise ValidationError(
-            f"REPRO_MAX_RETRIES must be an integer, got {value!r}"
-        ) from None
-    if parsed < 0:
-        raise ValidationError("REPRO_MAX_RETRIES must be >= 0")
-    return parsed
-
-
-def _check_max_retries(value: Any) -> int:
-    if value < 0:
-        raise ValidationError("max retries must be >= 0")
-    return value
-
-
-def _parse_mode(raw: str) -> Optional[str]:
-    value = raw.strip().lower()
-    return check_mode(value) if value else None
-
-
-def _parse_deadline(raw: str) -> Optional[float]:
-    value = raw.strip()
-    if not value:
-        return None
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise ValidationError(
-            f"REPRO_DEADLINE must be a number of seconds, got {value!r}"
-        ) from None
-    return _check_deadline(parsed)
-
-
-def _check_deadline(value: Any) -> float:
-    deadline = float(value)
-    if deadline <= 0:
-        raise ValidationError("deadline must be > 0 seconds")
-    return deadline
-
-
-def _parse_memory_budget(raw: str) -> Optional[int]:
-    value = raw.strip()
-    if not value:
-        return None
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise ValidationError(
-            f"REPRO_MEMORY_BUDGET must be an integer row count, got {value!r}"
-        ) from None
-    return _check_memory_budget(parsed)
-
-
-def _check_memory_budget(value: Any) -> int:
-    budget = int(value)
-    if budget < 1:
-        raise ValidationError("memory budget must be >= 1 resident row")
-    return budget
-
-
-def _parse_breaker(raw: str) -> Optional[int]:
-    value = raw.strip()
-    if not value:
-        return None
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise ValidationError(
-            f"REPRO_BREAKER must be an integer failure threshold, "
-            f"got {value!r}"
-        ) from None
-    if parsed < 0:
-        raise ValidationError("REPRO_BREAKER must be >= 0")
-    return parsed
-
-
-def _check_breaker(value: Any) -> int:
-    threshold = int(value)
-    if threshold < 0:
-        raise ValidationError("breaker failure threshold must be >= 0")
-    return threshold
-
-
 def _derived_parallel_min_rows() -> int:
     # lazy import: the cost model is a leaf module, but keeping config
     # import-light means nothing pulls repro.cost in until a partitioned
@@ -333,158 +132,182 @@ def _derived_parallel_min_rows() -> int:
     return derived_parallel_min_rows()
 
 
-# -- the knobs ----------------------------------------------------------------
+# -- the table ----------------------------------------------------------------
 
-COMPILED = register(
-    Knob("compiled", env="REPRO_COMPILED", default=True,
-         parse=_parse_false_only)
-)
-BATCHED = register(
-    Knob("batched", env="REPRO_BATCH", default=False, parse=parse_bool)
-)
-BATCH_SIZE = register(
-    Knob(
-        "batch_size",
-        env=("REPRO_BATCH_SIZE", "REPRO_BATCH"),
-        default=DEFAULT_BATCH_SIZE,
-        parse=_parse_int_above(2),
-        validate=_check_batch_size,
-    )
-)
-#: whether batched execution fuses adjacent block operators into
-#: selection-vector pipelines (see :mod:`repro.exec.fuse`); defaults on,
-#: so only an explicit ``REPRO_FUSE=0`` / ``--no-fuse`` disables it. It
-#: only takes effect when the batched tier is active.
-FUSED = register(
-    Knob("fused", env="REPRO_FUSE", default=True, parse=_parse_false_only)
-)
-PARALLEL = register(
-    Knob("parallel", env="REPRO_PARALLEL", default=False, parse=parse_bool)
-)
-WORKERS = register(
-    Knob(
-        "workers",
-        env=("REPRO_WORKERS", "REPRO_PARALLEL"),
-        default=DEFAULT_WORKERS,
-        parse=_parse_int_above(2),
-        validate=_check_workers,
-    )
-)
-PARALLEL_MIN_ROWS = register(
-    Knob(
-        "parallel_min_rows",
-        env="REPRO_PARALLEL_MIN_ROWS",
-        default=_derived_parallel_min_rows,
-        parse=_parse_int_above(1),
-        validate=_check_threshold,
-    )
-)
-ON_ERROR = register(
-    Knob(
-        "on_error",
-        env="REPRO_ON_ERROR",
-        default=ERROR_POLICIES[0],
-        parse=_parse_on_error,
-        validate=check_policy,
-    )
-)
-MAX_RETRIES = register(
-    Knob(
-        "max_retries",
-        env="REPRO_MAX_RETRIES",
-        default=0,
-        parse=_parse_max_retries,
-        validate=_check_max_retries,
-    )
-)
-CHECKPOINT_DIR = register(
-    Knob(
-        "checkpoint_dir",
-        env="REPRO_CHECKPOINT_DIR",
-        default=None,
-        parse=lambda raw: raw.strip() or None,
-    )
-)
-#: whether ``plan_pushdown`` costs SQL-vs-ETL placement (True) or keeps
-#: the paper's pushability-only maximal pushdown (False) — see
-#: :mod:`repro.deploy.pushdown`.
-COST_BASED = register(
-    Knob("cost_based", env="REPRO_COST", default=True, parse=parse_bool)
-)
-#: process-default execution-tier mode for engines built without an
-#: explicit ``mode`` kwarg; ``None`` keeps the per-flag resolution.
-MODE = register(
-    Knob("mode", env="REPRO_MODE", default=None, parse=_parse_mode,
-         validate=check_mode)
-)
-#: per-run wall-clock deadline in seconds for supervised runs; ``None``
-#: means unbounded (see :mod:`repro.supervision`).
-DEADLINE = register(
-    Knob(
-        "deadline",
-        env="REPRO_DEADLINE",
-        default=None,
-        parse=_parse_deadline,
-        validate=_check_deadline,
-    )
-)
-#: resident-row budget for blocking operators (hash-join build sides,
-#: group states, sort buffers); above it they spill to temp-file runs.
-MEMORY_BUDGET = register(
-    Knob(
-        "memory_budget",
-        env="REPRO_MEMORY_BUDGET",
-        default=None,
-        parse=_parse_memory_budget,
-        validate=_check_memory_budget,
-    )
-)
-#: consecutive-failure threshold after which endpoint circuit breakers
-#: trip open; 0/None disables breakers.
-BREAKER = register(
-    Knob(
-        "breaker",
-        env="REPRO_BREAKER",
-        default=None,
-        parse=_parse_breaker,
-        validate=_check_breaker,
-    )
-)
-#: whether the engines statically analyze a plan (:mod:`repro.analysis`)
-#: before executing it; error-severity diagnostics then abort the run
-#: before row one.
-CHECK = register(
-    Knob("check", env="REPRO_CHECK", default=False, parse=parse_bool)
-)
+_SWITCH = "on or off (0/false/no/off are off, anything else on)"
+
+OPTIONS: Dict[str, Option] = {
+    # lower expressions through the compiler; off is the tree-walking
+    # oracle
+    "compiled": Option((("REPRO_COMPILED", parse_bool),), bool, _SWITCH, True),
+    # block (columnar) kernels; needs ``compiled``
+    "batched": Option((("REPRO_BATCH", parse_bool),), bool, _SWITCH, False),
+    # rows per block
+    "batch_size": Option(
+        (("REPRO_BATCH_SIZE", int), ("REPRO_BATCH", _count_in_switch)),
+        _at_least(1), ">= 1", 1024, ValueError,
+    ),
+    # chain adjacent block operators through selection vectors; needs
+    # ``batched``
+    "fused": Option((("REPRO_FUSE", parse_bool),), bool, _SWITCH, True),
+    # wavefront scheduling and, with ``batched``, partitioned kernels
+    "parallel": Option((("REPRO_PARALLEL", parse_bool),), bool, _SWITCH, False),
+    # pool size; 1 is serial. The default is the machine's cores clamped
+    # to [2, 8], so ``parallel=True`` alone always means real fan-out.
+    "workers": Option(
+        (("REPRO_WORKERS", int), ("REPRO_PARALLEL", _count_in_switch)),
+        _at_least(1), ">= 1", max(2, min(8, os.cpu_count() or 1)), ValueError,
+    ),
+    # rows below which the partitioned kernels stay serial; derived from
+    # the cost model's crossover (docs/planning.md)
+    "parallel_min_rows": Option(
+        (("REPRO_PARALLEL_MIN_ROWS", int),),
+        _at_least(1), ">= 1", _derived_parallel_min_rows, ValueError,
+    ),
+    # run-level row error policy
+    "on_error": Option(
+        (("REPRO_ON_ERROR", str.lower),),
+        check_policy, f"one of {ERROR_POLICIES}", ERROR_POLICIES[0],
+    ),
+    # retries of a transient endpoint failure; 0 is none
+    "max_retries": Option(
+        (("REPRO_MAX_RETRIES", int),), _at_least(0), ">= 0", 0
+    ),
+    # where the ETL engine snapshots completed stages; unset is off
+    "checkpoint_dir": Option(
+        (("REPRO_CHECKPOINT_DIR", str),), str, "a directory path", None
+    ),
+    # ``plan_pushdown`` costs SQL-vs-ETL placement; off keeps the
+    # paper's pushability-only maximal pushdown
+    "cost_based": Option((("REPRO_COST", parse_bool),), bool, _SWITCH, True),
+    # pin the tier, or ``auto``: choose per run from the input size;
+    # unset keeps the flags above
+    "mode": Option(
+        (("REPRO_MODE", str.lower),), check_mode, f"one of {MODES}", None
+    ),
+    # wall-clock budget of a supervised run; unset is unbounded
+    "deadline": Option(
+        (("REPRO_DEADLINE", float),), _seconds, "> 0 seconds", None
+    ),
+    # resident rows a blocking operator may hold before it spills
+    "memory_budget": Option(
+        (("REPRO_MEMORY_BUDGET", int),), _at_least(1), ">= 1 row", None
+    ),
+    # consecutive endpoint failures that trip a breaker; 0 or unset is
+    # no breaker
+    "breaker": Option((("REPRO_BREAKER", int),), _at_least(0), ">= 0", None),
+    # vet a plan with repro.analysis before its first row
+    "check": Option((("REPRO_CHECK", parse_bool),), bool, _SWITCH, False),
+}
+
+#: the process-wide layer; written by :func:`overriding` alone.
+_overrides: Dict[str, Any] = {}
+
+
+# -- the three functions ------------------------------------------------------
+
+
+def _row(name: str) -> Option:
+    try:
+        return OPTIONS[name]
+    except KeyError:
+        raise TypeError(f"unknown option {name!r}") from None
+
+
+def _checked(name: str, value: Any) -> Any:
+    """A keyword or override as option ``name`` accepts it."""
+    option = _row(name)
+    try:
+        return option.check(value)
+    except (ValueError, ValidationError):
+        raise option.error(
+            f"{name} must be {option.accepts}, got {value!r}"
+        ) from None
+
+
+def _from_env(option: Option) -> Any:
+    """What the environment says about ``option``, or None. An empty
+    variable is unset; one the row cannot accept is an error, never a
+    silent fall-through to the default."""
+    for variable, parse in option.env:
+        raw = os.environ.get(variable, "").strip()
+        if not raw:
+            continue
+        try:
+            value = parse(raw)
+            if value is not None:
+                return option.check(value)
+        except (ValueError, ValidationError):
+            raise ValidationError(
+                f"{variable} must be {option.accepts}, got {raw!r}"
+            ) from None
+    return None
+
+
+def resolve(name: str, explicit: Any = None) -> Any:
+    """The value of option ``name``: ``explicit`` when given (checked),
+    else the innermost :func:`overriding`, else the row's environment
+    variable(s), else its default."""
+    if explicit is not None:
+        return _checked(name, explicit)
+    value = _overrides.get(name)
+    if value is not None:
+        return value
+    option = _row(name)
+    value = _from_env(option)
+    if value is not None:
+        return value
+    default = option.default
+    return default() if callable(default) else default
+
+
+def overriding(**values: Any) -> ContextManager[None]:
+    """Process-wide values for the ``with`` block: what the CLI's flags
+    and the test suites set. Each value is checked here, before the
+    block is entered; ``None`` removes an enclosing override for the
+    block. On exit — normal or by exception — every named option is put
+    back as it was found, so blocks nest."""
+    checked = {
+        name: None if value is None else _checked(name, value)
+        for name, value in values.items()
+    }
+    return _scope(checked)
+
+
+@contextmanager
+def _scope(values: Dict[str, Any]) -> Iterator[None]:
+    previous = {name: _overrides.get(name) for name in values}
+    _install(values)
+    try:
+        yield
+    finally:
+        _install(previous)
+
+
+def _install(values: Dict[str, Any]) -> None:
+    for name, value in values.items():
+        if value is None:
+            _overrides.pop(name, None)
+        else:
+            _overrides[name] = value
+
+
+def snapshot() -> Dict[str, Any]:
+    """Every option's currently resolved value — what an engine built
+    with no keywords would use."""
+    return {name: resolve(name) for name in sorted(OPTIONS)}
 
 
 __all__ = [
-    "BATCHED",
-    "BATCH_SIZE",
-    "BREAKER",
-    "CHECK",
-    "CHECKPOINT_DIR",
-    "COMPILED",
-    "COST_BASED",
-    "DEADLINE",
-    "MEMORY_BUDGET",
-    "DEFAULT_BATCH_SIZE",
-    "DEFAULT_WORKERS",
     "ERROR_POLICIES",
     "FALSE_VALUES",
-    "FUSED",
-    "Knob",
-    "MAX_RETRIES",
-    "MODE",
     "MODES",
-    "ON_ERROR",
-    "PARALLEL",
-    "PARALLEL_MIN_ROWS",
-    "WORKERS",
+    "OPTIONS",
+    "Option",
     "check_mode",
     "check_policy",
-    "knob",
+    "overriding",
     "parse_bool",
-    "register",
+    "resolve",
     "snapshot",
 ]

@@ -20,16 +20,13 @@ pieces:
 (:func:`repro.cost.explain.explain_graph`); ``docs/planning.md`` is the
 handbook.
 
-The ``cost_based`` knob (kwarg > :func:`set_default_cost_based` >
-``REPRO_COST`` > True) gates whether ``plan_pushdown`` costs SQL-vs-ETL
-placement or keeps the paper's pushability-only maximal pushdown.
+The ``cost_based`` option of :mod:`repro.config` (on unless set) gates
+whether ``plan_pushdown`` costs SQL-vs-ETL placement or keeps the
+paper's pushability-only maximal pushdown.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro import config
 from repro.cost.catalog import (
     ColumnStats,
     StatisticsCatalog,
@@ -56,25 +53,6 @@ from repro.cost.model import (
 )
 
 
-def default_cost_based() -> bool:
-    """The process-wide cost-based-pushdown default: a
-    :func:`set_default_cost_based` override wins, else ``REPRO_COST``,
-    else True."""
-    return config.COST_BASED.default()
-
-
-def set_default_cost_based(value: Optional[bool]) -> None:
-    """Override the process-wide cost-based default (None restores the
-    environment-variable/True resolution)."""
-    config.COST_BASED.set(value)
-
-
-def resolve_cost_based(value: Optional[bool]) -> bool:
-    """Resolve ``plan_pushdown``'s ``cost`` argument: an explicit
-    True/False wins, None means the process default."""
-    return bool(config.COST_BASED.resolve(value))
-
-
 __all__ = [
     "CardinalityEstimator",
     "ColumnStats",
@@ -89,10 +67,7 @@ __all__ = [
     "actuals_from_metrics",
     "catalog_for",
     "choose_tier",
-    "default_cost_based",
     "derived_block_min_rows",
     "derived_parallel_min_rows",
     "explain_graph",
-    "resolve_cost_based",
-    "set_default_cost_based",
 ]

@@ -16,8 +16,8 @@ statements; the residual graph deploys to the ETL platform as usual.
 Pushability says what *can* move; since the cost-based planning layer
 (:mod:`repro.cost`) it no longer says what *should*. When
 ``plan_pushdown`` is given a :class:`~repro.cost.StatisticsCatalog`
-covering the pushable sources (and ``cost`` resolves to True — kwarg >
-``set_default_cost_based`` > ``REPRO_COST`` > True), it starts from the
+covering the pushable sources (and ``cost``, or unstated the
+``cost_based`` option of :mod:`repro.config`, is on), it starts from the
 maximal pushable region and greedily *peels* operators back onto the ETL
 side while the modelled total cost improves: pushing a reducing
 filter + join + group wins (few rows cross the DBMS→Python transfer
@@ -31,13 +31,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro import config
 from repro.cost import (
     CardinalityEstimator,
     CostModel,
     DEFAULT_MODEL,
     GraphEstimate,
     StatisticsCatalog,
-    resolve_cost_based,
 )
 from repro.data.dataset import Dataset, Instance
 from repro.dataflow import Edge
@@ -355,7 +355,7 @@ def _plan_pushdown_impl(
     estimate: Optional[GraphEstimate] = None
     decisions: List[FragmentDecision] = []
     pushed = maximal
-    if resolve_cost_based(cost) and catalog is not None and catalog.covers(
+    if config.resolve("cost_based", cost) and catalog is not None and catalog.covers(
         op.relation.name
         for op in work.operators
         if isinstance(op, Source) and op.uid in maximal

@@ -6,53 +6,21 @@ and lowers expressions through an :class:`ExpressionPlanner`, so the
 operator semantics of the paper's abstract model are implemented
 exactly once.
 
-The planner has two strategies:
-
-* ``compiled=True`` (the default) — expressions are lowered once per
-  operator by :mod:`repro.exec.compile_expr` into plain Python
-  closures;
-* ``compiled=False`` — each closure defers to the tree-walking
-  interpreter (:mod:`repro.expr.evaluator`), the semantic oracle.
-
-The default is process-wide: :func:`set_default_compiled` overrides it
-programmatically (the CLI's ``--interpreted`` flag), and the
-``REPRO_COMPILED`` environment variable overrides it from outside
-(``REPRO_COMPILED=0`` keeps CI's oracle runs green). Engine
-constructors accept ``compiled=None`` meaning "use the default".
-
-On top of the compiled tier sits the *batched* (columnar) tier: block
-kernels over :class:`repro.exec.block.RowBlock` columns with
-expressions lowered by :mod:`repro.exec.compile_block`. It resolves the
-same way — ``batched=True`` engine kwargs, :func:`set_default_batched`
-(the CLI's ``--row-mode`` / ``--batch-size`` flags), or the
-``REPRO_BATCH`` environment variable (``REPRO_BATCH=1`` switches it on;
-an integer > 1, or ``REPRO_BATCH_SIZE``, also sets the batch size).
-Batched execution requires the compiler, so under the interpreting
-oracle (``compiled=False``) it switches itself off — and operators the
-block tier cannot express identically fall back to the row kernels per
-operator, never changing results.
-
-The fourth tier is *parallel* execution (:mod:`repro.exec.parallel`):
-independent stages run as topological wavefronts and the block join /
-grouped-aggregation kernels partition by key hash across a worker pool,
-deterministically (results stay bit-identical to serial runs). It
-resolves through the same triad — ``parallel=True`` / ``workers=N``
-engine kwargs, :func:`set_default_parallel` / :func:`set_default_workers`
-(the CLI's ``--workers N``), or ``REPRO_PARALLEL`` / ``REPRO_WORKERS``
-— and a failing worker degrades to the serial path per operator
-(``exec.degrade.parallel_to_serial``). See ``docs/execution-model.md``
-for the full five-tier handbook.
-
-The fifth tier is *fused* execution (:mod:`repro.exec.fuse`): adjacent
-block operators chain through selection vectors instead of
-materializing an intermediate ``RowBlock`` per operator, gathering
-columns once at the chain's single materialization point (and only the
-columns downstream readers reference). It rides on the batched tier and
-is on by default there — ``fused=False`` engine kwargs,
-:func:`set_default_fused` (the CLI's ``--no-fuse``), or ``REPRO_FUSE=0``
-switch it off — and any chain whose operators decline to fuse falls
-back to the unfused block kernels per chain
-(``exec.degrade.fused_to_block``), never changing results.
+The planner lowers at one of five tiers, each riding on the one
+before: the tree-walking interpreter (:mod:`repro.expr.evaluator`, the
+semantic oracle); closures compiled once per operator
+(:mod:`repro.exec.compile_expr`); *batched* block kernels over
+:class:`repro.exec.block.RowBlock` columns
+(:mod:`repro.exec.compile_block`); *fused* selection-vector chains over
+adjacent block operators (:mod:`repro.exec.fuse`); and *parallel*
+wavefronts and key-partitioned kernels on a worker pool
+(:mod:`repro.exec.parallel`). An operator a tier cannot express
+identically falls back one tier, per operator or per chain, never
+changing results. :func:`resolve_tier` is the one statement of how the
+``compiled`` / ``batched`` / ``fused`` / ``parallel`` / ``workers`` /
+``mode`` options combine into a tier; what each option accepts and where
+its value comes from is the table in ``docs/execution-model.md``
+("Options").
 
 How a run uses these tiers — option resolution, the degradation ladder,
 the supervised wavefront scheduler — is :mod:`repro.exec.run`, the one
@@ -63,7 +31,7 @@ import this package); the runtimes import it directly.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro import config
 from repro.data.dataset import Dataset
@@ -90,124 +58,68 @@ from repro.exec.compile_block import (
 from repro.exec import block, fuse, kernels, parallel
 from repro.exec.block import RowBlock
 from repro.exec.fuse import FusedBlock
-from repro.exec.parallel import (
-    WorkerPool,
-    default_parallel,
-    default_workers,
-    resolve_parallel,
-    resolve_workers,
-    set_default_executor,
-    set_default_parallel,
-    set_default_workers,
-    set_parallel_threshold,
-)
-
-#: default rows per block in batched mode (overridable per engine, via
-#: ``set_default_batch_size``, or with ``REPRO_BATCH_SIZE``); the
-#: authoritative value lives in the central knob registry,
-#: :mod:`repro.config`.
-DEFAULT_BATCH_SIZE = config.DEFAULT_BATCH_SIZE
+from repro.exec.parallel import WorkerPool, set_default_executor
 
 
-def default_compiled() -> bool:
-    """The process-wide compiled-mode default: a
-    :func:`set_default_compiled` override wins, else the
-    ``REPRO_COMPILED`` environment variable, else True."""
-    return config.COMPILED.default()
+class Tier(NamedTuple):
+    """The seven tier options of one engine, resolved together."""
+
+    compiled: bool
+    #: block kernels; implies ``compiled``.
+    batched: bool
+    batch_size: int
+    #: fused chains wherever a run is batched. Under ``mode="auto"``
+    #: this is the requested value: each run re-decides ``batched``.
+    fused: bool
+    #: wavefront scheduling; with ``batched``, also partitioned kernels.
+    parallel: bool
+    workers: int
+    mode: Optional[str]
 
 
-def set_default_compiled(value: Optional[bool]) -> None:
-    """Override the process-wide compiled default (None restores the
-    environment-variable/True resolution)."""
-    config.COMPILED.set(value)
+def resolve_tier(
+    compiled: Optional[bool] = None,
+    batched: Optional[bool] = None,
+    batch_size: Optional[int] = None,
+    fused: Optional[bool] = None,
+    parallel: Optional[bool] = None,
+    workers: Optional[int] = None,
+    mode: Optional[str] = None,
+) -> Tier:
+    """The flags-and-mode → tier rule, read through :mod:`repro.config`
+    (a ``None`` keyword is the process default).
 
-
-def resolve_compiled(value: Optional[bool]) -> bool:
-    """Resolve an engine constructor's ``compiled`` argument: an
-    explicit True/False wins, None means the process default."""
-    return default_compiled() if value is None else bool(value)
-
-
-def default_batched() -> bool:
-    """The process-wide batched-mode default: a
-    :func:`set_default_batched` override wins, else the ``REPRO_BATCH``
-    environment variable (any non-false value enables), else False."""
-    return config.BATCHED.default()
-
-
-def set_default_batched(value: Optional[bool]) -> None:
-    """Override the process-wide batched default (None restores the
-    environment-variable/False resolution)."""
-    config.BATCHED.set(value)
-
-
-def resolve_batched(value: Optional[bool]) -> bool:
-    """Resolve an engine constructor's ``batched`` argument: an explicit
-    True/False wins, None means the process default."""
-    return default_batched() if value is None else bool(value)
-
-
-def default_batch_size() -> int:
-    """The process-wide batch size: a :func:`set_default_batch_size`
-    override wins, else ``REPRO_BATCH_SIZE``, else an integer
-    ``REPRO_BATCH`` value > 1 (so ``REPRO_BATCH=4096`` both enables
-    batching and sizes the blocks), else :data:`DEFAULT_BATCH_SIZE`."""
-    return config.BATCH_SIZE.default()
-
-
-def set_default_batch_size(value: Optional[int]) -> None:
-    """Override the process-wide batch size (None restores the
-    environment-variable/:data:`DEFAULT_BATCH_SIZE` resolution)."""
-    config.BATCH_SIZE.set(value)
-
-
-def resolve_batch_size(value: Optional[int]) -> int:
-    """Resolve an engine constructor's ``batch_size`` argument: an
-    explicit size wins, None means the process default."""
-    return config.BATCH_SIZE.resolve(value)
-
-
-def default_fused() -> bool:
-    """The process-wide fused-pipeline default: a
-    :func:`set_default_fused` override wins, else ``REPRO_FUSE=0``
-    disables, else True (fusion is on whenever batching is)."""
-    return config.FUSED.default()
-
-
-def set_default_fused(value: Optional[bool]) -> None:
-    """Override the process-wide fused default (None restores the
-    environment-variable/True resolution)."""
-    config.FUSED.set(value)
-
-
-def resolve_fused(value: Optional[bool]) -> bool:
-    """Resolve an engine constructor's ``fused`` argument: an explicit
-    True/False wins, None means the process default."""
-    return default_fused() if value is None else bool(value)
-
-
-def default_mode() -> Optional[str]:
-    """The process-wide execution-mode default: a
-    :func:`set_default_mode` override wins, else ``REPRO_MODE``, else
-    ``None`` (engines honour their per-flag resolution)."""
-    return config.MODE.default()
-
-
-def set_default_mode(value: Optional[str]) -> None:
-    """Override the process-wide execution mode — ``"rows"``,
-    ``"block"``, ``"parallel"``, or ``"auto"`` (None restores the
-    environment-variable resolution)."""
-    config.MODE.set(value)
-
-
-def resolve_mode(value: Optional[str]) -> Optional[str]:
-    """Resolve an engine constructor's ``mode`` argument: an explicit
-    mode wins (validated), None means the process default — which is
-    itself usually None, meaning "use the compiled/batched/parallel
-    flags as given"."""
-    if value is not None:
-        return config.check_mode(value)
-    return default_mode()
+    Each tier builds on the one below, so ``compiled`` gates ``batched``
+    (``REPRO_COMPILED=0`` stays a pure row-at-a-time oracle run even
+    with ``REPRO_BATCH=1``) and ``batched`` gates ``fused``; fanning out
+    takes two workers. A ``mode`` overrides the flags: ``"rows"`` /
+    ``"block"`` / ``"parallel"`` pin the tier, ``"auto"`` leaves
+    ``batched`` and ``parallel`` as starting points that
+    :meth:`ExpressionPlanner.tune_for` re-decides once a run's input
+    size is known. Without a mode ``parallel`` does not need
+    ``batched``: a wavefront over row kernels is still a wavefront."""
+    resolve = config.resolve
+    compiled = resolve("compiled", compiled)
+    batched = compiled and resolve("batched", batched)
+    workers = resolve("workers", workers)
+    parallel = workers >= 2 and resolve("parallel", parallel)
+    fused = resolve("fused", fused)
+    mode = resolve("mode", mode)
+    if mode == "rows":
+        batched = parallel = False
+    elif mode == "block":
+        batched, parallel = compiled, False
+    elif mode == "parallel":
+        batched = compiled
+        parallel = batched and workers >= 2
+    elif mode == "auto":
+        parallel = batched and parallel
+    if mode != "auto":
+        fused = batched and fused
+    return Tier(
+        compiled, batched, resolve("batch_size", batch_size), fused,
+        parallel, workers, mode,
+    )
 
 
 # -- kernel fault injection ---------------------------------------------------
@@ -257,37 +169,36 @@ class ExpressionPlanner:
         mode: Optional[str] = None,
         fused: Optional[bool] = None,
     ) -> None:
-        self.registry = registry or DEFAULT_REGISTRY
-        self.compiled = resolve_compiled(compiled)
-        # the block tier builds on the compiler; under the interpreting
-        # oracle it switches itself off so REPRO_COMPILED=0 stays a pure
-        # row-at-a-time oracle run even with REPRO_BATCH=1
-        self.batched = self.compiled and resolve_batched(batched)
-        self.batch_size = resolve_batch_size(batch_size)
-        # the parallel tier partitions *block* kernels, so it sits on top
-        # of the batched tier the same way batched sits on compiled; a
-        # worker count below 2 means there is nothing to fan out to
-        self.workers = resolve_workers(workers)
-        self.parallel = (
-            self.batched and self.workers >= 2 and resolve_parallel(parallel)
+        self._at(
+            registry,
+            resolve_tier(
+                compiled, batched, batch_size, fused, parallel, workers, mode
+            ),
         )
-        # an explicit mode overrides the per-flag resolution above:
-        # "rows"/"block"/"parallel" pin the tier, "auto" defers the
-        # decision to tune_for() once the run's data size is known
-        self.mode = resolve_mode(mode)
-        if self.mode == "rows":
-            self.batched = False
-            self.parallel = False
-        elif self.mode == "block":
-            self.batched = self.compiled
-            self.parallel = False
-        elif self.mode == "parallel":
-            self.batched = self.compiled
-            self.parallel = self.batched and self.workers >= 2
-        # the fused tier chains *block* operators, so it rides on the
-        # batched tier (recomputed whenever tune_for() re-tiers)
-        self._fused_requested = fused
-        self.fused = self.batched and resolve_fused(fused)
+
+    @classmethod
+    def at(
+        cls, registry: Optional[FunctionRegistry], tier: Tier
+    ) -> "ExpressionPlanner":
+        """A planner at an already resolved ``tier`` — how a run builds
+        its planner and its ladder's rungs; reads no process default."""
+        planner = cls.__new__(cls)
+        planner._at(registry, tier)
+        return planner
+
+    def _at(self, registry: Optional[FunctionRegistry], tier: Tier) -> None:
+        self.registry = registry or DEFAULT_REGISTRY
+        self.compiled = tier.compiled
+        self.batched = tier.batched
+        self.batch_size = tier.batch_size
+        self.workers = tier.workers
+        self.mode = tier.mode
+        # the planner drives block kernels: to it, parallel means the
+        # partitioned kernels and fused means chains, and both need
+        # blocks (recomputed whenever tune_for() re-tiers)
+        self.parallel = tier.batched and tier.parallel
+        self._fused_requested = tier.fused
+        self.fused = tier.batched and tier.fused
         self._pool: Optional[WorkerPool] = None
         self._scalars: dict = {}
         self._predicates: dict = {}
@@ -313,7 +224,7 @@ class ExpressionPlanner:
         tier = model.choose_tier(n_rows, self.workers, memory_budget)
         self.batched = self.compiled and tier in ("block", "parallel")
         self.parallel = self.batched and tier == "parallel"
-        self.fused = self.batched and resolve_fused(self._fused_requested)
+        self.fused = self.batched and self._fused_requested
         return tier if self.compiled else "rows"
 
     def pool(self) -> WorkerPool:
@@ -499,20 +410,11 @@ def degrade_counter(prev: "ExpressionPlanner") -> str:
 
 
 __all__ = [
-    "DEFAULT_BATCH_SIZE",
     "ExpressionPlanner",
     "FusedBlock",
     "RowBlock",
+    "Tier",
     "WorkerPool",
-    "default_parallel",
-    "default_workers",
-    "parallel",
-    "resolve_parallel",
-    "resolve_workers",
-    "set_default_executor",
-    "set_default_parallel",
-    "set_default_workers",
-    "set_parallel_threshold",
     "aggregate_values_reducer",
     "block",
     "compile_aggregate",
@@ -520,25 +422,13 @@ __all__ = [
     "compile_block_predicate",
     "compile_expr",
     "compile_predicate",
-    "default_batch_size",
-    "default_batched",
-    "default_compiled",
-    "default_fused",
-    "default_mode",
     "degrade_counter",
     "fuse",
-    "resolve_fused",
-    "resolve_mode",
-    "set_default_fused",
-    "set_default_mode",
     "is_foldable",
     "kernel_fault_hook",
     "kernels",
+    "parallel",
+    "resolve_tier",
+    "set_default_executor",
     "set_kernel_fault_hook",
-    "resolve_batch_size",
-    "resolve_batched",
-    "resolve_compiled",
-    "set_default_batch_size",
-    "set_default_batched",
-    "set_default_compiled",
 ]

@@ -21,7 +21,7 @@ Determinism rules the design:
 
 * the partition count is a function of the **data size only** — never of
   the worker count — so ``--workers 2`` and ``--workers 8`` build
-  identical partitions (:data:`PARALLEL_MIN_PARTITION_ROWS`);
+  identical partitions (:func:`partitions_for`);
 * partitioned kernels restore the exact serial row order (probe order
   with left paddings inline, right paddings last; groups in global
   first-seen order with members in ascending row order), so outputs are
@@ -31,10 +31,8 @@ Determinism rules the design:
 * worker failure degrades to the serial path (counted as
   ``exec.degrade.parallel_to_serial``), never changing results.
 
-Resolution follows the process-triad convention of :mod:`repro.exec`:
-an explicit engine kwarg wins, then :func:`set_default_parallel` /
-:func:`set_default_workers` (the CLI's ``--workers N``), then the
-``REPRO_PARALLEL`` / ``REPRO_WORKERS`` environment variables.
+The ``parallel``, ``workers`` and ``parallel_min_rows`` options are rows
+of :mod:`repro.config` (``docs/execution-model.md``, "Options").
 
 Workers are threads by default (a process-wide pool per worker count);
 tests inject any object with ``submit(fn)`` via
@@ -43,29 +41,14 @@ tests inject any object with ``submit(fn)`` via
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import config
 from repro.exec.kernels import key_encoder
 
-#: the legacy hard-coded partitioned-kernel threshold, kept for
-#: reference and back-compat imports; the *live* default now derives
-#: from the cost model's crossover analysis
-#: (:func:`repro.cost.model.derived_parallel_min_rows` — 8000 rows at
-#: the shipped constants) and is tunable via ``set_parallel_threshold``
-#: or ``REPRO_PARALLEL_MIN_ROWS``. The partition count derives from the
-#: row count alone, so results are independent of the worker count.
-PARALLEL_MIN_PARTITION_ROWS = 8192
-
 #: hard cap on partitions per kernel call (diminishing returns beyond).
 MAX_PARTITIONS = 8
-
-#: workers used when ``REPRO_WORKERS`` and ``set_default_workers`` are
-#: both unset: the machine's cores, clamped to [2, 8] so ``parallel=
-#: True`` always means real fan-out even on single-core boxes.
-DEFAULT_WORKERS = config.DEFAULT_WORKERS
 
 _default_executor: Optional[Any] = None
 
@@ -95,72 +78,16 @@ class WorkerUnavailable(RuntimeError):
     failure."""
 
 
-# -- the resolution triads ----------------------------------------------------
-
-
-def default_parallel() -> bool:
-    """The process-wide parallel default: a :func:`set_default_parallel`
-    override wins, else the ``REPRO_PARALLEL`` environment variable (any
-    non-false value enables), else False."""
-    return config.PARALLEL.default()
-
-
-def set_default_parallel(value: Optional[bool]) -> None:
-    """Override the process-wide parallel default (None restores the
-    environment-variable/False resolution)."""
-    config.PARALLEL.set(value)
-
-
-def resolve_parallel(value: Optional[bool]) -> bool:
-    """Resolve an engine constructor's ``parallel`` argument: an explicit
-    True/False wins, None means the process default."""
-    return default_parallel() if value is None else bool(value)
-
-
-def default_workers() -> int:
-    """The process-wide worker count: a :func:`set_default_workers`
-    override wins, else ``REPRO_WORKERS``, else :data:`DEFAULT_WORKERS`.
-    An integer ``REPRO_PARALLEL`` value > 1 also sets the count (so
-    ``REPRO_PARALLEL=4`` both enables parallelism and sizes the pool)."""
-    return config.WORKERS.default()
-
-
-def set_default_workers(value: Optional[int]) -> None:
-    """Override the process-wide worker count (None restores the
-    environment-variable/:data:`DEFAULT_WORKERS` resolution)."""
-    config.WORKERS.set(value)
-
-
-def resolve_workers(value: Optional[int]) -> int:
-    """Resolve an engine constructor's ``workers`` argument: an explicit
-    count wins, None means the process default."""
-    return config.WORKERS.resolve(value)
-
-
-def parallel_threshold() -> int:
-    """Rows below which partitioned kernels stay serial: a
-    :func:`set_parallel_threshold` override wins, else
-    ``REPRO_PARALLEL_MIN_ROWS``, else the cost model's derived
-    crossover (:func:`repro.cost.model.derived_parallel_min_rows` —
-    the point where the block work a partition removes from the
-    critical path outweighs its dispatch overhead)."""
-    return config.PARALLEL_MIN_ROWS.default()
-
-
-def set_parallel_threshold(value: Optional[int]) -> None:
-    """Override the partitioned-kernel row threshold (None restores the
-    environment-variable/derived resolution). Mostly a test hook — it
-    lets small inputs exercise the partitioned kernels."""
-    config.PARALLEL_MIN_ROWS.set(value)
-
-
 def partitions_for(n_rows: int) -> int:
     """The degree of parallelism for a kernel over ``n_rows`` input rows:
-    0 below the threshold (stay serial), otherwise one partition per
-    threshold-of-rows, capped at :data:`MAX_PARTITIONS`. Depends on the
+    0 below the ``parallel_min_rows`` option (stay serial; unless set,
+    the cost model's crossover where the block work a partition removes
+    from the critical path outweighs its dispatch overhead), otherwise
+    one partition per threshold-of-rows, capped at
+    :data:`MAX_PARTITIONS`. Depends on the
     observed cardinality only — *never* on the worker count — so every
     worker count computes identical partitions."""
-    threshold = parallel_threshold()
+    threshold = config.resolve("parallel_min_rows")
     if n_rows < threshold:
         return 0
     return max(2, min(MAX_PARTITIONS, n_rows // threshold))
@@ -216,7 +143,7 @@ class WorkerPool:
     __slots__ = ("workers", "_executor")
 
     def __init__(self, workers: Optional[int] = None, executor: Optional[Any] = None):
-        self.workers = resolve_workers(workers)
+        self.workers = config.resolve("workers", workers)
         self._executor = executor
 
     def _resolve_executor(self):
@@ -701,24 +628,14 @@ def partitioned_group_aggregate(
 
 
 __all__ = [
-    "DEFAULT_WORKERS",
     "MAX_PARTITIONS",
-    "PARALLEL_MIN_PARTITION_ROWS",
     "WorkerPool",
     "WorkerUnavailable",
-    "default_parallel",
-    "default_workers",
     "graph_waves",
     "max_wavefront",
-    "parallel_threshold",
     "partitioned_group_aggregate",
     "partitioned_join",
     "partitions_for",
-    "resolve_parallel",
-    "resolve_workers",
     "set_default_executor",
-    "set_default_parallel",
-    "set_default_workers",
-    "set_parallel_threshold",
     "topological_waves",
 ]

@@ -7,7 +7,7 @@ mappings to OHM and is an ``OhmExecutor`` from there. Everything else
 about a run is written here once:
 
 * :class:`RunOptions` — every engine keyword, resolved exactly once
-  through :mod:`repro.config` (kwarg > setter > env > default);
+  through :mod:`repro.config`;
 * :class:`TierLadder` — the fused → block → rows → oracle degradation
   ladder, every rung pinned to its tier;
 * :func:`start_run` and :func:`run_waves` — the pre-run check,
@@ -37,13 +37,9 @@ from typing import (
     TypeVar,
 )
 
+from repro import config
 from repro.errors import STATIC_ERRORS, RunCancelled
-from repro.exec import (
-    ExpressionPlanner,
-    degrade_counter,
-    resolve_fused,
-    resolve_parallel,
-)
+from repro.exec import ExpressionPlanner, Tier, degrade_counter, resolve_tier
 from repro.exec.parallel import WorkerPool, WorkerUnavailable, topological_waves
 from repro.expr.functions import FunctionRegistry
 from repro.obs import NULL_OBS, Observability
@@ -51,7 +47,6 @@ from repro.resilience import (
     ErrorContext,
     RetryPolicy,
     resolve_checkpoint,
-    resolve_on_error,
     resolve_retry,
 )
 from repro.supervision import (
@@ -75,8 +70,9 @@ class RunOptions(NamedTuple):
     """Every engine keyword, resolved once at engine construction.
 
     One field per keyword the engines take; the values are the resolved
-    ones (a ``None`` keyword has already fallen through setter, env var
-    and default), so a run never consults :mod:`repro.config` again.
+    ones (a ``None`` keyword has already fallen through override,
+    environment and default), so a run never consults
+    :mod:`repro.config` again.
     Frozen as a named tuple, not a ``dataclass``: nothing else in the
     package imports ``dataclasses``, and it (with ``inspect``) would add
     10 ms to every import and 1 MiB to every process."""
@@ -135,45 +131,25 @@ class RunOptions(NamedTuple):
         for name in kwargs:
             if name not in known:
                 raise TypeError(f"unexpected keyword argument {name!r}")
-        # local import: repro.analysis imports the stage, operator and
-        # mapping catalogues, whose packages import the runtimes
-        from repro.analysis import resolve_check
-
         get = kwargs.get
         obs = get("obs") or NULL_OBS
-        # the planner owns the flags-and-mode → tier rule: probe it
-        probe = ExpressionPlanner(
-            None, get("compiled"), get("batched"), get("batch_size"),
-            parallel=get("parallel"), workers=get("workers"),
-            mode=get("mode"), fused=get("fused"),
+        tier = resolve_tier(
+            get("compiled"), get("batched"), get("batch_size"), get("fused"),
+            get("parallel"), get("workers"), get("mode"),
         )
-        parallel = probe.parallel
-        if probe.mode is None:
-            # without a mode the wavefront needs no block kernels
-            parallel = resolve_parallel(get("parallel")) and probe.workers >= 2
         supervisor = resolve_supervisor(
             get("supervisor"), get("deadline"), obs=obs
         )
         return cls(
             obs=obs,
-            compiled=probe.compiled,
-            batched=probe.batched,
-            batch_size=probe.batch_size,
-            fused=(
-                resolve_fused(get("fused"))
-                if probe.mode == "auto"
-                else probe.fused
-            ),
-            parallel=parallel,
-            workers=probe.workers,
-            mode=probe.mode,
-            on_error=resolve_on_error(get("on_error")),
+            **tier._asdict(),
+            on_error=config.resolve("on_error", get("on_error")),
             degrade=bool(get("degrade", True)),
             catalog=get("catalog"),
             deadline=None if supervisor is None else supervisor.budget.deadline,
             memory_budget=resolve_memory_budget(get("memory_budget")),
             supervisor=supervisor,
-            check=resolve_check(get("check")),
+            check=config.resolve("check", get("check")),
             retry=resolve_retry(get("retry")) if endpoints else None,
             checkpoint=resolve_checkpoint(get("checkpoint")) if endpoints else None,
             breaker=resolve_breaker(get("breaker")) if endpoints else None,
@@ -181,19 +157,12 @@ class RunOptions(NamedTuple):
 
     def planner(self, registry: Optional[FunctionRegistry]) -> ExpressionPlanner:
         """A fresh planner for one run (expressions shared by several
-        nodes lower once per run). Its mode is always stated, so it
-        reads no process default."""
-        if self.mode == "auto":
-            mode = "auto"
-        elif not self.batched:
-            mode = "rows"
-        else:
-            mode = "parallel" if self.parallel else "block"
-        return ExpressionPlanner(
-            registry, self.compiled, self.batched, self.batch_size,
-            parallel=self.parallel, workers=self.workers, mode=mode,
-            fused=self.fused,
+        nodes lower once per run), at this engine's resolved tier."""
+        tier = Tier(
+            self.compiled, self.batched, self.batch_size, self.fused,
+            self.parallel, self.workers, self.mode,
         )
+        return ExpressionPlanner.at(registry, tier)
 
 
 class Runtime:
@@ -232,11 +201,11 @@ class TierLadder:
             return
 
         def rung(compiled: bool, mode: str) -> ExpressionPlanner:
-            return ExpressionPlanner(
-                planner.registry, compiled, mode == "block",
-                planner.batch_size, parallel=False,
-                workers=planner.workers, mode=mode, fused=False,
+            tier = Tier(
+                compiled, mode == "block", planner.batch_size, False, False,
+                planner.workers, mode,
             )
+            return ExpressionPlanner.at(planner.registry, tier)
 
         if planner.fused:
             self.rungs.append(rung(True, "block"))

@@ -12,21 +12,15 @@ gives the reproduction the same tier, shared by all three runtimes:
 * :mod:`repro.resilience.checkpoint` — :class:`CheckpointStore`, the
   ETL engine's completed-stage snapshots for restartable runs.
 
-Process-wide defaults follow the same triad pattern as
-:mod:`repro.exec` (explicit argument > ``set_default_*`` override >
-environment variable): ``REPRO_ON_ERROR``, ``REPRO_MAX_RETRIES``, and
-``REPRO_CHECKPOINT_DIR`` — also reachable via the CLI flags
-``--on-error``, ``--max-retries``, and ``--checkpoint-dir``. See
-``docs/robustness.md``.
+The ``on_error``, ``max_retries`` and ``checkpoint_dir`` options are
+rows of :mod:`repro.config`. See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
 
 from repro.resilience.checkpoint import (
     CheckpointStore,
-    default_checkpoint_dir,
     resolve_checkpoint,
-    set_default_checkpoint_dir,
 )
 from repro.resilience.policy import (
     FAIL_FAST,
@@ -36,18 +30,13 @@ from repro.resilience.policy import (
     ErrorContext,
     RejectedRow,
     check_policy,
-    default_on_error,
     format_row,
     reject_relation,
     rejects_dataset,
-    resolve_on_error,
-    set_default_on_error,
 )
 from repro.resilience.retry import (
     RetryPolicy,
-    default_max_retries,
     resolve_retry,
-    set_default_max_retries,
 )
 
 __all__ = [
@@ -56,20 +45,13 @@ __all__ = [
     "REJECT",
     "POLICIES",
     "check_policy",
-    "default_on_error",
-    "set_default_on_error",
-    "resolve_on_error",
     "reject_relation",
     "rejects_dataset",
     "format_row",
     "RejectedRow",
     "ErrorContext",
     "RetryPolicy",
-    "default_max_retries",
-    "set_default_max_retries",
     "resolve_retry",
     "CheckpointStore",
-    "default_checkpoint_dir",
-    "set_default_checkpoint_dir",
     "resolve_checkpoint",
 ]

@@ -36,22 +36,11 @@ from repro.errors import SerializationError
 # it so schema round-tripping has exactly one implementation
 from repro.etl.stages.access import _relation_from_config, _relation_to_config
 
-def default_checkpoint_dir() -> Optional[str]:
-    """Process default checkpoint directory: the
-    ``set_default_checkpoint_dir`` override if set, else
-    ``REPRO_CHECKPOINT_DIR``, else ``None`` (checkpointing off)."""
-    return config.CHECKPOINT_DIR.default()
-
-
-def set_default_checkpoint_dir(path: Optional[str]) -> None:
-    """Override the process default (``None`` restores env resolution)."""
-    config.CHECKPOINT_DIR.set(path)
-
 
 def resolve_checkpoint(explicit) -> Optional["CheckpointStore"]:
     """An engine's effective checkpoint store: a :class:`CheckpointStore`
     is used as-is, a string becomes a store at that directory, ``None``
-    defers to the process default (off when that is unset)."""
+    defers to the ``checkpoint_dir`` option (off when that is unset)."""
     if isinstance(explicit, CheckpointStore):
         return explicit
     if explicit is not None:
@@ -61,7 +50,7 @@ def resolve_checkpoint(explicit) -> Optional["CheckpointStore"]:
             # store-like proxy (e.g. the fault harness's CrashingStore)
             return explicit
         return CheckpointStore(explicit)
-    path = default_checkpoint_dir()
+    path = config.resolve("checkpoint_dir")
     return CheckpointStore(path) if path else None
 
 
@@ -263,8 +252,6 @@ class CheckpointStore:
 
 __all__ = [
     "CheckpointStore",
-    "default_checkpoint_dir",
-    "set_default_checkpoint_dir",
     "resolve_checkpoint",
     "encode_value",
     "decode_value",

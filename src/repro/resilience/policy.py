@@ -35,23 +35,6 @@ REJECT = "reject"
 POLICIES = config.ERROR_POLICIES
 
 
-def default_on_error() -> str:
-    """The process-wide default policy: the ``set_default_on_error``
-    override if set, else ``REPRO_ON_ERROR``, else ``fail_fast``."""
-    return config.ON_ERROR.default()
-
-
-def set_default_on_error(policy: Optional[str]) -> None:
-    """Override the process default (``None`` restores env resolution)."""
-    config.ON_ERROR.set(policy)
-
-
-def resolve_on_error(explicit: Optional[str]) -> str:
-    """An engine's effective policy: explicit argument wins, else the
-    process default."""
-    return config.ON_ERROR.resolve(explicit)
-
-
 # -- the reject relation ------------------------------------------------------
 
 #: column layout of every reject channel; the ``row`` column holds
@@ -241,9 +224,6 @@ __all__ = [
     "REJECT",
     "POLICIES",
     "check_policy",
-    "default_on_error",
-    "set_default_on_error",
-    "resolve_on_error",
     "REJECT_COLUMNS",
     "reject_relation",
     "rejects_dataset",

@@ -30,17 +30,6 @@ from repro.errors import TransientError, ValidationError
 from repro.obs import NULL_OBS
 
 
-def default_max_retries() -> int:
-    """Process default attempt budget: ``set_default_max_retries``
-    override if set, else ``REPRO_MAX_RETRIES``, else 0 (no retries)."""
-    return config.MAX_RETRIES.default()
-
-
-def set_default_max_retries(value: Optional[int]) -> None:
-    """Override the process default (``None`` restores env resolution)."""
-    config.MAX_RETRIES.set(value)
-
-
 class RetryPolicy:
     """Exponential backoff: delays ``base_delay * multiplier**n`` capped
     at ``max_delay``, at most ``max_retries`` retries, and never past
@@ -158,21 +147,15 @@ def resolve_retry(explicit) -> Optional["RetryPolicy"]:
 
     ``explicit`` may be a :class:`RetryPolicy` (used as-is), an ``int``
     (shorthand for ``RetryPolicy(max_retries=n)``), or ``None`` — then
-    the process default attempt budget applies, yielding ``None`` (no
-    retry wrapper at all) when that budget is 0."""
+    the ``max_retries`` option applies. A budget of 0 from either is
+    ``None``: no retry wrapper at all."""
     if isinstance(explicit, RetryPolicy):
         return explicit
-    if explicit is not None:
-        if explicit < 0:
-            raise ValidationError("max retries must be >= 0")
-        return RetryPolicy(max_retries=int(explicit)) if explicit else None
-    budget = default_max_retries()
+    budget = config.resolve("max_retries", explicit)
     return RetryPolicy(max_retries=budget) if budget else None
 
 
 __all__ = [
     "RetryPolicy",
-    "default_max_retries",
-    "set_default_max_retries",
     "resolve_retry",
 ]

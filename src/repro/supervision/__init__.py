@@ -24,37 +24,28 @@ mapping executor):
   aggregation, and grace-partitioned hash join, all bit-identical to
   the in-memory kernels.
 
-Process-wide defaults follow the standard config triad
-(kwarg > ``set_default_*`` > environment): ``REPRO_DEADLINE``,
-``REPRO_MEMORY_BUDGET``, ``REPRO_BREAKER`` — also reachable via the
-CLI flags ``--deadline`` / ``--memory-budget``. Metrics:
-``exec.supervise.*``, ``exec.breaker.*``, ``exec.spill.*``. See
-``docs/robustness.md``.
+The ``deadline``, ``memory_budget`` and ``breaker`` options are rows of
+:mod:`repro.config`. Metrics: ``exec.supervise.*``, ``exec.breaker.*``,
+``exec.spill.*``. See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
 
 from repro.supervision.breaker import (
     CircuitBreaker,
-    default_breaker_threshold,
     resolve_breaker,
-    set_default_breaker,
 )
 from repro.supervision.memory import (
     MemoryBudget,
     active_memory_budget,
-    default_memory_budget,
     governed,
     resolve_memory_budget,
     set_active_memory_budget,
-    set_default_memory_budget,
 )
 from repro.supervision.supervisor import (
     Budget,
     RunSupervisor,
-    default_deadline,
     resolve_supervisor,
-    set_default_deadline,
 )
 
 __all__ = [
@@ -63,15 +54,9 @@ __all__ = [
     "MemoryBudget",
     "RunSupervisor",
     "active_memory_budget",
-    "default_breaker_threshold",
-    "default_deadline",
-    "default_memory_budget",
     "governed",
     "resolve_breaker",
     "resolve_memory_budget",
     "resolve_supervisor",
     "set_active_memory_budget",
-    "set_default_breaker",
-    "set_default_deadline",
-    "set_default_memory_budget",
 ]

@@ -30,14 +30,14 @@ import threading
 import time
 from typing import Callable, Dict, Optional, Union
 
-from repro.config import BREAKER
+from repro import config
 from repro.errors import BreakerOpen, ValidationError
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
-#: default consecutive-failure threshold when the knob gives only truth.
+#: default consecutive-failure threshold when the option gives only truth.
 DEFAULT_FAILURE_THRESHOLD = 3
 #: default cool-down before a half-open probe, in seconds.
 DEFAULT_RESET_TIMEOUT = 30.0
@@ -169,30 +169,16 @@ class CircuitBreaker:
         )
 
 
-# -- the config triad ---------------------------------------------------------
-
-
-def default_breaker_threshold() -> Optional[int]:
-    """The process-wide threshold (setter > ``REPRO_BREAKER`` > None)."""
-    return BREAKER.default()
-
-
-def set_default_breaker(threshold: Optional[int]) -> None:
-    """Install (or with None remove) the process-wide breaker
-    threshold; 0 explicitly disables breakers."""
-    BREAKER.set(threshold)
-
-
 def resolve_breaker(
     breaker: Union[CircuitBreaker, int, None] = None,
 ) -> Optional[CircuitBreaker]:
     """The engines' breaker resolution: a :class:`CircuitBreaker` is
     used as-is, an int is a ``failure_threshold`` shorthand, ``None``
-    consults the setter/``REPRO_BREAKER`` triad, and a resolved 0 (or
-    nothing anywhere) means no breaker."""
+    consults the ``breaker`` option, and a resolved 0 (or nothing
+    anywhere) means no breaker."""
     if isinstance(breaker, CircuitBreaker):
         return breaker
-    threshold = BREAKER.resolve(breaker)
+    threshold = config.resolve("breaker", breaker)
     if not threshold:
         return None
     return CircuitBreaker(failure_threshold=threshold)
@@ -203,7 +189,5 @@ __all__ = [
     "HALF_OPEN",
     "OPEN",
     "CircuitBreaker",
-    "default_breaker_threshold",
     "resolve_breaker",
-    "set_default_breaker",
 ]

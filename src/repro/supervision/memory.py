@@ -15,10 +15,9 @@ through each call site would churn all of them. Engines install the
 budget around a run with :func:`governed`; when none is installed the
 kernels' hot paths pay a single ``None`` check.
 
-Resolution follows the standard triad: ``memory_budget=`` kwarg >
-:func:`set_default_memory_budget` > ``REPRO_MEMORY_BUDGET`` >
-unbounded. See ``docs/robustness.md`` for the spill design the budget
-triggers.
+The budget is the ``memory_budget`` option of :mod:`repro.config`
+(unbounded unless set). See ``docs/robustness.md`` for the spill design
+it triggers.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional, Union
 
-from repro.config import MEMORY_BUDGET
+from repro import config
 from repro.errors import ValidationError
 
 
@@ -92,29 +91,15 @@ def governed(budget: Optional[MemoryBudget]):
         _ACTIVE = previous
 
 
-# -- the config triad ---------------------------------------------------------
-
-
-def default_memory_budget() -> Optional[int]:
-    """The process-wide budget in rows (setter > env > None)."""
-    return MEMORY_BUDGET.default()
-
-
-def set_default_memory_budget(max_rows: Optional[int]) -> None:
-    """Install (or with None remove) the process-wide resident-row
-    budget."""
-    MEMORY_BUDGET.set(max_rows)
-
-
 def resolve_memory_budget(
     budget: Union[MemoryBudget, int, None] = None,
 ) -> Optional[MemoryBudget]:
     """The engines' budget resolution: a :class:`MemoryBudget` is used
     as-is, an int is a ``max_rows`` shorthand, ``None`` consults the
-    setter/``REPRO_MEMORY_BUDGET`` triad."""
+    ``memory_budget`` option."""
     if isinstance(budget, MemoryBudget):
         return budget
-    resolved = MEMORY_BUDGET.resolve(budget)
+    resolved = config.resolve("memory_budget", budget)
     if resolved is None:
         return None
     return MemoryBudget(resolved)
@@ -123,9 +108,7 @@ def resolve_memory_budget(
 __all__ = [
     "MemoryBudget",
     "active_memory_budget",
-    "default_memory_budget",
     "governed",
     "resolve_memory_budget",
     "set_active_memory_budget",
-    "set_default_memory_budget",
 ]

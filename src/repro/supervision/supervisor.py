@@ -15,9 +15,8 @@ tasks short-circuit once the run is cancelled, while tasks already in
 flight run to completion and the worker pool joins every future before
 the engine re-checks at the wave boundary (no leaked futures).
 
-The deadline resolves through the standard config triad:
-``deadline=`` kwarg > :func:`set_default_deadline` >
-``REPRO_DEADLINE`` > unbounded. See ``docs/robustness.md``.
+The deadline is the ``deadline`` option of :mod:`repro.config`
+(unbounded unless set). See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import threading
 import time
 from typing import Callable, List, Optional
 
-from repro.config import DEADLINE
+from repro import config
 from repro.errors import RunCancelled, ValidationError
 
 
@@ -203,33 +202,20 @@ class RunSupervisor:
         return f"RunSupervisor({self.budget!r}, {state})"
 
 
-# -- the config triad ---------------------------------------------------------
-
-
-def default_deadline() -> Optional[float]:
-    """The process-wide deadline (setter > ``REPRO_DEADLINE`` > None)."""
-    return DEADLINE.default()
-
-
-def set_default_deadline(seconds: Optional[float]) -> None:
-    """Install (or with None remove) the process-wide run deadline."""
-    DEADLINE.set(seconds)
-
-
 def resolve_supervisor(
     supervisor: Optional[RunSupervisor] = None,
     deadline: Optional[float] = None,
     obs=None,
 ) -> Optional[RunSupervisor]:
     """The engines' supervisor resolution: an explicit supervisor wins;
-    otherwise a deadline (kwarg > setter > ``REPRO_DEADLINE``) builds
-    one; otherwise ``None`` — the engines skip every check, keeping the
-    unsupervised hot path free of per-boundary work."""
+    otherwise a deadline (the keyword, else the ``deadline`` option)
+    builds one; otherwise ``None`` — the engines skip every check,
+    keeping the unsupervised hot path free of per-boundary work."""
     if supervisor is not None:
         if obs is not None and supervisor.obs is None:
             supervisor.obs = obs
         return supervisor
-    resolved = DEADLINE.resolve(deadline)
+    resolved = config.resolve("deadline", deadline)
     if resolved is None:
         return None
     return RunSupervisor(Budget(deadline=resolved), obs=obs)
@@ -238,7 +224,5 @@ def resolve_supervisor(
 __all__ = [
     "Budget",
     "RunSupervisor",
-    "default_deadline",
     "resolve_supervisor",
-    "set_default_deadline",
 ]

@@ -4,13 +4,8 @@ changes nothing about a clean run's results."""
 
 import pytest
 
-from repro.analysis import (
-    analyze_graph,
-    analyze_job,
-    default_check,
-    resolve_check,
-    set_default_check,
-)
+from repro import config
+from repro.analysis import analyze_graph, analyze_job
 from repro.compile import compile_job
 from repro.data.dataset import Instance
 from repro.errors import ValidationError
@@ -200,30 +195,29 @@ class TestCheckIsTransparent:
 
 
 class TestKnobTriad:
-    def teardown_method(self):
-        set_default_check(None)
+    """kwarg > ``overriding`` (the "setter") > env > default."""
 
     def test_default_off(self):
-        assert default_check() is False
+        assert config.resolve("check") is False
         assert EtlEngine().check is False
 
     def test_setter_wins(self):
-        set_default_check(True)
-        assert default_check() is True
-        assert EtlEngine().check is True
-        assert OhmExecutor().check is True
-        assert MappingExecutor().check is True
+        with config.overriding(check=True):
+            assert config.resolve("check") is True
+            assert EtlEngine().check is True
+            assert OhmExecutor().check is True
+            assert MappingExecutor().check is True
 
     def test_explicit_kwarg_beats_setter(self):
-        set_default_check(True)
-        assert EtlEngine(check=False).check is False
-        assert resolve_check(False) is False
+        with config.overriding(check=True):
+            assert EtlEngine(check=False).check is False
+            assert config.resolve("check", False) is False
 
     def test_env_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "1")
-        assert default_check() is True
+        assert config.resolve("check") is True
         monkeypatch.setenv("REPRO_CHECK", "0")
-        assert default_check() is False
+        assert config.resolve("check") is False
 
     def test_env_rejected_run(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "1")

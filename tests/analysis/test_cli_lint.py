@@ -126,7 +126,7 @@ class TestJsonOutput:
 
 class TestCheckFlag:
     def test_check_flag_resets_after_invocation(self, clean_xml):
-        from repro.analysis import default_check
+        from repro import config
 
         assert main(["lint", clean_xml, "--check"]) == 0
-        assert default_check() is False
+        assert config.resolve("check") is False

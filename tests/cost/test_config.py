@@ -1,72 +1,165 @@
-"""The central knob registry: kwarg > setter > env > default."""
+"""The options table: kwarg > ``overriding`` > env > default."""
 
 import pytest
 
 from repro import config
-from repro.config import Knob, check_mode, check_policy, parse_bool
+from repro.config import Option, check_mode, check_policy, parse_bool
 from repro.errors import ValidationError
+
+BATCH_SIZE = config.OPTIONS["batch_size"].default
 
 
 @pytest.fixture(autouse=True)
-def _clean_overrides():
-    """Every test leaves the process-wide knobs untouched."""
-    yield
-    for name in ("batch_size", "workers", "on_error", "mode",
-                 "parallel_min_rows", "cost_based"):
-        config.knob(name).set(None)
+def _no_ambient_environment(monkeypatch):
+    """CI runs this suite under REPRO_* scenarios; these tests state
+    every variable they mean."""
+    for option in config.OPTIONS.values():
+        for variable, _parse in option.env:
+            monkeypatch.delenv(variable, raising=False)
 
 
 class TestPrecedence:
     def test_kwarg_beats_setter_beats_env_beats_default(self, monkeypatch):
-        knob = config.BATCH_SIZE
-        assert knob.resolve(None) == config.DEFAULT_BATCH_SIZE
+        assert config.resolve("batch_size") == BATCH_SIZE
         monkeypatch.setenv("REPRO_BATCH_SIZE", "64")
-        assert knob.resolve(None) == 64
-        knob.set(128)
-        assert knob.resolve(None) == 128
-        assert knob.resolve(256) == 256  # the kwarg always wins
+        assert config.resolve("batch_size") == 64
+        with config.overriding(batch_size=128):
+            assert config.resolve("batch_size") == 128
+            # the kwarg always wins
+            assert config.resolve("batch_size", 256) == 256
 
     def test_setter_none_restores_env_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        config.WORKERS.set(6)
-        assert config.WORKERS.default() == 6
-        config.WORKERS.set(None)
-        assert config.WORKERS.default() == 3
+        with config.overriding(workers=6):
+            assert config.resolve("workers") == 6
+            with config.overriding(workers=None):
+                assert config.resolve("workers") == 3
+            assert config.resolve("workers") == 6
+        assert config.resolve("workers") == 3
 
     def test_env_fallback_chain(self, monkeypatch):
         # batch_size reads REPRO_BATCH_SIZE first, then REPRO_BATCH
         monkeypatch.setenv("REPRO_BATCH", "512")
-        assert config.BATCH_SIZE.default() == 512
+        assert config.resolve("batch_size") == 512
         monkeypatch.setenv("REPRO_BATCH_SIZE", "2048")
-        assert config.BATCH_SIZE.default() == 2048
+        assert config.resolve("batch_size") == 2048
 
     def test_unparseable_env_value_is_skipped(self, monkeypatch):
         # REPRO_BATCH=1 means "batched on", not "batch size 1"
         monkeypatch.setenv("REPRO_BATCH", "1")
-        assert config.BATCHED.default() is True
-        assert config.BATCH_SIZE.default() == config.DEFAULT_BATCH_SIZE
+        assert config.resolve("batched") is True
+        assert config.resolve("batch_size") == BATCH_SIZE
+        # ... and REPRO_BATCH=4096 means "on, blocks of 4096"
+        monkeypatch.setenv("REPRO_BATCH", "4096")
+        assert config.resolve("batched") is True
+        assert config.resolve("batch_size") == 4096
+        # likewise REPRO_PARALLEL and the worker count
+        monkeypatch.setenv("REPRO_PARALLEL", "true")
+        assert config.resolve("parallel") is True
+        assert config.resolve("workers") == config.OPTIONS["workers"].default
+        monkeypatch.setenv("REPRO_PARALLEL", "4")
+        assert config.resolve("parallel") is True
+        assert config.resolve("workers") == 4
 
-    def test_triads_delegate_to_the_registry(self):
-        from repro.exec import set_default_workers
-        from repro.exec.parallel import resolve_workers
 
-        set_default_workers(5)
-        try:
-            assert resolve_workers(None) == 5
-            assert config.WORKERS.default() == 5
-            assert resolve_workers(2) == 2
-        finally:
-            set_default_workers(None)
+class TestOverriding:
+    def test_nests_and_restores(self):
+        before = config.snapshot()
+        with config.overriding(on_error="skip", workers=3):
+            with config.overriding(on_error="reject"):
+                assert config.resolve("on_error") == "reject"
+                assert config.resolve("workers") == 3
+            assert config.resolve("on_error") == "skip"
+        assert config.snapshot() == before
 
-    def test_resilience_triads_delegate(self):
-        from repro.resilience import default_on_error, set_default_on_error
+    def test_restores_after_an_exception(self):
+        before = config.snapshot()
+        with pytest.raises(RuntimeError):
+            with config.overriding(mode="block"):
+                with config.overriding(mode="rows", deadline=5):
+                    raise RuntimeError("boom")
+        assert config.snapshot() == before
 
-        set_default_on_error("reject")
-        try:
-            assert default_on_error() == "reject"
-            assert config.ON_ERROR.default() == "reject"
-        finally:
-            set_default_on_error(None)
+    def test_values_are_checked_before_the_block(self):
+        before = config.snapshot()
+        with pytest.raises(ValidationError, match="deadline must be > 0"):
+            config.overriding(workers=4, deadline=-1)
+        with pytest.raises(TypeError, match="turbo"):
+            config.overriding(turbo=True)
+        assert config.snapshot() == before
+
+    def test_a_falsy_override_is_still_an_override(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BATCH", "1")
+        monkeypatch.setenv("REPRO_BREAKER", "3")
+        with config.overriding(batched=False, breaker=0):
+            assert config.resolve("batched") is False
+            assert config.resolve("breaker") == 0
+
+
+class TestEnvironment:
+    def test_repro_workers_one_is_serial(self, monkeypatch):
+        # as workers=1 and --workers 1 already were
+        from repro.etl import EtlEngine
+
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        assert config.resolve("workers") == 1
+        assert EtlEngine(parallel=True).parallel is False
+        assert EtlEngine(batched=True, mode="parallel").parallel is False
+
+    @pytest.mark.parametrize(
+        "variable,raw",
+        [
+            ("REPRO_BATCH_SIZE", "0"),
+            ("REPRO_BATCH_SIZE", "abc"),
+            ("REPRO_WORKERS", "abc"),
+            ("REPRO_WORKERS", "0"),
+            ("REPRO_PARALLEL_MIN_ROWS", "0"),
+            ("REPRO_PARALLEL_MIN_ROWS", "many"),
+            ("REPRO_ON_ERROR", "bogus"),
+            ("REPRO_MAX_RETRIES", "x"),
+            ("REPRO_MAX_RETRIES", "-1"),
+            ("REPRO_MODE", "bogus"),
+            ("REPRO_DEADLINE", "soon"),
+            ("REPRO_DEADLINE", "-1"),
+            ("REPRO_MEMORY_BUDGET", "0"),
+            ("REPRO_MEMORY_BUDGET", "1.5"),
+            ("REPRO_BREAKER", "-2"),
+            ("REPRO_BREAKER", "x"),
+        ],
+    )
+    def test_a_value_the_row_cannot_accept_raises(
+        self, monkeypatch, variable, raw
+    ):
+        (name,) = [
+            name for name, option in config.OPTIONS.items()
+            if option.env[0][0] == variable
+        ]
+        monkeypatch.setenv(variable, raw)
+        with pytest.raises(ValidationError) as caught:
+            config.resolve(name)
+        # names the variable, what it accepts and what it got
+        message = str(caught.value)
+        assert variable in message
+        assert config.OPTIONS[name].accepts in message
+        assert repr(raw) in message
+
+    def test_empty_is_unset_for_every_row(self, monkeypatch):
+        before = config.snapshot()
+        for option in config.OPTIONS.values():
+            for variable, _parse in option.env:
+                monkeypatch.setenv(variable, "  ")
+        assert config.snapshot() == before
+
+    def test_switches_accept_any_word(self, monkeypatch):
+        for name, option in config.OPTIONS.items():
+            if option.check is not bool:
+                continue
+            variable = option.env[0][0]
+            monkeypatch.setenv(variable, "off")
+            assert config.resolve(name) is False, variable
+            monkeypatch.setenv(variable, "yes")
+            assert config.resolve(name) is True, variable
+            monkeypatch.delenv(variable)
 
 
 class TestValidation:
@@ -74,25 +167,25 @@ class TestValidation:
         with pytest.raises(ValidationError):
             check_policy("explode")
         with pytest.raises(ValidationError):
-            config.ON_ERROR.set("explode")
+            config.overriding(on_error="explode")
         with pytest.raises(ValidationError):
-            config.ON_ERROR.resolve("explode")
+            config.resolve("on_error", "explode")
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValidationError):
             check_mode("warp")
         with pytest.raises(ValidationError):
-            config.MODE.resolve("warp")
+            config.resolve("mode", "warp")
         for mode in config.MODES:
             assert check_mode(mode) == mode
 
     def test_malformed_max_retries_env_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_RETRIES", "many")
         with pytest.raises(ValidationError):
-            config.MAX_RETRIES.default()
+            config.resolve("max_retries")
         monkeypatch.setenv("REPRO_MAX_RETRIES", "-1")
         with pytest.raises(ValidationError):
-            config.MAX_RETRIES.default()
+            config.resolve("max_retries")
 
     def test_parse_bool(self):
         for raw in ("0", "false", "No", "OFF"):
@@ -100,58 +193,78 @@ class TestValidation:
         for raw in ("1", "true", "yes", "anything"):
             assert parse_bool(raw) is True
 
+    def test_keyword_errors_keep_their_classes(self):
+        # the exec rows raised ValueError before the table, the
+        # resilience and supervision rows ValidationError
+        for name in ("batch_size", "workers", "parallel_min_rows"):
+            with pytest.raises(ValueError, match=name):
+                config.resolve(name, 0)
+        for name, bad in (("max_retries", -1), ("deadline", 0),
+                          ("memory_budget", 0), ("breaker", -1)):
+            with pytest.raises(ValidationError, match=name):
+                config.resolve(name, bad)
+
 
 class TestDerivedDefaults:
     def test_parallel_min_rows_comes_from_the_cost_model(self):
         from repro.cost.model import derived_parallel_min_rows
-        from repro.exec.parallel import parallel_threshold
+        from repro.exec.parallel import partitions_for
 
-        assert config.PARALLEL_MIN_ROWS.default() == derived_parallel_min_rows()
-        assert parallel_threshold() == derived_parallel_min_rows()
+        threshold = derived_parallel_min_rows()
+        assert config.resolve("parallel_min_rows") == threshold
+        assert partitions_for(threshold - 1) == 0
+        assert partitions_for(2 * threshold) == 2
 
     def test_threshold_override_still_wins(self, monkeypatch):
-        from repro.exec.parallel import parallel_threshold, set_parallel_threshold
-
         monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "100")
-        assert parallel_threshold() == 100
-        set_parallel_threshold(50)
-        try:
-            assert parallel_threshold() == 50
-        finally:
-            set_parallel_threshold(None)
+        assert config.resolve("parallel_min_rows") == 100
+        with config.overriding(parallel_min_rows=50):
+            assert config.resolve("parallel_min_rows") == 50
 
     def test_snapshot_covers_every_knob(self):
         snap = config.snapshot()
-        for name in ("compiled", "batched", "batch_size", "parallel",
-                     "workers", "parallel_min_rows", "on_error",
-                     "max_retries", "checkpoint_dir", "cost_based", "mode"):
-            assert name in snap
+        assert sorted(snap) == sorted(config.OPTIONS)
+        assert sorted(snap) == [
+            "batch_size", "batched", "breaker", "check", "checkpoint_dir",
+            "compiled", "cost_based", "deadline", "fused", "max_retries",
+            "memory_budget", "mode", "on_error", "parallel",
+            "parallel_min_rows", "workers",
+        ]
         assert snap["compiled"] is True
         assert snap["cost_based"] is True
         assert snap["mode"] is None
 
 
 class TestKnobMechanics:
-    def test_callable_default_stays_live(self):
+    """What a row's ``default`` and ``check`` columns mean, on a row of
+    the test's own."""
+
+    def test_callable_default_stays_live(self, monkeypatch):
         calls = []
 
         def derive():
             calls.append(1)
             return 42
 
-        knob = Knob("test_live", default=derive)
-        assert knob.default() == 42
-        assert knob.default() == 42
+        row = Option((), int, "an integer", derive)
+        monkeypatch.setitem(config.OPTIONS, "test_live", row)
+        assert config.resolve("test_live") == 42
+        assert config.resolve("test_live") == 42
         assert len(calls) == 2  # re-derived, not cached
 
-    def test_validate_applies_to_setter_and_kwarg_not_default(self):
+    def test_validate_applies_to_setter_and_kwarg_not_default(
+        self, monkeypatch
+    ):
         def check(value):
             if value < 0:
                 raise ValueError("negative")
             return value * 2
 
-        knob = Knob("test_validate", default=-1, validate=check)
-        assert knob.default() == -1  # default bypasses validation
-        assert knob.resolve(3) == 6
+        row = Option((), check, ">= 0", -1, ValueError)
+        monkeypatch.setitem(config.OPTIONS, "test_validate", row)
+        assert config.resolve("test_validate") == -1  # default bypasses it
+        assert config.resolve("test_validate", 3) == 6
+        with config.overriding(test_validate=4):
+            assert config.resolve("test_validate") == 8
         with pytest.raises(ValueError):
-            knob.set(-5)
+            config.overriding(test_validate=-5)

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.compile import compile_job
-from repro.cost import (
-    StatisticsCatalog,
-    catalog_for,
-    set_default_cost_based,
-)
+from repro import config
+from repro.cost import StatisticsCatalog, catalog_for
 from repro.data.dataset import Dataset, Instance
 from repro.deploy import plan_pushdown
 from repro.etl import run_job
@@ -174,12 +171,9 @@ class TestEtlWins:
         assert list(hybrid.statements) == ["expanded"]
 
     def test_process_default_can_disable_costing(self, catalog):
-        set_default_cost_based(False)
-        try:
+        with config.overriding(cost_based=False):
             hybrid = plan_pushdown(_fan_out_graph(), catalog=catalog)
             assert list(hybrid.statements) == ["expanded"]
-        finally:
-            set_default_cost_based(None)
 
 
 class TestBackwardCompatibility:

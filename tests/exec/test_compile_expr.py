@@ -4,13 +4,9 @@ import os
 
 import pytest
 
+from repro import config
 from repro.errors import EvaluationError
-from repro.exec import (
-    ExpressionPlanner,
-    default_compiled,
-    resolve_compiled,
-    set_default_compiled,
-)
+from repro.exec import ExpressionPlanner
 from repro.exec.compile_expr import compile_expr, compile_predicate, is_foldable
 from repro.expr.ast import AggregateCall, ColumnRef, Literal
 from repro.expr.evaluator import Environment
@@ -79,23 +75,20 @@ def test_planner_caches_per_expression():
 
 def test_default_compiled_env_var(monkeypatch):
     monkeypatch.delenv("REPRO_COMPILED", raising=False)
-    assert default_compiled() is True
+    assert config.resolve("compiled") is True
     monkeypatch.setenv("REPRO_COMPILED", "0")
-    assert default_compiled() is False
-    assert resolve_compiled(None) is False
-    assert resolve_compiled(True) is True
+    assert config.resolve("compiled") is False
+    assert config.resolve("compiled", None) is False
+    assert config.resolve("compiled", True) is True
     monkeypatch.setenv("REPRO_COMPILED", "1")
-    assert default_compiled() is True
+    assert config.resolve("compiled") is True
 
 
 def test_set_default_compiled_overrides_env(monkeypatch):
     monkeypatch.setenv("REPRO_COMPILED", "0")
-    set_default_compiled(True)
-    try:
-        assert default_compiled() is True
-    finally:
-        set_default_compiled(None)
-    assert default_compiled() is False
+    with config.overriding(compiled=True):
+        assert config.resolve("compiled") is True
+    assert config.resolve("compiled") is False
 
 
 def test_interpreted_planner_reports_mode():

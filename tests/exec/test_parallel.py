@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from repro.exec import ExpressionPlanner, block, parallel
+from repro import config
+from repro.exec import ExpressionPlanner, block
 from repro.exec.block import RowBlock
 from repro.exec.compile_block import aggregate_values_reducer
 from repro.exec.parallel import (
@@ -21,12 +22,7 @@ from repro.exec.parallel import (
     WorkerUnavailable,
     max_wavefront,
     partitions_for,
-    resolve_parallel,
-    resolve_workers,
     set_default_executor,
-    set_default_parallel,
-    set_default_workers,
-    set_parallel_threshold,
     topological_waves,
 )
 from repro.expr.ast import AggregateCall, ColumnRef
@@ -38,22 +34,27 @@ from repro.schema.types import INTEGER, STRING
 
 
 @pytest.fixture(autouse=True)
-def _restore_process_defaults():
+def _restore_executor():
     yield
-    set_default_parallel(None)
-    set_default_workers(None)
-    set_parallel_threshold(None)
     set_default_executor(None)
 
 
-# --- resolution triads --------------------------------------------------------
+@pytest.fixture
+def partition_everything():
+    """The partitioned-kernel threshold at one row, so the small seeded
+    inputs below partition (serial planners never ask for it)."""
+    with config.overriding(parallel_min_rows=1):
+        yield
+
+
+# --- option resolution --------------------------------------------------------
 
 
 class TestResolution:
     def test_parallel_defaults_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        assert resolve_parallel(None) is False
-        assert resolve_parallel(True) is True
+        assert config.resolve("parallel") is False
+        assert config.resolve("parallel", True) is True
 
     def test_parallel_env_boolish(self, monkeypatch):
         for raw, expected in [
@@ -61,63 +62,62 @@ class TestResolution:
             ("0", False), ("false", False), ("off", False),
         ]:
             monkeypatch.setenv("REPRO_PARALLEL", raw)
-            assert resolve_parallel(None) is expected, raw
+            assert config.resolve("parallel") is expected, raw
 
     def test_explicit_kwarg_beats_everything(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "1")
-        set_default_parallel(True)
-        assert resolve_parallel(False) is False
+        with config.overriding(parallel=True):
+            assert config.resolve("parallel", False) is False
 
     def test_set_default_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "0")
-        set_default_parallel(True)
-        assert resolve_parallel(None) is True
+        with config.overriding(parallel=True):
+            assert config.resolve("parallel") is True
 
     def test_workers_resolution_order(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert resolve_workers(None) == 5
-        set_default_workers(3)
-        assert resolve_workers(None) == 3
-        assert resolve_workers(7) == 7
+        assert config.resolve("workers") == 5
+        with config.overriding(workers=3):
+            assert config.resolve("workers") == 3
+            assert config.resolve("workers", 7) == 7
 
     def test_integer_parallel_env_sizes_the_pool(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         monkeypatch.setenv("REPRO_PARALLEL", "6")
-        assert resolve_parallel(None) is True
-        assert resolve_workers(None) == 6
+        assert config.resolve("parallel") is True
+        assert config.resolve("workers") == 6
 
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
-            resolve_workers(0)
+            config.resolve("workers", 0)
         with pytest.raises(ValueError):
-            set_default_workers(-1)
+            config.overriding(workers=-1)
 
     def test_threshold_env_and_hook(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "10")
-        assert parallel.parallel_threshold() == 10
-        set_parallel_threshold(4)
-        assert parallel.parallel_threshold() == 4
+        assert config.resolve("parallel_min_rows") == 10
+        with config.overriding(parallel_min_rows=4):
+            assert config.resolve("parallel_min_rows") == 4
 
 
 class TestPartitionsFor:
     def test_below_threshold_stays_serial(self):
-        set_parallel_threshold(100)
-        assert partitions_for(99) == 0
+        with config.overriding(parallel_min_rows=100):
+            assert partitions_for(99) == 0
 
     def test_scales_with_data_and_caps(self):
-        set_parallel_threshold(100)
-        assert partitions_for(100) == 2
-        assert partitions_for(399) == 3
-        assert partitions_for(100 * MAX_PARTITIONS * 10) == MAX_PARTITIONS
+        with config.overriding(parallel_min_rows=100):
+            assert partitions_for(100) == 2
+            assert partitions_for(399) == 3
+            assert partitions_for(100 * MAX_PARTITIONS * 10) == MAX_PARTITIONS
 
     def test_independent_of_worker_count(self):
         # the contract behind determinism: partitioning is a function of
         # the data alone, so any worker count splits identically
-        set_parallel_threshold(50)
-        set_default_workers(2)
-        two = [partitions_for(n) for n in range(0, 1000, 37)]
-        set_default_workers(8)
-        eight = [partitions_for(n) for n in range(0, 1000, 37)]
+        with config.overriding(parallel_min_rows=50, workers=2):
+            two = [partitions_for(n) for n in range(0, 1000, 37)]
+        with config.overriding(parallel_min_rows=50, workers=8):
+            eight = [partitions_for(n) for n in range(0, 1000, 37)]
         assert two == eight
 
 
@@ -315,12 +315,11 @@ def _parallel_planner(workers=3):
 
 
 @pytest.mark.parametrize("kind", ["inner", "left", "right", "full"])
-def test_partitioned_join_bit_identical_to_serial(kind):
+def test_partitioned_join_bit_identical_to_serial(kind, partition_everything):
     left, right = _join_fixture()
     serial = _run_join(
         kind, ExpressionPlanner(compiled=True, batched=True), left, right
     )
-    set_parallel_threshold(1)
     obs = Observability(stats=True)
     out = block.hash_join_block(
         left, right, LEFT_REL, RIGHT_REL, parse("L.k = R.k"),
@@ -334,7 +333,7 @@ def test_partitioned_join_bit_identical_to_serial(kind):
     assert counters["exec.parallel.join.rows_out"] == serial.length
 
 
-def test_partitioned_join_unique_keys_fast_path():
+def test_partitioned_join_unique_keys_fast_path(partition_everything):
     # unique build keys take the scatter fast path (no dict-of-lists)
     left = RowBlock.from_rows(
         ["k", "s"], [{"k": i, "s": f"l{i}"} for i in range(200)]
@@ -346,9 +345,7 @@ def test_partitioned_join_unique_keys_fast_path():
         serial = _run_join(
             kind, ExpressionPlanner(compiled=True, batched=True), left, right
         )
-        set_parallel_threshold(1)
         out = _run_join(kind, _parallel_planner(), left, right)
-        set_parallel_threshold(None)
         assert out.columns == serial.columns, kind
 
 
@@ -374,7 +371,9 @@ def _aggregates(planner):
 
 
 @pytest.mark.parametrize("keys", [["g"], ["g", "h"]])
-def test_partitioned_group_aggregate_bit_identical_to_serial(keys):
+def test_partitioned_group_aggregate_bit_identical_to_serial(
+    keys, partition_everything
+):
     rng = random.Random(13)
     rows = [
         {
@@ -391,7 +390,6 @@ def test_partitioned_group_aggregate_bit_identical_to_serial(keys):
     serial = block.group_aggregate_block(
         blk, keys, _aggregates(serial_planner)
     )
-    set_parallel_threshold(1)
     obs = Observability(stats=True)
     planner = _parallel_planner()
     out = block.group_aggregate_block(
@@ -424,12 +422,11 @@ def test_small_inputs_stay_serial():
 # --- worker-failure degradation ----------------------------------------------
 
 
-def test_faulted_partitions_degrade_to_serial_kernel():
+def test_faulted_partitions_degrade_to_serial_kernel(partition_everything):
     left, right = _join_fixture()
     serial = _run_join(
         "left", ExpressionPlanner(compiled=True, batched=True), left, right
     )
-    set_parallel_threshold(1)
     plan = FaultPlan(seed=5).fault_kernels(tier="parallel", first=2)
     obs = Observability(stats=True)
     with plan.injected():

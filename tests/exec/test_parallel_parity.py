@@ -11,9 +11,9 @@ from collections import Counter
 
 import pytest
 
+from repro import config
 from repro.compile import compile_job
 from repro.etl import EtlEngine
-from repro.exec.parallel import set_parallel_threshold
 from repro.faults import FaultPlan
 from repro.mapping import MappingExecutor, ohm_to_mappings
 from repro.obs import Observability
@@ -35,9 +35,8 @@ WORKER_COUNTS = [2, 4, 8]
 def _engage_partitioning():
     # partition counts derive from data size alone; dropping the
     # threshold makes the seeded workloads large enough to partition
-    set_parallel_threshold(1)
-    yield
-    set_parallel_threshold(None)
+    with config.overriding(parallel_min_rows=1):
+        yield
 
 
 def run_etl(instance, policy, workers):

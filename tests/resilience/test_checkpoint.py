@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro import config
 from repro.data.dataset import Dataset
 from repro.errors import ExecutionError, SerializationError
 from repro.etl import EtlEngine
@@ -14,7 +15,6 @@ from repro.resilience import (
     CheckpointStore,
     format_row,
     resolve_checkpoint,
-    set_default_checkpoint_dir,
 )
 from repro.resilience.checkpoint import decode_value, encode_value
 from repro.schema.model import relation
@@ -115,11 +115,8 @@ class TestCheckpointStore:
         store = CheckpointStore(str(tmp_path))
         assert resolve_checkpoint(store) is store
         assert resolve_checkpoint(str(tmp_path)).directory == str(tmp_path)
-        set_default_checkpoint_dir(str(tmp_path))
-        try:
+        with config.overriding(checkpoint_dir=str(tmp_path)):
             assert resolve_checkpoint(None).directory == str(tmp_path)
-        finally:
-            set_default_checkpoint_dir(None)
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "env"))
         assert resolve_checkpoint(None).directory == str(tmp_path / "env")
 

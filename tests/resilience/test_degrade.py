@@ -11,10 +11,11 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro import config
 from repro.compile import compile_job
 from repro.errors import FaultInjected, RunCancelled, SchemaError
 from repro.etl import EtlEngine
-from repro.exec import set_default_mode, set_kernel_fault_hook
+from repro.exec import set_kernel_fault_hook
 from repro.exec.parallel import set_default_executor
 from repro.faults import FaultPlan
 from repro.mapping import MappingExecutor, ohm_to_mappings
@@ -171,7 +172,7 @@ class RuntimeContract:
         self, instance, baseline
     ):
         """Regression: rungs built with ``mode=None`` re-read the process
-        default, so under ``set_default_mode("block")`` the "rows" rung
+        default, so under ``overriding(mode="block")`` the "rows" rung
         came back batched and a block fault only survived via the oracle
         — faulted here too, so the compiled row kernels must carry it."""
         def faulted(**options):
@@ -189,11 +190,8 @@ class RuntimeContract:
 
         expected = faulted(batched=True)
         assert expected >= 1
-        set_default_mode("block")
-        try:
+        with config.overriding(mode="block"):
             assert faulted() == expected  # once per faulted node, not twice
-        finally:
-            set_default_mode(None)
 
     @pytest.mark.parametrize(
         "make_error",

@@ -1,9 +1,10 @@
-"""Row-level error policies: the triad, ErrorContext, and the reject
+"""Row-level error policies: the option, ErrorContext, and the reject
 channel across the ETL engine (run-level, per-stage, and in-job reject
 links)."""
 
 import pytest
 
+from repro import config
 from repro.data.dataset import Dataset, Instance
 from repro.errors import EvaluationError, ExecutionError, ValidationError
 from repro.etl import EtlEngine
@@ -18,12 +19,9 @@ from repro.resilience import (
     SKIP,
     ErrorContext,
     check_policy,
-    default_on_error,
     format_row,
     reject_relation,
     rejects_dataset,
-    resolve_on_error,
-    set_default_on_error,
 )
 from repro.schema.model import relation
 from repro.workloads import build_faulty_job, generate_faulty_instance
@@ -39,35 +37,29 @@ class TestPolicyTriad:
             check_policy("explode")
 
     def test_default_is_fail_fast(self):
-        assert default_on_error() == FAIL_FAST
-        assert resolve_on_error(None) == FAIL_FAST
+        assert config.resolve("on_error") == FAIL_FAST
+        assert config.resolve("on_error", None) == FAIL_FAST
 
     def test_explicit_argument_wins(self):
-        assert resolve_on_error("reject") == REJECT
+        assert config.resolve("on_error", "reject") == REJECT
 
     def test_set_default_override_and_restore(self):
-        set_default_on_error("skip")
-        try:
-            assert resolve_on_error(None) == SKIP
-        finally:
-            set_default_on_error(None)
-        assert resolve_on_error(None) == FAIL_FAST
+        with config.overriding(on_error="skip"):
+            assert config.resolve("on_error") == SKIP
+        assert config.resolve("on_error") == FAIL_FAST
 
     def test_env_var_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_ON_ERROR", "reject")
-        assert default_on_error() == REJECT
+        assert config.resolve("on_error") == REJECT
 
     def test_env_var_validated(self, monkeypatch):
         monkeypatch.setenv("REPRO_ON_ERROR", "bogus")
-        with pytest.raises(ValidationError):
-            default_on_error()
+        with pytest.raises(ValidationError, match="REPRO_ON_ERROR"):
+            config.resolve("on_error")
 
     def test_engine_picks_up_process_default(self):
-        set_default_on_error("skip")
-        try:
+        with config.overriding(on_error="skip"):
             assert EtlEngine().on_error == SKIP
-        finally:
-            set_default_on_error(None)
 
 
 class TestErrorContext:

@@ -3,17 +3,14 @@ and sleep), through the ETL engine's endpoints, and in the SQL runner."""
 
 import pytest
 
+from repro import config
 from repro.errors import ExecutionError, TransientError, ValidationError
 from repro.etl import EtlEngine
 from repro.etl.model import Job
 from repro.etl.stages import TableSource, TableTarget
 from repro.faults import FaultPlan
 from repro.obs import Observability
-from repro.resilience import (
-    RetryPolicy,
-    resolve_retry,
-    set_default_max_retries,
-)
+from repro.resilience import RetryPolicy, resolve_retry
 from repro.workloads import generate_faulty_instance, orders_schema
 
 
@@ -138,11 +135,8 @@ class TestResolveRetry:
         assert resolve_retry(policy) is policy
 
     def test_process_default_budget(self):
-        set_default_max_retries(3)
-        try:
+        with config.overriding(max_retries=3):
             assert resolve_retry(None).max_retries == 3
-        finally:
-            set_default_max_retries(None)
         assert resolve_retry(None) is None
 
     def test_env_var_budget(self, monkeypatch):

@@ -4,6 +4,7 @@ the SQL runner endpoint, and the pushdown→local degradation ladder."""
 
 import pytest
 
+from repro import config
 from repro.data.dataset import Instance
 from repro.errors import (
     BreakerOpen,
@@ -15,11 +16,7 @@ from repro.etl import EtlEngine
 from repro.faults import FaultPlan, FlakySource
 from repro.obs import Observability
 from repro.resilience import RetryPolicy
-from repro.supervision import (
-    CircuitBreaker,
-    resolve_breaker,
-    set_default_breaker,
-)
+from repro.supervision import CircuitBreaker, resolve_breaker
 from repro.supervision.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.workloads import (
     build_example_job,
@@ -186,11 +183,8 @@ class TestResolveTriad:
         assert resolve_breaker(None) is None
 
     def test_setter_and_env(self, monkeypatch):
-        set_default_breaker(4)
-        try:
+        with config.overriding(breaker=4):
             assert resolve_breaker(None).failure_threshold == 4
-        finally:
-            set_default_breaker(None)
         monkeypatch.setenv("REPRO_BREAKER", "2")
         assert resolve_breaker(None).failure_threshold == 2
         monkeypatch.setenv("REPRO_BREAKER", "0")

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro import config
 from repro.errors import ValidationError
 from repro.etl import EtlEngine
 from repro.exec import ExpressionPlanner, block, kernels
@@ -21,7 +22,6 @@ from repro.supervision import (
     active_memory_budget,
     governed,
     resolve_memory_budget,
-    set_default_memory_budget,
 )
 from repro.workloads import build_example_job, generate_instance
 
@@ -71,11 +71,8 @@ class TestMemoryBudget:
         assert resolve_memory_budget(budget) is budget
         assert resolve_memory_budget(4).max_rows == 4
         assert resolve_memory_budget(None) is None
-        set_default_memory_budget(7)
-        try:
+        with config.overriding(memory_budget=7):
             assert resolve_memory_budget(None).max_rows == 7
-        finally:
-            set_default_memory_budget(None)
         monkeypatch.setenv("REPRO_MEMORY_BUDGET", "3")
         assert resolve_memory_budget(None).max_rows == 3
 

@@ -4,6 +4,7 @@ all three runtimes."""
 
 import pytest
 
+from repro import config
 from repro.errors import RunCancelled, ValidationError
 from repro.etl import EtlEngine
 from repro.mapping import MappingExecutor
@@ -12,9 +13,7 @@ from repro.ohm import OhmExecutor
 from repro.supervision import (
     Budget,
     RunSupervisor,
-    default_deadline,
     resolve_supervisor,
-    set_default_deadline,
 )
 from repro.workloads import (
     build_example_job,
@@ -141,12 +140,9 @@ class TestResolveTriad:
         assert resolve_supervisor(None, None) is None
 
     def test_setter_and_env(self, monkeypatch):
-        set_default_deadline(7.0)
-        try:
-            assert default_deadline() == 7.0
+        with config.overriding(deadline=7.0):
+            assert config.resolve("deadline") == 7.0
             assert resolve_supervisor(None, None).budget.deadline == 7.0
-        finally:
-            set_default_deadline(None)
         monkeypatch.setenv("REPRO_DEADLINE", "3.5")
         assert resolve_supervisor(None, None).budget.deadline == 3.5
 

@@ -155,37 +155,125 @@ class TestBatchModeFlags:
         self, job_xml_path, monkeypatch
     ):
         import repro.cli as cli
-        from repro.exec import default_batch_size, default_batched
+        from repro import config
 
-        ambient = (default_batched(), default_batch_size())
+        ambient = config.snapshot()
         seen = {}
         real = cli._dispatch
 
         def spy(args, orchid):
-            seen["batched"] = default_batched()
-            seen["size"] = default_batch_size()
+            seen["batched"] = config.resolve("batched")
+            seen["size"] = config.resolve("batch_size")
             return real(args, orchid)
 
         monkeypatch.setattr(cli, "_dispatch", spy)
         assert main(["show", job_xml_path, "--batch-size", "64"]) == 0
         assert seen == {"batched": True, "size": 64}
         # the flag's effect does not leak past the invocation
-        assert (default_batched(), default_batch_size()) == ambient
+        assert config.snapshot() == ambient
 
     def test_row_mode_overrides_repro_batch(self, job_xml_path, monkeypatch):
         import repro.cli as cli
-        from repro.exec import default_batched
+        from repro import config
 
         monkeypatch.setenv("REPRO_BATCH", "1")
-        assert default_batched() is True
+        assert config.resolve("batched") is True
         seen = {}
         real = cli._dispatch
 
         def spy(args, orchid):
-            seen["batched"] = default_batched()
+            seen["batched"] = config.resolve("batched")
             return real(args, orchid)
 
         monkeypatch.setattr(cli, "_dispatch", spy)
         assert main(["show", job_xml_path, "--row-mode"]) == 0
         assert seen == {"batched": False}
-        assert default_batched() is True  # environment resolution restored
+        assert config.resolve("batched") is True  # environment resolution restored
+
+
+ALL_FLAGS = [
+    "--interpreted", "--batch-size", "64", "--no-fuse", "--workers", "3",
+    "--mode", "block", "--on-error", "skip", "--max-retries", "2",
+    "--deadline", "30", "--memory-budget", "500", "--check",
+]
+
+
+class TestFlagsAreScoped:
+    """Every flag is an ``overriding`` scope around the dispatch: in
+    force inside it, gone after it however it ends."""
+
+    def _spy(self, monkeypatch, outcome):
+        import repro.cli as cli
+        from repro import config
+
+        seen = {}
+
+        def spy(args, orchid):
+            seen.update(config.snapshot())
+            return outcome()
+
+        monkeypatch.setattr(cli, "_dispatch", spy)
+        return seen
+
+    def test_on_success(self, job_xml_path, tmp_path, monkeypatch):
+        from repro import config
+
+        before = config.snapshot()
+        seen = self._spy(monkeypatch, lambda: 0)
+        flags = ALL_FLAGS + ["--checkpoint-dir", str(tmp_path)]
+        assert main(["show", job_xml_path] + flags) == 0
+        assert seen == dict(
+            before, compiled=False, batched=True, batch_size=64, fused=False,
+            workers=3, parallel=True, mode="block", on_error="skip",
+            max_retries=2, deadline=30.0, memory_budget=500, check=True,
+            checkpoint_dir=str(tmp_path),
+        )
+        assert config.snapshot() == before
+
+    def test_when_dispatch_raises(self, job_xml_path, monkeypatch):
+        from repro import config
+
+        def boom():
+            raise RuntimeError("boom")
+
+        before = config.snapshot()
+        seen = self._spy(monkeypatch, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["show", job_xml_path] + ALL_FLAGS)
+        assert seen["mode"] == "block"
+        assert config.snapshot() == before
+
+    def test_when_the_run_is_cancelled(self, job_xml_path, monkeypatch, capsys):
+        from repro import config
+        from repro.errors import RunCancelled
+
+        def cancel():
+            raise RunCancelled("out of time", "deadline", ["Customers"])
+
+        before = config.snapshot()
+        self._spy(monkeypatch, cancel)
+        assert main(["show", job_xml_path] + ALL_FLAGS) == 4
+        assert "committed frontier: Customers" in capsys.readouterr().err
+        assert config.snapshot() == before
+
+    @pytest.mark.parametrize(
+        "flag,value,wording",
+        [
+            ("--batch-size", "0", "--batch-size must be >= 1"),
+            ("--workers", "0", "--workers must be >= 1"),
+            ("--max-retries", "-1", "--max-retries must be >= 0"),
+            ("--deadline", "0", "--deadline must be > 0 seconds"),
+            ("--memory-budget", "0", "--memory-budget must be >= 1 row"),
+        ],
+    )
+    def test_range_errors_keep_their_wording(
+        self, job_xml_path, capsys, flag, value, wording
+    ):
+        from repro import config
+
+        before = config.snapshot()
+        with pytest.raises(SystemExit) as caught:
+            main(["show", job_xml_path, flag, value])
+        assert caught.value.code == 2
+        assert wording in capsys.readouterr().err
+        assert config.snapshot() == before

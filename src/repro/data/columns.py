@@ -12,7 +12,7 @@ and its caller re-runs the row-wise code (``Dataset.append``,
 from __future__ import annotations
 
 import datetime
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.schema.types import (
     BOOLEAN,
@@ -25,12 +25,30 @@ from repro.schema.types import (
     DataType,
 )
 
+#: a column: one Python value a row, ``None`` = NULL
+Column = List[Any]
+
 _NONE = type(None)
+
+#: class sets a sweep is held against: a column of numbers (``bool`` is
+#: not one), a column of strings
+NUMBERS = frozenset((int, float))
+TEXT = frozenset((str,))
+
+
+def column_classes(col: Iterable[object]) -> Set[type]:
+    """The classes of ``col``'s non-NULL cells — exact classes, so a
+    subclass is never taken for its base. One pass in C; what it proves
+    of a whole column is what a per-cell ``isinstance`` chain would
+    otherwise test cell by cell (here, and inside the block tier)."""
+    classes: Set[type] = set(map(type, col))
+    classes.discard(_NONE)
+    return classes
 
 
 def checked_column(
-    dtype: DataType, nullable: bool, col: List[object]
-) -> Optional[List[object]]:
+    dtype: DataType, nullable: bool, col: Column
+) -> Optional[Column]:
     """``col`` as ``Dataset.append`` would normalize each of its cells:
     the same list when every value is legal as it stands, a rebuilt one
     when a FLOAT/DECIMAL column holds an ``int``, ``None`` on any defect
@@ -39,11 +57,9 @@ def checked_column(
     legal = VALUE_CLASSES.get(dtype)
     if legal is None:
         return None
-    types = set(map(type, col))
-    if _NONE in types:
-        if not nullable:
-            return None
-        types.discard(_NONE)
+    if not nullable and None in col:
+        return None
+    types = column_classes(col)
     accepted, refused = legal
     if not all(issubclass(t, accepted) and not issubclass(t, refused) for t in types):
         return None
@@ -75,7 +91,7 @@ PARSERS: Dict[DataType, Callable[[str], object]] = {
 }
 
 
-def parse_column(dtype: DataType, cells: Sequence[str]) -> Optional[List[object]]:
+def parse_column(dtype: DataType, cells: Sequence[str]) -> Optional[Column]:
     """A column of CSV cells as typed values (the empty cell is NULL),
     or ``None`` when a cell does not parse."""
     parse = PARSERS.get(dtype)
@@ -101,18 +117,17 @@ def format_cell(value: object) -> str:
 
 #: what ``csv.writer`` itself writes as :func:`format_cell` would:
 #: ``str`` as is, ``int``/``float`` through ``str()``, ``None`` as "".
-_PLAIN = frozenset((str, int, float, _NONE))
+_PLAIN = NUMBERS | TEXT
 
 
-def format_column(col: List[object]) -> List[object]:
+def format_column(col: Column) -> Column:
     """A column ready for ``csv.writer``: untouched when the writer's
     own rendering is :func:`format_cell`'s, one comprehension for a
     BOOLEAN or DATE/TIMESTAMP column, per cell for mixed or subclassed
     types."""
-    types = set(map(type, col))
+    types = column_classes(col)
     if types <= _PLAIN:
         return col
-    types.discard(_NONE)
     if types == {bool}:
         return ["" if v is None else "true" if v else "false" for v in col]
     if types <= {datetime.date, datetime.datetime}:
@@ -120,10 +135,10 @@ def format_column(col: List[object]) -> List[object]:
     return [format_cell(v) for v in col]
 
 
-def to_sql_column(col: List[object]) -> List[object]:
+def to_sql_column(col: Column) -> Column:
     """A column as sqlite stores it: BOOLEAN as 0/1, DATE and TIMESTAMP
     as ISO text; a column holding none of these is returned as is."""
-    if not any(issubclass(t, (bool, datetime.date)) for t in set(map(type, col))):
+    if not any(issubclass(t, (bool, datetime.date)) for t in column_classes(col)):
         return col
     return [
         int(v) if isinstance(v, bool)
@@ -134,7 +149,7 @@ def to_sql_column(col: List[object]) -> List[object]:
     ]
 
 
-def from_sql_column(dtype: DataType, col: Sequence[object]) -> List[object]:
+def from_sql_column(dtype: DataType, col: Sequence[Any]) -> Column:
     """A fetched sqlite column back in the relation's Python types."""
     if dtype is BOOLEAN:
         return [None if v is None else bool(v) for v in col]
@@ -145,7 +160,10 @@ def from_sql_column(dtype: DataType, col: Sequence[object]) -> List[object]:
 
 
 __all__ = [
+    "NUMBERS",
     "PARSERS",
+    "TEXT",
+    "column_classes",
     "checked_column",
     "parse_column",
     "format_cell",

@@ -12,6 +12,7 @@ job, an OHM graph, or a set of mappings.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.data.columns import checked_column
@@ -203,7 +204,7 @@ class Dataset:
         out its own (immutable) lists; no rows are materialized."""
         names = self._relation.attribute_names if names is None else names
         if self._rows is not None:
-            return [[row.get(n) for row in self._rows] for n in names]
+            return [_row_column(self._rows, n) for n in names]
         block = self.as_block()
         nulls = [None] * block.length
         return [block.columns.get(n, nulls) for n in names]
@@ -317,6 +318,15 @@ class Dataset:
         return "\n".join(lines)
 
 
+def _row_column(rows: List[Row], name: str) -> List[object]:
+    """Column ``name`` of row dicts: one C-level pass when every row
+    holds it, per row (a ragged row reads NULL) when one does not."""
+    try:
+        return list(map(itemgetter(name), rows))
+    except KeyError:
+        return [row.get(name) for row in rows]
+
+
 def _signature(relation: Relation) -> Tuple:
     """What a validation depends on: :meth:`Dataset.with_relation`'s key."""
     return tuple((a.name, a.dtype, a.nullable) for a in relation)
@@ -324,13 +334,14 @@ def _signature(relation: Relation) -> Tuple:
 
 def _orderable(value: object) -> Tuple:
     """Map a value into a tuple orderable across types (None sorts first,
-    then by type name, then value). Floats that equal ints compare equal."""
+    then by type name, then value). Floats that equal ints compare equal
+    (exactly: ``2**53`` and ``2**53 + 1`` do not)."""
     if value is None:
         return (0, "", "")
     if isinstance(value, bool):
         return (1, "bool", value)
     if isinstance(value, (int, float)):
-        return (1, "num", float(value))
+        return (1, "num", value)
     return (1, type(value).__name__, str(value))
 
 

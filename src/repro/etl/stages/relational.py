@@ -15,7 +15,7 @@ from repro.data.dataset import Dataset
 from repro.errors import ValidationError
 from repro.etl.model import Stage
 from repro.exec import ExpressionPlanner, block, fuse, kernels
-from repro.exec.block import _group_indices, _sort_value, relation_resolver
+from repro.exec.block import _group_indices, relation_resolver
 from repro.expr.algebra import conjoin
 from repro.expr.ast import AggregateCall, BinaryOp, ColumnRef, Expr
 from repro.expr.parser import parse
@@ -480,8 +480,9 @@ class SortStage(Stage):
             indices = list(range(chain.length))
             for col_name, direction in reversed(list(self.keys)):
                 descending = direction == "desc"
-                col = chain.column(col_name)
-                decorated = [_sort_value(value, descending) for value in col]
+                decorated = kernels.sort_column(
+                    chain.column(col_name), descending
+                )
                 indices.sort(key=decorated.__getitem__, reverse=descending)
             ordered = chain.narrow(indices)
             fuse.fused_op(chain, obs, chain.length)

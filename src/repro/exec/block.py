@@ -44,8 +44,9 @@ from typing import (
 from repro.errors import ExecutionError
 from repro.exec.kernels import (
     _sort_value,
-    hash_key,
-    key_encoder,
+    key_columns,
+    key_rows,
+    sort_column,
     split_equi_condition,
 )
 from repro.expr.ast import Expr
@@ -342,32 +343,18 @@ def _parallel_group_aggregate(block, key_names, aggregates, planner, obs):
 def _group_indices(
     block: RowBlock, key_names: Sequence[str]
 ) -> List[List[int]]:
-    """Row-index groups by encoded key columns, first-seen order."""
-    groups: Dict[Any, List[int]] = {}
-    order: List[Any] = []
-    if len(key_names) == 1:
-        encode = key_encoder()
-        col = block.columns[key_names[0]]
-        for i, value in enumerate(col):
-            key = encode(value)
-            members = groups.get(key)
-            if members is None:
-                groups[key] = members = []
-                order.append(key)
+    """Row-index groups by key columns, first-seen order."""
+    groups: Dict[tuple, List[int]] = {}
+    keys = key_rows(
+        key_columns([block.columns[k] for k in key_names]), block.length
+    )
+    for i, key in enumerate(keys):
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [i]
+        else:
             members.append(i)
-    else:
-        encoders = [key_encoder() for _ in key_names]
-        cols = [block.columns[k] for k in key_names]
-        for i in range(block.length):
-            key = tuple(
-                encode(col[i]) for encode, col in zip(encoders, cols)
-            )
-            members = groups.get(key)
-            if members is None:
-                groups[key] = members = []
-                order.append(key)
-            members.append(i)
-    return [groups[key] for key in order]
+    return list(groups.values())
 
 
 def group_aggregate_block(
@@ -456,16 +443,11 @@ def union_block(
     out = RowBlock(columns, length)
     total_in = length
     if distinct:
-        encoders = [key_encoder() for _ in names]
-        cols = [out.columns[n] for n in names]
-        seen = set()
-        indices: List[int] = []
-        for i in range(length):
-            key = tuple(encode(col[i]) for encode, col in zip(encoders, cols))
-            if key not in seen:
-                seen.add(key)
-                indices.append(i)
-        out = out.take(indices)
+        first: Dict[tuple, int] = {}
+        keys = zip(*key_columns([out.columns[n] for n in names]))
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
+        out = out.take(list(first.values()))
     _observe_block(obs, "union", len(blocks), 1, total_in, out.length)
     return out
 
@@ -512,8 +494,7 @@ def sort_block(
     indices = list(range(block.length))
     for col_name, direction in reversed(list(keys)):
         descending = direction == "desc"
-        col = block.columns[col_name]
-        decorated = [_sort_value(value, descending) for value in col]
+        decorated = sort_column(block.columns[col_name], descending)
         indices.sort(key=decorated.__getitem__, reverse=descending)
     out = block.take(indices)
     _observe_block(obs, "sort", 1, 1, block.length, out.length)
@@ -592,33 +573,20 @@ def hash_join_block(
                 )
                 return out
 
-    right_key_cols = [fn(right) for fn in right_key_fns]
     index: Dict[tuple, List[int]] = {}
-    if len(right_key_cols) == 1:
-        for i, value in enumerate(right_key_cols[0]):
-            key = hash_key((value,))
-            if key is not None:
-                index.setdefault(key, []).append(i)
-    else:
-        for i in range(right.length):
-            key = hash_key([col[i] for col in right_key_cols])
-            if key is not None:
-                index.setdefault(key, []).append(i)
+    build_keys = zip(*key_columns([fn(right) for fn in right_key_fns]))
+    for j, key in enumerate(build_keys):
+        if None not in key:
+            index.setdefault(key, []).append(j)
 
-    left_key_cols = [fn(left) for fn in left_key_fns]
     pad_left = kind in ("left", "full")
     left_idx: List[int] = []
     right_idx: List[int] = []
     matched_right = [False] * right.length
-    if len(left_key_cols) == 1:
-        probe_keys = ((hash_key((v,)) for v in left_key_cols[0]))
-    else:
-        probe_keys = (
-            hash_key([col[i] for col in left_key_cols])
-            for i in range(left.length)
-        )
+    probe_keys = zip(*key_columns([fn(left) for fn in left_key_fns]))
     for i, key in enumerate(probe_keys):
-        hits = index.get(key) if key is not None else None
+        # a key with a NULL component was never indexed: it misses
+        hits = index.get(key)
         if hits:
             for j in hits:
                 matched_right[j] = True
@@ -654,22 +622,19 @@ def lookup_block(
     obs=None,
 ) -> RowBlock:
     """Key lookup enriching a stream from a reference (first reference
-    match wins). Keys are *raw* Python tuples — exactly the row-path
-    Lookup stage's dict semantics (``1`` and ``1.0`` collide, NULL
-    matches NULL) — so both paths agree bit-for-bit. ``on_failure``:
+    match wins). Keys are the *raw* cells, not
+    :func:`~repro.exec.kernels.key_columns` keys: the row-path Lookup
+    stage indexes a plain dict, where ``True`` finds ``1`` and NULL
+    matches NULL, and ``key_columns`` would keep the first pair apart —
+    raw tuples are what makes the two paths agree. ``on_failure``:
     ``continue`` null-fills, ``drop`` discards, ``fail`` raises on the
     first unmatched stream row."""
-    reference_key_cols = [reference.columns[r] for _s, r in key_pairs]
     index: Dict[tuple, int] = {}
-    for i in range(reference.length):
-        key = tuple(col[i] for col in reference_key_cols)
-        if key not in index:
-            index[key] = i
-    stream_key_cols = [stream.columns[s] for s, _r in key_pairs]
+    for j, key in enumerate(zip(*[reference.columns[r] for _s, r in key_pairs])):
+        index.setdefault(key, j)
     kept: List[int] = []
     hits: List[int] = []
-    for i in range(stream.length):
-        key = tuple(col[i] for col in stream_key_cols)
+    for i, key in enumerate(zip(*[stream.columns[s] for s, _r in key_pairs])):
         j = index.get(key, -1)
         if j < 0:
             if on_failure == "drop":

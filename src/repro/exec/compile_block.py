@@ -3,12 +3,27 @@
 Where :mod:`repro.exec.compile_expr` lowers an expression to an
 ``env → value`` closure called per row, this module lowers the same AST
 to a ``RowBlock → column`` function called per *block*: node dispatch,
-registry lookups, and name resolution happen once per operator, and the
-per-row residue is a tight elementwise loop.
+registry lookups, and name resolution happen once per operator.
 
-The semantics contract is the row compiler's, verbatim — the block
-functions call the very same evaluator helpers (``_and3``, ``_arith``,
-``_check_comparable``…) elementwise, so the NULL rules still live in one
+What is left per row depends on what the operand columns hold, by the
+rule of ``docs/execution-model.md`` ("Inside the block tier"): **prove
+it for the column, or run the per-cell loop.** The evaluator's checks
+(``_check_comparable``, ``_is_number``, ``isinstance(value, str)``) ask
+a cell for its class, so one sweep over a column's classes
+(:func:`repro.data.columns.column_classes`) answers them for every cell
+at once. When the class sets prove no cell can fail the check — and,
+for ``/`` and ``%``, the divisor holds no zero — the node runs a
+generated comprehension with the operator inline and no call per cell
+(``= <> < <= > >=``, ``+ - * / %``, unary minus, ``BETWEEN`` constant
+bounds, constant ``IN``, ``LIKE`` a literal pattern). Otherwise it runs
+the per-cell loop over the evaluator's own helpers (``_cmp_cell``,
+``_arith``…), which raises what the oracle raises, at the same first
+cell. ``AND`` / ``OR`` / ``NOT`` need no sweep: their loops settle
+``True`` / ``False`` / NULL cells inline and hand any other cell to
+``_and3`` / ``_or3`` / ``_as_bool``.
+
+The semantics contract is the row compiler's, verbatim — both loops
+compute what those helpers compute, so the NULL rules still live in one
 place and the three modes (interpreted / compiled-row / batched) agree
 bit-for-bit. Laziness that is observable row-wise is preserved
 column-wise: CASE evaluates each WHEN's values only on the sub-block its
@@ -27,9 +42,11 @@ oracle's own errors, if any).
 
 from __future__ import annotations
 
-import operator
-from typing import Any, Callable, List, Optional, Tuple
+import datetime
+from functools import partial
+from typing import AbstractSet, Any, Callable, List, Optional, Sequence, Tuple
 
+from repro.data.columns import NUMBERS, TEXT, column_classes
 from repro.errors import EvaluationError
 from repro.exec.block import BlockFn, RowBlock
 from repro.exec.compile_expr import _COMPARATORS, is_foldable
@@ -220,6 +237,78 @@ def _compile(expr: Expr, registry: FunctionRegistry, resolve: ResolveFn) -> _Com
     raise BlockCompileError(f"cannot block-compile node {expr!r}")
 
 
+# -- prove it for the column, or run the per-cell loop -------------------------
+
+_DATES = frozenset((datetime.date, datetime.datetime))
+_ORDERED = frozenset((str, bool, datetime.date, datetime.datetime))
+
+
+def _comparable(
+    left: AbstractSet[type], right: AbstractSet[type], _rights: Any = None
+) -> bool:
+    """The proof for a comparison: ``_check_comparable`` passes for
+    every pair of cells drawn from columns of these (exact) classes —
+    all numbers, one class on both sides, or all dates."""
+    both = left | right
+    return len(both) <= 1 or both <= NUMBERS or both <= _DATES
+
+
+def _ordered(left: AbstractSet[type], right: AbstractSet[type]) -> bool:
+    """:func:`_comparable`, narrowed to builtin classes whose comparisons
+    cannot raise and read the same from either side — what a loop needs
+    that compares in another order than the per-cell helper (``BETWEEN``
+    stops at the first bound that fails; ``in`` asks the item, not the
+    cell)."""
+    both = left | right
+    return both <= NUMBERS or (len(both) <= 1 and both <= _ORDERED)
+
+
+def _numeric(guard_zero: bool):
+    """The proof for an arithmetic operator: ``_arith`` finds numbers on
+    both sides and — for ``/`` and ``%`` — no zero among the divisors."""
+
+    def proven(left, right, divisors: Sequence[Any]) -> bool:
+        return (
+            left <= NUMBERS
+            and right <= NUMBERS
+            and not (guard_zero and 0 in divisors)
+        )
+
+    return proven
+
+
+def _inline(expr: str) -> Tuple[Callable, Callable, Callable]:
+    """The NULL-propagating loops of a binary ``expr`` over ``l`` and
+    ``r`` with the operator inline: column ⊕ column, column ⊕ constant,
+    constant ⊕ column."""
+    return (
+        # ``expr`` comes from the table below, never from a job
+        eval(
+            "lambda ls, rs: [None if l is None or r is None else "
+            f"{expr} for l, r in zip(ls, rs)]"
+        ),
+        eval(f"lambda ls, r: [None if l is None else {expr} for l in ls]"),
+        eval(f"lambda l, rs: [None if r is None else {expr} for r in rs]"),
+    )
+
+
+#: operator → its three inline loops; what ``comparator(l, r)`` and
+#: ``_arith(op, l, r)`` compute once their checks have passed
+_INLINE = {
+    op: _inline(f"l {symbol} r")
+    for op, symbol in (
+        ("=", "=="), ("<>", "!="), ("<", "<"), ("<=", "<="), (">", ">"),
+        (">=", ">="), ("+", "+"), ("-", "-"), ("*", "*"), ("%", "%"),
+    )
+}
+# the quotient first, as ``_arith`` takes it (an int pair too large for
+# a float overflows there too), then the exact form of an even int pair
+_INLINE["/"] = _inline(
+    "(l // r if (q := l / r) is not None and l.__class__ is int"
+    " and r.__class__ is int and l % r == 0 else q)"
+)
+
+
 def _cmp_cell(left, right, op, comparator):
     if left is None or right is None:
         return None
@@ -227,20 +316,76 @@ def _cmp_cell(left, right, op, comparator):
     return comparator(left, right)
 
 
+def _binary_node(op: str, left: "_Compiled", right: "_Compiled", proven, cell):
+    """The block function of a NULL-propagating binary operator:
+    ``_INLINE[op]`` when ``proven(left classes, right classes, right
+    values)`` holds for the operand columns, else ``cell(l, r)`` per
+    cell. A constant operand is neither broadcast nor zipped."""
+    left_fn, left_const = left
+    right_fn, right_const = right
+    col_col, col_const, const_col = _INLINE[op]
+    # a NULL constant has no class to prove anything by: it is broadcast
+    if right_const is not _MISSING and right_const is not None:
+        right_classes = {right_const.__class__}
+        divisors = (right_const,)
+
+        def const_right(block):
+            ls = left_fn(block)
+            if proven(column_classes(ls), right_classes, divisors):
+                return col_const(ls, right_const)
+            return [cell(l, right_const) for l in ls]
+
+        return const_right
+    if left_const is not _MISSING and left_const is not None:
+        left_classes = {left_const.__class__}
+
+        def const_left(block):
+            rs = right_fn(block)
+            if proven(left_classes, column_classes(rs), rs):
+                return const_col(left_const, rs)
+            return [cell(left_const, r) for r in rs]
+
+        return const_left
+
+    def columns(block):
+        ls = left_fn(block)
+        rs = right_fn(block)
+        if proven(column_classes(ls), column_classes(rs), rs):
+            return col_col(ls, rs)
+        return [cell(l, r) for l, r in zip(ls, rs)]
+
+    return columns
+
+
 def _compile_binary(
     expr: BinaryOp, registry: FunctionRegistry, resolve: ResolveFn
 ) -> _Compiled:
     op = expr.op
-    left, left_const = _compile(expr.left, registry, resolve)
-    right, right_const = _compile(expr.right, registry, resolve)
+    left = _compile(expr.left, registry, resolve)
+    right = _compile(expr.right, registry, resolve)
+    left_fn, right_fn = left[0], right[0]
     if op == "AND":
+        # exact without a proof: only a cell that is none of True, False
+        # and NULL reaches the helper (which raises for it)
         return (
-            lambda block: [_and3(l, r) for l, r in zip(left(block), right(block))],
+            lambda block: [
+                False if l is False or r is False
+                else None if l is None or r is None
+                else True if l is True and r is True
+                else _and3(l, r)
+                for l, r in zip(left_fn(block), right_fn(block))
+            ],
             _MISSING,
         )
     if op == "OR":
         return (
-            lambda block: [_or3(l, r) for l, r in zip(left(block), right(block))],
+            lambda block: [
+                True if l is True or r is True
+                else None if l is None or r is None
+                else False if l is False and r is False
+                else _or3(l, r)
+                for l, r in zip(left_fn(block), right_fn(block))
+            ],
             _MISSING,
         )
     if op == "||":
@@ -248,56 +393,23 @@ def _compile_binary(
         def concat(block):
             return [
                 None if l is None or r is None else str(l) + str(r)
-                for l, r in zip(left(block), right(block))
+                for l, r in zip(left_fn(block), right_fn(block))
             ]
 
         return concat, _MISSING
     comparator = _COMPARATORS.get(op)
     if comparator is not None:
-        # specialize the very common column-vs-constant comparison: no
-        # broadcast list, no zip, one helper call per row
-        if right_const is not _MISSING:
-
-            def compare_const_right(block, _rv=right_const):
-                return [
-                    _cmp_cell(l, _rv, op, comparator) for l in left(block)
-                ]
-
-            return compare_const_right, _MISSING
-        if left_const is not _MISSING:
-
-            def compare_const_left(block, _lv=left_const):
-                return [
-                    _cmp_cell(_lv, r, op, comparator) for r in right(block)
-                ]
-
-            return compare_const_left, _MISSING
-
-        def compare(block):
-            return [
-                _cmp_cell(l, r, op, comparator)
-                for l, r in zip(left(block), right(block))
-            ]
-
-        return compare, _MISSING
-    if right_const is not _MISSING:
         return (
-            lambda block, _rv=right_const: [
-                _arith(op, l, _rv) for l in left(block)
-            ],
-            _MISSING,
-        )
-    if left_const is not _MISSING:
-        return (
-            lambda block, _lv=left_const: [
-                _arith(op, _lv, r) for r in right(block)
-            ],
+            _binary_node(
+                op, left, right, _comparable,
+                partial(_cmp_cell, op=op, comparator=comparator),
+            ),
             _MISSING,
         )
     return (
-        lambda block: [
-            _arith(op, l, r) for l, r in zip(left(block), right(block))
-        ],
+        _binary_node(
+            op, left, right, _numeric(op in ("/", "%")), partial(_arith, op)
+        ),
         _MISSING,
     )
 
@@ -317,11 +429,22 @@ def _compile_unary(
     if expr.op == "NOT":
         return (
             lambda block: [
-                None if v is None else (not _as_bool(v)) for v in operand(block)
+                None if v is None
+                else False if v is True
+                else True if v is False
+                else (not _as_bool(v))
+                for v in operand(block)
             ],
             _MISSING,
         )
-    return lambda block: [_neg_cell(v) for v in operand(block)], _MISSING
+
+    def negate(block):
+        col = operand(block)
+        if column_classes(col) <= NUMBERS:
+            return [None if v is None else -v for v in col]
+        return [_neg_cell(v) for v in col]
+
+    return negate, _MISSING
 
 
 def _compile_call(
@@ -450,7 +573,25 @@ def _compile_in(
             return None
         return True if _negated else False
 
-    return lambda block: [contains_cell(v) for v in operand(block)], _MISSING
+    items = tuple(v for v in item_values if v is not None)
+    found = not negated
+    missing = None if len(items) < len(item_values) else negated
+    # ``v in items`` tests identity before ``==``; only a NaN item (its
+    # own unequal) could tell the two apart
+    plain = all(v == v for v in items)
+    item_classes = {v.__class__ for v in items}
+
+    def contains(block):
+        col = operand(block)
+        classes = column_classes(col)
+        if plain and all(_ordered(classes, {c}) for c in item_classes):
+            return [
+                None if v is None else found if v in items else missing
+                for v in col
+            ]
+        return [contains_cell(v) for v in col]
+
+    return contains, _MISSING
 
 
 def _between_cell(value, low, high, negated):
@@ -472,14 +613,28 @@ def _compile_between(
     expr: Between, registry: FunctionRegistry, resolve: ResolveFn
 ) -> _Compiled:
     operand, _c = _compile(expr.operand, registry, resolve)
-    low, _cl = _compile(expr.low, registry, resolve)
-    high, _ch = _compile(expr.high, registry, resolve)
+    low, low_const = _compile(expr.low, registry, resolve)
+    high, high_const = _compile(expr.high, registry, resolve)
     negated = expr.negated
 
-    def between(block):
+    constants = not any(
+        c is _MISSING or c is None for c in (low_const, high_const)
+    )
+    bounds = {low_const.__class__, high_const.__class__}
+
+    def between(block, _lo=low_const, _hi=high_const):
+        col = operand(block)
+        if constants:
+            classes = column_classes(col)
+            if all(_ordered(classes, {bound}) for bound in bounds):
+                if negated:
+                    return [
+                        None if v is None else not _lo <= v <= _hi for v in col
+                    ]
+                return [None if v is None else _lo <= v <= _hi for v in col]
         return [
             _between_cell(v, lo, hi, negated)
-            for v, lo, hi in zip(operand(block), low(block), high(block))
+            for v, lo, hi in zip(col, low(block), high(block))
         ]
 
     return between, _MISSING
@@ -503,12 +658,16 @@ def _compile_like(
         expr.pattern.value, str
     ):
         matcher = _like_to_regex(expr.pattern.value).match
-        return (
-            lambda block: [
-                _like_cell(v, matcher, negated) for v in operand(block)
-            ],
-            _MISSING,
-        )
+
+        def like_literal(block):
+            col = operand(block)
+            if not column_classes(col) <= TEXT:
+                return [_like_cell(v, matcher, negated) for v in col]
+            if negated:
+                return [None if v is None else matcher(v) is None for v in col]
+            return [None if v is None else matcher(v) is not None for v in col]
+
+        return like_literal, _MISSING
     pattern, _cp = _compile(expr.pattern, registry, resolve)
 
     def dynamic_cell(value, pattern_value, _negated=negated):

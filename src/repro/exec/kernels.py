@@ -25,16 +25,19 @@ metrics registry.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
     Tuple,
 )
 
+from repro.data.columns import NUMBERS, TEXT, column_classes
 from repro.expr.algebra import split_conjuncts
 from repro.expr.ast import BinaryOp, Expr
 from repro.expr.evaluator import Environment
@@ -58,23 +61,24 @@ def _observe(obs, kernel: str, rows_in: int, rows_out: int) -> None:
         obs.metrics.count(f"exec.kernel.{kernel}.rows_out", rows_out)
 
 
-_NULL_KEY = ("null",)
-
-
-def group_key_value(value: object) -> Tuple:
-    """Hashable group/dedup-key encoding where NULLs compare equal and
-    ``1 == 1.0`` (SQL GROUP BY behaviour). The single definition every
-    runtime shares."""
-    if value is None:
-        return _NULL_KEY
+def group_key_value(value: object) -> object:
+    """The hashable key a value groups, dedups and matches by (SQL
+    GROUP BY); the single definition every runtime shares. NULL, a
+    number and a ``str`` are their own keys: NULLs are equal, and Python
+    hashes and compares ``int`` with ``float`` exactly (``1 == 1.0``,
+    ``2**53`` apart from ``2**53 + 1``). ``True`` stays apart from ``1``
+    and any other value goes by class name and text, in tuples no
+    number or string equals."""
+    if value is None or value.__class__ is str:
+        return value
     if isinstance(value, bool):
         return ("bool", value)
     if isinstance(value, (int, float)):
-        return ("num", float(value))
+        return value
     return (type(value).__name__, str(value))
 
 
-def key_encoder() -> Callable[[object], Tuple]:
+def key_encoder() -> Callable[[object], object]:
     """A memoizing :func:`group_key_value` for one grouping pass.
 
     Grouped workloads see the same key values over and over (profiling
@@ -87,7 +91,7 @@ def key_encoder() -> Callable[[object], Tuple]:
 
     def encode(value, _memos=memos, _encode=group_key_value):
         if value is None:
-            return _NULL_KEY
+            return None
         cache = _memos.get(value.__class__)
         if cache is None:
             cache = _memos[value.__class__] = {}
@@ -100,6 +104,35 @@ def key_encoder() -> Callable[[object], Tuple]:
             return _encode(value)
 
     return encode
+
+
+#: cells of exactly these classes are their own :func:`group_key_value`
+_OWN_KEY = NUMBERS | TEXT
+
+
+def key_columns(cols: Sequence[List[Any]]) -> List[List[Any]]:
+    """``cols`` as columns of :func:`group_key_value` keys, each judged
+    by one class sweep: a column holding only ``int`` / ``float`` /
+    ``str`` cells (and NULLs) *is* its key column and is returned as it
+    stands — no copy, no call per cell; any other column is encoded
+    through one :func:`key_encoder`. A NULL key is ``None`` either way.
+    Every block kernel that groups, dedups or matches rows hashes
+    ``zip(*key_columns(...))``; two columns encoded apart (a join's two
+    sides) still agree cell for cell, since a key depends on its value
+    alone."""
+    return [
+        col
+        if column_classes(col) <= _OWN_KEY
+        else list(map(key_encoder(), col))
+        for col in cols
+    ]
+
+
+def key_rows(key_cols: Sequence[List[Any]], length: int) -> Iterable[tuple]:
+    """One key tuple a row over :func:`key_columns` columns — the empty
+    tuple ``length`` times when there are none (a global aggregate
+    groups by nothing)."""
+    return zip(*key_cols) if key_cols else repeat((), length)
 
 
 def row_binder(relation_name: Optional[str]) -> Callable[[dict], Environment]:
@@ -480,8 +513,19 @@ def _sort_value(value, descending: bool):
     if isinstance(value, bool):
         return (1, "bool", value)
     if isinstance(value, (int, float)):
-        return (1, "num", float(value))
+        return (1, "num", value)
     return (1, type(value).__name__, str(value))
+
+
+def sort_column(col: List[Any], descending: bool) -> List[Any]:
+    """The keys ``col``'s rows sort by (:func:`_sort_value` of each
+    cell). A column with no NULL whose cells are all ``str``, or all
+    ``int`` / ``float``, already orders that way and is returned as it
+    stands."""
+    classes = column_classes(col)
+    if (classes <= TEXT or classes <= NUMBERS) and None not in col:
+        return col
+    return [_sort_value(value, descending) for value in col]
 
 
 def sort_rows(
@@ -557,20 +601,12 @@ def split_equi_condition(
 
 
 def hash_key(values: Sequence[object]) -> Optional[tuple]:
-    """A hashable join key; None when any component is NULL (never
-    matches under SQL semantics). Numbers are normalized so int and
-    float keys compare equal."""
-    key = []
-    for value in values:
-        if value is None:
-            return None
-        if isinstance(value, bool):
-            key.append(("bool", value))
-        elif isinstance(value, (int, float)):
-            key.append(("num", float(value)))
-        else:
-            key.append((type(value).__name__, value))
-    return tuple(key)
+    """A hashable join key — the :func:`group_key_value` of each
+    component, so ``3`` and ``3.0`` are one key, big integers stay
+    apart and ``True`` is not ``1``; ``None`` when any component is
+    NULL (never matches under SQL semantics)."""
+    key = tuple(map(group_key_value, values))
+    return None if None in key else key
 
 
 def _join_keys(
@@ -728,6 +764,8 @@ def hash_join(
 __all__ = [
     "group_key_value",
     "key_encoder",
+    "key_columns",
+    "key_rows",
     "row_binder",
     "filter_rows",
     "project_rows",
@@ -739,6 +777,7 @@ __all__ = [
     "unnest_rows",
     "union_rows",
     "sort_rows",
+    "sort_column",
     "split_equi_condition",
     "hash_key",
     "hash_join",

@@ -12,7 +12,7 @@ Two forms of parallelism, both strictly *deterministic* (see
 * **partitioned block kernels** — hash join and grouped aggregation
   split their :class:`~repro.exec.block.RowBlock` inputs into
   *contiguous* row chunks (the join broadcasts one shared build index;
-  both use the same :func:`~repro.exec.kernels.key_encoder` encoding as
+  both hash the same :func:`~repro.exec.kernels.key_columns` keys as
   the serial kernels), run one kernel task per chunk on workers, and
   concatenate the results in chunk order — which *is* the exact serial
   emission order.
@@ -45,7 +45,7 @@ import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import config
-from repro.exec.kernels import key_encoder
+from repro.exec.kernels import key_columns, key_rows
 
 #: hard cap on partitions per kernel call (diminishing returns beyond).
 MAX_PARTITIONS = 8
@@ -287,64 +287,26 @@ def _chunk_bounds(length: int, n_partitions: int) -> List[Tuple[int, int]]:
 
 
 def _build_join_index(
-    key_cols: Sequence[List[Any]], length: int
+    key_cols: Sequence[List[Any]],
 ) -> Tuple[Optional[Dict[Any, int]], Optional[Dict[Any, List[int]]]]:
-    """Build-side hash index over encoded keys, NULLs excluded (a join
-    key with a NULL component never matches). Returns ``(unique, None)``
-    — a scalar key→row dict — when every build key is distinct, else
-    ``(None, multi)`` mapping each key to its ascending row list
-    (exactly the serial build order)."""
+    """Build-side hash index over :func:`~repro.exec.kernels.key_columns`
+    columns, NULLs excluded (a join key with a NULL component never
+    matches). Returns ``(unique, None)`` — a scalar key→row dict — when
+    every build key is distinct, else ``(None, multi)`` mapping each key
+    to its ascending row list (exactly the serial build order)."""
     unique: Dict[Any, int] = {}
-    duplicates = False
-    if len(key_cols) == 1:
-        encode = key_encoder()
-        col = key_cols[0]
-        for j in range(length):
-            value = col[j]
-            if value is None:
-                continue
-            key = encode(value)
-            if key in unique:
-                duplicates = True
-                break
-            unique[key] = j
+    for j, key in enumerate(zip(*key_cols)):
+        if None in key:
+            continue
+        if key in unique:
+            break
+        unique[key] = j
     else:
-        encoders = [key_encoder() for _ in key_cols]
-        for j in range(length):
-            components = []
-            for encode, col in zip(encoders, key_cols):
-                value = col[j]
-                if value is None:
-                    components = None
-                    break
-                components.append(encode(value))
-            if components is None:
-                continue
-            key = tuple(components)
-            if key in unique:
-                duplicates = True
-                break
-            unique[key] = j
-    if not duplicates:
         return unique, None
     multi: Dict[Any, List[int]] = {}
-    if len(key_cols) == 1:
-        encode = key_encoder()
-        for j, value in enumerate(key_cols[0]):
-            if value is not None:
-                multi.setdefault(encode(value), []).append(j)
-    else:
-        encoders = [key_encoder() for _ in key_cols]
-        for j in range(length):
-            components = []
-            for encode, col in zip(encoders, key_cols):
-                value = col[j]
-                if value is None:
-                    components = None
-                    break
-                components.append(encode(value))
-            if components is not None:
-                multi.setdefault(tuple(components), []).append(j)
+    for j, key in enumerate(zip(*key_cols)):
+        if None not in key:
+            multi.setdefault(key, []).append(j)
     return None, multi
 
 
@@ -377,42 +339,23 @@ def partitioned_join(
 
     n_left = left.length
     n_right = right.length
-    build, multi_build = _build_join_index(right_key_cols, n_right)
+    build, multi_build = _build_join_index(key_columns(right_key_cols))
     chunks = _chunk_bounds(n_left, n_partitions)
     pad_left = kind in ("left", "full")
 
     # -1 = no match for this left row (pad under left/full, drop otherwise)
     match_of: List[int] = [-1] * n_left
-    single_key = len(left_key_cols) == 1
-
-    # one memoizing encoder per kernel call, shared by every chunk: a
-    # distinct key value is encoded once per call, not once per chunk.
-    # Concurrent memo writes are benign — both threads store the same
-    # encoding, and dict operations are atomic under the GIL.
-    shared_encode = key_encoder() if single_key else None
-    shared_encoders = (
-        None if single_key else [key_encoder() for _ in left_key_cols]
-    )
+    # encoded once per kernel call, on the calling thread; every chunk
+    # reads its own slice. A NULL component simply misses the index.
+    probe_cols = key_columns(left_key_cols)
 
     if multi_build is None:
 
         def probe_chunk(lo: int, hi: int) -> None:
             get = build.get
-            if single_key:
-                encode = shared_encode
-                match_of[lo:hi] = [
-                    get(encode(value), -1)
-                    for value in left_key_cols[0][lo:hi]
-                ]
-            else:
-                encoders = shared_encoders
-                cols = left_key_cols
-                match_of[lo:hi] = [
-                    get(
-                        tuple(e(c[i]) for e, c in zip(encoders, cols)), -1
-                    )
-                    for i in range(lo, hi)
-                ]
+            match_of[lo:hi] = [
+                get(key, -1) for key in zip(*[c[lo:hi] for c in probe_cols])
+            ]
 
     else:
 
@@ -420,17 +363,7 @@ def partitioned_join(
             get = multi_build.get
             li: List[int] = []
             ri: List[int] = []
-            if single_key:
-                encode = shared_encode
-                col = left_key_cols[0]
-                keys = (encode(v) for v in col[lo:hi])
-            else:
-                encoders = shared_encoders
-                cols = left_key_cols
-                keys = (
-                    tuple(e(c[i]) for e, c in zip(encoders, cols))
-                    for i in range(lo, hi)
-                )
+            keys = zip(*[c[lo:hi] for c in probe_cols])
             for i, key in enumerate(keys, lo):
                 hits = get(key)
                 if hits is not None:
@@ -530,59 +463,35 @@ def partitioned_group_aggregate(
 
     length = block.length
     key_cols = [block.columns[k] for k in key_names]
-    single_key = len(key_cols) == 1
     chunks = _chunk_bounds(length, n_partitions)
+    # encoded once per kernel call, on the calling thread; every chunk
+    # groups its own slice
+    encoded = key_columns(key_cols)
 
-    # shared memoizing encoders (see partitioned_join: one encoding per
-    # distinct value per call; concurrent memo writes are benign)
-    shared_encode = key_encoder() if single_key else None
-    shared_encoders = (
-        None if single_key else [key_encoder() for _ in key_cols]
-    )
-
-    def group_chunk(lo: int, hi: int) -> Tuple[Dict[Any, List[int]], List[Any]]:
+    def group_chunk(lo: int, hi: int) -> Dict[Any, List[int]]:
         groups: Dict[Any, List[int]] = {}
-        order: List[Any] = []
-        if single_key:
-            encode = shared_encode
-            col = key_cols[0]
-            for i in range(lo, hi):
-                key = encode(col[i])
-                members = groups.get(key)
-                if members is None:
-                    groups[key] = [i]
-                    order.append(key)
-                else:
-                    members.append(i)
-        else:
-            encoders = shared_encoders
-            for i in range(lo, hi):
-                key = tuple(
-                    encode(col[i]) for encode, col in zip(encoders, key_cols)
-                )
-                members = groups.get(key)
-                if members is None:
-                    groups[key] = [i]
-                    order.append(key)
-                else:
-                    members.append(i)
-        return groups, order
+        keys = key_rows([c[lo:hi] for c in encoded], hi - lo)
+        for i, key in enumerate(keys, lo):
+            members = groups.get(key)
+            if members is None:
+                groups[key] = [i]
+            else:
+                members.append(i)
+        return groups
 
     tasks = [
         _faulted_partition(lambda lo=lo, hi=hi: group_chunk(lo, hi))
         for lo, hi in chunks
     ]
     groups: Dict[Any, List[int]] = {}
-    order: List[Any] = []
-    for chunk_groups, chunk_order in pool.run(tasks):
-        for key in chunk_order:
+    for chunk_groups in pool.run(tasks):
+        for key, chunk_members in chunk_groups.items():
             members = groups.get(key)
             if members is None:
-                groups[key] = chunk_groups[key]
-                order.append(key)
+                groups[key] = chunk_members
             else:
-                members.extend(chunk_groups[key])
-    group_lists = [groups[key] for key in order]
+                members.extend(chunk_members)
+    group_lists = list(groups.values())
     n_groups = len(group_lists)
 
     # aggregate argument columns: one whole-block evaluation per

@@ -114,7 +114,7 @@ NULL = AtomicType("NULL")
 #: dtype → (classes a legal value is an instance of, classes it must not
 #: be): :meth:`AtomicType.accepts_value` per value, and per column in
 #: ``repro.data.columns``. NULL, absent, accepts only ``None``.
-VALUE_CLASSES: Dict[AtomicType, Tuple[Tuple[type, ...], Tuple[type, ...]]] = {
+VALUE_CLASSES: Dict[DataType, Tuple[Tuple[type, ...], Tuple[type, ...]]] = {
     ANY: ((object,), ()),
     INTEGER: ((int,), (bool,)),
     FLOAT: ((int, float), (bool,)),

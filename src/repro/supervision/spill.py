@@ -272,18 +272,16 @@ def external_group_aggregate_block(
     own, and groups are reordered by first input index — bit-identical
     to the serial block kernel."""
     from repro.exec.block import RowBlock, _group_indices
-    from repro.exec.kernels import key_encoder
+    from repro.exec.kernels import key_columns, key_rows
 
-    encoders = [key_encoder() for _ in key_names]
-    key_cols = [block.columns[k] for k in key_names]
+    keys = key_rows(
+        key_columns([block.columns[k] for k in key_names]), block.length
+    )
     n_partitions = max(2, budget.runs_for(block.length))
     results: List[Tuple[int, dict]] = []
     with tempfile.TemporaryDirectory(prefix="repro-spill-group-") as tmp:
         writer = _PartitionWriter(tmp, "part", n_partitions)
-        for i in range(block.length):
-            key = tuple(
-                encode(col[i]) for encode, col in zip(encoders, key_cols)
-            )
+        for i, key in enumerate(keys):
             writer.append(hash(key) % n_partitions, i)
         writer.close()
         for path in writer.paths:

@@ -5,8 +5,8 @@ kitchen-sink Orders schema, the shape the columnar tier is built for:
 every stage is block-capable, so batched mode runs end to end on
 RowBlock kernels with no row round-trips. The bench A/Bs batched
 execution against the compiled row path (which is itself regress-checked
-against the interpreting oracle in BENCH_engines.json), sweeps the batch
-size, and micro-measures the ``key_encoder`` grouping-key cache.
+against the interpreting oracle in BENCH_engines.json) and
+micro-measures the ``key_encoder`` grouping-key cache.
 
 The perf baseline lands in ``BENCH_columnar.json`` (repo root). The
 batched/compiled speedup floor defaults to 2.0× and can be relaxed via
@@ -39,7 +39,6 @@ from repro.workloads.kitchen_sink import (
 from _artifacts import record, record_baseline
 
 N_ORDERS = 4000
-BATCH_SIZES = [256, 1024, 4096]
 SPEEDUP_FLOOR = float(os.environ.get("REPRO_BENCH_COLUMNAR_FLOOR", "2.0"))
 
 
@@ -151,13 +150,6 @@ def test_bench_columnar_vs_compiled_rows(benchmark):
 
         row_s = _best_seconds(lambda: row_engine.execute(job, instance))
         block_s = _best_seconds(lambda: block_engine.execute(job, instance))
-        sweep = {}
-        for size in BATCH_SIZES:
-            engine = EtlEngine(compiled=True, batched=True, batch_size=size)
-            assert engine.execute(job, instance).same_bags(baseline)
-            sweep[str(size)] = _best_seconds(
-                lambda: engine.execute(job, instance)
-            )
         return {
             "input_rows": n_rows,
             "compiled_rows": {
@@ -170,7 +162,6 @@ def test_bench_columnar_vs_compiled_rows(benchmark):
             },
             "speedup": row_s / block_s,
             "speedup_floor": SPEEDUP_FLOOR,
-            "batch_size_sweep_seconds": sweep,
             "group_key_cache": _group_key_cache_micro(),
         }
 
@@ -187,8 +178,6 @@ def test_bench_columnar_vs_compiled_rows(benchmark):
         f"{results['batched']['seconds'] * 1000:.1f} ms batched "
         f"({results['speedup']:.2f}x)"
     )
-    for size, seconds in results["batch_size_sweep_seconds"].items():
-        lines.append(f"  batch size {size:>5}: {seconds * 1000:7.1f} ms")
     cache = results["group_key_cache"]
     lines.append(
         f"  group-key cache: {cache['uncached_seconds'] * 1000:.1f} ms "

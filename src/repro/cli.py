@@ -86,19 +86,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "(equivalent to REPRO_BATCH=0)",
     )
     observability.add_argument(
-        "--batch-size",
-        type=int,
-        metavar="N",
-        help="run block-capable operators over columnar batches of N "
-        "rows (enables batched mode; equivalent to REPRO_BATCH=N)",
-    )
-    observability.add_argument(
         "--no-fuse",
         action="store_true",
-        help="disable selection-vector pipeline fusion and run batched "
-        "operators through the per-operator block kernels (equivalent "
-        "to REPRO_FUSE=0; only meaningful in batched mode — see "
-        "docs/execution-model.md)",
+        help="gather batched operators' selection-vector chains into a "
+        "block at every operator boundary instead of fusing them "
+        "(equivalent to REPRO_FUSE=0; only meaningful in batched mode "
+        "— see docs/execution-model.md)",
     )
     observability.add_argument(
         "--workers",
@@ -277,8 +270,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     obs = Observability(
         trace=bool(args.trace), stats=args.stats is not None
     )
-    if args.row_mode and args.batch_size is not None:
-        parser.error("--row-mode and --batch-size are mutually exclusive")
     flags = _flags(args)
     for name, value in flags.items():
         try:
@@ -317,8 +308,6 @@ def _flags(args: argparse.Namespace) -> Dict[str, Any]:
         flags["compiled"] = False
     if args.row_mode:
         flags["batched"] = False
-    elif args.batch_size is not None:
-        flags.update(batched=True, batch_size=args.batch_size)
     if args.no_fuse:
         flags["fused"] = False
     if args.workers is not None:

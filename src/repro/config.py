@@ -1,7 +1,7 @@
 """repro.config — the options table.
 
 Everything about a run that is not the plan or the data is one of the
-sixteen rows of :data:`OPTIONS`, and a row's value is found one way:
+fifteen rows of :data:`OPTIONS`, and a row's value is found one way:
 
     explicit keyword  >  ``overriding(...)``  >  ``REPRO_*`` variable  >  default
 
@@ -50,9 +50,9 @@ class Option(NamedTuple):
     #: ``(variable, parser)`` pairs, read in order. A parser takes the
     #: stripped, non-empty string and returns a candidate value (which
     #: ``check`` then vets), or ``None`` when the string says nothing
-    #: about *this* option — ``REPRO_BATCH=1`` switches batching on and
-    #: leaves the batch size alone. It raises ``ValueError`` on a string
-    #: it cannot read.
+    #: about *this* option — ``REPRO_PARALLEL=1`` switches the
+    #: wavefront on and leaves the worker count alone. It raises
+    #: ``ValueError`` on a string it cannot read.
     env: Tuple[Tuple[str, Callable[[str], Any]], ...]
     #: normalises a keyword, an override or a parsed variable;
     #: ``ValueError`` or ``ValidationError`` on a value out of range.
@@ -76,9 +76,8 @@ def parse_bool(raw: str) -> bool:
 
 
 def _count_in_switch(raw: str) -> Optional[int]:
-    """The count an on/off variable may also carry: ``REPRO_BATCH=4096``
-    is "on, blocks of 4096" and ``REPRO_PARALLEL=4`` is "on, 4 workers";
-    ``1``, ``0`` and words only switch."""
+    """The count an on/off variable may also carry: ``REPRO_PARALLEL=4``
+    is "on, 4 workers"; ``1``, ``0`` and words only switch."""
     try:
         count = int(raw)
     except ValueError:
@@ -142,13 +141,8 @@ OPTIONS: Dict[str, Option] = {
     "compiled": Option((("REPRO_COMPILED", parse_bool),), bool, _SWITCH, True),
     # block (columnar) kernels; needs ``compiled``
     "batched": Option((("REPRO_BATCH", parse_bool),), bool, _SWITCH, False),
-    # rows per block
-    "batch_size": Option(
-        (("REPRO_BATCH_SIZE", int), ("REPRO_BATCH", _count_in_switch)),
-        _at_least(1), ">= 1", 1024, ValueError,
-    ),
-    # chain adjacent block operators through selection vectors; needs
-    # ``batched``
+    # leave the block operators' selection-vector chains lazy across
+    # operator boundaries; needs ``batched``
     "fused": Option((("REPRO_FUSE", parse_bool),), bool, _SWITCH, True),
     # wavefront scheduling and, with ``batched``, partitioned kernels
     "parallel": Option((("REPRO_PARALLEL", parse_bool),), bool, _SWITCH, False),

@@ -14,6 +14,7 @@ from repro.data.csvio import read_csv, write_csv
 from repro.data.dataset import Dataset, Instance
 from repro.errors import ExecutionError, ValidationError
 from repro.etl.model import Stage
+from repro.exec import ops
 from repro.expr.functions import FunctionRegistry
 from repro.schema.model import Attribute, Relation, relation as make_relation
 
@@ -112,59 +113,10 @@ class TableTarget(Stage):
     def load(
         self, data: Dataset, trusted: bool = False, errors=None
     ) -> Dataset:
-        """Deliver ``data`` into the target relation.
-
-        ``trusted`` skips the per-row type re-validation (the compiled
-        engine's fast path — upstream kernels already shaped the rows);
-        the default checked path is what the interpreting oracle runs.
-
-        ``errors`` (an active :class:`~repro.resilience.ErrorContext`)
-        forces the checked path — a skip/reject policy at a target means
-        the caller cares about bad rows, so they are validated even in
-        compiled mode and failures land on the policy's channel instead
-        of aborting the load."""
-        names = self.relation.attribute_names
-        if errors is not None and errors.handling:
-            from repro.errors import SchemaError
-
-            result = Dataset(self.relation)
-            for index, row in enumerate(data):
-                try:
-                    result.append({n: row.get(n) for n in names})
-                except SchemaError as exc:
-                    errors.record(index, dict(row), exc)
-            return result
-        if trusted:
-            fused = data.peek_fused()
-            if fused is not None:
-                # fused delivery: the chain's terminal gather — only the
-                # target's columns materialize, the rest of the link's
-                # columns are dead and never touched
-                from repro.exec.fuse import materialize_fused
-
-                return Dataset.adopt_block(
-                    self.relation, materialize_fused(fused, names)
-                )
-            blk = data.peek_block()
-            if blk is not None:
-                # columnar delivery: subset to the target attribute set
-                # without a row round-trip (targets never see missing
-                # columns — validate() checked the link carries them all)
-                from repro.exec.block import RowBlock
-
-                return Dataset.adopt_block(
-                    self.relation,
-                    RowBlock(
-                        {n: blk.columns[n] for n in names}, blk.length
-                    ),
-                )
-            return Dataset.adopt(
-                self.relation, [{n: row.get(n) for n in names} for row in data]
-            )
-        result = Dataset(self.relation)
-        for row in data:
-            result.append({n: row.get(n) for n in names})
-        return result
+        """Deliver ``data`` into the target relation
+        (:func:`repro.exec.ops.deliver`): ``trusted`` skips the per-row
+        type re-validation, an active ``errors`` context forces it."""
+        return ops.deliver(data, self.relation, trusted, errors)
 
     def execute(self, inputs, out_relations, registry):
         raise ExecutionError(

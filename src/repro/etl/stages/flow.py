@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.data.dataset import Dataset
 from repro.errors import INFRASTRUCTURE_ERRORS, STATIC_ERRORS, ValidationError
 from repro.etl.model import Stage
-from repro.exec import ExpressionPlanner, block, fuse, kernels
-from repro.exec.block import RowBlock, relation_resolver
+from repro.exec import ExpressionPlanner, block, fuse, kernels, ops
+from repro.exec.block import relation_resolver
 from repro.expr.ast import Expr, Literal
 from repro.expr.parser import parse
 from repro.expr.typecheck import TypeContext, check_boolean
@@ -146,22 +146,17 @@ class FilterStage(Stage):
         planner = planner or ExpressionPlanner(registry)
         has_predicates = any(not o.reject for o in self.outputs)
         handling = errors is not None and errors.handling
-        # the fused/block fast paths evaluate predicates whole-column, so
-        # a row-level data error (e.g. division by zero) aborts the whole
+        # the chain body evaluates predicates whole-column, so a
+        # row-level data error (e.g. division by zero) aborts the whole
         # kernel; under an active error policy the stage replays on row
         # kernels, where the policy can absorb exactly the bad rows.
         # Infrastructure failures keep propagating — they belong to the
         # retry / degradation machinery, not to row policies.
         try:
-            if planner.fused:
-                results = self._execute_fused(
-                    data, out_relations, planner, has_predicates, obs
-                )
-                if results is not None:
-                    return results
-            if planner.batched:
-                results = self._execute_block(
-                    data, out_relations, planner, has_predicates, obs
+            chain = planner.fused_chain(data, obs)
+            if chain is not None:
+                results = self._execute_chain(
+                    chain, data, out_relations, planner, has_predicates, obs
                 )
                 if results is not None:
                     return results
@@ -214,13 +209,14 @@ class FilterStage(Stage):
             for output, rows, rel in zip(self.outputs, routed, out_relations)
         ]
 
-    def _execute_fused(self, data, out_relations, planner, has_predicates, obs):
-        """Fused routing: predicates evaluate over the chain's read-set
-        view, and each output *narrows* the selection vector instead of
-        ``take()``-copying every column — nothing materializes here."""
-        chain = planner.fused_chain(data, obs)
-        if chain is None:
-            return None
+    def _execute_chain(
+        self, chain, data, out_relations, planner, has_predicates, obs
+    ):
+        """Columnar routing: predicates evaluate over the chain's
+        read-set view, and each output *narrows* the selection vector
+        instead of ``take()``-copying every column. ``None`` when a
+        predicate cannot be lowered (routing is all-or-nothing per
+        stage)."""
         resolve = relation_resolver(data.relation.name, chain.handles)
         specs = []
         exprs = []
@@ -229,7 +225,7 @@ class FilterStage(Stage):
                 specs.append(("fallback" if has_predicates else "always", None))
             else:
                 predicate = planner.block_predicate(
-                    output.where, resolve, tier="fused"
+                    output.where, resolve, chain=True
                 )
                 if predicate is None:
                     return None
@@ -248,44 +244,7 @@ class FilterStage(Stage):
             if output.columns is not None:
                 child = child.project(output.columns)
             results.append(planner.materialize_fused(rel, child))
-        fuse.fused_op(chain, obs, survivors)
-        return results
-
-    def _execute_block(self, data, out_relations, planner, has_predicates, obs):
-        """Columnar routing, or ``None`` when a predicate cannot be
-        lowered (every predicate must compile — routing is all-or-
-        nothing per stage)."""
-        blk = data.as_block()
-        resolve = relation_resolver(data.relation.name, blk.columns)
-        specs = []
-        for output in self.outputs:
-            if output.reject:
-                specs.append(("fallback" if has_predicates else "always", None))
-            else:
-                predicate = planner.block_predicate(output.where, resolve)
-                if predicate is None:
-                    return None
-                specs.append(("pred", predicate))
-        routed = block.route_block(
-            blk, specs, only_once=self.row_only_once, obs=obs
-        )
-        results = []
-        for output, indices, rel in zip(self.outputs, routed, out_relations):
-            if output.columns is not None:
-                # dead-column pruning: only gather the projected sources
-                taken = blk.take(
-                    indices, names=[source for _out, source in output.columns]
-                )
-                taken = RowBlock(
-                    {
-                        out: taken.columns[source]
-                        for out, source in output.columns
-                    },
-                    taken.length,
-                )
-            else:
-                taken = blk.take(indices)
-            results.append(planner.materialize_block(rel, taken))
+        fuse.fused_op(chain, survivors)
         return results
 
     @staticmethod
@@ -369,11 +328,11 @@ class SwitchStage(Stage):
         # falls back to row kernels when a policy is active (see
         # FilterStage.execute); infrastructure failures keep propagating
         try:
-            if planner.fused:
-                chain = planner.fused_chain(data, obs)
+            chain = planner.fused_chain(data, obs)
+            if chain is not None:
                 resolve = relation_resolver(data.relation.name, chain.handles)
                 selector = planner.block_scalar(
-                    self.selector, resolve, tier="fused"
+                    self.selector, resolve, chain=True
                 )
                 if selector is not None:
                     reads = fuse.read_set([self.selector], resolve)
@@ -389,20 +348,8 @@ class SwitchStage(Stage):
                         planner.materialize_fused(rel, chain.narrow(indices))
                         for indices, rel in zip(routed, out_relations)
                     ]
-                    fuse.fused_op(chain, obs, survivors)
+                    fuse.fused_op(chain, survivors)
                     return results
-            if planner.batched:
-                blk = data.as_block()
-                resolve = relation_resolver(data.relation.name, blk.columns)
-                selector = planner.block_scalar(self.selector, resolve)
-                if selector is not None:
-                    routed = block.switch_block(
-                        blk, selector, self.cases, self.has_default, obs=obs
-                    )
-                    return [
-                        planner.materialize_block(rel, blk.take(indices))
-                        for indices, rel in zip(routed, out_relations)
-                    ]
         except INFRASTRUCTURE_ERRORS:
             raise
         except STATIC_ERRORS:
@@ -485,42 +432,7 @@ class CopyStage(Stage):
     def execute(self, inputs, out_relations, registry, planner=None, obs=None):
         (data,) = inputs
         planner = planner or ExpressionPlanner(registry)
-        if planner.fused:
-            # handle renames only — downstream stages keep chaining on
-            # the same selection, and unread columns are never gathered
-            chain = planner.fused_chain(data, obs)
-            results = [
-                planner.materialize_fused(
-                    rel, chain.project([(n, n) for n in rel.attribute_names])
-                )
-                for rel in out_relations
-            ]
-            fuse.fused_op(chain, obs, 0)
-            return results
-        if planner.batched:
-            blk = data.as_block()
-            # column subsets alias the input lists — copies cost nothing
-            return [
-                planner.materialize_block(
-                    rel,
-                    RowBlock(
-                        {n: blk.columns[n] for n in rel.attribute_names},
-                        blk.length,
-                    ),
-                )
-                for rel in out_relations
-            ]
-        results = []
-        for rel in out_relations:
-            names = rel.attribute_names
-            results.append(
-                planner.materialize(
-                    rel,
-                    [{n: row[n] for n in names} for row in data],
-                    fresh=True,
-                )
-            )
-        return results
+        return ops.fan_out(data, out_relations, planner, obs)
 
     def to_config(self):
         return {"keep_columns": self.keep_columns}
@@ -547,19 +459,8 @@ class FunnelStage(Stage):
         return [inputs[0].renamed(out_names[0])]
 
     def execute(self, inputs, out_relations, registry, planner=None, obs=None):
-        out = out_relations[0]
         planner = planner or ExpressionPlanner(registry)
-        if planner.batched:
-            merged = block.union_block(
-                [data.as_block() for data in inputs],
-                out.attribute_names,
-                obs=obs,
-            )
-            return [planner.materialize_block(out, merged)]
-        rows = kernels.union_rows(
-            [data.rows for data in inputs], out.attribute_names, obs=obs
-        )
-        return [planner.materialize(out, rows, fresh=True)]
+        return [ops.union(inputs, out_relations[0], False, planner, obs)]
 
 
 class PeekStage(Stage):
@@ -582,22 +483,14 @@ class PeekStage(Stage):
     def execute(self, inputs, out_relations, registry, planner=None, obs=None):
         (data,) = inputs
         planner = planner or ExpressionPlanner(registry)
-        if planner.fused:
+        chain = planner.fused_chain(data, obs)
+        if chain is not None:
             # identity: the chain passes straight through; the sample
             # gathers only its first rows
-            chain = planner.fused_chain(data, obs)
             self.peeked = chain.head_rows(
                 self.sample, data.relation.attribute_names
             )
             return [planner.materialize_fused(out_relations[0], chain)]
-        if planner.batched:
-            # identity: pass the columnar form straight through without
-            # materializing rows (the sample converts only its slice)
-            blk = data.as_block()
-            self.peeked = blk.slice(0, self.sample).to_rows(
-                data.relation.attribute_names
-            )
-            return [planner.materialize_block(out_relations[0], blk)]
         self.peeked = [dict(r) for r in data.rows[: self.sample]]
         return [
             Dataset(out_relations[0], [dict(r) for r in data], validate=False)

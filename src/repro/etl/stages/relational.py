@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.data.dataset import Dataset
 from repro.errors import ValidationError
 from repro.etl.model import Stage
-from repro.exec import ExpressionPlanner, block, fuse, kernels
-from repro.exec.block import _group_indices, relation_resolver
+from repro.exec import ExpressionPlanner, block, fuse, kernels, ops
+from repro.exec.block import _group_indices
 from repro.expr.algebra import conjoin
 from repro.expr.ast import AggregateCall, BinaryOp, ColumnRef, Expr
 from repro.expr.parser import parse
@@ -154,42 +154,12 @@ class JoinStage(Stage):
         condition = self.effective_condition(left.relation, right.relation)
         plan = self.merged_columns(left.relation, right.relation)
         planner = planner or ExpressionPlanner(registry)
-        if planner.batched:
-            joined = block.hash_join_block(
-                left.as_block(),
-                right.as_block(),
-                left.relation,
-                right.relation,
-                condition,
-                self.join_type,
-                plan,
-                planner,
-                obs=obs,
+        return [
+            ops.join(
+                left, right, condition, self.join_type, plan,
+                out_relations[0], planner, obs,
             )
-            if joined is not None:
-                return [planner.materialize_block(out_relations[0], joined)]
-
-        def merge(left_row, right_row) -> dict:
-            merged = {}
-            for out_name, side, source in plan:
-                row = left_row if side == "left" else right_row
-                merged[out_name] = None if row is None else row[source]
-            return merged
-
-        rows: list = []
-        kernels.hash_join(
-            left.rows,
-            right.rows,
-            left.relation,
-            right.relation,
-            condition,
-            self.join_type,
-            merge,
-            rows.append,
-            planner,
-            obs=obs,
-        )
-        return [planner.materialize(out_relations[0], rows, fresh=True)]
+        ]
 
     def to_config(self):
         return {
@@ -368,64 +338,12 @@ class AggregatorStage(Stage):
     def execute(self, inputs, out_relations, registry, planner=None, obs=None):
         (data,) = inputs
         planner = planner or ExpressionPlanner(registry)
-        if planner.fused:
-            results = self._execute_fused(data, out_relations, planner, obs)
-            if results is not None:
-                return results
-        if planner.batched:
-            blk = data.as_block()
-            resolve = relation_resolver(None, blk.columns)
-            lowered = []
-            for out, call in self.aggregate_calls():
-                plan = planner.block_aggregate(call, resolve)
-                if plan is None:
-                    break
-                lowered.append((out, plan[0], plan[1]))
-            else:
-                grouped = block.group_aggregate_block(
-                    blk, self.group_keys, lowered, obs=obs, planner=planner
-                )
-                return [planner.materialize_block(out_relations[0], grouped)]
-        rows = kernels.group_aggregate_rows(
-            data.rows,
-            self.group_keys,
-            [
-                (out, planner.aggregate(call))
-                for out, call in self.aggregate_calls()
-            ],
-            obs=obs,
-        )
-        return [planner.materialize(out_relations[0], rows, fresh=True)]
-
-    def _execute_fused(self, data, out_relations, planner, obs):
-        """Fused terminal: aggregates fold over a read-set view of the
-        chain (group keys + aggregate arguments), so the filtered/
-        projected intermediate block upstream never materializes. The
-        parallel partitioned grouping composes — the view is an ordinary
-        :class:`RowBlock`."""
-        chain = planner.fused_chain(data, obs)
-        if chain is None:
-            return None
-        resolve = relation_resolver(None, chain.handles)
-        lowered = []
-        args = []
-        for out, call in self.aggregate_calls():
-            plan = planner.block_aggregate(call, resolve, tier="fused")
-            if plan is None:
-                return None
-            lowered.append((out, plan[0], plan[1]))
-            if call.arg is not None:
-                args.append(call.arg)
-        reads = fuse.read_set(args, resolve)
-        names = list(
-            dict.fromkeys(list(self.group_keys) + (reads or []))
-        )
-        view = chain.view(names if reads is not None else None)
-        grouped = block.group_aggregate_block(
-            view, self.group_keys, lowered, obs=obs, planner=planner
-        )
-        fuse.fused_op(chain, obs, chain.length)
-        return [planner.materialize_block(out_relations[0], grouped)]
+        return [
+            ops.group(
+                data, self.group_keys, self.aggregate_calls(),
+                out_relations[0], planner, obs,
+            )
+        ]
 
     def to_config(self):
         return {
@@ -472,24 +390,20 @@ class SortStage(Stage):
     def execute(self, inputs, out_relations, registry, planner=None, obs=None):
         (data,) = inputs
         planner = planner or ExpressionPlanner(registry)
-        if planner.fused:
-            chain = planner.fused_chain(data, obs)
-            # the exact permutation sort_block computes (stable
-            # right-to-left index sorts), applied as a selection instead
-            # of a take() — only the key columns gather here
-            indices = list(range(chain.length))
-            for col_name, direction in reversed(list(self.keys)):
-                descending = direction == "desc"
-                decorated = kernels.sort_column(
-                    chain.column(col_name), descending
-                )
-                indices.sort(key=decorated.__getitem__, reverse=descending)
-            ordered = chain.narrow(indices)
-            fuse.fused_op(chain, obs, chain.length)
-            return [planner.materialize_fused(out_relations[0], ordered)]
-        if planner.batched:
-            ordered = block.sort_block(data.as_block(), self.keys, obs=obs)
-            return [planner.materialize_block(out_relations[0], ordered)]
+        chain = planner.fused_chain(data, obs)
+        if chain is not None:
+            # the row kernel's permutation, applied as a selection: only
+            # the key columns gather here
+            order = block.sort_permutation(
+                chain.view([col for col, _direction in self.keys]),
+                self.keys,
+                obs,
+                gathered=not planner.fused,
+            )
+            fuse.fused_op(chain, chain.length)
+            return [
+                planner.materialize_fused(out_relations[0], chain.narrow(order))
+            ]
         rows = kernels.sort_rows(data.rows, self.keys, obs=obs)
         return [planner.materialize(out_relations[0], rows, fresh=True)]
 
@@ -535,21 +449,19 @@ class RemoveDuplicatesStage(Stage):
     def execute(self, inputs, out_relations, registry, planner=None, obs=None):
         (data,) = inputs
         planner = planner or ExpressionPlanner(registry)
-        if planner.fused:
-            chain = planner.fused_chain(data, obs)
-            # dedup_block's grouping over a key-columns-only view; the
-            # survivors narrow the selection instead of a take()
+        chain = planner.fused_chain(data, obs)
+        if chain is not None:
+            # group over a key-columns-only view; the survivors narrow
+            # the selection instead of a take()
             groups = _group_indices(chain.view(self.keys), self.keys)
             pick = -1 if self.retain == "last" else 0
             survivors = [members[pick] for members in groups]
-            unique = chain.narrow(survivors)
-            fuse.fused_op(chain, obs, len(survivors))
-            return [planner.materialize_fused(out_relations[0], unique)]
-        if planner.batched:
-            unique = block.dedup_block(
-                data.as_block(), self.keys, self.retain, obs=obs
-            )
-            return [planner.materialize_block(out_relations[0], unique)]
+            fuse.fused_op(chain, len(survivors))
+            return [
+                planner.materialize_fused(
+                    out_relations[0], chain.narrow(survivors)
+                )
+            ]
         rows = kernels.dedup_rows(data.rows, self.keys, self.retain, obs=obs)
         return [planner.materialize(out_relations[0], rows, fresh=True)]
 

@@ -163,15 +163,10 @@ class Transformer(Stage):
         (data,) = inputs
         planner = planner or ExpressionPlanner(registry)
         relation_name = data.relation.name
-        if planner.fused:
-            results = self._execute_fused(
-                data, out_relations, planner, relation_name, obs
-            )
-            if results is not None:
-                return results
-        if planner.batched:
-            results = self._execute_block(
-                data, out_relations, planner, relation_name, obs
+        chain = planner.fused_chain(data, obs)
+        if chain is not None:
+            results = self._execute_chain(
+                chain, out_relations, planner, relation_name, obs
             )
             if results is not None:
                 return results
@@ -238,17 +233,20 @@ class Transformer(Stage):
             )
         ]
 
-    def _execute_fused(self, data, out_relations, planner, relation_name, obs):
-        """Fused execution: the environment is a handle overlay on the
-        chain (link-qualified aliases share the plain handles), stage
-        variables and derivations evaluate eagerly — exactly the rows
-        the unfused tier would see, so errors surface identically — but
-        only over read-set views of the surviving selection, and
-        pass-through derivations are pure handle renames that defer the
-        gather to the chain's materialization point."""
-        chain = planner.fused_chain(data, obs)
-        if chain is None:
-            return None
+    def _execute_chain(self, chain, out_relations, planner, relation_name, obs):
+        """Columnar execution, or ``None`` when any stage variable,
+        constraint, or derivation cannot be lowered column-wise (all or
+        nothing per stage).
+
+        The environment is a handle overlay on the chain mirroring the
+        row path's per-row environment: plain names are the anonymous
+        row (input columns, shadowed by stage variables), while
+        ``link.column`` aliases keep the raw input columns — exactly
+        what a link-qualified reference resolves to first. Stage
+        variables and derivations evaluate eagerly, so errors surface
+        at this stage, but only over read-set views of the surviving
+        selection, and pass-through derivations are pure handle renames
+        that defer the gather to the chain's materialization point."""
         env = chain.with_handles(
             {
                 f"{relation_name}.{name}": handle
@@ -258,7 +256,7 @@ class Transformer(Stage):
         # stage variables compute top-down; each sees the ones before it
         for name, expr in self.stage_variables:
             resolve = relation_resolver(None, env.handles)
-            fn = planner.block_scalar(expr, resolve, tier="fused")
+            fn = planner.block_scalar(expr, resolve, chain=True)
             if fn is None:
                 return None
             reads = fuse.read_set([expr], resolve)
@@ -273,13 +271,13 @@ class Transformer(Stage):
                 specs.append(("always", None))
             else:
                 predicate = planner.block_predicate(
-                    link.constraint, resolve, tier="fused"
+                    link.constraint, resolve, chain=True
                 )
                 if predicate is None:
                     return None
                 specs.append(("pred", predicate))
                 constraints.append(link.constraint)
-        # lower every derivation up front — fusion is all-or-nothing
+        # lower every derivation up front — the body is all-or-nothing
         lowered_links = []
         for link in self.outputs:
             lowered = []
@@ -290,7 +288,7 @@ class Transformer(Stage):
                         # pass-through: rename the handle, never gather
                         lowered.append((col, None, key))
                         continue
-                fn = planner.block_scalar(expr, resolve, tier="fused")
+                fn = planner.block_scalar(expr, resolve, chain=True)
                 if fn is None:
                     return None
                 lowered.append((col, expr, fn))
@@ -316,71 +314,8 @@ class Transformer(Stage):
                 else:
                     handles[col] = fn(view)
             results.append(planner.materialize_fused(rel, child.derive(handles)))
-        fuse.fused_op(chain, obs, survivors)
+        fuse.fused_op(chain, survivors)
         return results
-
-    def _execute_block(self, data, out_relations, planner, relation_name, obs):
-        """Columnar execution, or ``None`` when any stage variable,
-        constraint, or derivation cannot be lowered column-wise.
-
-        The environment block mirrors the row path's per-row
-        environment: plain names are the anonymous row (input columns,
-        shadowed by stage variables), while ``link.column`` keys keep
-        the raw input columns — exactly what a link-qualified reference
-        resolves to first."""
-        blk = data.as_block()
-        env_columns = dict(blk.columns)
-        for name, col in blk.columns.items():
-            env_columns[f"{relation_name}.{name}"] = col
-        env_blk = RowBlock(env_columns, blk.length)
-        # stage variables compute top-down; each sees the ones before it
-        for name, expr in self.stage_variables:
-            resolve = relation_resolver(None, env_blk.columns)
-            fn = planner.block_scalar(expr, resolve)
-            if fn is None:
-                return None
-            env_blk = env_blk.with_columns({name: fn(env_blk)})
-        resolve = relation_resolver(None, env_blk.columns)
-        specs = []
-        for link in self.outputs:
-            if link.otherwise:
-                specs.append(("fallback", None))
-            elif link.constraint is None:
-                specs.append(("always", None))
-            else:
-                predicate = planner.block_predicate(link.constraint, resolve)
-                if predicate is None:
-                    return None
-                specs.append(("pred", predicate))
-        lowered_links = []
-        for link in self.outputs:
-            derivations = [
-                (col, planner.block_scalar(expr, resolve))
-                for col, expr in link.derivations
-            ]
-            if any(fn is None for _col, fn in derivations):
-                return None
-            # dead-column pruning: the link's take() only gathers the
-            # columns its derivations actually read
-            reads = fuse.read_set(
-                [expr for _col, expr in link.derivations], resolve
-            )
-            lowered_links.append((derivations, reads))
-        routed = block.route_block(env_blk, specs, obs=obs)
-        return [
-            planner.materialize_block(
-                rel,
-                block.project_block(
-                    env_blk.take(indices, names=reads),
-                    derivations,
-                    batch_size=planner.batch_size,
-                    obs=obs,
-                ),
-            )
-            for (derivations, reads), indices, rel in zip(
-                lowered_links, routed, out_relations
-            )
-        ]
 
     def to_config(self):
         return {
@@ -461,13 +396,14 @@ class Modify(Stage):
         errors=None,
     ):
         (data,) = inputs
+        planner = planner or ExpressionPlanner(registry)
         out = out_relations[0]
         old_of = {}
         old_to_new = {old: new for new, old in self.rename.items()}
         for attr in data.relation:
             new_name = old_to_new.get(attr.name, attr.name)
             old_of[new_name] = attr.name
-        if planner is not None and planner.batched:
+        if planner.batched:
             blk = data.as_block()
             columns = {}
             for attr in out:
@@ -549,21 +485,13 @@ class SurrogateKey(Stage):
 
     def execute(self, inputs, out_relations, registry, planner=None, obs=None):
         (data,) = inputs
-        if planner is not None and getattr(planner, "fused", False):
-            chain = planner.fused_chain(data, obs)
+        planner = planner or ExpressionPlanner(registry)
+        chain = planner.fused_chain(data, obs)
+        if chain is not None:
             generated = list(range(self.start, self.start + chain.length))
             out = chain.with_handles({self.generated_column: generated})
-            fuse.fused_op(chain, obs, 0)
+            fuse.fused_op(chain)
             return [planner.materialize_fused(out_relations[0], out)]
-        if planner is not None and planner.batched:
-            blk = data.as_block()
-            generated = list(range(self.start, self.start + blk.length))
-            return [
-                planner.materialize_block(
-                    out_relations[0],
-                    blk.with_columns({self.generated_column: generated}),
-                )
-            ]
         result = Dataset(out_relations[0], validate=False)
         for i, row in enumerate(data):
             new_row = dict(row)

@@ -9,14 +9,19 @@ exactly once.
 The planner lowers at one of five tiers, each riding on the one
 before: the tree-walking interpreter (:mod:`repro.expr.evaluator`, the
 semantic oracle); closures compiled once per operator
-(:mod:`repro.exec.compile_expr`); *batched* block kernels over
-:class:`repro.exec.block.RowBlock` columns
-(:mod:`repro.exec.compile_block`); *fused* selection-vector chains over
-adjacent block operators (:mod:`repro.exec.fuse`); and *parallel*
+(:mod:`repro.exec.compile_expr`); *batched* column kernels
+(:mod:`repro.exec.compile_block`) driven by selection-vector chains
+(:mod:`repro.exec.fuse`) that are gathered into a
+:class:`repro.exec.block.RowBlock` at every operator boundary; *fused*,
+the same chains left lazy across adjacent operators; and *parallel*
 wavefronts and key-partitioned kernels on a worker pool
-(:mod:`repro.exec.parallel`). An operator a tier cannot express
-identically falls back one tier, per operator or per chain, never
-changing results. :func:`resolve_tier` is the one statement of how the
+(:mod:`repro.exec.parallel`). Each columnar operator therefore has one
+body — :meth:`ExpressionPlanner.materialize_fused` is where the batched
+and the fused tier part — and the five operators stages and OHM share
+(JOIN, GROUP, UNION, SPLIT, TARGET) are written once, in
+:mod:`repro.exec.ops`. An operator a tier cannot express identically
+falls back one tier, per operator or per chain, never changing
+results. :func:`resolve_tier` is the one statement of how the
 ``compiled`` / ``batched`` / ``fused`` / ``parallel`` / ``workers`` /
 ``mode`` options combine into a tier; what each option accepts and where
 its value comes from is the table in ``docs/execution-model.md``
@@ -62,13 +67,12 @@ from repro.exec.parallel import WorkerPool, set_default_executor
 
 
 class Tier(NamedTuple):
-    """The seven tier options of one engine, resolved together."""
+    """The six tier options of one engine, resolved together."""
 
     compiled: bool
     #: block kernels; implies ``compiled``.
     batched: bool
-    batch_size: int
-    #: fused chains wherever a run is batched. Under ``mode="auto"``
+    #: chains stay lazy wherever a run is batched. Under ``mode="auto"``
     #: this is the requested value: each run re-decides ``batched``.
     fused: bool
     #: wavefront scheduling; with ``batched``, also partitioned kernels.
@@ -80,7 +84,6 @@ class Tier(NamedTuple):
 def resolve_tier(
     compiled: Optional[bool] = None,
     batched: Optional[bool] = None,
-    batch_size: Optional[int] = None,
     fused: Optional[bool] = None,
     parallel: Optional[bool] = None,
     workers: Optional[int] = None,
@@ -116,17 +119,14 @@ def resolve_tier(
         parallel = batched and parallel
     if mode != "auto":
         fused = batched and fused
-    return Tier(
-        compiled, batched, resolve("batch_size", batch_size), fused,
-        parallel, workers, mode,
-    )
+    return Tier(compiled, batched, fused, parallel, workers, mode)
 
 
 # -- kernel fault injection ---------------------------------------------------
 #
 # The fault harness (repro.faults) installs a process-wide hook that may
 # wrap every closure the planner hands to the kernels. The hook receives
-# (tier, kind, fn) — tier is "block" / "compiled" / "oracle", kind is
+# (tier, kind, fn) — tier is "fused" / "block" / "compiled" / "oracle", kind is
 # "scalar" / "predicate" / "aggregate" — and returns fn or a wrapper
 # that raises repro.errors.FaultInjected on the invocations the fault
 # plan selects. With no hook installed (the normal case) the planner's
@@ -163,7 +163,6 @@ class ExpressionPlanner:
         registry: Optional[FunctionRegistry] = None,
         compiled: Optional[bool] = None,
         batched: Optional[bool] = None,
-        batch_size: Optional[int] = None,
         parallel: Optional[bool] = None,
         workers: Optional[int] = None,
         mode: Optional[str] = None,
@@ -171,9 +170,7 @@ class ExpressionPlanner:
     ) -> None:
         self._at(
             registry,
-            resolve_tier(
-                compiled, batched, batch_size, fused, parallel, workers, mode
-            ),
+            resolve_tier(compiled, batched, fused, parallel, workers, mode),
         )
 
     @classmethod
@@ -190,7 +187,6 @@ class ExpressionPlanner:
         self.registry = registry or DEFAULT_REGISTRY
         self.compiled = tier.compiled
         self.batched = tier.batched
-        self.batch_size = tier.batch_size
         self.workers = tier.workers
         self.mode = tier.mode
         # the planner drives block kernels: to it, parallel means the
@@ -294,33 +290,31 @@ class ExpressionPlanner:
     # -- block (columnar) lowering --------------------------------------
 
     def block_scalar(
-        self, expr: Expr, resolve, tier: str = "block"
+        self, expr: Expr, resolve, chain: bool = False
     ) -> Optional[Callable]:
         """A ``RowBlock → column`` function for ``expr`` under the given
         column resolver, or ``None`` when the operator must take the row
         path (batched mode off, or the expression isn't expressible
         column-wise). Compiled once per operator invocation — resolvers
         are call-site-specific, so these are not cached planner-wide.
-        Fused call sites pass ``tier="fused"`` so a poisoned fused chain
-        can be targeted independently of the block tier."""
+        A chain body passes ``chain=True``: its closures carry the fault
+        label of the tier the chain runs at (see :meth:`_faulted`)."""
         if not self.batched:
             return None
         fn = compile_block_expr(expr, self.registry, resolve)
-        return None if fn is None else self._faulted("scalar", fn, tier=tier)
+        return None if fn is None else self._faulted("scalar", fn, chain)
 
     def block_predicate(
-        self, expr: Expr, resolve, tier: str = "block"
+        self, expr: Expr, resolve, chain: bool = False
     ) -> Optional[Callable]:
         """A ``RowBlock → bool column`` function with SQL WHERE semantics
         (True only where definitely true), or ``None`` for row fallback."""
         if not self.batched:
             return None
         fn = compile_block_predicate(expr, self.registry, resolve)
-        return (
-            None if fn is None else self._faulted("predicate", fn, tier=tier)
-        )
+        return None if fn is None else self._faulted("predicate", fn, chain)
 
-    def block_aggregate(self, agg: AggregateCall, resolve, tier: str = "block"):
+    def block_aggregate(self, agg: AggregateCall, resolve, chain: bool = False):
         """``(values_fn, reducer)`` for columnar grouped aggregation —
         ``values_fn`` evaluates the argument once over a whole block,
         ``reducer`` folds one group's gathered values. ``(None, None)``
@@ -333,28 +327,39 @@ class ExpressionPlanner:
         values_fn = compile_block_expr(agg.arg, self.registry, resolve)
         if values_fn is None:
             return None
-        values_fn = self._faulted("aggregate", values_fn, tier=tier)
+        values_fn = self._faulted("aggregate", values_fn, chain)
         return (values_fn, aggregate_values_reducer(agg))
 
-    # -- fused (selection-vector) lowering ------------------------------
+    # -- chains: the one columnar body, fused or gathered ----------------
 
     def fused_chain(self, dataset, obs=None) -> Optional[FusedBlock]:
-        """Open (or continue) a fused chain over ``dataset``: the
-        upstream chain when the dataset is already fused-backed, else a
-        fresh chain over its columnar form. ``None`` when this planner
-        doesn't fuse — callers then use the unfused block path."""
-        if not self.fused:
+        """Open (or continue) a selection-vector chain over ``dataset``,
+        or ``None`` when this planner is not batched — the caller then
+        runs its row body. A fusing planner continues the upstream chain
+        of a fused-backed dataset; a batched planner that does not fuse
+        always starts afresh over the dataset's block, and unobserved:
+        its chains live for one operator (:meth:`materialize_fused`
+        gathers them), so they book no ``exec.fuse.*``."""
+        if not self.batched:
             return None
+        if not self.fused:
+            return fuse.fuse_source(dataset.as_block())
         chain = dataset.peek_fused()
         if chain is not None:
             return chain
         return fuse.fuse_source(dataset.as_block(), obs)
 
     def materialize_fused(self, relation, chain: FusedBlock):
-        """Adopt a fused chain as a lazily-backed Dataset — columns are
-        gathered only if/when a downstream consumer breaks the chain
-        (``Dataset.as_block``/``.rows``) or at target delivery."""
-        return Dataset.adopt_fused(relation, chain)
+        """A chain body's output as a Dataset — where the fused and the
+        block tier part. Fusing, the chain is adopted lazily:
+        columns are gathered only if/when a downstream consumer breaks
+        the chain (``Dataset.as_block``/``.rows``) or at target
+        delivery. Otherwise it is gathered here and now into a
+        block-backed dataset: the block tier *is* the chain
+        materialized at every operator boundary."""
+        if self.fused:
+            return Dataset.adopt_fused(relation, chain)
+        return Dataset.adopt_block(relation, fuse.materialize_fused(chain))
 
     def materialize_block(self, relation, rowblock: RowBlock):
         """Adopt a kernel-output block as a Dataset without converting
@@ -380,22 +385,27 @@ class ExpressionPlanner:
             self._aggregates[key] = fn
         return self._faulted("aggregate", fn)
 
-    def _faulted(self, kind: str, fn: Callable, tier: Optional[str] = None):
+    def _faulted(self, kind: str, fn: Callable, chain: Optional[bool] = None):
         """Hand ``fn`` to the installed kernel fault hook (if any); the
         closure cache always stores the unwrapped function, so removing
-        the hook restores clean execution. The fused tier chains the
-        block tier's hook underneath its own: a fault plan targeting
+        the hook restores clean execution. ``chain`` is ``None`` for a
+        row closure (labelled ``compiled`` / ``oracle``), else whether a
+        block closure belongs to a chain body. Those are labelled with
+        the tier the chain runs at — ``fused`` when this planner fuses,
+        ``block`` when it gathers — and the fused tier chains the block
+        tier's hook underneath its own: a fault plan targeting
         ``tier="block"`` fires in the fused path too (the fused chain IS
         the block tier's work), while ``tier="fused"`` targets only
-        fused lowering."""
+        runs that fuse."""
         hook = _kernel_fault_hook
         if hook is None:
             return fn
-        if tier is None:
-            tier = "compiled" if self.compiled else "oracle"
-        if tier == "fused":
-            fn = hook("block", kind, fn)
-        return hook(tier, kind, fn)
+        if chain is None:
+            return hook("compiled" if self.compiled else "oracle", kind, fn)
+        fn = hook("block", kind, fn)
+        if chain and self.fused:
+            fn = hook("fused", kind, fn)
+        return fn
 
 
 def degrade_counter(prev: "ExpressionPlanner") -> str:

@@ -9,11 +9,12 @@ same operator semantics, executed over *columns*:
   in-band ``None`` entries (the same three-valued-logic convention the
   row engines use), so a column *is* its own null mask:
   ``block.null_mask(name)`` derives the boolean form when needed;
-* block kernels consume and produce whole blocks: filtering builds a
-  selection vector and gathers once, projection rebinds whole columns
-  (a pass-through column is shared, not copied), grouped aggregation
-  gathers per-column accumulators, and the hash join builds/probes over
-  key columns and emits index vectors;
+* block kernels consume whole blocks: routing and sorting return
+  selection vectors (index lists) the caller's chain narrows by
+  (:mod:`repro.exec.fuse` — filtering and projection need no kernel of
+  their own there), grouped aggregation gathers per-column
+  accumulators, and the hash join builds/probes over key columns and
+  emits index vectors;
 * columns are **immutable by convention**: kernels may alias an input
   column into an output block, and nothing may mutate a column list in
   place. Fresh lists are built wherever rows are reordered or selected.
@@ -28,13 +29,11 @@ Kernels report ``exec.block.<name>.blocks_in/.blocks_out/.rows_in/
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -102,30 +101,6 @@ class RowBlock:
         cols = [self.columns[n] for n in names]
         return [dict(zip(names, values)) for values in zip(*cols)]
 
-    @classmethod
-    def concat(cls, blocks: Sequence["RowBlock"]) -> "RowBlock":
-        """Concatenate blocks sharing a column-name set. Each output
-        column is built in one pass (no repeated ``extend`` over many
-        small chunks), and names aliasing the same list in *every* input
-        stay aliased in the output."""
-        if len(blocks) == 1:
-            return blocks[0]
-        if not blocks:
-            return cls({}, 0)
-        names = list(blocks[0].columns)
-        length = sum(block.length for block in blocks)
-        shared: Dict[Tuple[int, ...], List[Any]] = {}
-        columns: Dict[str, List[Any]] = {}
-        for n in names:
-            key = tuple(id(block.columns[n]) for block in blocks)
-            col = shared.get(key)
-            if col is None:
-                col = shared[key] = list(
-                    chain.from_iterable(block.columns[n] for block in blocks)
-                )
-            columns[n] = col
-        return cls(columns, length)
-
     # -- cheap structural ops ----------------------------------------------
 
     @property
@@ -163,39 +138,17 @@ class RowBlock:
             columns[name] = cut
         return RowBlock(columns, max(0, stop - start))
 
-    def take(
-        self,
-        indices: Sequence[int],
-        names: Optional[Sequence[str]] = None,
-    ) -> "RowBlock":
+    def take(self, indices: Sequence[int]) -> "RowBlock":
         """Gather the given row positions (a selection vector) into a new
-        block — aliased column lists are gathered once and stay aliased.
-        ``names`` restricts the gather to the columns a downstream
-        consumer actually reads (dead-column pruning)."""
+        block — aliased column lists are gathered once and stay aliased."""
         shared: Dict[int, List[Any]] = {}
         columns: Dict[str, List[Any]] = {}
-        for name in (self.columns if names is None else names):
-            col = self.columns[name]
+        for name, col in self.columns.items():
             taken = shared.get(id(col))
             if taken is None:
                 taken = shared[id(col)] = [col[i] for i in indices]
             columns[name] = taken
         return RowBlock(columns, len(indices))
-
-    def chunks(self, size: Optional[int]) -> Iterator["RowBlock"]:
-        """Split into row ranges of at most ``size`` rows (no copy when
-        the block already fits)."""
-        if not size or size >= self.length:
-            yield self
-            return
-        for start in range(0, self.length, size):
-            yield self.slice(start, min(start + size, self.length))
-
-    def with_columns(self, extra: Dict[str, List[Any]]) -> "RowBlock":
-        """A new block sharing these columns plus ``extra`` (no copies)."""
-        columns = dict(self.columns)
-        columns.update(extra)
-        return RowBlock(columns, self.length)
 
     def __len__(self) -> int:
         return self.length
@@ -205,47 +158,6 @@ class RowBlock:
 
 
 # -- selection kernels ---------------------------------------------------------
-
-
-def filter_block(
-    block: RowBlock,
-    predicate: BlockFn,
-    batch_size: Optional[int] = None,
-    obs=None,
-) -> RowBlock:
-    """SQL WHERE over a block: evaluate the predicate column chunk-wise,
-    turn it into a selection vector, gather once."""
-    indices: List[int] = []
-    chunks_seen = 0
-    offset = 0
-    for chunk in block.chunks(batch_size):
-        chunks_seen += 1
-        mask = predicate(chunk)
-        indices.extend(offset + i for i, flag in enumerate(mask) if flag)
-        offset += chunk.length
-    out = block.take(indices)
-    _observe_block(obs, "filter", chunks_seen, 1, block.length, out.length)
-    return out
-
-
-def project_block(
-    block: RowBlock,
-    derivations: Sequence[Tuple[str, BlockFn]],
-    batch_size: Optional[int] = None,
-    obs=None,
-) -> RowBlock:
-    """Column rebinding: evaluate each derivation as a whole column.
-    A pass-through column reference costs nothing — the output aliases
-    the input list."""
-    outputs: List[RowBlock] = []
-    chunks_seen = 0
-    for chunk in block.chunks(batch_size):
-        chunks_seen += 1
-        columns = {name: fn(chunk) for name, fn in derivations}
-        outputs.append(RowBlock(columns, chunk.length))
-    out = RowBlock.concat(outputs)
-    _observe_block(obs, "project", chunks_seen, 1, block.length, out.length)
-    return out
 
 
 def route_block(
@@ -410,20 +322,6 @@ def group_aggregate_block(
     return out
 
 
-def dedup_block(
-    block: RowBlock,
-    key_names: Sequence[str],
-    retain: str = "first",
-    obs=None,
-) -> RowBlock:
-    """One row per key (first or last occurrence), first-seen key order."""
-    groups = _group_indices(block, key_names)
-    pick = -1 if retain == "last" else 0
-    out = block.take([members[pick] for members in groups])
-    _observe_block(obs, "dedup", 1, 1, block.length, out.length)
-    return out
-
-
 # -- set kernels ---------------------------------------------------------------
 
 
@@ -455,18 +353,23 @@ def union_block(
 # -- sorting -------------------------------------------------------------------
 
 
-def sort_block(
+def sort_permutation(
     block: RowBlock,
     keys: Sequence[Tuple[str, str]],
     obs=None,
-) -> RowBlock:
-    """Stable multi-key sort by repeated stable index sorts (right-to-left,
-    exactly the row kernel's strategy, so the permutation is identical).
+    gathered: bool = True,
+) -> List[int]:
+    """The row order of a stable multi-key sort of ``block`` (which need
+    hold only the key columns), as indices: repeated stable index sorts
+    right-to-left, exactly the row kernel's strategy, so the
+    permutation is identical. The caller narrows its chain by it;
+    ``exec.block.sort.*`` counts the sorts ``gathered`` at once (the
+    block tier's), as it always has.
 
     Above an active memory budget the sort buffer is spilled instead:
     the same permutation is computed by external merge over
     budget-sized runs (:func:`repro.supervision.spill.
-    external_sort_indices`), then gathered once."""
+    external_sort_indices`)."""
     run_budget = active_memory_budget()
     if run_budget is not None and run_budget.exceeded(block.length):
         from repro.supervision.spill import (
@@ -487,18 +390,16 @@ def sort_block(
                 for col, descending in specs
             )
 
-        order = external_sort_indices(block.length, key_of, run_budget, obs)
-        out = block.take(order)
-        _observe_block(obs, "sort", 1, 1, block.length, out.length)
-        return out
-    indices = list(range(block.length))
-    for col_name, direction in reversed(list(keys)):
-        descending = direction == "desc"
-        decorated = sort_column(block.columns[col_name], descending)
-        indices.sort(key=decorated.__getitem__, reverse=descending)
-    out = block.take(indices)
-    _observe_block(obs, "sort", 1, 1, block.length, out.length)
-    return out
+        indices = external_sort_indices(block.length, key_of, run_budget, obs)
+    else:
+        indices = list(range(block.length))
+        for col_name, direction in reversed(list(keys)):
+            descending = direction == "desc"
+            decorated = sort_column(block.columns[col_name], descending)
+            indices.sort(key=decorated.__getitem__, reverse=descending)
+    if gathered:
+        _observe_block(obs, "sort", 1, 1, block.length, block.length)
+    return indices
 
 
 # -- joins ---------------------------------------------------------------------
@@ -691,14 +592,11 @@ def relation_resolver(
 __all__ = [
     "BlockFn",
     "RowBlock",
-    "filter_block",
-    "project_block",
     "route_block",
     "switch_block",
     "group_aggregate_block",
-    "dedup_block",
     "union_block",
-    "sort_block",
+    "sort_permutation",
     "hash_join_block",
     "lookup_block",
     "relation_resolver",

@@ -1,13 +1,11 @@
-"""Fused pipelines: selection-vector block chains that never
-materialize intermediates.
+"""Selection-vector chains: the one body of every columnar operator.
 
-The block kernels of :mod:`repro.exec.block` are eager: every operator
-builds a complete intermediate :class:`~repro.exec.block.RowBlock` — a
-``take()`` copy of **all** columns — before the next kernel sees a
-single value. For the operator chains the Orchid model produces
+Gathering a complete intermediate :class:`~repro.exec.block.RowBlock` —
+a ``take()`` copy of **all** columns — after every operator is what
+dominates profile time on the operator chains the Orchid model produces
 (Filter → Transformer scalar columns → Switch routing → a terminal
-Aggregate/Dedup/Sort or a target materialization) those copies dominate
-profile time, not predicate or scalar evaluation.
+Aggregate/Dedup/Sort or a target materialization), not predicate or
+scalar evaluation.
 
 This module is the MonetDB/X100-style answer: a :class:`FusedBlock`
 carries a *selection vector* alongside the original source block, so
@@ -17,23 +15,27 @@ carries a *selection vector* alongside the original source block, so
 * a projection rebinds *handles* (name → source column, or name →
   computed column aligned to the selection) instead of copying;
 * computed scalar columns are evaluated eagerly per operator — exactly
-  the rows the unfused tier would see at that stage, so errors and
-  rejects surface identically — but only over the *surviving*
-  selection;
-* columns are finally gathered exactly once, at the chain's single
-  materialization point, and only the columns the consumer actually
-  reads (dead-column pruning via :func:`read_set`).
+  the rows that reach that operator, so errors and rejects surface
+  there — but only over the *surviving* selection, and only over the
+  columns the operator reads (:func:`read_set`);
+* columns are gathered at the chain's materialization point, and only
+  the ones the consumer actually reads.
 
-A chain lives inside a :class:`~repro.data.dataset.Dataset` as a lazy
-columnar backing (``Dataset.adopt_fused``); any consumer that needs a
-real block (a join build side, the row path, ``.rows``) transparently
-materializes it — such operators are *chain breakers*, and a new chain
-starts after them.
+Every batched operator is written against a chain, once. Where the
+chain is materialized is the planner's decision
+(:meth:`repro.exec.ExpressionPlanner.materialize_fused`): the *block*
+tier gathers it at every operator boundary, so each operator hands a
+plain block-backed dataset downstream; the *fused* tier leaves it lazy
+inside a :class:`~repro.data.dataset.Dataset` (``Dataset.adopt_fused``)
+until a consumer needs a real block (a join build side, the row path,
+``.rows``) — such operators are *chain breakers*, and a new chain starts
+after them.
 
-Observability: ``exec.fuse.chains`` counts chains with at least one
-fused operator, ``exec.fuse.operators`` the operators fused into them,
-and ``exec.fuse.intermediate_rows_avoided`` the rows that were *not*
-copied into an intermediate block at an operator boundary. The
+Observability (fused tier only — a gathering planner opens its chains
+unobserved): ``exec.fuse.chains`` counts chains with at least one fused
+operator, ``exec.fuse.operators`` the operators fused into them, and
+``exec.fuse.intermediate_rows_avoided`` the rows that were *not* copied
+into an intermediate block at an operator boundary. The
 ``exec.fuse.chain`` span wraps each chain's materialization gather
 (suppressed inside parallel worker threads, where the tracer's span
 stack is not available).
@@ -103,9 +105,9 @@ class FusedBlock:
         self.length = length
         #: fused operators applied so far (span attribute)
         self.ops = ops
-        #: the Observability captured when the chain started — used by
-        #: the materialization span/metrics, which may fire lazily in a
-        #: downstream stage
+        #: the Observability captured when the chain started (None when
+        #: the planner gathers at every boundary) — used by fused_op and
+        #: the materialization span, which may fire lazily downstream
         self.obs = obs
         self._gathered: Dict[int, List[Any]] = (
             {} if gathered is None else gathered
@@ -270,14 +272,16 @@ def fuse_source(block: RowBlock, obs=None) -> FusedBlock:
     )
 
 
-def fused_op(chain: FusedBlock, obs, rows_avoided: int = 0) -> FusedBlock:
-    """Book one fused operator on ``chain``: bumps the chain's operator
-    count and the ``exec.fuse.*`` metrics. ``rows_avoided`` is the rows
-    the unfused tier would have copied into an intermediate block at
-    this operator boundary. The chain itself is counted once, at its
-    first fused operator (so chains that immediately fall back to the
-    unfused kernels are not reported)."""
+def fused_op(chain: FusedBlock, rows_avoided: int = 0) -> None:
+    """Book one operator on ``chain``: bumps the chain's operator count
+    and, on an observed chain (one a fusing planner opened), the
+    ``exec.fuse.*`` metrics. ``rows_avoided`` is the rows the block
+    tier copies into an intermediate block at this operator boundary.
+    The chain itself is counted once, at its first fused operator (so
+    chains that immediately fall back to the row kernels are not
+    reported)."""
     chain.ops += 1
+    obs = chain.obs
     if obs is not None and obs.enabled:
         metrics = obs.metrics
         state = chain._state
@@ -287,7 +291,6 @@ def fused_op(chain: FusedBlock, obs, rows_avoided: int = 0) -> FusedBlock:
         metrics.count("exec.fuse.operators")
         if rows_avoided:
             metrics.count("exec.fuse.intermediate_rows_avoided", rows_avoided)
-    return chain
 
 
 def read_set(

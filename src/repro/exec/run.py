@@ -86,9 +86,9 @@ class RunOptions(NamedTuple):
     #: compiler; nodes fall back per operator). Under ``mode="auto"``
     #: each run re-decides from its input size.
     batched: bool
-    batch_size: int
-    #: chain batched operators through fused selection-vector pipelines;
-    #: under ``mode="auto"``, whether a run tiered batched does.
+    #: leave batched operators' selection-vector chains lazy across
+    #: operator boundaries instead of gathering at each; under
+    #: ``mode="auto"``, whether a run tiered batched does.
     fused: bool
     #: wavefront scheduling: independent nodes of one topological level
     #: compute concurrently on a worker pool (with ``batched``, large
@@ -134,8 +134,8 @@ class RunOptions(NamedTuple):
         get = kwargs.get
         obs = get("obs") or NULL_OBS
         tier = resolve_tier(
-            get("compiled"), get("batched"), get("batch_size"), get("fused"),
-            get("parallel"), get("workers"), get("mode"),
+            get("compiled"), get("batched"), get("fused"), get("parallel"),
+            get("workers"), get("mode"),
         )
         supervisor = resolve_supervisor(
             get("supervisor"), get("deadline"), obs=obs
@@ -159,8 +159,8 @@ class RunOptions(NamedTuple):
         """A fresh planner for one run (expressions shared by several
         nodes lower once per run), at this engine's resolved tier."""
         tier = Tier(
-            self.compiled, self.batched, self.batch_size, self.fused,
-            self.parallel, self.workers, self.mode,
+            self.compiled, self.batched, self.fused, self.parallel,
+            self.workers, self.mode,
         )
         return ExpressionPlanner.at(registry, tier)
 
@@ -188,8 +188,9 @@ class Runtime:
 
 class TierLadder:
     """The degradation ladder of one run, most capable tier first:
-    fused pipelines → batched blocks → compiled row kernels →
-    interpreting oracle, starting at the tier ``planner`` runs at.
+    fused chains → the same chains gathered at every operator boundary
+    (batched blocks) → compiled row kernels → interpreting oracle,
+    starting at the tier ``planner`` runs at.
 
     Every lower rung states its tier, so no process default
     (``REPRO_MODE``, ``REPRO_BATCH``, ``REPRO_PARALLEL``, ``REPRO_FUSE``)
@@ -202,8 +203,7 @@ class TierLadder:
 
         def rung(compiled: bool, mode: str) -> ExpressionPlanner:
             tier = Tier(
-                compiled, mode == "block", planner.batch_size, False, False,
-                planner.workers, mode,
+                compiled, mode == "block", False, False, planner.workers, mode
             )
             return ExpressionPlanner.at(planner.registry, tier)
 

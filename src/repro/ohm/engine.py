@@ -10,18 +10,19 @@ Row work is dispatched onto the shared kernels in
 :mod:`repro.exec.kernels`; expressions are lowered once per operator by
 an :class:`~repro.exec.ExpressionPlanner` (pass ``compiled=False`` to
 fall back to the tree-walking interpreter, the semantic oracle). With
-``batched=True`` the executor routes block-capable operators (FILTER,
-PROJECT, JOIN, UNION, GROUP, SPLIT, TARGET) through the columnar
-kernels in :mod:`repro.exec.block`, falling back per operator to the
-row kernels whenever an expression cannot be lowered column-wise;
-row-shaped operators (NEST, UNNEST, UNKNOWN) always take the row path.
-On top of batched mode, ``fused`` (default on, ``REPRO_FUSE=0`` to
-disable) chains FILTER/PROJECT/SPLIT selection-vector style through
-:mod:`repro.exec.fuse`: filters narrow an index list instead of
-gathering, projections rename or compute handles lazily, and columns
-materialize once — at a GROUP terminal, a chain breaker (JOIN, UNION,
-NEST/UNNEST), or TARGET delivery, which gathers only the target's
-columns.
+``batched=True`` the block-capable operators (FILTER, PROJECT, JOIN,
+UNION, GROUP, SPLIT, TARGET) run column-wise, each falling back to the
+row kernels whenever an expression cannot be lowered; row-shaped
+operators (NEST, UNNEST, UNKNOWN) always take the row path. FILTER,
+PROJECT, SPLIT and GROUP are written against a selection-vector chain
+(:mod:`repro.exec.fuse`): filters narrow an index list, projections
+rename or compute handles. Batched alone, the chain is gathered into a
+block at every operator boundary; with ``fused`` on top (default on,
+``REPRO_FUSE=0`` to disable) it stays lazy, and columns materialize
+once — at a GROUP terminal, a chain breaker (JOIN, UNION, NEST/UNNEST),
+or TARGET delivery, which gathers only the target's columns. JOIN,
+GROUP, UNION, SPLIT and TARGET are the bodies the ETL stages run too
+(:mod:`repro.exec.ops`).
 
 Conventions:
 
@@ -55,9 +56,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.data.dataset import Dataset, Instance, Row
+from repro.data.dataset import Dataset, Instance
 from repro.errors import ExecutionError
-from repro.exec import ExpressionPlanner, block, fuse, kernels
+from repro.exec import ExpressionPlanner, fuse, kernels, ops
 from repro.exec.block import relation_resolver
 from repro.exec.run import Runtime, run_waves, start_run
 from repro.expr.ast import ColumnRef
@@ -165,45 +166,35 @@ class OhmExecutor(Runtime):
             return [
                 self._run_project(op, inputs[0], out_relations[0], planner, errors)
             ]
+        obs = self._obs
         if isinstance(op, Join):
+            left, right = inputs
+            plan = [
+                (attr.name, side, source)
+                for attr, side, source in Join.joined_attributes(
+                    left.relation, right.relation
+                )
+            ]
+            on_error = errors.kernel_handler() if errors is not None else None
             return [
-                self._run_join(
-                    op, inputs[0], inputs[1], out_relations[0], planner, errors
+                ops.join(
+                    left, right, op.condition, op.kind, plan,
+                    out_relations[0], planner, obs, on_error,
                 )
             ]
         if isinstance(op, Union):
-            return [self._run_union(op, inputs, out_relations[0], planner)]
-        if isinstance(op, Group):
-            return [self._run_group(op, inputs[0], out_relations[0], planner)]
-        if isinstance(op, Split):
-            if planner.batched:
-                chain = planner.fused_chain(inputs[0], self._obs)
-                if chain is not None:
-                    # handle renames only — every output keeps chaining
-                    # on the shared selection, nothing is gathered
-                    results = [
-                        planner.materialize_fused(
-                            out,
-                            chain.project(
-                                [(n, n) for n in out.attribute_names]
-                            ),
-                        )
-                        for out in out_relations
-                    ]
-                    fuse.fused_op(chain, self._obs, 0)
-                    return results
-                # every output shares the (immutable) input columns
-                shared = inputs[0].as_block()
-                return [
-                    planner.materialize_block(out, shared)
-                    for out in out_relations
-                ]
             return [
-                planner.materialize(
-                    out, [dict(r) for r in inputs[0]], fresh=True
-                )
-                for out in out_relations
+                ops.union(inputs, out_relations[0], op.distinct, planner, obs)
             ]
+        if isinstance(op, Group):
+            return [
+                ops.group(
+                    inputs[0], op.keys, op.aggregates, out_relations[0],
+                    planner, obs,
+                )
+            ]
+        if isinstance(op, Split):
+            return ops.fan_out(inputs[0], out_relations, planner, obs)
         if isinstance(op, Nest):
             return [self._run_nest(op, inputs[0], out_relations[0], planner)]
         if isinstance(op, Unnest):
@@ -236,33 +227,20 @@ class OhmExecutor(Runtime):
         planner: ExpressionPlanner,
         errors: Optional[ErrorContext] = None,
     ) -> Dataset:
-        if planner.batched:
-            chain = planner.fused_chain(data, self._obs)
-            if chain is not None:
-                resolve = relation_resolver(
-                    data.relation.name, chain.handles
-                )
-                predicate = planner.block_predicate(
-                    op.condition, resolve, tier="fused"
-                )
-                if predicate is not None:
-                    # narrow the selection vector — no gather; the
-                    # predicate sees only the columns it reads
-                    reads = fuse.read_set([op.condition], resolve)
-                    mask = predicate(chain.view(reads))
-                    kept = [i for i, flag in enumerate(mask) if flag]
-                    fuse.fused_op(chain, self._obs, len(kept))
-                    return planner.materialize_fused(
-                        out, chain.narrow(kept)
-                    )
-            blk = data.as_block()
-            resolve = relation_resolver(data.relation.name, blk.columns)
-            predicate = planner.block_predicate(op.condition, resolve)
+        chain = planner.fused_chain(data, self._obs)
+        if chain is not None:
+            resolve = relation_resolver(data.relation.name, chain.handles)
+            predicate = planner.block_predicate(
+                op.condition, resolve, chain=True
+            )
             if predicate is not None:
-                kept = block.filter_block(
-                    blk, predicate, planner.batch_size, obs=self._obs
-                )
-                return planner.materialize_block(out, kept)
+                # narrow the selection vector — no gather; the
+                # predicate sees only the columns it reads
+                reads = fuse.read_set([op.condition], resolve)
+                mask = predicate(chain.view(reads))
+                kept = [i for i, flag in enumerate(mask) if flag]
+                fuse.fused_op(chain, len(kept))
+                return planner.materialize_fused(out, chain.narrow(kept))
         on_error = errors.kernel_handler() if errors is not None else None
         kept = kernels.filter_rows(
             data.rows,
@@ -283,26 +261,11 @@ class OhmExecutor(Runtime):
         planner: ExpressionPlanner,
         errors: Optional[ErrorContext] = None,
     ) -> Dataset:
-        if planner.batched:
-            chain = planner.fused_chain(data, self._obs)
-            if chain is not None:
-                produced = self._project_fused(op, data, chain, planner)
-                if produced is not None:
-                    return planner.materialize_fused(out, produced)
-            blk = data.as_block()
-            resolve = relation_resolver(data.relation.name, blk.columns)
-            lowered = [
-                (name, planner.block_scalar(expr, resolve))
-                for name, expr in op.derivations
-            ]
-            if all(fn is not None for _name, fn in lowered):
-                produced = block.project_block(
-                    blk,
-                    lowered,
-                    batch_size=planner.batch_size,
-                    obs=self._obs,
-                )
-                return planner.materialize_block(out, produced)
+        chain = planner.fused_chain(data, self._obs)
+        if chain is not None:
+            produced = self._project_chain(op, data, chain, planner)
+            if produced is not None:
+                return planner.materialize_fused(out, produced)
         on_error = errors.kernel_handler() if errors is not None else None
         rows = kernels.project_rows(
             data.rows,
@@ -313,7 +276,7 @@ class OhmExecutor(Runtime):
         )
         return planner.materialize(out, rows, fresh=True)
 
-    def _project_fused(
+    def _project_chain(
         self,
         op: Project,
         data: Dataset,
@@ -323,8 +286,8 @@ class OhmExecutor(Runtime):
         """PROJECT as a handle rebinding on the chain: pass-through
         column references rename handles (no gather), computed columns
         evaluate eagerly but only over read-set views of the surviving
-        selection. ``None`` when any derivation needs the unfused path
-        — fusion is all-or-nothing per operator."""
+        selection. ``None`` when any derivation needs the row path —
+        all or nothing per operator."""
         resolve = relation_resolver(data.relation.name, chain.handles)
         lowered = []
         for name, expr in op.derivations:
@@ -333,7 +296,7 @@ class OhmExecutor(Runtime):
                 if key is not None:
                     lowered.append((name, None, key))
                     continue
-            fn = planner.block_scalar(expr, resolve, tier="fused")
+            fn = planner.block_scalar(expr, resolve, chain=True)
             if fn is None:
                 return None
             lowered.append((name, expr, fn))
@@ -345,144 +308,8 @@ class OhmExecutor(Runtime):
                 handles[name] = fn(
                     chain.view(fuse.read_set([expr], resolve))
                 )
-        fuse.fused_op(chain, self._obs, chain.length)
+        fuse.fused_op(chain, chain.length)
         return chain.derive(handles)
-
-    def _run_join(
-        self,
-        op: Join,
-        left: Dataset,
-        right: Dataset,
-        out: Relation,
-        planner: ExpressionPlanner,
-        errors: Optional[ErrorContext] = None,
-    ) -> Dataset:
-        attrs = Join.joined_attributes(left.relation, right.relation)
-        if planner.batched:
-            joined = block.hash_join_block(
-                left.as_block(),
-                right.as_block(),
-                left.relation,
-                right.relation,
-                op.condition,
-                op.kind,
-                [(attr.name, side, source) for attr, side, source in attrs],
-                planner,
-                obs=self._obs,
-            )
-            if joined is not None:
-                return planner.materialize_block(out, joined)
-
-        def merge(left_row: Optional[Row], right_row: Optional[Row]) -> Row:
-            merged: Row = {}
-            for attr, side, source in attrs:
-                source_row = left_row if side == "left" else right_row
-                merged[attr.name] = (
-                    None if source_row is None else source_row[source]
-                )
-            return merged
-
-        rows: List[Row] = []
-        kernels.hash_join(
-            left.rows,
-            right.rows,
-            left.relation,
-            right.relation,
-            op.condition,
-            op.kind,
-            merge,
-            rows.append,
-            planner,
-            obs=self._obs,
-            on_error=errors.kernel_handler() if errors is not None else None,
-        )
-        return planner.materialize(out, rows, fresh=True)
-
-    def _run_union(
-        self,
-        op: Union,
-        inputs: List[Dataset],
-        out: Relation,
-        planner: ExpressionPlanner,
-    ) -> Dataset:
-        if planner.batched:
-            unioned = block.union_block(
-                [dataset.as_block() for dataset in inputs],
-                out.attribute_names,
-                distinct=op.distinct,
-                obs=self._obs,
-            )
-            return planner.materialize_block(out, unioned)
-        rows = kernels.union_rows(
-            [dataset.rows for dataset in inputs],
-            out.attribute_names,
-            distinct=op.distinct,
-            obs=self._obs,
-        )
-        return planner.materialize(out, rows, fresh=True)
-
-    def _run_group(
-        self,
-        op: Group,
-        data: Dataset,
-        out: Relation,
-        planner: ExpressionPlanner,
-    ) -> Dataset:
-        if planner.batched:
-            produced = self._group_block(op, data, planner)
-            if produced is not None:
-                return planner.materialize_block(out, produced)
-        rows = kernels.group_aggregate_rows(
-            data.rows,
-            op.keys,
-            [(name, planner.aggregate(agg)) for name, agg in op.aggregates],
-            obs=self._obs,
-        )
-        return planner.materialize(out, rows, fresh=True)
-
-    def _group_block(self, op: Group, data: Dataset, planner: ExpressionPlanner):
-        """The GROUP operator over columns, or ``None`` when any
-        aggregate argument needs the row path. Aggregate members are
-        bound anonymously on the row path, so the resolver here carries
-        no relation qualifier."""
-        chain = planner.fused_chain(data, self._obs)
-        if chain is not None:
-            produced = self._group_fused(op, chain, planner)
-            if produced is not None:
-                return produced
-        blk = data.as_block()
-        resolve = relation_resolver(None, blk.columns)
-        lowered = []
-        for name, agg in op.aggregates:
-            plan = planner.block_aggregate(agg, resolve)
-            if plan is None:
-                return None
-            lowered.append((name, plan[0], plan[1]))
-        return block.group_aggregate_block(
-            blk, op.keys, lowered, obs=self._obs, planner=planner
-        )
-
-    def _group_fused(self, op: Group, chain, planner: ExpressionPlanner):
-        """GROUP as a fused terminal: aggregate over a read-set view of
-        the chain (group keys plus the columns the aggregate arguments
-        touch) — the full intermediate block never materializes."""
-        resolve = relation_resolver(None, chain.handles)
-        lowered = []
-        args = []
-        for name, agg in op.aggregates:
-            plan = planner.block_aggregate(agg, resolve, tier="fused")
-            if plan is None:
-                return None
-            if agg.arg is not None:
-                args.append(agg.arg)
-            lowered.append((name, plan[0], plan[1]))
-        reads = fuse.read_set(args, resolve)
-        names = list(dict.fromkeys(list(op.keys) + (reads or [])))
-        view = chain.view(names if reads is not None else None)
-        fuse.fused_op(chain, self._obs, chain.length)
-        return block.group_aggregate_block(
-            view, op.keys, lowered, obs=self._obs, planner=planner
-        )
 
     def _run_nest(
         self, op: Nest, data: Dataset, out: Relation, planner: ExpressionPlanner
@@ -521,61 +348,6 @@ class OhmExecutor(Runtime):
             Dataset(out, [dict(r) for r in produced], validate=False)
             for out, produced in zip(out_relations, outputs)
         ]
-
-    def _run_target(
-        self,
-        op: Target,
-        data: Dataset,
-        planner: ExpressionPlanner,
-        errors: Optional[ErrorContext] = None,
-    ) -> Dataset:
-        names = op.relation.attribute_names
-        if errors is not None and errors.handling:
-            # an active policy forces the checked path — bad rows land on
-            # the policy's channel, never abort the delivery
-            from repro.errors import SchemaError
-
-            result = Dataset(op.relation)
-            for index, row in enumerate(data):
-                try:
-                    result.append({n: row.get(n) for n in names})
-                except SchemaError as exc:
-                    errors.record(index, dict(row), exc)
-            return result
-        if planner.batched:
-            fused = data.peek_fused()
-            if fused is not None:
-                # fused delivery: the chain's terminal gather — only the
-                # target's columns materialize; columns the target lacks
-                # become NULL, matching the row path's row.get
-                return Dataset.adopt_block(
-                    op.relation,
-                    fuse.materialize_fused(fused, names, fill_missing=True),
-                )
-            blk = data.peek_block()
-            if blk is not None:
-                # trusted delivery straight from the columnar form:
-                # subset/NULL-fill to the target attribute set without a
-                # row round-trip (missing columns become NULL, matching
-                # the row path's row.get)
-                columns = {
-                    n: blk.columns[n]
-                    if n in blk.columns
-                    else [None] * blk.length
-                    for n in names
-                }
-                return Dataset.adopt_block(
-                    op.relation, block.RowBlock(columns, blk.length)
-                )
-        if self.compiled:
-            # trusted delivery: upstream kernels already shaped the rows
-            return Dataset.adopt(
-                op.relation, [{n: row.get(n) for n in names} for row in data]
-            )
-        result = Dataset(op.relation)
-        for row in data:
-            result.append({n: row.get(n) for n in names})
-        return result
 
     def _run_impl(
         self, graph: OhmGraph, instance: Instance
@@ -643,12 +415,8 @@ class _GraphRun:
         inputs, out_edges, ctx = state
         executor, metrics = self.executor, self.obs.metrics
         if isinstance(op, Target):
-            delivered = self.ladder.attempt(
-                lambda p: executor._run_target(op, inputs[0], p, errors=ctx),
-                ctx,
-                metrics,
-            )
-            return [delivered]
+            # no tier to fall from: delivery reads the data's backing
+            return [ops.deliver(inputs[0], op.relation, executor.compiled, ctx)]
         out_relations = [e.schema for e in out_edges]
         outputs = self.ladder.attempt(
             lambda p: executor._run_operator(

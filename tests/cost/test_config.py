@@ -6,7 +6,7 @@ from repro import config
 from repro.config import Option, check_mode, check_policy, parse_bool
 from repro.errors import ValidationError
 
-BATCH_SIZE = config.OPTIONS["batch_size"].default
+WORKERS = config.OPTIONS["workers"].default
 
 
 @pytest.fixture(autouse=True)
@@ -20,13 +20,13 @@ def _no_ambient_environment(monkeypatch):
 
 class TestPrecedence:
     def test_kwarg_beats_setter_beats_env_beats_default(self, monkeypatch):
-        assert config.resolve("batch_size") == BATCH_SIZE
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "64")
-        assert config.resolve("batch_size") == 64
-        with config.overriding(batch_size=128):
-            assert config.resolve("batch_size") == 128
+        assert config.resolve("workers") == WORKERS
+        monkeypatch.setenv("REPRO_WORKERS", "64")
+        assert config.resolve("workers") == 64
+        with config.overriding(workers=128):
+            assert config.resolve("workers") == 128
             # the kwarg always wins
-            assert config.resolve("batch_size", 256) == 256
+            assert config.resolve("workers", 256) == 256
 
     def test_setter_none_restores_env_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
@@ -38,25 +38,21 @@ class TestPrecedence:
         assert config.resolve("workers") == 3
 
     def test_env_fallback_chain(self, monkeypatch):
-        # batch_size reads REPRO_BATCH_SIZE first, then REPRO_BATCH
-        monkeypatch.setenv("REPRO_BATCH", "512")
-        assert config.resolve("batch_size") == 512
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "2048")
-        assert config.resolve("batch_size") == 2048
+        # workers reads REPRO_WORKERS first, then REPRO_PARALLEL
+        monkeypatch.setenv("REPRO_PARALLEL", "5")
+        assert config.resolve("workers") == 5
+        monkeypatch.setenv("REPRO_WORKERS", "6")
+        assert config.resolve("workers") == 6
 
     def test_unparseable_env_value_is_skipped(self, monkeypatch):
-        # REPRO_BATCH=1 means "batched on", not "batch size 1"
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert config.resolve("batched") is True
-        assert config.resolve("batch_size") == BATCH_SIZE
-        # ... and REPRO_BATCH=4096 means "on, blocks of 4096"
+        # REPRO_BATCH only switches: any count is just "on"
         monkeypatch.setenv("REPRO_BATCH", "4096")
         assert config.resolve("batched") is True
-        assert config.resolve("batch_size") == 4096
-        # likewise REPRO_PARALLEL and the worker count
+        # REPRO_PARALLEL=true means "on", not a worker count
         monkeypatch.setenv("REPRO_PARALLEL", "true")
         assert config.resolve("parallel") is True
-        assert config.resolve("workers") == config.OPTIONS["workers"].default
+        assert config.resolve("workers") == WORKERS
+        # ... and REPRO_PARALLEL=4 means "on, 4 workers"
         monkeypatch.setenv("REPRO_PARALLEL", "4")
         assert config.resolve("parallel") is True
         assert config.resolve("workers") == 4
@@ -109,8 +105,6 @@ class TestEnvironment:
     @pytest.mark.parametrize(
         "variable,raw",
         [
-            ("REPRO_BATCH_SIZE", "0"),
-            ("REPRO_BATCH_SIZE", "abc"),
             ("REPRO_WORKERS", "abc"),
             ("REPRO_WORKERS", "0"),
             ("REPRO_PARALLEL_MIN_ROWS", "0"),
@@ -196,7 +190,7 @@ class TestValidation:
     def test_keyword_errors_keep_their_classes(self):
         # the exec rows raised ValueError before the table, the
         # resilience and supervision rows ValidationError
-        for name in ("batch_size", "workers", "parallel_min_rows"):
+        for name in ("workers", "parallel_min_rows"):
             with pytest.raises(ValueError, match=name):
                 config.resolve(name, 0)
         for name, bad in (("max_retries", -1), ("deadline", 0),
@@ -225,7 +219,7 @@ class TestDerivedDefaults:
         snap = config.snapshot()
         assert sorted(snap) == sorted(config.OPTIONS)
         assert sorted(snap) == [
-            "batch_size", "batched", "breaker", "check", "checkpoint_dir",
+            "batched", "breaker", "check", "checkpoint_dir",
             "compiled", "cost_based", "deadline", "fused", "max_retries",
             "memory_budget", "mode", "on_error", "parallel",
             "parallel_min_rows", "workers",

@@ -8,7 +8,9 @@ aliasing survives slice/take, NULL keys group.
 
 import pytest
 
+from repro.data.dataset import Dataset
 from repro.errors import ExecutionError
+from repro.etl.stages import RemoveDuplicatesStage
 from repro.exec import ExpressionPlanner, block, kernels
 from repro.exec.block import RowBlock, relation_resolver
 from repro.exec.compile_block import (
@@ -19,6 +21,8 @@ from repro.exec.compile_block import (
 from repro.expr.ast import AggregateCall, ColumnRef
 from repro.expr.parser import parse
 from repro.obs import Observability
+from repro.ohm import OhmExecutor
+from repro.ohm.operators import Filter, Project
 from repro.schema.model import Attribute, Relation
 from repro.schema.types import INTEGER, STRING
 
@@ -51,6 +55,23 @@ def scalar(sql):
 
 def ids(blk):
     return blk.columns["id"]
+
+
+# filtering, projection and deduplication have no kernel of their own:
+# on the block tier they are the operator's chain body, gathered at once
+T_REL = Relation(
+    "T",
+    [Attribute("id", INTEGER), Attribute("grp", STRING), Attribute("v", INTEGER)],
+)
+
+
+def block_tier_operator(op, out_relation=T_REL):
+    """``op`` over ROWS at the block tier; the input and output blocks."""
+    data = Dataset.adopt_block(T_REL, make_block())
+    executor = OhmExecutor(compiled=True, batched=True, fused=False)
+    (out,) = executor.run_operator(op, [data], [out_relation])
+    assert out.peek_fused() is None
+    return data.peek_block(), out.peek_block()
 
 
 # --- container ----------------------------------------------------------------
@@ -95,44 +116,20 @@ def test_take_gathers_aliased_columns_once():
     assert out.length == 2
 
 
-def test_chunks_split_and_whole_block_shortcut():
-    blk = make_block()
-    assert list(blk.chunks(None)) == [blk]  # no copy when it fits
-    assert list(blk.chunks(10)) == [blk]
-    sizes = [c.length for c in blk.chunks(2)]
-    assert sizes == [2, 2, 1]
-    assert [ids(c) for c in blk.chunks(2)] == [[1, 2], [3, 4], [5]]
-
-
-def test_concat_and_with_columns_share_lists():
-    blk = make_block()
-    assert RowBlock.concat([blk]) is blk
-    assert RowBlock.concat([]).length == 0
-    both = RowBlock.concat([blk.slice(0, 2), blk.slice(2, 5)])
-    assert ids(both) == [1, 2, 3, 4, 5]
-    extra = blk.with_columns({"doubled": [i * 2 for i in ids(blk)]})
-    assert extra.columns["id"] is blk.columns["id"]  # no copies
-    assert extra.columns["doubled"] == [2, 4, 6, 8, 10]
-
-
 # --- selection kernels --------------------------------------------------------
 
 
 def test_filter_block_drops_unknown():
-    out = block.filter_block(make_block(), predicate("v > 15"))
+    _blk, out = block_tier_operator(Filter("v > 15"))
     assert ids(out) == [3, 4, 5]  # NULL v filters out
 
 
-@pytest.mark.parametrize("batch_size", [None, 1, 2, 100])
-def test_filter_block_chunking_is_invisible(batch_size):
-    out = block.filter_block(make_block(), predicate("T.id <= 2"), batch_size)
-    assert ids(out) == [1, 2]
-
-
 def test_project_block_pass_through_aliasing():
-    blk = make_block()
-    out = block.project_block(
-        blk, [("double", scalar("id * 2")), ("v", scalar("v"))]
+    out_relation = Relation(
+        "P", [Attribute("double", INTEGER), Attribute("v", INTEGER)]
+    )
+    blk, out = block_tier_operator(
+        Project([("double", "id * 2"), ("v", "v")]), out_relation
     )
     assert out.to_rows(["double", "v"]) == [
         {"double": r["id"] * 2, "v": r["v"]} for r in ROWS
@@ -214,10 +211,17 @@ def test_group_aggregate_block_numeric_keys_collide_like_rows():
 
 
 def test_dedup_block_first_and_last():
-    first = block.dedup_block(make_block(), ["grp"], "first")
-    assert ids(first) == [1, 2, 4]
-    last = block.dedup_block(make_block(), ["grp"], "last")
-    assert ids(last) == [3, 2, 5]
+    planner = ExpressionPlanner(compiled=True, batched=True, fused=False)
+
+    def dedup(retain):
+        data = Dataset.adopt_block(T_REL, make_block())
+        (out,) = RemoveDuplicatesStage(["grp"], retain).execute(
+            [data], [T_REL], None, planner=planner
+        )
+        return out.peek_block()
+
+    assert ids(dedup("first")) == [1, 2, 4]
+    assert ids(dedup("last")) == [3, 2, 5]
 
 
 def test_union_block_distinct():
@@ -238,7 +242,9 @@ def test_sort_block_matches_row_kernel_permutation():
         [("v", "desc")],
     ]:
         expected = [r["id"] for r in kernels.sort_rows(ROWS, keys)]
-        assert ids(block.sort_block(make_block(), keys)) == expected, keys
+        blk = make_block()
+        order = block.sort_permutation(blk, keys)
+        assert ids(blk.take(order)) == expected, keys
 
 
 # --- joins --------------------------------------------------------------------
@@ -339,8 +345,12 @@ def test_lookup_block_first_reference_match_wins():
 
 def test_block_kernels_record_row_counts():
     obs = Observability(stats=True)
-    block.filter_block(make_block(), predicate("id < 3"), 2, obs=obs)
-    assert obs.metrics.counter("exec.block.filter.rows_in") == len(ROWS)
-    assert obs.metrics.counter("exec.block.filter.rows_out") == 2
-    assert obs.metrics.counter("exec.block.filter.blocks_in") == 3  # chunks
-    assert obs.metrics.counter("exec.block.filter.blocks_out") == 1
+    specs = [("pred", predicate("id < 3")), ("fallback", None)]
+    block.route_block(make_block(), specs, obs=obs)
+    assert obs.metrics.counter("exec.block.route.rows_in") == len(ROWS)
+    assert obs.metrics.counter("exec.block.route.rows_out") == len(ROWS)
+    assert obs.metrics.counter("exec.block.route.blocks_in") == 1
+    assert obs.metrics.counter("exec.block.route.blocks_out") == 2
+    block.sort_permutation(make_block(), [("id", "desc")], obs=obs)
+    assert obs.metrics.counter("exec.block.sort.rows_in") == len(ROWS)
+    assert obs.metrics.counter("exec.block.sort.rows_out") == len(ROWS)

@@ -245,17 +245,6 @@ def test_all_three_runtimes_agree_batched():
     )
 
 
-@pytest.mark.parametrize("batch_size", [3, 256, 1024])
-def test_batch_sizes_agree(batch_size):
-    job = build_kitchen_sink_job()
-    instance = generate_kitchen_sink_instance(n_orders=90)
-    baseline = EtlEngine(compiled=True, batched=False).execute(job, instance)
-    batched = EtlEngine(
-        compiled=True, batched=True, batch_size=batch_size
-    ).execute(job, instance)
-    assert batched.same_bags(baseline)
-
-
 def test_batched_mode_emits_block_metrics_row_mode_does_not():
     job = build_kitchen_sink_job()
     instance = generate_kitchen_sink_instance(n_orders=40)

@@ -39,9 +39,17 @@ from repro.faults import FaultPlan
 from repro.mapping import MappingExecutor, ohm_to_mappings
 from repro.obs import Observability
 from repro.ohm import OhmExecutor
+from repro.ohm.subtypes import reset_keygen_sequences
 from repro.resilience import format_row
 from repro.schema.model import relation
-from repro.workloads import build_faulty_job, generate_faulty_instance
+from repro.workloads import (
+    build_example_job,
+    build_faulty_job,
+    build_kitchen_sink_job,
+    generate_faulty_instance,
+    generate_instance,
+    generate_kitchen_sink_instance,
+)
 
 
 # -- the three runtimes, fused on/off ----------------------------------------
@@ -107,6 +115,83 @@ class TestFusedUnfusedParity:
         instance, _plan = generate_faulty_instance(n=60, seed=21, poison=7)
         _accepted, rejected = run_etl(instance, "reject", None, True)
         assert sum(rejected.values()) == 7
+
+
+# -- one body, three tiers ----------------------------------------------------
+
+
+def run_tier(runtime, job, instance, **tier):
+    """``job`` on ``runtime`` at ``tier`` under the reject policy:
+    accepted bags by target, the reject multiset, every link's dataset
+    and the run's counters."""
+    obs = Observability(stats=True)
+    reset_keygen_sequences()
+    if runtime == "etl":
+        engine = EtlEngine(obs=obs, on_error="reject", **tier)
+        targets, links = engine.run(job, instance)
+        rejected = Counter(format_row(r.row) for r in engine.last_run.rejected)
+    else:
+        graph = compile_job(job)
+        if runtime == "ohm":
+            executor, plan = OhmExecutor, graph
+        else:
+            executor, plan = MappingExecutor, ohm_to_mappings(graph)
+        targets, links, rejects = executor(
+            obs=obs, on_error="reject", **tier
+        ).run_with_rejects(plan, instance)
+        rejected = Counter(r["row"] for r in rejects.rows)
+    accepted = {
+        name: Counter(format_row(r) for r in targets.dataset(name).rows)
+        for name in targets.names
+    }
+    return accepted, rejected, links, obs.metrics.snapshot()["counters"]
+
+
+WORKLOADS = {
+    "sink": (
+        build_kitchen_sink_job,
+        lambda: generate_kitchen_sink_instance(n_orders=150),
+    ),
+    "example": (build_example_job, lambda: generate_instance(n_customers=60)),
+}
+
+
+class TestOneBodyThreeTiers:
+    """The block tier is the fused tier's chains gathered at every
+    operator boundary: same rows, same rejects (and the oracle's), no
+    ``exec.fuse.*``, nothing lazy on a link."""
+
+    @pytest.mark.parametrize("runtime", ["etl", "ohm", "mapping"])
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_gathered_fused_and_oracle_agree(self, workload, runtime):
+        build, generate = WORKLOADS[workload]
+        job, instance = build(), generate()
+        block = dict(compiled=True, batched=True)
+        fused = run_tier(runtime, job, instance, fused=True, **block)
+        gathered = run_tier(runtime, job, instance, fused=False, **block)
+        oracle = run_tier(runtime, job, instance, compiled=False)
+        assert gathered[:2] == fused[:2] == oracle[:2]
+        assert any(k.startswith("exec.fuse.") for k in fused[3])
+        assert not any(k.startswith("exec.fuse.") for k in gathered[3])
+        assert any(k.startswith("exec.block.") for k in gathered[3])
+        assert all(d.peek_fused() is None for d in gathered[2].values())
+        assert any(d.peek_block() is not None for d in gathered[2].values())
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "block"])
+    def test_fault_labels_follow_the_tier(self, fused):
+        # a chain body's closures are the block tier's work on both
+        # settings, and the fused tier's only while the planner fuses
+        instance, _plan = generate_faulty_instance(n=40, seed=34)
+
+        def fired(tier):
+            plan = FaultPlan(seed=34).fault_kernels(tier=tier, first=1)
+            engine = EtlEngine(compiled=True, batched=True, fused=fused)
+            with plan.injected():
+                engine.run(build_faulty_job(), instance)
+            return plan.kernel_faults_fired.get(tier, 0)
+
+        assert fired("block") == 1
+        assert fired("fused") == (1 if fused else 0)
 
 
 # -- randomized chains --------------------------------------------------------
@@ -286,7 +371,7 @@ class TestRandomizedChains:
         instance = _chain_instance(random.Random(1003))
         obs = Observability(stats=True)
         EtlEngine(
-            compiled=True, batched=True, obs=obs, on_error="skip"
+            compiled=True, batched=True, fused=True, obs=obs, on_error="skip"
         ).run(job, instance)
         counters = obs.metrics.snapshot()["counters"]
         assert counters.get("exec.fuse.chains", 0) >= 1
@@ -307,7 +392,7 @@ class TestFusedDegradation:
         baseline, _ = baseline_engine.run(build_faulty_job(), instance)
         plan = FaultPlan(seed=31).fault_kernels(tier="fused", first=1)
         obs = Observability(stats=True)
-        engine = EtlEngine(obs=obs, compiled=True, batched=True)
+        engine = EtlEngine(obs=obs, compiled=True, batched=True, fused=True)
         with plan.injected():
             targets, _ = engine.run(build_faulty_job(), instance)
         assert plan.kernel_faults_fired.get("fused", 0) >= 1
@@ -323,7 +408,7 @@ class TestFusedDegradation:
         instance, _plan = generate_faulty_instance(n=40, seed=32)
         plan = FaultPlan(seed=32).fault_kernels(tier="fused", first=100)
         obs = Observability(stats=True)
-        engine = EtlEngine(obs=obs, compiled=True, batched=True)
+        engine = EtlEngine(obs=obs, compiled=True, batched=True, fused=True)
         with plan.injected():
             engine.run(build_faulty_job(), instance)
         counters = obs.metrics.snapshot()["counters"]

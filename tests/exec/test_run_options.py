@@ -17,9 +17,7 @@ from repro.exec.run import RunOptions
 FLAG = (None, False, True)
 MODE = (None, "rows", "block", "parallel", "auto")
 WORKERS = (None, 1, 4)
-TIER_FIELDS = (
-    "compiled", "batched", "batch_size", "fused", "parallel", "workers", "mode"
-)
+TIER_FIELDS = ("compiled", "batched", "fused", "parallel", "workers", "mode")
 
 
 @pytest.fixture(autouse=True)
@@ -34,7 +32,7 @@ def _default(name, value):
 
 
 def reference_planner(compiled, batched, fused, parallel, workers, mode):
-    """The seven attributes of ``ExpressionPlanner(None, …)``."""
+    """The six attributes of ``ExpressionPlanner(None, …)``."""
     compiled = _default("compiled", compiled)
     batched = compiled and _default("batched", batched)
     workers = _default("workers", workers)
@@ -49,12 +47,11 @@ def reference_planner(compiled, batched, fused, parallel, workers, mode):
         batched = compiled
         parallel = batched and workers >= 2
     fused = batched and _default("fused", fused)
-    batch_size = config.OPTIONS["batch_size"].default
-    return (compiled, batched, batch_size, fused, parallel, workers, mode)
+    return (compiled, batched, fused, parallel, workers, mode)
 
 
 def reference_options(compiled, batched, fused, parallel, workers, mode):
-    """``RunOptions.resolve``'s seven tier fields: the planner's, except
+    """``RunOptions.resolve``'s six tier fields: the planner's, except
     that without a mode the wavefront needs no block kernels, and under
     ``mode="auto"`` ``fused`` is what was asked for (each run re-decides
     whether it is batched)."""

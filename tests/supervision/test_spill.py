@@ -181,10 +181,10 @@ class TestBlockKernelParity:
         rows = _rows(200)
         blk = RowBlock.from_rows(["id", "g", "v"], rows)
         keys = [("v", "desc"), ("g", "asc"), ("id", "asc")]
-        expected = block.sort_block(blk, keys)
+        expected = block.sort_permutation(blk, keys)
         with governed(MemoryBudget(max_rows)):
-            got = block.sort_block(blk, keys)
-        assert got.columns == expected.columns
+            got = block.sort_permutation(blk, keys)
+        assert got == expected
 
     @pytest.mark.parametrize("max_rows", [1000, 150, 16])
     def test_group_aggregate_block_parity(self, max_rows):
@@ -268,6 +268,45 @@ class TestEngineParity:
         got = executor.execute(mappings, instance)
         assert got.same_bags(expected)
         assert obs.metrics.counter("exec.spill.runs") > 0
+
+
+class TestSortStageUnderBudget:
+    """A Sort larger than the budget spills on the fused tier as on the
+    block tier: one body, one budget-aware permutation."""
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "block"])
+    def test_sort_stage_spills_and_keeps_the_order(self, fused):
+        from repro.data.dataset import Dataset, Instance
+        from repro.etl.model import Job
+        from repro.etl.stages import SortStage, TableSource, TableTarget
+
+        events = Relation(
+            "Events", [Attribute("id", INTEGER), Attribute("g", STRING)]
+        )
+        job = Job("sort-under-budget")
+        source = job.add(TableSource(events, name="Events"))
+        ordered = job.add(SortStage([("g", "desc"), ("id", "asc")], name="Sort"))
+        target = job.add(TableTarget(events.renamed("Out"), name="Out"))
+        job.link(source, ordered)
+        job.link(ordered, target)
+        instance = Instance(
+            [Dataset(events, [{"id": r["id"], "g": r["g"]} for r in _rows(200)])]
+        )
+
+        def run(memory_budget):
+            obs = Observability(stats=True)
+            engine = EtlEngine(
+                obs=obs, compiled=True, batched=True, fused=fused,
+                memory_budget=memory_budget,
+            )
+            rows = engine.execute(job, instance).dataset("Out").rows
+            return rows, obs.metrics.counter("exec.spill.sort")
+
+        expected, unbudgeted_spills = run(None)
+        assert unbudgeted_spills == 0
+        got, spills = run(16)
+        assert spills == 1
+        assert got == expected
 
 
 class TestAutoTierUnderBudget:

@@ -139,39 +139,6 @@ class TestObservabilityFlags:
 
 
 class TestBatchModeFlags:
-    def test_row_mode_and_batch_size_are_mutually_exclusive(
-        self, job_xml_path, capsys
-    ):
-        with pytest.raises(SystemExit):
-            main(["show", job_xml_path, "--row-mode", "--batch-size", "64"])
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_batch_size_must_be_positive(self, job_xml_path, capsys):
-        with pytest.raises(SystemExit):
-            main(["show", job_xml_path, "--batch-size", "0"])
-        assert "--batch-size" in capsys.readouterr().err
-
-    def test_batch_size_sets_defaults_during_dispatch_then_restores(
-        self, job_xml_path, monkeypatch
-    ):
-        import repro.cli as cli
-        from repro import config
-
-        ambient = config.snapshot()
-        seen = {}
-        real = cli._dispatch
-
-        def spy(args, orchid):
-            seen["batched"] = config.resolve("batched")
-            seen["size"] = config.resolve("batch_size")
-            return real(args, orchid)
-
-        monkeypatch.setattr(cli, "_dispatch", spy)
-        assert main(["show", job_xml_path, "--batch-size", "64"]) == 0
-        assert seen == {"batched": True, "size": 64}
-        # the flag's effect does not leak past the invocation
-        assert config.snapshot() == ambient
-
     def test_row_mode_overrides_repro_batch(self, job_xml_path, monkeypatch):
         import repro.cli as cli
         from repro import config
@@ -192,7 +159,7 @@ class TestBatchModeFlags:
 
 
 ALL_FLAGS = [
-    "--interpreted", "--batch-size", "64", "--no-fuse", "--workers", "3",
+    "--interpreted", "--no-fuse", "--workers", "3",
     "--mode", "block", "--on-error", "skip", "--max-retries", "2",
     "--deadline", "30", "--memory-budget", "500", "--check",
 ]
@@ -223,7 +190,7 @@ class TestFlagsAreScoped:
         flags = ALL_FLAGS + ["--checkpoint-dir", str(tmp_path)]
         assert main(["show", job_xml_path] + flags) == 0
         assert seen == dict(
-            before, compiled=False, batched=True, batch_size=64, fused=False,
+            before, compiled=False, fused=False,
             workers=3, parallel=True, mode="block", on_error="skip",
             max_retries=2, deadline=30.0, memory_budget=500, check=True,
             checkpoint_dir=str(tmp_path),
@@ -259,7 +226,6 @@ class TestFlagsAreScoped:
     @pytest.mark.parametrize(
         "flag,value,wording",
         [
-            ("--batch-size", "0", "--batch-size must be >= 1"),
             ("--workers", "0", "--workers must be >= 1"),
             ("--max-retries", "-1", "--max-retries must be >= 0"),
             ("--deadline", "0", "--deadline must be > 0 seconds"),

@@ -15,8 +15,7 @@ Run:  python examples/quickstart.py
                                                      # to stderr) — pipeable
       python examples/quickstart.py --batched --workers 4
                                                      # parallel tier: wavefront
-                                                     # scheduling + partitioned
-                                                     # kernels (see
+                                                     # scheduling (see
                                                      # docs/execution-model.md)
       python examples/quickstart.py --on-error reject --poison 5 --stats json
                                                      # fault-tolerant run: 5
@@ -78,9 +77,8 @@ def main(argv=None) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="run independent stages/operators (and, with --batched, "
-        "partitioned join/aggregate kernels) on N worker threads "
-        "(see docs/execution-model.md)",
+        help="run the independent stages/operators of each topological "
+        "wave on N worker threads (see docs/execution-model.md)",
     )
     parser.add_argument(
         "--on-error",

@@ -97,8 +97,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--workers",
         type=int,
         metavar="N",
-        help="run independent stages/operators and partitioned "
-        "join/aggregate kernels on N worker threads; N=1 forces serial "
+        help="run the independent stages/operators of each topological "
+        "wave on N worker threads; N=1 forces serial "
         "(equivalent to REPRO_WORKERS plus REPRO_PARALLEL=1 — see "
         "docs/execution-model.md)",
     )

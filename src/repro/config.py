@@ -1,7 +1,7 @@
 """repro.config — the options table.
 
 Everything about a run that is not the plan or the data is one of the
-fifteen rows of :data:`OPTIONS`, and a row's value is found one way:
+fourteen rows of :data:`OPTIONS`, and a row's value is found one way:
 
     explicit keyword  >  ``overriding(...)``  >  ``REPRO_*`` variable  >  default
 
@@ -122,15 +122,6 @@ def check_mode(mode: str) -> str:
     return mode
 
 
-def _derived_parallel_min_rows() -> int:
-    # lazy import: the cost model is a leaf module, but keeping config
-    # import-light means nothing pulls repro.cost in until a partitioned
-    # kernel actually asks for the threshold
-    from repro.cost.model import derived_parallel_min_rows
-
-    return derived_parallel_min_rows()
-
-
 # -- the table ----------------------------------------------------------------
 
 _SWITCH = "on or off (0/false/no/off are off, anything else on)"
@@ -144,19 +135,14 @@ OPTIONS: Dict[str, Option] = {
     # leave the block operators' selection-vector chains lazy across
     # operator boundaries; needs ``batched``
     "fused": Option((("REPRO_FUSE", parse_bool),), bool, _SWITCH, True),
-    # wavefront scheduling and, with ``batched``, partitioned kernels
+    # wavefront scheduling: independent nodes of a topological wave
+    # compute on a worker pool
     "parallel": Option((("REPRO_PARALLEL", parse_bool),), bool, _SWITCH, False),
     # pool size; 1 is serial. The default is the machine's cores clamped
     # to [2, 8], so ``parallel=True`` alone always means real fan-out.
     "workers": Option(
         (("REPRO_WORKERS", int), ("REPRO_PARALLEL", _count_in_switch)),
         _at_least(1), ">= 1", max(2, min(8, os.cpu_count() or 1)), ValueError,
-    ),
-    # rows below which the partitioned kernels stay serial; derived from
-    # the cost model's crossover (docs/planning.md)
-    "parallel_min_rows": Option(
-        (("REPRO_PARALLEL_MIN_ROWS", int),),
-        _at_least(1), ">= 1", _derived_parallel_min_rows, ValueError,
     ),
     # run-level row error policy
     "on_error": Option(

@@ -2,10 +2,8 @@
 
 Every data-size decision the system makes — push an OHM region into the
 DBMS or keep it in the ETL engine (:mod:`repro.deploy.pushdown`), run a
-job on row kernels, block kernels, or partitioned workers
-(``mode="auto"`` on the engines), partition a join at 8 thousand or 80
-thousand rows (:mod:`repro.exec.parallel`) — consults the same three
-pieces:
+job on row kernels or block kernels (``mode="auto"`` on the engines) —
+consults the same three pieces:
 
 * :mod:`repro.cost.catalog` — a :class:`StatisticsCatalog` of
   per-relation row counts, distinct-value/null-fraction sketches
@@ -13,8 +11,8 @@ pieces:
 * :mod:`repro.cost.estimate` — a :class:`CardinalityEstimator` walking
   the OHM graph propagating selectivities;
 * :mod:`repro.cost.model` — a :class:`CostModel` with per-platform
-  operator cost functions (sqlite vs row kernels vs block kernels vs
-  partitioned-parallel) and the derived tier/partition crossovers.
+  operator cost functions (sqlite vs row kernels vs block kernels)
+  and the derived tier crossover.
 
 ``--explain`` renders all of it per operator
 (:func:`repro.cost.explain.explain_graph`); ``docs/planning.md`` is the
@@ -49,7 +47,6 @@ from repro.cost.model import (
     CostModel,
     choose_tier,
     derived_block_min_rows,
-    derived_parallel_min_rows,
 )
 
 
@@ -68,6 +65,5 @@ __all__ = [
     "catalog_for",
     "choose_tier",
     "derived_block_min_rows",
-    "derived_parallel_min_rows",
     "explain_graph",
 ]

@@ -16,24 +16,17 @@ calibrated against the repository's own benchmarks:
   back as a column block 0.6-0.95 us, ~0.3 units (docs/planning.md has
   the table) — which is why a reducing filter + group and even a
   pass-through projection are worth pushing, while a join that expands
-  rows is not: every expanded row pays the transfer;
-* a partitioned-kernel task costs ~``PARALLEL_TASK_ROWS`` units of fixed
-  dispatch overhead, which is where the partition threshold comes from.
+  rows is not: every expanded row pays the transfer.
 
-Two derived crossovers replace previously hard-coded constants:
-
-* :func:`derived_parallel_min_rows` — partitioning pays once the block
-  work a second partition removes from the critical path exceeds the
-  dispatch overhead of both partitions:
-  ``n * BLOCK_ROW_COST / 2 > 2 * PARALLEL_TASK_ROWS``, i.e.
-  ``n > 4 * PARALLEL_TASK_ROWS / BLOCK_ROW_COST``;
-* :func:`derived_block_min_rows` — the block tier pays once the per-row
-  saving beats the per-operator batch-build overhead:
-  ``n * (ROW_COST - BLOCK_ROW_COST) > BLOCK_SETUP_ROWS``.
+The tier crossover is derived from these constants, not written down:
+:func:`derived_block_min_rows` — the block tier pays once the per-row
+saving beats the per-operator batch-build overhead:
+``n * (ROW_COST - BLOCK_ROW_COST) > BLOCK_SETUP_ROWS``. The model costs
+kernels, not schedulers: whether a run's independent nodes compute on a
+worker pool is the ``parallel`` option's business, not a tier.
 
 This module is deliberately a leaf: no imports from the engines, so the
-config layer and ``repro.exec.parallel`` can consult it lazily without
-cycles.
+planner can consult it lazily without cycles.
 """
 
 from __future__ import annotations
@@ -61,8 +54,6 @@ SQL_ROW_COST = 0.2
 SQL_LOAD_COST = 0.5
 #: per-row cost of fetching a query-result row back into Python columns.
 SQL_TRANSFER_COST = 0.3
-#: fixed dispatch overhead per partitioned-kernel task, in row-units.
-PARALLEL_TASK_ROWS = 700.0
 #: per-row cost of reading a base row in the ETL engine (source scan).
 SCAN_COST = 0.1
 #: per-row cost of delivering a row to a target.
@@ -95,18 +86,11 @@ OPERATOR_FACTORS: Dict[str, float] = {
 DEFAULT_OPERATOR_FACTOR = 1.0
 
 #: the execution tiers ``choose_tier`` selects between.
-TIERS = ("rows", "block", "parallel")
+TIERS = ("rows", "block")
 
 
 def operator_factor(kind: str) -> float:
     return OPERATOR_FACTORS.get(kind, DEFAULT_OPERATOR_FACTOR)
-
-
-def derived_parallel_min_rows() -> int:
-    """The partitioned-kernel engagement threshold the cost model
-    derives (see module docstring) — 8000 rows at the shipped
-    constants, replacing the old hard-coded 8192."""
-    return int(4 * PARALLEL_TASK_ROWS / BLOCK_ROW_COST)
 
 
 def derived_block_min_rows() -> int:
@@ -114,15 +98,14 @@ def derived_block_min_rows() -> int:
     return int(BLOCK_SETUP_ROWS / (ROW_COST - BLOCK_ROW_COST)) + 1
 
 
-def choose_tier(n_rows: int, workers: int = 1, memory_budget=None) -> str:
-    """Pick the cheapest execution tier for a run whose largest input
-    has ``n_rows`` rows: row kernels below the block crossover, block
-    kernels above it, partitioned-parallel once the biggest input would
-    actually partition (and there are workers to fan out to). Purely a
-    function of data size, worker count, and the optional resident-row
-    ``memory_budget`` (a :class:`~repro.supervision.MemoryBudget` or
-    ``max_rows`` int), so ``mode="auto"`` stays deterministic."""
-    return DEFAULT_MODEL.choose_tier(n_rows, workers, memory_budget)
+def choose_tier(n_rows: int, memory_budget=None) -> str:
+    """Pick the cheapest kernels for a run whose largest input has
+    ``n_rows`` rows: row kernels below the block crossover, block
+    kernels above it. Purely a function of data size and the optional
+    resident-row ``memory_budget`` (a
+    :class:`~repro.supervision.MemoryBudget` or ``max_rows`` int), so
+    ``mode="auto"`` stays deterministic."""
+    return DEFAULT_MODEL.choose_tier(n_rows, memory_budget)
 
 
 class CostModel:
@@ -173,11 +156,10 @@ class CostModel:
             "rows": self.row_cost,
             "block": self.block_row_cost,
             "fused": self.fused_row_cost,
-            "parallel": self.block_row_cost,
             "oracle": self.oracle_row_cost,
         }.get(tier, self.row_cost)
         cost = operator_factor(kind) * per_row * max(rows_in, 0.0)
-        if tier in ("block", "parallel"):
+        if tier == "block":
             cost += self.block_setup_rows
         return cost
 
@@ -217,9 +199,6 @@ class CostModel:
     def block_min_rows(self) -> int:
         return int(self.block_setup_rows / (self.row_cost - self.block_row_cost)) + 1
 
-    def parallel_min_rows(self) -> int:
-        return int(4 * PARALLEL_TASK_ROWS / self.block_row_cost)
-
     def spill_cost(self, n_rows: float, memory_budget=None) -> float:
         """Temp-file I/O a blocking operator pays when ``n_rows``
         resident rows exceed ``memory_budget`` (a
@@ -230,9 +209,7 @@ class CostModel:
             return 0.0
         return self.spill_row_cost * max(n_rows, 0.0)
 
-    def choose_tier(
-        self, n_rows: int, workers: int = 1, memory_budget=None
-    ) -> str:
+    def choose_tier(self, n_rows: int, memory_budget=None) -> str:
         # Over the memory budget, every blocking operator spills to
         # row-based temp-file runs whatever the tier, so the block
         # tier's per-row saving has to beat setup *plus* the wasted
@@ -240,8 +217,6 @@ class CostModel:
         # the shipped constants the spilled row path always wins.
         if self.spill_cost(n_rows, memory_budget) > 0.0:
             return "rows"
-        if workers >= 2 and n_rows >= self.parallel_min_rows():
-            return "parallel"
         if n_rows >= self.block_min_rows():
             return "block"
         return "rows"
@@ -260,7 +235,6 @@ __all__ = [
     "FUSED_ROW_COST",
     "OPERATOR_FACTORS",
     "ORACLE_ROW_COST",
-    "PARALLEL_TASK_ROWS",
     "ROW_COST",
     "SCAN_COST",
     "SPILL_ROW_COST",
@@ -271,6 +245,5 @@ __all__ = [
     "WRITE_COST",
     "choose_tier",
     "derived_block_min_rows",
-    "derived_parallel_min_rows",
     "operator_factor",
 ]

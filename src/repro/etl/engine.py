@@ -147,11 +147,11 @@ class EtlEngine(Runtime):
         target stage (keyed by target relation name) and the dataset that
         flowed over every link (keyed by link name)."""
         instance = instance or Instance()
-        planner, ladder = start_run(self.options, job, job.registry, instance)
+        ladder = start_run(self.options, job, job.registry, instance)
         job.propagate_schemas()
         run = _JobRun(self, job, instance, ladder)
         with self._obs.tracer.span("etl.run", job=job.name):
-            run_waves(job.topological_order(), run, self.options, planner)
+            run_waves(job.topological_order(), run, self.options)
         if self.checkpoint is not None:
             self.checkpoint.clear(job)
         if self.catalog is not None:

@@ -13,9 +13,10 @@ semantic oracle); closures compiled once per operator
 (:mod:`repro.exec.compile_block`) driven by selection-vector chains
 (:mod:`repro.exec.fuse`) that are gathered into a
 :class:`repro.exec.block.RowBlock` at every operator boundary; *fused*,
-the same chains left lazy across adjacent operators; and *parallel*
-wavefronts and key-partitioned kernels on a worker pool
-(:mod:`repro.exec.parallel`). Each columnar operator therefore has one
+the same chains left lazy across adjacent operators; and *parallel*,
+the block tier with the independent nodes of a topological wave
+computing on a worker pool (:mod:`repro.exec.parallel` — a scheduler,
+not a second set of kernels). Each columnar operator therefore has one
 body — :meth:`ExpressionPlanner.materialize_fused` is where the batched
 and the fused tier part — and the five operators stages and OHM share
 (JOIN, GROUP, UNION, SPLIT, TARGET) are written once, in
@@ -75,7 +76,7 @@ class Tier(NamedTuple):
     #: chains stay lazy wherever a run is batched. Under ``mode="auto"``
     #: this is the requested value: each run re-decides ``batched``.
     fused: bool
-    #: wavefront scheduling; with ``batched``, also partitioned kernels.
+    #: wavefront scheduling (the run harness's; no planner reads it).
     parallel: bool
     workers: int
     mode: Optional[str]
@@ -96,11 +97,13 @@ def resolve_tier(
     (``REPRO_COMPILED=0`` stays a pure row-at-a-time oracle run even
     with ``REPRO_BATCH=1``) and ``batched`` gates ``fused``; fanning out
     takes two workers. A ``mode`` overrides the flags: ``"rows"`` /
-    ``"block"`` / ``"parallel"`` pin the tier, ``"auto"`` leaves
-    ``batched`` and ``parallel`` as starting points that
-    :meth:`ExpressionPlanner.tune_for` re-decides once a run's input
-    size is known. Without a mode ``parallel`` does not need
-    ``batched``: a wavefront over row kernels is still a wavefront."""
+    ``"block"`` / ``"parallel"`` pin the tier (``"parallel"`` is
+    ``"block"`` plus the wavefront), ``"auto"`` leaves ``batched`` as a
+    starting point that :meth:`ExpressionPlanner.tune_for` re-decides
+    once a run's input size is known. ``auto`` chooses kernels, not the
+    scheduler: under it, as without a mode, ``parallel`` is the option's
+    value and does not need ``batched`` — a wavefront over row kernels
+    is still a wavefront."""
     resolve = config.resolve
     compiled = resolve("compiled", compiled)
     batched = compiled and resolve("batched", batched)
@@ -115,8 +118,6 @@ def resolve_tier(
     elif mode == "parallel":
         batched = compiled
         parallel = batched and workers >= 2
-    elif mode == "auto":
-        parallel = batched and parallel
     if mode != "auto":
         fused = batched and fused
     return Tier(compiled, batched, fused, parallel, workers, mode)
@@ -163,15 +164,10 @@ class ExpressionPlanner:
         registry: Optional[FunctionRegistry] = None,
         compiled: Optional[bool] = None,
         batched: Optional[bool] = None,
-        parallel: Optional[bool] = None,
-        workers: Optional[int] = None,
         mode: Optional[str] = None,
         fused: Optional[bool] = None,
     ) -> None:
-        self._at(
-            registry,
-            resolve_tier(compiled, batched, fused, parallel, workers, mode),
-        )
+        self._at(registry, resolve_tier(compiled, batched, fused, mode=mode))
 
     @classmethod
     def at(
@@ -187,58 +183,33 @@ class ExpressionPlanner:
         self.registry = registry or DEFAULT_REGISTRY
         self.compiled = tier.compiled
         self.batched = tier.batched
-        self.workers = tier.workers
         self.mode = tier.mode
-        # the planner drives block kernels: to it, parallel means the
-        # partitioned kernels and fused means chains, and both need
-        # blocks (recomputed whenever tune_for() re-tiers)
-        self.parallel = tier.batched and tier.parallel
+        # the planner drives block kernels: to it, fused means chains,
+        # which need blocks (recomputed whenever tune_for() re-tiers)
         self._fused_requested = tier.fused
         self.fused = tier.batched and tier.fused
-        self._pool: Optional[WorkerPool] = None
         self._scalars: dict = {}
         self._predicates: dict = {}
         self._aggregates: dict = {}
 
     def tune_for(self, n_rows: int, model=None, memory_budget=None) -> str:
-        """``mode="auto"``: pick the execution tier from the run's
-        (estimated or actual) largest input cardinality via the cost
-        model's crossovers (:func:`repro.cost.model.choose_tier`) and
-        reconfigure this planner accordingly. A ``memory_budget``
-        (resident-row ceiling) biases the choice toward the row tier
-        once blocking operators would spill. Returns the chosen tier;
-        a no-op (returning the current configuration's tier) for every
-        other mode. Tier choice never changes results — block and
-        partitioned kernels are bit-identical to the serial compiled
-        path — only how fast they arrive."""
-        if self.mode != "auto":
-            if self.parallel:
-                return "parallel"
-            return "block" if self.batched else "rows"
-        if model is None:
-            from repro.cost.model import DEFAULT_MODEL as model
-        tier = model.choose_tier(n_rows, self.workers, memory_budget)
-        self.batched = self.compiled and tier in ("block", "parallel")
-        self.parallel = self.batched and tier == "parallel"
-        self.fused = self.batched and self._fused_requested
-        return tier if self.compiled else "rows"
-
-    def pool(self) -> WorkerPool:
-        """The planner's worker pool (lazily built; threads by default,
-        see :func:`repro.exec.parallel.set_default_executor`)."""
-        if self._pool is None:
-            self._pool = WorkerPool(self.workers)
-        return self._pool
-
-    def partitions_for(self, n_rows: int) -> int:
-        """The degree of kernel parallelism chosen from the observed
-        cardinality ``n_rows``: 0 when this planner is serial or the
-        input is too small, else the data-size-driven partition count
-        (:func:`repro.exec.parallel.partitions_for` — independent of the
-        worker count, so results are too)."""
-        if not self.parallel:
-            return 0
-        return parallel.partitions_for(n_rows)
+        """``mode="auto"``: pick the kernels — ``"rows"`` or ``"block"``
+        — from the run's (estimated or actual) largest input cardinality
+        via the cost model's crossover
+        (:func:`repro.cost.model.choose_tier`) and reconfigure this
+        planner accordingly. A ``memory_budget`` (resident-row ceiling)
+        biases the choice toward the row tier once blocking operators
+        would spill. Returns the chosen tier; a no-op (returning the
+        current configuration's tier) for every other mode. Tier choice
+        never changes results — block kernels are bit-identical to the
+        compiled row path — only how fast they arrive."""
+        if self.mode == "auto":
+            if model is None:
+                from repro.cost.model import DEFAULT_MODEL as model
+            tier = model.choose_tier(n_rows, memory_budget)
+            self.batched = self.compiled and tier == "block"
+            self.fused = self.batched and self._fused_requested
+        return "block" if self.batched else "rows"
 
     def scalar(self, expr: Expr) -> Callable[[Any], Any]:
         """An ``env → value`` closure for ``expr``."""

@@ -231,27 +231,6 @@ def switch_block(
 # -- grouping kernels ----------------------------------------------------------
 
 
-def _parallel_group_aggregate(block, key_names, aggregates, planner, obs):
-    """The partitioned path of :func:`group_aggregate_block`, or ``None``
-    to stay serial (no parallel planner, input under the threshold, or a
-    partition failed and the degradation ladder applies)."""
-    if planner is None or not getattr(planner, "parallel", False):
-        return None
-    n_partitions = planner.partitions_for(block.length)
-    if n_partitions < 2:
-        return None
-    from repro.exec import parallel
-
-    try:
-        return parallel.partitioned_group_aggregate(
-            block, key_names, aggregates, planner.pool(), n_partitions, obs
-        )
-    except Exception:  # noqa: BLE001 — degrade to the serial kernel
-        if obs is not None and obs.enabled:
-            obs.metrics.count("exec.degrade.parallel_to_serial")
-        return None
-
-
 def _group_indices(
     block: RowBlock, key_names: Sequence[str]
 ) -> List[List[int]]:
@@ -274,7 +253,6 @@ def group_aggregate_block(
     key_names: Sequence[str],
     aggregates: Sequence[Tuple[str, Optional[BlockFn], Optional[Callable]]],
     obs=None,
-    planner=None,
 ) -> RowBlock:
     """Grouped aggregation over columns: rows are partitioned by encoded
     key columns (NULL keys equal, ``1 == 1.0``), each aggregate argument
@@ -282,13 +260,8 @@ def group_aggregate_block(
     reduced. ``aggregates`` are ``(name, values_fn, reducer)`` — a
     ``(name, None, None)`` entry is ``COUNT(*)`` (the group size).
 
-    A parallel planner groups large blocks in contiguous row chunks
-    merged in chunk order across its worker pool
-    (:func:`repro.exec.parallel.partitioned_group_aggregate` —
-    bit-identical output, serial group order); a failing partition
-    degrades back to this serial path (``exec.degrade.
-    parallel_to_serial``). Above an active memory budget the group
-    states are grace-partitioned to temp-file runs instead
+    Above an active memory budget the group states are
+    grace-partitioned to temp-file runs instead
     (:func:`repro.supervision.spill.external_group_aggregate_block` —
     bit-identical output, ``exec.spill.*`` metrics)."""
     run_budget = active_memory_budget()
@@ -298,10 +271,6 @@ def group_aggregate_block(
         out = external_group_aggregate_block(
             block, key_names, aggregates, run_budget, obs
         )
-        _observe_block(obs, "group_aggregate", 1, 1, block.length, out.length)
-        return out
-    out = _parallel_group_aggregate(block, key_names, aggregates, planner, obs)
-    if out is not None:
         _observe_block(obs, "group_aggregate", 1, 1, block.length, out.length)
         return out
     groups = _group_indices(block, key_names)
@@ -424,13 +393,7 @@ def hash_join_block(
     output columns are gathered straight from the ``(output name, side,
     source column)`` plan. Emission order matches the row kernel:
     matches in probe order with left paddings inline, right paddings
-    last.
-
-    A parallel planner probes large inputs in contiguous row chunks
-    against one shared build index across its worker pool
-    (:func:`repro.exec.parallel.partitioned_join` — bit-identical
-    output, same emission order); a failing partition degrades back to
-    the serial build/probe below (``exec.degrade.parallel_to_serial``)."""
+    last."""
     pairs, residual = split_equi_condition(
         condition, left_relation, right_relation
     )
@@ -447,32 +410,6 @@ def hash_join_block(
     right_key_fns = [planner.block_scalar(r, right_resolve) for _l, r in pairs]
     if any(fn is None for fn in left_key_fns + right_key_fns):
         return None
-
-    if getattr(planner, "parallel", False):
-        n_partitions = planner.partitions_for(left.length + right.length)
-        if n_partitions >= 2:
-            from repro.exec import parallel
-
-            try:
-                out = parallel.partitioned_join(
-                    left,
-                    right,
-                    [fn(left) for fn in left_key_fns],
-                    [fn(right) for fn in right_key_fns],
-                    kind,
-                    plan,
-                    planner.pool(),
-                    n_partitions,
-                    obs,
-                )
-            except Exception:  # noqa: BLE001 — degrade to the serial path
-                if obs is not None and obs.enabled:
-                    obs.metrics.count("exec.degrade.parallel_to_serial")
-            else:
-                _observe_block(
-                    obs, "join", 2, 1, left.length + right.length, out.length
-                )
-                return out
 
     index: Dict[tuple, List[int]] = {}
     build_keys = zip(*key_columns([fn(right) for fn in right_key_fns]))

@@ -108,8 +108,7 @@ def group(
     the ``(output name, aggregate)`` pairs. Batched, a chain terminal:
     the aggregates fold over a read-set view of the chain (group keys
     plus the columns their arguments touch), so a fused chain's
-    intermediate block never materializes, and the partitioned grouping
-    composes — the view is an ordinary :class:`RowBlock`. Aggregate
+    intermediate block never materializes. Aggregate
     members are bound anonymously on the row path, so the resolver
     carries no relation qualifier. Any argument the block compiler
     cannot lower sends the whole operator to the row kernel."""
@@ -130,9 +129,7 @@ def group(
             view = chain.view(
                 None if reads is None else list(dict.fromkeys([*keys, *reads]))
             )
-            grouped = block.group_aggregate_block(
-                view, keys, lowered, obs=obs, planner=planner
-            )
+            grouped = block.group_aggregate_block(view, keys, lowered, obs=obs)
             fuse.fused_op(chain, chain.length)
             return planner.materialize_block(out, grouped)
     rows = kernels.group_aggregate_rows(

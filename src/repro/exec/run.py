@@ -91,12 +91,12 @@ class RunOptions(NamedTuple):
     #: ``mode="auto"``, whether a run tiered batched does.
     fused: bool
     #: wavefront scheduling: independent nodes of one topological level
-    #: compute concurrently on a worker pool (with ``batched``, large
-    #: joins/aggregations also partition across it).
+    #: compute concurrently on a worker pool.
     parallel: bool
     workers: int
-    #: "rows"/"block"/"parallel" pin the tier, "auto" picks per run from
-    #: the input size via the cost model, None keeps the flags above.
+    #: "rows"/"block"/"parallel" pin the tier, "auto" picks the kernels
+    #: per run from the input size via the cost model (the scheduler
+    #: still follows ``parallel``), None keeps the flags above.
     mode: Optional[str]
     #: run-level row error policy (a node may override it).
     on_error: str
@@ -196,14 +196,14 @@ class TierLadder:
     (``REPRO_MODE``, ``REPRO_BATCH``, ``REPRO_PARALLEL``, ``REPRO_FUSE``)
     can turn a fallback back into the tier that just failed."""
 
-    def __init__(self, planner: ExpressionPlanner, degrade: bool = True) -> None:
+    def __init__(self, planner: ExpressionPlanner, options: RunOptions) -> None:
         self.rungs: List[ExpressionPlanner] = [planner]
-        if not degrade:
+        if not options.degrade:
             return
 
         def rung(compiled: bool, mode: str) -> ExpressionPlanner:
             tier = Tier(
-                compiled, mode == "block", False, False, planner.workers, mode
+                compiled, mode == "block", False, False, options.workers, mode
             )
             return ExpressionPlanner.at(planner.registry, tier)
 
@@ -292,10 +292,11 @@ def start_run(
     plan: Any,
     registry: Optional[FunctionRegistry],
     instance: Iterable[Any],
-) -> Tuple[ExpressionPlanner, TierLadder]:
+) -> TierLadder:
     """What every run does before its first node: the ``check=True``
     pre-flight, arming the supervisor, and the run's planner — tiered
-    from the largest input under ``mode="auto"`` — with its ladder."""
+    from the largest input under ``mode="auto"`` — as the top rung of
+    its ladder."""
     if options.check:
         from repro.analysis import check_plan
 
@@ -307,30 +308,30 @@ def start_run(
         n_rows = max((len(d) for d in instance), default=0)
         tier = planner.tune_for(n_rows, memory_budget=options.memory_budget)
         options.obs.metrics.count(f"exec.auto.tier.{tier}")
-    return planner, TierLadder(planner, options.degrade)
+    return TierLadder(planner, options)
 
 
 def run_waves(
     order: Sequence[Any],
     nodes: Nodes,
     options: RunOptions,
-    planner: ExpressionPlanner,
 ) -> None:
     """Run topologically ordered ``order`` to completion under the
     run's supervisor and memory budget: serially, or — when the run is
     parallel — wave by wave, a wave of two or more mutually independent
-    nodes computing on the planner's worker pool."""
+    nodes computing on a pool of ``options.workers`` workers."""
     supervisor = options.supervisor
-    parallel = planner.parallel if options.mode == "auto" else options.parallel
     waves: Sequence[Sequence[Any]] = [order]
-    if parallel:
+    pool: Optional[WorkerPool] = None
+    if options.parallel:
         waves = topological_waves(order, nodes.key, nodes.parents)
+        pool = WorkerPool(options.workers)
     with governed(options.memory_budget):
         for wave in waves:
             if supervisor is not None:
                 supervisor.check("wave")
-            if parallel and len(wave) >= 2:
-                _run_wave(wave, nodes, options, planner.pool())
+            if pool is not None and len(wave) >= 2:
+                _run_wave(wave, nodes, options, pool)
                 continue
             for node in wave:
                 name = nodes.name(node)

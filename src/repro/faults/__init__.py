@@ -52,10 +52,8 @@ from repro.exec import set_kernel_fault_hook
 #: "compiled" / "oracle" wrap planner closures (see
 #: ExpressionPlanner._faulted — a "block" plan also fires inside fused
 #: chains, which run the same lowered functions, while a "fused" plan
-#: targets only the fused tier); "parallel" wraps whole partition tasks
-#: of the partitioned kernels (see repro.exec.parallel), exercising the
-#: parallel→serial degrade
-TIERS = ("parallel", "fused", "block", "compiled", "oracle")
+#: targets only the fused tier)
+TIERS = ("fused", "block", "compiled", "oracle")
 
 
 class FaultPlan:

@@ -90,16 +90,12 @@ class MappingExecutor(OhmExecutor):
     def _run_impl(self, mappings: MappingSet, instance: Instance):
         # the analyzer vets the mapping set itself, before the lowering
         # can object to it and before row one
-        planner, ladder = start_run(
-            self.options, mappings, self.registry, instance
-        )
+        ladder = start_run(self.options, mappings, self.registry, instance)
         if not self.compiled:
             return self._run_reference(mappings, instance)
         # every intermediate relation is an edge of the uncleaned graph
         graph = mappings_to_ohm(mappings, cleanup=False)
-        targets, edge_data, rejected = self._run_graph(
-            graph, instance, planner, ladder
-        )
+        targets, edge_data, rejected = self._run_graph(graph, instance, ladder)
         intermediates = {
             name: edge_data[name]
             for name in mappings.intermediate_relation_names()

@@ -72,8 +72,8 @@ class Metrics:
         self.gauges: Dict[str, float] = {}
         # name -> [observation count, total seconds]
         self._timers: Dict[str, List[float]] = {}
-        # parallel wavefronts and partitioned kernels record from worker
-        # threads; a lock keeps read-modify-write accumulation exact
+        # parallel wavefronts record from worker threads; a lock keeps
+        # read-modify-write accumulation exact
         self._lock = Lock()
 
     # -- recording -----------------------------------------------------------

@@ -352,19 +352,19 @@ class OhmExecutor(Runtime):
     def _run_impl(
         self, graph: OhmGraph, instance: Instance
     ) -> Tuple[Instance, Dict[str, Dataset], List[RejectedRow]]:
-        planner, ladder = start_run(self.options, graph, self.registry, instance)
+        ladder = start_run(self.options, graph, self.registry, instance)
         graph.propagate_schemas()
-        return self._run_graph(graph, instance, planner, ladder)
+        return self._run_graph(graph, instance, ladder)
 
     def _run_graph(
-        self, graph: OhmGraph, instance: Instance, planner, ladder
+        self, graph: OhmGraph, instance: Instance, ladder
     ) -> Tuple[Instance, Dict[str, Dataset], List[RejectedRow]]:
         """The run proper, of a schema-propagated graph after
         :func:`~repro.exec.run.start_run` (the mapping runtime starts its
         runs on the mapping set, then runs the lowered graph here)."""
         run = _GraphRun(self, graph, instance, ladder)
         with self._obs.tracer.span("ohm.run", graph=graph.name):
-            run_waves(graph.topological_order(), run, self.options, planner)
+            run_waves(graph.topological_order(), run, self.options)
         if self.catalog is not None:
             # close the feedback loop: the next estimate_graph over the
             # same edge names re-plans from these actuals

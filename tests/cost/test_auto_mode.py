@@ -1,18 +1,22 @@
 """mode="auto": per-run tier selection, bit-identical to the oracle."""
 
+import functools
+
 import pytest
 
 from repro.compile import compile_job
-from repro.cost import derived_block_min_rows, derived_parallel_min_rows
+from repro.cost import derived_block_min_rows
 from repro.etl import EtlEngine
-from repro.mapping import MappingExecutor
+from repro.mapping import MappingExecutor, ohm_to_mappings
 from repro.obs import Observability
 from repro.ohm import OhmExecutor
 from repro.workloads import (
     build_chain_job,
     build_example_job,
+    build_star_join_job,
     generate_chain_instance,
     generate_instance,
+    generate_star_instance,
 )
 
 
@@ -40,19 +44,60 @@ class TestTierSelection:
         engine.execute(build_chain_job(4), generate_chain_instance(n))
         assert _auto_tier_metric(obs) == "block"
 
-    def test_large_input_partitions(self):
-        n = derived_parallel_min_rows() + 500
-        obs = Observability(stats=True)
-        engine = EtlEngine(obs=obs, mode="auto", workers=2)
-        engine.execute(build_chain_job(4), generate_chain_instance(n))
-        assert _auto_tier_metric(obs) == "parallel"
-
     def test_single_worker_never_partitions(self):
-        n = derived_parallel_min_rows() + 500
+        n = 8500
         obs = Observability(stats=True)
         engine = EtlEngine(obs=obs, mode="auto", workers=1)
         engine.execute(build_chain_job(4), generate_chain_instance(n))
         assert _auto_tier_metric(obs) == "block"
+
+
+@functools.lru_cache(maxsize=None)
+def _star(n_facts):
+    """The star join over ``n_facts`` facts with its ``compiled=False``
+    targets — the ETL engine's for every runtime: the mapping reference
+    reads this join as a cross product."""
+    job = build_star_join_job(4)
+    instance = generate_star_instance(4, n_facts=n_facts, seed=5)
+    return job, instance, EtlEngine(compiled=False).execute(job, instance)
+
+
+class TestAutoLeavesTheSchedulerAlone:
+    """``auto`` picks the kernels; whether the wavefront runs is the
+    ``parallel`` option's, at any input size — an explicit off is never
+    overridden, an explicit on never dropped, and nobody who did not ask
+    gets a pool."""
+
+    @pytest.mark.parametrize("n_facts", [100, 20_000])
+    @pytest.mark.parametrize(
+        "scheduler,waves",
+        [
+            (dict(parallel=False, workers=4), False),
+            (dict(parallel=True, workers=4), True),
+            (dict(parallel=True, workers=1), False),
+            (dict(), False),
+        ],
+        ids=["off", "on", "one-worker", "unset"],
+    )
+    @pytest.mark.parametrize("runtime", ["etl", "ohm", "mapping"])
+    def test_waves_iff_parallel_and_two_workers(
+        self, runtime, scheduler, waves, n_facts, no_ambient_environment
+    ):
+        job, instance, oracle = _star(n_facts)
+        graph = compile_job(job)
+        engine_cls, plan = {
+            "etl": (EtlEngine, job),
+            "ohm": (OhmExecutor, graph),
+            "mapping": (MappingExecutor, ohm_to_mappings(graph)),
+        }[runtime]
+        obs = Observability(stats=True)
+        result = engine_cls(obs=obs, mode="auto", **scheduler).execute(
+            plan, instance
+        )
+        counters = obs.metrics.snapshot()["counters"]
+        assert (counters.get("exec.parallel.waves", 0) >= 1) is waves
+        assert _auto_tier_metric(obs) == ("rows" if n_facts == 100 else "block")
+        assert result.same_bags(oracle)
 
 
 class TestExplicitModes:
@@ -84,8 +129,6 @@ class TestNoRunScopedState:
 
     @pytest.mark.parametrize("runtime", ["etl", "ohm", "mapping"])
     def test_large_then_small_run_leaves_the_engine_unchanged(self, runtime):
-        from repro.mapping import ohm_to_mappings
-
         job = build_chain_job(4)
         graph = compile_job(job)
         engine_cls, plan = {

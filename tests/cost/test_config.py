@@ -8,14 +8,9 @@ from repro.errors import ValidationError
 
 WORKERS = config.OPTIONS["workers"].default
 
-
-@pytest.fixture(autouse=True)
-def _no_ambient_environment(monkeypatch):
-    """CI runs this suite under REPRO_* scenarios; these tests state
-    every variable they mean."""
-    for option in config.OPTIONS.values():
-        for variable, _parse in option.env:
-            monkeypatch.delenv(variable, raising=False)
+# CI runs this suite under REPRO_* scenarios; these tests state every
+# variable they mean
+pytestmark = pytest.mark.usefixtures("no_ambient_environment")
 
 
 class TestPrecedence:
@@ -107,8 +102,6 @@ class TestEnvironment:
         [
             ("REPRO_WORKERS", "abc"),
             ("REPRO_WORKERS", "0"),
-            ("REPRO_PARALLEL_MIN_ROWS", "0"),
-            ("REPRO_PARALLEL_MIN_ROWS", "many"),
             ("REPRO_ON_ERROR", "bogus"),
             ("REPRO_MAX_RETRIES", "x"),
             ("REPRO_MAX_RETRIES", "-1"),
@@ -190,9 +183,8 @@ class TestValidation:
     def test_keyword_errors_keep_their_classes(self):
         # the exec rows raised ValueError before the table, the
         # resilience and supervision rows ValidationError
-        for name in ("workers", "parallel_min_rows"):
-            with pytest.raises(ValueError, match=name):
-                config.resolve(name, 0)
+        with pytest.raises(ValueError, match="workers"):
+            config.resolve("workers", 0)
         for name, bad in (("max_retries", -1), ("deadline", 0),
                           ("memory_budget", 0), ("breaker", -1)):
             with pytest.raises(ValidationError, match=name):
@@ -200,29 +192,13 @@ class TestValidation:
 
 
 class TestDerivedDefaults:
-    def test_parallel_min_rows_comes_from_the_cost_model(self):
-        from repro.cost.model import derived_parallel_min_rows
-        from repro.exec.parallel import partitions_for
-
-        threshold = derived_parallel_min_rows()
-        assert config.resolve("parallel_min_rows") == threshold
-        assert partitions_for(threshold - 1) == 0
-        assert partitions_for(2 * threshold) == 2
-
-    def test_threshold_override_still_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "100")
-        assert config.resolve("parallel_min_rows") == 100
-        with config.overriding(parallel_min_rows=50):
-            assert config.resolve("parallel_min_rows") == 50
-
     def test_snapshot_covers_every_knob(self):
         snap = config.snapshot()
         assert sorted(snap) == sorted(config.OPTIONS)
         assert sorted(snap) == [
             "batched", "breaker", "check", "checkpoint_dir",
             "compiled", "cost_based", "deadline", "fused", "max_retries",
-            "memory_budget", "mode", "on_error", "parallel",
-            "parallel_min_rows", "workers",
+            "memory_budget", "mode", "on_error", "parallel", "workers",
         ]
         assert snap["compiled"] is True
         assert snap["cost_based"] is True

@@ -5,25 +5,16 @@ from repro.cost import (
     DEFAULT_MODEL,
     choose_tier,
     derived_block_min_rows,
-    derived_parallel_min_rows,
 )
 from repro.cost.model import (
     BLOCK_ROW_COST,
     BLOCK_SETUP_ROWS,
-    PARALLEL_TASK_ROWS,
     ROW_COST,
     operator_factor,
 )
 
 
 class TestDerivedCrossovers:
-    def test_parallel_threshold_is_the_dispatch_crossover(self):
-        # n * BLOCK_ROW_COST / 2 > 2 * PARALLEL_TASK_ROWS
-        assert derived_parallel_min_rows() == int(
-            4 * PARALLEL_TASK_ROWS / BLOCK_ROW_COST
-        )
-        assert derived_parallel_min_rows() == 8000
-
     def test_block_threshold_is_the_setup_crossover(self):
         n = derived_block_min_rows()
         # at the crossover the per-row saving just covers the setup
@@ -34,18 +25,12 @@ class TestDerivedCrossovers:
 class TestChooseTier:
     def test_small_inputs_stay_on_row_kernels(self):
         assert choose_tier(0) == "rows"
-        assert choose_tier(derived_block_min_rows() - 1, workers=8) == "rows"
+        assert choose_tier(derived_block_min_rows() - 1) == "rows"
 
     def test_medium_inputs_use_block_kernels(self):
         assert choose_tier(derived_block_min_rows()) == "block"
-        assert choose_tier(5000, workers=4) == "block"
-
-    def test_large_inputs_partition_when_workers_exist(self):
-        n = derived_parallel_min_rows()
-        assert choose_tier(n, workers=2) == "parallel"
-        assert choose_tier(n * 10, workers=8) == "parallel"
-        # a single worker can never fan out
-        assert choose_tier(n * 10, workers=1) == "block"
+        assert choose_tier(5000) == "block"
+        assert choose_tier(10**6) == "block"
 
     def test_model_instance_overrides_shift_the_crossover(self):
         cheap_blocks = CostModel(block_setup_rows=0.0)

@@ -64,8 +64,8 @@ def test_literal_defaults_agree():
         default = config.OPTIONS[name].default
         shown = f'"{default}"' if isinstance(default, str) else repr(default)
         assert literal.group(1) == shown, name
-    # the two defaults that are computed, not written down
-    assert derived == {"workers", "parallel_min_rows"}
+    # the one default that is computed, not written down
+    assert derived == {"workers"}
 
 
 def test_engine_keywords_are_run_options_fields():

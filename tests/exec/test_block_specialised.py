@@ -30,7 +30,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import config
 from repro.compile import compile_job
 from repro.data import Dataset, Instance
 from repro.deploy import plan_pushdown
@@ -372,7 +371,7 @@ TIERS = {
     "rows": dict(mode="rows"),
     "block": dict(batched=True, fused=False),
     "fused": dict(batched=True, fused=True),
-    "parallel": dict(mode="parallel", workers=2, parallel_min_rows=1),
+    "parallel": dict(mode="parallel", workers=2),
 }
 
 
@@ -397,10 +396,7 @@ def single_stage_job(stage, out_relation, sources=(IDS,)):
 
 
 def run_tier(job, tier):
-    options = dict(TIERS[tier])
-    # small enough that only an explicit threshold partitions it
-    with config.overriding(parallel_min_rows=options.pop("parallel_min_rows", None)):
-        targets, _ = EtlEngine(**options).run(job, ids_instance())
+    targets, _ = EtlEngine(**TIERS[tier]).run(job, ids_instance())
     (out,) = list(targets)
     return out.rows
 
@@ -450,7 +446,6 @@ def test_group_by_agrees_with_sqlite():
     pushed = plan.execute(instance).dataset("Out")
     assert sorted((r["id"], r["rows"]) for r in pushed.rows) == [(BIG, 2), (BIG + 1, 1)]
     for options in TIERS.values():
-        options = {k: v for k, v in options.items() if k != "parallel_min_rows"}
         engine = OhmExecutor(**options).execute(graph, instance).dataset("Out")
         assert engine.same_bag(pushed), options
 

@@ -20,13 +20,13 @@ from repro.resilience import ErrorContext
 from repro.schema.model import Attribute, Relation
 from repro.schema.types import INTEGER, STRING
 
-# every keyword stated: a CI scenario's REPRO_* pin must not move a tier
-SERIAL = dict(parallel=False, workers=1)
-ORACLE = dict(compiled=False, **SERIAL)
+# every tier flag stated: a CI scenario's REPRO_* pin must not move a tier
+# (the scheduler's parallel / workers are not a planner's keywords)
+ORACLE = dict(compiled=False)
 TIERS = {
-    "rows": dict(compiled=True, batched=False, **SERIAL),
-    "gathered": dict(compiled=True, batched=True, fused=False, **SERIAL),
-    "fused": dict(compiled=True, batched=True, fused=True, **SERIAL),
+    "rows": dict(compiled=True, batched=False),
+    "gathered": dict(compiled=True, batched=True, fused=False),
+    "fused": dict(compiled=True, batched=True, fused=True),
 }
 
 ORDERS = Relation(

@@ -2,41 +2,31 @@
 {2, 4, 8} must agree on the accepted AND the rejected row multisets
 across all three runtimes (ETL engine, OHM executor, mapping executor),
 and the merge order of every materialized link must be *exactly* the
-serial order — not just bag-equal. The partitioned-kernel threshold is
-dropped to 1 row so the small seeded workloads actually exercise
-partitioning (see ``docs/execution-model.md``).
+serial order — not just bag-equal (see ``docs/execution-model.md``).
 """
 
 from collections import Counter
 
 import pytest
 
-from repro import config
 from repro.compile import compile_job
 from repro.etl import EtlEngine
-from repro.faults import FaultPlan
 from repro.mapping import MappingExecutor, ohm_to_mappings
 from repro.obs import Observability
-from repro.ohm import OhmExecutor
+from repro.ohm import OhmExecutor, reset_keygen_sequences
 from repro.resilience import format_row
 from repro.workloads import (
     build_example_job,
     build_faulty_job,
+    build_kitchen_sink_job,
     build_star_join_job,
     generate_faulty_instance,
     generate_instance,
+    generate_kitchen_sink_instance,
     generate_star_instance,
 )
 
 WORKER_COUNTS = [2, 4, 8]
-
-
-@pytest.fixture(autouse=True)
-def _engage_partitioning():
-    # partition counts derive from data size alone; dropping the
-    # threshold makes the seeded workloads large enough to partition
-    with config.overriding(parallel_min_rows=1):
-        yield
 
 
 def run_etl(instance, policy, workers):
@@ -165,55 +155,9 @@ class TestExactOrder:
 
 
 class TestWorkerFailureDegradation:
-    """Injected per-partition faults (``tier="parallel"``) and broken
-    executors must degrade to serial execution without changing any
-    result, counted in ``exec.degrade.parallel_to_serial``."""
-
-    # the mapping executor's block path only lowers single-source,
-    # non-grouping mappings, so it never spawns partition tasks — its
-    # parallel tier is wavefront-only (covered by the broken-executor
-    # test below)
-    @pytest.mark.parametrize("runtime", ["etl", "ohm"])
-    def test_partition_faults_keep_parity(self, runtime):
-        # the example job joins and aggregates, so its partitioned
-        # kernels spawn the partition tasks the "parallel" tier faults
-        job = build_example_job()
-        instance = generate_instance(n_customers=250, seed=14)
-        graph = compile_job(job)
-
-        def run(workers):
-            kwargs = dict(
-                compiled=True, batched=True,
-                parallel=workers is not None, workers=workers or 1,
-            )
-            if runtime == "etl":
-                return EtlEngine(**kwargs).execute(job, instance)
-            return OhmExecutor(**kwargs).execute(graph, instance)
-
-        serial = run(None)
-        plan = FaultPlan(seed=14).fault_kernels(tier="parallel", first=3)
-        with plan.injected():
-            result = run(4)
-        assert plan.kernel_faults_fired.get("parallel", 0) >= 1
-        assert result.same_bags(serial), (
-            f"{runtime} changed results under faults"
-        )
-
-    def test_degrade_counter_fires(self):
-        job = build_example_job()
-        instance = generate_instance(n_customers=250, seed=23)
-        serial_t, _ = EtlEngine(compiled=True, batched=True).run(
-            job, instance
-        )
-        obs = Observability(stats=True)
-        plan = FaultPlan(seed=7).fault_kernels(tier="parallel", first=2)
-        with plan.injected():
-            targets, _ = EtlEngine(
-                compiled=True, batched=True, parallel=True, workers=4, obs=obs
-            ).run(job, instance)
-        assert targets.same_bags(serial_t)
-        counters = obs.metrics.snapshot()["counters"]
-        assert counters.get("exec.degrade.parallel_to_serial", 0) >= 1
+    """A broken executor must degrade to serial execution without
+    changing any result, counted in
+    ``exec.degrade.parallel_to_serial``."""
 
     def test_broken_executor_degrades_every_wave(self):
         from repro.exec.parallel import set_default_executor
@@ -239,3 +183,59 @@ class TestWorkerFailureDegradation:
             assert links[name].rows == serial_links[name].rows, name
         counters = obs.metrics.snapshot()["counters"]
         assert counters.get("exec.degrade.parallel_to_serial", 0) >= 1
+
+
+PROGRAMS = {
+    "kitchen_sink": lambda: (
+        build_kitchen_sink_job(),
+        generate_kitchen_sink_instance(n_orders=400, n_customers=40),
+    ),
+    "paper": lambda: (
+        build_example_job(), generate_instance(n_customers=250, seed=23)
+    ),
+    "star": lambda: (
+        build_star_join_job(4), generate_star_instance(4, n_facts=300, seed=5)
+    ),
+}
+SCHEDULER_COUNTERS = ("exec.parallel.waves", "exec.parallel.tasks")
+
+
+class TestModeParallelIsBlockPlusWavefront:
+    """``mode="parallel"`` is the batched tier on the wavefront and
+    nothing else: every link in the same row order, and every counter
+    the run books equal to ``batched=True``'s except the scheduler's
+    own two."""
+
+    @pytest.mark.parametrize("runtime", ["etl", "ohm", "mapping"])
+    @pytest.mark.parametrize("program", PROGRAMS)
+    def test_links_and_counters_match_batched(self, program, runtime):
+        job, instance = PROGRAMS[program]()
+        graph = compile_job(job)  # once: edge names carry operator uids
+        engine_cls, plan = {
+            "etl": (EtlEngine, job),
+            "ohm": (OhmExecutor, graph),
+            "mapping": (MappingExecutor, ohm_to_mappings(graph)),
+        }[runtime]
+
+        def run(**tier):
+            obs = Observability(stats=True)
+            reset_keygen_sequences()
+            _targets, links = engine_cls(obs=obs, **tier).run(plan, instance)
+            counters = obs.metrics.snapshot()["counters"]
+            return links, {
+                name: n for name, n in counters.items()
+                if name.startswith(("exec.", "etl.", "ohm."))
+            }
+
+        # every keyword stated: a CI scenario's REPRO_* pin must not
+        # move either side
+        links, counters = run(compiled=True, batched=True, parallel=False)
+        wave_links, wave_counters = run(
+            compiled=True, mode="parallel", workers=4
+        )
+        assert set(wave_links) == set(links)
+        for name in links:
+            assert wave_links[name].rows == links[name].rows, name
+        for name in SCHEDULER_COUNTERS:
+            assert wave_counters.pop(name) >= 1, name
+        assert wave_counters == counters

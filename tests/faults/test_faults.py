@@ -102,7 +102,7 @@ class TestKernelFaults:
         assert any(schedule(7)) and not all(schedule(7))
 
     def test_tier_names_match_the_planner(self):
-        assert TIERS == ("parallel", "fused", "block", "compiled", "oracle")
+        assert TIERS == ("fused", "block", "compiled", "oracle")
 
 
 class TestFlakyEndpoints:

@@ -314,9 +314,9 @@ class TestAutoTierUnderBudget:
         from repro.cost.model import DEFAULT_MODEL, choose_tier
 
         n = 50_000
-        assert choose_tier(n, workers=4) == "parallel"
-        assert choose_tier(n, workers=4, memory_budget=1000) == "rows"
-        assert choose_tier(n, workers=4, memory_budget=n) == "parallel"
+        assert choose_tier(n) == "block"
+        assert choose_tier(n, memory_budget=1000) == "rows"
+        assert choose_tier(n, memory_budget=n) == "block"
         assert DEFAULT_MODEL.spill_cost(n, 1000) > 0
         assert DEFAULT_MODEL.spill_cost(n, None) == 0
         assert DEFAULT_MODEL.spill_cost(n, MemoryBudget(1000)) > 0

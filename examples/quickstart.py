@@ -13,7 +13,7 @@ Run:  python examples/quickstart.py
       python examples/quickstart.py --stats json     # metrics JSON ONLY on
                                                      # stdout (narrative moves
                                                      # to stderr) — pipeable
-      python examples/quickstart.py --batched --workers 4
+      python examples/quickstart.py --workers 4
                                                      # parallel tier: wavefront
                                                      # scheduling (see
                                                      # docs/execution-model.md)
@@ -60,17 +60,17 @@ def main(argv=None) -> None:
         "interpreter (the semantic oracle) instead of the compiler",
     )
     parser.add_argument(
-        "--batched",
+        "--row-mode",
         action="store_true",
-        help="run every engine over columnar row batches "
-        "(equivalent to REPRO_BATCH=1)",
+        help="run every engine on row-at-a-time kernels instead of the "
+        "default fused block tier (equivalent to REPRO_BATCH=0)",
     )
     parser.add_argument(
         "--no-fuse",
         action="store_true",
-        help="with --batched, disable selection-vector pipeline fusion "
-        "and run each operator through its own block kernel "
-        "(equivalent to REPRO_FUSE=0)",
+        help="gather every operator's selection-vector chain into a "
+        "block at its boundary instead of fusing chains across "
+        "operators (equivalent to REPRO_FUSE=0)",
     )
     parser.add_argument(
         "--workers",
@@ -137,8 +137,8 @@ def main(argv=None) -> None:
     flags = {}
     if args.interpreted:
         flags["compiled"] = False
-    if args.batched:
-        flags["batched"] = True
+    if args.row_mode:
+        flags["batched"] = False
     if args.no_fuse:
         flags["fused"] = False
     if args.workers is not None:

@@ -82,16 +82,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     observability.add_argument(
         "--row-mode",
         action="store_true",
-        help="force row-at-a-time execution, overriding REPRO_BATCH "
-        "(equivalent to REPRO_BATCH=0)",
+        help="run row-at-a-time kernels instead of the default fused "
+        "block tier, overriding REPRO_BATCH (equivalent to REPRO_BATCH=0)",
     )
     observability.add_argument(
         "--no-fuse",
         action="store_true",
         help="gather batched operators' selection-vector chains into a "
         "block at every operator boundary instead of fusing them "
-        "(equivalent to REPRO_FUSE=0; only meaningful in batched mode "
-        "— see docs/execution-model.md)",
+        "(equivalent to REPRO_FUSE=0; no effect with --row-mode — see "
+        "docs/execution-model.md)",
     )
     observability.add_argument(
         "--workers",
@@ -105,9 +105,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     observability.add_argument(
         "--mode",
         choices=list(MODES),
-        help="pin the execution tier (rows/block/parallel) or let the "
-        "cost model pick per run from the input size (auto; equivalent "
-        "to REPRO_MODE — see docs/planning.md)",
+        help="pin the execution tier (rows/block/parallel); auto names "
+        "the default tier, block kernels (equivalent to REPRO_MODE — "
+        "see docs/execution-model.md)",
     )
     observability.add_argument(
         "--on-error",

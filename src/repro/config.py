@@ -1,7 +1,7 @@
 """repro.config — the options table.
 
 Everything about a run that is not the plan or the data is one of the
-fourteen rows of :data:`OPTIONS`, and a row's value is found one way:
+thirteen rows of :data:`OPTIONS`, and a row's value is found one way:
 
     explicit keyword  >  ``overriding(...)``  >  ``REPRO_*`` variable  >  default
 
@@ -59,8 +59,7 @@ class Option(NamedTuple):
     check: Callable[[Any], Any]
     #: what ``check`` lets through, worded to follow "<name> must be".
     accepts: str
-    #: the built-in value, or a 0-argument callable evaluated at each
-    #: resolution (a derived default stays live).
+    #: the built-in value.
     default: Any
     #: what a rejected keyword or override raises (a rejected variable
     #: is always a :class:`~repro.errors.ValidationError`).
@@ -130,8 +129,9 @@ OPTIONS: Dict[str, Option] = {
     # lower expressions through the compiler; off is the tree-walking
     # oracle
     "compiled": Option((("REPRO_COMPILED", parse_bool),), bool, _SWITCH, True),
-    # block (columnar) kernels; needs ``compiled``
-    "batched": Option((("REPRO_BATCH", parse_bool),), bool, _SWITCH, False),
+    # block (columnar) kernels; needs ``compiled``. On: with ``fused``,
+    # an engine built with no tier keyword runs the fused block tier
+    "batched": Option((("REPRO_BATCH", parse_bool),), bool, _SWITCH, True),
     # leave the block operators' selection-vector chains lazy across
     # operator boundaries; needs ``batched``
     "fused": Option((("REPRO_FUSE", parse_bool),), bool, _SWITCH, True),
@@ -157,11 +157,8 @@ OPTIONS: Dict[str, Option] = {
     "checkpoint_dir": Option(
         (("REPRO_CHECKPOINT_DIR", str),), str, "a directory path", None
     ),
-    # ``plan_pushdown`` costs SQL-vs-ETL placement; off keeps the
-    # paper's pushability-only maximal pushdown
-    "cost_based": Option((("REPRO_COST", parse_bool),), bool, _SWITCH, True),
-    # pin the tier, or ``auto``: choose per run from the input size;
-    # unset keeps the flags above
+    # pin the tier; ``auto`` names the default one (block kernels,
+    # ``fused`` as set); unset keeps the flags above
     "mode": Option(
         (("REPRO_MODE", str.lower),), check_mode, f"one of {MODES}", None
     ),
@@ -237,8 +234,7 @@ def resolve(name: str, explicit: Any = None) -> Any:
     value = _from_env(option)
     if value is not None:
         return value
-    default = option.default
-    return default() if callable(default) else default
+    return option.default
 
 
 def overriding(**values: Any) -> ContextManager[None]:

@@ -1,9 +1,8 @@
 """repro.cost — the cost-based planning layer.
 
-Every data-size decision the system makes — push an OHM region into the
-DBMS or keep it in the ETL engine (:mod:`repro.deploy.pushdown`), run a
-job on row kernels or block kernels (``mode="auto"`` on the engines) —
-consults the same three pieces:
+The data-size decision the system makes — push an OHM region into the
+DBMS or keep it in the ETL engine (:mod:`repro.deploy.pushdown`) —
+consults three pieces:
 
 * :mod:`repro.cost.catalog` — a :class:`StatisticsCatalog` of
   per-relation row counts, distinct-value/null-fraction sketches
@@ -11,15 +10,13 @@ consults the same three pieces:
 * :mod:`repro.cost.estimate` — a :class:`CardinalityEstimator` walking
   the OHM graph propagating selectivities;
 * :mod:`repro.cost.model` — a :class:`CostModel` with per-platform
-  operator cost functions (sqlite vs row kernels vs block kernels)
-  and the derived tier crossover.
+  operator cost functions (sqlite vs row kernels vs block kernels).
 
 ``--explain`` renders all of it per operator
 (:func:`repro.cost.explain.explain_graph`); ``docs/planning.md`` is the
 handbook.
 
-The ``cost_based`` option of :mod:`repro.config` (on unless set) gates
-whether ``plan_pushdown`` costs SQL-vs-ETL placement or keeps the
+``plan_pushdown(cost=False)``, or planning without a catalog, keeps the
 paper's pushability-only maximal pushdown.
 """
 
@@ -45,8 +42,6 @@ from repro.cost.model import (
     DEFAULT_MODEL,
     FUSED_ROW_COST,
     CostModel,
-    choose_tier,
-    derived_block_min_rows,
 )
 
 
@@ -63,7 +58,5 @@ __all__ = [
     "actuals_from_edges",
     "actuals_from_metrics",
     "catalog_for",
-    "choose_tier",
-    "derived_block_min_rows",
     "explain_graph",
 ]

@@ -6,8 +6,8 @@ calibrated against the repository's own benchmarks:
 
 * the interpreting oracle is ~5x slower per row than compiled closures
   (``BENCH_engines``: 1.6-2.3x end to end with materialization amortized);
-* block kernels are ~0.35x — the ~2.1x columnar speedup of
-  ``BENCH_columnar`` plus the batch-build overhead modelled separately;
+* block kernels are ~0.35x per row, with a per-operator batch-build
+  overhead modelled separately (``BLOCK_SETUP_ROWS``);
 * sqlite evaluates an operator in C at ~0.2x, but *moving* rows costs.
   Both boundaries are columnar (``repro.data.columns``), timed at
   20 000 rows against ``BENCH_PUSHDOWN``'s pass-through case (scan +
@@ -18,20 +18,17 @@ calibrated against the repository's own benchmarks:
   pass-through projection are worth pushing, while a join that expands
   rows is not: every expanded row pays the transfer.
 
-The tier crossover is derived from these constants, not written down:
-:func:`derived_block_min_rows` — the block tier pays once the per-row
-saving beats the per-operator batch-build overhead:
-``n * (ROW_COST - BLOCK_ROW_COST) > BLOCK_SETUP_ROWS``. The model costs
-kernels, not schedulers: whether a run's independent nodes compute on a
-worker pool is the ``parallel`` option's business, not a tier.
+The model places operators (SQL or ETL); it does not pick the ETL
+engine's tier — that is one default, stated in :mod:`repro.config`
+(docs/execution-model.md has the measured reason).
 
-This module is deliberately a leaf: no imports from the engines, so the
-planner can consult it lazily without cycles.
+This module is deliberately a leaf: no imports from the engines, so
+:mod:`repro.deploy.pushdown` and ``--explain`` import it without cycles.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 #: per-row cost of one operator on the interpreting oracle.
 ORACLE_ROW_COST = 5.0
@@ -58,11 +55,6 @@ SQL_TRANSFER_COST = 0.3
 SCAN_COST = 0.1
 #: per-row cost of delivering a row to a target.
 WRITE_COST = 0.1
-#: per-row I/O cost of one spill round-trip (pickle a frame to a temp
-#: run file and read it back during the merge/probe phase). A blocking
-#: operator over its memory budget pays this for every resident row,
-#: which is what makes a smaller in-budget tier win under ``auto``.
-SPILL_ROW_COST = 0.8
 
 #: relative operator weight by OHM operator kind — a JOIN touches two
 #: inputs and hashes, a GROUP hashes and folds, a SPLIT merely aliases.
@@ -85,27 +77,9 @@ OPERATOR_FACTORS: Dict[str, float] = {
 }
 DEFAULT_OPERATOR_FACTOR = 1.0
 
-#: the execution tiers ``choose_tier`` selects between.
-TIERS = ("rows", "block")
-
 
 def operator_factor(kind: str) -> float:
     return OPERATOR_FACTORS.get(kind, DEFAULT_OPERATOR_FACTOR)
-
-
-def derived_block_min_rows() -> int:
-    """Rows at which the block tier starts beating row kernels."""
-    return int(BLOCK_SETUP_ROWS / (ROW_COST - BLOCK_ROW_COST)) + 1
-
-
-def choose_tier(n_rows: int, memory_budget=None) -> str:
-    """Pick the cheapest kernels for a run whose largest input has
-    ``n_rows`` rows: row kernels below the block crossover, block
-    kernels above it. Purely a function of data size and the optional
-    resident-row ``memory_budget`` (a
-    :class:`~repro.supervision.MemoryBudget` or ``max_rows`` int), so
-    ``mode="auto"`` stays deterministic."""
-    return DEFAULT_MODEL.choose_tier(n_rows, memory_budget)
 
 
 class CostModel:
@@ -126,7 +100,6 @@ class CostModel:
         sql_row_cost: float = SQL_ROW_COST,
         sql_load_cost: float = SQL_LOAD_COST,
         sql_transfer_cost: float = SQL_TRANSFER_COST,
-        spill_row_cost: float = SPILL_ROW_COST,
     ):
         self.oracle_row_cost = oracle_row_cost
         self.row_cost = row_cost
@@ -136,7 +109,6 @@ class CostModel:
         self.sql_row_cost = sql_row_cost
         self.sql_load_cost = sql_load_cost
         self.sql_transfer_cost = sql_transfer_cost
-        self.spill_row_cost = spill_row_cost
 
     # -- per-operator costs --------------------------------------------------
 
@@ -194,33 +166,6 @@ class CostModel:
         """Materializing ``frontier_rows`` query-result rows back out."""
         return self.sql_transfer_cost * max(frontier_rows, 0.0)
 
-    # -- tier selection ------------------------------------------------------
-
-    def block_min_rows(self) -> int:
-        return int(self.block_setup_rows / (self.row_cost - self.block_row_cost)) + 1
-
-    def spill_cost(self, n_rows: float, memory_budget=None) -> float:
-        """Temp-file I/O a blocking operator pays when ``n_rows``
-        resident rows exceed ``memory_budget`` (a
-        :class:`~repro.supervision.MemoryBudget` or a ``max_rows``
-        int); 0 when the build fits or no budget governs the run."""
-        max_rows = getattr(memory_budget, "max_rows", memory_budget)
-        if max_rows is None or n_rows <= max_rows:
-            return 0.0
-        return self.spill_row_cost * max(n_rows, 0.0)
-
-    def choose_tier(self, n_rows: int, memory_budget=None) -> str:
-        # Over the memory budget, every blocking operator spills to
-        # row-based temp-file runs whatever the tier, so the block
-        # tier's per-row saving has to beat setup *plus* the wasted
-        # build it abandons when the budget check declines it — at
-        # the shipped constants the spilled row path always wins.
-        if self.spill_cost(n_rows, memory_budget) > 0.0:
-            return "rows"
-        if n_rows >= self.block_min_rows():
-            return "block"
-        return "rows"
-
 
 #: the shared default model (all methods are pure, so sharing is safe).
 DEFAULT_MODEL = CostModel()
@@ -237,13 +182,9 @@ __all__ = [
     "ORACLE_ROW_COST",
     "ROW_COST",
     "SCAN_COST",
-    "SPILL_ROW_COST",
     "SQL_LOAD_COST",
     "SQL_ROW_COST",
     "SQL_TRANSFER_COST",
-    "TIERS",
     "WRITE_COST",
-    "choose_tier",
-    "derived_block_min_rows",
     "operator_factor",
 ]

@@ -16,10 +16,9 @@ statements; the residual graph deploys to the ETL platform as usual.
 Pushability says what *can* move; since the cost-based planning layer
 (:mod:`repro.cost`) it no longer says what *should*. When
 ``plan_pushdown`` is given a :class:`~repro.cost.StatisticsCatalog`
-covering the pushable sources (and ``cost``, or unstated the
-``cost_based`` option of :mod:`repro.config`, is on), it starts from the
-maximal pushable region and greedily *peels* operators back onto the ETL
-side while the modelled total cost improves: pushing a reducing
+covering the pushable sources (and ``cost`` is left on), it starts from
+the maximal pushable region and greedily *peels* operators back onto the
+ETL side while the modelled total cost improves: pushing a reducing
 filter + join + group wins (few rows cross the DBMS→Python transfer
 boundary), pushing a join that expands rows loses (every expanded row
 pays transfer). The all-ETL plan is a legal outcome —
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro import config
 from repro.cost import (
     CardinalityEstimator,
     CostModel,
@@ -297,7 +295,7 @@ def plan_pushdown(
     platform: Optional[RuntimePlatform] = None,
     dialect: Optional[SqliteDialect] = None,
     obs: Optional[Observability] = None,
-    cost: Optional[bool] = None,
+    cost: bool = True,
     catalog: Optional[StatisticsCatalog] = None,
     model: Optional[CostModel] = None,
     estimator: Optional[CardinalityEstimator] = None,
@@ -333,7 +331,7 @@ def _plan_pushdown_impl(
     platform: Optional[RuntimePlatform],
     dialect: Optional[SqliteDialect],
     obs: Observability,
-    cost: Optional[bool],
+    cost: bool,
     catalog: Optional[StatisticsCatalog],
     model: Optional[CostModel],
     estimator: Optional[CardinalityEstimator],
@@ -355,7 +353,7 @@ def _plan_pushdown_impl(
     estimate: Optional[GraphEstimate] = None
     decisions: List[FragmentDecision] = []
     pushed = maximal
-    if config.resolve("cost_based", cost) and catalog is not None and catalog.covers(
+    if cost and catalog is not None and catalog.covers(
         op.relation.name
         for op in work.operators
         if isinstance(op, Source) and op.uid in maximal

@@ -147,7 +147,7 @@ class EtlEngine(Runtime):
         target stage (keyed by target relation name) and the dataset that
         flowed over every link (keyed by link name)."""
         instance = instance or Instance()
-        ladder = start_run(self.options, job, job.registry, instance)
+        ladder = start_run(self.options, job, job.registry)
         job.propagate_schemas()
         run = _JobRun(self, job, instance, ladder)
         with self._obs.tracer.span("etl.run", job=job.name):

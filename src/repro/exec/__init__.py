@@ -26,7 +26,10 @@ results. :func:`resolve_tier` is the one statement of how the
 ``compiled`` / ``batched`` / ``fused`` / ``parallel`` / ``workers`` /
 ``mode`` options combine into a tier; what each option accepts and where
 its value comes from is the table in ``docs/execution-model.md``
-("Options").
+("Options"). With no option stated the tier is *fused* — ``batched`` and
+``fused`` default on — and ``mode="auto"`` is a name for that default:
+nothing re-decides a tier per run, and a planner is immutable once
+built.
 
 How a run uses these tiers — option resolution, the degradation ladder,
 the supervised wavefront scheduler — is :mod:`repro.exec.run`, the one
@@ -73,8 +76,8 @@ class Tier(NamedTuple):
     compiled: bool
     #: block kernels; implies ``compiled``.
     batched: bool
-    #: chains stay lazy wherever a run is batched. Under ``mode="auto"``
-    #: this is the requested value: each run re-decides ``batched``.
+    #: selection-vector chains stay lazy across operator boundaries;
+    #: implies ``batched``.
     fused: bool
     #: wavefront scheduling (the run harness's; no planner reads it).
     parallel: bool
@@ -98,12 +101,11 @@ def resolve_tier(
     with ``REPRO_BATCH=1``) and ``batched`` gates ``fused``; fanning out
     takes two workers. A ``mode`` overrides the flags: ``"rows"`` /
     ``"block"`` / ``"parallel"`` pin the tier (``"parallel"`` is
-    ``"block"`` plus the wavefront), ``"auto"`` leaves ``batched`` as a
-    starting point that :meth:`ExpressionPlanner.tune_for` re-decides
-    once a run's input size is known. ``auto`` chooses kernels, not the
-    scheduler: under it, as without a mode, ``parallel`` is the option's
-    value and does not need ``batched`` — a wavefront over row kernels
-    is still a wavefront."""
+    ``"block"`` plus the wavefront), ``"auto"`` names the default tier —
+    block kernels, exactly what no mode and no ``batched`` setting
+    resolve to. ``auto`` names kernels, not the scheduler: under it, as
+    without a mode, ``parallel`` is the option's value and does not need
+    ``batched`` — a wavefront over row kernels is still a wavefront."""
     resolve = config.resolve
     compiled = resolve("compiled", compiled)
     batched = compiled and resolve("batched", batched)
@@ -118,8 +120,9 @@ def resolve_tier(
     elif mode == "parallel":
         batched = compiled
         parallel = batched and workers >= 2
-    if mode != "auto":
-        fused = batched and fused
+    elif mode == "auto":
+        batched = compiled
+    fused = batched and fused
     return Tier(compiled, batched, fused, parallel, workers, mode)
 
 
@@ -183,33 +186,10 @@ class ExpressionPlanner:
         self.registry = registry or DEFAULT_REGISTRY
         self.compiled = tier.compiled
         self.batched = tier.batched
-        self.mode = tier.mode
-        # the planner drives block kernels: to it, fused means chains,
-        # which need blocks (recomputed whenever tune_for() re-tiers)
-        self._fused_requested = tier.fused
-        self.fused = tier.batched and tier.fused
+        self.fused = tier.fused
         self._scalars: dict = {}
         self._predicates: dict = {}
         self._aggregates: dict = {}
-
-    def tune_for(self, n_rows: int, model=None, memory_budget=None) -> str:
-        """``mode="auto"``: pick the kernels — ``"rows"`` or ``"block"``
-        — from the run's (estimated or actual) largest input cardinality
-        via the cost model's crossover
-        (:func:`repro.cost.model.choose_tier`) and reconfigure this
-        planner accordingly. A ``memory_budget`` (resident-row ceiling)
-        biases the choice toward the row tier once blocking operators
-        would spill. Returns the chosen tier; a no-op (returning the
-        current configuration's tier) for every other mode. Tier choice
-        never changes results — block kernels are bit-identical to the
-        compiled row path — only how fast they arrive."""
-        if self.mode == "auto":
-            if model is None:
-                from repro.cost.model import DEFAULT_MODEL as model
-            tier = model.choose_tier(n_rows, memory_budget)
-            self.batched = self.compiled and tier == "block"
-            self.fused = self.batched and self._fused_requested
-        return "block" if self.batched else "rows"
 
     def scalar(self, expr: Expr) -> Callable[[Any], Any]:
         """An ``env → value`` closure for ``expr``."""

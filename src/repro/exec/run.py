@@ -11,8 +11,8 @@ about a run is written here once:
 * :class:`TierLadder` — the fused → block → rows → oracle degradation
   ladder, every rung pinned to its tier;
 * :func:`start_run` and :func:`run_waves` — the pre-run check,
-  supervision, ``mode="auto"`` tiering and the serial/wavefront
-  scheduler over the :class:`Nodes` protocol.
+  supervision and the serial/wavefront scheduler over the
+  :class:`Nodes` protocol.
 
 ``docs/execution-model.md`` ("The run harness") is the description.
 The runtimes import this module directly: ``repro.exec`` does not load
@@ -83,20 +83,18 @@ class RunOptions(NamedTuple):
     #: interpreting oracle).
     compiled: bool
     #: route block-capable nodes through the columnar kernels (needs the
-    #: compiler; nodes fall back per operator). Under ``mode="auto"``
-    #: each run re-decides from its input size.
+    #: compiler; nodes fall back per operator). The default.
     batched: bool
     #: leave batched operators' selection-vector chains lazy across
-    #: operator boundaries instead of gathering at each; under
-    #: ``mode="auto"``, whether a run tiered batched does.
+    #: operator boundaries instead of gathering at each.
     fused: bool
     #: wavefront scheduling: independent nodes of one topological level
     #: compute concurrently on a worker pool.
     parallel: bool
     workers: int
-    #: "rows"/"block"/"parallel" pin the tier, "auto" picks the kernels
-    #: per run from the input size via the cost model (the scheduler
-    #: still follows ``parallel``), None keeps the flags above.
+    #: "rows"/"block"/"parallel" pin the tier, "auto" names the default
+    #: one (block kernels; the scheduler still follows ``parallel``),
+    #: None keeps the flags above.
     mode: Optional[str]
     #: run-level row error policy (a node may override it).
     on_error: str
@@ -291,24 +289,17 @@ def start_run(
     options: RunOptions,
     plan: Any,
     registry: Optional[FunctionRegistry],
-    instance: Iterable[Any],
 ) -> TierLadder:
     """What every run does before its first node: the ``check=True``
-    pre-flight, arming the supervisor, and the run's planner — tiered
-    from the largest input under ``mode="auto"`` — as the top rung of
-    its ladder."""
+    pre-flight, arming the supervisor, and the run's planner as the top
+    rung of its ladder."""
     if options.check:
         from repro.analysis import check_plan
 
         check_plan(plan, registry=registry)
     if options.supervisor is not None:
         options.supervisor.start(options.obs)
-    planner = options.planner(registry)
-    if options.mode == "auto":
-        n_rows = max((len(d) for d in instance), default=0)
-        tier = planner.tune_for(n_rows, memory_budget=options.memory_budget)
-        options.obs.metrics.count(f"exec.auto.tier.{tier}")
-    return TierLadder(planner, options)
+    return TierLadder(options.planner(registry), options)
 
 
 def run_waves(

@@ -94,9 +94,7 @@ class Orchid:
         """OHM → an ETL job on the configured platform (section VI-B)."""
         return deploy_to_job(graph, self.platform, obs=self.obs)
 
-    def to_hybrid(
-        self, graph: OhmGraph, cost: Optional[bool] = None
-    ) -> HybridPlan:
+    def to_hybrid(self, graph: OhmGraph, cost: bool = True) -> HybridPlan:
         """OHM → combined SQL + ETL deployment via pushdown analysis
         (cost-based when the facade carries a statistics catalog)."""
         return plan_pushdown(

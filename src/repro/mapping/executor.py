@@ -90,7 +90,7 @@ class MappingExecutor(OhmExecutor):
     def _run_impl(self, mappings: MappingSet, instance: Instance):
         # the analyzer vets the mapping set itself, before the lowering
         # can object to it and before row one
-        ladder = start_run(self.options, mappings, self.registry, instance)
+        ladder = start_run(self.options, mappings, self.registry)
         if not self.compiled:
             return self._run_reference(mappings, instance)
         # every intermediate relation is an edge of the uncleaned graph

@@ -352,7 +352,7 @@ class OhmExecutor(Runtime):
     def _run_impl(
         self, graph: OhmGraph, instance: Instance
     ) -> Tuple[Instance, Dict[str, Dataset], List[RejectedRow]]:
-        ladder = start_run(self.options, graph, self.registry, instance)
+        ladder = start_run(self.options, graph, self.registry)
         graph.propagate_schemas()
         return self._run_graph(graph, instance, ladder)
 

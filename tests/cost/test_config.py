@@ -197,30 +197,17 @@ class TestDerivedDefaults:
         assert sorted(snap) == sorted(config.OPTIONS)
         assert sorted(snap) == [
             "batched", "breaker", "check", "checkpoint_dir",
-            "compiled", "cost_based", "deadline", "fused", "max_retries",
+            "compiled", "deadline", "fused", "max_retries",
             "memory_budget", "mode", "on_error", "parallel", "workers",
         ]
         assert snap["compiled"] is True
-        assert snap["cost_based"] is True
+        assert snap["batched"] is True
         assert snap["mode"] is None
 
 
 class TestKnobMechanics:
     """What a row's ``default`` and ``check`` columns mean, on a row of
     the test's own."""
-
-    def test_callable_default_stays_live(self, monkeypatch):
-        calls = []
-
-        def derive():
-            calls.append(1)
-            return 42
-
-        row = Option((), int, "an integer", derive)
-        monkeypatch.setitem(config.OPTIONS, "test_live", row)
-        assert config.resolve("test_live") == 42
-        assert config.resolve("test_live") == 42
-        assert len(calls) == 2  # re-derived, not cached
 
     def test_validate_applies_to_setter_and_kwarg_not_default(
         self, monkeypatch

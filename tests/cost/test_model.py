@@ -1,42 +1,7 @@
-"""CostModel: tier crossovers and per-platform cost orderings."""
+"""CostModel: per-platform cost orderings."""
 
-from repro.cost import (
-    CostModel,
-    DEFAULT_MODEL,
-    choose_tier,
-    derived_block_min_rows,
-)
-from repro.cost.model import (
-    BLOCK_ROW_COST,
-    BLOCK_SETUP_ROWS,
-    ROW_COST,
-    operator_factor,
-)
-
-
-class TestDerivedCrossovers:
-    def test_block_threshold_is_the_setup_crossover(self):
-        n = derived_block_min_rows()
-        # at the crossover the per-row saving just covers the setup
-        assert (n - 1) * (ROW_COST - BLOCK_ROW_COST) <= BLOCK_SETUP_ROWS
-        assert n * (ROW_COST - BLOCK_ROW_COST) > BLOCK_SETUP_ROWS
-
-
-class TestChooseTier:
-    def test_small_inputs_stay_on_row_kernels(self):
-        assert choose_tier(0) == "rows"
-        assert choose_tier(derived_block_min_rows() - 1) == "rows"
-
-    def test_medium_inputs_use_block_kernels(self):
-        assert choose_tier(derived_block_min_rows()) == "block"
-        assert choose_tier(5000) == "block"
-        assert choose_tier(10**6) == "block"
-
-    def test_model_instance_overrides_shift_the_crossover(self):
-        cheap_blocks = CostModel(block_setup_rows=0.0)
-        assert cheap_blocks.block_min_rows() == 1
-        assert cheap_blocks.choose_tier(2) == "block"
-        assert DEFAULT_MODEL.choose_tier(2) == "rows"
+from repro.cost import DEFAULT_MODEL
+from repro.cost.model import operator_factor
 
 
 class TestOperatorCosts:

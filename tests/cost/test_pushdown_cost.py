@@ -3,7 +3,6 @@
 import pytest
 
 from repro.compile import compile_job
-from repro import config
 from repro.cost import StatisticsCatalog, catalog_for
 from repro.data.dataset import Dataset, Instance
 from repro.deploy import plan_pushdown
@@ -169,11 +168,6 @@ class TestEtlWins:
     def test_cost_false_restores_maximal_pushdown(self, catalog):
         hybrid = plan_pushdown(_fan_out_graph(), catalog=catalog, cost=False)
         assert list(hybrid.statements) == ["expanded"]
-
-    def test_process_default_can_disable_costing(self, catalog):
-        with config.overriding(cost_based=False):
-            hybrid = plan_pushdown(_fan_out_graph(), catalog=catalog)
-            assert list(hybrid.statements) == ["expanded"]
 
 
 class TestBackwardCompatibility:

@@ -17,7 +17,7 @@ FLAG = (None, False, True)
 MODE = (None, "rows", "block", "parallel", "auto")
 WORKERS = (None, 1, 4)
 TIER_FIELDS = ("compiled", "batched", "fused", "parallel", "workers", "mode")
-PLANNER_FIELDS = ("compiled", "batched", "fused", "mode")
+PLANNER_FIELDS = ("compiled", "batched", "fused")
 
 pytestmark = pytest.mark.usefixtures("no_ambient_environment")
 
@@ -27,29 +27,27 @@ def _default(name, value):
 
 
 def reference_planner(compiled, batched, fused, mode):
-    """The four attributes of ``ExpressionPlanner(None, …)``: a planner
+    """The three attributes of ``ExpressionPlanner(None, …)``: a planner
     lowers expressions, so the scheduler's ``parallel`` / ``workers``
-    are not its keywords."""
+    are not its keywords. ``auto`` names the block kernels, as ``block``
+    and ``parallel`` do."""
     compiled = _default("compiled", compiled)
     batched = compiled and _default("batched", batched)
     if mode == "rows":
         batched = False
-    elif mode in ("block", "parallel"):
+    elif mode in ("block", "parallel", "auto"):
         batched = compiled
     fused = batched and _default("fused", fused)
-    return (compiled, batched, fused, mode)
+    return (compiled, batched, fused)
 
 
 def reference_options(compiled, batched, fused, parallel, workers, mode):
-    """``RunOptions.resolve``'s six tier fields: the planner's four,
-    except that under ``mode="auto"`` ``fused`` is what was asked for
-    (each run re-decides whether it is batched), and the scheduler's
-    two — without a mode and under ``auto`` (which picks kernels, not
-    the scheduler) the wavefront follows the ``parallel`` option and
-    needs no block kernels; a pinned mode decides it."""
-    compiled, batched, fused_now, _mode = reference_planner(
-        compiled, batched, fused, mode
-    )
+    """``RunOptions.resolve``'s six tier fields: the planner's three,
+    the mode as given, and the scheduler's two — without a mode and
+    under ``auto`` (which names kernels, not the scheduler) the
+    wavefront follows the ``parallel`` option and needs no block
+    kernels; a pinned mode decides it."""
+    compiled, batched, fused = reference_planner(compiled, batched, fused, mode)
     workers = _default("workers", workers)
     if mode in ("rows", "block"):
         parallel = False
@@ -57,9 +55,7 @@ def reference_options(compiled, batched, fused, parallel, workers, mode):
         parallel = batched and workers >= 2
     else:
         parallel = _default("parallel", parallel) and workers >= 2
-    if mode == "auto":
-        fused_now = _default("fused", fused)
-    return (compiled, batched, fused_now, parallel, workers, mode)
+    return (compiled, batched, fused, parallel, workers, mode)
 
 
 @pytest.mark.parametrize("mode", MODE)
@@ -83,7 +79,6 @@ def test_every_flag_combination(mode, workers):
             fused=not options.fused, parallel=True, workers=7, mode="auto",
         ):
             run = options.planner(None)
-        assert (run.compiled, run.batched, run.mode) == (
-            options.compiled, options.batched, options.mode
+        assert (run.compiled, run.batched, run.fused) == (
+            options.compiled, options.batched, options.fused
         ), asked
-        assert run.fused == (options.batched and options.fused), asked

@@ -417,14 +417,22 @@ def test_figure_3_join_filters_key_matches_not_the_cross_product():
         Dataset(d.relation, d.rows[:660] if d.name == "Accounts" else d.rows)
         for d in drawn
     )
-    obs = Observability(stats=True)
-    MappingExecutor(obs=obs, compiled=True).execute_mapping(m1, instance)
-    counters = obs.metrics.snapshot()["counters"]
-    assert counters["exec.kernel.join.rows_in"] <= 300 + 660
-    assert 0 < counters["exec.kernel.join.rows_out"] <= 660
-    # the filter kernel saw 198 000 rows when the candidates were the
-    # cross product; a kernel's counter sums over the graph's operators
-    assert max(
-        count for name, count in counters.items()
-        if name.startswith("exec.kernel.") and name.endswith(".rows_in")
-    ) < 198_000 // 10
+    # the row kernels and the default tier's block kernels book the same
+    # bound under their own prefixes
+    for tier, prefix in (
+        (dict(mode="rows"), "exec.kernel."),
+        (dict(mode="block"), "exec.block."),
+    ):
+        obs = Observability(stats=True)
+        MappingExecutor(obs=obs, compiled=True, **tier).execute_mapping(
+            m1, instance
+        )
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters[prefix + "join.rows_in"] <= 300 + 660
+        assert 0 < counters[prefix + "join.rows_out"] <= 660
+        # the filter kernel saw 198 000 rows when the candidates were the
+        # cross product; a kernel's counter sums over the graph's operators
+        assert max(
+            count for name, count in counters.items()
+            if name.startswith(prefix) and name.endswith(".rows_in")
+        ) < 198_000 // 10

@@ -310,17 +310,6 @@ class TestSortStageUnderBudget:
 
 
 class TestAutoTierUnderBudget:
-    def test_choose_tier_prefers_rows_when_spilling(self):
-        from repro.cost.model import DEFAULT_MODEL, choose_tier
-
-        n = 50_000
-        assert choose_tier(n) == "block"
-        assert choose_tier(n, memory_budget=1000) == "rows"
-        assert choose_tier(n, memory_budget=n) == "block"
-        assert DEFAULT_MODEL.spill_cost(n, 1000) > 0
-        assert DEFAULT_MODEL.spill_cost(n, None) == 0
-        assert DEFAULT_MODEL.spill_cost(n, MemoryBudget(1000)) > 0
-
     def test_auto_mode_engine_respects_the_budget(self):
         instance = generate_instance(n_customers=200)
         expected = EtlEngine().execute(build_example_job(), instance)

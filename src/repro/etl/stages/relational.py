@@ -15,7 +15,6 @@ from repro.data.dataset import Dataset
 from repro.errors import ValidationError
 from repro.etl.model import Stage
 from repro.exec import ExpressionPlanner, block, fuse, kernels, ops
-from repro.exec.block import _group_indices
 from repro.expr.algebra import conjoin
 from repro.expr.ast import AggregateCall, BinaryOp, ColumnRef, Expr
 from repro.expr.parser import parse
@@ -451,11 +450,13 @@ class RemoveDuplicatesStage(Stage):
         planner = planner or ExpressionPlanner(registry)
         chain = planner.fused_chain(data, obs)
         if chain is not None:
-            # group over a key-columns-only view; the survivors narrow
-            # the selection instead of a take()
-            groups = _group_indices(chain.view(self.keys), self.keys)
-            pick = -1 if self.retain == "last" else 0
-            survivors = [members[pick] for members in groups]
+            # pick over a key-columns-only view, as a GROUP of FIRST /
+            # LAST does; the survivors narrow the selection
+            survivors = block.group_picks(
+                chain.view(self.keys),
+                self.keys,
+                -1 if self.retain == "last" else 0,
+            )
             fuse.fused_op(chain, len(survivors))
             return [
                 planner.materialize_fused(

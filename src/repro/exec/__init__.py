@@ -270,8 +270,9 @@ class ExpressionPlanner:
     def block_aggregate(self, agg: AggregateCall, resolve, chain: bool = False):
         """``(values_fn, reducer)`` for columnar grouped aggregation —
         ``values_fn`` evaluates the argument once over a whole block,
-        ``reducer`` folds one group's gathered values. ``(None, None)``
-        is ``COUNT(*)`` (group size); a bare ``None`` means row
+        ``reducer`` folds one group's gathered values, or is the member
+        position a FIRST / LAST picks (0 / -1). ``(None, None)`` is
+        ``COUNT(*)`` (group size); a bare ``None`` means row
         fallback."""
         if not self.batched:
             return None

@@ -12,15 +12,19 @@ same operator semantics, executed over *columns*:
   selection vectors (index lists) the caller's chain narrows by
   (:mod:`repro.exec.fuse` — a filter is routing to one output, and
   projection needs no kernel of its own there), grouped aggregation
-  gathers per-column accumulators, and the hash join builds/probes over
-  key columns and emits index vectors;
+  gathers per-column accumulators — or, for FIRST / LAST, picks one
+  cell a group, and with only picks keeps one row index a key
+  (:func:`group_picks`, which dedup shares) instead of member lists —
+  and the hash join builds/probes over key columns and emits index
+  vectors;
 * columns are **immutable by convention**: kernels may alias an input
   column into an output block, and nothing may mutate a column list in
   place. Fresh lists are built wherever rows are reordered or selected.
 
-Operators that stay row-shaped (nest/unnest, UNKNOWN/opaque bodies)
-simply fall back to the row kernels — ``Dataset`` converts lazily in
-both directions.
+Operators that stay row-shaped (nest/unnest, a ``Custom`` stage's
+body) simply fall back to the row kernels — ``Dataset`` converts lazily
+in both directions; an UNKNOWN whose executor returns a ``Dataset``
+hands its block over unconverted.
 
 Kernels report ``exec.block.<name>.blocks_in/.blocks_out/.rows_in/
 .rows_out`` when given an :class:`~repro.obs.Observability`.
@@ -37,6 +41,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.errors import ExecutionError
@@ -53,6 +58,9 @@ from repro.supervision.memory import active_memory_budget
 
 #: A compiled block expression: RowBlock → column (list of values).
 BlockFn = Callable[["RowBlock"], List[Any]]
+#: A grouped aggregate's fold over one group's gathered values, or the
+#: member position a FIRST / LAST picks (0 / -1).
+Reducer = Union[Callable[[List[Any]], Any], int, None]
 
 
 def _observe_block(
@@ -106,19 +114,6 @@ class RowBlock:
 
     def column(self, name: str) -> List[Any]:
         return self.columns[name]
-
-    def slice(self, start: int, stop: int) -> "RowBlock":
-        """Row range ``[start, stop)`` — aliased column lists stay aliased."""
-        start = max(0, start)
-        stop = min(self.length, stop)
-        shared: Dict[int, List[Any]] = {}
-        columns: Dict[str, List[Any]] = {}
-        for name, col in self.columns.items():
-            cut = shared.get(id(col))
-            if cut is None:
-                cut = shared[id(col)] = col[start:stop]
-            columns[name] = cut
-        return RowBlock(columns, max(0, stop - start))
 
     def take(self, indices: Sequence[int]) -> "RowBlock":
         """Gather the given row positions (a selection vector) into a new
@@ -219,15 +214,22 @@ def switch_block(
 # -- grouping kernels ----------------------------------------------------------
 
 
+def _row_keys(block: RowBlock, key_names: Sequence[str]) -> Iterable[Any]:
+    """One hashable key a row over the encoded key columns: the cell
+    itself for a single key column (no 1-tuple per row), a tuple for
+    several, ``()`` for none (a global aggregate groups by nothing)."""
+    cols = key_columns([block.columns[k] for k in key_names])
+    if len(cols) == 1:
+        return cols[0]
+    return key_rows(cols, block.length)
+
+
 def _group_indices(
     block: RowBlock, key_names: Sequence[str]
 ) -> List[List[int]]:
     """Row-index groups by key columns, first-seen order."""
-    groups: Dict[tuple, List[int]] = {}
-    keys = key_rows(
-        key_columns([block.columns[k] for k in key_names]), block.length
-    )
-    for i, key in enumerate(keys):
+    groups: Dict[Any, List[int]] = {}
+    for i, key in enumerate(_row_keys(block, key_names)):
         members = groups.get(key)
         if members is None:
             groups[key] = [i]
@@ -236,17 +238,40 @@ def _group_indices(
     return list(groups.values())
 
 
+def group_picks(
+    block: RowBlock, key_names: Sequence[str], pick: int
+) -> List[int]:
+    """One row index per group, in first-seen group order: each key's
+    first row (``pick`` 0) or last row (``pick`` -1). No member list is
+    built — what a dedup and a GROUP of only FIRST/LAST aggregates
+    need. A dict keeps a key where it was first inserted, so
+    overwriting for the last row keeps first-seen order."""
+    chosen: Dict[Any, int] = {}
+    keys = _row_keys(block, key_names)
+    if pick == 0:
+        for i, key in enumerate(keys):
+            chosen.setdefault(key, i)
+    else:
+        for i, key in enumerate(keys):
+            chosen[key] = i
+    return list(chosen.values())
+
+
 def group_aggregate_block(
     block: RowBlock,
     key_names: Sequence[str],
-    aggregates: Sequence[Tuple[str, Optional[BlockFn], Optional[Callable]]],
+    aggregates: Sequence[Tuple[str, Optional[BlockFn], Reducer]],
     obs=None,
 ) -> RowBlock:
     """Grouped aggregation over columns: rows are partitioned by encoded
     key columns (NULL keys equal, ``1 == 1.0``), each aggregate argument
     is evaluated *once* as a whole column, then gathered per group and
     reduced. ``aggregates`` are ``(name, values_fn, reducer)`` — a
-    ``(name, None, None)`` entry is ``COUNT(*)`` (the group size).
+    ``(name, None, None)`` entry is ``COUNT(*)`` (the group size), and
+    an ``int`` reducer is a FIRST / LAST pick (0 / -1): the group's
+    cell at that member position. When every aggregate is a pick, no
+    member list is built: :func:`group_picks` finds one row a group
+    per distinct pick.
 
     Above an active memory budget the group states are
     grace-partitioned to temp-file runs instead
@@ -261,20 +286,38 @@ def group_aggregate_block(
         )
         _observe_block(obs, "group_aggregate", 1, 1, block.length, out.length)
         return out
-    groups = _group_indices(block, key_names)
     columns: Dict[str, List[Any]] = {}
-    for k in key_names:
-        col = block.columns[k]
-        columns[k] = [col[members[0]] for members in groups]
-    for name, values_fn, reducer in aggregates:
-        if values_fn is None and reducer is None:
-            columns[name] = [len(members) for members in groups]
-        else:
+    picks = {reducer for _n, _f, reducer in aggregates}
+    if all(isinstance(pick, int) for pick in picks):
+        # the key cells are each group's first row's, as on the member
+        # path (``1`` and ``1.0`` share a group but not a cell)
+        rows = {pick: group_picks(block, key_names, pick) for pick in picks | {0}}
+        firsts = rows[0]
+        for k in key_names:
+            col = block.columns[k]
+            columns[k] = [col[i] for i in firsts]
+        for name, values_fn, pick in aggregates:
             values = values_fn(block)
-            columns[name] = [
-                reducer([values[i] for i in members]) for members in groups
-            ]
-    out = RowBlock(columns, len(groups))
+            columns[name] = [values[i] for i in rows[pick]]
+        length = len(firsts)
+    else:
+        groups = _group_indices(block, key_names)
+        for k in key_names:
+            col = block.columns[k]
+            columns[k] = [col[members[0]] for members in groups]
+        for name, values_fn, reducer in aggregates:
+            if values_fn is None and reducer is None:
+                columns[name] = [len(members) for members in groups]
+                continue
+            values = values_fn(block)
+            if isinstance(reducer, int):
+                columns[name] = [values[members[reducer]] for members in groups]
+            else:
+                columns[name] = [
+                    reducer([values[i] for i in members]) for members in groups
+                ]
+        length = len(groups)
+    out = RowBlock(columns, length)
     _observe_block(obs, "group_aggregate", 1, 1, block.length, out.length)
     return out
 
@@ -519,6 +562,7 @@ __all__ = [
     "RowBlock",
     "route_block",
     "switch_block",
+    "group_picks",
     "group_aggregate_block",
     "union_block",
     "sort_permutation",

@@ -48,7 +48,7 @@ from typing import AbstractSet, Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.data.columns import NUMBERS, TEXT, column_classes
 from repro.errors import EvaluationError
-from repro.exec.block import BlockFn, RowBlock
+from repro.exec.block import BlockFn, Reducer, RowBlock
 from repro.exec.compile_expr import _COMPARATORS, is_foldable
 from repro.expr.ast import (
     AggregateCall,
@@ -126,25 +126,20 @@ def compile_block_predicate(
     return predicate
 
 
-def aggregate_values_reducer(agg: AggregateCall) -> Callable[[List[Any]], Any]:
+def aggregate_values_reducer(agg: AggregateCall) -> Reducer:
     """A ``values → value`` reducer over one group's *raw* argument
     values (NULLs included, member order preserved). Mirrors
     :func:`repro.exec.compile_expr.compile_aggregate`: NULLs are
     stripped, DISTINCT dedups by equality, SUM/AVG/MIN/MAX of an empty
     (or all-NULL) group is NULL, COUNT is 0. Column-major grouped
     aggregation evaluates the argument once per block, gathers per
-    group, and reduces with this."""
+    group, and reduces with this. FIRST / LAST fold nothing: their
+    reducer is the member position they pick, 0 or -1, so the grouped
+    kernel gathers one cell a group (a group is never empty)."""
     func = agg.func
     distinct = agg.distinct
     if func in ("FIRST", "LAST"):
-        take_first = func == "FIRST"
-
-        def order_sensitive(values):
-            if not values:
-                return None
-            return values[0] if take_first else values[-1]
-
-        return order_sensitive
+        return 0 if func == "FIRST" else -1
 
     def reduce_values(values):
         values = [value for value in values if value is not None]

@@ -362,7 +362,7 @@ def group(
     chain = planner.fused_chain(data, obs)
     if chain is not None:
         resolve = relation_resolver(None, chain.handles)
-        lowered: List[Tuple[str, Optional[BlockFn], Optional[Callable[..., Any]]]] = []
+        lowered: List[Tuple[str, Optional[BlockFn], block.Reducer]] = []
         args: List[Expr] = []
         for name, agg in aggregates:
             lowering = planner.block_aggregate(agg, resolve, chain=True)

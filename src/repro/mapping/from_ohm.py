@@ -23,6 +23,11 @@ materialization point. Composition is ordinary view unfolding
 
 Intermediate relations are named after the edge at the materialization
 point (``DSLink10`` in the running example).
+
+An opaque mapping built here for an operator the mapping language cannot
+express (outer join, NEST, UNNEST) runs that operator on the OHM engine
+and returns the engine's dataset, not row dicts: lowered back to OHM it
+is an UNKNOWN whose output edge adopts the block as it stands.
 """
 
 from __future__ import annotations
@@ -119,7 +124,9 @@ def _operator_executor(op: Operator, in_edge_names: List[str], out_index: int):
     """Executable behaviour for an opaque mapping standing in for an OHM
     operator the mapping language cannot express (outer joins, NEST,
     UNNEST): delegate to the OHM engine's reference semantics. Inputs are
-    renamed to the edge names the operator's expressions refer to."""
+    renamed to the edge names the operator's expressions refer to. The
+    output is handed back as the engine's :class:`Dataset`, so the
+    UNKNOWN it runs as adopts its block and the edge stays columnar."""
 
     def run(inputs):
         from repro.ohm.engine import OhmExecutor
@@ -135,7 +142,7 @@ def _operator_executor(op: Operator, in_edge_names: List[str], out_index: int):
         ]
         out_relations = op.output_relations(input_relations, out_names)
         outputs = OhmExecutor().run_operator(op, renamed, out_relations)
-        return list(outputs[out_index].rows)
+        return outputs[out_index]
 
     return run
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.data.dataset import Dataset, Instance
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, SchemaError
 from repro.exec import ExpressionPlanner, ops
 from repro.exec.run import Runtime, run_waves, start_run
 from repro.expr.functions import DEFAULT_REGISTRY, FunctionRegistry
@@ -241,7 +241,7 @@ class OhmExecutor(Runtime):
                 stage=op.uid,
             )
         return [
-            Dataset(out, [dict(r) for r in produced], validate=False)
+            _adopt_output(op, out, produced)
             for out, produced in zip(out_relations, outputs)
         ]
 
@@ -268,6 +268,23 @@ class OhmExecutor(Runtime):
             for name, dataset in run.edge_data.items():
                 self.catalog.observe_link(name, len(dataset))
         return run.targets, run.edge_data, run.rejected
+
+
+def _adopt_output(op: Unknown, out: Relation, produced) -> Dataset:
+    """One UNKNOWN output as the edge's dataset. A returned
+    :class:`Dataset` hands over its block, so the edge stays columnar;
+    its columns must be the edge schema's. Row dicts are copied in, as
+    a ``Custom`` stage's body always returned them."""
+    if not isinstance(produced, Dataset):
+        return Dataset(out, [dict(r) for r in produced], validate=False)
+    try:
+        return Dataset.adopt_block(out, produced.as_block())
+    except SchemaError as exc:
+        raise ExecutionError(
+            f"UNKNOWN {op.reference!r} output does not fit edge "
+            f"{out.name!r}: {exc}",
+            stage=op.uid,
+        ) from exc
 
 
 class _GraphRun:

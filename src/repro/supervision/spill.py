@@ -262,7 +262,7 @@ def external_group_aggregate_rows(
 def external_group_aggregate_block(
     block,
     key_names: Sequence[str],
-    aggregates: Sequence[Tuple[str, Optional[Callable], Optional[Callable]]],
+    aggregates: Sequence[Tuple[str, Optional[Callable], Any]],
     budget,
     obs=None,
 ):
@@ -303,6 +303,8 @@ def external_group_aggregate_block(
                 ):
                     if values_fn is None and reducer is None:
                         out_row[name] = len(members)
+                    elif isinstance(reducer, int):  # a FIRST / LAST pick
+                        out_row[name] = values[members[reducer]]
                     else:
                         out_row[name] = reducer(
                             [values[i] for i in members]

@@ -89,17 +89,6 @@ def test_from_rows_to_rows_round_trip():
     assert RowBlock({}, 0).to_rows() == []
 
 
-def test_slice_clamps_and_preserves_aliasing():
-    shared = [1, 2, 3, 4, 5]
-    blk = RowBlock({"x": shared, "y": shared}, 5)
-    cut = blk.slice(1, 3)
-    assert cut.length == 2
-    assert cut.columns["x"] == [2, 3]
-    assert cut.columns["x"] is cut.columns["y"]  # aliased stays aliased
-    assert blk.slice(-10, 99).columns["x"] == shared
-    assert blk.slice(4, 2).length == 0
-
-
 def test_take_gathers_aliased_columns_once():
     shared = ["a", "b", "c"]
     blk = RowBlock({"x": shared, "y": shared, "z": [1, 2, 3]}, 3)

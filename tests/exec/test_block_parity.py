@@ -198,9 +198,10 @@ def test_aggregate_reducer_matches_row_aggregates():
     for func in ["COUNT", "SUM", "AVG", "MIN", "MAX", "FIRST", "LAST"]:
         for distinct in (False, True):
             agg = AggregateCall(func, ColumnRef("v"), distinct)
-            assert aggregate_values_reducer(agg)(values) == compile_aggregate(
-                agg
-            )(rows), (func, distinct)
+            reducer = aggregate_values_reducer(agg)
+            # FIRST / LAST are member positions the grouped kernel picks
+            got = values[reducer] if isinstance(reducer, int) else reducer(values)
+            assert got == compile_aggregate(agg)(rows), (func, distinct)
     empty = AggregateCall("SUM", ColumnRef("v"))
     assert aggregate_values_reducer(empty)([]) is None
     assert aggregate_values_reducer(AggregateCall("COUNT", ColumnRef("v")))(

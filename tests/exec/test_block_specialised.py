@@ -157,8 +157,8 @@ def check_three_readings(expr, ls, rs, monkeypatch, compiler=compile_block_expr)
     assert swept == ("raised", type(error), str(error)), expr.to_sql()
     # ... and it is the *first* failing cell: the rows before it pass,
     # one row more raises the same error
-    assert outcome(lambda: fn(block.slice(0, failing))) == ("ok", shown(values))
-    assert outcome(lambda: fn(block.slice(0, failing + 1))) == swept
+    assert outcome(lambda: fn(block.take(range(failing)))) == ("ok", shown(values))
+    assert outcome(lambda: fn(block.take(range(failing + 1)))) == swept
 
 
 def operand_forms(form, constant):

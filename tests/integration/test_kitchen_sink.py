@@ -6,6 +6,7 @@ import pytest
 from repro.compile import compile_job
 from repro.deploy import build_minimal_platform, deploy_to_job, plan_pushdown
 from repro.etl import job_from_xml, job_to_xml, run_job
+from repro.exec.block import RowBlock
 from repro.mapping import (
     execute_mappings,
     mappings_from_json,
@@ -13,9 +14,17 @@ from repro.mapping import (
     ohm_to_mappings,
 )
 from repro.mapping.to_ohm import mappings_to_ohm
-from repro.ohm import execute, graph_from_json, graph_to_json, reset_keygen_sequences
+from repro.ohm import (
+    engine,
+    execute,
+    graph_from_json,
+    graph_to_json,
+    reset_keygen_sequences,
+)
 from repro.workloads import (
+    build_example_job,
     build_kitchen_sink_job,
+    generate_instance,
     generate_kitchen_sink_instance,
 )
 
@@ -102,6 +111,43 @@ class TestMappingPaths:
         # the outer-join Lookup becomes an opaque mapping that still runs
         assert any(m.is_opaque for m in mappings)
         assert execute_mappings(mappings, instance).same_bags(nk_baseline)
+
+    def test_opaque_output_edge_stays_columnar(
+        self, instance, nk_baseline, monkeypatch
+    ):
+        """The outer-join Lookup's opaque mapping hands its UNKNOWN a
+        dataset: the edge adopts the block and never goes through row
+        dicts."""
+        handed, converted = [], []
+        adopt = engine._adopt_output
+
+        def spy_adopt(op, out, produced):
+            dataset = adopt(op, out, produced)
+            handed.append(dataset.peek_block())
+            return dataset
+
+        to_rows = RowBlock.to_rows
+
+        def spy_to_rows(self, *args, **kwargs):
+            converted.append(self)
+            return to_rows(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_adopt_output", spy_adopt)
+        monkeypatch.setattr(RowBlock, "to_rows", spy_to_rows)
+        graph = compile_job(build_kitchen_sink_job(with_surrogate_key=False))
+        assert execute_mappings(ohm_to_mappings(graph), instance).same_bags(
+            nk_baseline
+        )
+        assert handed and all(b is not None for b in handed)
+        assert not any(b is c for b in handed for c in converted)
+
+    def test_custom_stage_returning_rows_still_runs(self):
+        job = build_example_job(custom_after_join=True)
+        data = generate_instance(40)
+        expected = run_job(job, data)
+        graph = compile_job(job)
+        assert execute(graph, data).same_bags(expected)
+        assert execute_mappings(ohm_to_mappings(graph), data).same_bags(expected)
 
     def test_mappings_to_ohm_round_trip(self, instance, nk_baseline):
         graph = compile_job(build_kitchen_sink_job(with_surrogate_key=False))

@@ -201,6 +201,34 @@ class TestUnknownExecution:
         result = run(g, people_data(people)).dataset("Out")
         assert sorted(r["salary"] for r in result) == [0, 160.0, 200.0, 240.0]
 
+    def test_returned_dataset_hands_over_its_block(self, people):
+        data = people_data(people)
+        handed = data.as_block()
+        g = OhmGraph()
+        s = g.add(Source(people))
+        u = g.add(Unknown([people.renamed("u")], "identity", executor=lambda ins: [data]))
+        t = g.add(Target(people.renamed("Out")))
+        g.chain(s, u, t)
+        _targets, edges = execute_with_edges(g, Instance([people_data(people)]))
+        (edge,) = [d for d in edges.values() if d.peek_block() is handed]
+        assert edge.rows == data.rows
+
+    def test_returned_dataset_off_schema_names_the_operator(self, people, depts):
+        g = OhmGraph()
+        s = g.add(Source(people))
+        u = g.add(
+            Unknown(
+                [people.renamed("u")],
+                "wrong",
+                executor=lambda ins: [Dataset(depts, [{"dept": "eng", "site": "x"}])],
+            )
+        )
+        t = g.add(Target(people.renamed("Out")))
+        g.chain(s, u, t)
+        with pytest.raises(ExecutionError) as raised:
+            run(g, people_data(people))
+        assert raised.value.stage == u.uid
+
     def test_without_executor_raises(self, people):
         g = OhmGraph()
         s = g.add(Source(people))

@@ -75,9 +75,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     observability.add_argument(
         "--interpreted",
         action="store_true",
-        help="evaluate expressions with the tree-walking interpreter "
-        "instead of the expression compiler (the semantic oracle; "
-        "equivalent to REPRO_COMPILED=0)",
+        help="run the semantic oracle: row kernels over the tree-walking "
+        "interpreter, every output copied and validated "
+        "(equivalent to REPRO_COMPILED=0)",
     )
     observability.add_argument(
         "--row-mode",

@@ -1,11 +1,14 @@
 """Per-platform operator cost functions (the "how much" half of planning).
 
 Costs are in abstract *row-units*: 1.0 is one row touched once by a
-compiled row kernel. Every other platform is expressed relative to that,
-calibrated against the repository's own benchmarks:
+row kernel at the ``rows`` tier. Every other platform is expressed
+relative to that, calibrated against the repository's own benchmarks:
 
-* the interpreting oracle is ~5x slower per row than compiled closures
-  (``BENCH_engines``: 1.6-2.3x end to end with materialization amortized);
+* the interpreting oracle is ~5x slower per row than the rows tier
+  (``BENCH_engines``: 1.6-2.3x end to end with materialization amortized;
+  measured while the rows tier still compiled its row closures — both
+  now run the evaluator and differ only in materialization, so this
+  rate awaits recalibration);
 * block kernels are ~0.35x per row, with a per-operator batch-build
   overhead modelled separately (``BLOCK_SETUP_ROWS``);
 * sqlite evaluates an operator in C at ~0.2x, but *moving* rows costs.
@@ -32,7 +35,7 @@ from typing import Dict
 
 #: per-row cost of one operator on the interpreting oracle.
 ORACLE_ROW_COST = 5.0
-#: per-row cost of one operator as a compiled row kernel (the unit).
+#: per-row cost of one operator as a row kernel at the rows tier (the unit).
 ROW_COST = 1.0
 #: per-row cost of one operator as a vectorized block kernel.
 BLOCK_ROW_COST = 0.35

@@ -229,7 +229,7 @@ class SwitchStage(Stage):
             if chain is None:
                 return None
             resolve = relation_resolver(data.relation.name, chain.handles)
-            selector = planner.block_scalar(self.selector, resolve, chain=True)
+            selector = planner.block_scalar(self.selector, resolve)
             if selector is None:
                 return None
             reads = fuse.read_set([self.selector], resolve)

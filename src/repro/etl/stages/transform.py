@@ -256,7 +256,7 @@ class Transformer(Stage):
         # stage variables compute top-down; each sees the ones before it
         for name, expr in self.stage_variables:
             resolve = relation_resolver(None, env.handles)
-            fn = planner.block_scalar(expr, resolve, chain=True)
+            fn = planner.block_scalar(expr, resolve)
             if fn is None:
                 return None
             reads = fuse.read_set([expr], resolve)
@@ -270,9 +270,7 @@ class Transformer(Stage):
             elif link.constraint is None:
                 specs.append(("always", None))
             else:
-                predicate = planner.block_predicate(
-                    link.constraint, resolve, chain=True
-                )
+                predicate = planner.block_predicate(link.constraint, resolve)
                 if predicate is None:
                     return None
                 specs.append(("pred", predicate))

@@ -6,25 +6,28 @@ and lowers expressions through an :class:`ExpressionPlanner`, so the
 operator semantics of the paper's abstract model are implemented
 exactly once.
 
-The planner lowers at one of five tiers, each riding on the one
-before: the tree-walking interpreter (:mod:`repro.expr.evaluator`, the
-semantic oracle); closures compiled once per operator
-(:mod:`repro.exec.compile_expr`); *batched* column kernels
-(:mod:`repro.exec.compile_block`) driven by selection-vector chains
-(:mod:`repro.exec.fuse`) that are gathered into a
-:class:`repro.exec.block.RowBlock` at every operator boundary; *fused*,
-the same chains left lazy across adjacent operators; and *parallel*,
-the block tier with the independent nodes of a topological wave
-computing on a worker pool (:mod:`repro.exec.parallel` — a scheduler,
-not a second set of kernels). Each columnar operator therefore has one
-body — :meth:`ExpressionPlanner.materialize_fused` is where the batched
-and the fused tier part — and the nine operators stages and OHM share
-(FILTER, PROJECT, JOIN, GROUP, UNION, SPLIT, NEST, UNNEST, TARGET) are
-written once, in :mod:`repro.exec.ops`. An operator a tier cannot
-express identically falls back one tier, per operator or per chain,
-never changing results; a row error a columnar body raises under a
-skip/reject policy replays on the operator's row body
-(:func:`repro.exec.ops.columnar_or_rows`). :func:`resolve_tier` is the
+There are two expression implementations: the tree-walking evaluator
+(:mod:`repro.expr.evaluator`, the semantic oracle), which is every row
+closure the planner hands out, and the column compiler
+(:mod:`repro.exec.compile_block`). The planner runs at one of five
+tiers: the *oracle* (``compiled=False``: row kernels, and every
+kernel output copied and validated); *rows* (the same row kernels,
+their output adopted as trusted); *batched* column kernels driven by
+selection-vector chains (:mod:`repro.exec.fuse`) that are gathered
+into a :class:`repro.exec.block.RowBlock` at every operator boundary;
+*fused*, the same chains left lazy across adjacent operators; and
+*parallel*, the block tier with the independent nodes of a topological
+wave computing on a worker pool (:mod:`repro.exec.parallel` — a
+scheduler, not a second set of kernels). Each columnar operator
+therefore has one body — :meth:`ExpressionPlanner.materialize_fused`
+is where the batched and the fused tier part — and the nine operators
+stages and OHM share (FILTER, PROJECT, JOIN, GROUP, UNION, SPLIT,
+NEST, UNNEST, TARGET) are written once, in :mod:`repro.exec.ops`. An
+expression the column compiler cannot express identically sends its
+operator to the row body, never changing results; a row error a
+columnar body raises under a skip/reject policy replays on the
+operator's row body (:func:`repro.exec.ops.columnar_or_rows`).
+:func:`resolve_tier` is the
 one statement of how the ``compiled`` / ``batched`` / ``fused`` /
 ``parallel`` / ``workers`` / ``mode`` options combine into a tier; what
 each option accepts and where its value comes from is the table in
@@ -33,8 +36,9 @@ tier is *fused* — ``batched`` and ``fused`` default on — and
 ``mode="auto"`` is a name for that default: nothing re-decides a tier
 per run, and a planner is immutable once built.
 
-How a run uses these tiers — option resolution, the degradation ladder,
-the supervised wavefront scheduler — is :mod:`repro.exec.run`, the one
+How a run uses these tiers — option resolution, the degradation ladder
+(the run's tier, then the oracle), the supervised wavefront scheduler —
+is :mod:`repro.exec.run`, the one
 harness under the three runtimes. This package does not import it (it
 needs :mod:`repro.resilience`, which imports the ETL stages, which
 import this package); the runtimes import it directly.
@@ -42,25 +46,15 @@ import this package); the runtimes import it directly.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, NamedTuple, Optional
 
 from repro import config
 from repro.data.dataset import Dataset
 from repro.expr.ast import AggregateCall, Expr
-from repro.expr.evaluator import (
-    Environment,
-    evaluate,
-    evaluate_aggregate,
-    evaluate_predicate,
-)
+from repro.expr.evaluator import evaluate, evaluate_aggregate, evaluate_predicate
 from repro.expr.functions import DEFAULT_REGISTRY, FunctionRegistry
 
-from repro.exec.compile_expr import (
-    compile_aggregate,
-    compile_expr,
-    compile_predicate,
-    is_foldable,
-)
 from repro.exec.compile_block import (
     aggregate_values_reducer,
     compile_block_expr,
@@ -132,7 +126,7 @@ def resolve_tier(
 #
 # The fault harness (repro.faults) installs a process-wide hook that may
 # wrap every closure the planner hands to the kernels. The hook receives
-# (tier, kind, fn) — tier is "fused" / "block" / "compiled" / "oracle", kind is
+# (tier, kind, fn) — tier is "block" / "compiled" / "oracle", kind is
 # "scalar" / "predicate" / "aggregate" — and returns fn or a wrapper
 # that raises repro.errors.FaultInjected on the invocations the fault
 # plan selects. With no hook installed (the normal case) the planner's
@@ -153,15 +147,14 @@ def kernel_fault_hook() -> Optional[Callable]:
 
 
 class ExpressionPlanner:
-    """Lowers expressions to per-member closures for the kernels.
+    """Hands the kernels their per-member closures and column functions.
 
-    One planner is built per run (or per operator batch) and caches the
-    lowered closure per expression identity (`Expr.key()`), so an
-    expression shared by several operators is lowered once. The
-    ``compiled`` strategy decides whether lowering means real
-    compilation or a thin wrapper over the interpreter — kernels never
-    know the difference, which is what keeps ``compiled=False`` an
-    everything-else-equal semantic oracle.
+    A row closure is always the evaluator's (:func:`scalar`,
+    :func:`predicate`, :func:`aggregate`); a column function comes from
+    the column compiler, only on a batched planner. ``compiled`` gates
+    ``batched`` and trusted materialization, so ``compiled=False`` is the
+    copy-and-validate semantic oracle and shares no lowering with any
+    other tier.
     """
 
     def __init__(
@@ -189,44 +182,19 @@ class ExpressionPlanner:
         self.compiled = tier.compiled
         self.batched = tier.batched
         self.fused = tier.fused
-        self._scalars: dict = {}
-        self._predicates: dict = {}
-        self._aggregates: dict = {}
 
     def scalar(self, expr: Expr) -> Callable[[Any], Any]:
         """An ``env → value`` closure for ``expr``."""
-        key = expr.key()
-        fn = self._scalars.get(key)
-        if fn is None:
-            if self.compiled:
-                # kernels always bind real Environments, so dispatch the
-                # raw compiled body (no bare-mapping conversion per call)
-                fn = compile_expr(expr, self.registry).raw
-            else:
-                registry = self.registry
-
-                def fn(env, _expr=expr, _registry=registry):
-                    return evaluate(_expr, env, _registry)
-
-            self._scalars[key] = fn
-        return self._faulted("scalar", fn)
+        return self._faulted(
+            "scalar", partial(evaluate, expr, registry=self.registry)
+        )
 
     def predicate(self, expr: Expr) -> Callable[[Any], bool]:
         """An ``env → bool`` closure with SQL WHERE semantics (unknown
         filters out)."""
-        key = expr.key()
-        fn = self._predicates.get(key)
-        if fn is None:
-            if self.compiled:
-                fn = compile_predicate(expr, self.registry).raw
-            else:
-                registry = self.registry
-
-                def fn(env, _expr=expr, _registry=registry):
-                    return evaluate_predicate(_expr, env, _registry)
-
-            self._predicates[key] = fn
-        return self._faulted("predicate", fn)
+        return self._faulted(
+            "predicate", partial(evaluate_predicate, expr, registry=self.registry)
+        )
 
     def materialize(self, relation, rows, fresh: bool = False):
         """Materialize kernel output ``rows`` as a Dataset.
@@ -242,32 +210,26 @@ class ExpressionPlanner:
 
     # -- block (columnar) lowering --------------------------------------
 
-    def block_scalar(
-        self, expr: Expr, resolve, chain: bool = False
-    ) -> Optional[Callable]:
+    def block_scalar(self, expr: Expr, resolve) -> Optional[Callable]:
         """A ``RowBlock → column`` function for ``expr`` under the given
         column resolver, or ``None`` when the operator must take the row
         path (batched mode off, or the expression isn't expressible
         column-wise). Compiled once per operator invocation — resolvers
-        are call-site-specific, so these are not cached planner-wide.
-        A chain body passes ``chain=True``: its closures carry the fault
-        label of the tier the chain runs at (see :meth:`_faulted`)."""
+        are call-site-specific, so these are not cached planner-wide."""
         if not self.batched:
             return None
         fn = compile_block_expr(expr, self.registry, resolve)
-        return None if fn is None else self._faulted("scalar", fn, chain)
+        return None if fn is None else self._faulted("scalar", fn, "block")
 
-    def block_predicate(
-        self, expr: Expr, resolve, chain: bool = False
-    ) -> Optional[Callable]:
+    def block_predicate(self, expr: Expr, resolve) -> Optional[Callable]:
         """A ``RowBlock → bool column`` function with SQL WHERE semantics
         (True only where definitely true), or ``None`` for row fallback."""
         if not self.batched:
             return None
         fn = compile_block_predicate(expr, self.registry, resolve)
-        return None if fn is None else self._faulted("predicate", fn, chain)
+        return None if fn is None else self._faulted("predicate", fn, "block")
 
-    def block_aggregate(self, agg: AggregateCall, resolve, chain: bool = False):
+    def block_aggregate(self, agg: AggregateCall, resolve):
         """``(values_fn, reducer)`` for columnar grouped aggregation —
         ``values_fn`` evaluates the argument once over a whole block,
         ``reducer`` folds one group's gathered values, or is the member
@@ -281,7 +243,7 @@ class ExpressionPlanner:
         values_fn = compile_block_expr(agg.arg, self.registry, resolve)
         if values_fn is None:
             return None
-        values_fn = self._faulted("aggregate", values_fn, chain)
+        values_fn = self._faulted("aggregate", values_fn, "block")
         return (values_fn, aggregate_values_reducer(agg))
 
     # -- chains: the one columnar body, fused or gathered ----------------
@@ -325,51 +287,29 @@ class ExpressionPlanner:
     def aggregate(self, agg: AggregateCall) -> Callable[[list], Any]:
         """A ``members → value`` closure over a group of rows or
         environments."""
-        key = agg.key()
-        fn = self._aggregates.get(key)
-        if fn is None:
-            if self.compiled:
-                fn = compile_aggregate(agg, self.registry)
-            else:
-                registry = self.registry
+        return self._faulted(
+            "aggregate", partial(evaluate_aggregate, agg, registry=self.registry)
+        )
 
-                def fn(members, _agg=agg, _registry=registry):
-                    return evaluate_aggregate(_agg, members, _registry)
-
-            self._aggregates[key] = fn
-        return self._faulted("aggregate", fn)
-
-    def _faulted(self, kind: str, fn: Callable, chain: Optional[bool] = None):
-        """Hand ``fn`` to the installed kernel fault hook (if any); the
-        closure cache always stores the unwrapped function, so removing
-        the hook restores clean execution. ``chain`` is ``None`` for a
-        row closure (labelled ``compiled`` / ``oracle``), else whether a
-        block closure belongs to a chain body. Those are labelled with
-        the tier the chain runs at — ``fused`` when this planner fuses,
-        ``block`` when it gathers — and the fused tier chains the block
-        tier's hook underneath its own: a fault plan targeting
-        ``tier="block"`` fires in the fused path too (the fused chain IS
-        the block tier's work), while ``tier="fused"`` targets only
-        runs that fuse."""
+    def _faulted(self, kind: str, fn: Callable, tier: Optional[str] = None):
+        """Hand ``fn`` to the installed kernel fault hook (if any). A
+        column function is labelled ``block`` — fused or gathered, a
+        chain runs the same functions — and a row closure ``compiled`` or
+        ``oracle``, after the planner it runs on."""
         hook = _kernel_fault_hook
         if hook is None:
             return fn
-        if chain is None:
-            return hook("compiled" if self.compiled else "oracle", kind, fn)
-        fn = hook("block", kind, fn)
-        if chain and self.fused:
-            fn = hook("fused", kind, fn)
-        return fn
+        return hook(tier or ("compiled" if self.compiled else "oracle"), kind, fn)
 
 
 def degrade_counter(prev: "ExpressionPlanner") -> str:
-    """The ``exec.degrade.*`` counter name for falling off the tier the
-    planner ``prev`` ran at — shared by every runtime's degradation
-    ladder so the fused→block→rows→oracle rungs are named once."""
-    if getattr(prev, "fused", False):
-        return "exec.degrade.fused_to_block"
+    """The ``exec.degrade.*`` counter name for falling from the tier the
+    planner ``prev`` ran at to the oracle, the ladder's one lower rung —
+    shared by every runtime so the names are written once."""
+    if prev.fused:
+        return "exec.degrade.fused_to_oracle"
     if prev.batched:
-        return "exec.degrade.block_to_rows"
+        return "exec.degrade.block_to_oracle"
     return "exec.degrade.rows_to_oracle"
 
 
@@ -381,14 +321,10 @@ __all__ = [
     "WorkerPool",
     "aggregate_values_reducer",
     "block",
-    "compile_aggregate",
     "compile_block_expr",
     "compile_block_predicate",
-    "compile_expr",
-    "compile_predicate",
     "degrade_counter",
     "fuse",
-    "is_foldable",
     "kernel_fault_hook",
     "kernels",
     "parallel",

@@ -1,9 +1,10 @@
 """Columnar expression compiler: lower an AST to a column function, once.
 
-Where :mod:`repro.exec.compile_expr` lowers an expression to an
-``env → value`` closure called per row, this module lowers the same AST
-to a ``RowBlock → column`` function called per *block*: node dispatch,
-registry lookups, and name resolution happen once per operator.
+Where the tree-walking evaluator (:mod:`repro.expr.evaluator`, the
+semantic oracle every row body runs) dispatches per row, this module
+lowers an AST to a ``RowBlock → column`` function called per *block*:
+node dispatch, registry lookups, and name resolution happen once per
+operator. It is the one expression compiler; nothing else lowers.
 
 What is left per row depends on what the operand columns hold, by the
 rule of ``docs/execution-model.md`` ("Inside the block tier"): **prove
@@ -22,10 +23,11 @@ cell. ``AND`` / ``OR`` / ``NOT`` need no sweep: their loops settle
 ``True`` / ``False`` / NULL cells inline and hand any other cell to
 ``_and3`` / ``_or3`` / ``_as_bool``.
 
-The semantics contract is the row compiler's, verbatim — both loops
+The semantics contract is the evaluator's, verbatim — both loops
 compute what those helpers compute, so the NULL rules still live in one
-place and the three modes (interpreted / compiled-row / batched) agree
-bit-for-bit. Laziness that is observable row-wise is preserved
+place and a block function agrees bit-for-bit with the oracle row by
+row (``tests/exec/test_block_parity.py``, ``tests/exec/test_parity.py``).
+Laziness that is observable row-wise is preserved
 column-wise: CASE evaluates each WHEN's values only on the sub-block its
 condition matched (via ``take``), exactly the rows the row path would
 touch.
@@ -43,13 +45,13 @@ oracle's own errors, if any).
 from __future__ import annotations
 
 import datetime
+import operator
 from functools import partial
 from typing import AbstractSet, Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.data.columns import NUMBERS, TEXT, column_classes
 from repro.errors import EvaluationError
 from repro.exec.block import BlockFn, Reducer, RowBlock
-from repro.exec.compile_expr import _COMPARATORS, is_foldable
 from repro.expr.ast import (
     AggregateCall,
     Between,
@@ -83,6 +85,25 @@ ResolveFn = Callable[[ColumnRef], Optional[str]]
 
 #: sentinel: "this node is not a compile-time constant"
 _MISSING = object()
+
+_COMPARATORS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def is_foldable(expr: Expr) -> bool:
+    """True when ``expr`` can be evaluated at compile time: no column
+    references, no aggregates, and no function calls (registered
+    functions are treated as potentially impure)."""
+    for node in expr.walk():
+        if isinstance(node, (ColumnRef, AggregateCall, FunctionCall)):
+            return False
+    return True
 
 
 class BlockCompileError(Exception):
@@ -129,7 +150,7 @@ def compile_block_predicate(
 def aggregate_values_reducer(agg: AggregateCall) -> Reducer:
     """A ``values → value`` reducer over one group's *raw* argument
     values (NULLs included, member order preserved). Mirrors
-    :func:`repro.exec.compile_expr.compile_aggregate`: NULLs are
+    :func:`repro.expr.evaluator.evaluate_aggregate`: NULLs are
     stripped, DISTINCT dedups by equality, SUM/AVG/MIN/MAX of an empty
     (or all-NULL) group is NULL, COUNT is 0. Column-major grouped
     aggregation evaluates the argument once per block, gathers per
@@ -690,4 +711,5 @@ __all__ = [
     "aggregate_values_reducer",
     "compile_block_expr",
     "compile_block_predicate",
+    "is_foldable",
 ]

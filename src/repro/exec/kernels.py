@@ -14,9 +14,10 @@ shared semantics rather than three.
 
 Kernels are strategy-agnostic: they take already-built per-member
 functions (predicates, derivations, aggregates), typically produced by
-an :class:`~repro.exec.ExpressionPlanner`, which either compiles
-expressions (:mod:`repro.exec.compile_expr`) or falls back to the
-interpreting oracle when ``compiled=False``.
+an :class:`~repro.exec.ExpressionPlanner`, whose row closures are the
+tree-walking evaluator (:mod:`repro.expr.evaluator`) at every tier —
+so a row kernel is the oracle's body, and the column kernels of
+:mod:`repro.exec.block` are what is checked against it.
 
 Passing an :class:`~repro.obs.Observability` records per-kernel row
 counts (``exec.kernel.<name>.rows_in`` / ``.rows_out``) into the shared
@@ -273,6 +274,26 @@ def route_rows(
                 outputs[i].append(item)
     _observe(obs, "route", len(items), sum(len(o) for o in outputs))
     return outputs
+
+
+def rows_that_evaluate(
+    items: Sequence,
+    fns: Sequence[ValueFn],
+    bind: BindFn,
+    on_error: Callable[[int, Any, BaseException], None],
+) -> List:
+    """``items`` less each one on which a function of ``fns`` raises;
+    that item goes to ``on_error``, once. How a skip/reject policy takes
+    a row's error before a kernel that cannot drop one row (a grouping)
+    runs over the rest."""
+
+    def evaluates(env) -> bool:
+        for fn in fns:
+            fn(env)
+        return True
+
+    (kept,) = route_rows(items, [("pred", evaluates)], bind, on_error=on_error)
+    return kept
 
 
 def switch_rows(
@@ -741,6 +762,7 @@ __all__ = [
     "row_binder",
     "project_rows",
     "route_rows",
+    "rows_that_evaluate",
     "switch_rows",
     "group_aggregate_rows",
     "dedup_rows",

@@ -117,7 +117,7 @@ def route(
             if where is None:
                 specs.append((reject_kind, None))
                 continue
-            predicate = planner.block_predicate(where, resolve, chain=True)
+            predicate = planner.block_predicate(where, resolve)
             if predicate is None:
                 return None
             specs.append(("pred", predicate))
@@ -195,7 +195,7 @@ def lower_projection(
             if key is not None:
                 lowered.append((name, None, key))
                 continue
-        fn = planner.block_scalar(expr, resolve, chain=True)
+        fn = planner.block_scalar(expr, resolve)
         if fn is None:
             return None
         lowered.append((name, expr, fn))
@@ -350,6 +350,7 @@ def group(
     out: Relation,
     planner: ExpressionPlanner,
     obs: Optional[Observability],
+    errors: Optional[ErrorContext] = None,
 ) -> Dataset:
     """One row per distinct ``keys`` value (NULL keys equal) carrying
     the ``(output name, aggregate)`` pairs. Batched, a chain terminal:
@@ -358,34 +359,51 @@ def group(
     intermediate block never materializes. Aggregate
     members are bound anonymously on the row path, so the resolver
     carries no relation qualifier. Any argument the block compiler
-    cannot lower sends the whole operator to the row kernel."""
-    chain = planner.fused_chain(data, obs)
-    if chain is not None:
+    cannot lower sends the whole operator to the row kernel.
+
+    Under ``errors``' skip/reject policy the row body first evaluates
+    every aggregate argument on every row and hands each row that
+    raises to the policy, once; the survivors are grouped. The groups
+    are then what they would be had those rows been rejected upstream,
+    and a group left with no member emits no row."""
+    args = [agg.arg for _name, agg in aggregates if agg.arg is not None]
+
+    def columnar() -> Optional[Dataset]:
+        chain = planner.fused_chain(data, obs)
+        if chain is None:
+            return None
         resolve = relation_resolver(None, chain.handles)
         lowered: List[Tuple[str, Optional[BlockFn], block.Reducer]] = []
-        args: List[Expr] = []
         for name, agg in aggregates:
-            lowering = planner.block_aggregate(agg, resolve, chain=True)
+            lowering = planner.block_aggregate(agg, resolve)
             if lowering is None:
-                break
+                return None
             lowered.append((name, lowering[0], lowering[1]))
-            if agg.arg is not None:
-                args.append(agg.arg)
-        else:
-            reads = fuse.read_set(args, resolve)
-            view = chain.view(
-                None if reads is None else list(dict.fromkeys([*keys, *reads]))
+        reads = fuse.read_set(args, resolve)
+        view = chain.view(
+            None if reads is None else list(dict.fromkeys([*keys, *reads]))
+        )
+        grouped = block.group_aggregate_block(view, keys, lowered, obs=obs)
+        fuse.fused_op(chain, chain.length)
+        return planner.materialize_block(out, grouped)
+
+    def rows() -> Dataset:
+        members = data.rows
+        on_error = _on_error(errors)
+        if on_error is not None and args:
+            members = kernels.rows_that_evaluate(
+                members, [planner.scalar(arg) for arg in args],
+                kernels.row_binder(None), on_error,
             )
-            grouped = block.group_aggregate_block(view, keys, lowered, obs=obs)
-            fuse.fused_op(chain, chain.length)
-            return planner.materialize_block(out, grouped)
-    rows = kernels.group_aggregate_rows(
-        data.rows,
-        keys,
-        [(name, planner.aggregate(agg)) for name, agg in aggregates],
-        obs=obs,
-    )
-    return planner.materialize(out, rows, fresh=True)
+        grouped = kernels.group_aggregate_rows(
+            members,
+            keys,
+            [(name, planner.aggregate(agg)) for name, agg in aggregates],
+            obs=obs,
+        )
+        return planner.materialize(out, grouped, fresh=True)
+
+    return columnar_or_rows(columnar, rows, errors)
 
 
 def union(

@@ -8,8 +8,8 @@ about a run is written here once:
 
 * :class:`RunOptions` — every engine keyword, resolved exactly once
   through :mod:`repro.config`;
-* :class:`TierLadder` — the fused → block → rows → oracle degradation
-  ladder, every rung pinned to its tier;
+* :class:`TierLadder` — the degradation ladder: the run's tier, then
+  the interpreting oracle, pinned to its tier;
 * :func:`start_run` and :func:`run_waves` — the pre-run check,
   supervision and the serial/wavefront scheduler over the
   :class:`Nodes` protocol.
@@ -65,6 +65,11 @@ T = TypeVar("T")
 #: ETL engine); the OHM and mapping runtimes reject them as unknown.
 ENDPOINT_OPTIONS = ("retry", "checkpoint", "breaker")
 
+#: failures the ladder never retries: a cancellation is not a tier
+#: failure, and a plan defect fails identically at every tier —
+#: degrading would only bury the diagnosis under tier noise
+_NEVER_DEGRADE = (RunCancelled, *STATIC_ERRORS)
+
 
 class RunOptions(NamedTuple):
     """Every engine keyword, resolved once at engine construction.
@@ -79,8 +84,8 @@ class RunOptions(NamedTuple):
 
     #: spans and metrics sink (the no-op bundle when none was given).
     obs: Observability
-    #: lower expressions through the compiler (``False``: the
-    #: interpreting oracle).
+    #: allow the compiled tiers: column kernels, trusted
+    #: materialization (``False``: the interpreting oracle).
     compiled: bool
     #: route block-capable nodes through the columnar kernels (needs the
     #: compiler; nodes fall back per operator). The default.
@@ -98,8 +103,9 @@ class RunOptions(NamedTuple):
     mode: Optional[str]
     #: run-level row error policy (a node may override it).
     on_error: str
-    #: fall down the :class:`TierLadder` on a tier failure (``False``
-    #: surfaces the first failure — useful when debugging a kernel).
+    #: retry on the oracle rung of the :class:`TierLadder` after a tier
+    #: failure (``False`` surfaces the first failure — useful when
+    #: debugging a kernel).
     degrade: bool
     #: statistics catalog fed back with actuals after every run, or None.
     catalog: Any
@@ -154,8 +160,7 @@ class RunOptions(NamedTuple):
         )
 
     def planner(self, registry: Optional[FunctionRegistry]) -> ExpressionPlanner:
-        """A fresh planner for one run (expressions shared by several
-        nodes lower once per run), at this engine's resolved tier."""
+        """The planner of one run, at this engine's resolved tier."""
         tier = Tier(
             self.compiled, self.batched, self.fused, self.parallel,
             self.workers, self.mode,
@@ -185,32 +190,23 @@ class Runtime:
 
 
 class TierLadder:
-    """The degradation ladder of one run, most capable tier first:
-    fused chains → the same chains gathered at every operator boundary
-    (batched blocks) → compiled row kernels → interpreting oracle,
-    starting at the tier ``planner`` runs at.
+    """The degradation ladder of one run: the run's planner, then —
+    when that planner compiles and ``degrade`` is on — the interpreting
+    oracle. Two rungs at most.
 
-    Every lower rung states its tier, so no process default
-    (``REPRO_MODE``, ``REPRO_BATCH``, ``REPRO_PARALLEL``, ``REPRO_FUSE``)
-    can turn a fallback back into the tier that just failed."""
+    A row error under a skip/reject policy never reaches the ladder (the
+    operator absorbs it, :func:`repro.exec.ops.columnar_or_rows`), so
+    what falls here is a tier failure: an injected fault or a kernel
+    bug. The retry runs on the one body that shares no lowering with
+    any compiled tier, pinned to its tier, so no process default
+    (``REPRO_MODE``, ``REPRO_BATCH``, ``REPRO_FUSE`` …) can turn it back
+    into a compiled one."""
 
     def __init__(self, planner: ExpressionPlanner, options: RunOptions) -> None:
         self.rungs: List[ExpressionPlanner] = [planner]
-        if not options.degrade:
-            return
-
-        def rung(compiled: bool, mode: str) -> ExpressionPlanner:
-            tier = Tier(
-                compiled, mode == "block", False, False, options.workers, mode
-            )
-            return ExpressionPlanner.at(planner.registry, tier)
-
-        if planner.fused:
-            self.rungs.append(rung(True, "block"))
-        if planner.batched:
-            self.rungs.append(rung(True, "rows"))
-        if planner.compiled:
-            self.rungs.append(rung(False, "rows"))
+        if options.degrade and planner.compiled:
+            oracle = Tier(False, False, False, False, options.workers, "rows")
+            self.rungs.append(ExpressionPlanner.at(planner.registry, oracle))
 
     def attempt(
         self,
@@ -218,28 +214,23 @@ class TierLadder:
         ctx: ErrorContext,
         metrics: Any,
     ) -> T:
-        """``fn(planner)`` down the ladder. Each failing rung drops to
-        the next (counted in ``exec.degrade.*``); the context is reset
-        per attempt so a failed attempt's partial rejects are not
-        counted twice. When every rung fails the last one's exception
-        (the oracle's — the most trustworthy diagnosis) propagates."""
-        last_exc: Optional[Exception] = None
-        for i, planner in enumerate(self.rungs):
-            if i:
-                metrics.count(degrade_counter(self.rungs[i - 1]))
-            ctx.reset()
-            try:
-                return fn(planner)
-            except RunCancelled:
-                raise  # cancellation is not a tier failure — never degrade
-            except STATIC_ERRORS:
-                # a plan defect fails identically at every tier: degrading
-                # would only bury the diagnosis under tier noise
+        """``fn(planner)`` on the top rung, and on a tier failure once
+        more on the oracle (counted in ``exec.degrade.*``). The context
+        is reset per attempt so a failed attempt's partial rejects are
+        not counted twice. When the oracle fails too its exception — the
+        most trustworthy diagnosis — propagates."""
+        top = self.rungs[0]
+        ctx.reset()
+        try:
+            return fn(top)
+        except _NEVER_DEGRADE:
+            raise
+        except Exception:  # noqa: BLE001 — the ladder decides
+            if len(self.rungs) == 1:
                 raise
-            except Exception as exc:  # noqa: BLE001 — the ladder decides
-                last_exc = exc
-        assert last_exc is not None
-        raise last_exc
+        metrics.count(degrade_counter(top))
+        ctx.reset()
+        return fn(self.rungs[1])
 
 
 class Nodes(Protocol):

@@ -48,12 +48,12 @@ from repro.errors import (
 from repro.etl.stages.access import TableSource, TableTarget
 from repro.exec import set_kernel_fault_hook
 
-#: execution tiers a kernel fault can target: "fused" / "block" /
-#: "compiled" / "oracle" wrap planner closures (see
-#: ExpressionPlanner._faulted — a "block" plan also fires inside fused
-#: chains, which run the same lowered functions, while a "fused" plan
-#: targets only the fused tier)
-TIERS = ("fused", "block", "compiled", "oracle")
+#: the fault labels a kernel fault can target (see
+#: ExpressionPlanner._faulted): "block" wraps the column functions a
+#: chain runs, fused or gathered; "compiled" / "oracle" wrap the row
+#: closures of a compiled planner / of the interpreting oracle — the
+#: ladder's two rungs are "block" or "compiled" above "oracle"
+TIERS = ("block", "compiled", "oracle")
 
 
 class FaultPlan:

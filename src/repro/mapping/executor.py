@@ -14,7 +14,9 @@ recorded them (``stage`` is the lowered operator's uid, ``M1.filter2``;
 ``compiled=False`` is the *reference reading* of a mapping formula and
 shares nothing with the lowering: the product of the source bindings,
 ``where`` over each combination, grouping by the group-by expressions,
-then the derivations (underived nullable columns get NULL) — on
+then the derivations (underived nullable columns get NULL; under a
+skip/reject policy a combination on which a per-row expression of a
+grouping mapping raises is taken by the policy before grouping) — on
 :class:`~repro.expr.evaluator.Environment` and the tree-walking
 :func:`~repro.expr.evaluator.evaluate`, row error policy and supervisor
 at mapping boundaries. No planner, no join planning: the independent
@@ -25,6 +27,7 @@ oracle the lowering is checked against
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.data.dataset import Dataset, Instance, Row
@@ -202,6 +205,25 @@ class MappingExecutor(OhmExecutor):
                 on_error=absorb,
             )
             return Dataset(mapping.target, rows, validate=False)
+        if absorb is not None:
+            # what the lowering computes per row before its GROUP — the
+            # group-by expressions, the grouped scalars and every
+            # aggregate's argument — is what takes a row error per row
+            per_row = list(mapping.group_by)
+            for _col, expr in mapping.derivations:
+                if not expr.contains_aggregate():
+                    per_row.append(expr)
+                per_row.extend(
+                    node.arg
+                    for node in expr.walk()
+                    if isinstance(node, AggregateCall) and node.arg is not None
+                )
+            satisfying = kernels.rows_that_evaluate(
+                satisfying,
+                [partial(evaluate, expr, registry=registry) for expr in per_row],
+                None,
+                absorb,
+            )
         groups: Dict[tuple, List[Environment]] = {}  # in first-seen order
         for env in satisfying:
             key = tuple(

@@ -43,7 +43,8 @@ The executor is an adapter over the shared run harness
 supervised wavefront scheduler — ``docs/execution-model.md``); what it
 owns is the per-operator dispatch below. An ``on_error`` policy
 (``docs/robustness.md``) absorbs row-level expression errors in FILTER,
-PROJECT, JOIN, and TARGET delivery, at every tier;
+PROJECT, JOIN, GROUP's aggregate arguments and TARGET delivery, at
+every tier;
 :meth:`OhmExecutor.run_with_rejects`
 additionally returns the rejected rows as a reject
 :class:`~repro.data.dataset.Dataset`.
@@ -188,7 +189,7 @@ class OhmExecutor(Runtime):
             return [
                 ops.group(
                     inputs[0], op.keys, op.aggregates, out_relations[0],
-                    planner, obs,
+                    planner, obs, errors,
                 )
             ]
         if isinstance(op, Split):
@@ -326,18 +327,24 @@ class _GraphRun:
     def compute(self, op, state):
         """One operator's pure compute through the degradation ladder."""
         inputs, out_edges, ctx = state
-        executor, metrics = self.executor, self.obs.metrics
+        executor = self.executor
         if isinstance(op, Target):
             # no tier to fall from: delivery reads the data's backing
             return [ops.deliver(inputs[0], op.relation, executor.compiled, ctx)]
         out_relations = [e.schema for e in out_edges]
-        outputs = self.ladder.attempt(
-            lambda p: executor._run_operator(
-                op, inputs, out_relations, self.instance, planner=p, errors=ctx
-            ),
-            ctx,
-            metrics,
-        )
+
+        def run(planner: ExpressionPlanner) -> List[Dataset]:
+            return executor._run_operator(
+                op, inputs, out_relations, self.instance,
+                planner=planner, errors=ctx,
+            )
+
+        if isinstance(op, (Source, Unknown)):
+            # neither lowers an expression, so there is no tier to fall
+            # from: a failure (or an UNKNOWN body) is not run twice
+            outputs = run(self.ladder.rungs[0])
+        else:
+            outputs = self.ladder.attempt(run, ctx, self.obs.metrics)
         if len(outputs) != len(out_edges):
             raise ExecutionError(
                 f"{op.KIND} {op.uid} produced {len(outputs)} "

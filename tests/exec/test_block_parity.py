@@ -1,14 +1,15 @@
-"""Randomized row ↔ block compiler and engine-mode parity suite.
+"""Randomized evaluator ↔ column compiler and engine-mode parity suite.
 
-The columnar tier must be observationally identical to the row tier:
+The columnar tier must be observationally identical to the oracle:
 :func:`compile_block_expr` evaluated over a :class:`RowBlock` must
-return exactly what the tree-walking oracle returns row by row
+return exactly what the tree-walking evaluator returns row by row
 (values, Python types, SQL three-valued logic, and errors), and the
-three engine modes (interpreted / compiled-row / batched) must compute
-identical instances for every runtime at every batch size.
+three engine modes (interpreted / row kernels / batched) must compute
+identical instances for every runtime.
 
-Reuses the seeded expression generators and NULL-heavy sample rows from
-:mod:`tests.exec.test_parity`.
+The seeded expression generators and NULL-heavy sample rows live here;
+:mod:`tests.exec.test_parity` pins the NULL and error corner cases with
+them.
 """
 
 import random
@@ -22,17 +23,28 @@ from repro.exec.compile_block import (
     aggregate_values_reducer,
     compile_block_expr,
     compile_block_predicate,
+    is_foldable,
 )
-from repro.exec.compile_expr import compile_aggregate
 from repro.expr.ast import (
     AggregateCall,
+    Between,
     BinaryOp,
+    Case,
     ColumnRef,
     FunctionCall,
     InList,
+    IsNull,
+    Like,
     Literal,
+    UnaryOp,
 )
-from repro.expr.evaluator import evaluate_predicate
+from repro.expr.evaluator import (
+    Environment,
+    evaluate,
+    evaluate_aggregate,
+    evaluate_predicate,
+)
+from repro.expr.parser import parse
 from repro.fasttrack.orchid import Orchid
 from repro.mapping.executor import MappingExecutor
 from repro.obs import Observability
@@ -43,17 +55,132 @@ from repro.workloads import (
     generate_instance,
     generate_kitchen_sink_instance,
 )
-from tests.exec.test_parity import (
-    RELATION,
-    ROWS,
-    env_for,
-    gen_boolean,
-    gen_numeric,
-    gen_string,
-    oracle,
-)
 
+RELATION = "T"
+
+#: NULL-heavy sample rows: every column is NULL somewhere.
+ROWS = [
+    {"a": 1, "b": 2, "f": 1.5, "s": "alpha", "flag": True},
+    {"a": 0, "b": None, "f": -2.25, "s": "Beta", "flag": False},
+    {"a": -7, "b": 100, "f": 0.0, "s": None, "flag": None},
+    {"a": None, "b": 3, "f": None, "s": "", "flag": True},
+    {"a": 42, "b": -1, "f": 3.5, "s": "a%b_c", "flag": None},
+    {"a": None, "b": None, "f": None, "s": None, "flag": None},
+]
+
+INT_COLUMNS = ["a", "b"]
+FLOAT_COLUMNS = ["f"]
+STR_COLUMNS = ["s"]
 NAMES = list(ROWS[0])
+
+
+def env_for(row):
+    return Environment(row).bind(RELATION, row)
+
+
+def oracle(expr, row):
+    """(value, error_type) of the evaluator on one row."""
+    try:
+        return evaluate(expr, env_for(row)), None
+    except EvaluationError as exc:
+        return None, type(exc)
+
+
+# --- random expression generator ---------------------------------------------
+
+
+def gen_numeric(rng, depth):
+    if depth <= 0 or rng.random() < 0.3:
+        choice = rng.random()
+        if choice < 0.4:
+            return ColumnRef(
+                rng.choice(INT_COLUMNS + FLOAT_COLUMNS),
+                qualifier=RELATION if rng.random() < 0.3 else None,
+            )
+        if choice < 0.5:
+            return Literal(None)
+        if choice < 0.8:
+            return Literal(rng.randint(-10, 10))
+        return Literal(round(rng.uniform(-5, 5), 2))
+    choice = rng.random()
+    if choice < 0.6:
+        op = rng.choice(["+", "-", "*", "/", "%"])
+        return BinaryOp(
+            op, gen_numeric(rng, depth - 1), gen_numeric(rng, depth - 1)
+        )
+    if choice < 0.7:
+        return UnaryOp("-", gen_numeric(rng, depth - 1))
+    if choice < 0.85:
+        return FunctionCall("ABS", [gen_numeric(rng, depth - 1)])
+    return Case(
+        [(gen_boolean(rng, depth - 1), gen_numeric(rng, depth - 1))],
+        gen_numeric(rng, depth - 1),
+    )
+
+
+def gen_string(rng, depth):
+    if depth <= 0 or rng.random() < 0.4:
+        if rng.random() < 0.6:
+            return ColumnRef(rng.choice(STR_COLUMNS))
+        return Literal(rng.choice(["x", "alpha", "", "%", None]))
+    choice = rng.random()
+    if choice < 0.4:
+        return BinaryOp(
+            "||", gen_string(rng, depth - 1), gen_string(rng, depth - 1)
+        )
+    if choice < 0.7:
+        return FunctionCall(
+            rng.choice(["UPPER", "LOWER", "TRIM"]),
+            [gen_string(rng, depth - 1)],
+        )
+    return FunctionCall(
+        "COALESCE", [gen_string(rng, depth - 1), gen_string(rng, depth - 1)]
+    )
+
+
+def gen_boolean(rng, depth):
+    if depth <= 0 or rng.random() < 0.25:
+        if rng.random() < 0.5:
+            return ColumnRef("flag")
+        return Literal(rng.choice([True, False, None]))
+    choice = rng.random()
+    if choice < 0.3:
+        op = rng.choice(["AND", "OR"])
+        return BinaryOp(
+            op, gen_boolean(rng, depth - 1), gen_boolean(rng, depth - 1)
+        )
+    if choice < 0.45:
+        return UnaryOp("NOT", gen_boolean(rng, depth - 1))
+    if choice < 0.6:
+        op = rng.choice(["=", "<>", "<", "<=", ">", ">="])
+        return BinaryOp(
+            op, gen_numeric(rng, depth - 1), gen_numeric(rng, depth - 1)
+        )
+    if choice < 0.7:
+        return IsNull(
+            gen_numeric(rng, depth - 1), negated=rng.random() < 0.5
+        )
+    if choice < 0.8:
+        return InList(
+            gen_numeric(rng, depth - 1),
+            [
+                Literal(rng.choice([1, 2, 42, None, -7]))
+                for _ in range(rng.randint(1, 3))
+            ],
+            negated=rng.random() < 0.5,
+        )
+    if choice < 0.9:
+        return Between(
+            gen_numeric(rng, depth - 1),
+            gen_numeric(rng, depth - 1),
+            gen_numeric(rng, depth - 1),
+            negated=rng.random() < 0.5,
+        )
+    return Like(
+        gen_string(rng, depth - 1),
+        Literal(rng.choice(["%a%", "a_b%", "", "%", "alpha"])),
+        negated=rng.random() < 0.5,
+    )
 
 
 def block_for(rows):
@@ -136,6 +263,14 @@ def test_aggregate_call_falls_back_to_rows():
     )
 
 
+def test_is_foldable():
+    assert is_foldable(parse("1 + 2 * 3"))
+    assert is_foldable(parse("'a' || 'b'"))
+    assert not is_foldable(parse("a + 1"))
+    assert not is_foldable(parse("UPPER('x')"))  # functions may be impure
+    assert not is_foldable(AggregateCall("SUM", ColumnRef("v")))
+
+
 def test_foldable_error_defers_and_skips_empty_blocks():
     # the row path raises 1/0 once per row — and therefore not at all
     # over zero rows; the block function must match both behaviours
@@ -150,8 +285,6 @@ def test_case_laziness_matches_row_path():
     # CASE must evaluate each WHEN's value only on matching rows: the
     # row oracle never divides by zero for a = 1, so neither may the
     # block path even though other rows take the error-free branch
-    from repro.expr.ast import Case
-
     expr = Case(
         [
             (
@@ -201,7 +334,7 @@ def test_aggregate_reducer_matches_row_aggregates():
             reducer = aggregate_values_reducer(agg)
             # FIRST / LAST are member positions the grouped kernel picks
             got = values[reducer] if isinstance(reducer, int) else reducer(values)
-            assert got == compile_aggregate(agg)(rows), (func, distinct)
+            assert got == evaluate_aggregate(agg, rows), (func, distinct)
     empty = AggregateCall("SUM", ColumnRef("v"))
     assert aggregate_values_reducer(empty)([]) is None
     assert aggregate_values_reducer(AggregateCall("COUNT", ColumnRef("v")))(

@@ -6,9 +6,9 @@ policies, a fused run must produce byte-identical accepted rows and the
 identical rejected multiset as the unfused block tier — including NULL
 three-valued logic and rows erroring mid-chain. Randomized linear chains
 (length 1–6, NULL-heavy data, optional non-fusable breakers mid-chain)
-stress the chain compiler beyond the fixed workloads, and a poisoned
-fused chain must fall back to the block kernels with identical output
-(``exec.degrade.fused_to_block``).
+stress the chain compiler beyond the fixed workloads, and a faulted
+fused chain must fall back to the oracle with identical output
+(``exec.degrade.fused_to_oracle``).
 """
 
 import random
@@ -179,8 +179,9 @@ class TestOneBodyThreeTiers:
 
     @pytest.mark.parametrize("fused", [True, False], ids=["fused", "block"])
     def test_fault_labels_follow_the_tier(self, fused):
-        # a chain body's closures are the block tier's work on both
-        # settings, and the fused tier's only while the planner fuses
+        # a chain body's column functions are labelled "block" on both
+        # settings — fused or gathered, a chain runs the same functions —
+        # and no "oracle" closure runs above the oracle rung
         instance, _plan = generate_faulty_instance(n=40, seed=34)
 
         def fired(tier):
@@ -191,7 +192,9 @@ class TestOneBodyThreeTiers:
             return plan.kernel_faults_fired.get(tier, 0)
 
         assert fired("block") == 1
-        assert fired("fused") == (1 if fused else 0)
+        assert fired("oracle") == 0
+        with pytest.raises(ValueError, match="unknown tier"):
+            FaultPlan().fault_kernels(tier="fused", first=1)
 
 
 # -- randomized chains --------------------------------------------------------
@@ -382,38 +385,40 @@ class TestRandomizedChains:
 
 
 class TestFusedDegradation:
-    """A poisoned fused chain must fall back to the unfused block
-    kernels with identical output, counted in
-    ``exec.degrade.fused_to_block``."""
+    """A faulted fused chain falls back to the interpreting oracle — the
+    ladder's one lower rung — with identical output, counted in
+    ``exec.degrade.fused_to_oracle``."""
 
-    def test_fused_fault_falls_back_to_block(self):
+    def test_fused_fault_falls_back_to_oracle(self):
         instance, _plan = generate_faulty_instance(n=40, seed=31)
         baseline_engine = EtlEngine(compiled=True, batched=True, fused=False)
         baseline, _ = baseline_engine.run(build_faulty_job(), instance)
-        plan = FaultPlan(seed=31).fault_kernels(tier="fused", first=1)
+        plan = FaultPlan(seed=31).fault_kernels(tier="block", first=1)
         obs = Observability(stats=True)
         engine = EtlEngine(obs=obs, compiled=True, batched=True, fused=True)
         with plan.injected():
             targets, _ = engine.run(build_faulty_job(), instance)
-        assert plan.kernel_faults_fired.get("fused", 0) >= 1
+        assert plan.kernel_faults_fired.get("block", 0) == 1
         assert sorted(
             map(format_row, targets.dataset("Premium").rows)
         ) == sorted(map(format_row, baseline.dataset("Premium").rows))
         counters = obs.metrics.snapshot()["counters"]
-        assert counters.get("exec.degrade.fused_to_block", 0) >= 1
+        assert counters.get("exec.degrade.fused_to_oracle", 0) == 1
 
     def test_block_fault_does_not_hit_the_fused_tier_twice(self):
-        # a "fused" plan targets only fused chains: the block tier the
-        # engine degrades to must run clean and stop the ladder there
+        # the oracle runs no column function, so a "block" plan that
+        # never runs out fails each chained stage once and the ladder
+        # stops on the oracle: one degradation per stage, no other rung
         instance, _plan = generate_faulty_instance(n=40, seed=32)
-        plan = FaultPlan(seed=32).fault_kernels(tier="fused", first=100)
+        plan = FaultPlan(seed=32).fault_kernels(tier="block", first=100)
         obs = Observability(stats=True)
         engine = EtlEngine(obs=obs, compiled=True, batched=True, fused=True)
         with plan.injected():
             engine.run(build_faulty_job(), instance)
         counters = obs.metrics.snapshot()["counters"]
-        assert counters.get("exec.degrade.fused_to_block", 0) >= 1
-        assert counters.get("exec.degrade.block_to_rows", 0) == 0
+        degraded = {k: v for k, v in counters.items() if k.startswith("exec.degrade.")}
+        assert set(degraded) == {"exec.degrade.fused_to_oracle"}
+        assert degraded["exec.degrade.fused_to_oracle"] == plan.kernel_faults_fired["block"]
 
 
 # -- metrics and laziness -----------------------------------------------------

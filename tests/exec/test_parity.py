@@ -1,11 +1,13 @@
-"""Randomized evaluator ↔ compiler parity suite.
+"""Evaluator ↔ column compiler parity: the pinned corner cases.
 
-The compiled closures must be observationally identical to the
-tree-walking oracle: same values (including SQL three-valued logic over
-NULL), and an :class:`EvaluationError` exactly when the oracle raises
-one. This suite generates expressions over sample rows with a seeded
-generator and checks both directions, then pins the classic
-three-valued-logic corner cases explicitly.
+The tree-walking evaluator is the single oracle: every row closure a
+planner hands out is the evaluator, and the column compiler
+(:func:`compile_block_expr`) is the one lowering checked against it —
+same values (including SQL three-valued logic over NULL), same Python
+types, and an :class:`EvaluationError` exactly when the evaluator
+raises one. Seeded random expressions (the generators of
+:mod:`tests.exec.test_block_parity`, other seeds) check both directions,
+then the classic three-valued-logic corner cases are pinned explicitly.
 """
 
 import random
@@ -13,173 +15,51 @@ import random
 import pytest
 
 from repro.errors import EvaluationError
-from repro.exec import ExpressionPlanner
-from repro.exec.compile_expr import (
-    compile_aggregate,
-    compile_expr,
-    compile_predicate,
-)
+from repro.exec import ExpressionPlanner, Tier, block
+from repro.exec.block import RowBlock, relation_resolver
+from repro.exec.compile_block import aggregate_values_reducer, compile_block_expr
 from repro.expr.ast import (
     AggregateCall,
     Between,
     BinaryOp,
-    Case,
     ColumnRef,
     FunctionCall,
     InList,
-    IsNull,
     Like,
     Literal,
     UnaryOp,
 )
-from repro.expr.evaluator import (
-    Environment,
-    evaluate,
-    evaluate_aggregate,
-    evaluate_predicate,
+from repro.expr.evaluator import evaluate, evaluate_aggregate
+from tests.exec.test_block_parity import (
+    NAMES,
+    RELATION,
+    ROWS,
+    block_for,
+    check_block_parity,
+    env_for,
+    gen_boolean,
+    gen_numeric,
+    gen_string,
 )
 
-RELATION = "T"
-
-#: NULL-heavy sample rows: every column is NULL somewhere.
-ROWS = [
-    {"a": 1, "b": 2, "f": 1.5, "s": "alpha", "flag": True},
-    {"a": 0, "b": None, "f": -2.25, "s": "Beta", "flag": False},
-    {"a": -7, "b": 100, "f": 0.0, "s": None, "flag": None},
-    {"a": None, "b": 3, "f": None, "s": "", "flag": True},
-    {"a": 42, "b": -1, "f": 3.5, "s": "a%b_c", "flag": None},
-    {"a": None, "b": None, "f": None, "s": None, "flag": None},
-]
-
-INT_COLUMNS = ["a", "b"]
-FLOAT_COLUMNS = ["f"]
-STR_COLUMNS = ["s"]
+check_parity = check_block_parity
 
 
-def env_for(row):
-    return Environment(row).bind(RELATION, row)
+def column_value(expr, row=ROWS[0]):
+    """``expr``'s column function over a one-row block, checked equal to
+    the evaluator's value on that row."""
+    fn = compile_block_expr(expr, None, relation_resolver(RELATION, NAMES))
+    (value,) = fn(block_for([row]))
+    assert value == evaluate(expr, env_for(row)), expr.to_sql()
+    return value
 
 
-def oracle(expr, row):
-    """(value, error_type) of the interpreter on one row."""
+def outcome(fn):
+    """(value, error type) of ``fn()``."""
     try:
-        return evaluate(expr, env_for(row)), None
+        return fn(), None
     except EvaluationError as exc:
         return None, type(exc)
-
-
-def check_parity(expr, rows=ROWS):
-    compiled = compile_expr(expr)
-    predicate = compile_predicate(expr)
-    for row in rows:
-        expected, error = oracle(expr, row)
-        if error is not None:
-            with pytest.raises(error):
-                compiled(env_for(row))
-            continue
-        actual = compiled(env_for(row))
-        assert actual == expected, (expr.to_sql(), row, actual, expected)
-        assert type(actual) is type(expected), (expr.to_sql(), row)
-        assert predicate(env_for(row)) == evaluate_predicate(
-            expr, env_for(row)
-        )
-
-
-# --- random expression generator ---------------------------------------------
-
-
-def gen_numeric(rng, depth):
-    if depth <= 0 or rng.random() < 0.3:
-        choice = rng.random()
-        if choice < 0.4:
-            return ColumnRef(
-                rng.choice(INT_COLUMNS + FLOAT_COLUMNS),
-                qualifier=RELATION if rng.random() < 0.3 else None,
-            )
-        if choice < 0.5:
-            return Literal(None)
-        if choice < 0.8:
-            return Literal(rng.randint(-10, 10))
-        return Literal(round(rng.uniform(-5, 5), 2))
-    choice = rng.random()
-    if choice < 0.6:
-        op = rng.choice(["+", "-", "*", "/", "%"])
-        return BinaryOp(
-            op, gen_numeric(rng, depth - 1), gen_numeric(rng, depth - 1)
-        )
-    if choice < 0.7:
-        return UnaryOp("-", gen_numeric(rng, depth - 1))
-    if choice < 0.85:
-        return FunctionCall("ABS", [gen_numeric(rng, depth - 1)])
-    return Case(
-        [(gen_boolean(rng, depth - 1), gen_numeric(rng, depth - 1))],
-        gen_numeric(rng, depth - 1),
-    )
-
-
-def gen_string(rng, depth):
-    if depth <= 0 or rng.random() < 0.4:
-        if rng.random() < 0.6:
-            return ColumnRef(rng.choice(STR_COLUMNS))
-        return Literal(rng.choice(["x", "alpha", "", "%", None]))
-    choice = rng.random()
-    if choice < 0.4:
-        return BinaryOp(
-            "||", gen_string(rng, depth - 1), gen_string(rng, depth - 1)
-        )
-    if choice < 0.7:
-        return FunctionCall(
-            rng.choice(["UPPER", "LOWER", "TRIM"]),
-            [gen_string(rng, depth - 1)],
-        )
-    return FunctionCall(
-        "COALESCE", [gen_string(rng, depth - 1), gen_string(rng, depth - 1)]
-    )
-
-
-def gen_boolean(rng, depth):
-    if depth <= 0 or rng.random() < 0.25:
-        if rng.random() < 0.5:
-            return ColumnRef("flag")
-        return Literal(rng.choice([True, False, None]))
-    choice = rng.random()
-    if choice < 0.3:
-        op = rng.choice(["AND", "OR"])
-        return BinaryOp(
-            op, gen_boolean(rng, depth - 1), gen_boolean(rng, depth - 1)
-        )
-    if choice < 0.45:
-        return UnaryOp("NOT", gen_boolean(rng, depth - 1))
-    if choice < 0.6:
-        op = rng.choice(["=", "<>", "<", "<=", ">", ">="])
-        return BinaryOp(
-            op, gen_numeric(rng, depth - 1), gen_numeric(rng, depth - 1)
-        )
-    if choice < 0.7:
-        return IsNull(
-            gen_numeric(rng, depth - 1), negated=rng.random() < 0.5
-        )
-    if choice < 0.8:
-        return InList(
-            gen_numeric(rng, depth - 1),
-            [
-                Literal(rng.choice([1, 2, 42, None, -7]))
-                for _ in range(rng.randint(1, 3))
-            ],
-            negated=rng.random() < 0.5,
-        )
-    if choice < 0.9:
-        return Between(
-            gen_numeric(rng, depth - 1),
-            gen_numeric(rng, depth - 1),
-            gen_numeric(rng, depth - 1),
-            negated=rng.random() < 0.5,
-        )
-    return Like(
-        gen_string(rng, depth - 1),
-        Literal(rng.choice(["%a%", "a_b%", "", "%", "alpha"])),
-        negated=rng.random() < 0.5,
-    )
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -204,23 +84,21 @@ def test_random_string_parity(seed):
 
 
 def test_interpreting_planner_matches_compiling_planner():
+    """A batched planner's column function and the oracle planner's row
+    closure agree on every row, errors included."""
     rng = random.Random(7)
-    compiled = ExpressionPlanner(compiled=True)
+    compiled = ExpressionPlanner.at(None, Tier(True, True, False, False, 1, None))
     interpreted = ExpressionPlanner(compiled=False)
+    resolve = relation_resolver(RELATION, NAMES)
     for _ in range(50):
         expr = gen_boolean(rng, 3)
+        column = compiled.block_scalar(expr, resolve)
+        row_closure = interpreted.scalar(expr)
+        assert column is not None, expr.to_sql()
         for row in ROWS:
-            try:
-                a = compiled.scalar(expr)(env_for(row))
-                a_err = None
-            except EvaluationError as exc:
-                a, a_err = None, type(exc)
-            try:
-                b = interpreted.scalar(expr)(env_for(row))
-                b_err = None
-            except EvaluationError as exc:
-                b, b_err = None, type(exc)
-            assert a_err == b_err and a == b, expr.to_sql()
+            got = outcome(lambda: column(block_for([row]))[0])
+            want = outcome(lambda: row_closure(env_for(row)))
+            assert got == want, expr.to_sql()
 
 
 # --- pinned three-valued-logic corner cases ----------------------------------
@@ -243,40 +121,34 @@ def test_and_or_not_truth_tables():
 
 def test_null_comparisons_are_unknown():
     expr = BinaryOp("=", ColumnRef("b"), Literal(2))
-    compiled = compile_expr(expr)
-    assert compiled(env_for(ROWS[1])) is None  # b is NULL → unknown
-    assert compile_predicate(expr)(env_for(ROWS[1])) is False
+    assert column_value(expr, ROWS[1]) is None  # b is NULL → unknown
+    check_parity(expr)
 
 
 def test_in_list_null_semantics():
     # 5 IN (1, NULL) is unknown, 1 IN (1, NULL) is true
-    assert compile_expr(
-        InList(Literal(5), [Literal(1), Literal(None)])
-    )({}) is None
-    assert compile_expr(
-        InList(Literal(1), [Literal(1), Literal(None)])
-    )({}) is True
+    assert column_value(InList(Literal(5), [Literal(1), Literal(None)])) is None
+    assert column_value(InList(Literal(1), [Literal(1), Literal(None)])) is True
     # NOT IN flips true/false but keeps unknown
-    assert compile_expr(
-        InList(Literal(5), [Literal(1), Literal(None)], negated=True)
-    )({}) is None
+    assert (
+        column_value(InList(Literal(5), [Literal(1), Literal(None)], negated=True))
+        is None
+    )
+    # the same over a column, where the list is swept, not folded
+    check_parity(InList(ColumnRef("a"), [Literal(1), Literal(None)]))
 
 
 def test_between_null_semantics():
     # 5 BETWEEN NULL AND 10 is unknown; 20 BETWEEN NULL AND 10 is false
-    assert compile_expr(
-        Between(Literal(5), Literal(None), Literal(10))
-    )({}) is None
-    assert compile_expr(
-        Between(Literal(20), Literal(None), Literal(10))
-    )({}) is False
+    assert column_value(Between(Literal(5), Literal(None), Literal(10))) is None
+    assert column_value(Between(Literal(20), Literal(None), Literal(10))) is False
+    check_parity(Between(ColumnRef("a"), Literal(None), Literal(10)))
 
 
 def test_like_null_semantics():
-    assert compile_expr(
-        Like(Literal(None), Literal("%a%"))
-    )({}) is None
-    assert compile_expr(Like(Literal("abc"), Literal("a%")))({}) is True
+    assert column_value(Like(Literal(None), Literal("%a%"))) is None
+    assert column_value(Like(Literal("abc"), Literal("a%"))) is True
+    check_parity(Like(ColumnRef("s"), Literal("a%")))
 
 
 def test_error_parity_division_by_zero():
@@ -285,8 +157,14 @@ def test_error_parity_division_by_zero():
 
 
 def test_error_parity_unknown_column():
+    # the column compiler declines what it cannot resolve, so the
+    # operator runs its row body: the evaluator's own error, per row
     expr = ColumnRef("nope")
-    check_parity(expr)
+    resolve = relation_resolver(RELATION, NAMES)
+    assert compile_block_expr(expr, None, resolve) is None
+    for row in ROWS:
+        with pytest.raises(EvaluationError, match="unbound column"):
+            evaluate(expr, env_for(row))
 
 
 def test_error_parity_incomparable_types():
@@ -295,7 +173,7 @@ def test_error_parity_incomparable_types():
 
 
 def test_null_propagating_call_still_evaluates_later_args():
-    # the oracle evaluates LENGTH(s) even when the first argument is
+    # the oracle evaluates every argument even when the first one is
     # NULL — an error in a later argument must surface identically
     expr = FunctionCall(
         "MOD", [Literal(None), BinaryOp("/", Literal(1), Literal(0))]
@@ -304,22 +182,38 @@ def test_null_propagating_call_still_evaluates_later_args():
 
 
 def test_aggregate_parity():
+    """The grouped column kernel folds each group to what the evaluator
+    folds it to, for every aggregate, DISTINCT or not."""
     rows = [
-        {"v": 3},
-        {"v": None},
-        {"v": 3},
-        {"v": 1.5},
-        {"v": None},
-        {"v": 7},
+        {"k": 1, "v": 3},
+        {"k": 2, "v": None},
+        {"k": 1, "v": 3},
+        {"k": 2, "v": 1.5},
+        {"k": 3, "v": None},
+        {"k": 1, "v": 7},
     ]
-    for func in ["COUNT", "SUM", "AVG", "MIN", "MAX", "FIRST", "LAST"]:
-        for distinct in (False, True):
-            agg = AggregateCall(func, ColumnRef("v"), distinct)
-            assert compile_aggregate(agg)(rows) == evaluate_aggregate(
-                agg, rows
-            ), (func, distinct)
-    star = AggregateCall("COUNT", None)
-    assert compile_aggregate(star)(rows) == evaluate_aggregate(star, rows)
-    empty = AggregateCall("SUM", ColumnRef("v"))
-    assert compile_aggregate(empty)([]) is None
-    assert evaluate_aggregate(empty, []) is None
+    groups = {}
+    for row in rows:
+        groups.setdefault(row["k"], []).append(row)
+    resolve = relation_resolver(None, ["k", "v"])
+    calls = [
+        AggregateCall(func, ColumnRef("v"), distinct)
+        for func in ["COUNT", "SUM", "AVG", "MIN", "MAX", "FIRST", "LAST"]
+        for distinct in (False, True)
+    ] + [AggregateCall("COUNT", None)]
+    lowered = [
+        (
+            f"a{i}",
+            None if agg.arg is None else compile_block_expr(agg.arg, None, resolve),
+            None if agg.arg is None else aggregate_values_reducer(agg),
+        )
+        for i, agg in enumerate(calls)
+    ]
+    grouped = block.group_aggregate_block(
+        RowBlock.from_rows(["k", "v"], rows), ["k"], lowered
+    )
+    assert grouped.columns["k"] == list(groups)
+    for i, agg in enumerate(calls):
+        expected = [evaluate_aggregate(agg, members) for members in groups.values()]
+        assert grouped.columns[f"a{i}"] == expected, agg.to_sql()
+    assert evaluate_aggregate(AggregateCall("SUM", ColumnRef("v")), []) is None

@@ -3,7 +3,8 @@
 ``RunOptions.resolve`` and ``ExpressionPlanner`` both call
 ``repro.exec.resolve_tier``. The reference below is the rule with the
 defaults inlined, so the one function is checked against an independent
-statement of what both callers must see."""
+statement of what both callers must see. The degradation ladder each
+combination builds is enumerated too."""
 
 import itertools
 
@@ -11,7 +12,7 @@ import pytest
 
 from repro import config
 from repro.exec import ExpressionPlanner
-from repro.exec.run import RunOptions
+from repro.exec.run import RunOptions, TierLadder
 
 FLAG = (None, False, True)
 MODE = (None, "rows", "block", "parallel", "auto")
@@ -82,3 +83,54 @@ def test_every_flag_combination(mode, workers):
         assert (run.compiled, run.batched, run.fused) == (
             options.compiled, options.batched, options.fused
         ), asked
+
+
+@pytest.mark.parametrize("mode", MODE)
+@pytest.mark.parametrize("workers", WORKERS)
+def test_the_ladder_is_the_run_tier_then_the_oracle(mode, workers):
+    """Every tier combination builds at most two rungs: the run's
+    planner, then — only when it compiles and ``degrade`` is on — the
+    oracle, pinned against any process default."""
+    for compiled, batched, fused, parallel, degrade in itertools.product(
+        FLAG, FLAG, FLAG, FLAG, (True, False)
+    ):
+        asked = dict(
+            compiled=compiled, batched=batched, fused=fused,
+            parallel=parallel, workers=workers, mode=mode,
+        )
+        options = RunOptions.resolve(degrade=degrade, **asked)
+        with config.overriding(compiled=True, batched=True, mode="block"):
+            rungs = TierLadder(options.planner(None), options).rungs
+        top = (options.compiled, options.batched, options.fused)
+        assert (rungs[0].compiled, rungs[0].batched, rungs[0].fused) == top
+        if degrade and options.compiled:
+            assert len(rungs) == 2, asked
+            oracle = rungs[1]
+            assert (oracle.compiled, oracle.batched, oracle.fused) == (
+                False, False, False
+            ), asked
+        else:
+            assert len(rungs) == 1, asked
+
+
+def test_default_compiled_env_var(monkeypatch):
+    monkeypatch.delenv("REPRO_COMPILED", raising=False)
+    assert config.resolve("compiled") is True
+    monkeypatch.setenv("REPRO_COMPILED", "0")
+    assert config.resolve("compiled") is False
+    assert config.resolve("compiled", None) is False
+    assert config.resolve("compiled", True) is True
+    monkeypatch.setenv("REPRO_COMPILED", "1")
+    assert config.resolve("compiled") is True
+
+
+def test_set_default_compiled_overrides_env(monkeypatch):
+    monkeypatch.setenv("REPRO_COMPILED", "0")
+    with config.overriding(compiled=True):
+        assert config.resolve("compiled") is True
+    assert config.resolve("compiled") is False
+
+
+def test_interpreted_planner_reports_mode():
+    assert ExpressionPlanner(compiled=False).compiled is False
+    assert ExpressionPlanner(compiled=True).compiled is True

@@ -4,6 +4,9 @@ import pytest
 
 from repro.errors import ExecutionError, FaultInjected, TransientError
 from repro.etl.stages import TableSource, TableTarget
+from repro.exec import ExpressionPlanner, Tier, set_kernel_fault_hook
+from repro.exec.block import relation_resolver
+from repro.expr.parser import parse
 from repro.faults import TIERS, FaultPlan
 from repro.workloads import generate_faulty_instance, orders_schema
 
@@ -102,7 +105,32 @@ class TestKernelFaults:
         assert any(schedule(7)) and not all(schedule(7))
 
     def test_tier_names_match_the_planner(self):
-        assert TIERS == ("fused", "block", "compiled", "oracle")
+        """The labels are exactly those some planner hands the hook: a
+        column function is "block" fused or gathered, a row closure is
+        "compiled" or "oracle" after its planner."""
+        assert TIERS == ("block", "compiled", "oracle")
+        labels = set()
+
+        def spy(tier, kind, fn):
+            labels.add(tier)
+            return fn
+
+        expr = parse("a + 1")
+        resolve = relation_resolver(None, ["a"])
+        set_kernel_fault_hook(spy)
+        try:
+            for compiled, batched, fused in [
+                (True, True, True), (True, True, False),
+                (True, False, False), (False, False, False),
+            ]:
+                planner = ExpressionPlanner.at(
+                    None, Tier(compiled, batched, fused, False, 1, None)
+                )
+                planner.scalar(expr)
+                planner.block_scalar(expr, resolve)
+        finally:
+            set_kernel_fault_hook(None)
+        assert labels == set(TIERS)
 
 
 class TestFlakyEndpoints:

@@ -1,39 +1,64 @@
-"""Graceful kernel degradation: fused chains → batched → row kernels →
-interpreted oracle. A kernel fault at a tier never changes results — it
-only shows up in the ``exec.degrade.*`` counters.
+"""Graceful kernel degradation: a node whose tier fails runs once more
+on the interpreting oracle — the row kernels over the tree-walking
+evaluator, the ladder's only lower rung. A kernel fault never changes
+results — it only shows up in the ``exec.degrade.*`` counters.
 
-A block-tier fault plan also fires inside the fused tier (fused chains
-run the block kernels' lowered functions), so a batched+fused engine
-degrades fused → block on the first block fault; the block tier then
-succeeds once the fault budget is spent."""
+A "block" fault plan fires in every chain body, fused or gathered (both
+run the same column functions); the oracle runs none of them, so a node
+degrades at most once."""
 
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
 
 from repro import config
 from repro.compile import compile_job
-from repro.errors import FaultInjected, RunCancelled, SchemaError
+from repro.data.dataset import Dataset, Instance
+from repro.errors import (
+    EvaluationError,
+    ExecutionError,
+    FaultInjected,
+    RunCancelled,
+    SchemaError,
+)
 from repro.etl import EtlEngine, Job
 from repro.etl.stages import FilterStage, SwitchStage, TableSource, TableTarget
-from repro.exec import set_kernel_fault_hook
+from repro.exec import kernel_fault_hook, set_kernel_fault_hook
 from repro.exec.parallel import set_default_executor
 from repro.faults import FaultPlan
-from repro.mapping import MappingExecutor, ohm_to_mappings
+from repro.mapping import (
+    Mapping,
+    MappingExecutor,
+    MappingSet,
+    SourceBinding,
+    ohm_to_mappings,
+)
 from repro.obs import Observability
 from repro.ohm import OhmExecutor
+from repro.ohm.graph import OhmGraph
+from repro.ohm.operators import Group, Source, Target, Unknown
 from repro.resilience import format_row
+from repro.schema import relation
 from repro.workloads import (
     build_example_job,
     build_faulty_job,
+    build_kitchen_sink_job,
     generate_faulty_instance,
     generate_instance,
+    generate_kitchen_sink_instance,
     orders_schema,
 )
 
 
 def _premium_rows(targets):
     return sorted(map(format_row, targets.dataset("Premium").rows))
+
+
+def degraded(obs):
+    """The run's ``exec.degrade.*`` counters."""
+    counters = obs.metrics.snapshot().get("counters", {})
+    return {k: v for k, v in counters.items() if k.startswith("exec.degrade.")}
 
 
 @pytest.fixture
@@ -135,13 +160,16 @@ class RuntimeContract:
         return _premium_rows(targets), rejects
 
     def test_block_fault_degrades_to_row_kernels(self, instance, baseline):
+        # the row kernels the fused chain falls to are the oracle's
         plan = FaultPlan(seed=1).fault_kernels(tier="block", first=1)
         obs = Observability(stats=True)
         with plan.injected():
-            rows, _ = self.premium(instance, obs=obs, compiled=True, batched=True)
+            rows, _ = self.premium(
+                instance, obs=obs, compiled=True, batched=True, fused=True
+            )
         assert rows == baseline
-        assert obs.metrics.counter("exec.degrade.fused_to_block") >= 1
-        assert plan.kernel_faults_fired.get("block", 0) >= 1
+        assert degraded(obs) == {"exec.degrade.fused_to_oracle": 1}
+        assert plan.kernel_faults_fired.get("block", 0) == 1
 
     def test_compiled_fault_degrades_to_oracle(self, instance, baseline):
         plan = FaultPlan(seed=2).fault_kernels(tier="compiled", first=1)
@@ -149,7 +177,7 @@ class RuntimeContract:
         with plan.injected():
             rows, _ = self.premium(instance, obs=obs, compiled=True, batched=False)
         assert rows == baseline
-        assert obs.metrics.counter("exec.degrade.rows_to_oracle") >= 1
+        assert degraded(obs) == {"exec.degrade.rows_to_oracle": 1}
 
     def test_batched_engine_falls_all_the_way_to_oracle(
         self, instance, baseline
@@ -161,10 +189,13 @@ class RuntimeContract:
         )
         obs = Observability(stats=True)
         with plan.injected():
-            rows, _ = self.premium(instance, obs=obs, compiled=True, batched=True)
+            rows, _ = self.premium(
+                instance, obs=obs, compiled=True, batched=True, fused=True
+            )
         assert rows == baseline
-        assert obs.metrics.counter("exec.degrade.block_to_rows") >= 1
-        assert obs.metrics.counter("exec.degrade.rows_to_oracle") >= 1
+        # one step, straight to the oracle: no rung in between
+        (name,) = degraded(obs)
+        assert name == "exec.degrade.fused_to_oracle"
 
     def test_all_tiers_faulted_surfaces_the_error(self, instance):
         plan = (
@@ -221,28 +252,28 @@ class RuntimeContract:
         )
         assert targets.same_bags(expected)
         assert rejects == expected_rejects
-        counters = obs.metrics.snapshot().get("counters", {})
-        assert not [k for k in counters if k.startswith("exec.degrade.")]
+        assert not degraded(obs)
 
     def test_rungs_pin_their_tier_under_a_process_default_mode(
         self, instance, baseline
     ):
         """Regression: rungs built with ``mode=None`` re-read the process
-        default, so under ``overriding(mode="block")`` the "rows" rung
-        came back batched and a block fault only survived via the oracle
-        — faulted here too, so the compiled row kernels must carry it."""
+        default. The oracle rung states its tier, so under
+        ``overriding(mode="block")`` a node whose every compiled closure
+        fails is still carried by the oracle — once, as without the
+        override."""
         def faulted(**options):
             plan = (
                 FaultPlan(seed=7)
                 .fault_kernels(tier="block", first=10**6)
-                .fault_kernels(tier="oracle", first=10**6)
+                .fault_kernels(tier="compiled", first=10**6)
             )
             obs = Observability(stats=True)
             with plan.injected():
                 rows, _ = self.premium(instance, obs=obs, fused=False, **options)
             assert rows == baseline
-            assert obs.metrics.counter("exec.degrade.rows_to_oracle") == 0
-            return obs.metrics.counter("exec.degrade.block_to_rows")
+            assert set(degraded(obs)) == {"exec.degrade.block_to_oracle"}
+            return obs.metrics.counter("exec.degrade.block_to_oracle")
 
         expected = faulted(batched=True)
         assert expected >= 1
@@ -266,8 +297,7 @@ class RuntimeContract:
             with pytest.raises(type(make_error()), match="planted"):
                 self.premium(instance, obs=obs, compiled=True, batched=True)
         assert len(calls) == 1  # the first tier's first kernel, nothing after
-        counters = obs.metrics.snapshot().get("counters", {})
-        assert not [k for k in counters if k.startswith("exec.degrade.")]
+        assert not degraded(obs)
 
     def test_unavailable_workers_recompute_inline(self):
         class _Broken:
@@ -334,11 +364,11 @@ class TestOhmAndMappingDegrade:
         graph = compile_job(build_faulty_job())
         plan = FaultPlan(seed=7).fault_kernels(tier="block", first=1)
         obs = Observability(stats=True)
-        executor = OhmExecutor(obs=obs, compiled=True, batched=True)
+        executor = OhmExecutor(obs=obs, compiled=True, batched=True, fused=True)
         with plan.injected():
             targets, _ = executor.run(graph, instance)
         assert _premium_rows(targets) == baseline
-        assert obs.metrics.counter("exec.degrade.fused_to_block") >= 1
+        assert degraded(obs) == {"exec.degrade.fused_to_oracle": 1}
 
     def test_ohm_degrade_disabled_surfaces_the_fault(self, instance):
         graph = compile_job(build_faulty_job())
@@ -356,4 +386,168 @@ class TestOhmAndMappingDegrade:
         with plan.injected():
             targets, _ = executor.run(mappings, instance)
         assert _premium_rows(targets) == baseline
-        assert obs.metrics.counter("exec.degrade.rows_to_oracle") >= 1
+        assert degraded(obs) == {"exec.degrade.rows_to_oracle": 1}
+
+
+#: the tiers the satellite contracts below hold at
+TIERS = {
+    "default": {},
+    "gathered": dict(batched=True, fused=False),
+    "rows": dict(mode="rows"),
+    "oracle": dict(compiled=False),
+}
+
+
+class TestOpaqueNodesBypassTheLadder:
+    """SOURCE and UNKNOWN lower no expression, so there is no tier to
+    fall from: a raising opaque body runs exactly once at every tier and
+    books no degradation, as an ETL ``Custom`` stage always did."""
+
+    @pytest.mark.parametrize("tier", ["default", "rows", "oracle"])
+    @pytest.mark.parametrize("runtime", ["ohm", "mapping"])
+    def test_a_raising_unknown_runs_once(self, runtime, tier):
+        calls = []
+
+        def body(inputs):
+            calls.append(len(inputs))
+            raise RuntimeError("opaque body failed")
+
+        orders = orders_schema()
+        if runtime == "ohm":
+            graph = OhmGraph()
+            source = graph.add(Source(orders))
+            box = graph.add(Unknown([orders.renamed("Boxed")], "box", executor=body))
+            target = graph.add(Target(orders.renamed("Out")))
+            graph.chain(source, box, target)
+            runner, plan = OhmExecutor, graph
+        else:
+            plan = MappingSet([
+                Mapping(
+                    [SourceBinding("o", orders)], orders.renamed("Out"), [],
+                    reference="box", executor=body,
+                )
+            ])
+            runner = MappingExecutor
+        instance, _ = generate_faulty_instance(n=10, seed=3)
+        obs = Observability(stats=True)
+        with pytest.raises(RuntimeError, match="opaque body failed"):
+            runner(obs=obs, **TIERS[tier]).run(plan, instance)
+        assert calls == [1]
+        assert not degraded(obs)
+
+    def test_a_missing_source_relation_fails_once(self):
+        graph = compile_job(build_faulty_job())
+        obs = Observability(stats=True)
+        with pytest.raises(ExecutionError, match="not present"):
+            OhmExecutor(obs=obs).run(graph, Instance())
+        assert not degraded(obs)
+
+
+class TestGroupAggregatesAbsorbRowErrors:
+    """A bad aggregate argument is a row error: under skip/reject GROUP
+    hands the row to the policy before grouping — the same bag as
+    rejecting it upstream, the same reject multiset at every tier, no
+    degradation — and under ``fail_fast`` it still raises."""
+
+    TOTALS = relation(
+        "Totals", ("region", "varchar"), ("total", "float"), ("n", "int")
+    )
+
+    @staticmethod
+    def poisoned():
+        """Orders with ``qty = 0`` on every EMEA row and on one other:
+        the EMEA group loses every member."""
+        clean, _ = generate_faulty_instance(n=30, seed=13)
+        rows = [dict(r) for r in clean.dataset("Orders").rows]
+        for row in rows:
+            if row["region"] == "EMEA":
+                row["qty"] = 0
+        rows[0]["qty"] = 0
+        return rows
+
+    def plan(self, runtime):
+        orders = orders_schema()
+        if runtime == "ohm":
+            graph = OhmGraph()
+            source = graph.add(Source(orders))
+            group = graph.add(
+                Group(["region"], [("total", "SUM(price / qty)"), ("n", "COUNT(*)")])
+            )
+            target = graph.add(Target(self.TOTALS))
+            graph.chain(source, group, target)
+            return graph
+        return MappingSet([
+            Mapping(
+                [SourceBinding("o", orders)],
+                self.TOTALS,
+                [
+                    ("region", "o.region"),
+                    ("total", "SUM(o.price / o.qty)"),
+                    ("n", "COUNT(*)"),
+                ],
+                group_by=["o.region"],
+            )
+        ])
+
+    def run(self, runtime, rows, **options):
+        runner = OhmExecutor if runtime == "ohm" else MappingExecutor
+        instance = Instance([Dataset(orders_schema(), rows)])
+        obs = Observability(stats=True)
+        targets, _edges, rejects = runner(obs=obs, **options).run_with_rejects(
+            self.plan(runtime), instance
+        )
+        rejected = Counter((r["error_code"], r["row"]) for r in rejects.rows)
+        return targets.dataset("Totals"), rejected, obs
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("runtime", ["ohm", "mapping"])
+    def test_bad_rows_are_rejected_before_grouping(self, runtime, tier):
+        rows = self.poisoned()
+        bad = [r for r in rows if r["qty"] == 0]
+        upstream, none_rejected, _ = self.run(
+            runtime, [r for r in rows if r["qty"] != 0], compiled=False
+        )
+        assert not none_rejected
+        totals, rejected, obs = self.run(
+            runtime, rows, on_error="reject", **TIERS[tier]
+        )
+        assert totals.same_bag(upstream)
+        assert "EMEA" not in totals.column("region")
+        assert rejected == Counter(
+            ("EvaluationError", format_row(r)) for r in bad
+        )
+        assert not degraded(obs)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("runtime", ["ohm", "mapping"])
+    def test_fail_fast_still_raises(self, runtime, tier):
+        with pytest.raises(EvaluationError, match="division by zero"):
+            self.run(runtime, self.poisoned(), **TIERS[tier])
+
+
+class TestNothingDegradesWithoutAFault:
+    """Outside the fault harness no node needs the oracle rung: a clean
+    run books no ``exec.degrade.*`` on any workload, runtime or tier."""
+
+    WORKLOADS = {
+        "kitchen-sink": (
+            build_kitchen_sink_job,
+            lambda: generate_kitchen_sink_instance(n_orders=60),
+        ),
+        "example": (build_example_job, lambda: generate_instance(n_customers=40)),
+        "faulty": (
+            build_faulty_job, lambda: generate_faulty_instance(n=40, seed=13)[0]
+        ),
+    }
+
+    @pytest.mark.parametrize("tier", ["default", "gathered", "rows"])
+    @pytest.mark.parametrize("runtime", [run_etl, run_ohm, run_mapping],
+                             ids=["etl", "ohm", "mapping"])
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_clean_runs_never_degrade(self, workload, runtime, tier):
+        build, generate = self.WORKLOADS[workload]
+        assert kernel_fault_hook() is None
+        obs = Observability(stats=True)
+        targets, _rejects = runtime(build(), generate(), obs=obs, **TIERS[tier])
+        assert sum(len(d) for d in targets) > 0
+        assert not degraded(obs)

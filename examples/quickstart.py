@@ -13,10 +13,6 @@ Run:  python examples/quickstart.py
       python examples/quickstart.py --stats json     # metrics JSON ONLY on
                                                      # stdout (narrative moves
                                                      # to stderr) — pipeable
-      python examples/quickstart.py --workers 4
-                                                     # parallel tier: wavefront
-                                                     # scheduling (see
-                                                     # docs/execution-model.md)
       python examples/quickstart.py --on-error reject --poison 5 --stats json
                                                      # fault-tolerant run: 5
                                                      # seeded bad rows land on
@@ -58,27 +54,6 @@ def main(argv=None) -> None:
         action="store_true",
         help="run every engine with the tree-walking expression "
         "interpreter (the semantic oracle) instead of the compiler",
-    )
-    parser.add_argument(
-        "--row-mode",
-        action="store_true",
-        help="run every engine on row-at-a-time kernels instead of the "
-        "default fused block tier (equivalent to REPRO_BATCH=0)",
-    )
-    parser.add_argument(
-        "--no-fuse",
-        action="store_true",
-        help="gather every operator's selection-vector chain into a "
-        "block at its boundary instead of fusing chains across "
-        "operators (equivalent to REPRO_FUSE=0)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the independent stages/operators of each topological "
-        "wave on N worker threads (see docs/execution-model.md)",
     )
     parser.add_argument(
         "--on-error",
@@ -137,12 +112,6 @@ def main(argv=None) -> None:
     flags = {}
     if args.interpreted:
         flags["compiled"] = False
-    if args.row_mode:
-        flags["batched"] = False
-    if args.no_fuse:
-        flags["fused"] = False
-    if args.workers is not None:
-        flags.update(workers=args.workers, parallel=args.workers > 1)
     if args.memory_budget is not None:
         flags["memory_budget"] = args.memory_budget
     if args.deadline is not None:

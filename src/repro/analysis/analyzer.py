@@ -705,7 +705,7 @@ def _check_dead_columns(analysis: _GraphAnalysis) -> None:
 
 
 def _check_fusion_chains(analysis: _GraphAnalysis) -> None:
-    """ORC022: a stage that cannot run on the compiled/block tiers
+    """ORC022: a stage that cannot run on the compiled tier
     sandwiched between stages that can — the fused pipeline silently
     splits there and pays a materialization."""
     graph = analysis.graph
@@ -730,7 +730,7 @@ def _check_fusion_chains(analysis: _GraphAnalysis) -> None:
             analysis.report.emit(
                 "ORC022",
                 f"{node.KIND} {node.uid} does not support the "
-                "compiled/block tiers and splits an otherwise fusable "
+                "compiled tier and splits an otherwise fusable "
                 "chain (each side pays a materialization)",
                 hint="move it out of the hot path or teach it block "
                 "execution",

@@ -34,7 +34,7 @@ import sys
 from typing import Any, Dict, Optional, Sequence
 
 from repro import config
-from repro.config import ERROR_POLICIES, MODES
+from repro.config import ERROR_POLICIES
 from repro.errors import RunCancelled, ValidationError
 from repro.fasttrack.orchid import Orchid
 from repro.obs import Observability
@@ -78,36 +78,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="run the semantic oracle: row kernels over the tree-walking "
         "interpreter, every output copied and validated "
         "(equivalent to REPRO_COMPILED=0)",
-    )
-    observability.add_argument(
-        "--row-mode",
-        action="store_true",
-        help="run row-at-a-time kernels instead of the default fused "
-        "block tier, overriding REPRO_BATCH (equivalent to REPRO_BATCH=0)",
-    )
-    observability.add_argument(
-        "--no-fuse",
-        action="store_true",
-        help="gather batched operators' selection-vector chains into a "
-        "block at every operator boundary instead of fusing them "
-        "(equivalent to REPRO_FUSE=0; no effect with --row-mode — see "
-        "docs/execution-model.md)",
-    )
-    observability.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="run the independent stages/operators of each topological "
-        "wave on N worker threads; N=1 forces serial "
-        "(equivalent to REPRO_WORKERS plus REPRO_PARALLEL=1 — see "
-        "docs/execution-model.md)",
-    )
-    observability.add_argument(
-        "--mode",
-        choices=list(MODES),
-        help="pin the execution tier (rows/block/parallel); auto names "
-        "the default tier, block kernels (equivalent to REPRO_MODE — "
-        "see docs/execution-model.md)",
     )
     observability.add_argument(
         "--on-error",
@@ -270,16 +240,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     obs = Observability(
         trace=bool(args.trace), stats=args.stats is not None
     )
-    flags = _flags(args)
-    for name, value in flags.items():
-        try:
-            config.resolve(name, value)
-        except (ValueError, ValidationError):
-            flag = "--" + name.replace("_", "-")
-            parser.error(f"{flag} must be {config.OPTIONS[name].accepts}")
+    try:
+        scope = config.overriding(**_flags(args))
+    except (ValueError, ValidationError) as exc:
+        # "<option> must be …": say it with the flag's spelling
+        option, _, rest = str(exc).partition(" ")
+        parser.error(f"--{option.replace('_', '-')} {rest}")
     orchid = Orchid(obs=obs)
     try:
-        with config.overriding(**flags):
+        with scope:
             return _dispatch(args, orchid)
     except RunCancelled as exc:
         # a deadline or cancel is an orderly outcome, not a crash:
@@ -306,16 +275,10 @@ def _flags(args: argparse.Namespace) -> Dict[str, Any]:
     flags: Dict[str, Any] = {}
     if args.interpreted:
         flags["compiled"] = False
-    if args.row_mode:
-        flags["batched"] = False
-    if args.no_fuse:
-        flags["fused"] = False
-    if args.workers is not None:
-        flags.update(workers=args.workers, parallel=args.workers > 1)
     if args.check:
         flags["check"] = True
-    for name in ("mode", "on_error", "max_retries", "checkpoint_dir",
-                 "deadline", "memory_budget"):
+    for name in ("on_error", "max_retries", "checkpoint_dir", "deadline",
+                 "memory_budget"):
         value = getattr(args, name)
         if value not in (None, ""):
             flags[name] = value

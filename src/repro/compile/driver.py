@@ -30,7 +30,6 @@ from repro.compile.registry import (
 import repro.compile.stages  # noqa: F401 — registers the built-in compilers
 from repro.errors import CompilationError
 from repro.etl.model import Job
-from repro.exec.parallel import graph_waves, max_wavefront
 from repro.intermediate import IntermediateGraph, from_job
 from repro.obs import NULL_OBS, Observability
 from repro.ohm.graph import OhmGraph
@@ -115,11 +114,7 @@ def compile_intermediate(
                 "compile.phase.cleanup.seconds"
             ):
                 cleanup_pass(ohm, obs=obs)
-        # the widest topological wave bounds the stage-level speedup the
-        # parallel tier can extract from this graph (docs/execution-model.md)
-        width = max_wavefront(graph_waves(ohm))
-        metrics.gauge("compile.graph.max_wavefront", width)
-        job_span.set(operators=len(ohm.operators), max_wavefront=width)
+        job_span.set(operators=len(ohm.operators))
     return ohm
 
 

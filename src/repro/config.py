@@ -1,7 +1,7 @@
 """repro.config — the options table.
 
 Everything about a run that is not the plan or the data is one of the
-thirteen rows of :data:`OPTIONS`, and a row's value is found one way:
+eight rows of :data:`OPTIONS`, and a row's value is found one way:
 
     explicit keyword  >  ``overriding(...)``  >  ``REPRO_*`` variable  >  default
 
@@ -27,7 +27,6 @@ from typing import (
     Dict,
     Iterator,
     NamedTuple,
-    Optional,
     Tuple,
 )
 
@@ -40,19 +39,14 @@ FALSE_VALUES = ("0", "false", "no", "off")
 #: tuple; ``repro.resilience.POLICIES`` re-exports it).
 ERROR_POLICIES = ("fail_fast", "skip", "reject")
 
-#: the execution-tier modes an engine's ``mode`` keyword accepts.
-MODES = ("rows", "block", "parallel", "auto")
-
 
 class Option(NamedTuple):
     """One row of :data:`OPTIONS`."""
 
     #: ``(variable, parser)`` pairs, read in order. A parser takes the
     #: stripped, non-empty string and returns a candidate value (which
-    #: ``check`` then vets), or ``None`` when the string says nothing
-    #: about *this* option — ``REPRO_PARALLEL=1`` switches the
-    #: wavefront on and leaves the worker count alone. It raises
-    #: ``ValueError`` on a string it cannot read.
+    #: ``check`` then vets); it raises ``ValueError`` on a string it
+    #: cannot read.
     env: Tuple[Tuple[str, Callable[[str], Any]], ...]
     #: normalises a keyword, an override or a parsed variable;
     #: ``ValueError`` or ``ValidationError`` on a value out of range.
@@ -72,16 +66,6 @@ class Option(NamedTuple):
 def parse_bool(raw: str) -> bool:
     """'0'/'false'/'no'/'off' (any case) are False; anything else True."""
     return raw.strip().lower() not in FALSE_VALUES
-
-
-def _count_in_switch(raw: str) -> Optional[int]:
-    """The count an on/off variable may also carry: ``REPRO_PARALLEL=4``
-    is "on, 4 workers"; ``1``, ``0`` and words only switch."""
-    try:
-        count = int(raw)
-    except ValueError:
-        return None
-    return count if count > 1 else None
 
 
 def _at_least(minimum: int) -> Callable[[Any], int]:
@@ -112,38 +96,14 @@ def check_policy(policy: str) -> str:
     return policy
 
 
-def check_mode(mode: str) -> str:
-    """Validate an execution-tier mode name."""
-    if mode not in MODES:
-        raise ValidationError(
-            f"unknown execution mode {mode!r}; expected one of {MODES}"
-        )
-    return mode
-
-
 # -- the table ----------------------------------------------------------------
 
 _SWITCH = "on or off (0/false/no/off are off, anything else on)"
 
 OPTIONS: Dict[str, Option] = {
-    # lower expressions through the compiler; off is the tree-walking
-    # oracle
+    # the one compiled tier (fused selection-vector chains over block
+    # kernels); off is the copy-and-validate tree-walking oracle
     "compiled": Option((("REPRO_COMPILED", parse_bool),), bool, _SWITCH, True),
-    # block (columnar) kernels; needs ``compiled``. On: with ``fused``,
-    # an engine built with no tier keyword runs the fused block tier
-    "batched": Option((("REPRO_BATCH", parse_bool),), bool, _SWITCH, True),
-    # leave the block operators' selection-vector chains lazy across
-    # operator boundaries; needs ``batched``
-    "fused": Option((("REPRO_FUSE", parse_bool),), bool, _SWITCH, True),
-    # wavefront scheduling: independent nodes of a topological wave
-    # compute on a worker pool
-    "parallel": Option((("REPRO_PARALLEL", parse_bool),), bool, _SWITCH, False),
-    # pool size; 1 is serial. The default is the machine's cores clamped
-    # to [2, 8], so ``parallel=True`` alone always means real fan-out.
-    "workers": Option(
-        (("REPRO_WORKERS", int), ("REPRO_PARALLEL", _count_in_switch)),
-        _at_least(1), ">= 1", max(2, min(8, os.cpu_count() or 1)), ValueError,
-    ),
     # run-level row error policy
     "on_error": Option(
         (("REPRO_ON_ERROR", str.lower),),
@@ -156,11 +116,6 @@ OPTIONS: Dict[str, Option] = {
     # where the ETL engine snapshots completed stages; unset is off
     "checkpoint_dir": Option(
         (("REPRO_CHECKPOINT_DIR", str),), str, "a directory path", None
-    ),
-    # pin the tier; ``auto`` names the default one (block kernels,
-    # ``fused`` as set); unset keeps the flags above
-    "mode": Option(
-        (("REPRO_MODE", str.lower),), check_mode, f"one of {MODES}", None
     ),
     # wall-clock budget of a supervised run; unset is unbounded
     "deadline": Option(
@@ -211,9 +166,7 @@ def _from_env(option: Option) -> Any:
         if not raw:
             continue
         try:
-            value = parse(raw)
-            if value is not None:
-                return option.check(value)
+            return option.check(parse(raw))
         except (ValueError, ValidationError):
             raise ValidationError(
                 f"{variable} must be {option.accepts}, got {raw!r}"
@@ -277,10 +230,8 @@ def snapshot() -> Dict[str, Any]:
 __all__ = [
     "ERROR_POLICIES",
     "FALSE_VALUES",
-    "MODES",
     "OPTIONS",
     "Option",
-    "check_mode",
     "check_policy",
     "overriding",
     "parse_bool",

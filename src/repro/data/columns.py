@@ -40,7 +40,7 @@ def column_classes(col: Iterable[object]) -> Set[type]:
     """The classes of ``col``'s non-NULL cells — exact classes, so a
     subclass is never taken for its base. One pass in C; what it proves
     of a whole column is what a per-cell ``isinstance`` chain would
-    otherwise test cell by cell (here, and inside the block tier)."""
+    otherwise test cell by cell (here, and inside the block kernels)."""
     classes: Set[type] = set(map(type, col))
     classes.discard(_NONE)
     return classes

@@ -12,7 +12,7 @@ mapping extraction uses: a composed (partial) mapping *is* a single-block
 SELECT — sources = FROM, where = WHERE, group-by = GROUP BY, derivations
 = the select list; several mappings sharing a target become UNION ALL
 branches. The paper's DB2 is substituted by Python's bundled sqlite3
-(see DESIGN.md), which executes the generated statements so pushdown
+(see PAPER.md), which executes the generated statements so pushdown
 plans can be verified end-to-end.
 """
 

@@ -216,7 +216,7 @@ class RunCancelled(OrchidError):
     """A supervised run was cancelled before completing.
 
     Raised cooperatively by :class:`repro.supervision.RunSupervisor`
-    at stage/wave/chain boundaries when the run's deadline elapses (or
+    at stage/operator boundaries when the run's deadline elapses (or
     :meth:`cancel` was called). Carries enough context to resume:
 
     :ivar reason: ``"deadline"`` | ``"cancelled"``.

@@ -15,7 +15,7 @@ additionally records them into the shared metrics registry
 
 The engine is an adapter over the shared run harness
 (:mod:`repro.exec.run`: option resolution, degradation ladder,
-supervised wavefront scheduler — ``docs/execution-model.md``). What is
+supervised topological loop — ``docs/execution-model.md``). What is
 the ETL runtime's own lives here (``docs/robustness.md``):
 
 * source/target endpoints, retried under a
@@ -37,7 +37,7 @@ from repro.data.dataset import Dataset, Instance
 from repro.errors import ExecutionError
 from repro.etl.model import Job
 from repro.etl.stages.access import TableSource, TableTarget
-from repro.exec.run import Runtime, run_waves, start_run
+from repro.exec.run import Runtime, run_nodes, start_run
 from repro.obs import Observability
 from repro.resilience import ErrorContext, RejectedRow, rejects_dataset
 
@@ -151,7 +151,7 @@ class EtlEngine(Runtime):
         job.propagate_schemas()
         run = _JobRun(self, job, instance, ladder)
         with self._obs.tracer.span("etl.run", job=job.name):
-            run_waves(job.topological_order(), run, self.options)
+            run_nodes(job.topological_order(), run, self.options)
         if self.checkpoint is not None:
             self.checkpoint.clear(job)
         if self.catalog is not None:
@@ -189,11 +189,9 @@ class _StageState:
 
 
 class _JobRun:
-    """One run of one job: its stages as the scheduler's nodes
+    """One run of one job: its stages as the loop's nodes
     (:class:`repro.exec.run.Nodes`), plus the run-scoped state their
     bookkeeping fills — never the engine's."""
-
-    unit = "stages"
 
     def __init__(self, engine: EtlEngine, job: Job, instance: Instance, ladder):
         self.engine = engine
@@ -207,12 +205,6 @@ class _JobRun:
         self.link_data: Dict[str, Dataset] = {}
         checkpoint = engine.checkpoint
         self.frontier = checkpoint.load_frontier(job) if checkpoint else {}
-
-    def key(self, stage):
-        return stage.uid
-
-    def parents(self, stage):
-        return (e.src for e in self.job.in_edges(stage.uid))
 
     def name(self, stage) -> str:
         return stage.name

@@ -239,7 +239,7 @@ class SwitchStage(Stage):
             )
             survivors = sum(len(indices) for indices in routed)
             results = [
-                planner.materialize_fused(rel, chain.narrow(indices))
+                Dataset.adopt_fused(rel, chain.narrow(indices))
                 for indices, rel in zip(routed, out_relations)
             ]
             fuse.fused_op(chain, survivors)
@@ -380,7 +380,7 @@ class PeekStage(Stage):
             self.peeked = chain.head_rows(
                 self.sample, data.relation.attribute_names
             )
-            return [planner.materialize_fused(out_relations[0], chain)]
+            return [Dataset.adopt_fused(out_relations[0], chain)]
         self.peeked = [dict(r) for r in data.rows[: self.sample]]
         return [
             Dataset(out_relations[0], [dict(r) for r in data], validate=False)

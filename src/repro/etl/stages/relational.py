@@ -232,7 +232,7 @@ class LookupStage(Stage):
         stream, reference = inputs
         planner = planner or ExpressionPlanner(registry)
         returned = self._returned(reference.relation)
-        if planner.batched:
+        if planner.compiled:
             enriched = block.lookup_block(
                 stream.as_block(),
                 reference.as_block(),
@@ -397,11 +397,10 @@ class SortStage(Stage):
                 chain.view([col for col, _direction in self.keys]),
                 self.keys,
                 obs,
-                gathered=not planner.fused,
             )
             fuse.fused_op(chain, chain.length)
             return [
-                planner.materialize_fused(out_relations[0], chain.narrow(order))
+                Dataset.adopt_fused(out_relations[0], chain.narrow(order))
             ]
         rows = kernels.sort_rows(data.rows, self.keys, obs=obs)
         return [planner.materialize(out_relations[0], rows, fresh=True)]
@@ -459,7 +458,7 @@ class RemoveDuplicatesStage(Stage):
             )
             fuse.fused_op(chain, len(survivors))
             return [
-                planner.materialize_fused(
+                Dataset.adopt_fused(
                     out_relations[0], chain.narrow(survivors)
                 )
             ]

@@ -230,8 +230,8 @@ class Transformer(Stage):
         ]
 
     def _execute_chain(self, data, out_relations, planner, obs):
-        """Columnar execution, or ``None`` when the planner is not
-        batched or any stage variable, constraint, or derivation cannot
+        """Columnar execution, or ``None`` when the planner is the
+        oracle or any stage variable, constraint, or derivation cannot
         be lowered column-wise (all or nothing per stage).
 
         The environment is a handle overlay on the chain mirroring the
@@ -286,7 +286,7 @@ class Transformer(Stage):
             env.view(fuse.read_set(constraints, resolve)), specs, obs=obs
         )
         results = [
-            planner.materialize_fused(rel, project(env.narrow(indices)))
+            Dataset.adopt_fused(rel, project(env.narrow(indices)))
             for project, indices, rel in zip(projections, routed, out_relations)
         ]
         fuse.fused_op(chain, sum(map(len, routed)))
@@ -380,7 +380,7 @@ class Modify(Stage):
             old_of[new_name] = attr.name
 
         def columnar():
-            if not planner.batched:
+            if not planner.compiled:
                 return None
             blk = data.as_block()
             columns = {}
@@ -474,7 +474,7 @@ class SurrogateKey(Stage):
             generated = list(range(self.start, self.start + chain.length))
             out = chain.with_handles({self.generated_column: generated})
             fuse.fused_op(chain)
-            return [planner.materialize_fused(out_relations[0], out)]
+            return [Dataset.adopt_fused(out_relations[0], out)]
         result = Dataset(out_relations[0], validate=False)
         for i, row in enumerate(data):
             new_row = dict(row)

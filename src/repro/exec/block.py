@@ -357,14 +357,12 @@ def sort_permutation(
     block: RowBlock,
     keys: Sequence[Tuple[str, str]],
     obs=None,
-    gathered: bool = True,
 ) -> List[int]:
     """The row order of a stable multi-key sort of ``block`` (which need
     hold only the key columns), as indices: repeated stable index sorts
     right-to-left, exactly the row kernel's strategy, so the
-    permutation is identical. The caller narrows its chain by it;
-    ``exec.block.sort.*`` counts the sorts ``gathered`` at once (the
-    block tier's), as it always has.
+    permutation is identical. The caller narrows its chain by it, and
+    the chain books the sort as one more fused operator.
 
     Above an active memory budget the sort buffer is spilled instead:
     the same permutation is computed by external merge over
@@ -397,8 +395,6 @@ def sort_permutation(
             descending = direction == "desc"
             decorated = sort_column(block.columns[col_name], descending)
             indices.sort(key=decorated.__getitem__, reverse=descending)
-    if gathered:
-        _observe_block(obs, "sort", 1, 1, block.length, block.length)
     return indices
 
 

@@ -7,7 +7,7 @@ node dispatch, registry lookups, and name resolution happen once per
 operator. It is the one expression compiler; nothing else lowers.
 
 What is left per row depends on what the operand columns hold, by the
-rule of ``docs/execution-model.md`` ("Inside the block tier"): **prove
+rule of ``docs/execution-model.md`` ("Inside the compiled tier"): **prove
 it for the column, or run the per-cell loop.** The evaluator's checks
 (``_check_comparable``, ``_is_number``, ``isinstance(value, str)``) ask
 a cell for its class, so one sweep over a column's classes

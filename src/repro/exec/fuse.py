@@ -21,28 +21,20 @@ carries a *selection vector* alongside the original source block, so
 * columns are gathered at the chain's materialization point, and only
   the ones the consumer actually reads.
 
-Every batched operator is written against a chain, once. Where the
-chain is materialized is the planner's decision
-(:meth:`repro.exec.ExpressionPlanner.materialize_fused`): the *block*
-tier gathers it at every operator boundary, so each operator hands a
-plain block-backed dataset downstream; the *fused* tier leaves it lazy
-inside a :class:`~repro.data.dataset.Dataset` (``Dataset.adopt_fused``)
-until a consumer needs a real block (a join build side, the row path,
-``.rows``) — such operators are *chain breakers*, and a new chain starts
-after them.
+Every compiled operator is written against a chain, once, and hands it
+on lazily inside a :class:`~repro.data.dataset.Dataset`
+(``Dataset.adopt_fused``) until a consumer needs a real block (a join
+build side, the row path, ``.rows``) — such operators are *chain
+breakers*, and a new chain starts after them.
 
-Observability (fused tier only — a gathering planner opens its chains
-unobserved): ``exec.fuse.chains`` counts chains with at least one fused
-operator, ``exec.fuse.operators`` the operators fused into them, and
-``exec.fuse.intermediate_rows_avoided`` the rows that were *not* copied
-into an intermediate block at an operator boundary. The
-``exec.fuse.chain`` span wraps each chain's materialization gather
-(suppressed inside parallel worker threads, where the tracer's span
-stack is not available).
+Observability: ``exec.fuse.chains`` counts chains with at least one
+fused operator, ``exec.fuse.operators`` the operators fused into them,
+and ``exec.fuse.intermediate_rows_avoided`` the rows that were *not*
+copied into an intermediate block at an operator boundary. The
+``exec.fuse.chain`` span wraps each chain's materialization gather.
 
-Everything here is deliberately import-light: only the block container
-and the worker-thread flag, so :mod:`repro.exec` can re-export the
-module without cycles.
+Everything here is deliberately import-light: only the block container,
+so :mod:`repro.exec` can re-export the module without cycles.
 """
 
 from __future__ import annotations
@@ -50,7 +42,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.exec.block import RowBlock
-from repro.exec.parallel import _in_worker
 
 #: a handle payload: a key into the base block's columns (lazy — gather
 #: deferred to materialization), or a list already aligned to the
@@ -319,23 +310,15 @@ def materialize_fused(
     ``names`` columns (default: every handle) through the selection.
     With ``fill_missing``, names without a handle become NULL columns
     (trusted target delivery semantics). Emits the ``exec.fuse.chain``
-    span around the gather — except inside parallel worker threads,
-    where only the (locked) metrics registry is thread-safe."""
+    span around the gather."""
     names = chain.names if names is None else list(names)
     obs = chain.obs
-    span = None
-    if (
-        obs is not None
-        and obs.enabled
-        and not getattr(_in_worker, "active", False)
+    if obs is None or not obs.enabled:
+        return _gather(chain, names, fill_missing)
+    with obs.tracer.span(
+        "exec.fuse.chain", operators=chain.ops, rows=chain.length
     ):
-        span = obs.tracer.span(
-            "exec.fuse.chain", operators=chain.ops, rows=chain.length
-        )
-    if span is not None:
-        with span:
-            return _gather(chain, names, fill_missing)
-    return _gather(chain, names, fill_missing)
+        return _gather(chain, names, fill_missing)
 
 
 def _gather(

@@ -57,7 +57,7 @@ def columnar_or_rows(
 ) -> T:
     """An operator's columnar body, else its row body at the same
     planner. ``columnar()`` returns ``None`` when it cannot run (the
-    planner is not batched, or an expression does not lower).
+    planner is the oracle, or an expression does not lower).
 
     A columnar body evaluates whole columns, so one bad row (a division
     by zero) fails the whole kernel. Under a skip/reject policy that
@@ -131,7 +131,7 @@ def route(
             child = chain.narrow(indices)
             if columns is not None:
                 child = child.project(columns)
-            results.append(planner.materialize_fused(rel, child))
+            results.append(Dataset.adopt_fused(rel, child))
         return results
 
     def rows() -> List[Dataset]:
@@ -235,7 +235,7 @@ def derive(
         if project is None:
             return None
         fuse.fused_op(chain, chain.length)
-        return planner.materialize_fused(out, project(chain))
+        return Dataset.adopt_fused(out, project(chain))
 
     def rows() -> Dataset:
         projected = kernels.project_rows(
@@ -301,7 +301,7 @@ def join(
     policy absorbs a row's expression error."""
 
     def columnar() -> Optional[Dataset]:
-        if not planner.batched:
+        if not planner.compiled:
             return None
         joined = block.hash_join_block(
             left.as_block(),
@@ -415,9 +415,9 @@ def union(
 ) -> Dataset:
     """Bag union of ``inputs`` projected onto ``out``'s columns;
     ``distinct`` keeps the first occurrence of each row (NULLs equal).
-    A chain breaker: batched, every input is gathered."""
+    A chain breaker: compiled, every input is gathered."""
     names = out.attribute_names
-    if planner.batched:
+    if planner.compiled:
         merged = block.union_block(
             [data.as_block() for data in inputs],
             names,
@@ -443,7 +443,7 @@ def fan_out(
     chain = planner.fused_chain(data, obs)
     if chain is not None:
         copies = [
-            planner.materialize_fused(
+            Dataset.adopt_fused(
                 out, chain.project([(n, n) for n in out.attribute_names])
             )
             for out in outs

@@ -8,11 +8,11 @@ about a run is written here once:
 
 * :class:`RunOptions` — every engine keyword, resolved exactly once
   through :mod:`repro.config`;
-* :class:`TierLadder` — the degradation ladder: the run's tier, then
-  the interpreting oracle, pinned to its tier;
-* :func:`start_run` and :func:`run_waves` — the pre-run check,
-  supervision and the serial/wavefront scheduler over the
-  :class:`Nodes` protocol.
+* :class:`TierLadder` — the degradation ladder: the compiled tier,
+  then the interpreting oracle;
+* :func:`start_run` and :func:`run_nodes` — the pre-run check,
+  supervision and the topological loop over the :class:`Nodes`
+  protocol.
 
 ``docs/execution-model.md`` ("The run harness") is the description.
 The runtimes import this module directly: ``repro.exec`` does not load
@@ -22,12 +22,11 @@ codec imports the ETL stages, which import ``repro.exec``.
 
 from __future__ import annotations
 
+import warnings
 from time import perf_counter
 from typing import (
     Any,
     Callable,
-    Hashable,
-    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -39,8 +38,7 @@ from typing import (
 
 from repro import config
 from repro.errors import STATIC_ERRORS, RunCancelled
-from repro.exec import ExpressionPlanner, Tier, degrade_counter, resolve_tier
-from repro.exec.parallel import WorkerPool, WorkerUnavailable, topological_waves
+from repro.exec import ExpressionPlanner
 from repro.expr.functions import FunctionRegistry
 from repro.obs import NULL_OBS, Observability
 from repro.resilience import (
@@ -65,6 +63,15 @@ T = TypeVar("T")
 #: ETL engine); the OHM and mapping runtimes reject them as unknown.
 ENDPOINT_OPTIONS = ("retry", "checkpoint", "breaker")
 
+#: the keywords of the tiers that are gone. The benchmark harness
+#: (``benchmarks/harness``) still passes them, so an engine drops each
+#: with a DeprecationWarning instead of a TypeError; nothing reads them.
+RETIRED_KEYWORDS = ("batched", "fused", "parallel", "workers", "mode")
+
+#: what the ladder books when a node falls from the compiled tier to
+#: the oracle, its one lower rung.
+DEGRADE_COUNTER = "exec.degrade.fused_to_oracle"
+
 #: failures the ladder never retries: a cancellation is not a tier
 #: failure, and a plan defect fails identically at every tier —
 #: degrading would only bury the diagnosis under tier noise
@@ -84,23 +91,9 @@ class RunOptions(NamedTuple):
 
     #: spans and metrics sink (the no-op bundle when none was given).
     obs: Observability
-    #: allow the compiled tiers: column kernels, trusted
-    #: materialization (``False``: the interpreting oracle).
+    #: the compiled tier: fused column kernels, trusted materialization
+    #: (``False``: the interpreting oracle).
     compiled: bool
-    #: route block-capable nodes through the columnar kernels (needs the
-    #: compiler; nodes fall back per operator). The default.
-    batched: bool
-    #: leave batched operators' selection-vector chains lazy across
-    #: operator boundaries instead of gathering at each.
-    fused: bool
-    #: wavefront scheduling: independent nodes of one topological level
-    #: compute concurrently on a worker pool.
-    parallel: bool
-    workers: int
-    #: "rows"/"block"/"parallel" pin the tier, "auto" names the default
-    #: one (block kernels; the scheduler still follows ``parallel``),
-    #: None keeps the flags above.
-    mode: Optional[str]
     #: run-level row error policy (a node may override it).
     on_error: str
     #: retry on the oracle rung of the :class:`TierLadder` after a tier
@@ -128,25 +121,30 @@ class RunOptions(NamedTuple):
         """Resolve engine keywords (``None`` or absent: the process
         default). ``endpoints=False`` is a runtime without sources and
         targets of its own: :data:`ENDPOINT_OPTIONS` are then unknown
-        keywords, and an unknown keyword is a ``TypeError``."""
+        keywords, and an unknown keyword is a ``TypeError`` — except a
+        :data:`RETIRED_KEYWORDS` one, dropped with a warning."""
         known = set(cls._fields)
         if not endpoints:
             known.difference_update(ENDPOINT_OPTIONS)
         for name in kwargs:
-            if name not in known:
+            if name in RETIRED_KEYWORDS:
+                warnings.warn(
+                    f"{name!r} selected an execution tier that is gone; "
+                    "it is ignored (the compiled tier runs unless "
+                    "compiled=False)",
+                    DeprecationWarning,
+                    stacklevel=4,
+                )
+            elif name not in known:
                 raise TypeError(f"unexpected keyword argument {name!r}")
         get = kwargs.get
         obs = get("obs") or NULL_OBS
-        tier = resolve_tier(
-            get("compiled"), get("batched"), get("fused"), get("parallel"),
-            get("workers"), get("mode"),
-        )
         supervisor = resolve_supervisor(
             get("supervisor"), get("deadline"), obs=obs
         )
         return cls(
             obs=obs,
-            **tier._asdict(),
+            compiled=config.resolve("compiled", get("compiled")),
             on_error=config.resolve("on_error", get("on_error")),
             degrade=bool(get("degrade", True)),
             catalog=get("catalog"),
@@ -161,16 +159,12 @@ class RunOptions(NamedTuple):
 
     def planner(self, registry: Optional[FunctionRegistry]) -> ExpressionPlanner:
         """The planner of one run, at this engine's resolved tier."""
-        tier = Tier(
-            self.compiled, self.batched, self.fused, self.parallel,
-            self.workers, self.mode,
-        )
-        return ExpressionPlanner.at(registry, tier)
+        return ExpressionPlanner(registry, self.compiled)
 
 
 class Runtime:
     """Base of the three runtimes: holds the resolved :class:`RunOptions`
-    and exposes each one as a read-only attribute (``engine.batched``,
+    and exposes each one as a read-only attribute (``engine.compiled``,
     ``engine.checkpoint``, …) with its constructor-time meaning — a run
     never writes engine state it would have to undo."""
 
@@ -198,15 +192,12 @@ class TierLadder:
     operator absorbs it, :func:`repro.exec.ops.columnar_or_rows`), so
     what falls here is a tier failure: an injected fault or a kernel
     bug. The retry runs on the one body that shares no lowering with
-    any compiled tier, pinned to its tier, so no process default
-    (``REPRO_MODE``, ``REPRO_BATCH``, ``REPRO_FUSE`` …) can turn it back
-    into a compiled one."""
+    the compiled tier."""
 
     def __init__(self, planner: ExpressionPlanner, options: RunOptions) -> None:
         self.rungs: List[ExpressionPlanner] = [planner]
         if options.degrade and planner.compiled:
-            oracle = Tier(False, False, False, False, options.workers, "rows")
-            self.rungs.append(ExpressionPlanner.at(planner.registry, oracle))
+            self.rungs.append(ExpressionPlanner(planner.registry, False))
 
     def attempt(
         self,
@@ -228,27 +219,13 @@ class TierLadder:
         except Exception:  # noqa: BLE001 — the ladder decides
             if len(self.rungs) == 1:
                 raise
-        metrics.count(degrade_counter(top))
+        metrics.count(DEGRADE_COUNTER)
         ctx.reset()
         return fn(self.rungs[1])
 
 
 class Nodes(Protocol):
-    """What a runtime tells the scheduler about one run's plan.
-
-    ``prepare`` and ``book`` run on the calling thread, in topological
-    order; ``compute`` must be pure (no spans, no shared-state writes —
-    the metrics registry is internally locked) because a wavefront runs
-    it on a worker thread."""
-
-    #: what a node is called in the ``exec.parallel.wave`` span.
-    unit: str
-
-    def key(self, node: Any) -> Hashable:
-        """The node's identity for wave splitting."""
-
-    def parents(self, node: Any) -> Iterable[Hashable]:
-        """Keys of the nodes whose outputs this one reads."""
+    """What a runtime tells the loop about one run's plan."""
 
     def name(self, node: Any) -> str:
         """The node's name at supervisor checks and in the committed
@@ -270,10 +247,10 @@ class Nodes(Protocol):
         result: Optional[Callable[[], Tuple[Any, float]]],
     ) -> None:
         """Publish the node: open the runtime's own span, take
-        ``(outputs, seconds)`` from ``result()`` inside it (serially
-        that *is* the compute, so kernel spans nest under the node's),
-        wire the outputs to later nodes. ``result`` is None exactly
-        when ``prepare`` returned no context."""
+        ``(outputs, seconds)`` from ``result()`` inside it (that *is*
+        the compute, so kernel spans nest under the node's), wire the
+        outputs to later nodes. ``result`` is None exactly when
+        ``prepare`` returned no context."""
 
 
 def start_run(
@@ -293,38 +270,25 @@ def start_run(
     return TierLadder(options.planner(registry), options)
 
 
-def run_waves(
+def run_nodes(
     order: Sequence[Any],
     nodes: Nodes,
     options: RunOptions,
 ) -> None:
-    """Run topologically ordered ``order`` to completion under the
-    run's supervisor and memory budget: serially, or — when the run is
-    parallel — wave by wave, a wave of two or more mutually independent
-    nodes computing on a pool of ``options.workers`` workers."""
+    """Run topologically ordered ``order`` to completion, one node at a
+    time, under the run's supervisor and memory budget."""
     supervisor = options.supervisor
-    waves: Sequence[Sequence[Any]] = [order]
-    pool: Optional[WorkerPool] = None
-    if options.parallel:
-        waves = topological_waves(order, nodes.key, nodes.parents)
-        pool = WorkerPool(options.workers)
     with governed(options.memory_budget):
-        for wave in waves:
+        for node in order:
+            name = nodes.name(node)
             if supervisor is not None:
-                supervisor.check("wave")
-            if pool is not None and len(wave) >= 2:
-                _run_wave(wave, nodes, options, pool)
-                continue
-            for node in wave:
-                name = nodes.name(node)
-                if supervisor is not None:
-                    supervisor.check(name)
-                ctx, state = nodes.prepare(node)
-                nodes.book(
-                    node, state, None if ctx is None else _timed(nodes, node, state)
-                )
-                if supervisor is not None:
-                    supervisor.committed(name)
+                supervisor.check(name)
+            ctx, state = nodes.prepare(node)
+            nodes.book(
+                node, state, None if ctx is None else _timed(nodes, node, state)
+            )
+            if supervisor is not None:
+                supervisor.committed(name)
 
 
 def _timed(nodes: Nodes, node: Any, state: Any) -> Callable[[], Tuple[Any, float]]:
@@ -338,55 +302,14 @@ def _timed(nodes: Nodes, node: Any, state: Any) -> Callable[[], Tuple[Any, float
     return run
 
 
-def _run_wave(
-    wave: Sequence[Any], nodes: Nodes, options: RunOptions, pool: WorkerPool
-) -> None:
-    """One wave on the pool. Compute fans out to workers; bookkeeping
-    replays on this thread in topological order, so results, reject
-    routing and checkpoints are byte-identical to a serial run. An
-    unavailable worker recomputes its node inline
-    (``exec.degrade.parallel_to_serial``); a genuine node error
-    propagates exactly as the serial loop's would. The supervisor guards
-    each task, so once a run is cancelled the still-queued tasks
-    short-circuit while in-flight ones drain — the pool joins every
-    future before bookkeeping replays."""
-    supervisor = options.supervisor
-    metrics = options.obs.metrics
-    prepared = [(node, *nodes.prepare(node)) for node in wave]
-    tasks = [
-        _timed(nodes, node, state)
-        for node, ctx, state in prepared
-        if ctx is not None
-    ]
-    guard = (lambda fn: fn) if supervisor is None else supervisor.guard
-    finished = zip(tasks, pool.run_all([guard(task) for task in tasks]))
-    metrics.count("exec.parallel.waves")
-    metrics.count("exec.parallel.tasks", len(tasks))
-    with options.obs.tracer.span(
-        "exec.parallel.wave", **{nodes.unit: len(wave)}, workers=pool.workers
-    ):
-        for node, ctx, state in prepared:
-            if ctx is None:
-                nodes.book(node, state, None)
-            else:
-                task, (error, timed) = next(finished)
-                if isinstance(error, WorkerUnavailable):
-                    metrics.count("exec.degrade.parallel_to_serial")
-                    ctx.reset()
-                    timed = task()
-                elif error is not None:
-                    raise error
-                nodes.book(node, state, lambda: timed)  # noqa: B023 — called now
-            if supervisor is not None:
-                supervisor.committed(nodes.name(node))
-
-
 __all__ = [
+    "DEGRADE_COUNTER",
     "ENDPOINT_OPTIONS",
     "Nodes",
+    "RETIRED_KEYWORDS",
     "RunOptions",
     "Runtime",
     "TierLadder",
-    "run_waves",
+    "run_nodes",
     "start_run",
 ]

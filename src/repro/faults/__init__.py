@@ -50,7 +50,7 @@ from repro.exec import set_kernel_fault_hook
 
 #: the fault labels a kernel fault can target (see
 #: ExpressionPlanner._faulted): "block" wraps the column functions a
-#: chain runs, fused or gathered; "compiled" / "oracle" wrap the row
+#: chain runs; "compiled" / "oracle" wrap the row
 #: closures of a compiled planner / of the interpreting oracle — the
 #: ladder's two rungs are "block" or "compiled" above "oracle"
 TIERS = ("block", "compiled", "oracle")

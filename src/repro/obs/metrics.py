@@ -72,7 +72,7 @@ class Metrics:
         self.gauges: Dict[str, float] = {}
         # name -> [observation count, total seconds]
         self._timers: Dict[str, List[float]] = {}
-        # parallel wavefronts record from worker threads; a lock keeps
+        # one registry may serve runs on several threads; a lock keeps
         # read-modify-write accumulation exact
         self._lock = Lock()
 

@@ -10,15 +10,14 @@ Every operator but SOURCE and UNKNOWN is one call into
 :mod:`repro.exec.ops`, the bodies the ETL stages run too; expressions
 are lowered once per operator by an
 :class:`~repro.exec.ExpressionPlanner` (pass ``compiled=False`` to fall
-back to the tree-walking interpreter, the semantic oracle). Batched,
-FILTER, PROJECT, SPLIT and GROUP are written against a selection-vector
+back to the tree-walking interpreter, the semantic oracle). On the
+compiled tier FILTER, PROJECT, SPLIT and GROUP run a selection-vector
 chain (:mod:`repro.exec.fuse`) — filters narrow an index list,
 projections rename or compute handles — each falling back to the row
-kernels whenever an expression cannot be lowered. The chain is gathered
-into a block at every operator boundary, or with ``fused`` on top
-(default on) stays lazy until a GROUP terminal, a chain breaker (JOIN,
-UNION, and NEST / UNNEST, row-shaped at every tier) or TARGET delivery,
-which gathers only the target's columns.
+kernels whenever an expression cannot be lowered. The chain stays lazy
+until a GROUP terminal, a chain breaker (JOIN, UNION, and NEST /
+UNNEST, row-shaped at every tier) or TARGET delivery, which gathers
+only the target's columns.
 
 Conventions:
 
@@ -40,7 +39,7 @@ the per-kernel ``exec.kernel.*`` / ``exec.block.*`` row counts.
 
 The executor is an adapter over the shared run harness
 (:mod:`repro.exec.run`: option resolution, degradation ladder,
-supervised wavefront scheduler — ``docs/execution-model.md``); what it
+supervised topological loop — ``docs/execution-model.md``); what it
 owns is the per-operator dispatch below. An ``on_error`` policy
 (``docs/robustness.md``) absorbs row-level expression errors in FILTER,
 PROJECT, JOIN, GROUP's aggregate arguments and TARGET delivery, at
@@ -57,7 +56,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.data.dataset import Dataset, Instance
 from repro.errors import ExecutionError, SchemaError
 from repro.exec import ExpressionPlanner, ops
-from repro.exec.run import Runtime, run_waves, start_run
+from repro.exec.run import Runtime, run_nodes, start_run
 from repro.expr.functions import DEFAULT_REGISTRY, FunctionRegistry
 from repro.obs import Observability
 from repro.ohm.graph import OhmGraph
@@ -261,7 +260,7 @@ class OhmExecutor(Runtime):
         runs on the mapping set, then runs the lowered graph here)."""
         run = _GraphRun(self, graph, instance, ladder)
         with self._obs.tracer.span("ohm.run", graph=graph.name):
-            run_waves(graph.topological_order(), run, self.options)
+            run_nodes(graph.topological_order(), run, self.options)
         if self.catalog is not None:
             # close the feedback loop: the next estimate_graph over the
             # same edge names re-plans from these actuals
@@ -289,11 +288,9 @@ def _adopt_output(op: Unknown, out: Relation, produced) -> Dataset:
 
 
 class _GraphRun:
-    """One run of one graph: its operators as the scheduler's nodes
+    """One run of one graph: its operators as the loop's nodes
     (:class:`repro.exec.run.Nodes`), plus the run-scoped state their
     bookkeeping fills — never the executor's."""
-
-    unit = "operators"
 
     def __init__(self, executor: OhmExecutor, graph: OhmGraph, instance, ladder):
         self.executor = executor
@@ -306,13 +303,8 @@ class _GraphRun:
         self.edge_data: Dict[str, Dataset] = {}
         self.rejected: List[RejectedRow] = []
 
-    def key(self, op):
+    def name(self, op):
         return op.uid
-
-    def parents(self, op):
-        return (e.src for e in self.graph.in_edges(op.uid))
-
-    name = key
 
     def prepare(self, op):
         inputs = [

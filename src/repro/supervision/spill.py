@@ -196,7 +196,7 @@ def external_sort_indices(
 ) -> List[int]:
     """The sorted index permutation of ``range(n)`` under ``key_of``
     (a composite key per row index), computed in budget-sized runs.
-    Used by the block tier, which gathers once with the permutation."""
+    Used by the compiled tier, which narrows its chain by the permutation."""
     run_rows = budget.max_rows
     with tempfile.TemporaryDirectory(prefix="repro-spill-sort-") as tmp:
         run_paths: List[str] = []

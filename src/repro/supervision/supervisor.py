@@ -1,7 +1,7 @@
 """Run supervision: wall-clock budgets and cooperative cancellation.
 
 A :class:`RunSupervisor` is the per-run authority on "should this run
-keep going". The engines thread one through their stage/wave/chain
+keep going". The engines thread one through their stage/operator
 loops and call :meth:`RunSupervisor.check` at every boundary; when the
 run's :class:`Budget` deadline elapses (or :meth:`RunSupervisor.cancel`
 was called from another thread) the next check raises a structured
@@ -9,11 +9,8 @@ was called from another thread) the next check raises a structured
 stages/operators whose outputs were already committed — with a
 checkpoint store configured, exactly the resume point.
 
-Cancellation is *cooperative*: nothing is killed mid-kernel. Parallel
-waves drain — :meth:`RunSupervisor.guard` wraps worker tasks so queued
-tasks short-circuit once the run is cancelled, while tasks already in
-flight run to completion and the worker pool joins every future before
-the engine re-checks at the wave boundary (no leaked futures).
+Cancellation is *cooperative*: nothing is killed mid-kernel; the node
+in flight runs to completion and the run stops at the next boundary.
 
 The deadline is the ``deadline`` option of :mod:`repro.config`
 (unbounded unless set). See ``docs/robustness.md``.
@@ -72,9 +69,9 @@ class RunSupervisor:
     """Owns deadline enforcement and cancellation for one run.
 
     Thread-safe by construction: :meth:`cancel` flips a
-    :class:`threading.Event` that both the engine thread (via
-    :meth:`check`) and worker threads (via :meth:`guard`) observe. The
-    clock is injectable so deadline behaviour is testable without
+    :class:`threading.Event` that the engine thread observes at every
+    :meth:`check`, so another thread may cancel a run. The clock is
+    injectable so deadline behaviour is testable without
     sleeping.
     """
 
@@ -150,7 +147,7 @@ class RunSupervisor:
         )
 
     def check(self, point: str) -> None:
-        """A cooperative cancellation point (stage/wave/chain boundary).
+        """A cooperative cancellation point (a stage or operator boundary).
 
         Raises :class:`RunCancelled` when the run is cancelled or the
         deadline has elapsed; otherwise returns after bumping the
@@ -172,25 +169,6 @@ class RunSupervisor:
             self._soft_warned = True
             self._count(obs, "exec.supervise.soft_timeout")
         self._count(obs, "exec.supervise.checks")
-
-    def guard(self, fn: Callable) -> Callable:
-        """Wrap a worker task so it short-circuits when the run is
-        already cancelled (or past deadline) at the moment it is
-        dequeued. Tasks in flight are never interrupted — the pool
-        joins every future, so the wave drains and the engine re-raises
-        at its own boundary check."""
-        supervisor = self
-
-        def guarded(*args, **kwargs):
-            if supervisor._cancel_event.is_set():
-                raise supervisor._cancelled_error("worker")
-            deadline = supervisor.budget.deadline
-            if deadline is not None and supervisor.elapsed() > deadline:
-                supervisor.cancel(reason="deadline")
-                raise supervisor._cancelled_error("worker")
-            return fn(*args, **kwargs)
-
-        return guarded
 
     @staticmethod
     def _count(obs, name: str) -> None:

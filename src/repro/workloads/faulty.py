@@ -7,8 +7,8 @@ A deliberately fragile linear job over one source and one target:
 ``generate_faulty_instance`` poisons seeded-chosen rows with ``qty = 0``
 — type-valid, so the rows pass source validation and explode only
 inside the Transformer's division, exercising row-level error policies
-identically in all three runtimes (ETL, OHM, mappings) and all three
-execution modes (interpreted, compiled, batched).
+identically in all three runtimes (ETL, OHM, mappings) and both
+execution tiers (compiled, interpreted).
 
 The shape is intentionally *single-target linear*: a fan-out job
 compiles to one mapping per target, each re-reading the source, so a

@@ -1,4 +1,6 @@
-"""mode="auto": a name for the default tier, bit-identical to the oracle."""
+"""``mode="auto"`` and the other retired tier keywords: each is dropped
+with a warning, so an engine built with them runs the one compiled tier,
+bit-identical to the oracle."""
 
 import functools
 
@@ -13,11 +15,13 @@ from repro.workloads import (
     build_chain_job,
     build_example_job,
     build_kitchen_sink_job,
-    build_star_join_job,
     generate_chain_instance,
     generate_instance,
     generate_kitchen_sink_instance,
-    generate_star_instance,
+)
+
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:.*execution tier that is gone:DeprecationWarning"
 )
 
 
@@ -78,8 +82,8 @@ def _run_counters(engine, plan, instance):
 @pytest.mark.usefixtures("no_ambient_environment")
 class TestAutoIsTheDefaultTier:
     """An engine built with no tier keyword, ``mode="auto"`` and
-    ``batched=True`` are one configuration at every input size: nothing
-    re-decides the tier per run."""
+    ``batched=True`` are one configuration at every input size: the
+    compiled tier."""
 
     @pytest.mark.parametrize("workload", list(WORKLOADS))
     @pytest.mark.parametrize("runtime", ["etl", "ohm", "mapping"])
@@ -89,8 +93,7 @@ class TestAutoIsTheDefaultTier:
             _engine(runtime, **tier)
             for tier in (dict(), dict(mode="auto"), dict(batched=True))
         ]
-        tiers = [(e.compiled, e.batched, e.fused, e.parallel) for e in engines]
-        assert tiers == [(True, True, True, False)] * 3
+        assert [e.compiled for e in engines] == [True] * 3
         constructed = [e.options for e in engines]
         for n_rows in (20, 20_000):
             instance, oracle = _data(workload, n_rows)
@@ -118,8 +121,8 @@ class TestAutoIsTheDefaultTier:
 
 
 class TestTierSelection:
-    """``auto`` is the block kernels at any input size; the scheduler is
-    not its business."""
+    """``auto`` is the compiled tier's block kernels at any input size,
+    and no worker count starts a scheduler."""
 
     def test_medium_input_runs_on_block_kernels(self):
         obs = Observability(stats=True)
@@ -135,76 +138,7 @@ class TestTierSelection:
         engine.execute(build_chain_job(4), generate_chain_instance(8500))
         counters = _counters(obs)
         assert any(key.startswith("exec.block.") for key in counters)
-        assert "exec.parallel.waves" not in counters
-
-
-@functools.lru_cache(maxsize=None)
-def _star(n_facts):
-    """The star join over ``n_facts`` facts with its ``compiled=False``
-    targets — the ETL engine's for every runtime: the mapping reference
-    reads this join as a cross product."""
-    job = build_star_join_job(4)
-    instance = generate_star_instance(4, n_facts=n_facts, seed=5)
-    return job, instance, EtlEngine(compiled=False).execute(job, instance)
-
-
-class TestAutoLeavesTheSchedulerAlone:
-    """``auto`` names the kernels; whether the wavefront runs is the
-    ``parallel`` option's, at any input size — an explicit off is never
-    overridden, an explicit on never dropped, and nobody who did not ask
-    gets a pool."""
-
-    @pytest.mark.parametrize("n_facts", [100, 20_000])
-    @pytest.mark.parametrize(
-        "scheduler,waves",
-        [
-            (dict(parallel=False, workers=4), False),
-            (dict(parallel=True, workers=4), True),
-            (dict(parallel=True, workers=1), False),
-            (dict(), False),
-        ],
-        ids=["off", "on", "one-worker", "unset"],
-    )
-    @pytest.mark.parametrize("runtime", ["etl", "ohm", "mapping"])
-    def test_waves_iff_parallel_and_two_workers(
-        self, runtime, scheduler, waves, n_facts, no_ambient_environment
-    ):
-        job, instance, oracle = _star(n_facts)
-        graph = compile_job(job)
-        engine_cls, plan = {
-            "etl": (EtlEngine, job),
-            "ohm": (OhmExecutor, graph),
-            "mapping": (MappingExecutor, ohm_to_mappings(graph)),
-        }[runtime]
-        obs = Observability(stats=True)
-        result = engine_cls(obs=obs, mode="auto", **scheduler).execute(
-            plan, instance
-        )
-        assert (_counters(obs).get("exec.parallel.waves", 0) >= 1) is waves
-        assert result.same_bags(oracle)
-
-
-class TestExplicitModes:
-    def test_mode_rows_disables_batching_and_parallelism(self):
-        engine = EtlEngine(mode="rows", batched=True, parallel=True)
-        assert engine.batched is False
-        assert engine.parallel is False
-
-    def test_mode_block_enables_batching(self):
-        engine = EtlEngine(mode="block")
-        assert engine.batched is True
-        assert engine.parallel is False
-
-    def test_mode_parallel_enables_both(self):
-        engine = EtlEngine(mode="parallel", workers=4)
-        assert engine.batched is True
-        assert engine.parallel is True
-
-    def test_invalid_mode_rejected(self):
-        from repro.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            EtlEngine(mode="turbo")
+        assert not any(key.startswith("exec.parallel.") for key in counters)
 
 
 class TestNoRunScopedState:
@@ -221,19 +155,18 @@ class TestNoRunScopedState:
             "mapping": (MappingExecutor, ohm_to_mappings(graph)),
         }[runtime]
         engine = engine_cls(mode="auto", workers=2)
-        before = (engine.options, engine.batched, engine.fused, engine.parallel)
+        before = (engine.options, engine.compiled)
         for n in (1200, 20):
             instance = generate_chain_instance(n)
             oracle = engine_cls(compiled=False).execute(plan, instance)
             assert engine.execute(plan, instance).same_bags(oracle)
-            assert before == (
-                engine.options, engine.batched, engine.fused, engine.parallel
-            )
+            assert before == (engine.options, engine.compiled)
         assert "_planner" not in vars(engine)
 
 
 class TestAutoParity:
-    """Whatever tier auto picks, results match the interpreting oracle."""
+    """At any input size, an ``auto`` engine matches the interpreting
+    oracle."""
 
     @pytest.mark.parametrize("n", [50, 2000, 9000], ids=["rows", "block",
                                                          "parallel"])

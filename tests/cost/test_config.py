@@ -3,10 +3,8 @@
 import pytest
 
 from repro import config
-from repro.config import Option, check_mode, check_policy, parse_bool
+from repro.config import Option, check_policy, parse_bool
 from repro.errors import ValidationError
-
-WORKERS = config.OPTIONS["workers"].default
 
 # CI runs this suite under REPRO_* scenarios; these tests state every
 # variable they mean
@@ -15,97 +13,82 @@ pytestmark = pytest.mark.usefixtures("no_ambient_environment")
 
 class TestPrecedence:
     def test_kwarg_beats_setter_beats_env_beats_default(self, monkeypatch):
-        assert config.resolve("workers") == WORKERS
-        monkeypatch.setenv("REPRO_WORKERS", "64")
-        assert config.resolve("workers") == 64
-        with config.overriding(workers=128):
-            assert config.resolve("workers") == 128
+        assert config.resolve("max_retries") == 0
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "64")
+        assert config.resolve("max_retries") == 64
+        with config.overriding(max_retries=128):
+            assert config.resolve("max_retries") == 128
             # the kwarg always wins
-            assert config.resolve("workers", 256) == 256
+            assert config.resolve("max_retries", 256) == 256
 
     def test_setter_none_restores_env_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        with config.overriding(workers=6):
-            assert config.resolve("workers") == 6
-            with config.overriding(workers=None):
-                assert config.resolve("workers") == 3
-            assert config.resolve("workers") == 6
-        assert config.resolve("workers") == 3
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "3")
+        with config.overriding(max_retries=6):
+            assert config.resolve("max_retries") == 6
+            with config.overriding(max_retries=None):
+                assert config.resolve("max_retries") == 3
+            assert config.resolve("max_retries") == 6
+        assert config.resolve("max_retries") == 3
 
     def test_env_fallback_chain(self, monkeypatch):
-        # workers reads REPRO_WORKERS first, then REPRO_PARALLEL
-        monkeypatch.setenv("REPRO_PARALLEL", "5")
-        assert config.resolve("workers") == 5
-        monkeypatch.setenv("REPRO_WORKERS", "6")
-        assert config.resolve("workers") == 6
+        # a row's variables are read in order; the first one set wins
+        row = Option(
+            (("REPRO_TEST_FIRST", int), ("REPRO_TEST_SECOND", int)),
+            int, "an integer", 1,
+        )
+        monkeypatch.setitem(config.OPTIONS, "test_chain", row)
+        monkeypatch.setenv("REPRO_TEST_SECOND", "5")
+        assert config.resolve("test_chain") == 5
+        monkeypatch.setenv("REPRO_TEST_FIRST", "6")
+        assert config.resolve("test_chain") == 6
 
     def test_unparseable_env_value_is_skipped(self, monkeypatch):
-        # REPRO_BATCH only switches: any count is just "on"
-        monkeypatch.setenv("REPRO_BATCH", "4096")
-        assert config.resolve("batched") is True
-        # REPRO_PARALLEL=true means "on", not a worker count
-        monkeypatch.setenv("REPRO_PARALLEL", "true")
-        assert config.resolve("parallel") is True
-        assert config.resolve("workers") == WORKERS
-        # ... and REPRO_PARALLEL=4 means "on, 4 workers"
-        monkeypatch.setenv("REPRO_PARALLEL", "4")
-        assert config.resolve("parallel") is True
-        assert config.resolve("workers") == 4
+        # REPRO_COMPILED only switches: any count is just "on"
+        monkeypatch.setenv("REPRO_COMPILED", "4096")
+        assert config.resolve("compiled") is True
 
 
 class TestOverriding:
     def test_nests_and_restores(self):
         before = config.snapshot()
-        with config.overriding(on_error="skip", workers=3):
+        with config.overriding(on_error="skip", max_retries=3):
             with config.overriding(on_error="reject"):
                 assert config.resolve("on_error") == "reject"
-                assert config.resolve("workers") == 3
+                assert config.resolve("max_retries") == 3
             assert config.resolve("on_error") == "skip"
         assert config.snapshot() == before
 
     def test_restores_after_an_exception(self):
         before = config.snapshot()
         with pytest.raises(RuntimeError):
-            with config.overriding(mode="block"):
-                with config.overriding(mode="rows", deadline=5):
+            with config.overriding(compiled=False):
+                with config.overriding(compiled=True, deadline=5):
                     raise RuntimeError("boom")
         assert config.snapshot() == before
 
     def test_values_are_checked_before_the_block(self):
         before = config.snapshot()
         with pytest.raises(ValidationError, match="deadline must be > 0"):
-            config.overriding(workers=4, deadline=-1)
+            config.overriding(max_retries=4, deadline=-1)
         with pytest.raises(TypeError, match="turbo"):
             config.overriding(turbo=True)
         assert config.snapshot() == before
 
     def test_a_falsy_override_is_still_an_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
+        monkeypatch.setenv("REPRO_COMPILED", "1")
         monkeypatch.setenv("REPRO_BREAKER", "3")
-        with config.overriding(batched=False, breaker=0):
-            assert config.resolve("batched") is False
+        with config.overriding(compiled=False, breaker=0):
+            assert config.resolve("compiled") is False
             assert config.resolve("breaker") == 0
 
 
 class TestEnvironment:
-    def test_repro_workers_one_is_serial(self, monkeypatch):
-        # as workers=1 and --workers 1 already were
-        from repro.etl import EtlEngine
-
-        monkeypatch.setenv("REPRO_WORKERS", "1")
-        assert config.resolve("workers") == 1
-        assert EtlEngine(parallel=True).parallel is False
-        assert EtlEngine(batched=True, mode="parallel").parallel is False
-
     @pytest.mark.parametrize(
         "variable,raw",
         [
-            ("REPRO_WORKERS", "abc"),
-            ("REPRO_WORKERS", "0"),
             ("REPRO_ON_ERROR", "bogus"),
             ("REPRO_MAX_RETRIES", "x"),
             ("REPRO_MAX_RETRIES", "-1"),
-            ("REPRO_MODE", "bogus"),
             ("REPRO_DEADLINE", "soon"),
             ("REPRO_DEADLINE", "-1"),
             ("REPRO_MEMORY_BUDGET", "0"),
@@ -158,14 +141,6 @@ class TestValidation:
         with pytest.raises(ValidationError):
             config.resolve("on_error", "explode")
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            check_mode("warp")
-        with pytest.raises(ValidationError):
-            config.resolve("mode", "warp")
-        for mode in config.MODES:
-            assert check_mode(mode) == mode
-
     def test_malformed_max_retries_env_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_RETRIES", "many")
         with pytest.raises(ValidationError):
@@ -181,10 +156,7 @@ class TestValidation:
             assert parse_bool(raw) is True
 
     def test_keyword_errors_keep_their_classes(self):
-        # the exec rows raised ValueError before the table, the
-        # resilience and supervision rows ValidationError
-        with pytest.raises(ValueError, match="workers"):
-            config.resolve("workers", 0)
+        # the resilience and supervision rows raise ValidationError
         for name, bad in (("max_retries", -1), ("deadline", 0),
                           ("memory_budget", 0), ("breaker", -1)):
             with pytest.raises(ValidationError, match=name):
@@ -196,13 +168,11 @@ class TestDerivedDefaults:
         snap = config.snapshot()
         assert sorted(snap) == sorted(config.OPTIONS)
         assert sorted(snap) == [
-            "batched", "breaker", "check", "checkpoint_dir",
-            "compiled", "deadline", "fused", "max_retries",
-            "memory_budget", "mode", "on_error", "parallel", "workers",
+            "breaker", "check", "checkpoint_dir", "compiled", "deadline",
+            "max_retries", "memory_budget", "on_error",
         ]
         assert snap["compiled"] is True
-        assert snap["batched"] is True
-        assert snap["mode"] is None
+        assert snap["memory_budget"] is None
 
 
 class TestKnobMechanics:

@@ -64,8 +64,8 @@ def test_literal_defaults_agree():
         default = config.OPTIONS[name].default
         shown = f'"{default}"' if isinstance(default, str) else repr(default)
         assert literal.group(1) == shown, name
-    # the one default that is computed, not written down
-    assert derived == {"workers"}
+    # every default is written down
+    assert derived == set()
 
 
 def test_engine_keywords_are_run_options_fields():
@@ -79,7 +79,7 @@ def test_engine_keywords_are_run_options_fields():
             # a keyword that builds an object from the option
             # (retry= → max_retries, checkpoint= → checkpoint_dir)
             assert keyword.group(1) in fields, name
-    # and every tier option the planner combines is an engine keyword
-    from repro.exec import Tier
+    # and no keyword of a retired tier is an option again
+    from repro.exec.run import RETIRED_KEYWORDS
 
-    assert set(Tier._fields) <= fields
+    assert not set(RETIRED_KEYWORDS) & (fields | set(config.OPTIONS))

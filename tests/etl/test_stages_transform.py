@@ -127,13 +127,14 @@ class TestModify:
 
         assert out.relation.attribute("id").dtype is STRING
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["block", "rows"])
-    def test_a_bad_conversion_is_rejected_on_either_body(self, rel, batched):
+    # the compiled tier runs the block body, the oracle the row body
+    @pytest.mark.parametrize("compiled", [True, False], ids=["block", "rows"])
+    def test_a_bad_conversion_is_rejected_on_either_body(self, rel, compiled):
         data = Dataset(rel, [{"id": 1, "name": "7", "v": 1.0}, {"id": 2, "name": "x", "v": 2.0}])
         stage = Modify(convert={"name": "int"})
         (out_rel,) = stage.output_relations([rel], ["o"])
         errors = ErrorContext("m", "reject")
-        planner = ExpressionPlanner(compiled=True, batched=batched)
+        planner = ExpressionPlanner(compiled=compiled)
         (out,) = stage.execute([data], [out_rel], None, planner=planner, errors=errors)
         assert out.column("name") == [7]
         assert [r.row_index for r in errors.rejected] == [1]

@@ -58,7 +58,7 @@ def ids(blk):
 
 
 # filtering, projection and deduplication have no kernel of their own:
-# on the block tier they are the operator's chain body, gathered at once
+# on the compiled tier they are the operator's chain body
 T_REL = Relation(
     "T",
     [Attribute("id", INTEGER), Attribute("grp", STRING), Attribute("v", INTEGER)],
@@ -66,12 +66,13 @@ T_REL = Relation(
 
 
 def block_tier_operator(op, out_relation=T_REL):
-    """``op`` over ROWS at the block tier; the input and output blocks."""
+    """``op`` over ROWS at the compiled tier; the input block and the
+    output chain, gathered."""
     data = Dataset.adopt_block(T_REL, make_block())
-    executor = OhmExecutor(compiled=True, batched=True, fused=False)
+    executor = OhmExecutor(compiled=True)
     (out,) = executor.run_operator(op, [data], [out_relation])
-    assert out.peek_fused() is None
-    return data.peek_block(), out.peek_block()
+    assert out.peek_fused() is not None
+    return data.peek_block(), out.as_block()
 
 
 # --- container ----------------------------------------------------------------
@@ -194,14 +195,14 @@ def test_group_aggregate_block_numeric_keys_collide_like_rows():
 
 
 def test_dedup_block_first_and_last():
-    planner = ExpressionPlanner(compiled=True, batched=True, fused=False)
+    planner = ExpressionPlanner(compiled=True)
 
     def dedup(retain):
         data = Dataset.adopt_block(T_REL, make_block())
         (out,) = RemoveDuplicatesStage(["grp"], retain).execute(
             [data], [T_REL], None, planner=planner
         )
-        return out.peek_block()
+        return out.as_block()
 
     assert ids(dedup("first")) == [1, 2, 4]
     assert ids(dedup("last")) == [3, 2, 5]
@@ -258,7 +259,7 @@ def _join(kind, condition="L.k = R.k"):
         JOIN_PLAN,
         # pinned so the kernel is exercised regardless of the process
         # mode defaults (REPRO_COMPILED=0 would otherwise disable it)
-        ExpressionPlanner(compiled=True, batched=True),
+        ExpressionPlanner(compiled=True),
     )
 
 
@@ -334,6 +335,3 @@ def test_block_kernels_record_row_counts():
     assert obs.metrics.counter("exec.block.route.rows_out") == len(ROWS)
     assert obs.metrics.counter("exec.block.route.blocks_in") == 1
     assert obs.metrics.counter("exec.block.route.blocks_out") == 2
-    block.sort_permutation(make_block(), [("id", "desc")], obs=obs)
-    assert obs.metrics.counter("exec.block.sort.rows_in") == len(ROWS)
-    assert obs.metrics.counter("exec.block.sort.rows_out") == len(ROWS)

@@ -4,8 +4,8 @@ The columnar tier must be observationally identical to the oracle:
 :func:`compile_block_expr` evaluated over a :class:`RowBlock` must
 return exactly what the tree-walking evaluator returns row by row
 (values, Python types, SQL three-valued logic, and errors), and the
-three engine modes (interpreted / row kernels / batched) must compute
-identical instances for every runtime.
+compiled tier's block kernels must compute the oracle's instances for
+every runtime.
 
 The seeded expression generators and NULL-heavy sample rows live here;
 :mod:`tests.exec.test_parity` pins the NULL and error corner cases with
@@ -342,17 +342,7 @@ def test_aggregate_reducer_matches_row_aggregates():
     ) == 0
 
 
-# --- engine-level three-mode agreement ----------------------------------------
-
-
-def test_three_modes_agree_on_kitchen_sink():
-    job = build_kitchen_sink_job()
-    instance = generate_kitchen_sink_instance(n_orders=150)
-    interpreted = EtlEngine(compiled=False).execute(job, instance)
-    compiled = EtlEngine(compiled=True, batched=False).execute(job, instance)
-    batched = EtlEngine(compiled=True, batched=True).execute(job, instance)
-    assert compiled.same_bags(interpreted)
-    assert batched.same_bags(interpreted)
+# --- engine-level agreement ---------------------------------------------------
 
 
 def test_all_three_runtimes_agree_batched():
@@ -363,17 +353,17 @@ def test_all_three_runtimes_agree_batched():
     mappings = orchid.to_mappings(graph)
     baseline = EtlEngine(compiled=False).execute(job, instance)
     assert (
-        EtlEngine(compiled=True, batched=True)
+        EtlEngine(compiled=True)
         .execute(job, instance)
         .same_bags(baseline)
     )
     assert (
-        OhmExecutor(compiled=True, batched=True)
+        OhmExecutor(compiled=True)
         .execute(graph, instance)
         .same_bags(baseline)
     )
     assert (
-        MappingExecutor(compiled=True, batched=True)
+        MappingExecutor(compiled=True)
         .execute(mappings, instance)
         .same_bags(baseline)
     )
@@ -384,16 +374,17 @@ def test_batched_mode_emits_block_metrics_row_mode_does_not():
     instance = generate_kitchen_sink_instance(n_orders=40)
 
     obs = Observability(stats=True)
-    EtlEngine(obs=obs, compiled=True, batched=True).execute(job, instance)
+    EtlEngine(obs=obs, compiled=True).execute(job, instance)
     block_counters = [
         name
         for name in obs.metrics.snapshot()["counters"]
         if name.startswith("exec.block.")
     ]
-    assert block_counters, "batched run must report exec.block.* counters"
+    assert block_counters, "a compiled run must report exec.block.* counters"
 
+    # the oracle runs row kernels only
     obs = Observability(stats=True)
-    EtlEngine(obs=obs, compiled=True, batched=False).execute(job, instance)
+    EtlEngine(obs=obs, compiled=False).execute(job, instance)
     assert not any(
         name.startswith("exec.block.")
         for name in obs.metrics.snapshot()["counters"]

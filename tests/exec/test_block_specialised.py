@@ -316,10 +316,8 @@ def test_runtimes_reject_what_the_oracle_rejects(runtime, program, pair):
     instance = Instance([Dataset(SOURCE, rows)])
     job = program_job(*program)
     oracle = accepted_and_rejected(runtime, job, instance, compiled=False)
-    # whichever tier the environment pins (REPRO_BATCH / REPRO_FUSE /
-    # REPRO_PARALLEL in the CI scenario rows), plus the block tier itself
-    assert accepted_and_rejected(runtime, job, instance) == oracle
-    assert accepted_and_rejected(runtime, job, instance, batched=True) == oracle
+    # the compiled tier itself, whatever the environment pins
+    assert accepted_and_rejected(runtime, job, instance, compiled=True) == oracle
 
 
 # -- key_columns ---------------------------------------------------------------
@@ -366,11 +364,14 @@ BIG = 2**53
 IDS = relation("Ids", ("id", ANY, False), ("n", "INTEGER", False))
 NAMES = relation("Names", ("key", "INTEGER", False), ("label", "STRING", False))
 
+#: ``rows`` is the oracle's row kernels; ``block`` and ``parallel`` are
+#: the retired tiers' keyword sets, dropped (with a warning) onto the
+#: compiled tier until the benchmark harness stops passing them
 TIERS = {
     "oracle": dict(compiled=False),
-    "rows": dict(mode="rows"),
+    "rows": dict(compiled=False),
     "block": dict(batched=True, fused=False),
-    "fused": dict(batched=True, fused=True),
+    "fused": dict(compiled=True),
     "parallel": dict(mode="parallel", workers=2),
 }
 
@@ -401,6 +402,7 @@ def run_tier(job, tier):
     return out.rows
 
 
+@pytest.mark.filterwarnings("ignore:.*execution tier that is gone:DeprecationWarning")
 @pytest.mark.parametrize("tier", TIERS)
 class TestBigIntegerKeys:
     def test_group(self, tier):
@@ -428,6 +430,7 @@ class TestBigIntegerKeys:
         assert found == [(0, "even"), (1, "odd"), (2, "even"), (3, "odd"), (4, "even")]
 
 
+@pytest.mark.filterwarnings("ignore:.*execution tier that is gone:DeprecationWarning")
 def test_group_by_agrees_with_sqlite():
     """engine ≡ hybrid: the engines keep apart what sqlite keeps apart."""
     ids = relation("Ids", ("id", "INTEGER", False), ("n", "INTEGER", False))

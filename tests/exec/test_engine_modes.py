@@ -126,7 +126,7 @@ def test_wrappers_forward_every_engine_option():
         supervisor = RunSupervisor()
         out = wrapper(
             plan, instance, catalog=catalog, supervisor=supervisor,
-            mode="block", parallel=True, workers=2, deadline=60,
+            compiled=True, deadline=60,
             memory_budget=10**6, degrade=False,
         )
         assert first_result(out).same_bags(baseline), wrapper.__name__

@@ -1,9 +1,9 @@
-"""Parity audit for the fused (selection-vector) tier.
+"""Parity audit for the compiled tier's fused (selection-vector) chains.
 
 Fusion must be invisible: for every runtime (ETL engine, OHM executor,
-mapping executor), serial or parallel, under the skip and reject row
-policies, a fused run must produce byte-identical accepted rows and the
-identical rejected multiset as the unfused block tier — including NULL
+mapping executor), under the skip and reject row policies, a fused run
+must produce byte-identical accepted rows and the identical rejected
+multiset as the unfused oracle (``compiled=False``) — including NULL
 three-valued logic and rows erroring mid-chain. Randomized linear chains
 (length 1–6, NULL-heavy data, optional non-fusable breakers mid-chain)
 stress the chain compiler beyond the fixed workloads, and a faulted
@@ -52,38 +52,29 @@ from repro.workloads import (
 )
 
 
-# -- the three runtimes, fused on/off ----------------------------------------
+# -- the three runtimes, fused and the oracle ---------------------------------
 
 
-def run_etl(instance, policy, workers, fused):
-    engine = EtlEngine(
-        compiled=True, batched=True, on_error=policy, fused=fused,
-        parallel=workers is not None, workers=workers or 1,
-    )
+def run_etl(instance, policy, **tier):
+    engine = EtlEngine(on_error=policy, **tier)
     targets, _ = engine.run(build_faulty_job(), instance)
     accepted = Counter(format_row(r) for r in targets.dataset("Premium").rows)
     rejected = Counter(format_row(r.row) for r in engine.last_run.rejected)
     return accepted, rejected
 
 
-def run_ohm(instance, policy, workers, fused):
+def run_ohm(instance, policy, **tier):
     graph = compile_job(build_faulty_job())
-    executor = OhmExecutor(
-        compiled=True, batched=True, on_error=policy, fused=fused,
-        parallel=workers is not None, workers=workers or 1,
-    )
+    executor = OhmExecutor(on_error=policy, **tier)
     targets, _edges, rejects = executor.run_with_rejects(graph, instance)
     accepted = Counter(format_row(r) for r in targets.dataset("Premium").rows)
     rejected = Counter(r["row"] for r in rejects.rows)
     return accepted, rejected
 
 
-def run_mapping(instance, policy, workers, fused):
+def run_mapping(instance, policy, **tier):
     mappings = ohm_to_mappings(compile_job(build_faulty_job()))
-    executor = MappingExecutor(
-        compiled=True, batched=True, on_error=policy, fused=fused,
-        parallel=workers is not None, workers=workers or 1,
-    )
+    executor = MappingExecutor(on_error=policy, **tier)
     targets, _inter, rejects = executor.run_with_rejects(mappings, instance)
     accepted = Counter(format_row(r) for r in targets.dataset("Premium").rows)
     rejected = Counter(r["row"] for r in rejects.rows)
@@ -95,16 +86,20 @@ RUNTIMES = [("etl", run_etl), ("ohm", run_ohm), ("mapping", run_mapping)]
 
 class TestFusedUnfusedParity:
     """accepted AND rejected multisets must be invariant under fusion,
-    per runtime, serial and parallel, for both absorbing policies."""
+    per runtime, for both absorbing policies. The ``parallel`` cases
+    build the fused engine with the retired wavefront keywords, which
+    must change nothing."""
 
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     @pytest.mark.parametrize("runtime", RUNTIMES, ids=lambda r: r[0])
     @pytest.mark.parametrize("workers", [None, 4], ids=["serial", "parallel"])
     @pytest.mark.parametrize("policy", ["skip", "reject"])
     def test_matches_unfused(self, runtime, workers, policy):
         name, runner = runtime
         instance, _plan = generate_faulty_instance(n=60, seed=21, poison=7)
-        unfused = runner(instance, policy, workers, False)
-        fused = runner(instance, policy, workers, True)
+        retired = {} if workers is None else dict(mode="parallel", workers=workers)
+        unfused = runner(instance, policy, compiled=False)
+        fused = runner(instance, policy, compiled=True, **retired)
         assert fused == unfused, (
             f"{name} diverged under fusion "
             f"(workers={workers}, policy={policy})"
@@ -113,11 +108,11 @@ class TestFusedUnfusedParity:
     def test_reject_channel_carries_the_poison(self):
         # guard against vacuous parity: the workload really rejects
         instance, _plan = generate_faulty_instance(n=60, seed=21, poison=7)
-        _accepted, rejected = run_etl(instance, "reject", None, True)
+        _accepted, rejected = run_etl(instance, "reject")
         assert sum(rejected.values()) == 7
 
 
-# -- one body, three tiers ----------------------------------------------------
+# -- one body, two tiers ------------------------------------------------------
 
 
 def run_tier(runtime, job, instance, **tier):
@@ -156,37 +151,33 @@ WORKLOADS = {
 }
 
 
-class TestOneBodyThreeTiers:
-    """The block tier is the fused tier's chains gathered at every
-    operator boundary: same rows, same rejects (and the oracle's), no
-    ``exec.fuse.*``, nothing lazy on a link."""
+class TestOneBodyTwoTiers:
+    """The compiled tier's chains and the oracle's row kernels: same
+    rows, same rejects; only the compiled run fuses or runs a block
+    kernel, and no oracle link carries a chain."""
 
     @pytest.mark.parametrize("runtime", ["etl", "ohm", "mapping"])
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    def test_gathered_fused_and_oracle_agree(self, workload, runtime):
+    def test_fused_and_oracle_agree(self, workload, runtime):
         build, generate = WORKLOADS[workload]
         job, instance = build(), generate()
-        block = dict(compiled=True, batched=True)
-        fused = run_tier(runtime, job, instance, fused=True, **block)
-        gathered = run_tier(runtime, job, instance, fused=False, **block)
+        fused = run_tier(runtime, job, instance, compiled=True)
         oracle = run_tier(runtime, job, instance, compiled=False)
-        assert gathered[:2] == fused[:2] == oracle[:2]
+        assert fused[:2] == oracle[:2]
         assert any(k.startswith("exec.fuse.") for k in fused[3])
-        assert not any(k.startswith("exec.fuse.") for k in gathered[3])
-        assert any(k.startswith("exec.block.") for k in gathered[3])
-        assert all(d.peek_fused() is None for d in gathered[2].values())
-        assert any(d.peek_block() is not None for d in gathered[2].values())
+        assert not any(
+            k.startswith(("exec.fuse.", "exec.block.")) for k in oracle[3]
+        )
+        assert all(d.peek_fused() is None for d in oracle[2].values())
 
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "block"])
-    def test_fault_labels_follow_the_tier(self, fused):
-        # a chain body's column functions are labelled "block" on both
-        # settings — fused or gathered, a chain runs the same functions —
-        # and no "oracle" closure runs above the oracle rung
+    def test_fault_labels_follow_the_tier(self):
+        # a chain body's column functions are labelled "block", and no
+        # "oracle" closure runs above the oracle rung
         instance, _plan = generate_faulty_instance(n=40, seed=34)
 
         def fired(tier):
             plan = FaultPlan(seed=34).fault_kernels(tier=tier, first=1)
-            engine = EtlEngine(compiled=True, batched=True, fused=fused)
+            engine = EtlEngine(compiled=True)
             with plan.injected():
                 engine.run(build_faulty_job(), instance)
             return plan.kernel_faults_fired.get(tier, 0)
@@ -351,10 +342,8 @@ class TestRandomizedChains:
         instance = _chain_instance(random.Random(seed + 1000))
         policy = "reject" if seed % 2 else "skip"
 
-        def run(fused):
-            engine = EtlEngine(
-                compiled=True, batched=True, on_error=policy, fused=fused
-            )
+        def run(compiled):
+            engine = EtlEngine(compiled=compiled, on_error=policy)
             targets, _ = engine.run(job, instance)
             rejected = Counter(
                 format_row(r.row) for r in engine.last_run.rejected
@@ -373,9 +362,7 @@ class TestRandomizedChains:
         job = build_chain_job(rng)
         instance = _chain_instance(random.Random(1003))
         obs = Observability(stats=True)
-        EtlEngine(
-            compiled=True, batched=True, fused=True, obs=obs, on_error="skip"
-        ).run(job, instance)
+        EtlEngine(obs=obs, compiled=True, on_error="skip").run(job, instance)
         counters = obs.metrics.snapshot()["counters"]
         assert counters.get("exec.fuse.chains", 0) >= 1
         assert counters.get("exec.fuse.operators", 0) >= 1
@@ -391,11 +378,11 @@ class TestFusedDegradation:
 
     def test_fused_fault_falls_back_to_oracle(self):
         instance, _plan = generate_faulty_instance(n=40, seed=31)
-        baseline_engine = EtlEngine(compiled=True, batched=True, fused=False)
+        baseline_engine = EtlEngine(compiled=False)
         baseline, _ = baseline_engine.run(build_faulty_job(), instance)
         plan = FaultPlan(seed=31).fault_kernels(tier="block", first=1)
         obs = Observability(stats=True)
-        engine = EtlEngine(obs=obs, compiled=True, batched=True, fused=True)
+        engine = EtlEngine(obs=obs, compiled=True)
         with plan.injected():
             targets, _ = engine.run(build_faulty_job(), instance)
         assert plan.kernel_faults_fired.get("block", 0) == 1
@@ -412,7 +399,7 @@ class TestFusedDegradation:
         instance, _plan = generate_faulty_instance(n=40, seed=32)
         plan = FaultPlan(seed=32).fault_kernels(tier="block", first=100)
         obs = Observability(stats=True)
-        engine = EtlEngine(obs=obs, compiled=True, batched=True, fused=True)
+        engine = EtlEngine(obs=obs, compiled=True)
         with plan.injected():
             engine.run(build_faulty_job(), instance)
         counters = obs.metrics.snapshot()["counters"]
@@ -427,11 +414,9 @@ class TestFusedDegradation:
 class TestFusedObservability:
     def test_fused_metrics_present_only_when_fusing(self):
         instance, _plan = generate_faulty_instance(n=40, seed=33)
-        for fused in (True, False):
+        for fused in (True, False):  # the oracle never fuses
             obs = Observability(stats=True)
-            EtlEngine(
-                obs=obs, compiled=True, batched=True, fused=fused
-            ).run(build_faulty_job(), instance)
+            EtlEngine(obs=obs, compiled=fused).run(build_faulty_job(), instance)
             counters = obs.metrics.snapshot()["counters"]
             fuse_counters = {
                 k: v for k, v in counters.items() if k.startswith("exec.fuse.")

@@ -40,9 +40,11 @@ PICKS = st.lists(
 )
 KEY_SETS = st.sampled_from([["k1"], ["k2"], ["k1", "k2"], []])
 
-BLOCK = ExpressionPlanner(compiled=True, batched=True, fused=False)
-ROW = ExpressionPlanner(compiled=True, batched=False)
-ORACLE = ExpressionPlanner(compiled=False, batched=False)
+BLOCK = ExpressionPlanner(compiled=True)
+#: the row kernel a compiled operator falls back to runs the same
+#: planner's row closures
+ROW = BLOCK
+ORACLE = ExpressionPlanner(compiled=False)
 RESOLVE = relation_resolver(None, NAMES)
 
 

@@ -1,9 +1,9 @@
 """``repro.exec.ops``: the nine operators stages and OHM share.
 
-Each function is run on a row planner, a gathering (block-tier) planner
-and a fusing planner and compared, row for row and in order, with the
-interpreting oracle; then the stage and the OHM operator that both call
-it are run on the same inputs and must agree.
+Each function is run on the compiled (fusing) planner and compared, row
+for row and in order, with the interpreting oracle; then the stage and
+the OHM operator that both call it are run on the same inputs and must
+agree.
 """
 
 import pytest
@@ -28,14 +28,11 @@ from repro.resilience import ErrorContext
 from repro.schema.model import Attribute, Relation
 from repro.schema.types import INTEGER, STRING
 
-# every tier flag stated: a CI scenario's REPRO_* pin must not move a tier
-# (the scheduler's parallel / workers are not a planner's keywords)
+# the tier stated: a CI scenario's REPRO_COMPILED pin must not move it.
+# ``rows`` — the row bodies — are the oracle's since the row-kernel tier
+# went
 ORACLE = dict(compiled=False)
-TIERS = {
-    "rows": dict(compiled=True, batched=False),
-    "gathered": dict(compiled=True, batched=True, fused=False),
-    "fused": dict(compiled=True, batched=True, fused=True),
-}
+TIERS = {"rows": dict(compiled=False), "fused": dict(compiled=True)}
 
 ORDERS = Relation(
     "O",
@@ -194,7 +191,7 @@ def test_join(kind, condition):
 
 def test_join_rejects_a_bad_key_at_every_tier():
     (out,) = Join("O.cust = C.cust").output_relations([ORDERS, CUSTOMERS], ["J"])
-    condition = parse("10 / (O.amt - 5) = C.cust")  # equi, so columnar when batched
+    condition = parse("10 / (O.amt - 5) = C.cust")  # equi, so columnar when compiled
     for tier in [ORACLE, *TIERS.values()]:
         errors = ErrorContext("J", "reject")
         joined = ops.join(
@@ -207,7 +204,7 @@ def test_join_rejects_a_bad_key_at_every_tier():
 
 def test_join_is_columnar_only_on_a_pure_equi_condition():
     (out,) = Join("O.cust = C.cust").output_relations([ORDERS, CUSTOMERS], ["J"])
-    planner = ExpressionPlanner(**TIERS["gathered"])
+    planner = ExpressionPlanner(**TIERS["fused"])
 
     def backing(condition):
         joined = ops.join(
@@ -271,8 +268,8 @@ def test_fan_out():
     for name, tier in TIERS.items():
         planner = ExpressionPlanner(**tier)
         got = ops.fan_out(orders(), outs, planner, None)
-        # gathered or lazy is the planner's decision, not the operator's
-        assert [d.peek_fused() is not None for d in got] == [planner.fused] * 2
+        # a compiled planner leaves both outputs lazy
+        assert [d.peek_fused() is not None for d in got] == [planner.compiled] * 2
         assert [d.rows for d in got] == [d.rows for d in expected], name
     assert expected[1].rows[0] == {"amt": 5, "id": 1}
 

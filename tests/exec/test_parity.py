@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.errors import EvaluationError
-from repro.exec import ExpressionPlanner, Tier, block
+from repro.exec import ExpressionPlanner, block
 from repro.exec.block import RowBlock, relation_resolver
 from repro.exec.compile_block import aggregate_values_reducer, compile_block_expr
 from repro.expr.ast import (
@@ -84,10 +84,10 @@ def test_random_string_parity(seed):
 
 
 def test_interpreting_planner_matches_compiling_planner():
-    """A batched planner's column function and the oracle planner's row
+    """A compiled planner's column function and the oracle planner's row
     closure agree on every row, errors included."""
     rng = random.Random(7)
-    compiled = ExpressionPlanner.at(None, Tier(True, True, False, False, 1, None))
+    compiled = ExpressionPlanner(compiled=True)
     interpreted = ExpressionPlanner(compiled=False)
     resolve = relation_resolver(RELATION, NAMES)
     for _ in range(50):

@@ -1,116 +1,107 @@
-"""The flags-and-mode → tier rule, over every combination of its inputs.
+"""The tier rule, over every combination of its inputs.
 
-``RunOptions.resolve`` and ``ExpressionPlanner`` both call
-``repro.exec.resolve_tier``. The reference below is the rule with the
-defaults inlined, so the one function is checked against an independent
-statement of what both callers must see. The degradation ladder each
-combination builds is enumerated too."""
+``compiled`` is the only tier option: ``RunOptions.resolve`` and
+``ExpressionPlanner`` both read it through ``repro.config``. The
+keywords of the retired tiers (``batched``, ``fused``, ``parallel``,
+``workers``, ``mode``) are still accepted, because the benchmark
+harness passes them; each is dropped with one ``DeprecationWarning``
+and changes nothing. The degradation ladder each combination builds is
+enumerated too."""
 
+import functools
 import itertools
+import warnings
 
 import pytest
 
 from repro import config
+from repro.compile import compile_job
+from repro.etl import EtlEngine
 from repro.exec import ExpressionPlanner
-from repro.exec.run import RunOptions, TierLadder
+from repro.exec.run import RETIRED_KEYWORDS, RunOptions, TierLadder
+from repro.mapping import MappingExecutor, ohm_to_mappings
+from repro.obs import Observability
+from repro.ohm import OhmExecutor
+from repro.ohm.subtypes import reset_keygen_sequences
+from repro.workloads import build_kitchen_sink_job, generate_kitchen_sink_instance
 
 FLAG = (None, False, True)
 MODE = (None, "rows", "block", "parallel", "auto")
 WORKERS = (None, 1, 4)
-TIER_FIELDS = ("compiled", "batched", "fused", "parallel", "workers", "mode")
-PLANNER_FIELDS = ("compiled", "batched", "fused")
 
 pytestmark = pytest.mark.usefixtures("no_ambient_environment")
 
 
-def _default(name, value):
-    return config.OPTIONS[name].default if value is None else value
+def _warned(caught):
+    """The retired keyword each recorded ``DeprecationWarning`` names."""
+    return [
+        name
+        for warning in caught
+        if issubclass(warning.category, DeprecationWarning)
+        for name in RETIRED_KEYWORDS
+        if str(warning.message).startswith(repr(name))
+    ]
 
 
-def reference_planner(compiled, batched, fused, mode):
-    """The three attributes of ``ExpressionPlanner(None, …)``: a planner
-    lowers expressions, so the scheduler's ``parallel`` / ``workers``
-    are not its keywords. ``auto`` names the block kernels, as ``block``
-    and ``parallel`` do."""
-    compiled = _default("compiled", compiled)
-    batched = compiled and _default("batched", batched)
-    if mode == "rows":
-        batched = False
-    elif mode in ("block", "parallel", "auto"):
-        batched = compiled
-    fused = batched and _default("fused", fused)
-    return (compiled, batched, fused)
+def _resolve(**asked):
+    """``RunOptions.resolve(**asked)`` and the retired keywords it
+    warned about."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        options = RunOptions.resolve(**asked)
+    return options, _warned(caught)
 
 
-def reference_options(compiled, batched, fused, parallel, workers, mode):
-    """``RunOptions.resolve``'s six tier fields: the planner's three,
-    the mode as given, and the scheduler's two — without a mode and
-    under ``auto`` (which names kernels, not the scheduler) the
-    wavefront follows the ``parallel`` option and needs no block
-    kernels; a pinned mode decides it."""
-    compiled, batched, fused = reference_planner(compiled, batched, fused, mode)
-    workers = _default("workers", workers)
-    if mode in ("rows", "block"):
-        parallel = False
-    elif mode == "parallel":
-        parallel = batched and workers >= 2
-    else:
-        parallel = _default("parallel", parallel) and workers >= 2
-    return (compiled, batched, fused, parallel, workers, mode)
+def _asked(mode, workers, batched, fused, parallel, **tier):
+    """The stated keywords only: an absent one is not a retired one."""
+    retired = dict(
+        mode=mode, workers=workers, batched=batched, fused=fused,
+        parallel=parallel,
+    )
+    return {k: v for k, v in retired.items() if v is not None}, tier
 
 
 @pytest.mark.parametrize("mode", MODE)
 @pytest.mark.parametrize("workers", WORKERS)
 def test_every_flag_combination(mode, workers):
+    """Whatever retired keywords a caller states, the tier is
+    ``compiled`` as resolved, each stated name warns once, and the
+    run's planner reads nothing from repro.config a second time."""
     for compiled, batched, fused, parallel in itertools.product(FLAG, repeat=4):
-        lowering = dict(compiled=compiled, batched=batched, fused=fused, mode=mode)
-        asked = dict(lowering, parallel=parallel, workers=workers)
-        planner = ExpressionPlanner(None, **lowering)
-        assert tuple(
-            getattr(planner, name) for name in PLANNER_FIELDS
-        ) == reference_planner(**lowering), asked
-        options = RunOptions.resolve(**asked)
-        assert tuple(
-            getattr(options, name) for name in TIER_FIELDS
-        ) == reference_options(**asked), asked
-        # the run's planner is the engine's tier as the planner sees it:
-        # nothing is read from repro.config a second time
-        with config.overriding(
-            compiled=not options.compiled, batched=not options.batched,
-            fused=not options.fused, parallel=True, workers=7, mode="auto",
-        ):
+        retired, tier = _asked(
+            mode, workers, batched, fused, parallel, compiled=compiled
+        )
+        asked = dict(retired, **tier)
+        options, warned = _resolve(**asked)
+        expected = config.OPTIONS["compiled"].default if compiled is None else compiled
+        assert options.compiled is expected, asked
+        assert sorted(warned) == sorted(retired), asked
+        assert ExpressionPlanner(None, compiled).compiled is expected
+        with config.overriding(compiled=not options.compiled):
             run = options.planner(None)
-        assert (run.compiled, run.batched, run.fused) == (
-            options.compiled, options.batched, options.fused
-        ), asked
+        assert run.compiled is options.compiled, asked
 
 
 @pytest.mark.parametrize("mode", MODE)
 @pytest.mark.parametrize("workers", WORKERS)
 def test_the_ladder_is_the_run_tier_then_the_oracle(mode, workers):
-    """Every tier combination builds at most two rungs: the run's
-    planner, then — only when it compiles and ``degrade`` is on — the
-    oracle, pinned against any process default."""
+    """Every combination builds at most two rungs: the run's planner,
+    then — only when it compiles and ``degrade`` is on — the oracle,
+    against any process default."""
     for compiled, batched, fused, parallel, degrade in itertools.product(
         FLAG, FLAG, FLAG, FLAG, (True, False)
     ):
-        asked = dict(
-            compiled=compiled, batched=batched, fused=fused,
-            parallel=parallel, workers=workers, mode=mode,
+        retired, tier = _asked(
+            mode, workers, batched, fused, parallel, compiled=compiled
         )
-        options = RunOptions.resolve(degrade=degrade, **asked)
-        with config.overriding(compiled=True, batched=True, mode="block"):
+        options, _warned = _resolve(degrade=degrade, **retired, **tier)
+        with config.overriding(compiled=True):
             rungs = TierLadder(options.planner(None), options).rungs
-        top = (options.compiled, options.batched, options.fused)
-        assert (rungs[0].compiled, rungs[0].batched, rungs[0].fused) == top
+        assert rungs[0].compiled is options.compiled
         if degrade and options.compiled:
-            assert len(rungs) == 2, asked
-            oracle = rungs[1]
-            assert (oracle.compiled, oracle.batched, oracle.fused) == (
-                False, False, False
-            ), asked
+            assert [rung.compiled for rung in rungs] == [True, False], retired
         else:
-            assert len(rungs) == 1, asked
+            assert len(rungs) == 1, retired
 
 
 def test_default_compiled_env_var(monkeypatch):
@@ -134,3 +125,77 @@ def test_set_default_compiled_overrides_env(monkeypatch):
 def test_interpreted_planner_reports_mode():
     assert ExpressionPlanner(compiled=False).compiled is False
     assert ExpressionPlanner(compiled=True).compiled is True
+
+
+#: the keyword sets the benchmark harness builds its timed and
+#: tier-sweep engines with
+HARNESS_KEYWORDS = {
+    "auto": dict(mode="auto", workers=2),
+    "rows": dict(mode="rows"),
+    "block": dict(batched=True, fused=False),
+    "fused": dict(batched=True, fused=True),
+    "parallel": dict(mode="parallel", workers=2),
+}
+
+ENGINES = {"etl": EtlEngine, "ohm": OhmExecutor, "mapping": MappingExecutor}
+
+
+@functools.lru_cache(maxsize=None)
+def _kitchen_sink():
+    """The plan per runtime, the instance at 2 000 orders and the
+    ``compiled=False`` targets (the ETL oracle's for every runtime: the
+    mapping reference reads a join as a cross product). No surrogate
+    key: the mapping runtime enumerates rows in another order."""
+    job = build_kitchen_sink_job(with_surrogate_key=False)
+    graph = compile_job(job)
+    plans = {"etl": job, "ohm": graph, "mapping": ohm_to_mappings(graph)}
+    instance = generate_kitchen_sink_instance(2000, 100)
+    return plans, instance, EtlEngine(compiled=False).execute(job, instance)
+
+
+def _run(runtime, **keywords):
+    """Targets, the ``exec.*`` / ``etl.*`` / ``ohm.*`` / ``mapping.*``
+    counters and the retired names warned about, of one run."""
+    plans, instance, _oracle = _kitchen_sink()
+    obs = Observability(stats=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        engine = ENGINES[runtime](obs=obs, **keywords)
+    reset_keygen_sequences()
+    targets = engine.execute(plans[runtime], instance)
+    counters = {
+        key: value
+        for key, value in obs.metrics.snapshot()["counters"].items()
+        if key.startswith(("exec.", "etl.", "ohm.", "mapping."))
+    }
+    return targets, counters, _warned(caught)
+
+
+@functools.lru_cache(maxsize=None)
+def _plain(runtime):
+    return _run(runtime)
+
+
+class TestRetiredKeywords:
+    """The harness's five keyword sets on the kitchen sink, per runtime:
+    each runs the program an engine with no keyword runs."""
+
+    @pytest.mark.parametrize("keywords", list(HARNESS_KEYWORDS))
+    @pytest.mark.parametrize("runtime", list(ENGINES))
+    def test_a_retired_keyword_changes_nothing_but_warns(self, runtime, keywords):
+        asked = HARNESS_KEYWORDS[keywords]
+        targets, counters, warned = _run(runtime, **asked)
+        _plans, _instance, oracle = _kitchen_sink()
+        assert targets.same_bags(oracle)
+        _targets, plain_counters, plain_warned = _plain(runtime)
+        assert plain_warned == []
+        assert counters == plain_counters
+        assert any(key.startswith("exec.fuse.") for key in counters)
+        assert sorted(warned) == sorted(asked)
+
+    @pytest.mark.parametrize("runtime", list(ENGINES))
+    def test_an_unknown_keyword_is_still_a_type_error(self, runtime):
+        with pytest.raises(TypeError, match="bogus"):
+            ENGINES[runtime](bogus=1)
+        with pytest.raises(TypeError, match="unknown option"):
+            config.overriding(mode="auto")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ExecutionError, FaultInjected, TransientError
 from repro.etl.stages import TableSource, TableTarget
-from repro.exec import ExpressionPlanner, Tier, set_kernel_fault_hook
+from repro.exec import ExpressionPlanner, set_kernel_fault_hook
 from repro.exec.block import relation_resolver
 from repro.expr.parser import parse
 from repro.faults import TIERS, FaultPlan
@@ -106,8 +106,8 @@ class TestKernelFaults:
 
     def test_tier_names_match_the_planner(self):
         """The labels are exactly those some planner hands the hook: a
-        column function is "block" fused or gathered, a row closure is
-        "compiled" or "oracle" after its planner."""
+        column function is "block", a row closure is "compiled" or
+        "oracle" after its planner."""
         assert TIERS == ("block", "compiled", "oracle")
         labels = set()
 
@@ -119,13 +119,8 @@ class TestKernelFaults:
         resolve = relation_resolver(None, ["a"])
         set_kernel_fault_hook(spy)
         try:
-            for compiled, batched, fused in [
-                (True, True, True), (True, True, False),
-                (True, False, False), (False, False, False),
-            ]:
-                planner = ExpressionPlanner.at(
-                    None, Tier(compiled, batched, fused, False, 1, None)
-                )
+            for compiled in (True, False):
+                planner = ExpressionPlanner(None, compiled)
                 planner.scalar(expr)
                 planner.block_scalar(expr, resolve)
         finally:

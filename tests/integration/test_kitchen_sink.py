@@ -135,9 +135,11 @@ class TestMappingPaths:
         monkeypatch.setattr(engine, "_adopt_output", spy_adopt)
         monkeypatch.setattr(RowBlock, "to_rows", spy_to_rows)
         graph = compile_job(build_kitchen_sink_job(with_surrogate_key=False))
-        assert execute_mappings(ohm_to_mappings(graph), instance).same_bags(
-            nk_baseline
-        )
+        # the lowered run: under REPRO_COMPILED=0 the mapping executor
+        # would read the formulas and lower nothing
+        assert execute_mappings(
+            ohm_to_mappings(graph), instance, compiled=True
+        ).same_bags(nk_baseline)
         assert handed and all(b is not None for b in handed)
         assert not any(b is c for b in handed for c in converted)
 

@@ -1,6 +1,6 @@
 """End-to-end assertions for every figure of the paper's worked example.
 
-Each test class corresponds to one figure/scenario; see DESIGN.md's
+Each test class corresponds to one figure/scenario; see ARCHITECTURE.md's
 experiment index. The benchmarks regenerate the same artifacts with
 timings; these tests pin the exact structures.
 """

@@ -226,13 +226,17 @@ FAMILIES = {
     ),
 }
 
+#: the compiled tier under the keyword sets the benchmark harness builds
+#: its engines with: the retired tier keywords are dropped (with a
+#: warning), so each runs the program ``fused`` runs
 LOWERED_TIERS = {
     "rows": dict(mode="rows"),
     "block": dict(batched=True, fused=False),
-    "fused": dict(batched=True, fused=True),
+    "fused": {},
     "parallel": dict(mode="parallel", workers=2),
     "auto": dict(mode="auto", workers=2),
 }
+RETIRED_WARNING = "ignore:.*execution tier that is gone:DeprecationWarning"
 
 
 def _accepted_and_rejected(mappings, instance, **options):
@@ -252,6 +256,7 @@ def family(request):
     )
 
 
+@pytest.mark.filterwarnings(RETIRED_WARNING)
 @pytest.mark.parametrize("tier", LOWERED_TIERS)
 def test_lowered_run_accepts_and_rejects_what_the_reference_does(family, tier):
     mappings, instance, (expected, expected_rejects) = family
@@ -264,6 +269,7 @@ def test_lowered_run_accepts_and_rejects_what_the_reference_does(family, tier):
     assert rejects == expected_rejects
 
 
+@pytest.mark.filterwarnings(RETIRED_WARNING)
 @pytest.mark.parametrize("tier", ["oracle", *LOWERED_TIERS])
 @pytest.mark.parametrize("policy", ["fail_fast", "reject"])
 def test_a_value_the_target_cannot_hold_is_a_schema_error_at_every_tier(tier, policy):

@@ -1,11 +1,12 @@
-"""Graceful kernel degradation: a node whose tier fails runs once more
-on the interpreting oracle — the row kernels over the tree-walking
-evaluator, the ladder's only lower rung. A kernel fault never changes
-results — it only shows up in the ``exec.degrade.*`` counters.
+"""Graceful kernel degradation: a node whose compiled tier fails runs
+once more on the interpreting oracle — the row kernels over the
+tree-walking evaluator, the ladder's only lower rung. A kernel fault
+never changes results — it only shows up in the ``exec.degrade.*``
+counters.
 
-A "block" fault plan fires in every chain body, fused or gathered (both
-run the same column functions); the oracle runs none of them, so a node
-degrades at most once."""
+A "block" fault plan fires in every chain body, and a "compiled" one in
+the row body a compiled operator replays a bad row on; the oracle runs
+neither, so a node degrades at most once."""
 
 from collections import Counter
 from contextlib import contextmanager
@@ -25,7 +26,6 @@ from repro.errors import (
 from repro.etl import EtlEngine, Job
 from repro.etl.stages import FilterStage, SwitchStage, TableSource, TableTarget
 from repro.exec import kernel_fault_hook, set_kernel_fault_hook
-from repro.exec.parallel import set_default_executor
 from repro.faults import FaultPlan
 from repro.mapping import (
     Mapping,
@@ -48,6 +48,11 @@ from repro.workloads import (
     generate_instance,
     generate_kitchen_sink_instance,
     orders_schema,
+)
+
+
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:.*execution tier that is gone:DeprecationWarning"
 )
 
 
@@ -149,8 +154,8 @@ def kernels_raising(make_error, calls):
 
 class RuntimeContract:
     """What the run harness (``repro.exec.run``) promises under every
-    runtime: one ladder, one scheduler — so one suite, bound to a
-    runtime by each subclass."""
+    runtime: one ladder, one loop — so one suite, bound to a runtime by
+    each subclass."""
 
     run = None  # staticmethod: run_etl / run_ohm / run_mapping
 
@@ -164,20 +169,26 @@ class RuntimeContract:
         plan = FaultPlan(seed=1).fault_kernels(tier="block", first=1)
         obs = Observability(stats=True)
         with plan.injected():
-            rows, _ = self.premium(
-                instance, obs=obs, compiled=True, batched=True, fused=True
-            )
+            rows, _ = self.premium(instance, obs=obs, compiled=True)
         assert rows == baseline
         assert degraded(obs) == {"exec.degrade.fused_to_oracle": 1}
         assert plan.kernel_faults_fired.get("block", 0) == 1
 
-    def test_compiled_fault_degrades_to_oracle(self, instance, baseline):
+    def test_compiled_fault_degrades_to_oracle(self):
+        # a compiled planner's row closures run where a columnar body
+        # replays a bad row on its row body: a fault there is a tier
+        # failure, not one more rejected row
+        poisoned, _ = generate_faulty_instance(n=40, seed=13, poison=4)
+        clean = self.premium(poisoned, on_error="reject", compiled=False)
         plan = FaultPlan(seed=2).fault_kernels(tier="compiled", first=1)
         obs = Observability(stats=True)
         with plan.injected():
-            rows, _ = self.premium(instance, obs=obs, compiled=True, batched=False)
-        assert rows == baseline
-        assert degraded(obs) == {"exec.degrade.rows_to_oracle": 1}
+            faulted = self.premium(
+                poisoned, obs=obs, compiled=True, on_error="reject"
+            )
+        assert faulted == clean
+        assert plan.kernel_faults_fired.get("compiled", 0) == 1
+        assert degraded(obs) == {"exec.degrade.fused_to_oracle": 1}
 
     def test_batched_engine_falls_all_the_way_to_oracle(
         self, instance, baseline
@@ -189,9 +200,7 @@ class RuntimeContract:
         )
         obs = Observability(stats=True)
         with plan.injected():
-            rows, _ = self.premium(
-                instance, obs=obs, compiled=True, batched=True, fused=True
-            )
+            rows, _ = self.premium(instance, obs=obs, compiled=True)
         assert rows == baseline
         # one step, straight to the oracle: no rung in between
         (name,) = degraded(obs)
@@ -206,15 +215,13 @@ class RuntimeContract:
         )
         with plan.injected():
             with pytest.raises(FaultInjected):
-                self.premium(instance, compiled=True, batched=True)
+                self.premium(instance, compiled=True)
 
     def test_degrade_disabled_surfaces_the_first_fault(self, instance):
         plan = FaultPlan(seed=5).fault_kernels(tier="block", first=1)
         with plan.injected():
             with pytest.raises(FaultInjected):
-                self.premium(
-                    instance, compiled=True, batched=True, degrade=False
-                )
+                self.premium(instance, compiled=True, degrade=False)
 
     def test_degraded_run_with_rejects_keeps_parity(self, instance):
         poisoned, _ = generate_faulty_instance(n=40, seed=13, poison=4)
@@ -223,14 +230,14 @@ class RuntimeContract:
         plan = FaultPlan(seed=6).fault_kernels(tier="block", first=1)
         with plan.injected():
             rows, rejects = self.premium(
-                poisoned, compiled=True, batched=True, on_error="reject"
+                poisoned, compiled=True, on_error="reject"
             )
         assert rows == clean_rows
         assert rejects == clean_rejects
 
     @pytest.mark.parametrize("degrade", [True, False], ids=["degrade", "no-degrade"])
     @pytest.mark.parametrize(
-        "tier", [{}, dict(batched=True, fused=False)], ids=["default", "gathered"]
+        "tier", [{}, dict(compiled=False)], ids=["default", "oracle"]
     )
     @pytest.mark.parametrize("job", BAD_ROW_JOBS)
     def test_row_errors_under_a_policy_are_rejected_not_degraded(
@@ -243,7 +250,7 @@ class RuntimeContract:
         poisoned, _ = generate_faulty_instance(n=40, seed=13, poison=4)
         build = BAD_ROW_JOBS[job]
         expected, expected_rejects = self.run(
-            build(), poisoned, on_error="reject", mode="rows"
+            build(), poisoned, on_error="reject", compiled=False
         )
         assert len(set(expected_rejects)) == 4
         obs = Observability(stats=True)
@@ -257,9 +264,9 @@ class RuntimeContract:
     def test_rungs_pin_their_tier_under_a_process_default_mode(
         self, instance, baseline
     ):
-        """Regression: rungs built with ``mode=None`` re-read the process
-        default. The oracle rung states its tier, so under
-        ``overriding(mode="block")`` a node whose every compiled closure
+        """Regression: rungs built without an explicit tier re-read the
+        process default. The oracle rung states its tier, so under
+        ``overriding(compiled=True)`` a node whose every compiled closure
         fails is still carried by the oracle — once, as without the
         override."""
         def faulted(**options):
@@ -270,14 +277,14 @@ class RuntimeContract:
             )
             obs = Observability(stats=True)
             with plan.injected():
-                rows, _ = self.premium(instance, obs=obs, fused=False, **options)
+                rows, _ = self.premium(instance, obs=obs, **options)
             assert rows == baseline
-            assert set(degraded(obs)) == {"exec.degrade.block_to_oracle"}
-            return obs.metrics.counter("exec.degrade.block_to_oracle")
+            assert set(degraded(obs)) == {"exec.degrade.fused_to_oracle"}
+            return obs.metrics.counter("exec.degrade.fused_to_oracle")
 
-        expected = faulted(batched=True)
+        expected = faulted(compiled=True)
         assert expected >= 1
-        with config.overriding(mode="block"):
+        with config.overriding(compiled=True):
             assert faulted() == expected  # once per faulted node, not twice
 
     @pytest.mark.parametrize(
@@ -295,32 +302,9 @@ class RuntimeContract:
         obs = Observability(stats=True)
         with kernels_raising(make_error, calls):
             with pytest.raises(type(make_error()), match="planted"):
-                self.premium(instance, obs=obs, compiled=True, batched=True)
+                self.premium(instance, obs=obs, compiled=True)
         assert len(calls) == 1  # the first tier's first kernel, nothing after
         assert not degraded(obs)
-
-    def test_unavailable_workers_recompute_inline(self):
-        class _Broken:
-            def submit(self, fn):
-                raise RuntimeError("pool shut down")
-
-        # two sources, two targets: every runtime has a wave to fan out
-        job = build_example_job()
-        wide = generate_instance(n_customers=120, seed=3)
-        serial, _ = self.run(job, wide, compiled=True, batched=True)
-        obs = Observability(stats=True)
-        set_default_executor(_Broken())
-        try:
-            targets, _ = self.run(
-                job, wide, obs=obs, compiled=True, batched=True,
-                parallel=True, workers=4,
-            )
-        finally:
-            set_default_executor(None)
-        assert targets.same_bags(serial)
-        waves = obs.metrics.counter("exec.parallel.waves")
-        assert waves >= 1
-        assert obs.metrics.counter("exec.degrade.parallel_to_serial") >= waves
 
 
 class TestEtlDegrade(RuntimeContract):
@@ -350,7 +334,7 @@ class TestInfrastructureErrorsAreNotAbsorbed:
         fault_plan = FaultPlan(seed=15).fault_kernels(
             tier="compiled", rate=0.5
         )
-        engine = EtlEngine(compiled=True, batched=False, on_error="reject")
+        engine = EtlEngine(compiled=True, on_error="reject")
         with fault_plan.injected():
             targets, _ = engine.run(build_faulty_job(), poisoned)
         assert _premium_rows(targets) == _premium_rows(clean)
@@ -364,7 +348,7 @@ class TestOhmAndMappingDegrade:
         graph = compile_job(build_faulty_job())
         plan = FaultPlan(seed=7).fault_kernels(tier="block", first=1)
         obs = Observability(stats=True)
-        executor = OhmExecutor(obs=obs, compiled=True, batched=True, fused=True)
+        executor = OhmExecutor(obs=obs, compiled=True)
         with plan.injected():
             targets, _ = executor.run(graph, instance)
         assert _premium_rows(targets) == baseline
@@ -373,27 +357,31 @@ class TestOhmAndMappingDegrade:
     def test_ohm_degrade_disabled_surfaces_the_fault(self, instance):
         graph = compile_job(build_faulty_job())
         plan = FaultPlan(seed=8).fault_kernels(tier="block", first=1)
-        executor = OhmExecutor(compiled=True, batched=True, degrade=False)
+        executor = OhmExecutor(compiled=True, degrade=False)
         with plan.injected():
             with pytest.raises(FaultInjected):
                 executor.run(graph, instance)
 
-    def test_mapping_compiled_fault_degrades(self, instance, baseline):
+    def test_mapping_compiled_fault_degrades(self):
         mappings = ohm_to_mappings(compile_job(build_faulty_job()))
+        poisoned, _ = generate_faulty_instance(n=40, seed=13, poison=4)
+        clean, _ = MappingExecutor(on_error="reject").run(mappings, poisoned)
         plan = FaultPlan(seed=9).fault_kernels(tier="compiled", first=1)
         obs = Observability(stats=True)
-        executor = MappingExecutor(obs=obs, compiled=True, batched=False)
+        executor = MappingExecutor(obs=obs, compiled=True, on_error="reject")
         with plan.injected():
-            targets, _ = executor.run(mappings, instance)
-        assert _premium_rows(targets) == baseline
-        assert degraded(obs) == {"exec.degrade.rows_to_oracle": 1}
+            targets, _ = executor.run(mappings, poisoned)
+        assert _premium_rows(targets) == _premium_rows(clean)
+        assert degraded(obs) == {"exec.degrade.fused_to_oracle": 1}
 
 
-#: the tiers the satellite contracts below hold at
+#: the tiers the satellite contracts below hold at: ``gathered`` is the
+#: retired gathered tier's keyword set, dropped (with a warning) onto the
+#: compiled tier; ``rows`` is the oracle's row kernels
 TIERS = {
     "default": {},
     "gathered": dict(batched=True, fused=False),
-    "rows": dict(mode="rows"),
+    "rows": dict(compiled=False),
     "oracle": dict(compiled=False),
 }
 
@@ -403,7 +391,7 @@ class TestOpaqueNodesBypassTheLadder:
     fall from: a raising opaque body runs exactly once at every tier and
     books no degradation, as an ETL ``Custom`` stage always did."""
 
-    @pytest.mark.parametrize("tier", ["default", "rows", "oracle"])
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("runtime", ["ohm", "mapping"])
     def test_a_raising_unknown_runs_once(self, runtime, tier):
         calls = []
@@ -540,7 +528,7 @@ class TestNothingDegradesWithoutAFault:
         ),
     }
 
-    @pytest.mark.parametrize("tier", ["default", "gathered", "rows"])
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("runtime", [run_etl, run_ohm, run_mapping],
                              ids=["etl", "ohm", "mapping"])
     @pytest.mark.parametrize("workload", WORKLOADS)

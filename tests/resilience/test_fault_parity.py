@@ -1,7 +1,7 @@
 """The fault-injection parity matrix: 3 runtimes (ETL engine, OHM
-executor, mapping executor) × 3 execution modes (interpreted oracle,
-compiled rows, batched blocks) must agree on the accepted AND the
-rejected row multisets under injected faults. This is the paper's
+executor, mapping executor) × 2 execution tiers (interpreted oracle,
+compiled) must agree on the accepted AND the rejected row multisets
+under injected faults. This is the paper's
 semantic-equivalence claim extended to the error path."""
 
 import os
@@ -17,18 +17,12 @@ from repro.ohm import OhmExecutor
 from repro.resilience import format_row
 from repro.workloads import build_faulty_job, generate_faulty_instance
 
-#: (mode name, compiled, batched)
-MODES = [
-    ("interpreted", False, False),
-    ("compiled", True, False),
-    ("batched", True, True),
-]
+#: (tier name, compiled)
+MODES = [("interpreted", False), ("compiled", True)]
 
 
-def run_etl(instance, compiled, batched, policy):
-    engine = EtlEngine(
-        compiled=compiled, batched=batched, on_error=policy
-    )
+def run_etl(instance, compiled, policy):
+    engine = EtlEngine(compiled=compiled, on_error=policy)
     targets, _ = engine.run(build_faulty_job(), instance)
     accepted = Counter(
         format_row(r) for r in targets.dataset("Premium").rows
@@ -39,11 +33,9 @@ def run_etl(instance, compiled, batched, policy):
     return accepted, rejected
 
 
-def run_ohm(instance, compiled, batched, policy):
+def run_ohm(instance, compiled, policy):
     graph = compile_job(build_faulty_job())
-    executor = OhmExecutor(
-        compiled=compiled, batched=batched, on_error=policy
-    )
+    executor = OhmExecutor(compiled=compiled, on_error=policy)
     targets, _edges, rejects = executor.run_with_rejects(graph, instance)
     accepted = Counter(
         format_row(r) for r in targets.dataset("Premium").rows
@@ -52,11 +44,9 @@ def run_ohm(instance, compiled, batched, policy):
     return accepted, rejected
 
 
-def run_mapping(instance, compiled, batched, policy):
+def run_mapping(instance, compiled, policy):
     mappings = ohm_to_mappings(compile_job(build_faulty_job()))
-    executor = MappingExecutor(
-        compiled=compiled, batched=batched, on_error=policy
-    )
+    executor = MappingExecutor(compiled=compiled, on_error=policy)
     targets, _inter, rejects = executor.run_with_rejects(mappings, instance)
     accepted = Counter(
         format_row(r) for r in targets.dataset("Premium").rows
@@ -69,18 +59,18 @@ RUNTIMES = [("etl", run_etl), ("ohm", run_ohm), ("mapping", run_mapping)]
 
 
 def matrix(instance, policy="reject"):
-    """{(runtime, mode): (accepted Counter, rejected Counter)}."""
+    """{(runtime, tier): (accepted Counter, rejected Counter)}."""
     results = {}
     for runtime_name, runner in RUNTIMES:
-        for mode_name, compiled, batched in MODES:
+        for mode_name, compiled in MODES:
             results[(runtime_name, mode_name)] = runner(
-                instance, compiled, batched, policy
+                instance, compiled, policy
             )
     return results
 
 
 class TestParityMatrix:
-    def test_reject_parity_across_all_nine_combinations(self):
+    def test_reject_parity_across_all_six_combinations(self):
         instance, plan = generate_faulty_instance(n=60, seed=11, poison=7)
         results = matrix(instance, policy="reject")
         reference_accepted, reference_rejected = results[("etl", "interpreted")]
@@ -110,10 +100,10 @@ class TestParityMatrix:
 
     def test_parity_survives_kernel_degradation(self):
         instance, _ = generate_faulty_instance(n=40, seed=14, poison=4)
-        clean = run_etl(instance, False, False, "reject")
+        clean = run_etl(instance, False, "reject")
         plan = FaultPlan(seed=14).fault_kernels(tier="block", first=2)
         with plan.injected():
-            degraded = run_etl(instance, True, True, "reject")
+            degraded = run_etl(instance, True, "reject")
         assert degraded == clean
 
 
@@ -137,9 +127,9 @@ class TestExtendedFaultSweep:
     @pytest.mark.parametrize("tier", ["block", "compiled"])
     def test_parity_under_kernel_fault_rates(self, tier):
         instance, _ = generate_faulty_instance(n=80, seed=21, poison=6)
-        reference = run_etl(instance, False, False, "reject")
+        reference = run_etl(instance, False, "reject")
         for runtime_name, runner in RUNTIMES:
             plan = FaultPlan(seed=21).fault_kernels(tier=tier, rate=0.5)
             with plan.injected():
-                result = runner(instance, True, True, "reject")
+                result = runner(instance, True, "reject")
             assert result == reference, f"mismatch at {runtime_name}/{tier}"

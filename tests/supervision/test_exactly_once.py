@@ -1,7 +1,7 @@
 """Exactly-once under injected crashes: a run killed at any checkpoint
 boundary or around (or mid-) a target write resumes to output that is
 byte-identical to an uninterrupted run — accepted and rejected rows
-alike — across the serial, parallel, and fused engine tiers.
+alike — on both engine tiers, compiled and the oracle.
 
 :class:`~repro.errors.InjectedCrash` derives from ``BaseException``
 (a simulated ``kill -9``), so the sweep also pins that no retry policy,
@@ -30,9 +30,8 @@ from repro.workloads import (
 )
 
 ENGINE_FLAGS = {
-    "serial": {},
-    "parallel": {"workers": 3},
-    "fused": {"batched": True, "fused": True},
+    "fused": {"compiled": True},
+    "oracle": {"compiled": False},
 }
 
 

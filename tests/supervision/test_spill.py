@@ -207,7 +207,7 @@ class TestBlockKernelParity:
         left = RowBlock.from_rows(["k"], [{"k": i % 3} for i in range(30)])
         right = RowBlock.from_rows(["k"], [{"k": i % 3} for i in range(30)])
         condition = parse("L.k = R.k")
-        planner = ExpressionPlanner(compiled=True, batched=True)
+        planner = ExpressionPlanner(compiled=True)
         plan = [("k", "left", "k")]
         in_memory = block.hash_join_block(
             left, right, left_rel, right_rel, condition, "inner",
@@ -231,13 +231,17 @@ class TestEngineParity:
         instance = generate_instance(n_customers=200)
         return instance, EtlEngine().execute(build_example_job(), instance)
 
-    @pytest.mark.parametrize("tier", ["serial", "parallel", "fused"])
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("tier", ["serial", "parallel", "fused", "oracle"])
     def test_etl_engine(self, baseline, tier):
         instance, expected = baseline
+        # "parallel" is the retired wavefront's keyword set, dropped
+        # onto the compiled tier ("serial", "fused")
         flags = {
             "serial": {},
-            "parallel": {"batched": True, "workers": 3},
-            "fused": {"batched": True, "fused": True},
+            "parallel": {"workers": 3},
+            "fused": {"compiled": True},
+            "oracle": {"compiled": False},
         }[tier]
         obs = Observability(stats=True)
         engine = EtlEngine(obs=obs, memory_budget=16, **flags)
@@ -271,11 +275,18 @@ class TestEngineParity:
 
 
 class TestSortStageUnderBudget:
-    """A Sort larger than the budget spills on the fused tier as on the
-    block tier: one body, one budget-aware permutation."""
+    """A Sort larger than the budget spills on the compiled tier as on
+    the oracle's row kernel, and keeps the same order."""
 
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "block"])
-    def test_sort_stage_spills_and_keeps_the_order(self, fused):
+    # "block" is the retired gathered tier's keyword, dropped onto the
+    # compiled tier
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize(
+        "tier",
+        [dict(compiled=True), dict(fused=False), dict(compiled=False)],
+        ids=["fused", "block", "oracle"],
+    )
+    def test_sort_stage_spills_and_keeps_the_order(self, tier):
         from repro.data.dataset import Dataset, Instance
         from repro.etl.model import Job
         from repro.etl.stages import SortStage, TableSource, TableTarget
@@ -295,10 +306,7 @@ class TestSortStageUnderBudget:
 
         def run(memory_budget):
             obs = Observability(stats=True)
-            engine = EtlEngine(
-                obs=obs, compiled=True, batched=True, fused=fused,
-                memory_budget=memory_budget,
-            )
+            engine = EtlEngine(obs=obs, memory_budget=memory_budget, **tier)
             rows = engine.execute(job, instance).dataset("Out").rows
             return rows, obs.metrics.counter("exec.spill.sort")
 
@@ -314,6 +322,7 @@ class TestAutoTierUnderBudget:
         instance = generate_instance(n_customers=200)
         expected = EtlEngine().execute(build_example_job(), instance)
         obs = Observability(stats=True)
-        engine = EtlEngine(obs=obs, mode="auto", memory_budget=16)
+        with pytest.warns(DeprecationWarning, match="'mode'"):
+            engine = EtlEngine(obs=obs, mode="auto", memory_budget=16)
         got = engine.execute(build_example_job(), instance)
         assert got.same_bags(expected)

@@ -100,25 +100,6 @@ class TestRunSupervisor:
         sup.check("b")
         assert obs.metrics.counter("exec.supervise.checks") == 2
 
-    def test_guard_short_circuits_queued_tasks(self):
-        sup = RunSupervisor().start()
-        calls = []
-        guarded = sup.guard(lambda: calls.append(1) or "ran")
-        assert guarded() == "ran"
-        sup.cancel()
-        with pytest.raises(RunCancelled):
-            guarded()
-        assert calls == [1]
-
-    def test_guard_enforces_the_deadline_at_dequeue(self):
-        clock = FakeClock()
-        sup = RunSupervisor(Budget(deadline=1.0), clock=clock).start()
-        guarded = sup.guard(lambda: "ran")
-        assert guarded() == "ran"
-        clock.advance(2.0)
-        with pytest.raises(RunCancelled):
-            guarded()
-
     def test_remaining_budget(self):
         clock = FakeClock()
         sup = RunSupervisor(Budget(deadline=5.0), clock=clock).start()
@@ -154,7 +135,7 @@ class TestResolveTriad:
 
 class TestEngineCancellation:
     """A pre-cancelled (or instantly-expiring) supervisor cancels all
-    three runtimes cleanly, serial and parallel alike."""
+    three runtimes cleanly."""
 
     def _cancelled_supervisor(self):
         sup = RunSupervisor()
@@ -166,14 +147,6 @@ class TestEngineCancellation:
         engine = EtlEngine(supervisor=self._cancelled_supervisor())
         with pytest.raises(RunCancelled):
             engine.run(build_faulty_job(), instance)
-
-    def test_etl_engine_parallel_drains(self):
-        instance = generate_instance(n_customers=40)
-        engine = EtlEngine(
-            workers=4, supervisor=self._cancelled_supervisor()
-        )
-        with pytest.raises(RunCancelled):
-            engine.run(build_example_job(), instance)
 
     def test_etl_engine_deadline_reports_frontier(self):
         clock = FakeClock()
@@ -218,10 +191,7 @@ class TestEngineCancellation:
         """RunCancelled must propagate through the tier ladder, not be
         swallowed as one more tier failure."""
         instance = generate_instance(n_customers=20)
-        engine = EtlEngine(
-            fused=True, batched=True,
-            supervisor=self._cancelled_supervisor(),
-        )
+        engine = EtlEngine(supervisor=self._cancelled_supervisor())
         with pytest.raises(RunCancelled):
             engine.run(build_example_job(), instance)
 

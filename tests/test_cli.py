@@ -138,29 +138,8 @@ class TestObservabilityFlags:
         assert "compile.job" not in err
 
 
-class TestBatchModeFlags:
-    def test_row_mode_overrides_repro_batch(self, job_xml_path, monkeypatch):
-        import repro.cli as cli
-        from repro import config
-
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert config.resolve("batched") is True
-        seen = {}
-        real = cli._dispatch
-
-        def spy(args, orchid):
-            seen["batched"] = config.resolve("batched")
-            return real(args, orchid)
-
-        monkeypatch.setattr(cli, "_dispatch", spy)
-        assert main(["show", job_xml_path, "--row-mode"]) == 0
-        assert seen == {"batched": False}
-        assert config.resolve("batched") is True  # environment resolution restored
-
-
 ALL_FLAGS = [
-    "--interpreted", "--no-fuse", "--workers", "3",
-    "--mode", "block", "--on-error", "skip", "--max-retries", "2",
+    "--interpreted", "--on-error", "skip", "--max-retries", "2",
     "--deadline", "30", "--memory-budget", "500", "--check",
 ]
 
@@ -190,8 +169,7 @@ class TestFlagsAreScoped:
         flags = ALL_FLAGS + ["--checkpoint-dir", str(tmp_path)]
         assert main(["show", job_xml_path] + flags) == 0
         assert seen == dict(
-            before, compiled=False, fused=False,
-            workers=3, parallel=True, mode="block", on_error="skip",
+            before, compiled=False, on_error="skip",
             max_retries=2, deadline=30.0, memory_budget=500, check=True,
             checkpoint_dir=str(tmp_path),
         )
@@ -207,7 +185,7 @@ class TestFlagsAreScoped:
         seen = self._spy(monkeypatch, boom)
         with pytest.raises(RuntimeError, match="boom"):
             main(["show", job_xml_path] + ALL_FLAGS)
-        assert seen["mode"] == "block"
+        assert seen["on_error"] == "skip"
         assert config.snapshot() == before
 
     def test_when_the_run_is_cancelled(self, job_xml_path, monkeypatch, capsys):
@@ -226,7 +204,6 @@ class TestFlagsAreScoped:
     @pytest.mark.parametrize(
         "flag,value,wording",
         [
-            ("--workers", "0", "--workers must be >= 1"),
             ("--max-retries", "-1", "--max-retries must be >= 0"),
             ("--deadline", "0", "--deadline must be > 0 seconds"),
             ("--memory-budget", "0", "--memory-budget must be >= 1 row"),

@@ -345,6 +345,22 @@ def test_aggregate_reducer_matches_row_aggregates():
 # --- engine-level agreement ---------------------------------------------------
 
 
+def test_three_modes_agree_on_kitchen_sink():
+    # the oracle, the compiled tier in memory, and the compiled tier
+    # spilling its blocking kernels under a 16-row budget
+    job = build_kitchen_sink_job()
+    instance = generate_kitchen_sink_instance(n_orders=150)
+    interpreted = EtlEngine(compiled=False).execute(job, instance)
+    compiled = EtlEngine(compiled=True).execute(job, instance)
+    obs = Observability(stats=True)
+    spilled = EtlEngine(obs=obs, compiled=True, memory_budget=16).execute(
+        job, instance
+    )
+    assert compiled.same_bags(interpreted)
+    assert spilled.same_bags(interpreted)
+    assert obs.metrics.snapshot()["counters"].get("exec.spill.runs", 0) > 0
+
+
 def test_all_three_runtimes_agree_batched():
     job = build_example_job()
     instance = generate_instance(n_customers=80)

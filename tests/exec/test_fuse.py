@@ -170,14 +170,26 @@ class TestOneBodyTwoTiers:
         )
         assert all(d.peek_fused() is None for d in oracle[2].values())
 
-    def test_fault_labels_follow_the_tier(self):
+
+class TestOneBodyThreeTiers:
+    """The three tier spellings the benchmark harness still passes —
+    the default, ``fused=False`` (once the gathered block tier) and
+    ``compiled=False`` — leave two tiers, and the first two are one
+    body: a compiled engine given the retired ``fused=False`` fires the
+    same fault labels as the default one."""
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize(
+        "retired", [{}, {"fused": False}], ids=["fused", "block"]
+    )
+    def test_fault_labels_follow_the_tier(self, retired):
         # a chain body's column functions are labelled "block", and no
         # "oracle" closure runs above the oracle rung
         instance, _plan = generate_faulty_instance(n=40, seed=34)
 
         def fired(tier):
             plan = FaultPlan(seed=34).fault_kernels(tier=tier, first=1)
-            engine = EtlEngine(compiled=True)
+            engine = EtlEngine(compiled=True, **retired)
             with plan.injected():
                 engine.run(build_faulty_job(), instance)
             return plan.kernel_faults_fired.get(tier, 0)

@@ -13,13 +13,12 @@ Entry points:
 * :func:`analyze` / :func:`analyze_job` / :func:`analyze_graph` /
   :func:`analyze_mappings` — collect every finding into an
   :class:`AnalysisReport`;
-* :func:`check_plan` — the engines' ``check=True`` pre-run hook:
+* :func:`check_plan` — every engine run's pre-run hook:
   raise :class:`repro.errors.ValidationError` on the first
   error-severity finding, before a single row is processed;
 * the ``orchid lint`` CLI subcommand renders reports as text or JSON.
 
-Whether engines run the pre-run check is the ``check`` option of
-:mod:`repro.config` (off unless set).
+Every engine run calls the pre-run check; it is not an option.
 """
 
 from repro.analysis.analyzer import (

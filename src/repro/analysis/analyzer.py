@@ -704,16 +704,25 @@ def _check_dead_columns(analysis: _GraphAnalysis) -> None:
 # -- placement lints ----------------------------------------------------------
 
 
+def _fuses(node) -> bool:
+    """Whether ``node`` is a stage whose body chains on the compiled
+    tier: every stage but a ``Custom`` one and the endpoints."""
+    return (
+        isinstance(node, Stage)
+        and not isinstance(node, _etl.CustomStage)
+        and node.min_inputs > 0
+        and node.max_outputs != 0
+    )
+
+
 def _check_fusion_chains(analysis: _GraphAnalysis) -> None:
-    """ORC022: a stage that cannot run on the compiled tier
-    sandwiched between stages that can — the fused pipeline silently
-    splits there and pays a materialization."""
+    """ORC022: a ``Custom`` stage (opaque, so never chained) sandwiched
+    between stages that chain — the fused pipeline silently splits
+    there and pays a materialization."""
     graph = analysis.graph
     for node in analysis.order:
-        if getattr(node, "supports_compiled", False):
+        if not isinstance(node, _etl.CustomStage):
             continue
-        if node.min_inputs == 0 or node.max_outputs == 0:
-            continue  # endpoints always materialize
         preds = [
             graph.node(e.src)
             for e in graph.in_edges(node.uid)
@@ -724,9 +733,7 @@ def _check_fusion_chains(analysis: _GraphAnalysis) -> None:
             for e in graph.out_edges(node.uid)
             if not e.is_reject
         ]
-        if any(
-            getattr(p, "supports_compiled", False) for p in preds
-        ) and any(getattr(s, "supports_compiled", False) for s in succs):
+        if any(map(_fuses, preds)) and any(map(_fuses, succs)):
             analysis.report.emit(
                 "ORC022",
                 f"{node.KIND} {node.uid} does not support the "
@@ -1078,7 +1085,7 @@ def analyze(
 def check_plan(
     subject, registry: Optional[FunctionRegistry] = None
 ) -> AnalysisReport:
-    """The engines' ``check=True`` pre-run hook: analyze ``subject``
+    """Every engine run's pre-run hook: analyze ``subject``
     and raise :class:`ValidationError` (carrying the first error's
     location) when any error-severity diagnostic is found — before a
     single row is processed. Warnings and infos never block a run."""

@@ -6,8 +6,8 @@ location (stage/operator/link/mapping/expression — the same fields
 :class:`repro.errors.GraphError` carries, so static and runtime
 failures render identically), and an optional suggested fix.
 Diagnostics are collected into an :class:`AnalysisReport`, which the
-``orchid lint`` subcommand renders as text or JSON and the engines'
-``check=True`` hook consults before executing a plan.
+``orchid lint`` subcommand renders as text or JSON and every engine
+run consults before executing a plan.
 
 The code catalogue is documented in ``docs/analysis.md``; CI guards
 that every code listed there is exercised by at least one test.

@@ -12,8 +12,8 @@
 
 ``lint`` reports ORC-coded diagnostics (``docs/analysis.md``) as text or
 ``--format json`` and exits 1 on errors (with ``--strict``, on warnings
-too). ``--check`` on any subcommand makes every plan the invocation
-executes pass the same analysis first.
+too). Every plan an invocation executes passes the same analysis first:
+an engine refuses a statically broken plan before row one.
 
 Every subcommand additionally accepts ``--trace`` (print the span tree
 of the run) and ``--stats {json,text}`` (print the metrics registry);
@@ -115,13 +115,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "sort buffers) at ROWS resident rows; overruns spill to "
         "temp-file runs with identical results (equivalent to "
         "REPRO_MEMORY_BUDGET)",
-    )
-    observability.add_argument(
-        "--check",
-        action="store_true",
-        help="statically analyze every plan before running it and refuse "
-        "statically-broken ones (equivalent to REPRO_CHECK=1 — see "
-        "docs/analysis.md)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -275,8 +268,6 @@ def _flags(args: argparse.Namespace) -> Dict[str, Any]:
     flags: Dict[str, Any] = {}
     if args.interpreted:
         flags["compiled"] = False
-    if args.check:
-        flags["check"] = True
     for name in ("on_error", "max_retries", "checkpoint_dir", "deadline",
                  "memory_budget"):
         value = getattr(args, name)

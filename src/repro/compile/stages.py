@@ -27,7 +27,6 @@ from repro.expr.algebra import (
     substitute_by_name,
 )
 from repro.expr.ast import BinaryOp, ColumnRef, Expr, IsNull, Literal
-from repro.expr.functions import DEFAULT_REGISTRY
 from repro.etl.stages import (
     AggregatorStage,
     CombineRecords,
@@ -135,9 +134,7 @@ class RowGeneratorCompiler(StageCompiler):
 
     def compile(self, stage, input_schemas, input_names, output_names, graph):
         def provide():
-            return stage.execute(
-                [], [stage.relation], DEFAULT_REGISTRY
-            )[0]
+            return stage.execute([], [stage.relation], None)[0]
 
         op = graph.add(
             Source(
@@ -597,9 +594,7 @@ class CustomStageCompiler(StageCompiler):
             declared = list(stage.output_schemas)
 
             def executor(inputs, _stage=stage, _declared=declared):
-                produced = _stage.execute(
-                    inputs, _declared, DEFAULT_REGISTRY
-                )
+                produced = _stage.execute(inputs, _declared, None)
                 return [list(dataset.rows) for dataset in produced]
 
         op = graph.add(

@@ -1,7 +1,7 @@
 """repro.config — the options table.
 
 Everything about a run that is not the plan or the data is one of the
-eight rows of :data:`OPTIONS`, and a row's value is found one way:
+seven rows of :data:`OPTIONS`, and a row's value is found one way:
 
     explicit keyword  >  ``overriding(...)``  >  ``REPRO_*`` variable  >  default
 
@@ -128,8 +128,6 @@ OPTIONS: Dict[str, Option] = {
     # consecutive endpoint failures that trip a breaker; 0 or unset is
     # no breaker
     "breaker": Option((("REPRO_BREAKER", int),), _at_least(0), ">= 0", None),
-    # vet a plan with repro.analysis before its first row
-    "check": Option((("REPRO_CHECK", parse_bool),), bool, _SWITCH, False),
 }
 
 #: the process-wide layer; written by :func:`overriding` alone.

@@ -191,16 +191,16 @@ class FaultInjected(ExecutionError):
 
 #: failure types that row-level error policies must never absorb as data
 #: errors: they signal broken infrastructure, not a bad row, and have
-#: their own recovery paths (retry for transient endpoints, the
-#: degradation ladder for kernel faults).
+#: their own recovery paths (retry for transient endpoints, a columnar
+#: body's rerun on its row body for kernel faults).
 INFRASTRUCTURE_ERRORS = (TransientError, FaultInjected)
 
 
 #: deterministic semantic failures: a malformed plan, schema, mapping,
 #: or expression — never a bad row and never a flaky endpoint. Row-level
-#: error policies must not absorb them as data errors, and the
-#: degradation ladder must not retry them at a lower tier: they fail
-#: identically at every tier, and :mod:`repro.analysis` can detect them
+#: error policies must not absorb them as data errors, and a failing
+#: columnar body is not rerun on its row body for one: they fail
+#: identically on both bodies, and :mod:`repro.analysis` detects them
 #: before row one. (:class:`EvaluationError` is deliberately absent —
 #: evaluating an expression against a concrete row *is* data-dependent.)
 STATIC_ERRORS = (
@@ -265,7 +265,7 @@ class InjectedCrash(BaseException):
     """A simulated process kill from the ``repro.faults`` crash tier.
 
     Derives from :class:`BaseException` (like ``KeyboardInterrupt``) on
-    purpose: no retry policy, row-error policy, or degradation ladder
+    purpose: no retry policy, row-error policy, or columnar-body fallback
     may absorb it, so the process state it leaves behind is exactly
     what a real ``kill -9`` would leave — which is what the
     exactly-once tests assert recovery from."""

@@ -14,9 +14,11 @@ additionally records them into the shared metrics registry
 ``etl.stage.<type>`` span per executed stage under an ``etl.run`` root.
 
 The engine is an adapter over the shared run harness
-(:mod:`repro.exec.run`: option resolution, degradation ladder,
-supervised topological loop — ``docs/execution-model.md``). What is
-the ETL runtime's own lives here (``docs/robustness.md``):
+(:mod:`repro.exec.run`: option resolution, the pre-run check,
+supervised topological loop — ``docs/execution-model.md``). Every stage
+runs through one call, ``stage.execute(inputs, out_relations, planner,
+obs, errors)``. What is the ETL runtime's own lives here
+(``docs/robustness.md``):
 
 * source/target endpoints, retried under a
   :class:`~repro.resilience.RetryPolicy` *inside* a
@@ -147,9 +149,9 @@ class EtlEngine(Runtime):
         target stage (keyed by target relation name) and the dataset that
         flowed over every link (keyed by link name)."""
         instance = instance or Instance()
-        ladder = start_run(self.options, job, job.registry)
+        planner = start_run(self.options, job, job.registry)
         job.propagate_schemas()
-        run = _JobRun(self, job, instance, ladder)
+        run = _JobRun(self, job, instance, planner)
         with self._obs.tracer.span("etl.run", job=job.name):
             run_nodes(job.topological_order(), run, self.options)
         if self.checkpoint is not None:
@@ -193,11 +195,11 @@ class _JobRun:
     (:class:`repro.exec.run.Nodes`), plus the run-scoped state their
     bookkeeping fills — never the engine's."""
 
-    def __init__(self, engine: EtlEngine, job: Job, instance: Instance, ladder):
+    def __init__(self, engine: EtlEngine, job: Job, instance: Instance, planner):
         self.engine = engine
         self.job = job
         self.instance = instance
-        self.ladder = ladder
+        self.planner = planner
         self.obs = engine.options.obs
         self.stats = EtlRunStats()
         self.targets = Instance()
@@ -250,7 +252,13 @@ class _JobRun:
                 stage.name,
             )
             return outputs, None
-        outputs = self._execute(stage, state)
+        outputs = stage.execute(
+            state.inputs,
+            [e.schema for e in state.data_edges],
+            self.planner,
+            self.obs,
+            state.ctx,
+        )
         if len(outputs) != len(state.data_edges):
             raise ExecutionError(
                 f"{stage.STAGE_TYPE} {stage.name!r} produced "
@@ -258,25 +266,6 @@ class _JobRun:
                 stage=stage.name,
             )
         return outputs, None
-
-    def _execute(self, stage, state):
-        """A transformation stage, through the ladder when it lowers
-        expressions at all."""
-        registry = self.job.registry
-        out_relations = [e.schema for e in state.data_edges]
-        policies = {"errors": state.ctx} if stage.supports_policies else {}
-        if not stage.supports_compiled:
-            return stage.execute(
-                state.inputs, out_relations, registry, **policies
-            )
-        return self.ladder.attempt(
-            lambda planner: stage.execute(
-                state.inputs, out_relations, registry,
-                planner=planner, obs=self.obs, **policies,
-            ),
-            state.ctx,
-            self.obs.metrics,
-        )
 
     def book(self, stage, state, result) -> None:
         if result is None:

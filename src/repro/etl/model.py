@@ -13,7 +13,9 @@ Filter stage's multiple output datasets and row-only-once mode
 Like OHM operators, stages validate themselves against their input
 schemas and compute their output schemas; unlike OHM operators they also
 carry *runtime* semantics (``execute``), because this substrate doubles
-as the ETL engine that runs jobs (see :mod:`repro.etl.engine`).
+as the ETL engine that runs jobs (see :mod:`repro.etl.engine`). Every
+stage runs through one signature, ``execute(inputs, out_relations,
+planner, obs=None, errors=None)``.
 """
 
 from __future__ import annotations
@@ -52,18 +54,6 @@ class Stage:
     max_inputs: Optional[int] = 1
     min_outputs = 1
     max_outputs: Optional[int] = 1
-
-    #: Stages that dispatch onto :mod:`repro.exec.kernels` set this True;
-    #: the engine then passes them its shared ``planner``/``obs`` via
-    #: keyword. It stays False on the base class so user-defined stages
-    #: with the historical three-argument ``execute`` keep working.
-    supports_compiled = False
-
-    #: Stages whose row loop honours an ``errors=`` :class:`~repro.
-    #: resilience.ErrorContext` (skip/reject row-level error policies)
-    #: set this True. On other stages a non-``fail_fast`` policy leaves
-    #: behaviour unchanged: any row error still aborts the stage.
-    supports_policies = False
 
     #: Stages that may carry an out-of-band reject link
     #: (:meth:`Job.reject_link`). The engine routes the stage's rejected
@@ -141,16 +131,18 @@ class Stage:
         self,
         inputs: Sequence[Dataset],
         out_relations: Sequence[Relation],
-        registry: FunctionRegistry,
-        planner=None,
+        planner,
         obs=None,
+        errors=None,
     ) -> List[Dataset]:
         """Row semantics of the stage; one dataset per output link.
 
-        ``planner`` (an :class:`~repro.exec.ExpressionPlanner`) and
-        ``obs`` are supplied by the engine to stages that declare
-        :attr:`supports_compiled`; a stage invoked directly without them
-        builds its own planner from ``registry``."""
+        ``planner`` (an :class:`~repro.exec.ExpressionPlanner`) lowers
+        the stage's expressions at the run's tier — a stage that lowers
+        none ignores it, and may be handed ``None``. ``obs`` records
+        kernel metrics, and ``errors`` (an :class:`~repro.resilience.
+        ErrorContext`) is the row policy that takes the stage's bad
+        rows; without it a row error raises."""
         raise NotImplementedError
 
     # serialization interface ------------------------------------------------------

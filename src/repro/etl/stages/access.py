@@ -15,7 +15,6 @@ from repro.data.dataset import Dataset, Instance
 from repro.errors import ExecutionError, ValidationError
 from repro.etl.model import Stage
 from repro.exec import ops
-from repro.expr.functions import FunctionRegistry
 from repro.schema.model import Attribute, Relation, relation as make_relation
 
 
@@ -68,7 +67,7 @@ class TableSource(Stage):
             )
         return instance.dataset(self.relation.name).with_relation(self.relation)
 
-    def execute(self, inputs, out_relations, registry):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         raise ExecutionError(
             "TableSource is executed by the engine via extract()",
             stage=self.name,
@@ -118,7 +117,7 @@ class TableTarget(Stage):
         type re-validation, an active ``errors`` context forces it."""
         return ops.deliver(data, self.relation, trusted, errors)
 
-    def execute(self, inputs, out_relations, registry):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         raise ExecutionError(
             "TableTarget is executed by the engine via load()",
             stage=self.name,
@@ -218,7 +217,7 @@ class RowGenerator(Stage):
     def output_relations(self, inputs, out_names):
         return [self.relation.renamed(name) for name in out_names]
 
-    def execute(self, inputs, out_relations, registry):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         rows = []
         for i in range(self.count):
             row = {}

@@ -64,7 +64,7 @@ class CustomStage(Stage):
             for schema, name in zip(self.output_schemas, out_names)
         ]
 
-    def execute(self, inputs, out_relations, registry):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         if self.implementation is None:
             raise ExecutionError(
                 f"Custom stage {self.reference!r} has no implementation bound"

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.data.dataset import Dataset
 from repro.errors import ValidationError
 from repro.etl.model import Stage
-from repro.exec import ExpressionPlanner, block, fuse, kernels, ops
+from repro.exec import block, fuse, kernels, ops
 from repro.exec.block import relation_resolver
 from repro.expr.ast import Expr
 from repro.expr.parser import parse
@@ -79,8 +79,6 @@ class FilterStage(Stage):
     STAGE_TYPE = "Filter"
     min_outputs = 1
     max_outputs = None
-    supports_compiled = True
-    supports_policies = True
     supports_reject_link = True
 
     def __init__(
@@ -138,17 +136,14 @@ class FilterStage(Stage):
                 relations.append(Relation(name, attrs))
         return relations
 
-    def execute(
-        self, inputs, out_relations, registry, planner=None, obs=None,
-        errors=None,
-    ):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs
         return ops.route(
             data,
             [(output.where, output.columns) for output in self.outputs],
             out_relations,
             self.row_only_once,
-            planner or ExpressionPlanner(registry),
+            planner,
             obs,
             errors,
         )
@@ -176,8 +171,6 @@ class SwitchStage(Stage):
     STAGE_TYPE = "Switch"
     min_outputs = 1
     max_outputs = None
-    supports_compiled = True
-    supports_policies = True
     supports_reject_link = True
 
     def __init__(
@@ -217,12 +210,8 @@ class SwitchStage(Stage):
         (incoming,) = inputs
         return [incoming.renamed(name) for name in out_names]
 
-    def execute(
-        self, inputs, out_relations, registry, planner=None, obs=None,
-        errors=None,
-    ):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs
-        planner = planner or ExpressionPlanner(registry)
 
         def columnar():
             chain = planner.fused_chain(data, obs)
@@ -260,7 +249,7 @@ class SwitchStage(Stage):
                 for selected, rel in zip(routed, out_relations)
             ]
 
-        return ops.columnar_or_rows(columnar, rows, errors)
+        return ops.columnar_or_rows(columnar, rows, errors, obs)
 
     def to_config(self):
         return {
@@ -277,7 +266,6 @@ class CopyStage(Stage):
     STAGE_TYPE = "Copy"
     min_outputs = 1
     max_outputs = None
-    supports_compiled = True
 
     def __init__(
         self,
@@ -319,9 +307,8 @@ class CopyStage(Stage):
                 relations.append(incoming.project(cols, name))
         return relations
 
-    def execute(self, inputs, out_relations, registry, planner=None, obs=None):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs
-        planner = planner or ExpressionPlanner(registry)
         return ops.fan_out(data, out_relations, planner, obs)
 
     def to_config(self):
@@ -334,7 +321,6 @@ class FunnelStage(Stage):
     STAGE_TYPE = "Funnel"
     min_inputs = 2
     max_inputs = None
-    supports_compiled = True
 
     def validate(self, inputs: Sequence[Relation]) -> None:
         first = inputs[0]
@@ -348,8 +334,7 @@ class FunnelStage(Stage):
     def output_relations(self, inputs, out_names):
         return [inputs[0].renamed(out_names[0])]
 
-    def execute(self, inputs, out_relations, registry, planner=None, obs=None):
-        planner = planner or ExpressionPlanner(registry)
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         return [ops.union(inputs, out_relations[0], False, planner, obs)]
 
 
@@ -359,7 +344,6 @@ class PeekStage(Stage):
     transformation semantics; compiles to an identity)."""
 
     STAGE_TYPE = "Peek"
-    supports_compiled = True
 
     def __init__(self, sample: int = 10, **kwargs):
         super().__init__(**kwargs)
@@ -370,21 +354,29 @@ class PeekStage(Stage):
         (incoming,) = inputs
         return [incoming.renamed(out_names[0])]
 
-    def execute(self, inputs, out_relations, registry, planner=None, obs=None):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs
-        planner = planner or ExpressionPlanner(registry)
-        chain = planner.fused_chain(data, obs)
-        if chain is not None:
+
+        def columnar():
+            chain = planner.fused_chain(data, obs)
+            if chain is None:
+                return None
             # identity: the chain passes straight through; the sample
             # gathers only its first rows
             self.peeked = chain.head_rows(
                 self.sample, data.relation.attribute_names
             )
             return [Dataset.adopt_fused(out_relations[0], chain)]
-        self.peeked = [dict(r) for r in data.rows[: self.sample]]
-        return [
-            Dataset(out_relations[0], [dict(r) for r in data], validate=False)
-        ]
+
+        def rows():
+            self.peeked = [dict(r) for r in data.rows[: self.sample]]
+            return [
+                Dataset(
+                    out_relations[0], [dict(r) for r in data], validate=False
+                )
+            ]
+
+        return ops.columnar_or_rows(columnar, rows, errors, obs)
 
     def to_config(self):
         return {"sample": self.sample}

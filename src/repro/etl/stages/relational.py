@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.data.dataset import Dataset
-from repro.errors import ValidationError
+from repro.errors import ExecutionError, ValidationError
 from repro.etl.model import Stage
-from repro.exec import ExpressionPlanner, block, fuse, kernels, ops
+from repro.exec import block, fuse, kernels, ops
 from repro.expr.algebra import conjoin
 from repro.expr.ast import AggregateCall, BinaryOp, ColumnRef, Expr
 from repro.expr.parser import parse
@@ -38,7 +38,6 @@ class JoinStage(Stage):
     STAGE_TYPE = "Join"
     min_inputs = 2
     max_inputs = 2
-    supports_compiled = True
 
     def __init__(
         self,
@@ -148,15 +147,14 @@ class JoinStage(Stage):
             attrs.append(attr)
         return [Relation(out_names[0], attrs)]
 
-    def execute(self, inputs, out_relations, registry, planner=None, obs=None):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         left, right = inputs
         condition = self.effective_condition(left.relation, right.relation)
         plan = self.merged_columns(left.relation, right.relation)
-        planner = planner or ExpressionPlanner(registry)
         return [
             ops.join(
                 left, right, condition, self.join_type, plan,
-                out_relations[0], planner, obs,
+                out_relations[0], planner, obs, errors,
             )
         ]
 
@@ -177,7 +175,6 @@ class LookupStage(Stage):
     STAGE_TYPE = "Lookup"
     min_inputs = 2
     max_inputs = 2
-    supports_compiled = True
 
     def __init__(
         self,
@@ -226,13 +223,13 @@ class LookupStage(Stage):
             attrs.append(attr.as_nullable() if nullable else attr)
         return [Relation(out_names[0], attrs)]
 
-    def execute(self, inputs, out_relations, registry, planner=None, obs=None):
-        from repro.errors import ExecutionError
-
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         stream, reference = inputs
-        planner = planner or ExpressionPlanner(registry)
         returned = self._returned(reference.relation)
-        if planner.compiled:
+
+        def columnar():
+            if not planner.compiled:
+                return None
             enriched = block.lookup_block(
                 stream.as_block(),
                 reference.as_block(),
@@ -243,28 +240,32 @@ class LookupStage(Stage):
                 obs=obs,
             )
             return [planner.materialize_block(out_relations[0], enriched)]
-        index: Dict[tuple, dict] = {}
-        for row in reference:
-            key = tuple(row[r] for _s, r in self.keys)
-            index.setdefault(key, row)  # first match wins
-        rows: List[dict] = []
-        for row in stream:
-            key = tuple(row[s] for s, _r in self.keys)
-            hit = index.get(key)
-            if hit is None:
-                if self.on_failure == "drop":
-                    continue
-                if self.on_failure == "fail":
-                    raise ExecutionError(
-                        f"Lookup {self.name!r} failed for key {key!r}"
-                    )
-                out_row = dict(row)
-                out_row.update({c: None for c in returned})
-            else:
-                out_row = dict(row)
-                out_row.update({c: hit[c] for c in returned})
-            rows.append(out_row)
-        return [planner.materialize(out_relations[0], rows, fresh=True)]
+
+        def rows():
+            index: Dict[tuple, dict] = {}
+            for row in reference:
+                key = tuple(row[r] for _s, r in self.keys)
+                index.setdefault(key, row)  # first match wins
+            enriched: List[dict] = []
+            for row in stream:
+                key = tuple(row[s] for s, _r in self.keys)
+                hit = index.get(key)
+                if hit is None:
+                    if self.on_failure == "drop":
+                        continue
+                    if self.on_failure == "fail":
+                        raise ExecutionError(
+                            f"Lookup {self.name!r} failed for key {key!r}"
+                        )
+                    out_row = dict(row)
+                    out_row.update({c: None for c in returned})
+                else:
+                    out_row = dict(row)
+                    out_row.update({c: hit[c] for c in returned})
+                enriched.append(out_row)
+            return [planner.materialize(out_relations[0], enriched, fresh=True)]
+
+        return ops.columnar_or_rows(columnar, rows, errors, obs)
 
     def to_config(self):
         return {
@@ -280,7 +281,6 @@ class AggregatorStage(Stage):
     performs pure duplicate grouping (each distinct key once)."""
 
     STAGE_TYPE = "Aggregator"
-    supports_compiled = True
 
     def __init__(
         self,
@@ -334,13 +334,12 @@ class AggregatorStage(Stage):
             attrs.append(Attribute(out, dtype, nullable=nullable))
         return [Relation(out_names[0], attrs)]
 
-    def execute(self, inputs, out_relations, registry, planner=None, obs=None):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs
-        planner = planner or ExpressionPlanner(registry)
         return [
             ops.group(
                 data, self.group_keys, self.aggregate_calls(),
-                out_relations[0], planner, obs,
+                out_relations[0], planner, obs, errors,
             )
         ]
 
@@ -364,7 +363,6 @@ class SortStage(Stage):
     """Stable multi-key sort; NULLs sort last in both directions."""
 
     STAGE_TYPE = "Sort"
-    supports_compiled = True
 
     def __init__(self, keys: Sequence[Tuple[str, str]], **kwargs):
         super().__init__(**kwargs)
@@ -386,11 +384,13 @@ class SortStage(Stage):
         (incoming,) = inputs
         return [incoming.renamed(out_names[0])]
 
-    def execute(self, inputs, out_relations, registry, planner=None, obs=None):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs
-        planner = planner or ExpressionPlanner(registry)
-        chain = planner.fused_chain(data, obs)
-        if chain is not None:
+
+        def columnar():
+            chain = planner.fused_chain(data, obs)
+            if chain is None:
+                return None
             # the row kernel's permutation, applied as a selection: only
             # the key columns gather here
             order = block.sort_permutation(
@@ -402,8 +402,12 @@ class SortStage(Stage):
             return [
                 Dataset.adopt_fused(out_relations[0], chain.narrow(order))
             ]
-        rows = kernels.sort_rows(data.rows, self.keys, obs=obs)
-        return [planner.materialize(out_relations[0], rows, fresh=True)]
+
+        def rows():
+            ordered = kernels.sort_rows(data.rows, self.keys, obs=obs)
+            return [planner.materialize(out_relations[0], ordered, fresh=True)]
+
+        return ops.columnar_or_rows(columnar, rows, errors, obs)
 
     def to_config(self):
         return {"keys": [list(k) for k in self.keys]}
@@ -423,7 +427,6 @@ class RemoveDuplicatesStage(Stage):
     mapping side, like GROUP."""
 
     STAGE_TYPE = "RemoveDuplicates"
-    supports_compiled = True
 
     def __init__(self, keys: Sequence[str], retain: str = "first", **kwargs):
         super().__init__(**kwargs)
@@ -444,11 +447,13 @@ class RemoveDuplicatesStage(Stage):
         (incoming,) = inputs
         return [incoming.renamed(out_names[0])]
 
-    def execute(self, inputs, out_relations, registry, planner=None, obs=None):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs
-        planner = planner or ExpressionPlanner(registry)
-        chain = planner.fused_chain(data, obs)
-        if chain is not None:
+
+        def columnar():
+            chain = planner.fused_chain(data, obs)
+            if chain is None:
+                return None
             # pick over a key-columns-only view, as a GROUP of FIRST /
             # LAST does; the survivors narrow the selection
             survivors = block.group_picks(
@@ -462,8 +467,12 @@ class RemoveDuplicatesStage(Stage):
                     out_relations[0], chain.narrow(survivors)
                 )
             ]
-        rows = kernels.dedup_rows(data.rows, self.keys, self.retain, obs=obs)
-        return [planner.materialize(out_relations[0], rows, fresh=True)]
+
+        def rows():
+            kept = kernels.dedup_rows(data.rows, self.keys, self.retain, obs=obs)
+            return [planner.materialize(out_relations[0], kept, fresh=True)]
+
+        return ops.columnar_or_rows(columnar, rows, errors, obs)
 
     def to_config(self):
         return {"keys": self.keys, "retain": self.retain}

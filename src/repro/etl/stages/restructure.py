@@ -17,7 +17,7 @@ from typing import Sequence
 
 from repro.errors import ValidationError
 from repro.etl.model import Stage
-from repro.exec import ExpressionPlanner, ops
+from repro.exec import ops
 from repro.schema.model import Attribute, Relation
 from repro.schema.types import RecordType, SetType
 
@@ -26,7 +26,6 @@ class CombineRecords(Stage):
     """Nest: group by ``keys``, pack ``nested`` columns into ``into``."""
 
     STAGE_TYPE = "CombineRecords"
-    supports_compiled = True
 
     def __init__(
         self,
@@ -64,9 +63,8 @@ class CombineRecords(Stage):
         attrs.append(Attribute(self.into, SetType(element), nullable=False))
         return [Relation(out_names[0], attrs)]
 
-    def execute(self, inputs, out_relations, registry, planner=None, obs=None):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs
-        planner = planner or ExpressionPlanner(registry)
         return [
             ops.nest(
                 data, self.keys, self.nested, self.into, out_relations[0],
@@ -83,7 +81,6 @@ class PromoteSubrecord(Stage):
     whose set is empty (or NULL) produce no output rows."""
 
     STAGE_TYPE = "PromoteSubrecord"
-    supports_compiled = True
 
     def __init__(self, attr: str, **kwargs):
         super().__init__(**kwargs)
@@ -106,9 +103,8 @@ class PromoteSubrecord(Stage):
         attrs += [Attribute(name, dtype) for name, dtype in element.fields]
         return [Relation(out_names[0], attrs)]
 
-    def execute(self, inputs, out_relations, registry, planner=None, obs=None):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs
-        planner = planner or ExpressionPlanner(registry)
         return [ops.unnest(data, self.attr, out_relations[0], planner, obs)]
 
     def to_config(self):

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.data.dataset import Dataset
 from repro.errors import ValidationError
 from repro.etl.model import Stage
-from repro.exec import ExpressionPlanner, block, fuse, kernels, ops
+from repro.exec import block, fuse, kernels, ops
 from repro.exec.block import RowBlock, relation_resolver
 from repro.expr.ast import Expr
 from repro.expr.evaluator import Environment
@@ -78,8 +78,6 @@ class Transformer(Stage):
     STAGE_TYPE = "Transformer"
     min_outputs = 1
     max_outputs = None
-    supports_compiled = True
-    supports_policies = True
     supports_reject_link = True
 
     def __init__(
@@ -156,18 +154,15 @@ class Transformer(Stage):
             relations.append(Relation(name, attrs))
         return relations
 
-    def execute(
-        self, inputs, out_relations, registry, planner=None, obs=None,
-        errors=None,
-    ):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs
-        planner = planner or ExpressionPlanner(registry)
         return ops.columnar_or_rows(
             lambda: self._execute_chain(data, out_relations, planner, obs),
             lambda: self._execute_rows(
                 data, out_relations, planner, obs, errors
             ),
             errors,
+            obs,
         )
 
     def _execute_rows(self, data, out_relations, planner, obs, errors):
@@ -318,8 +313,6 @@ class Modify(Stage):
     """
 
     STAGE_TYPE = "Modify"
-    supports_compiled = True
-    supports_policies = True
     supports_reject_link = True
 
     def __init__(
@@ -366,12 +359,8 @@ class Modify(Stage):
         (incoming,) = inputs
         return [Relation(out_names[0], self._result_attributes(incoming))]
 
-    def execute(
-        self, inputs, out_relations, registry, planner=None, obs=None,
-        errors=None,
-    ):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs
-        planner = planner or ExpressionPlanner(registry)
         out = out_relations[0]
         old_of = {}
         old_to_new = {old: new for new, old in self.rename.items()}
@@ -417,7 +406,7 @@ class Modify(Stage):
                 result.append(new_row, validate=False)
             return [result]
 
-        return ops.columnar_or_rows(columnar, rows, errors)
+        return ops.columnar_or_rows(columnar, rows, errors, obs)
 
     def to_config(self):
         return {
@@ -446,7 +435,6 @@ class SurrogateKey(Stage):
     Generator stage)."""
 
     STAGE_TYPE = "SurrogateKey"
-    supports_compiled = True
 
     def __init__(self, generated_column: str, start: int = 1, **kwargs):
         super().__init__(**kwargs)
@@ -466,21 +454,27 @@ class SurrogateKey(Stage):
         attrs.append(Attribute(self.generated_column, INTEGER, nullable=False))
         return [Relation(out_names[0], attrs)]
 
-    def execute(self, inputs, out_relations, registry, planner=None, obs=None):
+    def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs
-        planner = planner or ExpressionPlanner(registry)
-        chain = planner.fused_chain(data, obs)
-        if chain is not None:
+
+        def columnar():
+            chain = planner.fused_chain(data, obs)
+            if chain is None:
+                return None
             generated = list(range(self.start, self.start + chain.length))
             out = chain.with_handles({self.generated_column: generated})
             fuse.fused_op(chain)
             return [Dataset.adopt_fused(out_relations[0], out)]
-        result = Dataset(out_relations[0], validate=False)
-        for i, row in enumerate(data):
-            new_row = dict(row)
-            new_row[self.generated_column] = self.start + i
-            result.append(new_row, validate=False)
-        return [result]
+
+        def rows():
+            result = Dataset(out_relations[0], validate=False)
+            for i, row in enumerate(data):
+                new_row = dict(row)
+                new_row[self.generated_column] = self.start + i
+                result.append(new_row, validate=False)
+            return [result]
+
+        return ops.columnar_or_rows(columnar, rows, errors, obs)
 
     def to_config(self):
         return {"generated_column": self.generated_column, "start": self.start}

@@ -23,19 +23,19 @@ Each columnar operator therefore has one body, and the nine operators
 stages and OHM share (FILTER, PROJECT, JOIN, GROUP, UNION, SPLIT, NEST,
 UNNEST, TARGET) are written once, in :mod:`repro.exec.ops`. An
 expression the column compiler cannot express identically sends its
-operator to the row body, never changing results; a row error a
-columnar body raises under a skip/reject policy replays on the
-operator's row body (:func:`repro.exec.ops.columnar_or_rows`). What
+operator to the row body, never changing results, and a columnar body
+that fails reruns once on the operator's row body — the one fallback at
+run time (:func:`repro.exec.ops.columnar_or_rows`). What
 each option accepts and where its value comes from is the table in
 ``docs/execution-model.md`` ("Options"); a planner is immutable once
 built.
 
-How a run uses the two tiers — option resolution, the degradation
-ladder (the compiled tier, then the oracle), the supervised topological
-loop — is :mod:`repro.exec.run`, the one harness under the three
-runtimes. This package does not import it (it needs
-:mod:`repro.resilience`, which imports the ETL stages, which import
-this package); the runtimes import it directly.
+How a run uses the two tiers — option resolution, the pre-run check,
+the run's one planner, the supervised topological loop — is
+:mod:`repro.exec.run`, the one harness under the three runtimes. This
+package does not import it (it needs :mod:`repro.resilience`, which
+imports the ETL stages, which import this package); the runtimes import
+it directly.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ from repro.exec.fuse import FusedBlock
 #
 # The fault harness (repro.faults) installs a process-wide hook that may
 # wrap every closure the planner hands to the kernels. The hook receives
-# (tier, kind, fn) — tier is "block" / "compiled" / "oracle", kind is
-# "scalar" / "predicate" / "aggregate" — and returns fn or a wrapper
+# (tier, kind, fn) — tier is "block" (a column function) or "rows" (a
+# row closure), kind is "scalar" / "predicate" / "aggregate" — and
+# returns fn or a wrapper
 # that raises repro.errors.FaultInjected on the invocations the fault
 # plan selects. With no hook installed (the normal case) the planner's
 # hot path is untouched.
@@ -194,14 +195,14 @@ class ExpressionPlanner:
             "aggregate", partial(evaluate_aggregate, agg, registry=self.registry)
         )
 
-    def _faulted(self, kind: str, fn: Callable, tier: Optional[str] = None):
-        """Hand ``fn`` to the installed kernel fault hook (if any). A
-        column function is labelled ``block``, a row closure
-        ``compiled`` or ``oracle``, after the planner it runs on."""
+    def _faulted(self, kind: str, fn: Callable, tier: str = "rows"):
+        """Hand ``fn`` to the installed kernel fault hook (if any),
+        labelled ``block`` (a column function) or ``rows`` (a row
+        closure, on either planner)."""
         hook = _kernel_fault_hook
         if hook is None:
             return fn
-        return hook(tier or ("compiled" if self.compiled else "oracle"), kind, fn)
+        return hook(tier, kind, fn)
 
 
 __all__ = [

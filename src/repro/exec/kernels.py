@@ -175,33 +175,20 @@ def project_rows(
     underived target columns) before the derivations apply.
     ``on_error(index, item, exc)`` — supplied by an active skip/reject
     error policy — absorbs a failing item (no output row is produced for
-    it). Without it the unguarded fast path runs and any error
-    propagates."""
+    it). Without it any error propagates."""
     out: List[dict] = []
-    if on_error is not None:
-        for index, item in enumerate(items):
-            env = bind(item) if bind is not None else item
-            try:
-                row = dict(defaults) if defaults else {}
-                for name, fn in derivations:
-                    row[name] = fn(env)
-            except Exception as exc:
-                on_error(index, item, exc)
-                continue
-            out.append(row)
-        _observe(obs, "project", len(items), len(out))
-        return out
-    if defaults:
-        for item in items:
-            env = bind(item) if bind is not None else item
-            row = dict(defaults)
+    for index, item in enumerate(items):
+        env = bind(item) if bind is not None else item
+        try:
+            row = dict(defaults) if defaults else {}
             for name, fn in derivations:
                 row[name] = fn(env)
-            out.append(row)
-    else:
-        for item in items:
-            env = bind(item) if bind is not None else item
-            out.append({name: fn(env) for name, fn in derivations})
+        except Exception as exc:
+            if on_error is None:
+                raise
+            on_error(index, item, exc)
+            continue
+        out.append(row)
     _observe(obs, "project", len(items), len(out))
     return out
 
@@ -233,45 +220,29 @@ def route_rows(
     outputs: List[List] = [[] for _ in specs]
     has_predicates = any(kind == "pred" for kind, _ in specs)
     fallbacks = [i for i, (kind, _) in enumerate(specs) if kind == "fallback"]
-    if on_error is not None:
-        for index, item in enumerate(items):
-            env = bind(item) if bind is not None else item
-            placed: List[int] = []
-            matched = False
-            try:
-                for i, (kind, predicate) in enumerate(specs):
-                    if kind == "always":
-                        placed.append(i)
-                    elif kind == "pred":
-                        if matched and only_once:
-                            continue
-                        if predicate(env):
-                            matched = True
-                            placed.append(i)
-                if has_predicates and not matched:
-                    placed.extend(fallbacks)
-            except Exception as exc:
-                on_error(index, item, exc)
-                continue
-            for i in placed:
-                outputs[i].append(item)
-        _observe(obs, "route", len(items), sum(len(o) for o in outputs))
-        return outputs
-    for item in items:
+    for index, item in enumerate(items):
         env = bind(item) if bind is not None else item
+        placed: List[int] = []
         matched = False
-        for i, (kind, predicate) in enumerate(specs):
-            if kind == "always":
-                outputs[i].append(item)
-            elif kind == "pred":
-                if matched and only_once:
-                    continue
-                if predicate(env):
-                    matched = True
-                    outputs[i].append(item)
-        if has_predicates and not matched:
-            for i in fallbacks:
-                outputs[i].append(item)
+        try:
+            for i, (kind, predicate) in enumerate(specs):
+                if kind == "always":
+                    placed.append(i)
+                elif kind == "pred":
+                    if matched and only_once:
+                        continue
+                    if predicate(env):
+                        matched = True
+                        placed.append(i)
+            if has_predicates and not matched:
+                placed.extend(fallbacks)
+        except Exception as exc:
+            if on_error is None:
+                raise
+            on_error(index, item, exc)
+            continue
+        for i in placed:
+            outputs[i].append(item)
     _observe(obs, "route", len(items), sum(len(o) for o in outputs))
     return outputs
 
@@ -311,24 +282,14 @@ def switch_rows(
     absorbs a selector error (the item reaches no output)."""
     n_outputs = len(cases) + (1 if has_default else 0)
     outputs: List[List] = [[] for _ in range(n_outputs)]
-    if on_error is not None:
-        for index, item in enumerate(items):
-            try:
-                value = selector(bind(item) if bind is not None else item)
-            except Exception as exc:
-                on_error(index, item, exc)
-                continue
-            for i, case in enumerate(cases):
-                if value == case:
-                    outputs[i].append(item)
-                    break
-            else:
-                if has_default:
-                    outputs[-1].append(item)
-        _observe(obs, "switch", len(items), sum(len(o) for o in outputs))
-        return outputs
-    for item in items:
-        value = selector(bind(item) if bind is not None else item)
+    for index, item in enumerate(items):
+        try:
+            value = selector(bind(item) if bind is not None else item)
+        except Exception as exc:
+            if on_error is None:
+                raise
+            on_error(index, item, exc)
+            continue
         for i, case in enumerate(cases):
             if value == case:
                 outputs[i].append(item)
@@ -613,16 +574,14 @@ def _join_keys(
     ``on_error`` and takes no part in the join (it is not among the
     rows returned)."""
     bind = row_binder(relation_name)
-    if on_error is None:
-        return rows, [
-            hash_key([fn(bind(row)) for fn in key_fns]) for row in rows
-        ]
     kept: List[dict] = []
     keys: List[Optional[tuple]] = []
     for index, row in enumerate(rows):
         try:
             key = hash_key([fn(bind(row)) for fn in key_fns])
         except Exception as exc:
+            if on_error is None:
+                raise
             on_error(index, row, exc)
             continue
         kept.append(row)

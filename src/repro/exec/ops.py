@@ -10,8 +10,8 @@ columns with ``merged_columns``, the JOIN operator with
 ``Join.joined_attributes``; a Filter stage routes to several outputs,
 the FILTER operator to one — so each function here takes that as
 arguments, picks the columnar or the row body once from the planner,
-and never asks who called. :func:`columnar_or_rows` is the one rule for
-a row error inside a columnar body.
+and never asks who called. :func:`columnar_or_rows` is the one fallback
+at run time: a columnar body that fails reruns on its own row body.
 
 A leaf next to the kernels: it imports neither the runtimes nor
 :mod:`repro.exec.run` (which needs :mod:`repro.resilience`, whose
@@ -45,35 +45,45 @@ if TYPE_CHECKING:
 
 T = TypeVar("T")
 
-#: what a row policy never absorbs, so a columnar body's failure of
-#: this kind is never replayed on the row body either
-_NOT_ROW_ERRORS = (*INFRASTRUCTURE_ERRORS, *STATIC_ERRORS, RunCancelled)
+#: failures a rerun cannot change: a plan defect fails identically on
+#: both bodies, and a cancellation is not a failure of the body
+_NEVER_RERUN = (*STATIC_ERRORS, RunCancelled)
+
+#: what a rerun books when the columnar body's failure was its own, not
+#: a bad row's (``docs/observability.md``)
+FALLBACK_COUNTER = "exec.degrade.columnar_to_rows"
 
 
 def columnar_or_rows(
     columnar: Callable[[], Optional[T]],
     rows: Callable[[], T],
     errors: Optional[ErrorContext],
+    obs: Optional[Observability],
 ) -> T:
     """An operator's columnar body, else its row body at the same
     planner. ``columnar()`` returns ``None`` when it cannot run (the
     planner is the oracle, or an expression does not lower).
 
-    A columnar body evaluates whole columns, so one bad row (a division
-    by zero) fails the whole kernel. Under a skip/reject policy that
-    data error is replayed on the row body, where the policy absorbs
-    exactly the bad rows — a bad row is not a tier failure, and the
-    degradation ladder never sees it. Without a policy, and always for
-    an infrastructure fault, a plan defect or a cancellation, the error
-    propagates."""
+    A columnar body that raises reruns once on the row body, under any
+    policy: the row body shares no column lowering with it, and its
+    policy takes exactly the bad rows (a division by zero fails a whole
+    column kernel, but one row of the row body). Whatever the row body
+    raises is the operator's error. A plan defect or a cancellation is
+    never rerun. The rerun books :data:`FALLBACK_COUNTER` unless a bad
+    row explains it — the row body raised or took a row — so a bad row
+    books nothing, and an injected fault the row body recovers from
+    always books."""
     try:
         result = columnar()
-    except _NOT_ROW_ERRORS:
+    except _NEVER_RERUN:
         raise
-    except Exception:
-        if errors is None or not errors.handling:
-            raise
-        result = None
+    except Exception as exc:
+        taken = 0 if errors is None else errors.recorded
+        result = rows()
+        clean = errors is None or errors.recorded == taken
+        if obs is not None and (clean or isinstance(exc, INFRASTRUCTURE_ERRORS)):
+            obs.metrics.count(FALLBACK_COUNTER)
+        return result
     return rows() if result is None else result
 
 
@@ -174,7 +184,7 @@ def route(
             for (_where, columns), selected, rel in zip(outputs, routed, out_relations)
         ]
 
-    return columnar_or_rows(columnar, rows, errors)
+    return columnar_or_rows(columnar, rows, errors, obs)
 
 
 def lower_projection(
@@ -247,7 +257,7 @@ def derive(
         )
         return planner.materialize(out, projected, fresh=True)
 
-    return columnar_or_rows(columnar, rows, errors)
+    return columnar_or_rows(columnar, rows, errors, obs)
 
 
 def nest(
@@ -340,7 +350,7 @@ def join(
         )
         return planner.materialize(out, joined, fresh=True)
 
-    return columnar_or_rows(columnar, rows, errors)
+    return columnar_or_rows(columnar, rows, errors, obs)
 
 
 def group(
@@ -403,7 +413,7 @@ def group(
         )
         return planner.materialize(out, grouped, fresh=True)
 
-    return columnar_or_rows(columnar, rows, errors)
+    return columnar_or_rows(columnar, rows, errors, obs)
 
 
 def union(
@@ -417,7 +427,10 @@ def union(
     ``distinct`` keeps the first occurrence of each row (NULLs equal).
     A chain breaker: compiled, every input is gathered."""
     names = out.attribute_names
-    if planner.compiled:
+
+    def columnar() -> Optional[Dataset]:
+        if not planner.compiled:
+            return None
         merged = block.union_block(
             [data.as_block() for data in inputs],
             names,
@@ -425,10 +438,14 @@ def union(
             obs=obs,
         )
         return planner.materialize_block(out, merged)
-    rows = kernels.union_rows(
-        [data.rows for data in inputs], names, distinct=distinct, obs=obs
-    )
-    return planner.materialize(out, rows, fresh=True)
+
+    def rows() -> Dataset:
+        merged = kernels.union_rows(
+            [data.rows for data in inputs], names, distinct=distinct, obs=obs
+        )
+        return planner.materialize(out, merged, fresh=True)
+
+    return columnar_or_rows(columnar, rows, None, obs)
 
 
 def fan_out(
@@ -440,8 +457,11 @@ def fan_out(
     """``data`` copied to each relation of ``outs``, each keeping the
     columns it names. Batched, handle renames only — every output keeps
     chaining on the shared selection, and columns alias."""
-    chain = planner.fused_chain(data, obs)
-    if chain is not None:
+
+    def columnar() -> Optional[List[Dataset]]:
+        chain = planner.fused_chain(data, obs)
+        if chain is None:
+            return None
         copies = [
             Dataset.adopt_fused(
                 out, chain.project([(n, n) for n in out.attribute_names])
@@ -450,15 +470,18 @@ def fan_out(
         ]
         fuse.fused_op(chain)
         return copies
-    results: List[Dataset] = []
-    for out in outs:
-        names = out.attribute_names
-        results.append(
+
+    def rows() -> List[Dataset]:
+        return [
             planner.materialize(
-                out, [{n: row[n] for n in names} for row in data], fresh=True
+                out,
+                [{n: row[n] for n in out.attribute_names} for row in data],
+                fresh=True,
             )
-        )
-    return results
+            for out in outs
+        ]
+
+    return columnar_or_rows(columnar, rows, None, obs)
 
 
 def deliver(

@@ -8,11 +8,13 @@ about a run is written here once:
 
 * :class:`RunOptions` — every engine keyword, resolved exactly once
   through :mod:`repro.config`;
-* :class:`TierLadder` — the degradation ladder: the compiled tier,
-  then the interpreting oracle;
-* :func:`start_run` and :func:`run_nodes` — the pre-run check,
-  supervision and the topological loop over the :class:`Nodes`
-  protocol.
+* :func:`start_run` and :func:`run_nodes` — the pre-run check, the
+  run's one planner, supervision and the topological loop over the
+  :class:`Nodes` protocol.
+
+There is no retry at this level: the one fallback at run time is
+inside an operator, a columnar body rerunning on its own row body
+(:func:`repro.exec.ops.columnar_or_rows`).
 
 ``docs/execution-model.md`` ("The run harness") is the description.
 The runtimes import this module directly: ``repro.exec`` does not load
@@ -27,17 +29,14 @@ from time import perf_counter
 from typing import (
     Any,
     Callable,
-    List,
     NamedTuple,
     Optional,
     Protocol,
     Sequence,
     Tuple,
-    TypeVar,
 )
 
 from repro import config
-from repro.errors import STATIC_ERRORS, RunCancelled
 from repro.exec import ExpressionPlanner
 from repro.expr.functions import FunctionRegistry
 from repro.obs import NULL_OBS, Observability
@@ -57,8 +56,6 @@ from repro.supervision import (
     resolve_supervisor,
 )
 
-T = TypeVar("T")
-
 #: the options only a runtime with source/target endpoints takes (the
 #: ETL engine); the OHM and mapping runtimes reject them as unknown.
 ENDPOINT_OPTIONS = ("retry", "checkpoint", "breaker")
@@ -67,15 +64,6 @@ ENDPOINT_OPTIONS = ("retry", "checkpoint", "breaker")
 #: (``benchmarks/harness``) still passes them, so an engine drops each
 #: with a DeprecationWarning instead of a TypeError; nothing reads them.
 RETIRED_KEYWORDS = ("batched", "fused", "parallel", "workers", "mode")
-
-#: what the ladder books when a node falls from the compiled tier to
-#: the oracle, its one lower rung.
-DEGRADE_COUNTER = "exec.degrade.fused_to_oracle"
-
-#: failures the ladder never retries: a cancellation is not a tier
-#: failure, and a plan defect fails identically at every tier —
-#: degrading would only bury the diagnosis under tier noise
-_NEVER_DEGRADE = (RunCancelled, *STATIC_ERRORS)
 
 
 class RunOptions(NamedTuple):
@@ -96,10 +84,6 @@ class RunOptions(NamedTuple):
     compiled: bool
     #: run-level row error policy (a node may override it).
     on_error: str
-    #: retry on the oracle rung of the :class:`TierLadder` after a tier
-    #: failure (``False`` surfaces the first failure — useful when
-    #: debugging a kernel).
-    degrade: bool
     #: statistics catalog fed back with actuals after every run, or None.
     catalog: Any
     deadline: Optional[float]
@@ -107,8 +91,6 @@ class RunOptions(NamedTuple):
     memory_budget: Optional[MemoryBudget]
     #: deadline supervision, or None (then no per-boundary work at all).
     supervisor: Optional[RunSupervisor]
-    #: vet the plan with :func:`repro.analysis.check_plan` before row one.
-    check: bool
     #: retry policy for transient endpoint failures, or None.
     retry: Optional[RetryPolicy] = None
     #: checkpoint store for resumable runs, or None.
@@ -146,12 +128,10 @@ class RunOptions(NamedTuple):
             obs=obs,
             compiled=config.resolve("compiled", get("compiled")),
             on_error=config.resolve("on_error", get("on_error")),
-            degrade=bool(get("degrade", True)),
             catalog=get("catalog"),
             deadline=None if supervisor is None else supervisor.budget.deadline,
             memory_budget=resolve_memory_budget(get("memory_budget")),
             supervisor=supervisor,
-            check=config.resolve("check", get("check")),
             retry=resolve_retry(get("retry")) if endpoints else None,
             checkpoint=resolve_checkpoint(get("checkpoint")) if endpoints else None,
             breaker=resolve_breaker(get("breaker")) if endpoints else None,
@@ -181,47 +161,6 @@ class Runtime:
         if options is None or name not in options._fields:
             raise AttributeError(name)
         return getattr(options, name)
-
-
-class TierLadder:
-    """The degradation ladder of one run: the run's planner, then —
-    when that planner compiles and ``degrade`` is on — the interpreting
-    oracle. Two rungs at most.
-
-    A row error under a skip/reject policy never reaches the ladder (the
-    operator absorbs it, :func:`repro.exec.ops.columnar_or_rows`), so
-    what falls here is a tier failure: an injected fault or a kernel
-    bug. The retry runs on the one body that shares no lowering with
-    the compiled tier."""
-
-    def __init__(self, planner: ExpressionPlanner, options: RunOptions) -> None:
-        self.rungs: List[ExpressionPlanner] = [planner]
-        if options.degrade and planner.compiled:
-            self.rungs.append(ExpressionPlanner(planner.registry, False))
-
-    def attempt(
-        self,
-        fn: Callable[[ExpressionPlanner], T],
-        ctx: ErrorContext,
-        metrics: Any,
-    ) -> T:
-        """``fn(planner)`` on the top rung, and on a tier failure once
-        more on the oracle (counted in ``exec.degrade.*``). The context
-        is reset per attempt so a failed attempt's partial rejects are
-        not counted twice. When the oracle fails too its exception — the
-        most trustworthy diagnosis — propagates."""
-        top = self.rungs[0]
-        ctx.reset()
-        try:
-            return fn(top)
-        except _NEVER_DEGRADE:
-            raise
-        except Exception:  # noqa: BLE001 — the ladder decides
-            if len(self.rungs) == 1:
-                raise
-        metrics.count(DEGRADE_COUNTER)
-        ctx.reset()
-        return fn(self.rungs[1])
 
 
 class Nodes(Protocol):
@@ -257,17 +196,17 @@ def start_run(
     options: RunOptions,
     plan: Any,
     registry: Optional[FunctionRegistry],
-) -> TierLadder:
-    """What every run does before its first node: the ``check=True``
-    pre-flight, arming the supervisor, and the run's planner as the top
-    rung of its ladder."""
-    if options.check:
-        from repro.analysis import check_plan
+) -> ExpressionPlanner:
+    """What every run does before its first node: vet ``plan`` with
+    :func:`repro.analysis.check_plan` (a statically broken plan is
+    refused before row one), arm the supervisor, and return the run's
+    planner."""
+    from repro.analysis import check_plan
 
-        check_plan(plan, registry=registry)
+    check_plan(plan, registry=registry)
     if options.supervisor is not None:
         options.supervisor.start(options.obs)
-    return TierLadder(options.planner(registry), options)
+    return options.planner(registry)
 
 
 def run_nodes(
@@ -303,13 +242,11 @@ def _timed(nodes: Nodes, node: Any, state: Any) -> Callable[[], Tuple[Any, float
 
 
 __all__ = [
-    "DEGRADE_COUNTER",
     "ENDPOINT_OPTIONS",
     "Nodes",
     "RETIRED_KEYWORDS",
     "RunOptions",
     "Runtime",
-    "TierLadder",
     "run_nodes",
     "start_run",
 ]

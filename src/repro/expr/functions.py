@@ -90,7 +90,7 @@ class ScalarFunction:
         except EvaluationError:
             raise
         except INFRASTRUCTURE_ERRORS:
-            # transients and injected faults drive retry/degradation
+            # transients and injected faults drive the retry and fallback
             # machinery by identity — never wrap them
             raise
         except Exception as exc:  # surface with function context

@@ -3,7 +3,7 @@
 Everything the resilience tier defends against can be manufactured here,
 reproducibly: poisoned rows (type-valid values that explode inside
 expressions, like a zero divisor), transient and permanent endpoint
-failures, and kernel faults at a chosen execution tier. A
+failures, and kernel faults in an operator's columnar or row body. A
 :class:`FaultPlan` is seeded, so a failing parity run can be replayed
 exactly from its seed.
 
@@ -18,14 +18,16 @@ Usage::
 
 The harness raises :class:`~repro.errors.TransientError` from flaky
 endpoints (so retry policies engage) and :class:`~repro.errors.
-FaultInjected` from kernels (so the degradation ladder engages); a
-``permanent`` endpoint raises a plain :class:`~repro.errors.
-ExecutionError` that no retry will absorb.
+FaultInjected` from kernels: a ``block`` fault fails a columnar body,
+which reruns on its row body (``exec.degrade.columnar_to_rows``); a
+``rows`` fault fails the row body, and the run. A ``permanent``
+endpoint raises a plain :class:`~repro.errors.ExecutionError` that no
+retry will absorb.
 
 The *crash tier* simulates ``kill -9`` mid-run:
 :class:`~repro.errors.InjectedCrash` derives from ``BaseException``, so
-no retry policy, error-policy channel, or degradation ladder can absorb
-it — exactly like a process death. :class:`CrashingStore` kills the run
+no retry policy, error-policy channel, or columnar-body fallback can
+absorb it — exactly like a process death. :class:`CrashingStore` kills the run
 at a chosen checkpoint-save boundary and :class:`CrashingTarget` kills
 it around (or mid-) a target write; the exactly-once suite re-runs the
 job afterwards and asserts the resumed output is byte-identical to an
@@ -50,10 +52,9 @@ from repro.exec import set_kernel_fault_hook
 
 #: the fault labels a kernel fault can target (see
 #: ExpressionPlanner._faulted): "block" wraps the column functions a
-#: chain runs; "compiled" / "oracle" wrap the row
-#: closures of a compiled planner / of the interpreting oracle — the
-#: ladder's two rungs are "block" or "compiled" above "oracle"
-TIERS = ("block", "compiled", "oracle")
+#: columnar body runs, "rows" the row closures a row body runs — on
+#: either planner. The one fallback goes from the first to the second.
+TIERS = ("block", "rows")
 
 
 class FaultPlan:

@@ -2,10 +2,10 @@
 
 OHM is the hub (paper section VI-A): a mapping set is compiled into an
 OHM instance by the Figure 9 template and only then deployed — or run.
-:class:`MappingExecutor` vets the mapping set when ``check=True``,
-lowers it with :func:`~repro.mapping.to_ohm.mappings_to_ohm` and runs
-the graph as the :class:`~repro.ohm.engine.OhmExecutor` it is — same
-options (resolved once), tiers, hash joins, ladder, supervisor, spill.
+:class:`MappingExecutor` vets the mapping set with the analyzer, lowers
+it with :func:`~repro.mapping.to_ohm.mappings_to_ohm` and runs the
+graph as the :class:`~repro.ohm.engine.OhmExecutor` it is — same
+options (resolved once), tiers, hash joins, fallback, supervisor, spill.
 Results map back by name: targets by relation, intermediates from the
 edges named after the intermediate relations, rejects as the graph run
 recorded them (``stage`` is the lowered operator's uid, ``M1.filter2``;
@@ -93,12 +93,12 @@ class MappingExecutor(OhmExecutor):
     def _run_impl(self, mappings: MappingSet, instance: Instance):
         # the analyzer vets the mapping set itself, before the lowering
         # can object to it and before row one
-        ladder = start_run(self.options, mappings, self.registry)
+        planner = start_run(self.options, mappings, self.registry)
         if not self.compiled:
             return self._run_reference(mappings, instance)
         # every intermediate relation is an edge of the uncleaned graph
         graph = mappings_to_ohm(mappings, cleanup=False)
-        targets, edge_data, rejected = self._run_graph(graph, instance, ladder)
+        targets, edge_data, rejected = self._run_graph(graph, instance, planner)
         intermediates = {
             name: edge_data[name]
             for name in mappings.intermediate_relation_names()

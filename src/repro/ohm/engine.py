@@ -38,12 +38,12 @@ numbers a query-plan monitor would show for the abstract layer — and
 the per-kernel ``exec.kernel.*`` / ``exec.block.*`` row counts.
 
 The executor is an adapter over the shared run harness
-(:mod:`repro.exec.run`: option resolution, degradation ladder,
+(:mod:`repro.exec.run`: option resolution, the pre-run check,
 supervised topological loop — ``docs/execution-model.md``); what it
 owns is the per-operator dispatch below. An ``on_error`` policy
 (``docs/robustness.md``) absorbs row-level expression errors in FILTER,
-PROJECT, JOIN, GROUP's aggregate arguments and TARGET delivery, at
-every tier;
+PROJECT, JOIN, GROUP's aggregate arguments and TARGET delivery, on
+both tiers;
 :meth:`OhmExecutor.run_with_rejects`
 additionally returns the rejected rows as a reject
 :class:`~repro.data.dataset.Dataset`.
@@ -248,17 +248,17 @@ class OhmExecutor(Runtime):
     def _run_impl(
         self, graph: OhmGraph, instance: Instance
     ) -> Tuple[Instance, Dict[str, Dataset], List[RejectedRow]]:
-        ladder = start_run(self.options, graph, self.registry)
+        planner = start_run(self.options, graph, self.registry)
         graph.propagate_schemas()
-        return self._run_graph(graph, instance, ladder)
+        return self._run_graph(graph, instance, planner)
 
     def _run_graph(
-        self, graph: OhmGraph, instance: Instance, ladder
+        self, graph: OhmGraph, instance: Instance, planner: ExpressionPlanner
     ) -> Tuple[Instance, Dict[str, Dataset], List[RejectedRow]]:
         """The run proper, of a schema-propagated graph after
         :func:`~repro.exec.run.start_run` (the mapping runtime starts its
         runs on the mapping set, then runs the lowered graph here)."""
-        run = _GraphRun(self, graph, instance, ladder)
+        run = _GraphRun(self, graph, instance, planner)
         with self._obs.tracer.span("ohm.run", graph=graph.name):
             run_nodes(graph.topological_order(), run, self.options)
         if self.catalog is not None:
@@ -292,11 +292,11 @@ class _GraphRun:
     (:class:`repro.exec.run.Nodes`), plus the run-scoped state their
     bookkeeping fills — never the executor's."""
 
-    def __init__(self, executor: OhmExecutor, graph: OhmGraph, instance, ladder):
+    def __init__(self, executor: OhmExecutor, graph: OhmGraph, instance, planner):
         self.executor = executor
         self.graph = graph
         self.instance = instance
-        self.ladder = ladder
+        self.planner = planner
         self.obs = executor.options.obs
         self.targets = Instance()
         self.by_edge: Dict[Tuple[str, int], Dataset] = {}
@@ -317,26 +317,17 @@ class _GraphRun:
         return ctx, (inputs, self.graph.out_edges(op.uid), ctx)
 
     def compute(self, op, state):
-        """One operator's pure compute through the degradation ladder."""
+        """One operator's pure compute. An operator with a columnar body
+        falls back inside :mod:`repro.exec.ops`; SOURCE, UNKNOWN and
+        TARGET have none, so each runs once."""
         inputs, out_edges, ctx = state
         executor = self.executor
         if isinstance(op, Target):
-            # no tier to fall from: delivery reads the data's backing
             return [ops.deliver(inputs[0], op.relation, executor.compiled, ctx)]
-        out_relations = [e.schema for e in out_edges]
-
-        def run(planner: ExpressionPlanner) -> List[Dataset]:
-            return executor._run_operator(
-                op, inputs, out_relations, self.instance,
-                planner=planner, errors=ctx,
-            )
-
-        if isinstance(op, (Source, Unknown)):
-            # neither lowers an expression, so there is no tier to fall
-            # from: a failure (or an UNKNOWN body) is not run twice
-            outputs = run(self.ladder.rungs[0])
-        else:
-            outputs = self.ladder.attempt(run, ctx, self.obs.metrics)
+        outputs = executor._run_operator(
+            op, inputs, [e.schema for e in out_edges], self.instance,
+            planner=self.planner, errors=ctx,
+        )
         if len(outputs) != len(out_edges):
             raise ExecutionError(
                 f"{op.KIND} {op.uid} produced {len(outputs)} "

@@ -15,8 +15,8 @@ policies:
 
 :class:`ErrorContext` is the per-stage collector: engines create one
 per stage execution, kernels call its handler for each failing row, and
-the engine publishes the counts to metrics once the stage (including
-any degradation retries — see ``docs/robustness.md``) has succeeded.
+the engine publishes the counts to metrics once the stage has succeeded
+(``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -117,11 +117,10 @@ class ErrorContext:
 
     The engine creates one per stage execution and passes its
     :meth:`kernel_handler` into the row kernels as ``on_error``. Under
-    ``fail_fast`` the handler is ``None`` and kernels keep their
-    unguarded hot path. Collected rows/counts are *pending* until the
-    stage attempt succeeds: the degradation ladder calls :meth:`reset`
-    before each retry so a failed attempt's partial rejects are not
-    double-counted, and :meth:`publish` emits metrics exactly once.
+    ``fail_fast`` the handler is ``None`` and a kernel re-raises a row's
+    error. Collected rows/counts are *pending* until the stage succeeds:
+    only a row body records them, and :meth:`publish` emits metrics
+    exactly once.
     """
 
     __slots__ = ("stage", "policy", "rejected", "skipped", "redirected")
@@ -140,11 +139,10 @@ class ErrorContext:
         """Whether row errors are absorbed rather than propagated."""
         return self.policy != FAIL_FAST
 
-    def reset(self) -> None:
-        """Drop pending state (called before each execution attempt)."""
-        self.rejected = []
-        self.skipped = 0
-        self.redirected = 0
+    @property
+    def recorded(self) -> int:
+        """Rows taken so far: rejected, skipped or redirected."""
+        return len(self.rejected) + self.skipped + self.redirected
 
     def record(
         self,
@@ -154,8 +152,8 @@ class ErrorContext:
         link: Optional[str] = None,
     ) -> None:
         if isinstance(exc, (*INFRASTRUCTURE_ERRORS, RunCancelled)):
-            # not a data error: let retry / the degradation ladder (or,
-            # for a cancellation, the caller) see it
+            # not a data error: let retry, the fault harness's caller
+            # (or, for a cancellation, the run) see it
             raise exc
         if isinstance(exc, STATIC_ERRORS):
             # a deterministic plan defect (bad schema, unparseable or
@@ -182,8 +180,8 @@ class ErrorContext:
         link: Optional[str] = None,
     ) -> Optional[Callable]:
         """An ``on_error(index, item, exc)`` callback for the kernels,
-        or ``None`` under ``fail_fast`` (kernels then keep their
-        unguarded fast path). ``row_of`` maps the kernel's item (e.g. a
+        or ``None`` under ``fail_fast`` (a kernel then re-raises the
+        row's error). ``row_of`` maps the kernel's item (e.g. a
         bound :class:`~repro.expr.evaluator.Environment`) back to the
         source row recorded on the reject channel."""
         if not self.handling:
@@ -198,7 +196,7 @@ class ErrorContext:
     def publish(self, metrics, span=None) -> None:
         """Emit ``exec.errors.*`` counters (and span attributes) for the
         committed attempt."""
-        total = len(self.rejected) + self.skipped + self.redirected
+        total = self.recorded
         if not total:
             return
         if self.rejected:

@@ -1,6 +1,6 @@
 """Analyzer ↔ runtime agreement: a clean lint predicts a clean run,
-seeded static defects are caught before row one, and ``check=True``
-changes nothing about a clean run's results."""
+seeded static defects are caught before row one by the check every run
+makes, and that check changes nothing about a clean run's results."""
 
 import pytest
 
@@ -76,7 +76,7 @@ class TestCleanLintPredictsCleanRun:
         ohm_report = analyze_graph(compile_job(build()))
         assert ohm_report.ok, ohm_report.to_text()
         # and the run the lint predicted is indeed clean
-        targets = run_job(build(), data(job), check=True)
+        targets = run_job(build(), data(job))
         assert sum(len(d) for d in targets) > 0
 
 
@@ -95,18 +95,13 @@ class TestDefectsCaughtBeforeRowOne:
         TableSource.extract = counting
         try:
             with pytest.raises(ValidationError, match="static analysis"):
-                EtlEngine(check=True, **kwargs).run(job, Instance())
+                EtlEngine(**kwargs).run(job, Instance())
         finally:
             TableSource.extract = original
         assert pulls == []
 
     def bad_type_job(self):
-        job = Job("bad_type")
-        s = job.add(TableSource(REL))
-        f = job.add(FilterStage([FilterOutput(where="name > 3")]))
-        t = job.add(TableTarget(REL))
-        job.chain(s, f, t, names=["a", "b"])
-        return job
+        return bad_type_job()
 
     def dangling_job(self):
         job = Job("dangling")
@@ -123,9 +118,9 @@ class TestDefectsCaughtBeforeRowOne:
 
     @pytest.mark.parametrize("wrapper", [run_job, run_job_with_links])
     def test_wrappers_forward_check(self, wrapper):
-        # regression: run_job_with_links accepted check= and dropped it
+        # every run is checked, through either wrapper
         with pytest.raises(ValidationError, match="static analysis"):
-            wrapper(self.bad_type_job(), Instance(), check=True)
+            wrapper(self.bad_type_job(), Instance())
 
     def test_dead_column_is_a_warning_not_a_rejection(self):
         job = Job("dead")
@@ -142,9 +137,9 @@ class TestDefectsCaughtBeforeRowOne:
         job.chain(s, tr, t, names=["a", "b"])
         report = analyze_job(job)
         assert [d.code for d in report] == ["ORC020"]
-        # warnings never block check=True runs
+        # warnings never block a run
         data = synthesize_instance([REL], 10)
-        targets = run_job(job, data, check=True)
+        targets = run_job(job, data)
         assert len(targets.dataset("R")) == 10
 
     def test_ohm_executor_checks_before_running(self):
@@ -156,7 +151,7 @@ class TestDefectsCaughtBeforeRowOne:
         t = g.add(Target(REL))
         g.chain(s, f, t, names=["a", "b"])
         with pytest.raises(ValidationError, match="static analysis"):
-            OhmExecutor(check=True).run(g, Instance())
+            OhmExecutor().run(g, Instance())
 
     def test_mapping_executor_checks_before_running(self):
         from repro.mapping.model import Mapping, MappingSet, SourceBinding
@@ -167,64 +162,83 @@ class TestDefectsCaughtBeforeRowOne:
             [("id", "UPPER(r.name)")], name="M1",
         )
         with pytest.raises(ValidationError, match="static analysis"):
-            MappingExecutor(check=True).execute(
+            MappingExecutor().execute(
                 MappingSet([m]), Instance()
             )
 
 
+@pytest.fixture
+def unchecked(monkeypatch):
+    """Runs with the pre-run check patched out: what an engine did
+    before every run was checked."""
+    monkeypatch.setattr(
+        "repro.analysis.check_plan", lambda plan, registry=None: None
+    )
+
+
 class TestCheckIsTransparent:
-    """``check=True`` runs of clean workloads are identical to
-    ``check=False`` runs."""
+    """A checked run of a clean workload is identical to the same run
+    with the check patched out."""
 
     @pytest.mark.parametrize(
         "name,build,data", WORKLOADS, ids=[w[0] for w in WORKLOADS]
     )
-    def test_results_identical(self, name, build, data):
+    def test_results_identical(self, name, build, data, request):
         job = build()
         instance = data(job)
-        with_check = run_job(build(), instance, check=True)
-        without = run_job(build(), instance, check=False)
+        with_check = run_job(build(), instance)
+        request.getfixturevalue("unchecked")
+        without = run_job(build(), instance)
         assert with_check.same_bags(without)
 
-    def test_ohm_check_transparent(self):
+    def test_ohm_check_transparent(self, request):
         graph = compile_job(build_example_job())
         instance = generate_instance(50)
-        a = OhmExecutor(check=True).execute(graph, instance)
-        b = OhmExecutor(check=False).execute(graph, instance)
+        a = OhmExecutor().execute(graph, instance)
+        request.getfixturevalue("unchecked")
+        b = OhmExecutor().execute(graph, instance)
         assert a.same_bags(b)
 
 
+def bad_type_job():
+    """A Filter comparing a string column with a number (ORC002)."""
+    job = Job("bad_type")
+    s = job.add(TableSource(REL))
+    f = job.add(FilterStage([FilterOutput(where="name > 3")]))
+    t = job.add(TableTarget(REL))
+    job.chain(s, f, t, names=["a", "b"])
+    return job
+
+
 class TestKnobTriad:
-    """kwarg > ``overriding`` (the "setter") > env > default."""
+    """The check was an option (kwarg > ``overriding`` > env >
+    default); now every run is checked, and no layer of that triad can
+    turn it off."""
 
     def test_default_off(self):
-        assert config.resolve("check") is False
-        assert EtlEngine().check is False
+        # there is no default to be off: the option is gone
+        assert "check" not in config.OPTIONS
+        assert "check" not in config.snapshot()
+        with pytest.raises(AttributeError):
+            EtlEngine().check
 
     def test_setter_wins(self):
-        with config.overriding(check=True):
-            assert config.resolve("check") is True
-            assert EtlEngine().check is True
-            assert OhmExecutor().check is True
-            assert MappingExecutor().check is True
+        with pytest.raises(TypeError, match="unknown option"):
+            config.overriding(check=False)
 
     def test_explicit_kwarg_beats_setter(self):
-        with config.overriding(check=True):
-            assert EtlEngine(check=False).check is False
-            assert config.resolve("check", False) is False
+        for engine in (EtlEngine, OhmExecutor, MappingExecutor):
+            with pytest.raises(TypeError, match="check"):
+                engine(check=False)
 
     def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK", "1")
-        assert config.resolve("check") is True
+        # a leftover REPRO_CHECK=0 turns nothing off
         monkeypatch.setenv("REPRO_CHECK", "0")
-        assert config.resolve("check") is False
+        with pytest.raises(ValidationError, match="static analysis"):
+            run_job(bad_type_job(), Instance())
 
     def test_env_rejected_run(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK", "1")
-        job = Job("bad")
-        s = job.add(TableSource(REL))
-        f = job.add(FilterStage([FilterOutput(where="name > 3")]))
-        t = job.add(TableTarget(REL))
-        job.chain(s, f, t, names=["a", "b"])
-        with pytest.raises(ValidationError, match="static analysis"):
-            run_job(job, Instance())
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+        for run in (run_job, run_job_with_links):
+            with pytest.raises(ValidationError, match="static analysis"):
+                run(bad_type_job(), Instance())

@@ -126,7 +126,13 @@ class TestJsonOutput:
 
 class TestCheckFlag:
     def test_check_flag_resets_after_invocation(self, clean_xml):
+        """``--check`` is gone — every run is checked — and a lint
+        leaves no option behind."""
         from repro import config
 
-        assert main(["lint", clean_xml, "--check"]) == 0
-        assert config.resolve("check") is False
+        before = config.snapshot()
+        assert main(["lint", clean_xml]) == 0
+        assert config.snapshot() == before
+        with pytest.raises(SystemExit):
+            main(["lint", clean_xml, "--check"])
+        assert "check" not in config.snapshot()

@@ -1,7 +1,7 @@
 """Regression tests for the narrowed exception paths: static plan
 defects (``STATIC_ERRORS``) and harness bugs must surface immediately —
-never absorbed by row policies, never retried down the degradation
-ladder, never misreported as worker unavailability."""
+never absorbed by row policies, never rerun on an operator's row body
+after its columnar body raised one."""
 
 import pytest
 
@@ -20,9 +20,11 @@ from repro.etl.stages import (
     TableSource,
     TableTarget,
 )
+from repro.exec import block, kernels
 from repro.mapping.executor import MappingExecutor
 from repro.mapping.model import Mapping, MappingSet, SourceBinding
 from repro.ohm import Filter, OhmGraph, Source, Target
+from repro.obs import Observability
 from repro.ohm.engine import OhmExecutor
 from repro.resilience import ErrorContext
 from repro.schema import relation
@@ -83,39 +85,48 @@ class TestRowPoliciesNeverAbsorbStaticErrors:
         assert ctx.rejected == []
 
 
+def spy_on_bodies(monkeypatch, columnar_error):
+    """The Filter's column kernel raises ``columnar_error``; returns the
+    list each body appends its name to when it runs."""
+    calls = []
+    route_rows = kernels.route_rows
+
+    def columnar(*args, **kwargs):
+        calls.append("columnar")
+        raise columnar_error
+
+    def rows(*args, **kwargs):
+        calls.append("rows")
+        return route_rows(*args, **kwargs)
+
+    monkeypatch.setattr(block, "route_block", columnar)
+    monkeypatch.setattr(kernels, "route_rows", rows)
+    return calls
+
+
 class TestLaddersNeverRetryStaticErrors:
-    """A plan defect fails identically at every tier, so the ladders
-    raise it from the *first* attempt instead of walking every tier."""
+    """A plan defect fails identically on both bodies of an operator,
+    so a columnar body's plan defect is raised at once, never rerun on
+    the row body. (The engines patched at ``_run_operator`` show no
+    runtime retries one either.)"""
 
     def test_etl_ladder(self, monkeypatch):
-        calls = []
-        original = FilterStage.execute
-
-        def boom(self, inputs, out_relations, registry, **kwargs):
-            calls.append(type(kwargs.get("planner")).__name__)
-            raise SchemaError("planted plan defect")
-
-        monkeypatch.setattr(FilterStage, "execute", boom)
+        calls = spy_on_bodies(monkeypatch, SchemaError("planted plan defect"))
         with pytest.raises(SchemaError, match="planted"):
             EtlEngine(compiled=True).run(
                 make_job(), synthesize_instance([REL], 5)
             )
-        assert len(calls) == 1
-        monkeypatch.setattr(FilterStage, "execute", original)
+        assert calls == ["columnar"]
 
     def test_etl_ladder_still_degrades_runtime_errors(self, monkeypatch):
-        calls = []
-
-        def boom(self, inputs, out_relations, registry, **kwargs):
-            calls.append(1)
-            raise ValueError("tier-specific breakage")
-
-        monkeypatch.setattr(FilterStage, "execute", boom)
-        with pytest.raises(ValueError):
-            EtlEngine(compiled=True).run(
-                make_job(), synthesize_instance([REL], 5)
-            )
-        assert len(calls) > 1  # every tier was attempted
+        calls = spy_on_bodies(monkeypatch, ValueError("kernel breakage"))
+        instance = synthesize_instance([REL], 5)
+        obs = Observability(stats=True)
+        targets, _ = EtlEngine(obs=obs, compiled=True).run(make_job(), instance)
+        assert calls == ["columnar", "rows"]
+        oracle, _ = EtlEngine(compiled=False).run(make_job(), instance)
+        assert targets.same_bags(oracle)
+        assert obs.metrics.counter("exec.degrade.columnar_to_rows") == 1
 
     def test_ohm_ladder(self, monkeypatch):
         calls = []

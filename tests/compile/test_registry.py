@@ -94,7 +94,8 @@ class TestExtension:
             def output_relations(self, inputs, out_names):
                 return [inputs[0].renamed(out_names[0])]
 
-            def execute(self, inputs, out_relations, reg):
+            def execute(self, inputs, out_relations, planner, obs=None,
+                        errors=None):
                 from repro.data.dataset import Dataset
 
                 rows = [

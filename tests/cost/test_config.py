@@ -168,7 +168,7 @@ class TestDerivedDefaults:
         snap = config.snapshot()
         assert sorted(snap) == sorted(config.OPTIONS)
         assert sorted(snap) == [
-            "breaker", "check", "checkpoint_dir", "compiled", "deadline",
+            "breaker", "checkpoint_dir", "compiled", "deadline",
             "max_retries", "memory_budget", "on_error",
         ]
         assert snap["compiled"] is True

@@ -5,7 +5,7 @@ from typing import List
 import pytest
 
 from repro.data.dataset import Dataset
-from repro.expr.functions import DEFAULT_REGISTRY
+from repro.exec import ExpressionPlanner
 
 
 def run_stage(stage, inputs: List[Dataset], out_names=None) -> List[Dataset]:
@@ -31,7 +31,7 @@ def run_stage(stage, inputs: List[Dataset], out_names=None) -> List[Dataset]:
                     n_out = 1
         out_names = [f"out{i}" for i in range(n_out)]
     out_relations = stage.output_relations(input_relations, out_names)
-    return stage.execute(inputs, out_relations, DEFAULT_REGISTRY)
+    return stage.execute(inputs, out_relations, ExpressionPlanner())
 
 
 @pytest.fixture

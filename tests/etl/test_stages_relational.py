@@ -5,6 +5,8 @@ import pytest
 
 from repro.data.dataset import Dataset
 from repro.errors import ExecutionError, ValidationError
+from repro.exec import ExpressionPlanner
+from repro.resilience import ErrorContext
 from repro.etl.stages import (
     AggregatorStage,
     JoinStage,
@@ -222,6 +224,32 @@ class TestSortStage:
     def test_bad_direction_rejected(self):
         with pytest.raises(ValidationError):
             SortStage([("a", "upwards")])
+
+    @pytest.mark.parametrize(
+        "direction, expected",
+        [
+            ("asc", [4, 3, 7, 0, 5, 1, 2, 6]),
+            ("desc", [1, 5, 0, 7, 3, 4, 2, 6]),
+        ],
+    )
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "oracle"])
+    def test_mixed_types_and_nulls_never_raise(self, compiled, direction, expected):
+        """Sort keys are raw cells and every value orders — NULL last,
+        numbers with numbers, any other class by name — so under
+        ``fail_fast`` a Sort has no row error to raise, on either tier."""
+        rel = relation("T", ("id", "int", False), ("k", "varchar"))
+        keys = [3, "b", None, 1.5, True, "a", None, 2]
+        data = Dataset(
+            rel, [{"id": i, "k": k} for i, k in enumerate(keys)], validate=False
+        )
+        stage = SortStage([("k", direction)])
+        (out,) = stage.execute(
+            [data],
+            stage.output_relations([rel], ["Out"]),
+            ExpressionPlanner(compiled=compiled),
+            errors=ErrorContext("Sort", "fail_fast"),
+        )
+        assert [row["id"] for row in out.rows] == expected
 
 
 class TestRemoveDuplicates:

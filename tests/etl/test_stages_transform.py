@@ -135,7 +135,7 @@ class TestModify:
         (out_rel,) = stage.output_relations([rel], ["o"])
         errors = ErrorContext("m", "reject")
         planner = ExpressionPlanner(compiled=compiled)
-        (out,) = stage.execute([data], [out_rel], None, planner=planner, errors=errors)
+        (out,) = stage.execute([data], [out_rel], planner, errors=errors)
         assert out.column("name") == [7]
         assert [r.row_index for r in errors.rejected] == [1]
 

@@ -200,7 +200,7 @@ def test_dedup_block_first_and_last():
     def dedup(retain):
         data = Dataset.adopt_block(T_REL, make_block())
         (out,) = RemoveDuplicatesStage(["grp"], retain).execute(
-            [data], [T_REL], None, planner=planner
+            [data], [T_REL], planner
         )
         return out.as_block()
 

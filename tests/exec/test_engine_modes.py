@@ -127,7 +127,7 @@ def test_wrappers_forward_every_engine_option():
         out = wrapper(
             plan, instance, catalog=catalog, supervisor=supervisor,
             compiled=True, deadline=60,
-            memory_budget=10**6, degrade=False,
+            memory_budget=10**6,
         )
         assert first_result(out).same_bags(baseline), wrapper.__name__
         assert supervisor.frontier, wrapper.__name__  # it supervised the run

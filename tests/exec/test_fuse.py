@@ -7,8 +7,8 @@ multiset as the unfused oracle (``compiled=False``) — including NULL
 three-valued logic and rows erroring mid-chain. Randomized linear chains
 (length 1–6, NULL-heavy data, optional non-fusable breakers mid-chain)
 stress the chain compiler beyond the fixed workloads, and a faulted
-fused chain must fall back to the oracle with identical output
-(``exec.degrade.fused_to_oracle``).
+fused chain must fall back to its operator's row body with the oracle's
+output (``exec.degrade.columnar_to_rows``).
 """
 
 import random
@@ -183,8 +183,8 @@ class TestOneBodyThreeTiers:
         "retired", [{}, {"fused": False}], ids=["fused", "block"]
     )
     def test_fault_labels_follow_the_tier(self, retired):
-        # a chain body's column functions are labelled "block", and no
-        # "oracle" closure runs above the oracle rung
+        # a chain body's column functions are labelled "block", and a
+        # clean compiled run calls no "rows" closure
         instance, _plan = generate_faulty_instance(n=40, seed=34)
 
         def fired(tier):
@@ -195,7 +195,7 @@ class TestOneBodyThreeTiers:
             return plan.kernel_faults_fired.get(tier, 0)
 
         assert fired("block") == 1
-        assert fired("oracle") == 0
+        assert fired("rows") == 0
         with pytest.raises(ValueError, match="unknown tier"):
             FaultPlan().fault_kernels(tier="fused", first=1)
 
@@ -384,9 +384,9 @@ class TestRandomizedChains:
 
 
 class TestFusedDegradation:
-    """A faulted fused chain falls back to the interpreting oracle — the
-    ladder's one lower rung — with identical output, counted in
-    ``exec.degrade.fused_to_oracle``."""
+    """A faulted fused chain falls back to its operator's row body — the
+    oracle's evaluator closures and row kernels — with the oracle's
+    output, counted in ``exec.degrade.columnar_to_rows``."""
 
     def test_fused_fault_falls_back_to_oracle(self):
         instance, _plan = generate_faulty_instance(n=40, seed=31)
@@ -402,12 +402,12 @@ class TestFusedDegradation:
             map(format_row, targets.dataset("Premium").rows)
         ) == sorted(map(format_row, baseline.dataset("Premium").rows))
         counters = obs.metrics.snapshot()["counters"]
-        assert counters.get("exec.degrade.fused_to_oracle", 0) == 1
+        assert counters.get("exec.degrade.columnar_to_rows", 0) == 1
 
     def test_block_fault_does_not_hit_the_fused_tier_twice(self):
-        # the oracle runs no column function, so a "block" plan that
-        # never runs out fails each chained stage once and the ladder
-        # stops on the oracle: one degradation per stage, no other rung
+        # a row body runs no column function, so a "block" plan that
+        # never runs out fails each columnar body once and its row body
+        # carries the operator: one fallback per faulted body
         instance, _plan = generate_faulty_instance(n=40, seed=32)
         plan = FaultPlan(seed=32).fault_kernels(tier="block", first=100)
         obs = Observability(stats=True)
@@ -416,8 +416,8 @@ class TestFusedDegradation:
             engine.run(build_faulty_job(), instance)
         counters = obs.metrics.snapshot()["counters"]
         degraded = {k: v for k, v in counters.items() if k.startswith("exec.degrade.")}
-        assert set(degraded) == {"exec.degrade.fused_to_oracle"}
-        assert degraded["exec.degrade.fused_to_oracle"] == plan.kernel_faults_fired["block"]
+        assert set(degraded) == {"exec.degrade.columnar_to_rows"}
+        assert degraded["exec.degrade.columnar_to_rows"] == plan.kernel_faults_fired["block"]
 
 
 # -- metrics and laziness -----------------------------------------------------

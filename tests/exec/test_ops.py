@@ -323,7 +323,7 @@ def stage_and_operator(stage, op, inputs, **tier):
     stage_out = stage.output_relations(relations, ["Out"])
     op_out = op.output_relations(relations, ["Out"])
     planner = ExpressionPlanner(**tier)
-    (from_stage,) = stage.execute(inputs, stage_out, None, planner=planner)
+    (from_stage,) = stage.execute(inputs, stage_out, planner)
     (from_op,) = OhmExecutor(**tier).run_operator(op, inputs, op_out)
     return from_stage.rows, from_op.rows
 

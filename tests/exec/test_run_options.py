@@ -5,8 +5,8 @@
 keywords of the retired tiers (``batched``, ``fused``, ``parallel``,
 ``workers``, ``mode``) are still accepted, because the benchmark
 harness passes them; each is dropped with one ``DeprecationWarning``
-and changes nothing. The degradation ladder each combination builds is
-enumerated too."""
+and changes nothing. What each combination runs on is enumerated too:
+one planner, at the run's tier."""
 
 import functools
 import itertools
@@ -16,9 +16,9 @@ import pytest
 
 from repro import config
 from repro.compile import compile_job
-from repro.etl import EtlEngine
+from repro.etl import EtlEngine, Job
 from repro.exec import ExpressionPlanner
-from repro.exec.run import RETIRED_KEYWORDS, RunOptions, TierLadder
+from repro.exec.run import RETIRED_KEYWORDS, RunOptions, start_run
 from repro.mapping import MappingExecutor, ohm_to_mappings
 from repro.obs import Observability
 from repro.ohm import OhmExecutor
@@ -85,23 +85,21 @@ def test_every_flag_combination(mode, workers):
 @pytest.mark.parametrize("mode", MODE)
 @pytest.mark.parametrize("workers", WORKERS)
 def test_the_ladder_is_the_run_tier_then_the_oracle(mode, workers):
-    """Every combination builds at most two rungs: the run's planner,
-    then — only when it compiles and ``degrade`` is on — the oracle,
-    against any process default."""
-    for compiled, batched, fused, parallel, degrade in itertools.product(
-        FLAG, FLAG, FLAG, FLAG, (True, False)
-    ):
+    """The ladder is one rung now: every combination's run gets one
+    planner from ``start_run``, at the run's tier against any process
+    default. The oracle is the planner of a ``compiled=False`` run,
+    never a rung beneath a compiled one, and ``degrade`` is an unknown
+    keyword."""
+    for compiled, batched, fused, parallel in itertools.product(FLAG, repeat=4):
         retired, tier = _asked(
             mode, workers, batched, fused, parallel, compiled=compiled
         )
-        options, _warned = _resolve(degrade=degrade, **retired, **tier)
-        with config.overriding(compiled=True):
-            rungs = TierLadder(options.planner(None), options).rungs
-        assert rungs[0].compiled is options.compiled
-        if degrade and options.compiled:
-            assert [rung.compiled for rung in rungs] == [True, False], retired
-        else:
-            assert len(rungs) == 1, retired
+        options, _warned = _resolve(**retired, **tier)
+        with config.overriding(compiled=not options.compiled):
+            planner = start_run(options, Job("empty"), None)
+        assert planner.compiled is options.compiled, retired
+        with pytest.raises(TypeError, match="degrade"):
+            _resolve(degrade=True, **retired, **tier)
 
 
 def test_default_compiled_env_var(monkeypatch):

@@ -77,7 +77,7 @@ class TestKernelFaults:
     def test_unconfigured_tier_passes_kernels_through(self):
         plan = FaultPlan(seed=1).fault_kernels(tier="block", first=5)
         fn = lambda: "ran"  # noqa: E731
-        assert plan.hook("compiled", "scalar", fn) is fn
+        assert plan.hook("rows", "scalar", fn) is fn
 
     def test_first_n_budget_fires_then_clears(self):
         plan = FaultPlan(seed=1).fault_kernels(tier="block", first=2)
@@ -90,8 +90,8 @@ class TestKernelFaults:
 
     def test_rate_schedule_is_reproducible(self):
         def schedule(seed):
-            plan = FaultPlan(seed=seed).fault_kernels(tier="compiled", rate=0.5)
-            wrapped = plan.hook("compiled", "scalar", lambda: "ran")
+            plan = FaultPlan(seed=seed).fault_kernels(tier="rows", rate=0.5)
+            wrapped = plan.hook("rows", "scalar", lambda: "ran")
             fired = []
             for _ in range(32):
                 try:
@@ -106,9 +106,9 @@ class TestKernelFaults:
 
     def test_tier_names_match_the_planner(self):
         """The labels are exactly those some planner hands the hook: a
-        column function is "block", a row closure is "compiled" or
-        "oracle" after its planner."""
-        assert TIERS == ("block", "compiled", "oracle")
+        column function is "block", a row closure is "rows" on either
+        planner."""
+        assert TIERS == ("block", "rows")
         labels = set()
 
         def spy(tier, kind, fn):

@@ -365,8 +365,8 @@ def test_key_data_error_abandons_the_join_and_the_where_clause_meets_it(policy):
 )
 def test_non_data_errors_from_a_join_conjunct_are_not_mistaken_for_bad_rows(error):
     """Infrastructure, static and cancellation errors leave the join
-    the way they came — nothing on the reject channel — so the tier
-    ladder (switched off here, to see them) can act on them."""
+    the way they came — nothing on the reject channel — and, raised on
+    the join's row body, are the run's error."""
 
     calls = []
 
@@ -385,9 +385,7 @@ def test_non_data_errors_from_a_join_conjunct_are_not_mistaken_for_bad_rows(erro
 
     mapping = mapping_of(AB, "a.akey = b.a_id AND a.balance > b.bkey - 1000", AB_OUT)
     obs = Observability(stats=True)
-    executor = MappingExecutor(
-        obs=obs, compiled=True, on_error="reject", degrade=False
-    )
+    executor = MappingExecutor(obs=obs, compiled=True, on_error="reject")
     set_kernel_fault_hook(hook)
     try:
         with pytest.raises(type(error)):
@@ -410,7 +408,7 @@ def test_injected_key_fault_degrades_the_tier_instead_of_enumerating_the_product
         )
     assert targets.dataset("T").rows == reference(mapping, instance)
     assert len(rejects) == 0
-    assert obs.metrics.counter("exec.degrade.fused_to_oracle") == 1
+    assert obs.metrics.counter("exec.degrade.columnar_to_rows") == 1
 
 
 # -- the regression guard no clock can blur ------------------------------------

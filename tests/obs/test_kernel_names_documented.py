@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec.run import DEGRADE_COUNTER
+from repro.exec.ops import FALLBACK_COUNTER
 
 ROOT = Path(__file__).resolve().parents[2]
 EXEC = ROOT / "src" / "repro" / "exec"
@@ -65,6 +65,7 @@ def documented_degrade_counters():
 
 
 def test_degrade_counters_match_the_docs():
-    """What the ladder can book: its one counter, for a fall from the
-    compiled tier to the oracle."""
-    assert {DEGRADE_COUNTER} == documented_degrade_counters()
+    """What the one fallback can book: its one counter, for a columnar
+    body rerun on its row body."""
+    assert FALLBACK_COUNTER == "exec.degrade.columnar_to_rows"
+    assert {FALLBACK_COUNTER} == documented_degrade_counters()

@@ -1,12 +1,12 @@
-"""Graceful kernel degradation: a node whose compiled tier fails runs
-once more on the interpreting oracle — the row kernels over the
-tree-walking evaluator, the ladder's only lower rung. A kernel fault
-never changes results — it only shows up in the ``exec.degrade.*``
-counters.
+"""The one fallback at run time: a compiled operator whose columnar body
+fails reruns once on its own row body (``repro.exec.ops.
+columnar_or_rows``) — the evaluator's closures over the row kernels,
+which share no column lowering with it. A kernel fault never changes
+results — it only shows up in ``exec.degrade.columnar_to_rows``.
 
-A "block" fault plan fires in every chain body, and a "compiled" one in
-the row body a compiled operator replays a bad row on; the oracle runs
-neither, so a node degrades at most once."""
+A "block" fault plan fires in every columnar body, and the operator
+falls back; a "rows" fault fires in a row body, and the run fails with
+it. A bad row is not a fault: it books nothing under any policy."""
 
 from collections import Counter
 from contextlib import contextmanager
@@ -24,7 +24,14 @@ from repro.errors import (
     SchemaError,
 )
 from repro.etl import EtlEngine, Job
-from repro.etl.stages import FilterStage, SwitchStage, TableSource, TableTarget
+from repro.etl.stages import (
+    CustomStage,
+    FilterStage,
+    LookupStage,
+    SwitchStage,
+    TableSource,
+    TableTarget,
+)
 from repro.exec import kernel_fault_hook, set_kernel_fault_hook
 from repro.faults import FaultPlan
 from repro.mapping import (
@@ -38,7 +45,7 @@ from repro.obs import Observability
 from repro.ohm import OhmExecutor
 from repro.ohm.graph import OhmGraph
 from repro.ohm.operators import Group, Source, Target, Unknown
-from repro.resilience import format_row
+from repro.resilience import ErrorContext, format_row
 from repro.schema import relation
 from repro.workloads import (
     build_example_job,
@@ -153,9 +160,8 @@ def kernels_raising(make_error, calls):
 
 
 class RuntimeContract:
-    """What the run harness (``repro.exec.run``) promises under every
-    runtime: one ladder, one loop — so one suite, bound to a runtime by
-    each subclass."""
+    """What the one fallback promises under every runtime — so one
+    suite, bound to a runtime by each subclass."""
 
     run = None  # staticmethod: run_etl / run_ohm / run_mapping
 
@@ -165,88 +171,83 @@ class RuntimeContract:
         return _premium_rows(targets), rejects
 
     def test_block_fault_degrades_to_row_kernels(self, instance, baseline):
-        # the row kernels the fused chain falls to are the oracle's
+        # the row body the columnar one falls to runs the oracle's closures
         plan = FaultPlan(seed=1).fault_kernels(tier="block", first=1)
         obs = Observability(stats=True)
         with plan.injected():
             rows, _ = self.premium(instance, obs=obs, compiled=True)
         assert rows == baseline
-        assert degraded(obs) == {"exec.degrade.fused_to_oracle": 1}
+        assert degraded(obs) == {"exec.degrade.columnar_to_rows": 1}
         assert plan.kernel_faults_fired.get("block", 0) == 1
 
-    def test_compiled_fault_degrades_to_oracle(self):
-        # a compiled planner's row closures run where a columnar body
-        # replays a bad row on its row body: a fault there is a tier
-        # failure, not one more rejected row
+    @pytest.mark.parametrize("policy", ["fail_fast", "reject"])
+    def test_rows_fault_surfaces_and_is_never_rejected(self, policy):
+        """A row body has nothing beneath it: a fault there is the run's
+        error, under a policy too — never one more rejected row."""
         poisoned, _ = generate_faulty_instance(n=40, seed=13, poison=4)
-        clean = self.premium(poisoned, on_error="reject", compiled=False)
-        plan = FaultPlan(seed=2).fault_kernels(tier="compiled", first=1)
+        plan = FaultPlan(seed=2).fault_kernels(tier="rows", first=1)
         obs = Observability(stats=True)
         with plan.injected():
-            faulted = self.premium(
-                poisoned, obs=obs, compiled=True, on_error="reject"
-            )
-        assert faulted == clean
-        assert plan.kernel_faults_fired.get("compiled", 0) == 1
-        assert degraded(obs) == {"exec.degrade.fused_to_oracle": 1}
+            with pytest.raises(FaultInjected):
+                self.premium(poisoned, obs=obs, compiled=True, on_error=policy)
+        assert plan.kernel_faults_fired.get("rows", 0) == 1
+        assert not degraded(obs)
+        assert obs.metrics.counter("exec.errors.total") == 0
 
     def test_batched_engine_falls_all_the_way_to_oracle(
         self, instance, baseline
     ):
-        plan = (
-            FaultPlan(seed=3)
-            .fault_kernels(tier="block", first=100)
-            .fault_kernels(tier="compiled", first=100)
-        )
+        # every columnar body faults, and every operator is carried by
+        # its row body: one fallback each, no other counter
+        plan = FaultPlan(seed=3).fault_kernels(tier="block", first=100)
         obs = Observability(stats=True)
         with plan.injected():
             rows, _ = self.premium(instance, obs=obs, compiled=True)
         assert rows == baseline
-        # one step, straight to the oracle: no rung in between
-        (name,) = degraded(obs)
-        assert name == "exec.degrade.fused_to_oracle"
+        assert degraded(obs) == {
+            "exec.degrade.columnar_to_rows": plan.kernel_faults_fired["block"]
+        }
 
     def test_all_tiers_faulted_surfaces_the_error(self, instance):
         plan = (
             FaultPlan(seed=4)
             .fault_kernels(tier="block", first=100)
-            .fault_kernels(tier="compiled", first=100)
-            .fault_kernels(tier="oracle", first=100)
+            .fault_kernels(tier="rows", first=100)
         )
         with plan.injected():
             with pytest.raises(FaultInjected):
                 self.premium(instance, compiled=True)
 
     def test_degrade_disabled_surfaces_the_first_fault(self, instance):
-        plan = FaultPlan(seed=5).fault_kernels(tier="block", first=1)
-        with plan.injected():
-            with pytest.raises(FaultInjected):
-                self.premium(instance, compiled=True, degrade=False)
+        # the fallback cannot be switched off: ``degrade`` is no keyword
+        with pytest.raises(TypeError, match="degrade"):
+            self.premium(instance, compiled=True, degrade=False)
 
     def test_degraded_run_with_rejects_keeps_parity(self, instance):
         poisoned, _ = generate_faulty_instance(n=40, seed=13, poison=4)
         clean_rows, clean_rejects = self.premium(poisoned, on_error="reject")
         assert len(clean_rejects) == 4
         plan = FaultPlan(seed=6).fault_kernels(tier="block", first=1)
+        obs = Observability(stats=True)
         with plan.injected():
             rows, rejects = self.premium(
-                poisoned, compiled=True, on_error="reject"
+                poisoned, obs=obs, compiled=True, on_error="reject"
             )
         assert rows == clean_rows
         assert rejects == clean_rejects
+        # an injected fault books its fallback, bad rows or not
+        assert degraded(obs) == {"exec.degrade.columnar_to_rows": 1}
 
-    @pytest.mark.parametrize("degrade", [True, False], ids=["degrade", "no-degrade"])
     @pytest.mark.parametrize(
         "tier", [{}, dict(compiled=False)], ids=["default", "oracle"]
     )
     @pytest.mark.parametrize("job", BAD_ROW_JOBS)
     def test_row_errors_under_a_policy_are_rejected_not_degraded(
-        self, job, tier, degrade
+        self, job, tier
     ):
         """A bad row is not a tier failure: a columnar body that trips on
-        one replays on its own row body, where the policy takes exactly
-        the bad rows — no ladder, so nothing degrades and ``degrade=False``
-        does not abort."""
+        one reruns on its own row body, where the policy takes exactly
+        the bad rows — and nothing degrades."""
         poisoned, _ = generate_faulty_instance(n=40, seed=13, poison=4)
         build = BAD_ROW_JOBS[job]
         expected, expected_rejects = self.run(
@@ -255,37 +256,46 @@ class RuntimeContract:
         assert len(set(expected_rejects)) == 4
         obs = Observability(stats=True)
         targets, rejects = self.run(
-            build(), poisoned, obs=obs, on_error="reject", degrade=degrade, **tier
+            build(), poisoned, obs=obs, on_error="reject", **tier
         )
         assert targets.same_bags(expected)
         assert rejects == expected_rejects
         assert not degraded(obs)
 
+    @pytest.mark.parametrize(
+        "tier", [{}, dict(compiled=False)], ids=["default", "oracle"]
+    )
+    @pytest.mark.parametrize("job", BAD_ROW_JOBS)
+    def test_fail_fast_bad_row_raises_once(self, job, tier):
+        """Regression: under ``fail_fast`` a bad row booked a degrade and
+        ran its stage a second time, on the oracle. Now the row body
+        raises the data error, and nothing degrades."""
+        poisoned, _ = generate_faulty_instance(n=40, seed=13, poison=4)
+        obs = Observability(stats=True)
+        with pytest.raises(EvaluationError, match="division by zero"):
+            self.run(BAD_ROW_JOBS[job](), poisoned, obs=obs, **tier)
+        assert not degraded(obs)
+
     def test_rungs_pin_their_tier_under_a_process_default_mode(
         self, instance, baseline
     ):
-        """Regression: rungs built without an explicit tier re-read the
-        process default. The oracle rung states its tier, so under
-        ``overriding(compiled=True)`` a node whose every compiled closure
-        fails is still carried by the oracle — once, as without the
-        override."""
+        """Regression: a planner built without an explicit tier re-read
+        the process default. The row body runs at the run's planner, so
+        under ``overriding(compiled=True)`` a run whose every columnar
+        body fails falls back exactly as without the override."""
         def faulted(**options):
-            plan = (
-                FaultPlan(seed=7)
-                .fault_kernels(tier="block", first=10**6)
-                .fault_kernels(tier="compiled", first=10**6)
-            )
+            plan = FaultPlan(seed=7).fault_kernels(tier="block", first=10**6)
             obs = Observability(stats=True)
             with plan.injected():
                 rows, _ = self.premium(instance, obs=obs, **options)
             assert rows == baseline
-            assert set(degraded(obs)) == {"exec.degrade.fused_to_oracle"}
-            return obs.metrics.counter("exec.degrade.fused_to_oracle")
+            assert set(degraded(obs)) == {"exec.degrade.columnar_to_rows"}
+            return obs.metrics.counter("exec.degrade.columnar_to_rows")
 
         expected = faulted(compiled=True)
         assert expected >= 1
         with config.overriding(compiled=True):
-            assert faulted() == expected  # once per faulted node, not twice
+            assert faulted() == expected  # once per faulted body, not twice
 
     @pytest.mark.parametrize(
         "make_error",
@@ -303,7 +313,7 @@ class RuntimeContract:
         with kernels_raising(make_error, calls):
             with pytest.raises(type(make_error()), match="planted"):
                 self.premium(instance, obs=obs, compiled=True)
-        assert len(calls) == 1  # the first tier's first kernel, nothing after
+        assert calls == ["block"]  # the first columnar kernel, nothing after
         assert not degraded(obs)
 
 
@@ -321,8 +331,9 @@ class TestMappingDegrade(RuntimeContract):
 
 class TestInfrastructureErrorsAreNotAbsorbed:
     """Regression: an injected kernel fault under policy=reject must
-    degrade the whole stage, not masquerade as per-row data errors on
-    the reject channel."""
+    never masquerade as per-row data errors on the reject channel: in a
+    columnar body it falls back to the row body, whose policy takes the
+    real bad rows; in a row body it fails the run."""
 
     def test_kernel_faults_do_not_leak_onto_the_reject_channel(self):
         poisoned, plan = generate_faulty_instance(n=40, seed=15, poison=4)
@@ -331,16 +342,20 @@ class TestInfrastructureErrorsAreNotAbsorbed:
         clean_rejects = sorted(
             format_row(r.row) for r in clean_engine.last_run.rejected
         )
-        fault_plan = FaultPlan(seed=15).fault_kernels(
-            tier="compiled", rate=0.5
-        )
+        block = FaultPlan(seed=15).fault_kernels(tier="block", rate=0.5)
         engine = EtlEngine(compiled=True, on_error="reject")
-        with fault_plan.injected():
+        with block.injected():
             targets, _ = engine.run(build_faulty_job(), poisoned)
         assert _premium_rows(targets) == _premium_rows(clean)
         rejects = engine.last_run.rejected
         assert sorted(format_row(r.row) for r in rejects) == clean_rejects
         assert all(r.error_code != "FaultInjected" for r in rejects)
+        rows = FaultPlan(seed=15).fault_kernels(tier="rows", rate=0.5)
+        with rows.injected():
+            with pytest.raises(FaultInjected):
+                EtlEngine(compiled=True, on_error="reject").run(
+                    build_faulty_job(), poisoned
+                )
 
 
 class TestOhmAndMappingDegrade:
@@ -352,27 +367,13 @@ class TestOhmAndMappingDegrade:
         with plan.injected():
             targets, _ = executor.run(graph, instance)
         assert _premium_rows(targets) == baseline
-        assert degraded(obs) == {"exec.degrade.fused_to_oracle": 1}
+        assert degraded(obs) == {"exec.degrade.columnar_to_rows": 1}
 
-    def test_ohm_degrade_disabled_surfaces_the_fault(self, instance):
-        graph = compile_job(build_faulty_job())
-        plan = FaultPlan(seed=8).fault_kernels(tier="block", first=1)
-        executor = OhmExecutor(compiled=True, degrade=False)
-        with plan.injected():
-            with pytest.raises(FaultInjected):
-                executor.run(graph, instance)
-
-    def test_mapping_compiled_fault_degrades(self):
-        mappings = ohm_to_mappings(compile_job(build_faulty_job()))
-        poisoned, _ = generate_faulty_instance(n=40, seed=13, poison=4)
-        clean, _ = MappingExecutor(on_error="reject").run(mappings, poisoned)
-        plan = FaultPlan(seed=9).fault_kernels(tier="compiled", first=1)
-        obs = Observability(stats=True)
-        executor = MappingExecutor(obs=obs, compiled=True, on_error="reject")
-        with plan.injected():
-            targets, _ = executor.run(mappings, poisoned)
-        assert _premium_rows(targets) == _premium_rows(clean)
-        assert degraded(obs) == {"exec.degrade.fused_to_oracle": 1}
+    def test_ohm_degrade_disabled_surfaces_the_fault(self):
+        # nothing to disable: ``degrade`` is an unknown keyword
+        for runtime in (OhmExecutor, MappingExecutor, EtlEngine):
+            with pytest.raises(TypeError, match="degrade"):
+                runtime(compiled=True, degrade=False)
 
 
 #: the tiers the satellite contracts below hold at: ``gathered`` is the
@@ -387,9 +388,9 @@ TIERS = {
 
 
 class TestOpaqueNodesBypassTheLadder:
-    """SOURCE and UNKNOWN lower no expression, so there is no tier to
-    fall from: a raising opaque body runs exactly once at every tier and
-    books no degradation, as an ETL ``Custom`` stage always did."""
+    """SOURCE, UNKNOWN and an ETL ``Custom`` stage have no columnar body
+    to fall from: a raising opaque body runs exactly once at every tier
+    and books no fallback."""
 
     @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("runtime", ["ohm", "mapping"])
@@ -420,6 +421,28 @@ class TestOpaqueNodesBypassTheLadder:
         obs = Observability(stats=True)
         with pytest.raises(RuntimeError, match="opaque body failed"):
             runner(obs=obs, **TIERS[tier]).run(plan, instance)
+        assert calls == [1]
+        assert not degraded(obs)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_a_raising_custom_stage_runs_once(self, tier):
+        calls = []
+
+        def body(inputs):
+            calls.append(len(inputs))
+            raise RuntimeError("custom body failed")
+
+        job = Job("custom")
+        source = job.add(TableSource(orders_schema()))
+        custom = job.add(
+            CustomStage([orders_schema().renamed("Boxed")], implementation=body)
+        )
+        target = job.add(TableTarget(orders_schema().renamed("Out")))
+        job.chain(source, custom, target)
+        instance, _ = generate_faulty_instance(n=10, seed=3)
+        obs = Observability(stats=True)
+        with pytest.raises(RuntimeError, match="custom body failed"):
+            EtlEngine(obs=obs, **TIERS[tier]).run(job, instance)
         assert calls == [1]
         assert not degraded(obs)
 
@@ -477,10 +500,10 @@ class TestGroupAggregatesAbsorbRowErrors:
             )
         ])
 
-    def run(self, runtime, rows, **options):
+    def run(self, runtime, rows, obs=None, **options):
         runner = OhmExecutor if runtime == "ohm" else MappingExecutor
         instance = Instance([Dataset(orders_schema(), rows)])
-        obs = Observability(stats=True)
+        obs = obs or Observability(stats=True)
         targets, _edges, rejects = runner(obs=obs, **options).run_with_rejects(
             self.plan(runtime), instance
         )
@@ -509,12 +532,14 @@ class TestGroupAggregatesAbsorbRowErrors:
     @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("runtime", ["ohm", "mapping"])
     def test_fail_fast_still_raises(self, runtime, tier):
+        obs = Observability(stats=True)
         with pytest.raises(EvaluationError, match="division by zero"):
-            self.run(runtime, self.poisoned(), **TIERS[tier])
+            self.run(runtime, self.poisoned(), obs=obs, **TIERS[tier])
+        assert not degraded(obs)
 
 
 class TestNothingDegradesWithoutAFault:
-    """Outside the fault harness no node needs the oracle rung: a clean
+    """Outside the fault harness no columnar body falls back: a clean
     run books no ``exec.degrade.*`` on any workload, runtime or tier."""
 
     WORKLOADS = {
@@ -538,4 +563,52 @@ class TestNothingDegradesWithoutAFault:
         obs = Observability(stats=True)
         targets, _rejects = runtime(build(), generate(), obs=obs, **TIERS[tier])
         assert sum(len(d) for d in targets) > 0
+        assert not degraded(obs)
+
+
+class TestLookupFailIsNotARowError:
+    """``LookupStage(on_failure="fail")`` on an unmatched key raises a
+    deliberate ``ExecutionError``: the stage's configured response, not
+    a bad row. It surfaces once, books no fallback, and no policy takes
+    it onto the reject channel."""
+
+    REF = relation("Ref", ("key", "int", False), ("label", "varchar"))
+
+    def job(self):
+        job = Job("lookup_fail")
+        stream = job.add(TableSource(orders_schema()))
+        reference = job.add(TableSource(self.REF))
+        lookup = job.add(
+            LookupStage([("orderID", "key")], on_failure="fail", name="Enrich")
+        )
+        target = job.add(
+            TableTarget(
+                relation(
+                    "Out", *[(a.name, a.dtype, a.nullable) for a in orders_schema()],
+                    ("label", "varchar"),
+                )
+            )
+        )
+        job.link(stream, lookup, name="orders")
+        job.link(reference, lookup, name="ref", dst_port=1)
+        job.link(lookup, target, name="out")
+        return job
+
+    @pytest.mark.parametrize("policy", ["fail_fast", "reject"])
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_an_unmatched_key_raises_once(self, tier, policy, monkeypatch):
+        orders, _ = generate_faulty_instance(n=10, seed=3)
+        instance = Instance(
+            [orders.dataset("Orders"), Dataset(self.REF, [{"key": 1, "label": "a"}])]
+        )
+        recorded = []
+        monkeypatch.setattr(
+            ErrorContext, "record", lambda self, *args, **kw: recorded.append(args)
+        )
+        obs = Observability(stats=True)
+        with pytest.raises(ExecutionError, match="Lookup 'Enrich' failed"):
+            EtlEngine(obs=obs, on_error=policy, **TIERS[tier]).run(
+                self.job(), instance
+            )
+        assert recorded == []
         assert not degraded(obs)

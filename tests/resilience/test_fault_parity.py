@@ -124,7 +124,7 @@ class TestExtendedFaultSweep:
         for key, result in results.items():
             assert result == reference, f"mismatch at {key} (seed {seed})"
 
-    @pytest.mark.parametrize("tier", ["block", "compiled"])
+    @pytest.mark.parametrize("tier", ["block"])
     def test_parity_under_kernel_fault_rates(self, tier):
         instance, _ = generate_faulty_instance(n=80, seed=21, poison=6)
         reference = run_etl(instance, False, "reject")

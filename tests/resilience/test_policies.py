@@ -8,10 +8,19 @@ from repro import config
 from repro.data.dataset import Dataset, Instance
 from repro.errors import EvaluationError, ExecutionError, ValidationError
 from repro.etl import EtlEngine
-from repro.etl.stages import FilterOutput, FilterStage
+from repro.compile import compile_job
+from repro.etl.model import Job
+from repro.etl.stages import (
+    FilterOutput,
+    FilterStage,
+    JoinStage,
+    TableSource,
+    TableTarget,
+)
 from repro.etl.xmlio import job_from_xml, job_to_xml
-from repro.expr.functions import DEFAULT_REGISTRY
+from repro.exec import ExpressionPlanner
 from repro.obs import Observability
+from repro.ohm import OhmExecutor
 from repro.resilience import (
     FAIL_FAST,
     POLICIES,
@@ -93,12 +102,15 @@ class TestErrorContext:
         handle(0, {"env": {"k": 2}}, ValueError("x"))
         assert ctx.rejected[0].row == {"k": 2}
 
-    def test_reset_drops_pending_state(self):
+    def test_recorded_counts_every_taken_row(self):
         ctx = ErrorContext("S", REJECT)
+        assert ctx.recorded == 0
         ctx.record(0, {"a": 1}, ValueError("x"))
         ctx.redirected = 2
-        ctx.reset()
-        assert ctx.rejected == [] and ctx.skipped == 0 and ctx.redirected == 0
+        assert ctx.recorded == 3
+        skipping = ErrorContext("S", "skip")
+        skipping.record(0, {"a": 1}, ValueError("x"))
+        assert skipping.recorded == 1
 
     def test_publish_emits_counters(self):
         obs = Observability(stats=True)
@@ -273,7 +285,7 @@ class TestFilterStageInBandReject:
         stage, data, out_relations = self._stage_and_data()
         ctx = ErrorContext("F", REJECT)
         hi, rej = stage.execute(
-            [data], out_relations, DEFAULT_REGISTRY, errors=ctx
+            [data], out_relations, ExpressionPlanner(), errors=ctx
         )
         assert [r["id"] for r in hi.rows] == [1]
         assert sorted(r["id"] for r in rej.rows) == [2, 3]
@@ -284,7 +296,7 @@ class TestFilterStageInBandReject:
         stage, data, out_relations = self._stage_and_data()
         ctx = ErrorContext("F", SKIP)
         hi, rej = stage.execute(
-            [data], out_relations, DEFAULT_REGISTRY, errors=ctx
+            [data], out_relations, ExpressionPlanner(), errors=ctx
         )
         assert [r["id"] for r in hi.rows] == [1]
         assert [r["id"] for r in rej.rows] == [3]
@@ -315,3 +327,53 @@ class TestXmlRoundTrip:
         text = job_to_xml(build_faulty_job(with_reject_link=True))
         with pytest.raises(ValidationError):
             job_from_xml(text.replace('onError="reject"', 'onError="nope"'))
+
+
+class TestJoinStageHonoursPolicies:
+    """Regression: the ETL Join stage ignored row policies — a join key
+    that raised aborted the run under ``reject`` while the same job's
+    OHM JOIN rejected the row. One stage protocol hands every stage the
+    run's ``errors``, so both runtimes take the same rows."""
+
+    A = relation("A", ("id", "int", False), ("p", "int", False))
+    B = relation("B", ("y", "float", False), ("tag", "varchar", False))
+
+    def job(self):
+        job = Job("join_policy")
+        left = job.add(TableSource(self.A))
+        right = job.add(TableSource(self.B))
+        join = job.add(JoinStage(condition="10 / A.p = B.y", name="J"))
+        out = relation(
+            "Out", ("id", "int", False), ("p", "int", False),
+            ("y", "float", False), ("tag", "varchar", False),
+        )
+        target = job.add(TableTarget(out))
+        job.link(left, join, name="A")
+        job.link(right, join, name="B", dst_port=1)
+        job.link(join, target, name="joined")
+        return job
+
+    def instance(self):
+        return Instance([
+            Dataset(self.A, [{"id": i, "p": p} for i, p in enumerate([1, 2, 5, 0, 10])]),
+            Dataset(self.B, [
+                {"y": y, "tag": t}
+                for y, t in [(10.0, "ten"), (5.0, "five"), (2.0, "two"), (1.0, "one")]
+            ]),
+        ])
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "oracle"])
+    @pytest.mark.parametrize("policy", ["skip", "reject"])
+    def test_etl_and_ohm_take_the_same_rows(self, policy, compiled):
+        engine = EtlEngine(on_error=policy, compiled=compiled)
+        etl, _ = engine.run(self.job(), self.instance())
+        etl_rejects = sorted(format_row(r.row) for r in engine.last_run.rejected)
+        ohm, _edges, rejects = OhmExecutor(
+            on_error=policy, compiled=compiled
+        ).run_with_rejects(compile_job(self.job()), self.instance())
+        assert etl.same_bags(ohm)
+        assert len(etl.dataset("Out")) == 4
+        assert etl_rejects == sorted(r["row"] for r in rejects.rows)
+        expected = [format_row({"id": 3, "p": 0})] if policy == "reject" else []
+        assert etl_rejects == expected
+

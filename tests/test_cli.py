@@ -140,7 +140,7 @@ class TestObservabilityFlags:
 
 ALL_FLAGS = [
     "--interpreted", "--on-error", "skip", "--max-retries", "2",
-    "--deadline", "30", "--memory-budget", "500", "--check",
+    "--deadline", "30", "--memory-budget", "500",
 ]
 
 
@@ -170,7 +170,7 @@ class TestFlagsAreScoped:
         assert main(["show", job_xml_path] + flags) == 0
         assert seen == dict(
             before, compiled=False, on_error="skip",
-            max_retries=2, deadline=30.0, memory_budget=500, check=True,
+            max_retries=2, deadline=30.0, memory_budget=500,
             checkpoint_dir=str(tmp_path),
         )
         assert config.snapshot() == before

@@ -7,26 +7,100 @@ This module holds the machinery common to both;
 :class:`repro.ohm.graph.OhmGraph` and :class:`repro.etl.model.Job`
 specialize it.
 
-A node must provide:
+A node is a :class:`GraphNode`:
 
 * ``uid`` — graph-unique identifier,
 * ``KIND`` — display name for diagnostics,
 * ``check_port_counts(n_in, n_out)`` — multiplicity validation,
 * ``validate(input_schemas)`` and
-  ``output_relations(input_schemas, out_names)`` — schema propagation.
+  ``output_relations(input_schemas, out_names)`` — schema propagation,
+* ``supports_reject_link`` and ``reject_relation(name)`` — the
+  out-of-band reject channel.
+
+Schema propagation reuses what has not changed. A graph keeps its
+topological order and the verdict of its wiring checks until an edge or
+a node is added or removed. A node deriving from :class:`Node` keeps the
+result of its last ``validate`` + ``output_relations``, and
+:meth:`DataflowGraph.propagate_schemas` hands it back while the node's
+input relations are the same objects, its out-edge names and kinds are
+the same, and nothing has been assigned to the node since. That rests
+on the **node contract**: ``check_port_counts``, ``validate`` and
+``output_relations`` are pure functions of the node's properties and
+its inputs, and a property is *replaced* (``op.condition = ...``),
+never mutated in place (``op.derivations.append(...)`` after
+construction is a bug: the node would keep a stale result).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Generic, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Any, Callable, Dict, Generic, List, Optional, Protocol, Sequence, Tuple,
+    TypeVar,
+)
 
 from repro.errors import GraphError, ValidationError
 from repro.schema.model import Relation
 
 _edge_counter = itertools.count(1)
 
-NodeT = TypeVar("NodeT")
+
+class GraphNode(Protocol):
+    """What a :class:`DataflowGraph` needs of its nodes."""
+
+    @property
+    def uid(self) -> str: ...
+
+    @property
+    def KIND(self) -> str: ...  # noqa: N802 - the node protocol's name
+
+    @property
+    def supports_reject_link(self) -> bool: ...
+
+    def check_port_counts(self, n_inputs: int, n_outputs: int) -> None: ...
+
+    def validate(self, inputs: Sequence[Relation]) -> None: ...
+
+    def output_relations(
+        self, inputs: Sequence[Relation], out_names: Sequence[str]
+    ) -> List[Relation]: ...
+
+    def reject_relation(self, name: str) -> Relation: ...
+
+
+NodeT = TypeVar("NodeT", bound=GraphNode)
+
+#: the ``__dict__`` slot where a :class:`Node` keeps its last
+#: propagation result: ``(inputs, out-edge (name, kind) pairs, schemas)``.
+_MEMO = "_propagated"
+
+_Memo = Tuple[
+    List[Relation], Tuple[Tuple[str, str], ...], List[Optional[Relation]]
+]
+
+
+class Node:
+    """Base of OHM operators and ETL stages: the defaults of the node
+    protocol, and the propagation memo.
+
+    Assigning any attribute drops the node's memo, so the next
+    :meth:`DataflowGraph.propagate_schemas` validates it again. This is
+    the node contract's other half: a rewrite replaces a property
+    instead of mutating it in place."""
+
+    #: Nodes that may carry an out-of-band reject edge.
+    supports_reject_link = False
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        self.__dict__.pop(_MEMO, None)
+        object.__setattr__(self, name, value)
+
+    def reject_relation(self, name: str) -> Relation:
+        """Schema of a reject edge leaving this node: the standard
+        reject-channel relation (see :mod:`repro.resilience`)."""
+        from repro.resilience import reject_relation
+
+        return reject_relation(name)
 
 
 class Edge:
@@ -74,6 +148,45 @@ class Edge:
         )
 
 
+def _insort(edges: List[Edge], edge: Edge, port: Callable[[Edge], int]) -> None:
+    """Insert ``edge`` after every edge whose port is not greater, so the
+    list stays sorted by port and in insertion order among equals (what
+    a stable sort of the appended list gives)."""
+    at = len(edges)
+    key = port(edge)
+    while at and port(edges[at - 1]) > key:
+        at -= 1
+    edges.insert(at, edge)
+
+
+def _output_schemas(
+    node: GraphNode, inputs: List[Relation], out_edges: Sequence[Edge]
+) -> List[Optional[Relation]]:
+    """The schema of each of ``node``'s out-edges, in port order
+    (``None`` where the node computed fewer schemas than it has data
+    edges: that edge keeps the one it has)."""
+    if not out_edges:
+        return []
+    data_edges = [e for e in out_edges if not e.is_reject]
+    data = iter(
+        node.output_relations(inputs, [e.name for e in data_edges])
+        if data_edges
+        else ()
+    )
+    return [
+        node.reject_relation(e.name) if e.is_reject else next(data, None)
+        for e in out_edges
+    ]
+
+
+def _dst_port(edge: Edge) -> int:
+    return edge.dst_port
+
+
+def _src_port(edge: Edge) -> int:
+    return edge.src_port
+
+
 class DataflowGraph(Generic[NodeT]):
     """A directed acyclic multigraph of nodes wired port-to-port."""
 
@@ -98,9 +211,17 @@ class DataflowGraph(Generic[NodeT]):
         self.name = name
         self._nodes: Dict[str, NodeT] = {}
         self._edges: List[Edge] = []
-        # adjacency indexes so neighbourhood lookups stay O(degree)
+        # adjacency indexes so neighbourhood lookups stay O(degree); each
+        # list is kept sorted by port as edges are inserted
         self._out: Dict[str, List[Edge]] = {}
         self._in: Dict[str, List[Edge]] = {}
+        # wiring caches, dropped by every change to nodes or edges
+        self._order: Optional[List[NodeT]] = None
+        self._wiring_checked = False
+
+    def _rewired(self) -> None:
+        self._order = None
+        self._wiring_checked = False
 
     # -- construction -------------------------------------------------------
 
@@ -108,12 +229,13 @@ class DataflowGraph(Generic[NodeT]):
         if node.uid in self._nodes:
             raise GraphError(f"duplicate {self.node_noun} uid {node.uid!r}")
         self._nodes[node.uid] = node
+        self._rewired()
         return node
 
     def connect(
         self,
-        src,
-        dst,
+        src: Any,
+        dst: Any,
         src_port: int = 0,
         dst_port: int = 0,
         name: Optional[str] = None,
@@ -140,13 +262,15 @@ class DataflowGraph(Generic[NodeT]):
 
     def _insert_edge(self, edge: Edge) -> None:
         self._edges.append(edge)
-        self._out.setdefault(edge.src, []).append(edge)
-        self._in.setdefault(edge.dst, []).append(edge)
+        _insort(self._out.setdefault(edge.src, []), edge, _src_port)
+        _insort(self._in.setdefault(edge.dst, []), edge, _dst_port)
+        self._rewired()
 
     def _delete_edge(self, edge: Edge) -> None:
         self._edges.remove(edge)
         self._out[edge.src].remove(edge)
         self._in[edge.dst].remove(edge)
+        self._rewired()
 
     def chain(self, *nodes: NodeT, names: Sequence[str] = ()) -> List[Edge]:
         """Add (if absent) and connect nodes in a linear pipeline."""
@@ -169,6 +293,7 @@ class DataflowGraph(Generic[NodeT]):
                 self._delete_edge(edge)
         self._out.pop(uid, None)
         self._in.pop(uid, None)
+        self._rewired()
 
     def remove_edge(self, edge: Edge) -> None:
         self._delete_edge(edge)
@@ -178,7 +303,7 @@ class DataflowGraph(Generic[NodeT]):
         self._insert_edge(edge)
         return edge
 
-    def shallow_copy(self) -> "DataflowGraph":
+    def shallow_copy(self) -> "DataflowGraph[NodeT]":
         """A structural copy: nodes are shared, edges are fresh objects.
         Used where a transformation must not disturb the original graph's
         wiring (deployment normalization, optimization what-ifs)."""
@@ -247,20 +372,18 @@ class DataflowGraph(Generic[NodeT]):
         return len(self._nodes)
 
     def in_edges(self, uid: str) -> List[Edge]:
-        found = list(self._in.get(uid, ()))
-        found.sort(key=lambda e: e.dst_port)
-        return found
+        """Edges into ``uid``, by input port."""
+        return list(self._in.get(uid, ()))
 
     def out_edges(self, uid: str) -> List[Edge]:
-        found = list(self._out.get(uid, ()))
-        found.sort(key=lambda e: e.src_port)
-        return found
+        """Edges out of ``uid``, by output port."""
+        return list(self._out.get(uid, ()))
 
     def predecessors(self, uid: str) -> List[NodeT]:
-        return [self._nodes[e.src] for e in self.in_edges(uid)]
+        return [self._nodes[e.src] for e in self._in.get(uid, ())]
 
     def successors(self, uid: str) -> List[NodeT]:
-        return [self._nodes[e.dst] for e in self.out_edges(uid)]
+        return [self._nodes[e.dst] for e in self._out.get(uid, ())]
 
     def edge_between(self, src_uid: str, dst_uid: str) -> Edge:
         for edge in self._edges:
@@ -277,7 +400,13 @@ class DataflowGraph(Generic[NodeT]):
     # -- analysis -----------------------------------------------------------
 
     def topological_order(self) -> List[NodeT]:
-        """Nodes in dataflow order; raises :class:`GraphError` on cycles."""
+        """Nodes in dataflow order; raises :class:`GraphError` on cycles.
+        The order is kept until the wiring changes."""
+        if self._order is None:
+            self._order = self._sort_topologically()
+        return list(self._order)
+
+    def _sort_topologically(self) -> List[NodeT]:
         indegree: Dict[str, int] = {uid: 0 for uid in self._nodes}
         for edge in self._edges:
             indegree[edge.dst] += 1
@@ -286,7 +415,7 @@ class DataflowGraph(Generic[NodeT]):
         while ready:
             uid = ready.pop(0)
             order.append(self._nodes[uid])
-            for edge in self.out_edges(uid):
+            for edge in self._out.get(uid, ()):
                 indegree[edge.dst] -= 1
                 if indegree[edge.dst] == 0:
                     ready.append(edge.dst)
@@ -295,82 +424,112 @@ class DataflowGraph(Generic[NodeT]):
             raise GraphError(f"graph has a cycle involving {stuck}")
         return order
 
+    def _check_ports(self, uid: str, node: NodeT) -> None:
+        """``node``'s declared multiplicities against its wired edges
+        (reject edges do not count on the producer side)."""
+        outgoing = self._out.get(uid, ())
+        n_data_out = sum(1 for e in outgoing if not e.is_reject)
+        try:
+            node.check_port_counts(len(self._in.get(uid, ())), n_data_out)
+        except GraphError as exc:
+            raise self._relocate(exc, uid) from None
+
     def validate_structure(self) -> None:
         """Port multiplicities honoured, contiguous ports, acyclic.
 
         Reject edges are out-of-band on the producer side: they do not
         count toward the producer's declared output multiplicity (their
         ports must still be contiguous *after* the data ports), but they
-        are ordinary inputs on the consumer side."""
-        self.topological_order()
+        are ordinary inputs on the consumer side.
+
+        The wiring half (acyclic, contiguous, reject placement) is kept
+        until the wiring changes; port multiplicities depend on node
+        properties as well and are checked on every call."""
+        wiring_checked = self._wiring_checked
+        if not wiring_checked:
+            self.topological_order()
         for uid, node in self._nodes.items():
-            incoming = self.in_edges(uid)
-            outgoing = self.out_edges(uid)
-            data_out = [e for e in outgoing if not e.is_reject]
-            try:
-                node.check_port_counts(len(incoming), len(data_out))
-            except GraphError as exc:
-                raise self._relocate(exc, uid) from None
-            if len(outgoing) != len(data_out) and not getattr(
-                node, "supports_reject_link", False
-            ):
+            self._check_ports(uid, node)
+            if not wiring_checked:
+                self._check_wiring(uid, node)
+        self._wiring_checked = True
+
+    def _check_wiring(self, uid: str, node: NodeT) -> None:
+        incoming = self._in.get(uid, ())
+        outgoing = self._out.get(uid, ())
+        rejects = [e for e in outgoing if e.is_reject]
+        if rejects and not node.supports_reject_link:
+            raise ValidationError(
+                f"{node.KIND} {uid}: does not support a reject link",
+                **self._locate(uid),
+            )
+        for kind, ports in (
+            ("input", [e.dst_port for e in incoming]),
+            ("output", [e.src_port for e in outgoing]),
+        ):
+            if ports != list(range(len(ports))):
                 raise ValidationError(
-                    f"{node.KIND} {uid}: does not support a reject link",
+                    f"{node.KIND} {uid}: non-contiguous {kind} ports {ports}",
                     **self._locate(uid),
                 )
-            for kind, edges, port_of in (
-                ("input", incoming, lambda e: e.dst_port),
-                ("output", outgoing, lambda e: e.src_port),
-            ):
-                ports = sorted(port_of(e) for e in edges)
-                if ports != list(range(len(ports))):
-                    raise ValidationError(
-                        f"{node.KIND} {uid}: non-contiguous {kind} ports {ports}",
-                        **self._locate(uid),
-                    )
-            for edge in data_out:
-                if any(
-                    edge.src_port > r.src_port for r in outgoing if r.is_reject
-                ):
-                    raise ValidationError(
-                        f"{node.KIND} {uid}: reject port "
-                        "must follow all data output ports",
-                        **self._locate(uid),
-                    )
+        if rejects and any(
+            not e.is_reject and e.src_port > rejects[0].src_port
+            for e in outgoing
+        ):
+            raise ValidationError(
+                f"{node.KIND} {uid}: reject port "
+                "must follow all data output ports",
+                **self._locate(uid),
+            )
 
     def propagate_schemas(self) -> None:
         """Compute every edge's schema annotation source→target order,
-        validating each node against its input schemas."""
-        self.validate_structure()
+        validating each node against its input schemas.
+
+        A :class:`Node` is not validated again while its input relations
+        equal the ones it was last validated against and nobody has
+        assigned to it since; if its out-edges also carry the same names
+        and kinds, its last output schemas go back on them unchanged. A
+        node whose recomputed schemas equal its last ones hands on the
+        old objects, so that its consumers find their inputs as before."""
+        recheck_ports = self._wiring_checked
+        if not recheck_ports:
+            self.validate_structure()
         for node in self.topological_order():
-            in_edges = self.in_edges(node.uid)
-            inputs = []
-            for edge in in_edges:
+            uid = node.uid
+            inputs: List[Relation] = []
+            for edge in self._in.get(uid, ()):
                 if edge.schema is None:
                     raise GraphError(
                         f"edge {edge!r} has no schema after propagation; "
                         "graph is not connected to sources",
                         link=edge.name,
-                        **self._locate(node.uid),
+                        **self._locate(uid),
                     )
                 inputs.append(edge.schema)
-            try:
-                node.validate(inputs)
-            except GraphError as exc:
-                raise self._relocate(exc, node.uid) from None
-            out_edges = self.out_edges(node.uid)
-            if not out_edges:
-                continue
-            data_edges = [e for e in out_edges if not e.is_reject]
-            if data_edges:
-                outputs = node.output_relations(
-                    inputs, [e.name for e in data_edges]
-                )
-                for edge, schema in zip(data_edges, outputs):
+            out_edges = self._out.get(uid, ())
+            wiring = tuple((e.name, e.kind) for e in out_edges)
+            memoized = isinstance(node, Node)
+            memo: Optional[_Memo] = node.__dict__.get(_MEMO) if memoized else None
+            validated = memo is not None and memo[0] == inputs
+            if memo is not None and validated and memo[1] == wiring:
+                outputs = memo[2]
+            else:
+                if recheck_ports:
+                    self._check_ports(uid, node)
+                if not validated:
+                    try:
+                        node.validate(inputs)
+                    except GraphError as exc:
+                        raise self._relocate(exc, uid) from None
+                outputs = _output_schemas(node, inputs, out_edges)
+                if memo is not None and outputs == memo[2]:
+                    outputs = memo[2]
+                if memoized:
+                    node.__dict__[_MEMO] = (inputs, wiring, outputs)
+            for edge, schema in zip(out_edges, outputs):
+                if schema is not None:
                     edge.schema = schema
-            for edge in out_edges:
-                if edge.is_reject:
-                    edge.schema = node.reject_relation(edge.name)
 
     def kinds_in_order(self) -> List[str]:
         """Node kinds in topological order — handy in tests asserting a
@@ -397,4 +556,4 @@ class DataflowGraph(Generic[NodeT]):
         )
 
 
-__all__ = ["Edge", "DataflowGraph"]
+__all__ = ["Edge", "DataflowGraph", "GraphNode", "Node"]

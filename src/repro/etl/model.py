@@ -24,7 +24,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.data.dataset import Dataset
-from repro.dataflow import DataflowGraph, Edge
+from repro.dataflow import DataflowGraph, Edge, Node
 from repro.errors import ValidationError
 from repro.expr.functions import DEFAULT_REGISTRY, FunctionRegistry
 from repro.schema.model import Relation
@@ -39,8 +39,13 @@ def next_link_name() -> str:
     return f"DSLink{next(_link_counter)}"
 
 
-class Stage:
+class Stage(Node):
     """Base class of all ETL stages.
+
+    A stage is a graph node under :mod:`repro.dataflow`'s node contract:
+    ``validate`` / ``output_relations`` are pure in the stage's
+    properties and its inputs, and a property is replaced, never mutated
+    in place, so that assigning it drops the stage's propagation memo.
 
     :ivar name: stage name as shown on the canvas (unique per job; doubles
         as the graph uid).
@@ -116,14 +121,6 @@ class Stage:
     ) -> List[Relation]:
         """Schemas of each output link."""
         raise NotImplementedError
-
-    @classmethod
-    def reject_relation(cls, name: str) -> Relation:
-        """Schema of a reject link leaving this stage: the standard
-        reject-channel relation (see :mod:`repro.resilience`)."""
-        from repro.resilience import reject_relation
-
-        return reject_relation(name)
 
     # runtime interface ----------------------------------------------------------
 

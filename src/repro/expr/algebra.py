@@ -69,10 +69,15 @@ def substitute(expr: Expr, replacements: Mapping[ColumnRef, Expr]) -> Expr:
 
 
 def substitute_by_name(expr: Expr, replacements: Mapping[str, Expr]) -> Expr:
-    """Like :func:`substitute` with unqualified string keys."""
-    return substitute(
-        expr, {ColumnRef(name): e for name, e in replacements.items()}
-    )
+    """Like :func:`substitute` with unqualified string keys: every
+    reference to a named column is replaced, whatever its qualifier."""
+
+    def replace(node: Expr) -> Optional[Expr]:
+        if isinstance(node, ColumnRef):
+            return replacements.get(node.name)
+        return None
+
+    return transform(expr, replace)
 
 
 def rename_qualifiers(expr: Expr, renaming: Mapping[Optional[str], Optional[str]]) -> Expr:

@@ -24,9 +24,12 @@ from repro.errors import ExpressionError
 
 
 class Expr:
-    """Abstract base of all expression nodes."""
+    """Abstract base of all expression nodes.
 
-    __slots__ = ()
+    A node is immutable, so its structural key, hash and column
+    references are computed once, on first use, into the slots below."""
+
+    __slots__ = ("_key", "_hash", "_refs")
 
     def children(self) -> Tuple["Expr", ...]:
         """Immediate sub-expressions, in a fixed order."""
@@ -39,6 +42,14 @@ class Expr:
 
     def key(self) -> tuple:
         """A hashable structural key; two nodes are equal iff keys match."""
+        try:
+            return self._key
+        except AttributeError:
+            key = self._make_key()
+            object.__setattr__(self, "_key", key)
+            return key
+
+    def _make_key(self) -> tuple:
         raise NotImplementedError
 
     def to_sql(self) -> str:
@@ -54,7 +65,17 @@ class Expr:
 
     def column_refs(self) -> List["ColumnRef"]:
         """All column references in the expression, in reading order."""
-        return [node for node in self.walk() if isinstance(node, ColumnRef)]
+        return list(self._column_refs())
+
+    def _column_refs(self) -> Tuple["ColumnRef", ...]:
+        try:
+            return self._refs
+        except AttributeError:
+            refs = tuple(
+                ref for child in self.children() for ref in child._column_refs()
+            )
+            object.__setattr__(self, "_refs", refs)
+            return refs
 
     def column_names(self) -> List[str]:
         """Unqualified names of all referenced columns, deduplicated,
@@ -69,13 +90,20 @@ class Expr:
         return any(isinstance(node, AggregateCall) for node in self.walk())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Expr) and self.key() == other.key()
+        return self is other or (
+            isinstance(other, Expr) and self.key() == other.key()
+        )
 
     def __ne__(self, other: object) -> bool:
         return not self.__eq__(other)
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self.key())
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.to_sql()}>"
@@ -122,7 +150,7 @@ class Literal(Expr):
             raise ExpressionError("Literal has no children")
         return self
 
-    def key(self) -> tuple:
+    def _make_key(self) -> tuple:
         return ("lit", type(self.value).__name__, self.value)
 
     def to_sql(self) -> str:
@@ -172,8 +200,11 @@ class ColumnRef(Expr):
             raise ExpressionError("ColumnRef has no children")
         return self
 
-    def key(self) -> tuple:
+    def _make_key(self) -> tuple:
         return ("col", self.qualifier, self.name)
+
+    def _column_refs(self) -> Tuple["ColumnRef", ...]:
+        return (self,)
 
     def to_sql(self) -> str:
         if self.qualifier:
@@ -220,7 +251,7 @@ class BinaryOp(Expr):
         left, right = new_children
         return BinaryOp(self.op, left, right)
 
-    def key(self) -> tuple:
+    def _make_key(self) -> tuple:
         return ("bin", self.op, self.left.key(), self.right.key())
 
     def to_sql(self) -> str:
@@ -249,7 +280,7 @@ class UnaryOp(Expr):
         (operand,) = new_children
         return UnaryOp(self.op, operand)
 
-    def key(self) -> tuple:
+    def _make_key(self) -> tuple:
         return ("un", self.op, self.operand.key())
 
     def to_sql(self) -> str:
@@ -277,7 +308,7 @@ class FunctionCall(Expr):
     def replace_children(self, new_children: Sequence[Expr]) -> Expr:
         return FunctionCall(self.name, list(new_children))
 
-    def key(self) -> tuple:
+    def _make_key(self) -> tuple:
         return ("fn", self.name, tuple(a.key() for a in self.args))
 
     def to_sql(self) -> str:
@@ -322,7 +353,7 @@ class AggregateCall(Expr):
         (arg,) = new_children
         return AggregateCall(self.func, arg, self.distinct)
 
-    def key(self) -> tuple:
+    def _make_key(self) -> tuple:
         return (
             "agg",
             self.func,
@@ -378,7 +409,7 @@ class Case(Expr):
         default = new_children[-1] if self.default is not None else None
         return Case(whens, default)
 
-    def key(self) -> tuple:
+    def _make_key(self) -> tuple:
         return (
             "case",
             tuple((c.key(), v.key()) for c, v in self.whens),
@@ -414,7 +445,7 @@ class IsNull(Expr):
         (operand,) = new_children
         return IsNull(operand, self.negated)
 
-    def key(self) -> tuple:
+    def _make_key(self) -> tuple:
         return ("isnull", self.operand.key(), self.negated)
 
     def to_sql(self) -> str:
@@ -444,7 +475,7 @@ class InList(Expr):
         operand, *items = new_children
         return InList(operand, items, self.negated)
 
-    def key(self) -> tuple:
+    def _make_key(self) -> tuple:
         return (
             "in",
             self.operand.key(),
@@ -479,7 +510,7 @@ class Between(Expr):
         operand, low, high = new_children
         return Between(operand, low, high, self.negated)
 
-    def key(self) -> tuple:
+    def _make_key(self) -> tuple:
         return (
             "between",
             self.operand.key(),
@@ -516,7 +547,7 @@ class Like(Expr):
         operand, pattern = new_children
         return Like(operand, pattern, self.negated)
 
-    def key(self) -> tuple:
+    def _make_key(self) -> tuple:
         return ("like", self.operand.key(), self.pattern.key(), self.negated)
 
     def to_sql(self) -> str:

@@ -36,6 +36,13 @@ class StageNode:
     def output_relations(self, inputs, out_names):
         return self.stage.output_relations(inputs, out_names)
 
+    @property
+    def supports_reject_link(self) -> bool:
+        return self.stage.supports_reject_link
+
+    def reject_relation(self, name: str):
+        return self.stage.reject_relation(name)
+
     def __repr__(self) -> str:
         return f"StageNode({self.stage!r})"
 

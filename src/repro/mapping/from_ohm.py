@@ -37,7 +37,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dataflow import Edge
 from repro.errors import MappingError
-from repro.expr.algebra import conjoin, split_conjuncts, substitute
+from repro.expr.algebra import (
+    conjoin, split_conjuncts, substitute, substitute_by_name,
+)
 from repro.expr.ast import AggregateCall, ColumnRef, Expr, TRUE
 from repro.mapping.model import Mapping, MappingSet, SourceBinding
 from repro.ohm.graph import OhmGraph
@@ -94,15 +96,12 @@ class PartialMapping:
     def derivation_map(self) -> Dict[str, Expr]:
         return dict(self.derivations)
 
-    def substitute_into(self, expr: Expr, edge_name: str) -> Expr:
+    def substitute_into(self, expr: Expr) -> Expr:
         """Unfold this partial's derivations into an expression written
-        against the edge's columns (unqualified or qualified by the edge
-        name)."""
-        replacements: Dict[ColumnRef, Expr] = {}
-        for col, derivation in self.derivations:
-            replacements[ColumnRef(col)] = derivation
-            replacements[ColumnRef(col, qualifier=edge_name)] = derivation
-        return substitute(expr, replacements)
+        against the edge's columns: a reference to a derived column,
+        unqualified or qualified (by the edge's name), becomes its
+        derivation."""
+        return substitute_by_name(expr, self.derivation_map())
 
     def renamed_only(self, columns: List[Tuple[str, str]]) -> "PartialMapping":
         """Compose a pure renaming (BASIC PROJECT) — legal even after
@@ -270,7 +269,7 @@ class _Extractor:
     ) -> PartialMapping:
         if partial.grouped:
             partial = self.materialize(partial, edge)
-        condition = partial.substitute_into(op.condition, edge.name)
+        condition = partial.substitute_into(op.condition)
         return PartialMapping(
             partial.sources,
             partial.derivations,
@@ -293,7 +292,7 @@ class _Extractor:
                 [(c, expr.name) for c, expr in op.derivations]
             )
         new_derivations = [
-            (col, partial.substitute_into(expr, edge.name))
+            (col, partial.substitute_into(expr))
             for col, expr in op.derivations
         ]
         return PartialMapping(
@@ -388,7 +387,7 @@ class _Extractor:
             group_by.append(derivation_map[key])
             new_derivations.append((key, derivation_map[key]))
         for out_col, agg in op.aggregates:
-            folded = partial.substitute_into(agg, edge.name)
+            folded = partial.substitute_into(agg)
             new_derivations.append((out_col, folded))
         return PartialMapping(
             partial.sources,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.dataflow import Node
 from repro.errors import ValidationError
 from repro.expr.ast import AggregateCall, ColumnRef, Expr
 from repro.expr.parser import parse
@@ -46,8 +47,14 @@ def _as_expr(expr: Union[Expr, str]) -> Expr:
     return expr if isinstance(expr, Expr) else parse(expr)
 
 
-class Operator:
+class Operator(Node):
     """Base class of all OHM operators.
+
+    An operator is a graph node under :mod:`repro.dataflow`'s node
+    contract: ``validate`` / ``output_relations`` are pure in the
+    operator's properties and its inputs, and rewrites replace a
+    property (``op.condition = conjoin(...)``) rather than mutate it,
+    so that the assignment drops the operator's propagation memo.
 
     :ivar uid: graph-unique identifier (auto-generated when omitted).
     :ivar label: human-readable label, typically inherited from the ETL

@@ -43,13 +43,14 @@ class Optimizer:
         """Rewrite ``graph`` in place to a fixpoint; returns a report of
         which rules fired.
 
-        Schema propagation is the expensive step (it type-checks every
-        operator), so it runs once per *pass* rather than once per
-        rewrite: within a pass each rule fires repeatedly until it is
-        exhausted (rules tolerate locally stale edge schemas — removals
-        keep the consumer-facing schema, and rules skip edges whose
-        schema is not yet computed), then the pass re-propagates and
-        retries until no rule fires on fresh schemas."""
+        Schema propagation runs once at the start of each *pass* rather
+        than once per rewrite: within a pass each rule fires repeatedly
+        until it is exhausted (rules tolerate locally stale edge schemas
+        — removals keep the consumer-facing schema, and rules skip edges
+        whose schema is not yet computed), then the next pass
+        re-propagates and retries. The graph is at its fixpoint after a
+        pass in which no rule fired; that pass started from fresh
+        schemas and changed nothing, so it is not propagated again."""
         metrics = self._obs.metrics
         recording = metrics.enabled
         report = OptimizationReport()
@@ -81,7 +82,6 @@ class Optimizer:
                             fired_this_pass += 1
                             progress = True
                 if not fired_this_pass:
-                    graph.propagate_schemas()
                     operators_after = len(graph.operators)
                     metrics.count(
                         "rewrite.graph.operators_removed",

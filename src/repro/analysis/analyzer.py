@@ -1,33 +1,39 @@
 """The static analyzer: lint OHM graphs, ETL jobs, and mapping sets
 without executing them.
 
-Where the runtime ``validate()`` hooks stop at the first failure (and
-only fire once upstream stages have already produced data), the
-analyzer walks the whole plan and *collects* diagnostics:
+Where a run's ``validate_structure`` / ``propagate_schemas`` stop at the
+first failure, the analyzer reads the *collecting* form of the same two
+methods (:mod:`repro.dataflow`), so each decision has one implementation
+and lint-clean implies run-clean, and gathers diagnostics over the whole
+plan:
 
-* **structure** — cycles (ORC010), dangling/miswired ports (ORC011),
+* **structure** — cycles (ORC010), the graph's own wiring checks
+  (ORC011: port counts, contiguous ports, reject support and placement),
   duplicate link names (ORC012), unreachable stages (ORC013), reject
   links that can never receive rows (ORC014);
-* **types** — a non-throwing schema-propagation pass that runs every
-  node's expressions through :mod:`repro.expr.typecheck`, reporting
-  parse errors (ORC001), type mismatches (ORC002), non-boolean
-  predicates (ORC003), and link-schema incompatibilities (ORC015) with
-  stage/operator/link/expression locations;
+* **types** — the graph's schema propagation, collecting: a node it
+  cannot derive is reported (a node with several expressions is searched
+  for the bad one, located by link and expression), and its downstream
+  cone goes untyped. Parse errors (ORC001), type mismatches (ORC002),
+  non-boolean predicates (ORC003), link-schema incompatibilities and the
+  target column types a job's ``validate`` leaves open (ORC015);
 * **NULL-ness** — three-valued nullability propagation
   (:mod:`repro.analysis.nullness`) warning when a nullable value flows
   into a NOT NULL target column (ORC004);
-* **dataflow** — a backward liveness pass (reusing the fusion read-set
-  machinery of :mod:`repro.exec.fuse`) flagging columns that are
+* **dataflow** — the graph's backward liveness walk over each node's
+  ``reads`` (the one dead-column pruning uses) flagging columns that are
   computed but never read (ORC020), plus pushdown-region (ORC021) and
   fusion-chain (ORC022) placement lints.
 
-Nothing in here mutates the analyzed plan and nothing executes a row:
-edge schemas are tracked in a local map, never written back.
+Nothing in here writes an edge schema and nothing executes a row: the
+derived schemas come back in a map. The derivation fills the nodes'
+propagation memos, as a run's propagation would, so the run that
+follows a check finds them warm.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.dataflow import DataflowGraph, Edge
 from repro.errors import (
@@ -42,7 +48,6 @@ from repro.errors import (
 )
 from repro.etl import stages as _etl
 from repro.etl.model import Job, Stage
-from repro.exec.fuse import read_set
 from repro.expr.ast import ColumnRef, Expr
 from repro.expr.functions import DEFAULT_REGISTRY, FunctionRegistry
 from repro.expr.parser import parse
@@ -54,10 +59,6 @@ from repro.schema.model import Relation
 
 from repro.analysis.diagnostics import AnalysisReport
 from repro.analysis.nullness import infer_nullable, relation_resolver
-
-#: req-set value meaning "every column is (or must be assumed) live".
-_ALL = None
-
 
 # -- exception classification -------------------------------------------------
 
@@ -84,57 +85,6 @@ def _classify(exc: OrchidError) -> str:
 _EXPRESSION_CODES = ("ORC001", "ORC002", "ORC003")
 
 
-# -- column-reference resolution ---------------------------------------------
-
-
-def _column_key(rel: Relation) -> Callable:
-    """A :func:`repro.exec.fuse.read_set` resolver over one relation,
-    honouring link-name qualifiers and the dotted ``qualifier.name``
-    collision columns a JOIN leaves behind."""
-
-    def key(ref) -> Optional[str]:
-        if ref.qualifier is not None:
-            dotted = f"{ref.qualifier}.{ref.name}"
-            if rel.has_attribute(dotted):
-                return dotted
-        if rel.has_attribute(ref.name):
-            return ref.name
-        return None
-
-    return key
-
-
-def _reads_of(
-    exprs: Sequence[Expr], rel: Optional[Relation], ignore: Sequence[str] = ()
-) -> Optional[Set[str]]:
-    """The input columns ``exprs`` read (``ignore`` names — e.g. stage
-    variables — are skipped); ``_ALL`` when the input schema is unknown
-    or any reference fails to resolve."""
-    if rel is None:
-        return _ALL
-    key_of = _column_key(rel)
-    names: Set[str] = set()
-    for expr in exprs:
-        for ref in expr.column_refs():
-            if ref.qualifier is None and ref.name in ignore:
-                continue
-            key = key_of(ref)
-            if key is _ALL:
-                return _ALL
-            names.add(key)
-    return names
-
-
-def _union(parts) -> Optional[Set[str]]:
-    """Union of req-sets where ``_ALL`` absorbs everything."""
-    out: Set[str] = set()
-    for part in parts:
-        if part is _ALL:
-            return _ALL
-        out |= part
-    return out
-
-
 # -- the shared dataflow walk -------------------------------------------------
 
 
@@ -152,20 +102,17 @@ class _GraphAnalysis:
         self.report = report
         self.registry = registry or DEFAULT_REGISTRY
         self.noun = "stage" if graph.node_noun == "stage" else "operator"
-        #: edge id() → propagated schema (kept local — never written
-        #: back onto the analyzed graph).
-        self.schemas: Dict[int, Relation] = {}
-        #: uids whose outputs could not be typed.
-        self.untyped: Set[str] = set()
+        #: edge → derived schema, from the graph's collecting propagation
+        #: (never written back onto the analyzed graph).
+        self.schemas: Dict[Edge, Relation] = {}
+        #: uid → what its ``validate`` / ``output_relations`` raised.
+        self.failed: Dict[str, OrchidError] = {}
         self.order: List = []
 
     def locate(self, uid: str, **extra) -> Dict[str, str]:
         loc = {self.noun: uid}
         loc.update({k: v for k, v in extra.items() if v is not None})
         return loc
-
-    def in_schemas(self, uid: str) -> List[Optional[Relation]]:
-        return [self.schemas.get(id(e)) for e in self.graph.in_edges(uid)]
 
     # -- structure ------------------------------------------------------------
 
@@ -185,8 +132,9 @@ class _GraphAnalysis:
                 seen[edge.name] = edge
 
     def check_structure(self) -> bool:
-        """Ports and acyclicity; returns False when the graph is cyclic
-        (no further pass is well-defined then)."""
+        """Acyclicity (ORC010) and the graph's own wiring checks, every
+        failure of every node an ORC011; returns False when the graph is
+        cyclic (no further pass is well-defined then)."""
         try:
             self.order = self.graph.topological_order()
         except GraphError as exc:
@@ -194,45 +142,17 @@ class _GraphAnalysis:
                 "ORC010", str(exc), hint="remove the cyclic link(s)"
             )
             return False
-        for node in self.order:
-            uid = node.uid
-            incoming = self.graph.in_edges(uid)
-            outgoing = self.graph.out_edges(uid)
-            data_out = [e for e in outgoing if not e.is_reject]
-            try:
-                node.check_port_counts(len(incoming), len(data_out))
-            except GraphError as exc:
-                self.report.emit(
-                    "ORC011",
-                    str(exc),
-                    hint="wire the missing links or remove the "
-                    f"{self.noun}",
-                    **self.locate(uid),
-                )
-                self.untyped.add(uid)
-            if len(outgoing) != len(data_out) and not getattr(
-                node, "supports_reject_link", False
-            ):
-                self.report.emit(
-                    "ORC011",
-                    f"{node.KIND} {uid} does not support a reject link",
-                    hint="remove the reject link",
-                    **self.locate(uid),
-                )
-            for kind, edges, port_of in (
-                ("input", incoming, lambda e: e.dst_port),
-                ("output", outgoing, lambda e: e.src_port),
-            ):
-                ports = sorted(port_of(e) for e in edges)
-                if ports != list(range(len(ports))):
-                    self.report.emit(
-                        "ORC011",
-                        f"{node.KIND} {uid} has non-contiguous {kind} "
-                        f"ports {ports}",
-                        hint="rewire the links onto contiguous ports",
-                        **self.locate(uid),
-                    )
-                    self.untyped.add(uid)
+
+        def miswired(uid: str, exc: OrchidError) -> None:
+            self.report.emit(
+                "ORC011",
+                str(exc),
+                hint=f"rewire the links onto the ports the {self.noun} "
+                f"declares, or remove the {self.noun}",
+                **self.locate(uid),
+            )
+
+        self.graph.validate_structure(miswired)
         return True
 
     def check_reachability(self) -> None:
@@ -338,69 +258,49 @@ class _GraphAnalysis:
         return checks
 
     def check_types(self) -> None:
-        graph = self.graph
+        """Derive every schema through the graph's own propagation, in
+        its collecting form, and report each node it could not derive.
+        A node holding several expressions is then searched for the bad
+        one (its expression and link located); its downstream cone stays
+        untyped either way."""
+        self.schemas = self.graph.propagate_schemas(self.failed.__setitem__)
         for node in self.order:
             uid = node.uid
-            in_edges = graph.in_edges(uid)
-            inputs = [self.schemas.get(id(e)) for e in in_edges]
-            if uid in self.untyped or any(s is None for s in inputs):
-                self.untyped.add(uid)
+            in_edges = self.graph.in_edges(uid)
+            inputs = [self.schemas.get(e) for e in in_edges]
+            exc = self.failed.get(uid)
+            if exc is None:
+                self._check_target_types(node, in_edges, inputs)
                 continue
-            had_expression_diag = False
-            for expr, link, boolean, aggregates, context in (
-                self._expression_checks(node, inputs)
-            ):
-                try:
-                    if boolean:
-                        check_boolean(
-                            expr, context, self.registry, aggregates
-                        )
-                    else:
-                        infer_type(expr, context, self.registry, aggregates)
-                except OrchidError as exc:
-                    had_expression_diag = True
-                    self.report.emit(
-                        _classify(exc),
-                        str(exc),
-                        **self.locate(
-                            uid, link=link, expression=expr.to_sql()
-                        ),
-                    )
+            known = [schema for schema in inputs if schema is not None]
+            located = len(known) == len(inputs) and (
+                self._locate_expressions(node, known)
+            )
+            if not (located and _classify(exc) in _EXPRESSION_CODES):
+                self.report.emit(_classify(exc), str(exc), **self.locate(uid))
+
+    def _locate_expressions(self, node, inputs: List[Relation]) -> bool:
+        """Report each of ``node``'s expressions that fails on its own;
+        whether any did."""
+        located = False
+        for expr, link, boolean, aggregates, context in (
+            self._expression_checks(node, inputs)
+        ):
             try:
-                node.validate(inputs)
+                if boolean:
+                    check_boolean(expr, context, self.registry, aggregates)
+                else:
+                    infer_type(expr, context, self.registry, aggregates)
             except OrchidError as exc:
-                code = _classify(exc)
-                # the fine-grained pass above already covered this
-                # node's expressions; don't report them twice
-                if not (
-                    had_expression_diag and code in _EXPRESSION_CODES
-                ):
-                    self.report.emit(code, str(exc), **self.locate(uid))
-                self.untyped.add(uid)
-                continue
-            if had_expression_diag:
-                self.untyped.add(uid)
-                continue
-            self._check_target_types(node, in_edges, inputs)
-            out_edges = graph.out_edges(uid)
-            data_edges = [e for e in out_edges if not e.is_reject]
-            try:
-                if data_edges:
-                    outputs = node.output_relations(
-                        inputs, [e.name for e in data_edges]
-                    )
-                    for edge, schema in zip(data_edges, outputs):
-                        self.schemas[id(edge)] = schema
-                for edge in out_edges:
-                    if edge.is_reject:
-                        self.schemas[id(edge)] = node.reject_relation(
-                            edge.name
-                        )
-            except OrchidError as exc:
+                located = True
                 self.report.emit(
-                    _classify(exc), str(exc), **self.locate(uid)
+                    _classify(exc),
+                    str(exc),
+                    **self.locate(
+                        node.uid, link=link, expression=expr.to_sql()
+                    ),
                 )
-                self.untyped.add(uid)
+        return located
 
     def _check_target_types(self, node, in_edges, inputs) -> None:
         """ORC015 for a gap the ETL target's ``validate`` leaves open:
@@ -457,13 +357,13 @@ class _GraphAnalysis:
             if len(in_edges) != 1:
                 continue
             edge = in_edges[0]
-            incoming = self.schemas.get(id(edge))
+            incoming = self.schemas.get(edge)
             if incoming is None:
                 continue
             producer = graph.node(edge.src)
-            producer_inputs = self.in_schemas(edge.src)
+            producer_inputs = graph.in_edges(edge.src)
             producer_rel = (
-                producer_inputs[0]
+                self.schemas.get(producer_inputs[0])
                 if len(producer_inputs) == 1
                 else None
             )
@@ -496,168 +396,21 @@ class _GraphAnalysis:
                 )
 
 
-# -- backward liveness (dead columns) ----------------------------------------
-
-
-def _stage_reads(
-    node: Stage,
-    out_required: List[Optional[Set[str]]],
-    inputs: List[Optional[Relation]],
-    n_inputs: int,
-) -> List[Optional[Set[str]]]:
-    """Per-input-port live-column sets for one ETL stage given the live
-    sets of its data outputs (``_ALL`` = everything)."""
-    rel = inputs[0] if len(inputs) == 1 else None
-    req = _union(out_required)
-
-    if isinstance(node, (_etl.TableTarget, _etl.SequentialFileTarget)):
-        return [set(node.relation.attribute_names)]
-    if isinstance(node, _etl.FilterStage):
-        parts = []
-        for spec, out_req in zip(node.outputs, out_required):
-            if spec.columns is not None:
-                if out_req is _ALL:
-                    parts.append({src for _o, src in spec.columns})
-                else:
-                    parts.append(
-                        {src for o, src in spec.columns if o in out_req}
-                    )
-            else:
-                parts.append(out_req)
-            if spec.where is not None:
-                parts.append(read_set([spec.where], _column_key(rel))
-                             if rel is not None else _ALL)
-        merged = _union(
-            set(p) if isinstance(p, list) else p for p in parts
-        )
-        return [merged]
-    if isinstance(node, _etl.SwitchStage):
-        if req is _ALL:
-            return [_ALL]
-        return [req | {node.selector}]
-    if isinstance(node, _etl.CopyStage):
-        parts = []
-        for keep, out_req in zip(node.keep_columns, out_required):
-            if keep is None:
-                parts.append(out_req)
-            elif out_req is _ALL:
-                parts.append(set(keep))
-            else:
-                parts.append(set(keep) & out_req)
-        return [_union(parts)]
-    if isinstance(node, _etl.FunnelStage):
-        return [req] * n_inputs
-    if isinstance(node, _etl.Transformer):
-        ignore = [name for name, _e in node.stage_variables]
-        exprs: List[Expr] = [e for _n, e in node.stage_variables]
-        for link, out_req in zip(node.outputs, out_required):
-            if link.constraint is not None:
-                exprs.append(link.constraint)
-            for col, expr in link.derivations:
-                if out_req is _ALL or col in out_req:
-                    exprs.append(expr)
-        return [_reads_of(exprs, rel, ignore)]
-    if isinstance(node, _etl.Modify):
-        if req is _ALL:
-            return [_ALL]
-        return [{node.rename.get(c, c) for c in req}]
-    if isinstance(node, _etl.SortStage):
-        if req is _ALL:
-            return [_ALL]
-        return [req | {col for col, _d in node.keys}]
-    if isinstance(node, _etl.RemoveDuplicatesStage):
-        if req is _ALL:
-            return [_ALL]
-        return [req | set(node.keys)]
-    if isinstance(node, _etl.PeekStage):
-        return [req]
-    if isinstance(node, _etl.AggregatorStage):
-        needed = set(node.group_keys)
-        for out, _func, col in node.aggregations:
-            if col is not None and (req is _ALL or out in req):
-                needed.add(col)
-        return [needed if req is not _ALL else _ALL]
-    if isinstance(node, _etl.SurrogateKey):
-        if req is _ALL:
-            return [_ALL]
-        return [req - {node.generated_column}]
-    # Join, Lookup, restructure, custom, sources: assume everything live
-    return [_ALL] * n_inputs
-
-
-def _operator_reads(
-    op, out_required: List[Optional[Set[str]]], inputs, n_inputs: int
-) -> List[Optional[Set[str]]]:
-    """Per-input-port live-column sets for one OHM operator."""
-    rel = inputs[0] if len(inputs) == 1 else None
-    req = _union(out_required)
-
-    if isinstance(op, _ohm.Target):
-        return [set(op.relation.attribute_names)]
-    if isinstance(op, _ohm.Filter):
-        cond = (
-            read_set([op.condition], _column_key(rel))
-            if rel is not None
-            else _ALL
-        )
-        return [_union([req, cond])]
-    if isinstance(op, _ohm.Project):
-        exprs = [
-            expr
-            for col, expr in op.derivations
-            if req is _ALL or col in req
-        ]
-        return [_reads_of(exprs, rel)]
-    if isinstance(op, _ohm.Union):
-        return [req] * n_inputs
-    if isinstance(op, _ohm.Split):
-        return [req]
-    if isinstance(op, _ohm.Group):
-        needed = set(op.keys)
-        if req is _ALL:
-            return [_ALL]
-        for col, expr in op.aggregates:
-            if col in req:
-                reads = _reads_of([expr], rel)
-                if reads is _ALL:
-                    return [_ALL]
-                needed |= reads
-        return [needed]
-    return [_ALL] * n_inputs
+# -- dead columns -------------------------------------------------------------
 
 
 def _check_dead_columns(analysis: _GraphAnalysis) -> None:
-    """Backward liveness over the whole graph: warn (ORC020) for every
-    column a Transformer/PROJECT/Aggregator/SurrogateKey computes that
-    no downstream consumer ever reads."""
+    """ORC020 for every column a Transformer/PROJECT/Aggregator/GROUP/
+    SurrogateKey computes that no downstream consumer reads, by the
+    graph's liveness walk over the derived schemas (on OHM: exactly what
+    dead-column pruning would drop from a PROJECT)."""
     graph = analysis.graph
     is_job = isinstance(graph, Job)
-    reads = _stage_reads if is_job else _operator_reads
-    required: Dict[int, Optional[Set[str]]] = {}
-    for node in reversed(analysis.order):
-        uid = node.uid
-        in_edges = graph.in_edges(uid)
-        out_edges = graph.out_edges(uid)
-        data_out = [e for e in out_edges if not e.is_reject]
-        if len(out_edges) != len(data_out):
-            # a reject channel carries whole input rows: all live
-            for edge in in_edges:
-                required[id(edge)] = _ALL
-            continue
-        out_required = [required.get(id(e), _ALL) for e in data_out]
-        inputs = [analysis.schemas.get(id(e)) for e in in_edges]
-        try:
-            live = reads(node, out_required, inputs, len(in_edges))
-        except Exception:  # noqa: BLE001 — a broken node was already
-            live = [_ALL] * len(in_edges)  # reported by the type pass
-        if len(live) != len(in_edges):
-            live = [_union(live)] * len(in_edges)
-        for edge, cols in zip(in_edges, live):
-            required[id(edge)] = cols
+    live = graph.live_columns(analysis.schemas.get)
 
     def dead(edge, computed: List[Tuple[str, Optional[Expr]]], uid: str):
-        req = required.get(id(edge), _ALL)
-        if req is _ALL:
+        req = live[edge]
+        if req is None:
             return
         for col, expr in computed:
             if isinstance(expr, ColumnRef):

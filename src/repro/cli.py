@@ -60,8 +60,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="orchid",
         description="Convert between ETL jobs and schema mappings via the "
         "Operator Hub Model.",
+        allow_abbrev=False,
     )
-    observability = argparse.ArgumentParser(add_help=False)
+    observability = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     observability.add_argument(
         "--trace",
         action="store_true",
@@ -121,6 +122,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser(
         "etl-to-mappings",
         parents=[observability],
+        allow_abbrev=False,
         help="compile a job XML into composed mappings",
     )
     p.add_argument("job", help="path to the job XML document")
@@ -135,6 +137,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser(
         "mappings-to-etl",
         parents=[observability],
+        allow_abbrev=False,
         help="deploy a mappings JSON document as a job",
     )
     p.add_argument("mappings", help="path to the mappings JSON document")
@@ -146,6 +149,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser(
         "show",
         parents=[observability],
+        allow_abbrev=False,
         help="print the OHM instance of a job",
     )
     p.add_argument("job", help="path to the job XML document")
@@ -156,6 +160,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser(
         "pushdown",
         parents=[observability],
+        allow_abbrev=False,
         help="print the hybrid SQL + ETL deployment of a job",
     )
     p.add_argument("job", help="path to the job XML document")
@@ -176,6 +181,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser(
         "explain",
         parents=[observability],
+        allow_abbrev=False,
         help="run a job over synthetic data and print estimated vs "
         "actual cardinalities and costs per operator",
     )
@@ -191,6 +197,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser(
         "optimize",
         parents=[observability],
+        allow_abbrev=False,
         help="import a job, rewrite it at the OHM level, redeploy it",
     )
     p.add_argument("job", help="path to the job XML document")
@@ -199,6 +206,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser(
         "export-ohm",
         parents=[observability],
+        allow_abbrev=False,
         help="persist a job's OHM instance as JSON",
     )
     p.add_argument("job", help="path to the job XML document")
@@ -207,6 +215,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser(
         "lint",
         parents=[observability],
+        allow_abbrev=False,
         help="statically analyze a job without executing it "
         "(docs/analysis.md lists the ORC diagnostic codes)",
     )

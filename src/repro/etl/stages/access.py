@@ -12,6 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.data.csvio import read_csv, write_csv
 from repro.data.dataset import Dataset, Instance
+from repro.dataflow import Live
 from repro.errors import ExecutionError, ValidationError
 from repro.etl.model import Stage
 from repro.exec import ops
@@ -108,6 +109,9 @@ class TableTarget(Stage):
 
     def output_relations(self, inputs, out_names):
         return []
+
+    def reads(self, out_required, inputs) -> List[Live]:
+        return [set(self.relation.attribute_names)]
 
     def load(
         self, data: Dataset, trusted: bool = False, errors=None

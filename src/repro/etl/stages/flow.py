@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.data.dataset import Dataset
+from repro.dataflow import Live, columns_read, union_live
 from repro.errors import ValidationError
 from repro.etl.model import Stage
 from repro.exec import block, fuse, kernels, ops
@@ -103,6 +104,23 @@ class FilterStage(Stage):
         cls, where: Union[Expr, str], columns=None, **kwargs
     ) -> "FilterStage":
         return cls([FilterOutput(where, columns)], **kwargs)
+
+    def reads(self, out_required, inputs) -> List[Live]:
+        """Each output's predicate, and the sources of its live
+        projected columns (every live column without a projection)."""
+        (incoming,) = inputs
+        parts: List[Live] = []
+        for spec, live in zip(self.outputs, out_required):
+            if spec.columns is None:
+                parts.append(live)
+            else:
+                parts.append(
+                    {src for out, src in spec.columns
+                     if live is None or out in live}
+                )
+            if spec.where is not None:
+                parts.append(columns_read([spec.where], incoming))
+        return [union_live(parts)]
 
     def check_port_counts(self, n_inputs: int, n_outputs: int) -> None:
         super().check_port_counts(n_inputs, n_outputs)
@@ -210,6 +228,13 @@ class SwitchStage(Stage):
         (incoming,) = inputs
         return [incoming.renamed(name) for name in out_names]
 
+    def reads(self, out_required, inputs) -> List[Live]:
+        (incoming,) = inputs
+        live = union_live(out_required)
+        if live is None:
+            return [None]
+        return [live | columns_read([self.selector], incoming)]
+
     def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs
 
@@ -294,6 +319,18 @@ class CopyStage(Stage):
             for col in cols or []:
                 incoming.attribute(col)
 
+    def reads(self, out_required, inputs) -> List[Live]:
+        keeps = self.keep_columns or [None] * len(out_required)
+        parts: List[Live] = []
+        for keep, live in zip(keeps, out_required):
+            if keep is None:
+                parts.append(live)
+            elif live is None:
+                parts.append(set(keep))
+            else:
+                parts.append(set(keep) & live)
+        return [union_live(parts)]
+
     def output_relations(self, inputs, out_names):
         (incoming,) = inputs
         relations = []
@@ -334,6 +371,9 @@ class FunnelStage(Stage):
     def output_relations(self, inputs, out_names):
         return [inputs[0].renamed(out_names[0])]
 
+    def reads(self, out_required, inputs) -> List[Live]:
+        return [union_live(out_required)] * len(inputs)
+
     def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         return [ops.union(inputs, out_relations[0], False, planner, obs)]
 
@@ -353,6 +393,9 @@ class PeekStage(Stage):
     def output_relations(self, inputs, out_names):
         (incoming,) = inputs
         return [incoming.renamed(out_names[0])]
+
+    def reads(self, out_required, inputs) -> List[Live]:
+        return [union_live(out_required)]
 
     def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs

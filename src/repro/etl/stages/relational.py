@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.data.dataset import Dataset
+from repro.dataflow import Live
 from repro.errors import ExecutionError, ValidationError
 from repro.etl.model import Stage
 from repro.exec import block, fuse, kernels, ops
@@ -317,6 +318,19 @@ class AggregatorStage(Stage):
             if col is not None:
                 incoming.attribute(col)
 
+    def reads(self, out_required, inputs) -> List[Live]:
+        """Every group key, and the input column of each live
+        aggregation."""
+        (live,) = out_required
+        if live is None:
+            return [None]
+        return [
+            set(self.group_keys) | {
+                col for out, _func, col in self.aggregations
+                if col is not None and out in live
+            }
+        ]
+
     def output_relations(self, inputs, out_names):
         (incoming,) = inputs
         context = TypeContext(incoming).bind(incoming.name, incoming)
@@ -380,6 +394,12 @@ class SortStage(Stage):
         for col, _direction in self.keys:
             incoming.attribute(col)
 
+    def reads(self, out_required, inputs) -> List[Live]:
+        (live,) = out_required
+        if live is None:
+            return [None]
+        return [live | {col for col, _direction in self.keys}]
+
     def output_relations(self, inputs, out_names):
         (incoming,) = inputs
         return [incoming.renamed(out_names[0])]
@@ -442,6 +462,12 @@ class RemoveDuplicatesStage(Stage):
         (incoming,) = inputs
         for key in self.keys:
             incoming.attribute(key)
+
+    def reads(self, out_required, inputs) -> List[Live]:
+        (live,) = out_required
+        if live is None:
+            return [None]
+        return [live | set(self.keys)]
 
     def output_relations(self, inputs, out_names):
         (incoming,) = inputs

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.data.dataset import Dataset
+from repro.dataflow import Live, columns_read
 from repro.errors import ValidationError
 from repro.etl.model import Stage
 from repro.exec import block, fuse, kernels, ops
@@ -153,6 +154,20 @@ class Transformer(Stage):
                     attrs.append(Attribute(col, infer_type(expr, context)))
             relations.append(Relation(name, attrs))
         return relations
+
+    def reads(self, out_required, inputs) -> List[Live]:
+        """What the stage variables, each constraint and each live
+        derivation read (a stage variable is not an input column)."""
+        (incoming,) = inputs
+        exprs: List[Expr] = [expr for _name, expr in self.stage_variables]
+        for link, live in zip(self.outputs, out_required):
+            if link.constraint is not None:
+                exprs.append(link.constraint)
+            exprs.extend(
+                expr for col, expr in link.derivations
+                if live is None or col in live
+            )
+        return [columns_read(exprs, incoming)]
 
     def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs
@@ -355,6 +370,12 @@ class Modify(Stage):
             incoming.attribute(old)
         self._result_attributes(incoming)
 
+    def reads(self, out_required, inputs) -> List[Live]:
+        (live,) = out_required
+        if live is None:
+            return [None]
+        return [{self.rename.get(col, col) for col in live}]
+
     def output_relations(self, inputs, out_names):
         (incoming,) = inputs
         return [Relation(out_names[0], self._result_attributes(incoming))]
@@ -453,6 +474,12 @@ class SurrogateKey(Stage):
         attrs = list(incoming.attributes)
         attrs.append(Attribute(self.generated_column, INTEGER, nullable=False))
         return [Relation(out_names[0], attrs)]
+
+    def reads(self, out_required, inputs) -> List[Live]:
+        (live,) = out_required
+        if live is None:
+            return [None]
+        return [live - {self.generated_column}]
 
     def execute(self, inputs, out_relations, planner, obs=None, errors=None):
         (data,) = inputs

@@ -43,6 +43,9 @@ class StageNode:
     def reject_relation(self, name: str):
         return self.stage.reject_relation(name)
 
+    def reads(self, out_required, inputs):
+        return self.stage.reads(out_required, inputs)
+
     def __repr__(self) -> str:
         return f"StageNode({self.stage!r})"
 

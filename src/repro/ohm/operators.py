@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.dataflow import Node
+from repro.dataflow import Live, Node, columns_read, union_live
 from repro.errors import ValidationError
 from repro.expr.ast import AggregateCall, ColumnRef, Expr
 from repro.expr.parser import parse
@@ -177,6 +177,9 @@ class Target(Operator):
     def output_relations(self, inputs, out_names):
         return []
 
+    def reads(self, out_required, inputs) -> List[Live]:
+        return [set(self.relation.attribute_names)]
+
     def describe_properties(self):
         return {"relation": self.relation.name}
 
@@ -199,6 +202,11 @@ class Filter(Operator):
         (incoming,) = inputs
         return [incoming.renamed(out_names[0])]
 
+    def reads(self, out_required, inputs) -> List[Live]:
+        (incoming,) = inputs
+        condition = columns_read([self.condition], incoming)
+        return [union_live([*out_required, condition])]
+
     def describe_properties(self):
         return {"condition": self.condition.to_sql()}
 
@@ -209,6 +217,11 @@ class Project(Operator):
     expressions supported in the select-list of a SQL select statement")."""
 
     KIND = "PROJECT"
+
+    #: whether dropping a derivation nobody reads keeps the operator's
+    #: meaning; refined subtypes with extra semantics (KEYGEN et al.)
+    #: say no, and read every derivation.
+    prunable = True
 
     def __init__(
         self,
@@ -246,6 +259,20 @@ class Project(Operator):
             else:
                 attrs.append(Attribute(out_name, infer_type(expr, context)))
         return [Relation(out_names[0], attrs)]
+
+    def reads(self, out_required, inputs) -> List[Live]:
+        (live,) = out_required
+        (incoming,) = inputs
+        return [
+            columns_read(
+                (
+                    expr
+                    for col, expr in self.derivations
+                    if live is None or col in live or not self.prunable
+                ),
+                incoming,
+            )
+        ]
 
     @staticmethod
     def _resolve_plain_ref(expr, incoming: Relation):
@@ -345,6 +372,22 @@ class Join(Operator):
         ]
         return [Relation(out_names[0], attrs)]
 
+    def reads(self, out_required, inputs) -> List[Live]:
+        """Precise per side: the sources of the live output columns,
+        plus what the condition reads of each side."""
+        (live,) = out_required
+        left, right = inputs
+        if live is None:
+            return [None, None]
+        sides: Dict[str, set] = {"left": set(), "right": set()}
+        for attr, side, source in self.joined_attributes(left, right):
+            if attr.name in live:
+                sides[side].add(source)
+        return [
+            sides["left"] | columns_read([self.condition], left),
+            sides["right"] | columns_read([self.condition], right),
+        ]
+
     def describe_properties(self):
         return {"condition": self.condition.to_sql(), "kind": self.kind}
 
@@ -373,6 +416,9 @@ class Union(Operator):
 
     def output_relations(self, inputs, out_names):
         return [inputs[0].renamed(out_names[0])]
+
+    def reads(self, out_required, inputs) -> List[Live]:
+        return list(out_required) * len(inputs)
 
     def describe_properties(self):
         return {"distinct": self.distinct}
@@ -436,6 +482,13 @@ class Group(Operator):
             attrs.append(Attribute(name, dtype, nullable=nullable))
         return [Relation(out_names[0], attrs)]
 
+    def reads(self, out_required, inputs) -> List[Live]:
+        """Every key (dropping one changes the grouping) and every
+        aggregate's argument, live or not."""
+        (incoming,) = inputs
+        args = columns_read((agg for _name, agg in self.aggregates), incoming)
+        return [set(self.keys) | args]
+
     @property
     def eliminates_duplicates(self) -> bool:
         return True
@@ -459,6 +512,9 @@ class Split(Operator):
     def output_relations(self, inputs, out_names):
         (incoming,) = inputs
         return [incoming.renamed(name) for name in out_names]
+
+    def reads(self, out_required, inputs) -> List[Live]:
+        return [union_live(out_required)]
 
 
 class Nest(Operator):

@@ -99,6 +99,7 @@ class KeyGen(Project):
     """
 
     KIND = "KEYGEN"
+    prunable = False
 
     def __init__(
         self,
@@ -161,6 +162,7 @@ class ColumnSplit(Project):
     through, the source column is replaced by its parts."""
 
     KIND = "COLUMN SPLIT"
+    prunable = False
 
     def __init__(
         self,
@@ -207,6 +209,7 @@ class ColumnMerge(Project):
     several input columns into one output column with a delimiter."""
 
     KIND = "COLUMN MERGE"
+    prunable = False
 
     def __init__(
         self,

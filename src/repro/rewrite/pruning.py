@@ -7,133 +7,42 @@ those columns. This is the projection-pushdown counterpart of the
 paper's selection-pushdown heuristic: derivations whose results nobody
 reads are never computed, and less data flows along every edge.
 
-Conservative rules keep the pass sound:
+The requirements are the graph's one liveness walk
+(:meth:`repro.dataflow.DataflowGraph.live_columns`) over each operator's
+``reads``, whose conservative rules keep the pass sound:
 
 * GROUP requires all of its keys (dropping a key changes the grouping)
   and the arguments of all its aggregates,
 * UNKNOWN requires every input column (its semantics are opaque),
 * UNION requires the same columns on every input (union compatibility),
 * only plain PROJECT/BASIC PROJECT operators are narrowed; refined
-  subtypes with extra semantics (KEYGEN et al.) are left intact.
+  subtypes with extra semantics (KEYGEN et al., ``prunable = False``)
+  are left intact and read all their derivations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
-from repro.errors import GraphError
-from repro.expr.ast import AggregateCall, ColumnRef, Expr
+from repro.expr.ast import ColumnRef
 from repro.ohm.graph import OhmGraph
-from repro.ohm.operators import (
-    Filter,
-    Group,
-    Join,
-    Nest,
-    Operator,
-    Project,
-    Source,
-    Split,
-    Target,
-    Union,
-    Unknown,
-    Unnest,
-)
+from repro.ohm.operators import Project
 from repro.ohm.subtypes import BasicProject
 from repro.rewrite.rules import Rule
-from repro.schema.model import Relation
 
 EdgeKey = Tuple[str, int]  # (producer uid, out port)
 
 
-def _resolve(ref: ColumnRef, schema: Relation) -> Optional[str]:
-    """The attribute name a reference denotes in ``schema`` (dotted
-    collision names included), or None when it does not resolve."""
-    if ref.qualifier is not None:
-        dotted = f"{ref.qualifier}.{ref.name}"
-        if schema.has_attribute(dotted):
-            return dotted
-    if schema.has_attribute(ref.name):
-        return ref.name
-    return None
-
-
-def _referenced(expr: Expr, schema: Relation) -> Set[str]:
-    found = set()
-    for ref in expr.column_refs():
-        name = _resolve(ref, schema)
-        if name is not None:
-            found.add(name)
-    return found
-
-
 def required_columns(graph: OhmGraph) -> Dict[EdgeKey, Set[str]]:
-    """Columns needed on every edge, walking targets → sources."""
-    graph.propagate_schemas()
-    needed: Dict[EdgeKey, Set[str]] = {
-        (e.src, e.src_port): set() for e in graph.edges
+    """Columns needed on every edge: the graph's liveness walk over its
+    propagated schemas, every column spelled out."""
+    schemas = graph.propagate_schemas()
+    return {
+        (edge.src, edge.src_port): (
+            set(schemas[edge].attribute_names) if cols is None else cols
+        )
+        for edge, cols in graph.live_columns(schemas.get).items()
     }
-    for op in reversed(graph.topological_order()):
-        in_edges = graph.in_edges(op.uid)
-        out_edges = graph.out_edges(op.uid)
-        out_needed = [needed[(e.src, e.src_port)] for e in out_edges]
-
-        def need(edge, names) -> None:
-            needed[(edge.src, edge.src_port)] |= set(names)
-
-        if isinstance(op, Target):
-            (edge,) = in_edges
-            need(edge, op.relation.attribute_names)
-        elif isinstance(op, Filter):
-            (edge,) = in_edges
-            need(edge, out_needed[0])
-            need(edge, _referenced(op.condition, edge.schema))
-        elif isinstance(op, Project):
-            (edge,) = in_edges
-            if type(op) in (Project, BasicProject):
-                for col, expr in op.derivations:
-                    if col in out_needed[0]:
-                        need(edge, _referenced(expr, edge.schema))
-            else:
-                # refined subtypes: be conservative, keep everything they
-                # reference plus their full passthrough
-                for _col, expr in op.derivations:
-                    need(edge, _referenced(expr, edge.schema))
-        elif isinstance(op, Join):
-            left_edge, right_edge = in_edges
-            plan = Join.joined_attributes(left_edge.schema, right_edge.schema)
-            by_output = {
-                attr.name: (side, source) for attr, side, source in plan
-            }
-            for name in out_needed[0]:
-                entry = by_output.get(name)
-                if entry is None:
-                    continue
-                side, source = entry
-                need(left_edge if side == "left" else right_edge, [source])
-            for edge in (left_edge, right_edge):
-                need(edge, _referenced(op.condition, edge.schema))
-        elif isinstance(op, Group):
-            (edge,) = in_edges
-            need(edge, op.keys)
-            for _col, agg in op.aggregates:
-                need(edge, _referenced(agg, edge.schema))
-        elif isinstance(op, Split):
-            (edge,) = in_edges
-            for branch_needed in out_needed:
-                need(edge, branch_needed)
-        elif isinstance(op, Union):
-            union_needed = out_needed[0]
-            for edge in in_edges:
-                need(edge, union_needed)
-        elif isinstance(op, (Unknown, Nest, Unnest)):
-            for edge in in_edges:
-                need(edge, edge.schema.attribute_names)
-        elif isinstance(op, Source):
-            pass
-        else:  # future operators: safest to require everything
-            for edge in in_edges:
-                need(edge, edge.schema.attribute_names)
-    return needed
 
 
 def prune_unused_columns(graph: OhmGraph) -> int:
@@ -143,7 +52,7 @@ def prune_unused_columns(graph: OhmGraph) -> int:
     needed = required_columns(graph)
     dropped = 0
     for op in graph.operators:
-        if type(op) not in (Project, BasicProject):
+        if not (isinstance(op, Project) and op.prunable):
             continue
         out_edges = graph.out_edges(op.uid)
         if len(out_edges) != 1:
@@ -163,6 +72,7 @@ def prune_unused_columns(graph: OhmGraph) -> int:
         if isinstance(op, BasicProject):
             op.columns = [
                 (col, expr.name) for col, expr in kept_derivations
+                if isinstance(expr, ColumnRef)
             ]
     if dropped:
         graph.propagate_schemas()

@@ -19,8 +19,13 @@ from repro.etl.stages import (
     Transformer,
     OutputLink,
 )
+from repro.expr.ast import ColumnRef
+from repro.expr.parser import parse
 from repro.mapping.executor import MappingExecutor
 from repro.ohm.engine import OhmExecutor
+from repro.ohm.jsonio import graph_from_json, graph_to_json
+from repro.ohm.operators import Project
+from repro.rewrite.pruning import prune_unused_columns
 from repro.schema import relation
 from repro.workloads import (
     build_chain_job,
@@ -80,6 +85,63 @@ class TestCleanLintPredictsCleanRun:
         assert sum(len(d) for d in targets) > 0
 
 
+def _seed_dead_columns(graph):
+    """Give every plain PROJECT one more computed column that nobody
+    reads, where its consumer still accepts the wider input."""
+    for i, op in enumerate(graph.operators):
+        if not (isinstance(op, Project) and op.prunable):
+            continue
+        before = op.derivations
+        op.derivations = before + [(f"probe{i}", parse("1 + 1"))]
+        if not analyze_graph(graph).ok:
+            op.derivations = before
+
+
+def _computed_derivations_pruned(graph):
+    """``(operator, expression)`` of every computed (not passthrough)
+    derivation that pruning drops from a copy of ``graph``."""
+    work = graph_from_json(graph_to_json(graph))
+    prune_unused_columns(work)
+    dropped = set()
+    for op in graph.operators:
+        if isinstance(op, Project):
+            kept = {col for col, _e in work.node(op.uid).derivations}
+            dropped |= {
+                (op.uid, expr.to_sql())
+                for col, expr in op.derivations
+                if col not in kept and not isinstance(expr, ColumnRef)
+            }
+    return dropped
+
+
+CORPUS = [(name, build) for name, build, _data in WORKLOADS] + [
+    (f"{family}-{seed}", lambda build=build, seed=seed: build(seed))
+    for family, build in (
+        ("chain12", lambda seed: build_chain_job(12, seed=seed)),
+        ("fanout6", lambda seed: build_fanout_job(6, seed=seed)),
+        ("star4", lambda seed: build_star_join_job(4)),
+    )
+    for seed in (0, 1)
+]
+
+
+class TestDeadColumnsArePruning:
+    """On OHM, ORC020 means exactly "pruning would drop this"."""
+
+    @pytest.mark.parametrize(
+        "name,build", CORPUS, ids=[c[0] for c in CORPUS]
+    )
+    def test_orc020_is_what_pruning_drops(self, name, build):
+        graph = compile_job(build())
+        _seed_dead_columns(graph)
+        flagged = {
+            (d.location.operator, d.location.expression)
+            for d in analyze_graph(graph).by_code("ORC020")
+        }
+        assert flagged == _computed_derivations_pruned(graph)
+        assert flagged  # the seeded columns are found
+
+
 class TestDefectsCaughtBeforeRowOne:
     """Each seeded static-defect class is rejected with zero rows
     processed: the source stage is never even asked for data."""
@@ -110,8 +172,37 @@ class TestDefectsCaughtBeforeRowOne:
         job.link(s, f, name="a")  # filter output dangles
         return job
 
+    def misplaced_reject_job(self):
+        """A Transformer whose reject link sits on port 0, ahead of its
+        data link on port 1."""
+        from repro.resilience import reject_relation
+
+        job = Job("misplaced_reject")
+        s = job.add(TableSource(REL))
+        tr = job.add(
+            Transformer.single(
+                [("id", "id"), ("name", "name"), ("amt", "amt")],
+                name="xf", on_error="reject",
+            )
+        )
+        t = job.add(TableTarget(REL))
+        rt = job.add(TableTarget(reject_relation()))
+        job.link(s, tr, name="a")
+        job.link(tr, rt, name="rej", src_port=0, kind="reject")
+        job.link(tr, t, name="b", src_port=1)
+        return job
+
     def test_bad_type_rejected_statically(self):
         self.run_counting(self.bad_type_job())
+
+    def test_misplaced_reject_port_rejected_statically(self):
+        # the run's own propagation refuses this wiring, so the lint
+        # must too: lint-clean implies run-clean
+        report = analyze_job(self.misplaced_reject_job())
+        assert [
+            (d.code, d.location.stage) for d in report.errors
+        ] == [("ORC011", "xf")]
+        self.run_counting(self.misplaced_reject_job())
 
     def test_dangling_link_rejected_statically(self):
         self.run_counting(self.dangling_job())

@@ -15,6 +15,7 @@ from repro.errors import ValidationError
 from repro.etl.model import Job
 from repro.etl.stages import (
     AggregatorStage,
+    CopyStage,
     CustomStage,
     FilterOutput,
     FilterStage,
@@ -25,7 +26,9 @@ from repro.etl.stages import (
     Transformer,
 )
 from repro.mapping.model import Mapping, MappingSet, SourceBinding
-from repro.ohm import Filter, OhmGraph, Project, Source, Target
+from repro.ohm import (
+    Filter, Group, Join, OhmGraph, Project, Source, Target,
+)
 from repro.schema import relation
 
 REL = relation(
@@ -284,6 +287,31 @@ class TestDataflow:
         assert codes(report) == ["ORC020"]
         assert "'n'" in report.warnings[0].message
 
+    def test_failed_stage_leaves_other_branches_checked(self):
+        # the Sort cannot derive its schema, so its cone is all-live;
+        # the dead column on the healthy branch is still reported
+        job = Job("t")
+        s = job.add(TableSource(REL))
+        c = job.add(CopyStage())
+        tr = job.add(
+            Transformer([
+                OutputLink([
+                    ("id", "id"), ("name", "name"), ("amt", "amt"),
+                    ("waste", "amt * 2"),
+                ])
+            ])
+        )
+        srt = job.add(SortStage([("nope", "asc")]))
+        job.link(s, c, name="a")
+        job.link(c, tr, name="b", src_port=0)
+        job.link(c, srt, name="c", src_port=1)
+        job.link(tr, job.add(TableTarget(OUT)), name="d")
+        job.link(srt, job.add(TableTarget(REL)), name="e")
+        report = analyze_job(job)
+        assert sorted(
+            (d.code, d.location.stage) for d in report
+        ) == [("ORC002", srt.uid), ("ORC020", tr.uid)]
+
     def test_orc022_fusion_chain_broken_by_custom_stage(self):
         job = Job("t")
         s = job.add(TableSource(REL))
@@ -322,6 +350,52 @@ class TestOhmLayer:
         d = report.infos[0]
         assert d.location.operator == p.uid
         assert "ANALYSIS_HOST_FN" in d.location.expression
+
+    def test_orc020_project_column_only_an_unread_join_output(self):
+        # the JOIN reads precisely: of its left input only what its
+        # consumer reads and its condition needs
+        dim = relation(
+            "B", ("bid", "int", False), ("city", "string", False)
+        )
+        out = relation(
+            "T", ("id", "int", False), ("name", "string", False),
+            ("city", "string", False),
+        )
+        g = OhmGraph("p")
+        a = g.add(Source(REL))
+        b = g.add(Source(dim))
+        p = g.add(
+            Project([("id", "id"), ("name", "name"), ("waste", "amt * 2")])
+        )
+        j = g.add(Join("id = bid"))
+        t = g.add(Target(out))
+        g.connect(a, p, name="a")
+        g.connect(p, j, name="p", dst_port=0)
+        g.connect(b, j, name="b", dst_port=1)
+        g.connect(j, t, name="j")
+        report = analyze_graph(g)
+        assert codes(report) == ["ORC020"]
+        d = report.warnings[0]
+        assert "'waste'" in d.message
+        assert (d.location.operator, d.location.link) == (p.uid, "p")
+
+    def test_orc020_unused_group_aggregate(self):
+        g = OhmGraph("p")
+        s = g.add(Source(REL))
+        grp = g.add(
+            Group(["name"], [("total", "SUM(amt)"), ("n", "COUNT(*)")])
+        )
+        t = g.add(
+            Target(relation(
+                "A", ("name", "string", False), ("total", "float", True),
+            ))
+        )
+        g.chain(s, grp, t, names=["a", "g"])
+        report = analyze_graph(g)
+        assert codes(report) == ["ORC020"]
+        d = report.warnings[0]
+        assert "'n'" in d.message
+        assert (d.location.operator, d.location.link) == (grp.uid, "g")
 
     def test_ohm_type_error_locates_operator(self):
         g = OhmGraph("p")

@@ -84,6 +84,16 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_retired_check_flag_is_not_an_abbreviation(
+        self, job_xml_path, tmp_path, capsys
+    ):
+        # options are never matched by prefix: a leftover --check fails
+        # instead of silently naming --checkpoint-dir
+        with pytest.raises(SystemExit) as caught:
+            main(["show", job_xml_path, "--check", str(tmp_path)])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --check" in capsys.readouterr().err
+
 
 class TestOptimize:
     def test_optimized_job_round_trips(self, job_xml_path, tmp_path, capsys):

@@ -10,8 +10,8 @@ Layer map (paper Figure 1):
 
 * External layer  - :mod:`repro.etl.xmlio` (job XML),
   :mod:`repro.mapping.jsonio` (mapping JSON)
-* Intermediate layer - :mod:`repro.etl` (the DataStage-like substrate),
-  :mod:`repro.intermediate` (wrapper graph)
+* Intermediate layer - :mod:`repro.etl` (the DataStage-like substrate,
+  whose :class:`~repro.etl.Job` is the graph the compilers walk)
 * Abstract layer - :mod:`repro.ohm` (OHM), :mod:`repro.rewrite`
   (optimization), :mod:`repro.compile` (ETL to OHM),
   :mod:`repro.mapping` (mappings, OHM <-> mappings),

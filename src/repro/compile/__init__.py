@@ -2,7 +2,7 @@
 registry, the built-in compilers for the supported stage library, and the
 traversal driver."""
 
-from repro.compile.driver import compile_intermediate, compile_job
+from repro.compile.driver import compile_job
 from repro.compile.registry import (
     CompiledStage,
     CompilerRegistry,
@@ -12,7 +12,6 @@ from repro.compile.registry import (
 )
 
 __all__ = [
-    "compile_intermediate",
     "compile_job",
     "CompiledStage",
     "CompilerRegistry",

@@ -10,7 +10,7 @@ consults three pieces:
 * :mod:`repro.cost.estimate` — a :class:`CardinalityEstimator` walking
   the OHM graph propagating selectivities;
 * :mod:`repro.cost.model` — a :class:`CostModel` with per-platform
-  operator cost functions (sqlite vs row kernels vs block kernels).
+  operator cost functions (sqlite vs the ETL engine).
 
 ``--explain`` renders all of it per operator
 (:func:`repro.cost.explain.explain_graph`); ``docs/planning.md`` is the
@@ -38,11 +38,7 @@ from repro.cost.explain import (
     actuals_from_metrics,
     explain_graph,
 )
-from repro.cost.model import (
-    DEFAULT_MODEL,
-    FUSED_ROW_COST,
-    CostModel,
-)
+from repro.cost.model import DEFAULT_MODEL, CostModel
 
 
 __all__ = [
@@ -50,7 +46,6 @@ __all__ = [
     "ColumnStats",
     "CostModel",
     "DEFAULT_MODEL",
-    "FUSED_ROW_COST",
     "GraphEstimate",
     "OperatorEstimate",
     "StatisticsCatalog",

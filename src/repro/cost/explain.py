@@ -2,10 +2,10 @@
 
 :func:`explain_graph` prints one line per operator of an OHM instance —
 estimated rows in/out, the actual observed rows when a run's feedback
-is available, and the modelled cost at the chosen execution tier — plus
-totals. The CLI's ``--explain`` flag and ``examples/quickstart.py
---explain`` both render through here, so the format is pinned in one
-place (and in ``tests/cost/test_explain.py``).
+is available, and the modelled ETL cost — plus totals. The CLI's
+``--explain`` flag and ``examples/quickstart.py --explain`` both render
+through here, so the format is pinned in one place (and in
+``tests/cost/test_explain.py``).
 """
 
 from __future__ import annotations
@@ -45,12 +45,11 @@ def explain_graph(
     graph: OhmGraph,
     estimate: Optional[GraphEstimate] = None,
     model: Optional[CostModel] = None,
-    tier: str = "rows",
     actuals: Optional[Dict[str, float]] = None,
     estimator: Optional[CardinalityEstimator] = None,
 ) -> str:
     """A per-operator table of estimated vs actual cardinalities and
-    modelled costs for ``graph`` at the given execution ``tier``.
+    modelled ETL costs for ``graph``.
 
     ``actuals`` maps operator uids and/or edge names to observed row
     counts (see :func:`actuals_from_metrics` /
@@ -73,7 +72,7 @@ def explain_graph(
                 if actual is not None:
                     break
         cost = model.etl_operator_cost(
-            op.KIND, op_estimate.rows_in, op_estimate.rows_out, tier
+            op.KIND, op_estimate.rows_in, op_estimate.rows_out
         )
         total_cost += cost
         rows.append((
@@ -96,7 +95,7 @@ def explain_graph(
     def line(cells):
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
 
-    out = [f"cost plan for {graph.name!r} (tier={tier}):"]
+    out = [f"cost plan for {graph.name!r}:"]
     out.append("  " + line(header))
     for r in rows:
         out.append("  " + line(r))

@@ -1,29 +1,15 @@
 """Per-platform operator cost functions (the "how much" half of planning).
 
-Costs are in abstract *row-units*: 1.0 is one row touched once by a
-row kernel at the ``rows`` tier. Every other platform is expressed
-relative to that, calibrated against the repository's own benchmarks:
-
-* the interpreting oracle is ~5x slower per row than the rows tier
-  (``BENCH_engines``: 1.6-2.3x end to end with materialization amortized;
-  measured while the rows tier still compiled its row closures — both
-  now run the evaluator and differ only in materialization, so this
-  rate awaits recalibration);
-* block kernels are ~0.35x per row, with a per-operator batch-build
-  overhead modelled separately (``BLOCK_SETUP_ROWS``);
-* sqlite evaluates an operator in C at ~0.2x, but *moving* rows costs.
-  Both boundaries are columnar (``repro.data.columns``), timed at
-  20 000 rows against ``BENCH_PUSHDOWN``'s pass-through case (scan +
-  PROJECT + write = 1.4 units a row, 2.2 us a unit): loading a row
-  (``executemany``) takes 1.0-1.5 us, ~0.5 units, fetching a result row
-  back as a column block 0.6-0.95 us, ~0.3 units (docs/planning.md has
-  the table) — which is why a reducing filter + group and even a
-  pass-through projection are worth pushing, while a join that expands
-  rows is not: every expanded row pays the transfer.
-
-The model places operators (SQL or ETL); it does not pick the ETL
-engine's tier — that is one default, stated in :mod:`repro.config`
-(docs/execution-model.md has the measured reason).
+Costs are in abstract *row-units*, and a placement weighs two platforms.
+The ETL engine touches each row of an operator at one rate, ``ROW_COST``
+(the unit): it runs one compiled tier, and the rate awaits calibration
+against it (ROADMAP 6(b)). sqlite evaluates an operator in C at ~0.2x,
+but *moving* rows costs: loading a row ~0.5 units, fetching a result row
+back ~0.3 (docs/planning.md has the measurements) — which is why a
+reducing filter + group and even a pass-through projection are worth
+pushing, while a join that expands rows is not: every expanded row pays
+the transfer. The model does not pick the engine's tier (that is one
+default, stated in :mod:`repro.config`).
 
 This module is deliberately a leaf: no imports from the engines, so
 :mod:`repro.deploy.pushdown` and ``--explain`` import it without cycles.
@@ -33,21 +19,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-#: per-row cost of one operator on the interpreting oracle.
-ORACLE_ROW_COST = 5.0
-#: per-row cost of one operator as a row kernel at the rows tier (the unit).
+#: per-row cost of one operator in the ETL engine (the unit).
 ROW_COST = 1.0
-#: per-row cost of one operator as a vectorized block kernel.
-BLOCK_ROW_COST = 0.35
-#: per-row cost of one operator inside a fused selection-vector chain —
-#: cheaper than the block kernel because intermediate blocks are never
-#: gathered (``BENCH_FUSION``: fused chains beat unfused blocks ~1.3x+
-#: on filter→project→aggregate, with the batch setup paid once per
-#: chain rather than once per operator).
-FUSED_ROW_COST = 0.22
-#: fixed per-operator overhead of the block path (column builds,
-#: block compilation), in row-units.
-BLOCK_SETUP_ROWS = 256.0
 #: per-row cost of one operator evaluated inside sqlite.
 SQL_ROW_COST = 0.2
 #: per-row cost of loading a base row into the DBMS.
@@ -95,20 +68,12 @@ class CostModel:
 
     def __init__(
         self,
-        oracle_row_cost: float = ORACLE_ROW_COST,
         row_cost: float = ROW_COST,
-        block_row_cost: float = BLOCK_ROW_COST,
-        fused_row_cost: float = FUSED_ROW_COST,
-        block_setup_rows: float = BLOCK_SETUP_ROWS,
         sql_row_cost: float = SQL_ROW_COST,
         sql_load_cost: float = SQL_LOAD_COST,
         sql_transfer_cost: float = SQL_TRANSFER_COST,
     ):
-        self.oracle_row_cost = oracle_row_cost
         self.row_cost = row_cost
-        self.block_row_cost = block_row_cost
-        self.fused_row_cost = fused_row_cost
-        self.block_setup_rows = block_setup_rows
         self.sql_row_cost = sql_row_cost
         self.sql_load_cost = sql_load_cost
         self.sql_transfer_cost = sql_transfer_cost
@@ -116,39 +81,14 @@ class CostModel:
     # -- per-operator costs --------------------------------------------------
 
     def etl_operator_cost(
-        self,
-        kind: str,
-        rows_in: float,
-        rows_out: float,
-        tier: str = "rows",
+        self, kind: str, rows_in: float, rows_out: float
     ) -> float:
-        """One operator executed by the ETL engine at ``tier``."""
+        """One operator executed by the ETL engine."""
         if kind == "SOURCE":
             return SCAN_COST * rows_out
         if kind == "TARGET":
             return WRITE_COST * rows_in
-        per_row = {
-            "rows": self.row_cost,
-            "block": self.block_row_cost,
-            "fused": self.fused_row_cost,
-            "oracle": self.oracle_row_cost,
-        }.get(tier, self.row_cost)
-        cost = operator_factor(kind) * per_row * max(rows_in, 0.0)
-        if tier == "block":
-            cost += self.block_setup_rows
-        return cost
-
-    def fused_chain_cost(self, rows_in: float, operators: int) -> float:
-        """A maximal fused chain of ``operators`` fusable operators over
-        ``rows_in`` input rows: each operator costs the fused per-row
-        rate on the rows surviving so far (approximated by the input
-        cardinality), and the batch-build overhead is paid once per
-        chain — at the single materialization point — rather than once
-        per operator as on the unfused block path."""
-        return (
-            self.fused_row_cost * max(rows_in, 0.0) * max(operators, 0)
-            + self.block_setup_rows
-        )
+        return operator_factor(kind) * self.row_cost * max(rows_in, 0.0)
 
     def sql_operator_cost(
         self, kind: str, rows_in: float, rows_out: float
@@ -175,14 +115,10 @@ DEFAULT_MODEL = CostModel()
 
 
 __all__ = [
-    "BLOCK_ROW_COST",
-    "BLOCK_SETUP_ROWS",
     "CostModel",
     "DEFAULT_MODEL",
     "DEFAULT_OPERATOR_FACTOR",
-    "FUSED_ROW_COST",
     "OPERATOR_FACTORS",
-    "ORACLE_ROW_COST",
     "ROW_COST",
     "SCAN_COST",
     "SQL_LOAD_COST",

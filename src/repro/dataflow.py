@@ -684,19 +684,6 @@ class DataflowGraph(Generic[NodeT]):
         graph's shape against the paper's figures."""
         return [node.KIND for node in self.topological_order()]
 
-    def to_dot(self) -> str:
-        """GraphViz rendering."""
-        lines = [f'digraph "{self.name}" {{', "  rankdir=LR;"]
-        for uid, node in self._nodes.items():
-            label = getattr(node, "label", None) or node.KIND
-            if label != node.KIND:
-                label = f"{node.KIND}\\n{label}"
-            lines.append(f'  "{uid}" [label="{label}", shape=box];')
-        for edge in self._edges:
-            lines.append(f'  "{edge.src}" -> "{edge.dst}" [label="{edge.name}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}({self.name!r}, {len(self._nodes)} "

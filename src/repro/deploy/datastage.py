@@ -576,12 +576,14 @@ _label_counter = itertools.count(1)
 
 
 def _box_label(graph: OhmGraph, box: Box) -> str:
-    """Stage name for a box: the most informative member label."""
-    labels = []
-    for uid in box.uids:
-        op = graph.operator(uid)
-        if op.label and op.label != op.KIND:
-            labels.append(op.label)
+    """Stage name for a box: the first informative member label, members
+    taken in the graph's topological order (not the order of the
+    ``box.uids`` set, which varies with the process's hash seed)."""
+    labels = [
+        op.label
+        for op in graph.topological_order()
+        if op.uid in box.uids and op.label and op.label != op.KIND
+    ]
     base = labels[0] if labels else "stage"
     return f"{base}_{next(_label_counter)}"
 

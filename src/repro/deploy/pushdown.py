@@ -434,12 +434,11 @@ def _plan_cost(
     pushed: Set[str],
     estimate: GraphEstimate,
     model: CostModel,
-    tier: str = "rows",
 ) -> float:
     """Total modelled cost of the hybrid with region ``pushed`` on the
     DBMS: load its sources in, evaluate its operators in SQL, transfer
     each frontier relation back out, and run everything else on the ETL
-    engine at ``tier``."""
+    engine."""
     total = 0.0
     for op in graph.operators:
         op_estimate = estimate.operators.get(op.uid)
@@ -454,7 +453,7 @@ def _plan_cost(
                 )
         else:
             total += model.etl_operator_cost(
-                op.KIND, op_estimate.rows_in, op_estimate.rows_out, tier
+                op.KIND, op_estimate.rows_in, op_estimate.rows_out
             )
     for edge in _frontier_of(graph, pushed):
         total += model.sql_transfer(

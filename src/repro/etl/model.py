@@ -21,7 +21,7 @@ planner, obs=None, errors=None)``.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.data.dataset import Dataset
 from repro.dataflow import DataflowGraph, Edge, Node
@@ -243,68 +243,6 @@ class Job(DataflowGraph[Stage]):
     @property
     def reject_links(self) -> List[Edge]:
         return [e for e in self.edges if e.is_reject]
-
-    def without_reject_channel(self) -> "Job":
-        """A copy of this job with reject links — and any stages reachable
-        *only* through them — removed.
-
-        The OHM compiler (and everything downstream of it: mapping
-        extraction, pushdown, optimization) models the data channel
-        only, so reject plumbing is stripped before import. Stages that
-        mix reject and data inputs cannot be stripped cleanly and are
-        rejected."""
-        clone = Job(self.name, registry=self.registry)
-        reject_fed: Dict[str, int] = {}
-        for edge in self.edges:
-            if edge.is_reject:
-                reject_fed[edge.dst] = reject_fed.get(edge.dst, 0) + 1
-        # stages fed only by reject edges (transitively) are dropped
-        dropped = set()
-        changed = True
-        while changed:
-            changed = False
-            for stage in self.nodes:
-                uid = stage.uid
-                if uid in dropped:
-                    continue
-                in_edges = [
-                    e for e in self.in_edges(uid) if e.src not in dropped
-                ]
-                if not in_edges and stage.min_inputs == 0:
-                    continue
-                live = [e for e in in_edges if not e.is_reject]
-                if in_edges and not live:
-                    dropped.add(uid)
-                    changed = True
-                elif not in_edges and stage.min_inputs > 0:
-                    dropped.add(uid)
-                    changed = True
-        for stage in self.nodes:
-            uid = stage.uid
-            if uid in dropped:
-                continue
-            bad = [
-                e
-                for e in self.in_edges(uid)
-                if (e.is_reject or e.src in dropped)
-            ]
-            if bad:
-                raise ValidationError(
-                    f"stage {uid!r} mixes reject and data inputs; cannot "
-                    "strip the reject channel cleanly"
-                )
-            clone.add(stage)
-        for edge in self.edges:
-            if edge.is_reject or edge.src in dropped or edge.dst in dropped:
-                continue
-            new = clone.link(
-                edge.src, edge.dst,
-                name=edge.name,
-                src_port=edge.src_port,
-                dst_port=edge.dst_port,
-            )
-            new.schema = edge.schema
-        return clone
 
     def stages_of_type(self, stage_type: str) -> List[Stage]:
         return [s for s in self.nodes if s.STAGE_TYPE == stage_type]

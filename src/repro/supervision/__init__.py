@@ -40,7 +40,6 @@ from repro.supervision.memory import (
     active_memory_budget,
     governed,
     resolve_memory_budget,
-    set_active_memory_budget,
 )
 from repro.supervision.supervisor import (
     Budget,
@@ -58,5 +57,4 @@ __all__ = [
     "resolve_breaker",
     "resolve_memory_budget",
     "resolve_supervisor",
-    "set_active_memory_budget",
 ]

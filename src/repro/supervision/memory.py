@@ -67,13 +67,6 @@ def active_memory_budget() -> Optional[MemoryBudget]:
     return _ACTIVE
 
 
-def set_active_memory_budget(budget: Optional[MemoryBudget]) -> None:
-    """Install (None: remove) the process-active budget. Engines use
-    :func:`governed`; this bare setter exists for tests."""
-    global _ACTIVE
-    _ACTIVE = budget
-
-
 @contextmanager
 def governed(budget: Optional[MemoryBudget]):
     """Install ``budget`` for the duration of a run, restoring whatever
@@ -110,5 +103,4 @@ __all__ = [
     "active_memory_budget",
     "governed",
     "resolve_memory_budget",
-    "set_active_memory_budget",
 ]

@@ -18,7 +18,6 @@ class TestExplainGraph:
         graph = compile_job(build_example_job())
         text = explain_graph(graph)
         assert text.startswith("cost plan for 'CustomerBalanceSplit'")
-        assert "(tier=rows)" in text
         header = text.splitlines()[1]
         for column in ("operator", "kind", "est in", "est out",
                        "actual", "cost", "source"):
@@ -50,16 +49,6 @@ class TestExplainGraph:
             line for line in text.splitlines() if "Customers " in line
         )
         assert " 50 " in customers  # the actual column, not a dash
-
-    def test_tier_changes_costs_not_estimates(self):
-        graph = compile_job(build_example_job())
-        rows = explain_graph(graph, tier="rows")
-        block = explain_graph(graph, tier="block")
-        total = lambda text: float(
-            text.rstrip().splitlines()[-1].split(":")[1].split()[0]
-        )
-        assert "(tier=block)" in block
-        assert total(rows) != total(block)
 
 
 class TestActualExtraction:

@@ -5,19 +5,6 @@ from repro.cost.model import operator_factor
 
 
 class TestOperatorCosts:
-    def test_tier_ordering_above_the_setup_cost(self):
-        n = 100000
-        oracle = DEFAULT_MODEL.etl_operator_cost("FILTER", n, n, "oracle")
-        rows = DEFAULT_MODEL.etl_operator_cost("FILTER", n, n, "rows")
-        block = DEFAULT_MODEL.etl_operator_cost("FILTER", n, n, "block")
-        assert oracle > rows > block
-
-    def test_block_setup_makes_small_inputs_cheaper_on_rows(self):
-        n = 50
-        rows = DEFAULT_MODEL.etl_operator_cost("FILTER", n, n, "rows")
-        block = DEFAULT_MODEL.etl_operator_cost("FILTER", n, n, "block")
-        assert rows < block
-
     def test_operator_factors_order_join_above_filter(self):
         assert operator_factor("JOIN") > operator_factor("GROUP")
         assert operator_factor("GROUP") > operator_factor("FILTER")
@@ -25,12 +12,11 @@ class TestOperatorCosts:
         assert operator_factor("NEVER_HEARD_OF_IT") == 1.0
 
     def test_costs_monotone_in_rows(self):
-        for tier in ("rows", "block", "oracle"):
-            costs = [
-                DEFAULT_MODEL.etl_operator_cost("JOIN", n, n, tier)
-                for n in (0, 10, 1000, 100000)
-            ]
-            assert costs == sorted(costs)
+        costs = [
+            DEFAULT_MODEL.etl_operator_cost("JOIN", n, n)
+            for n in (0, 10, 1000, 100000)
+        ]
+        assert costs == sorted(costs)
 
     def test_sql_transfer_dominates_an_expanding_join(self):
         # evaluating in sqlite is cheap, but a join that fans 800 rows
@@ -42,7 +28,7 @@ class TestOperatorCosts:
             + DEFAULT_MODEL.sql_operator_cost("JOIN", n, out)
             + DEFAULT_MODEL.sql_transfer(out)
         )
-        etl = DEFAULT_MODEL.etl_operator_cost("JOIN", n, out, "rows")
+        etl = DEFAULT_MODEL.etl_operator_cost("JOIN", n, out)
         assert pushed > etl
 
     def test_pass_through_is_worth_pushing(self):
@@ -54,7 +40,7 @@ class TestOperatorCosts:
             + DEFAULT_MODEL.sql_operator_cost("PROJECT", n, n)
             + DEFAULT_MODEL.sql_transfer(n)
         )
-        etl = DEFAULT_MODEL.etl_operator_cost("PROJECT", n, n, "rows")
+        etl = DEFAULT_MODEL.etl_operator_cost("PROJECT", n, n)
         assert pushed < etl
 
     def test_sql_wins_when_it_reduces(self):
@@ -68,8 +54,8 @@ class TestOperatorCosts:
             + DEFAULT_MODEL.sql_transfer(out)
         )
         etl = (
-            DEFAULT_MODEL.etl_operator_cost("FILTER", n, n / 3, "rows")
-            + DEFAULT_MODEL.etl_operator_cost("GROUP", n / 3, out, "rows")
+            DEFAULT_MODEL.etl_operator_cost("FILTER", n, n / 3)
+            + DEFAULT_MODEL.etl_operator_cost("GROUP", n / 3, out)
         )
         assert pushed < etl
 

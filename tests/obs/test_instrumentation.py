@@ -48,12 +48,14 @@ class TestCompileTrace:
 
     def test_compile_phase_timers_recorded(self, obs):
         Orchid(obs=obs).import_etl(build_example_job())
-        for phase in ("wrap", "propagate", "stages", "cleanup"):
+        for phase in ("propagate", "stages", "output-propagate", "cleanup"):
             count, total = obs.metrics.timer_stats(
                 f"compile.phase.{phase}.seconds"
             )
             assert count == 1
             assert total >= 0.0
+        # the driver walks the job itself: there is no wrap step to time
+        assert "compile.phase.wrap.seconds" not in obs.metrics.timers
         assert obs.metrics.counter("compile.stages") == len(
             build_example_job().stages
         )

@@ -9,8 +9,10 @@ consults three pieces:
   (seedable sampling), and observed per-edge actuals fed back from runs;
 * :mod:`repro.cost.estimate` — a :class:`CardinalityEstimator` walking
   the OHM graph propagating selectivities;
-* :mod:`repro.cost.model` — a :class:`CostModel` with per-platform
-  operator cost functions (sqlite vs the ETL engine).
+* :mod:`repro.cost.model` — a :class:`CostModel` pricing each operator
+  on each platform (sqlite vs the ETL engine) at rates measured per
+  operator kind by ``benchmarks/calibrate_cost.py``, in microseconds on
+  the box that ran it, plus sqlite's load and transfer per cell.
 
 ``--explain`` renders all of it per operator
 (:func:`repro.cost.explain.explain_graph`); ``docs/planning.md`` is the

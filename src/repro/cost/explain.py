@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.cost.estimate import CardinalityEstimator, GraphEstimate
-from repro.cost.model import DEFAULT_MODEL, CostModel
+from repro.cost.model import DEFAULT_MODEL, CostModel, output_width
 from repro.ohm.graph import OhmGraph
 
 
@@ -72,7 +72,8 @@ def explain_graph(
                 if actual is not None:
                     break
         cost = model.etl_operator_cost(
-            op.KIND, op_estimate.rows_in, op_estimate.rows_out
+            op.KIND, op_estimate.rows_in, op_estimate.rows_out,
+            output_width(graph, op),
         )
         total_cost += cost
         rows.append((

@@ -18,12 +18,15 @@ Pushability says what *can* move; since the cost-based planning layer
 ``plan_pushdown`` is given a :class:`~repro.cost.StatisticsCatalog`
 covering the pushable sources (and ``cost`` is left on), it starts from
 the maximal pushable region and greedily *peels* operators back onto the
-ETL side while the modelled total cost improves: pushing a reducing
-filter + join + group wins (few rows cross the DBMS→Python transfer
-boundary), pushing a join that expands rows loses (every expanded row
-pays transfer). The all-ETL plan is a legal outcome —
-an empty pushed region skips the DBMS entirely. ``cost=False`` (or no
-catalog) keeps the paper's pushability-only maximal pushdown exactly.
+ETL side while the modelled total cost improves, pricing each operator
+at the measured rate of its kind on its platform
+(:mod:`repro.cost.model`). Sources that start in memory must first be
+loaded into the DBMS, so a region pays off only when sqlite's
+evaluation saves more than that load and the transfer back — a star of
+many joins does, the paper's job and a join that expands rows do not.
+The all-ETL plan is a legal outcome — an empty pushed region skips the
+DBMS entirely. ``cost=False`` (or no catalog) keeps the paper's
+pushability-only maximal pushdown exactly.
 """
 
 from __future__ import annotations
@@ -37,9 +40,10 @@ from repro.cost import (
     GraphEstimate,
     StatisticsCatalog,
 )
-from repro.data.dataset import Dataset, Instance
+from repro.cost.model import output_width
+from repro.data.dataset import Instance
 from repro.dataflow import Edge
-from repro.deploy.datastage import DATASTAGE, deploy_to_job
+from repro.deploy.datastage import deploy_to_job
 from repro.deploy.platform import RuntimePlatform
 from repro.deploy.sql import (
     DEFAULT_DIALECT,
@@ -61,12 +65,11 @@ from repro.ohm.operators import (
     Operator,
     Project,
     Source,
-    Split,
     Target,
     Union,
-    Unknown,
 )
 from repro.ohm.subtypes import KeyGen
+from repro.schema.model import Relation
 
 
 class _PushState:
@@ -191,7 +194,7 @@ class HybridPlan:
     def __init__(
         self,
         statements: Dict[str, str],
-        frontier_schemas: Dict[str, object],
+        frontier_schemas: Dict[str, Relation],
         job: Job,
         pushed_operator_uids: Set[str],
         plan,
@@ -376,18 +379,22 @@ def _plan_pushdown_impl(
 
     frontier = [e for e in work.edges if e.src in pushed and e.dst not in pushed]
     statements: Dict[str, str] = {}
-    frontier_schemas: Dict[str, object] = {}
+    frontier_schemas: Dict[str, Relation] = {}
     for edge in frontier:
         sub = _pushed_subgraph(work, pushed, edge)
-        mappings = ohm_to_mappings(sub)
-        producers = mappings.producers_of(edge.name)
-        if len(producers) != len(mappings.mappings) or not producers:
+        # a UNION feeding the frontier materializes under the frontier's
+        # own name; its copy onto itself is no part of the statement
+        producers = [
+            m for m in ohm_to_mappings(sub).mappings
+            if edge.name not in m.source_relation_names
+        ]
+        if not producers or any(m.target.name != edge.name for m in producers):
             raise DeploymentError(
                 f"pushed region at {edge.name} did not compose into a "
                 "single SQL block; this is a bug in the pushability rules"
             )
         statements[edge.name] = mappings_to_select(producers, dialect)
-        frontier_schemas[edge.name] = edge.schema
+        frontier_schemas[edge.name] = _schema(edge)
 
     if obs.enabled:
         obs.metrics.count("deploy.pushdown.pushed_operators", len(pushed))
@@ -429,37 +436,63 @@ def _feeding_set(graph: OhmGraph, pushed: Set[str]) -> Set[str]:
     return feeding
 
 
+def _width(relation: Relation) -> int:
+    return len(relation.attribute_names)
+
+
+def _schema(edge: Edge) -> Relation:
+    """An edge's schema; planning propagates one onto every edge."""
+    if edge.schema is None:
+        raise DeploymentError(f"edge {edge.name!r} carries no schema")
+    return edge.schema
+
+
+def _plan_terms(
+    graph: OhmGraph,
+    pushed: Set[str],
+    estimate: GraphEstimate,
+    model: CostModel,
+) -> Dict[str, float]:
+    """The modelled cost of the hybrid with region ``pushed`` on the
+    DBMS, by term: ``load`` (every table source goes into the DBMS once
+    anything is pushed, as :meth:`HybridPlan.execute` does),
+    ``evaluation`` (the pushed operators in SQL), ``transfer`` (each
+    frontier relation back out) and ``etl`` (everything else on the ETL
+    engine)."""
+    terms = dict.fromkeys(("load", "evaluation", "transfer", "etl"), 0.0)
+    for op in graph.operators:
+        op_estimate = estimate.operators.get(op.uid)
+        if op_estimate is None:
+            continue
+        if isinstance(op, Source) and pushed and op.provider is None:
+            terms["load"] += model.sql_load(
+                op_estimate.rows_out, _width(op.relation)
+            )
+        if op.uid in pushed:
+            terms["evaluation"] += model.sql_operator_cost(
+                op.KIND, op_estimate.rows_in, op_estimate.rows_out
+            )
+        else:
+            terms["etl"] += model.etl_operator_cost(
+                op.KIND, op_estimate.rows_in, op_estimate.rows_out,
+                output_width(graph, op),
+            )
+    for edge in _frontier_of(graph, pushed):
+        terms["transfer"] += model.sql_transfer(
+            estimate.edge_rows(edge.name, estimate.rows_out(edge.src)),
+            _width(_schema(edge)),
+        )
+    return terms
+
+
 def _plan_cost(
     graph: OhmGraph,
     pushed: Set[str],
     estimate: GraphEstimate,
     model: CostModel,
 ) -> float:
-    """Total modelled cost of the hybrid with region ``pushed`` on the
-    DBMS: load its sources in, evaluate its operators in SQL, transfer
-    each frontier relation back out, and run everything else on the ETL
-    engine."""
-    total = 0.0
-    for op in graph.operators:
-        op_estimate = estimate.operators.get(op.uid)
-        if op_estimate is None:
-            continue
-        if op.uid in pushed:
-            if isinstance(op, Source):
-                total += model.sql_load(op_estimate.rows_out)
-            else:
-                total += model.sql_operator_cost(
-                    op.KIND, op_estimate.rows_in, op_estimate.rows_out
-                )
-        else:
-            total += model.etl_operator_cost(
-                op.KIND, op_estimate.rows_in, op_estimate.rows_out
-            )
-    for edge in _frontier_of(graph, pushed):
-        total += model.sql_transfer(
-            estimate.edge_rows(edge.name, estimate.rows_out(edge.src))
-        )
-    return total
+    """Total modelled cost of the hybrid with region ``pushed``."""
+    return sum(_plan_terms(graph, pushed, estimate, model).values())
 
 
 def _peelable(graph: OhmGraph, pushed: Set[str]) -> List[str]:
@@ -498,10 +531,11 @@ def _choose_pushed(
                 best, best_cost = trial, trial_cost
                 improved = True
                 break
-    # the all-ETL plan is always a candidate: when transfer dominates,
-    # every intermediate cut can be worse than the maximal push even
-    # though pushing nothing beats both — greedy peeling alone would
-    # never reach it
+    # the all-ETL plan is always a candidate: every table source is
+    # loaded once anything is pushed, so no single peel saves the load,
+    # and when moving data dominates every intermediate cut can be worse
+    # than the maximal push even though pushing nothing beats both —
+    # greedy peeling alone would never reach it
     if best:
         etl_cost = _plan_cost(graph, set(), estimate, model)
         candidates += 1
@@ -522,28 +556,28 @@ def _fragment_decisions(
     """Per-fragment records of the placement: one per frontier SQL
     statement, one for the residual ETL job."""
     etl_cost = _plan_cost(graph, set(), estimate, model)
-    push_cost = _plan_cost(graph, maximal, estimate, model)
     decisions: List[FragmentDecision] = []
     frontier = _frontier_of(graph, pushed)
     for edge in frontier:
         cone = _cone_of(graph, pushed, edge)
         rows = estimate.edge_rows(edge.name, estimate.rows_out(edge.src))
-        source_rows = sum(
-            estimate.rows_out(op.uid)
-            for op in graph.operators
+        sources = [
+            op for op in graph.operators
             if isinstance(op, Source) and op.uid in cone
-        )
+        ]
+        source_rows = sum(estimate.rows_out(op.uid) for op in sources)
         sql_cost = sum(
-            model.sql_load(estimate.rows_out(uid))
-            if isinstance(graph.operator(uid), Source)
-            else model.sql_operator_cost(
+            model.sql_load(estimate.rows_out(op.uid), _width(op.relation))
+            for op in sources
+        ) + sum(
+            model.sql_operator_cost(
                 graph.operator(uid).KIND,
                 estimate.operators[uid].rows_in,
                 estimate.operators[uid].rows_out,
             )
             for uid in cone
             if uid in estimate.operators
-        ) + model.sql_transfer(rows)
+        ) + model.sql_transfer(rows, _width(_schema(edge)))
         decisions.append(FragmentDecision(
             edge.name, "sql", rows, sql_cost,
             f"SQL reduces ~{source_rows:.0f} source rows to ~{rows:.0f} "
@@ -558,24 +592,19 @@ def _fragment_decisions(
         for op in graph.operators
         if isinstance(op, Source)
     )
-    residual_cost = sum(
-        model.etl_operator_cost(
-            op.KIND,
-            estimate.operators[op.uid].rows_in,
-            estimate.operators[op.uid].rows_out,
-        )
-        for op in graph.operators
-        if op.uid not in pushed and op.uid in estimate.operators
-    )
+    residual_cost = _plan_terms(graph, pushed, estimate, model)["etl"]
     if pushed:
         reason = (
             f"{len(pushed)} of {len(maximal)} pushable operators placed on "
             f"the DBMS; the rest run cheaper in the ETL engine"
         )
     else:
+        terms = _plan_terms(graph, maximal, estimate, model)
+        dominant = max(("load", "evaluation", "transfer"), key=terms.__getitem__)
         reason = (
             f"nothing pushed: pure ETL costs {etl_cost:.0f} row-units vs "
-            f"{push_cost:.0f} for the maximal pushdown (transfer dominates)"
+            f"{sum(terms.values()):.0f} for the maximal pushdown "
+            f"({dominant} dominates)"
         )
     decisions.append(FragmentDecision(
         residual_name, "etl", residual_rows, residual_cost, reason
@@ -613,7 +642,7 @@ def _pushed_subgraph(
                 Edge(edge.src, edge.src_port, edge.dst, edge.dst_port,
                      edge.name, edge.schema)
             )
-    target = Target(frontier_edge.schema)
+    target = Target(_schema(frontier_edge))
     sub.add(target)
     sub.add_edge_object(
         Edge(frontier_edge.src, frontier_edge.src_port, target.uid, 0,
@@ -638,7 +667,7 @@ def _residual_graph(
                      edge.name, edge.schema)
             )
     for edge in frontier:
-        source = Source(edge.schema, label=edge.name)
+        source = Source(_schema(edge), label=edge.name)
         residual.add(source)
         residual.add_edge_object(
             Edge(source.uid, 0, edge.dst, edge.dst_port, edge.name,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.data.dataset import Dataset, Instance
 
@@ -36,13 +36,20 @@ DEFAULT_SEED = 424242
 
 
 class ColumnStats:
-    """Distinct-value and null-fraction sketch of one column."""
+    """Distinct-value and null-fraction sketch of one column, plus the
+    sampled ``(low, high)`` of a numeric column (``None`` otherwise)."""
 
-    __slots__ = ("n_distinct", "null_fraction")
+    __slots__ = ("n_distinct", "null_fraction", "bounds")
 
-    def __init__(self, n_distinct: float, null_fraction: float):
+    def __init__(
+        self,
+        n_distinct: float,
+        null_fraction: float,
+        bounds: Optional[Tuple[float, float]] = None,
+    ):
         self.n_distinct = max(1.0, float(n_distinct))
         self.null_fraction = min(1.0, max(0.0, float(null_fraction)))
+        self.bounds = bounds
 
     def __repr__(self) -> str:
         return (
@@ -142,18 +149,25 @@ class StatisticsCatalog:
             col = attribute.name
             seen = set()
             nulls = 0
+            numbers = []
             for row in sample:
                 value = row.get(col)
                 if value is None:
                     nulls += 1
                 else:
+                    if type(value) in (int, float):
+                        numbers.append(value)
                     try:
                         seen.add(value)
                     except TypeError:  # set-valued (NF²) cells
                         seen.add(repr(value))
             ndv = _estimate_ndv(len(seen), sampled, total)
             fraction = (nulls / sampled) if sampled else 0.0
-            columns[col] = ColumnStats(ndv, fraction)
+            bounds = (
+                (min(numbers), max(numbers))
+                if numbers and len(numbers) == sampled - nulls else None
+            )
+            columns[col] = ColumnStats(ndv, fraction, bounds)
         stats = TableStats(total, columns, sampled)
         self._tables[name] = stats
         return stats

@@ -419,7 +419,8 @@ class Modify(Stage):
                                 value, self.convert[attr.name]
                             )
                         new_row[attr.name] = value
-                except Exception as exc:
+                # a missing column, or a conversion int() / float() / str() refuses
+                except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
                     if errors is not None and errors.handling:
                         errors.record(index, dict(row), exc)
                         continue

@@ -55,7 +55,7 @@ from repro.exec.compile_block import (
     compile_block_predicate,
 )
 from repro.exec import block, fuse, kernels
-from repro.exec.block import RowBlock
+from repro.exec.block import Fold, RowBlock
 from repro.exec.fuse import FusedBlock
 
 # -- kernel fault injection ---------------------------------------------------
@@ -152,9 +152,11 @@ class ExpressionPlanner:
     def block_aggregate(self, agg: AggregateCall, resolve):
         """``(values_fn, reducer)`` for columnar grouped aggregation —
         ``values_fn`` evaluates the argument once over a whole block,
-        ``reducer`` folds one group's gathered values, or is the member
-        position a FIRST / LAST picks (0 / -1). ``(None, None)`` is
-        ``COUNT(*)`` (group size); a bare ``None`` means row
+        ``reducer`` folds one group's gathered values — a
+        :class:`~repro.exec.block.Fold` naming the function when it is
+        a SUM, COUNT, AVG, MIN or MAX without DISTINCT — or is the
+        member position a FIRST / LAST picks (0 / -1). ``(None, None)``
+        is ``COUNT(*)`` (group size); a bare ``None`` means row
         fallback."""
         if not self.compiled:
             return None
@@ -164,7 +166,10 @@ class ExpressionPlanner:
         if values_fn is None:
             return None
         values_fn = self._faulted("aggregate", values_fn, "block")
-        return (values_fn, aggregate_values_reducer(agg))
+        reducer = aggregate_values_reducer(agg)
+        if agg.func in ("SUM", "COUNT", "AVG", "MIN", "MAX") and not agg.distinct:
+            reducer = Fold(agg.func, reducer)
+        return (values_fn, reducer)
 
     # -- chains: the one columnar body ------------------------------------
 

@@ -32,12 +32,14 @@ Kernels report ``exec.block.<name>.blocks_in/.blocks_out/.rows_in/
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -58,9 +60,20 @@ from repro.supervision.memory import active_memory_budget
 
 #: A compiled block expression: RowBlock → column (list of values).
 BlockFn = Callable[["RowBlock"], List[Any]]
-#: A grouped aggregate's fold over one group's gathered values, or the
-#: member position a FIRST / LAST picks (0 / -1).
-Reducer = Union[Callable[[List[Any]], Any], int, None]
+
+
+class Fold(NamedTuple):
+    """A grouped SUM, COUNT, AVG, MIN or MAX without DISTINCT: the
+    aggregate's ``func`` and ``reduce``, its fold over one group's
+    gathered values (NULLs included)."""
+
+    func: str
+    reduce: Callable[[List[Any]], Any]
+
+
+#: A grouped aggregate's fold over one group's gathered values, a
+#: :class:`Fold`, or the member position a FIRST / LAST picks (0 / -1).
+Reducer = Union[Callable[[List[Any]], Any], Fold, int, None]
 
 
 def _observe_block(
@@ -214,27 +227,25 @@ def switch_block(
 # -- grouping kernels ----------------------------------------------------------
 
 
-def _row_keys(block: RowBlock, key_names: Sequence[str]) -> Iterable[Any]:
-    """One hashable key a row over the encoded key columns: the cell
-    itself for a single key column (no 1-tuple per row), a tuple for
-    several, ``()`` for none (a global aggregate groups by nothing)."""
-    cols = key_columns([block.columns[k] for k in key_names])
+def _row_keys(cols: Sequence[List[Any]], length: int) -> Iterable[Any]:
+    """One hashable key a row over the columns ``cols``, encoded by
+    :func:`~repro.exec.kernels.key_columns`: the cell itself for a
+    single column (no 1-tuple per row), a tuple for several, ``()`` for
+    none (a global aggregate groups by nothing)."""
+    cols = key_columns(cols)
     if len(cols) == 1:
         return cols[0]
-    return key_rows(cols, block.length)
+    return key_rows(cols, length)
 
 
 def _group_indices(
     block: RowBlock, key_names: Sequence[str]
 ) -> List[List[int]]:
     """Row-index groups by key columns, first-seen order."""
-    groups: Dict[Any, List[int]] = {}
-    for i, key in enumerate(_row_keys(block, key_names)):
-        members = groups.get(key)
-        if members is None:
-            groups[key] = [i]
-        else:
-            members.append(i)
+    groups: Dict[Any, List[int]] = defaultdict(list)
+    keys = _row_keys([block.columns[k] for k in key_names], block.length)
+    for i, key in enumerate(keys):
+        groups[key].append(i)
     return list(groups.values())
 
 
@@ -247,7 +258,7 @@ def group_picks(
     need. A dict keeps a key where it was first inserted, so
     overwriting for the last row keeps first-seen order."""
     chosen: Dict[Any, int] = {}
-    keys = _row_keys(block, key_names)
+    keys = _row_keys([block.columns[k] for k in key_names], block.length)
     if pick == 0:
         for i, key in enumerate(keys):
             chosen.setdefault(key, i)
@@ -255,6 +266,40 @@ def group_picks(
         for i, key in enumerate(keys):
             chosen[key] = i
     return list(chosen.values())
+
+
+#: the builtin a :class:`Fold` reduces a NULL-free group with
+_BUILTIN_FOLDS = {"SUM": sum, "MIN": min, "MAX": max}
+
+
+def fold_groups(
+    values: List[Any], groups: Sequence[List[int]], reducer: Reducer
+) -> List[Any]:
+    """One aggregate's cell a group: ``reducer`` over the cells of
+    ``values`` (the argument column) at each group's member indices.
+    A ``None`` reducer is ``COUNT(*)``, the group's size; a FIRST / LAST
+    pick reads one cell. A :class:`Fold` over a column with no NULL (one
+    C scan proves it) reduces each group with the builtin over its cells
+    as they stand — the values, in the order, that ``reduce`` sees once
+    it has stripped the NULLs there are none of, so the result is
+    bit-identical and no list is built a group. Otherwise each group's
+    cells are gathered into a list and reduced."""
+    if reducer is None:
+        return [len(members) for members in groups]
+    if isinstance(reducer, int):
+        return [values[members[reducer]] for members in groups]
+    if isinstance(reducer, Fold):
+        if None not in values:
+            get = values.__getitem__
+            func = reducer.func
+            if func == "COUNT":
+                return [len(members) for members in groups]
+            if func == "AVG":
+                return [sum(map(get, members)) / len(members) for members in groups]
+            builtin = _BUILTIN_FOLDS[func]
+            return [builtin(map(get, members)) for members in groups]
+        reducer = reducer.reduce
+    return [reducer([values[i] for i in members]) for members in groups]
 
 
 def group_aggregate_block(
@@ -267,11 +312,12 @@ def group_aggregate_block(
     key columns (NULL keys equal, ``1 == 1.0``), each aggregate argument
     is evaluated *once* as a whole column, then gathered per group and
     reduced. ``aggregates`` are ``(name, values_fn, reducer)`` — a
-    ``(name, None, None)`` entry is ``COUNT(*)`` (the group size), and
-    an ``int`` reducer is a FIRST / LAST pick (0 / -1): the group's
-    cell at that member position. When every aggregate is a pick, no
-    member list is built: :func:`group_picks` finds one row a group
-    per distinct pick.
+    ``(name, None, None)`` entry is ``COUNT(*)`` (the group size), an
+    ``int`` reducer is a FIRST / LAST pick (0 / -1): the group's cell at
+    that member position, and a :class:`Fold` folds without a value
+    list a group when its column holds no NULL (:func:`fold_groups`).
+    When every aggregate is a pick, no member list is built:
+    :func:`group_picks` finds one row a group per distinct pick.
 
     Above an active memory budget the group states are
     grace-partitioned to temp-file runs instead
@@ -306,16 +352,8 @@ def group_aggregate_block(
             col = block.columns[k]
             columns[k] = [col[members[0]] for members in groups]
         for name, values_fn, reducer in aggregates:
-            if values_fn is None and reducer is None:
-                columns[name] = [len(members) for members in groups]
-                continue
-            values = values_fn(block)
-            if isinstance(reducer, int):
-                columns[name] = [values[members[reducer]] for members in groups]
-            else:
-                columns[name] = [
-                    reducer([values[i] for i in members]) for members in groups
-                ]
+            values = [] if values_fn is None else values_fn(block)
+            columns[name] = fold_groups(values, groups, reducer)
         length = len(groups)
     out = RowBlock(columns, length)
     _observe_block(obs, "group_aggregate", 1, 1, block.length, out.length)
@@ -416,11 +454,17 @@ def hash_join_block(
     the row path (no equi-conjuncts, residual conjuncts, or a key
     expression the block compiler cannot lower).
 
-    Build/probe produce paired index vectors (``-1`` = outer padding);
-    output columns are gathered straight from the ``(output name, side,
-    source column)`` plan. Emission order matches the row kernel:
-    matches in probe order with left paddings inline, right paddings
-    last."""
+    Build/probe hash the :func:`_row_keys` of the key columns — a
+    single key column's cells as they stand, tuples only for two or
+    more — and produce paired index vectors (``-1`` = outer padding).
+    A NULL key never matches: when the build side holds one, the
+    index's NULL keys are dropped once after the build, so a probe key
+    with a NULL misses. Only a right or full join tracks which build
+    rows matched. Output columns are gathered straight from the
+    ``(output name, side, source column)`` plan, with a per-cell
+    padding test only for an index vector that holds a ``-1``.
+    Emission order matches the row kernel: matches in probe order with
+    left paddings inline, right paddings last."""
     pairs, residual = split_equi_condition(
         condition, left_relation, right_relation
     )
@@ -438,40 +482,51 @@ def hash_join_block(
     if any(fn is None for fn in left_key_fns + right_key_fns):
         return None
 
-    index: Dict[tuple, List[int]] = {}
-    build_keys = zip(*key_columns([fn(right) for fn in right_key_fns]))
-    for j, key in enumerate(build_keys):
-        if None not in key:
-            index.setdefault(key, []).append(j)
+    index: Dict[Any, List[int]] = defaultdict(list)
+    build_cols = [fn(right) for fn in right_key_fns]
+    for j, key in enumerate(_row_keys(build_cols, right.length)):
+        index[key].append(j)
+    if any(None in col for col in build_cols):
+        # a key with a NULL component matches nothing: unindex it, so a
+        # probe key with a NULL misses too
+        single = len(build_cols) == 1
+        for key in [k for k in index if (k is None if single else None in k)]:
+            del index[key]
 
     pad_left = kind in ("left", "full")
+    matched_right = [False] * right.length if kind in ("right", "full") else None
     left_idx: List[int] = []
     right_idx: List[int] = []
-    matched_right = [False] * right.length
-    probe_keys = zip(*key_columns([fn(left) for fn in left_key_fns]))
-    for i, key in enumerate(probe_keys):
-        # a key with a NULL component was never indexed: it misses
+    probe_cols = [fn(left) for fn in left_key_fns]
+    for i, key in enumerate(_row_keys(probe_cols, left.length)):
         hits = index.get(key)
         if hits:
-            for j in hits:
-                matched_right[j] = True
-                left_idx.append(i)
-                right_idx.append(j)
+            left_idx += [i] * len(hits)
+            right_idx += hits
+            if matched_right is not None:
+                for j in hits:
+                    matched_right[j] = True
         elif pad_left:
             left_idx.append(i)
             right_idx.append(-1)
-    if kind in ("right", "full"):
+    if matched_right is not None:
         for j, was_matched in enumerate(matched_right):
             if not was_matched:
                 left_idx.append(-1)
                 right_idx.append(j)
 
+    sides = {
+        "left": (left.columns, left_idx, -1 in left_idx),
+        "right": (right.columns, right_idx, -1 in right_idx),
+    }
     columns: Dict[str, List[Any]] = {}
     for out_name, side, source in plan:
-        src_cols = left.columns if side == "left" else right.columns
-        src_idx = left_idx if side == "left" else right_idx
+        src_cols, src_idx, padded = sides[side]
         col = src_cols[source]
-        columns[out_name] = [None if i < 0 else col[i] for i in src_idx]
+        if padded:
+            columns[out_name] = [None if i < 0 else col[i] for i in src_idx]
+        else:
+            columns[out_name] = list(map(col.__getitem__, src_idx))
     out = RowBlock(columns, len(left_idx))
     _observe_block(obs, "join", 2, 1, left.length + right.length, out.length)
     return out

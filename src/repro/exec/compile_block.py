@@ -29,8 +29,10 @@ place and a block function agrees bit-for-bit with the oracle row by
 row (``tests/exec/test_block_parity.py``, ``tests/exec/test_parity.py``).
 Laziness that is observable row-wise is preserved
 column-wise: CASE evaluates each WHEN's values only on the sub-block its
-condition matched (via ``take``), exactly the rows the row path would
-touch.
+condition matched (via ``take``, of the CASE's read-set only), exactly
+the rows the row path would touch. A function column calls the
+registered ``impl`` itself, under one ``try`` a column that raises the
+classes the ``ScalarFunction`` wrapper would.
 
 Name resolution is pluggable: ``resolve(ref) → column key or None``
 (each runtime builds its resolver from how it binds environments —
@@ -50,7 +52,7 @@ from functools import partial
 from typing import AbstractSet, Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.data.columns import NUMBERS, TEXT, column_classes
-from repro.errors import EvaluationError
+from repro.errors import INFRASTRUCTURE_ERRORS, EvaluationError
 from repro.exec.block import BlockFn, Reducer, RowBlock
 from repro.expr.ast import (
     AggregateCall,
@@ -463,51 +465,62 @@ def _compile_unary(
     return negate, _MISSING
 
 
+#: what :meth:`ScalarFunction.__call__` re-raises as it stands
+_RAISED_AS_IS = (EvaluationError, *INFRASTRUCTURE_ERRORS)
+
+
 def _compile_call(
     expr: FunctionCall, registry: FunctionRegistry, resolve: ResolveFn
 ) -> _Compiled:
     function = registry.lookup(expr.name)
     function.check_arity(len(expr.args))
     args = [_compile(a, registry, resolve)[0] for a in expr.args]
-    if not function.null_propagating:
-        if not args:
-            # zero-arg functions may be impure: call once per row
-            return (
-                lambda block: [function() for _ in range(block.length)],
-                _MISSING,
-            )
-
-        def call_raw(block):
-            return [function(*values) for values in zip(*[a(block) for a in args])]
-
-        return call_raw, _MISSING
-    if len(args) == 1:
-        (only,) = args
+    if not args:
+        # zero-arg functions may be impure: call once per row
         return (
-            lambda block: [
-                None if v is None else function(v) for v in only(block)
-            ],
+            lambda block: [function() for _ in range(block.length)],
             _MISSING,
         )
-    if len(args) == 2:
+    impl = function.impl
+    if not function.null_propagating:
+
+        def loop(block):
+            return [impl(*values) for values in zip(*[a(block) for a in args])]
+
+    elif len(args) == 1:
+        (only,) = args
+
+        def loop(block):
+            return [None if v is None else impl(v) for v in only(block)]
+
+    elif len(args) == 2:
         first, second = args
 
-        def call_two(block):
+        def loop(block):
             return [
-                None if a is None or b is None else function(a, b)
+                None if a is None or b is None else impl(a, b)
                 for a, b in zip(first(block), second(block))
             ]
 
-        return call_two, _MISSING
+    else:
+
+        def loop(block):
+            return [
+                None if any(v is None for v in values) else impl(*values)
+                for values in zip(*[a(block) for a in args])
+            ]
 
     def call(block):
-        out = []
-        for values in zip(*[a(block) for a in args]):
-            if any(v is None for v in values):
-                out.append(None)
-            else:
-                out.append(function(*values))
-        return out
+        # ``impl`` itself, one ``try`` a column: what the wrapper would
+        # re-raise as it stands propagates, and any other exception
+        # becomes its EvaluationError — the classes the operator's
+        # rerun on its row body (``columnar_or_rows``) tells apart
+        try:
+            return loop(block)
+        except _RAISED_AS_IS:
+            raise
+        except Exception as exc:  # whatever impl raises, surfaced with function context
+            raise EvaluationError(f"{function.name} failed: {exc}") from exc
 
     return call, _MISSING
 
@@ -515,6 +528,10 @@ def _compile_call(
 def _compile_case(
     expr: Case, registry: FunctionRegistry, resolve: ResolveFn
 ) -> _Compiled:
+    # the CASE's read-set, resolved once: each WHEN gathers only these
+    # columns (every column, when a reference does not resolve)
+    keys = {resolve(ref) for ref in expr.column_refs()}
+    reads = None if None in keys else keys
     branches = [
         (
             _compile(cond, registry, resolve)[0],
@@ -536,6 +553,8 @@ def _compile_case(
         out: List[Any] = [None] * block.length
         pending = list(range(block.length))
         sub = block
+        if reads is not None:
+            sub = RowBlock({k: block.columns[k] for k in reads}, block.length)
         for cond, value in branches:
             if not pending:
                 break

@@ -26,6 +26,7 @@ metrics registry.
 
 from __future__ import annotations
 
+from datetime import date
 from itertools import repeat
 from typing import (
     Any,
@@ -65,12 +66,14 @@ def _observe(obs, kernel: str, rows_in: int, rows_out: int) -> None:
 def group_key_value(value: object) -> object:
     """The hashable key a value groups, dedups and matches by (SQL
     GROUP BY); the single definition every runtime shares. NULL, a
-    number and a ``str`` are their own keys: NULLs are equal, and Python
-    hashes and compares ``int`` with ``float`` exactly (``1 == 1.0``,
-    ``2**53`` apart from ``2**53 + 1``). ``True`` stays apart from ``1``
-    and any other value goes by class name and text, in tuples no
-    number or string equals."""
-    if value is None or value.__class__ is str:
+    number, a ``str`` and an exact ``date`` are their own keys: NULLs
+    are equal, Python hashes and compares ``int`` with ``float`` exactly
+    (``1 == 1.0``, ``2**53`` apart from ``2**53 + 1``), and a ``date``
+    equals only a ``date`` with the same ``isoformat()``. ``True`` stays
+    apart from ``1`` and any other value — a ``datetime`` included —
+    goes by class name and text, in tuples no number, string or date
+    equals."""
+    if value is None or value.__class__ is str or value.__class__ is date:
         return value
     if isinstance(value, bool):
         return ("bool", value)
@@ -108,19 +111,20 @@ def key_encoder() -> Callable[[object], object]:
 
 
 #: cells of exactly these classes are their own :func:`group_key_value`
-_OWN_KEY = NUMBERS | TEXT
+_OWN_KEY = NUMBERS | TEXT | {date}
 
 
 def key_columns(cols: Sequence[List[Any]]) -> List[List[Any]]:
     """``cols`` as columns of :func:`group_key_value` keys, each judged
     by one class sweep: a column holding only ``int`` / ``float`` /
-    ``str`` cells (and NULLs) *is* its key column and is returned as it
-    stands — no copy, no call per cell; any other column is encoded
+    ``str`` / ``date`` cells (and NULLs) *is* its key column and is
+    returned as it stands — no copy, no call per cell; any other column
+    (one holding a ``bool`` or a ``datetime``, say) is encoded
     through one :func:`key_encoder`. A NULL key is ``None`` either way.
-    Every block kernel that groups, dedups or matches rows hashes
-    ``zip(*key_columns(...))``; two columns encoded apart (a join's two
-    sides) still agree cell for cell, since a key depends on its value
-    alone."""
+    Every block kernel that groups, dedups or matches rows hashes these
+    keys — one column's cells as they stand, ``zip`` of several; two
+    columns encoded apart (a join's two sides) still agree cell for
+    cell, since a key depends on its value alone."""
     return [
         col
         if column_classes(col) <= _OWN_KEY
@@ -183,7 +187,7 @@ def project_rows(
             row = dict(defaults) if defaults else {}
             for name, fn in derivations:
                 row[name] = fn(env)
-        except Exception as exc:
+        except Exception as exc:  # any row error; on_error takes only a data error
             if on_error is None:
                 raise
             on_error(index, item, exc)
@@ -236,7 +240,7 @@ def route_rows(
                         placed.append(i)
             if has_predicates and not matched:
                 placed.extend(fallbacks)
-        except Exception as exc:
+        except Exception as exc:  # any row error; on_error takes only a data error
             if on_error is None:
                 raise
             on_error(index, item, exc)
@@ -285,7 +289,7 @@ def switch_rows(
     for index, item in enumerate(items):
         try:
             value = selector(bind(item) if bind is not None else item)
-        except Exception as exc:
+        except Exception as exc:  # any row error; on_error takes only a data error
             if on_error is None:
                 raise
             on_error(index, item, exc)
@@ -579,7 +583,7 @@ def _join_keys(
     for index, row in enumerate(rows):
         try:
             key = hash_key([fn(bind(row)) for fn in key_fns])
-        except Exception as exc:
+        except Exception as exc:  # any row error; on_error takes only a data error
             if on_error is None:
                 raise
             on_error(index, row, exc)
@@ -644,7 +648,7 @@ def hash_join(
             for pred in residual_preds:
                 if not pred(env):
                     return False
-        except Exception as exc:
+        except Exception as exc:  # any row error; on_error takes only a data error
             if on_error is None:
                 raise
             on_error(None, merge(left_row, right_row), exc)

@@ -93,7 +93,7 @@ class ScalarFunction:
             # transients and injected faults drive the retry and fallback
             # machinery by identity — never wrap them
             raise
-        except Exception as exc:  # surface with function context
+        except Exception as exc:  # whatever impl raises, surfaced with function context
             raise EvaluationError(f"{self.name}{args!r} failed: {exc}") from exc
 
 

@@ -271,7 +271,7 @@ def external_group_aggregate_block(
     partition is gathered into a sub-block and grouped/reduced on its
     own, and groups are reordered by first input index — bit-identical
     to the serial block kernel."""
-    from repro.exec.block import RowBlock, _group_indices
+    from repro.exec.block import RowBlock, _group_indices, fold_groups
     from repro.exec.kernels import key_columns, key_rows
 
     keys = key_rows(
@@ -290,25 +290,20 @@ def external_group_aggregate_block(
                 continue
             sub = block.take(indices)
             local_groups = _group_indices(sub, key_names)
-            value_columns = [
-                values_fn(sub) if values_fn is not None else None
-                for _name, values_fn, _reducer in aggregates
-            ]
-            for members in local_groups:
+            folded = {
+                name: fold_groups(
+                    [] if values_fn is None else values_fn(sub),
+                    local_groups,
+                    reducer,
+                )
+                for name, values_fn, reducer in aggregates
+            }
+            for g, members in enumerate(local_groups):
                 out_row = {
                     k: sub.columns[k][members[0]] for k in key_names
                 }
-                for (name, values_fn, reducer), values in zip(
-                    aggregates, value_columns
-                ):
-                    if values_fn is None and reducer is None:
-                        out_row[name] = len(members)
-                    elif isinstance(reducer, int):  # a FIRST / LAST pick
-                        out_row[name] = values[members[reducer]]
-                    else:
-                        out_row[name] = reducer(
-                            [values[i] for i in members]
-                        )
+                for name, cells in folded.items():
+                    out_row[name] = cells[g]
                 results.append((indices[members[0]], out_row))
     results.sort(key=lambda item: item[0])
     names = list(key_names) + [name for name, _fn, _r in aggregates]

@@ -16,7 +16,15 @@ column ⊕ column form, and requires
   ``on_error="reject"``: accepted bags and reject multisets equal to
   ``compiled=False``;
 * ``key_columns`` partitions a column exactly as ``key_encoder()``
-  does, first-seen order included.
+  does, first-seen order included;
+* the hash kernels, CASE and function calls, which prove their cases
+  for a column too: grouped SUM / COUNT / AVG / MIN / MAX (plain and
+  DISTINCT, with and without NULLs) and joins of every kind on one key
+  and on two give the oracle's rows, in its order and classes, over
+  duplicate-rich keys (``1`` / ``1.0`` / ``True``, ``-0.0``, ``2**53``,
+  NaN, a date and its text); a CASE over a wide block agrees with the
+  oracle; a raising function column raises the class the
+  ``ScalarFunction`` wrapper raises and reruns on rows once.
 
 It also pins the big-integer key fix (``2**53`` apart from ``2**53 + 1``
 on every tier, as sqlite has it) and ``Dataset.columns`` over ragged
@@ -33,7 +41,7 @@ from hypothesis import strategies as st
 from repro.compile import compile_job
 from repro.data import Dataset, Instance
 from repro.deploy import plan_pushdown
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, SchemaError, TransientError
 from repro.etl.engine import EtlEngine
 from repro.etl.model import Job
 from repro.etl.stages import (
@@ -46,11 +54,20 @@ from repro.etl.stages import (
     TableTarget,
     Transformer,
 )
-from repro.exec import compile_block
-from repro.exec.block import RowBlock, relation_resolver
+from repro.exec import ExpressionPlanner, compile_block, ops
+from repro.exec import block as block_module
+from repro.exec.block import (
+    Fold,
+    RowBlock,
+    group_aggregate_block,
+    hash_join_block,
+    relation_resolver,
+)
 from repro.exec.compile_block import compile_block_expr, compile_block_predicate
-from repro.exec.kernels import key_columns, key_encoder
+from repro.exec.kernels import group_aggregate_rows, key_columns, key_encoder
+from repro.exec.ops import FALLBACK_COUNTER
 from repro.expr.ast import (
+    AggregateCall,
     Between,
     BinaryOp,
     ColumnRef,
@@ -60,8 +77,12 @@ from repro.expr.ast import (
     UnaryOp,
 )
 from repro.expr.evaluator import evaluate
+from repro.expr.functions import DEFAULT_REGISTRY, ScalarFunction
+from repro.expr.parser import parse
 from repro.mapping import MappingExecutor, ohm_to_mappings
+from repro.obs import Observability
 from repro.ohm import OhmExecutor
+from repro.ohm.operators import Join as OhmJoin
 from repro.resilience import format_row
 from repro.schema.model import relation
 from repro.schema.types import ANY
@@ -75,7 +96,7 @@ COMMON = dict(
 
 INTS = st.integers(-3, 3) | st.sampled_from([0, 2**53, 2**53 + 1, -(10**30)])
 FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.5, 3.0, 1e308, float("nan"), float("inf")])
-STRS = st.sampled_from(["", "a", "ab", "b%", "1", "A"])
+STRS = st.sampled_from(["", "a", "ab", "b%", "1", "A", "2008-01-07"])
 DATES = st.sampled_from([datetime.date(2008, 1, 7), datetime.date(2008, 4, 12)])
 STAMPS = st.sampled_from(
     [datetime.datetime(2008, 1, 7), datetime.datetime(2008, 1, 7, 12, 30)]
@@ -218,6 +239,25 @@ def test_like_literal_pattern(negated, pair, pattern, monkeypatch):
     check_three_readings(Like(A, Literal(pattern), negated), *pair, monkeypatch)
 
 
+PATTERNS = st.sampled_from(["a%", "_", "%", "b\\%", "", "a_b", "\\", "%\\_"])
+
+
+@st.composite
+def like_pairs(draw):
+    """Operands and patterns, each NULL or a non-string now and then."""
+    size = draw(st.integers(0, 6))
+    operands = st.lists(nullable(STRS | INTS), min_size=size, max_size=size)
+    patterns = st.lists(nullable(PATTERNS | INTS), min_size=size, max_size=size)
+    return draw(operands), draw(patterns)
+
+
+@pytest.mark.parametrize("negated", [False, True])
+@settings(max_examples=80, **COMMON)
+@given(pair=like_pairs())
+def test_like_column_pattern(negated, pair, monkeypatch):
+    check_three_readings(Like(A, B, negated), *pair, monkeypatch)
+
+
 @pytest.mark.parametrize("op", ["=", "<", "AND", "OR"])
 @settings(max_examples=60, **COMMON)
 @given(pair=column_pairs())
@@ -269,6 +309,8 @@ PROGRAMS = [
     ("a", "a BETWEEN 0 AND 2"),
     ("a", "NOT (a IN (1, 2.5, 3))"),
     ("b", "a LIKE 'a%'"),
+    ("CASE WHEN b = 0 THEN a ELSE a / b END", "v <> 0"),
+    ("ABS(a) + b", "v > 0"),
 ]
 
 
@@ -467,3 +509,287 @@ def test_dataset_columns_reads_ragged_rows_as_null():
     assert Dataset.adopt(rel, []).columns() == [[], []]
     # ... and block-backed data agrees
     assert Dataset(rel, full).with_relation(rel).columns() == expected
+
+
+# -- the hash kernels, CASE and function calls ---------------------------------
+
+NAN = float("nan")
+#: key cells rich in near-misses: ``1`` / ``1.0`` / ``True``, ``0`` /
+#: ``-0.0``, ``2**53`` and its neighbour, a date, its text and the
+#: datetime of its midnight, and one NaN object (its own key, by identity)
+KEY_CELLS = st.sampled_from(
+    [
+        0, 1, 1.0, True, -0.0, BIG, BIG + 1, NAN, "1", "2008-01-07",
+        datetime.date(2008, 1, 7), datetime.date(2008, 4, 12),
+        datetime.datetime(2008, 1, 7),
+    ]
+)
+#: aggregate arguments whose folds tell order, sign and class apart
+FOLD_CELLS = st.sampled_from([0, 1, BIG, BIG + 1, -0.0, 0.0, 0.1, 1e16, -1e16, NAN, 2.5])
+FOLDS = ["SUM", "COUNT", "AVG", "MIN", "MAX"]
+GROUPED = ["id", "k1", "k2", "v"]
+
+
+def typed(rows, names):
+    return [shown([row[n] for n in names]) for row in rows]
+
+
+@st.composite
+def grouped_rows(draw):
+    """A few rows over duplicate-rich keys; the folded column holds a
+    NULL in some examples and none in others."""
+    values = nullable(FOLD_CELLS) if draw(st.booleans()) else FOLD_CELLS
+    return [
+        {"id": i, "k1": draw(nullable(KEY_CELLS)), "k2": draw(nullable(KEY_CELLS)), "v": draw(values)}
+        for i in range(draw(st.integers(0, 12)))
+    ]
+
+
+@settings(max_examples=200, **COMMON)
+@given(rows=grouped_rows(), keys=st.sampled_from([["k1"], ["k1", "k2"], ["k2", "k1"]]))
+def test_group_folds_equal_the_oracle(rows, keys):
+    aggs = [
+        (f"{func}{distinct}", AggregateCall(func, ColumnRef("v"), distinct))
+        for func in FOLDS
+        for distinct in (False, True)
+    ]
+    names = [*keys, *(name for name, _agg in aggs)]
+    compiled = ExpressionPlanner(compiled=True)
+    resolve = relation_resolver(None, GROUPED)
+    lowered = [(name, *compiled.block_aggregate(agg, resolve)) for name, agg in aggs]
+    got = group_aggregate_block(RowBlock.from_rows(GROUPED, rows), keys, lowered)
+    oracle = ExpressionPlanner(compiled=False)
+    expected = group_aggregate_rows(
+        rows, keys, [(name, oracle.aggregate(agg)) for name, agg in aggs]
+    )
+    assert typed(got.to_rows(names), names) == typed(expected, names)
+
+
+def test_a_null_free_fold_builds_no_value_list_a_group():
+    calls = []
+
+    def counting(values):
+        calls.append(list(values))
+        return sum(v for v in values if v is not None)
+
+    blk = RowBlock({"k": [1, 2, 1, 2, 3], "v": [1.5, 2, -0.0, 4, 5]}, 5)
+    fold = Fold("SUM", counting)
+    out = group_aggregate_block(blk, ["k"], [("s", lambda b: b.columns["v"], fold)])
+    assert out.columns["s"] == [1.5, 6, 5] and calls == []
+    with_null = RowBlock({"k": [1, 2, 1], "v": [1, None, 2]}, 3)
+    out = group_aggregate_block(with_null, ["k"], [("s", lambda b: b.columns["v"], fold)])
+    assert out.columns["s"] == [3, 0] and calls == [[1, 2], [None]]
+    lowering = ExpressionPlanner(compiled=True).block_aggregate(
+        AggregateCall("SUM", ColumnRef("v")), relation_resolver(None, ["v"])
+    )
+    assert isinstance(lowering[1], Fold) and lowering[1].func == "SUM"
+
+
+def test_a_date_column_is_its_own_key_column():
+    dates = [datetime.date(2008, 1, 7), None, datetime.date(2008, 1, 7)]
+    assert key_columns([dates])[0] is dates
+    stamps = [datetime.datetime(2008, 1, 7)]
+    assert key_columns([stamps])[0] == [("datetime", "2008-01-07 00:00:00")]
+
+
+JL = relation("L", ("id", "INTEGER", False), ("k1", ANY), ("k2", ANY))
+JR = relation("R", ("rid", "INTEGER", False), ("k1", ANY), ("k2", ANY))
+JOIN_PLAN = [(a.name, side, source) for a, side, source in OhmJoin.joined_attributes(JL, JR)]
+JOIN_NAMES = [name for name, _side, _source in JOIN_PLAN]
+
+
+@st.composite
+def join_sides(draw):
+    def side(id_name):
+        return [
+            {id_name: i, "k1": draw(nullable(KEY_CELLS)), "k2": draw(nullable(KEY_CELLS))}
+            for i in range(draw(st.integers(0, 8)))
+        ]
+
+    return side("id"), side("rid")
+
+
+def block_join(left_rows, right_rows, condition, kind):
+    return hash_join_block(
+        RowBlock.from_rows(JL.attribute_names, left_rows),
+        RowBlock.from_rows(JR.attribute_names, right_rows),
+        JL, JR, parse(condition), kind, JOIN_PLAN, ExpressionPlanner(compiled=True),
+    )
+
+
+@pytest.mark.parametrize("kind", ["inner", "left", "right", "full"])
+@pytest.mark.parametrize("condition", ["L.k1 = R.k1", "L.k1 = R.k1 AND L.k2 = R.k2"])
+@settings(max_examples=100, **COMMON)
+@given(sides=join_sides())
+def test_join_emits_what_the_oracle_emits(kind, condition, sides):
+    left_rows, right_rows = sides
+    got = block_join(left_rows, right_rows, condition, kind)
+    assert got is not None, "the block join declined"
+    (out,) = OhmJoin(condition, kind).output_relations([JL, JR], ["J"])
+    expected = ops.join(
+        Dataset.adopt(JL, left_rows), Dataset.adopt(JR, right_rows), parse(condition),
+        kind, JOIN_PLAN, out, ExpressionPlanner(compiled=False), None,
+    ).rows
+    # the same rows in the same order: matches in probe order, left
+    # paddings inline, right paddings last
+    assert typed(got.to_rows(JOIN_NAMES), JOIN_NAMES) == typed(expected, JOIN_NAMES)
+
+
+def test_a_single_key_join_builds_no_tuple(monkeypatch):
+    zipped = []
+
+    def spying_zip(*cols):
+        zipped.append(len(cols))
+        return zip(*cols)
+
+    monkeypatch.setattr(block_module, "zip", spying_zip, raising=False)
+    rows = [{"id": 0, "k1": 1, "k2": None}, {"id": 1, "k1": None, "k2": None}]
+    right = [{"rid": 0, "k1": 1.0, "k2": None}, {"rid": 1, "k1": None, "k2": None}]
+    out = block_join(rows, right, "L.k1 = R.k1", "full")
+    assert out.to_rows(["id", "rid"]) == [
+        {"id": 0, "rid": 0}, {"id": 1, "rid": None}, {"id": None, "rid": 1},
+    ]
+    assert 1 not in zipped  # zip over one key column is what builds 1-tuples
+
+
+GL = relation("GL", ("id", "INTEGER", False), ("k1", ANY))
+GR = relation("GR", ("rid", "INTEGER", False), ("rk1", ANY), ("v", ANY))
+GROUPED_OUT = relation(
+    "Out", ("k1", ANY), ("n", ANY), ("total", ANY), ("low", ANY), ("high", ANY), ("mean", ANY)
+)
+
+
+def join_group_job(kind):
+    """``GL ⟕ GR`` on one key column, then every fold grouped by it."""
+    job = Job("hash kernels")
+    left, right = job.add(TableSource(GL)), job.add(TableSource(GR))
+    join = job.add(JoinStage(keys=[("k1", "rk1")], join_type=kind, name="Join"))
+    folds = [("n", "count", "v"), ("total", "sum", "v"), ("low", "min", "v")]
+    folds += [("high", "max", "v"), ("mean", "avg", "v")]
+    group = job.add(AggregatorStage(["k1"], folds, name="Fold"))
+    job.link(left, join, name="l")
+    job.link(right, join, name="r", dst_port=1)
+    job.link(join, group, name="joined")
+    job.link(group, job.add(TableTarget(GROUPED_OUT)), name="out")
+    return job
+
+
+# the mapping runtime is left out: its oracle evaluates the join's
+# WHERE per pair, which raises on keys no comparison relates (``0`` and
+# ``'1'``), where its compiled tier finds no match
+@pytest.mark.parametrize("runtime", ["etl", "ohm"])
+@pytest.mark.parametrize("kind", ["inner", "left"])
+@settings(max_examples=15, **COMMON)
+@given(sides=join_sides(), values=st.lists(nullable(FOLD_CELLS), min_size=8, max_size=8))
+def test_runtimes_join_and_fold_as_the_oracle_does(runtime, kind, sides, values):
+    left_rows = [{"id": r["id"], "k1": r["k1"]} for r in sides[0]]
+    right_rows = [{"rid": r["rid"], "rk1": r["k1"], "v": v} for r, v in zip(sides[1], values)]
+    instance = Instance([Dataset.adopt(GL, left_rows), Dataset.adopt(GR, right_rows)])
+    job = join_group_job(kind)
+    oracle = accepted_and_rejected(runtime, job, instance, compiled=False)
+    assert accepted_and_rejected(runtime, job, instance, compiled=True) == oracle
+
+
+WIDE = ["a", "b", "c", "d", "e", "f"]
+WIDE_RESOLVE = relation_resolver(None, WIDE)
+#: CASEs reading two columns of six; in the first, the second WHEN would
+#: divide by zero on the rows the first WHEN took
+WIDE_CASES = [
+    "CASE WHEN b = 0 THEN 'zero' WHEN a / b > 1 THEN 'big' ELSE 'small' END",
+    "CASE WHEN a IS NULL THEN b WHEN a > b THEN a - b END",
+]
+
+
+@pytest.mark.parametrize("text", WIDE_CASES)
+@settings(max_examples=100, **COMMON)
+@given(pair=column_pairs(), other=columns(6))
+def test_case_over_a_wide_block(text, pair, other):
+    ls, rs = pair
+    cols = {"a": ls, "b": rs}
+    cols.update({name: (other * 2)[: len(ls)] for name in WIDE[2:]})
+    expr = parse(text)
+    fn = compile_block_expr(expr, None, WIDE_RESOLVE)
+    swept = outcome(lambda: fn(RowBlock(cols, len(ls))))
+    rows = [dict(zip(cols, cells)) for cells in zip(*cols.values())]
+    values, failing, error = oracle_rows(expr, rows)
+    if failing is None:
+        assert swept == ("ok", shown(values))
+    else:
+        assert swept[:2] == ("raised", type(error))
+
+
+class CountingList(list):
+    reads = 0
+
+    def __getitem__(self, index):
+        CountingList.reads += 1
+        return super().__getitem__(index)
+
+
+def test_case_gathers_only_the_columns_it_reads():
+    unread = CountingList(["x", "y", "z"])
+    blk = RowBlock({"a": [1, 5, None], "b": [0, 2, 3], "c": unread}, 3)
+    fn = compile_block_expr(parse(WIDE_CASES[0]), None, relation_resolver(None, ["a", "b", "c"]))
+    CountingList.reads = 0
+    assert fn(blk) == ["zero", "big", "small"]
+    assert CountingList.reads == 0
+
+
+class Flaky:
+    """An impl that raises ``error`` on its first call, then echoes."""
+
+    def __init__(self, error):
+        self.error = error
+        self.calls = 0
+
+    def __call__(self, value):
+        self.calls += 1
+        if self.calls == 1:
+            raise self.error
+        return value
+
+
+FUNCTION_ERRORS = [ValueError("bad cell"), TransientError("flaky"), SchemaError("static")]
+
+
+@pytest.mark.parametrize("error", FUNCTION_ERRORS, ids=lambda e: type(e).__name__)
+def test_a_raising_function_column_raises_what_the_wrapper_raises(error):
+    registry = DEFAULT_REGISTRY.child()
+    function = registry.register(ScalarFunction("BOOM", Flaky(error), ANY, 1))
+    with pytest.raises(Exception) as per_cell:
+        function(1)
+    function.impl = Flaky(error)
+    fn = compile_block_expr(parse("BOOM(a)"), registry, RESOLVE)
+    with pytest.raises(Exception) as per_column:
+        fn(RowBlock({"a": [1, None, 2]}, 3))
+    assert type(per_column.value) is type(per_cell.value)
+    if isinstance(per_cell.value, EvaluationError):
+        assert per_column.value.__cause__ is error
+    else:  # an infrastructure error propagates as it stands
+        assert per_column.value is error
+
+
+@pytest.mark.parametrize("error", FUNCTION_ERRORS, ids=lambda e: type(e).__name__)
+def test_a_raising_function_column_reruns_on_rows_once(error):
+    """The operator's rerun sees the class the wrapper raised — a
+    static error inside a function is a data error, not a plan defect —
+    reruns its row body, and books one ``columnar_to_rows``."""
+    registry = DEFAULT_REGISTRY.child()
+    registry.register(ScalarFunction("BOOM", Flaky(error), ANY, 1))
+    source = relation("S", ("id", "INTEGER", False), ("a", ANY))
+    out = relation("Out", ("id", "INTEGER", False), ("v", ANY))
+    data = Dataset(source, [{"id": i, "a": i * 2} for i in range(4)])
+    obs = Observability(stats=True)
+    derived = ops.derive(
+        data, [("id", parse("id")), ("v", parse("BOOM(a)"))], out,
+        ExpressionPlanner(registry, compiled=True), obs,
+    )
+    assert derived.rows == [{"id": i, "v": i * 2} for i in range(4)]
+    assert obs.metrics.snapshot()["counters"][FALLBACK_COUNTER] == 1
+
+
+def test_a_zero_argument_function_fills_its_column():
+    registry = DEFAULT_REGISTRY.child()
+    registry.register(ScalarFunction("SEVEN", lambda: 7, ANY, 0))
+    fn = compile_block_expr(parse("SEVEN()"), registry, RESOLVE)
+    assert fn(RowBlock({"a": [1, 2, 3]}, 3)) == [7, 7, 7]

@@ -41,13 +41,13 @@ from repro.obs import Observability
 
 
 def _read(path: str) -> str:
-    with open(path, "r") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
 
 
 def _write(text: str, path: Optional[str]) -> None:
     if path:
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

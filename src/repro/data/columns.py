@@ -6,7 +6,8 @@ load/fetch) judge, parse and format a whole column in one pass instead
 of dispatching on dtype per cell. A column is a list of Python values,
 ``None`` = NULL. No function here reports a defect: it returns ``None``
 and its caller re-runs the row-wise code (``Dataset.append``,
-``csvio._parse_rows``), which raises for the first defect in row order.
+``csvio._parse_rows``), which raises for the first defect in row order,
+or, for a cell the CSV writer must quote, ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ import datetime
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.schema.types import (
+    ANY,
     BOOLEAN,
     DATE,
     DECIMAL,
     FLOAT,
     INTEGER,
+    STRING,
     TIMESTAMP,
     VALUE_CLASSES,
     DataType,
@@ -105,6 +108,27 @@ def parse_column(dtype: DataType, cells: Sequence[str]) -> Optional[Column]:
         return None
 
 
+#: dtypes whose parsed cells are legal as they stand: each PARSERS entry
+#: returns its dtype's own class, and STRING/ANY keep the ``str``
+_TYPED_BY_PARSE = frozenset(PARSERS).union((STRING, ANY))
+
+
+def parsed_column(
+    dtype: DataType, nullable: bool, cells: Sequence[str]
+) -> Optional[Column]:
+    """:func:`parse_column` then :func:`checked_column`, without the
+    class sweep where parsing proves it: for a PARSERS dtype or
+    STRING/ANY only NULL in a non-nullable column is left to test.
+    ``None`` on any defect; any other dtype is swept (and given up on
+    when ``VALUE_CLASSES`` does not know it)."""
+    col = parse_column(dtype, cells)
+    if col is None:
+        return None
+    if dtype in _TYPED_BY_PARSE:
+        return None if not nullable and None in col else col
+    return checked_column(dtype, nullable, col)
+
+
 def format_cell(value: object) -> str:
     if value is None:
         return ""
@@ -133,6 +157,36 @@ def format_column(col: Column) -> Column:
     if types <= {datetime.date, datetime.datetime}:
         return ["" if v is None else v.isoformat() for v in col]
     return [format_cell(v) for v in col]
+
+
+#: characters ``csv.writer`` quotes a cell for (NUL: the csv module's
+#: handling of it differs across Python versions)
+_QUOTED = (",", '"', "\r", "\n", "\0")
+
+
+def text_column(col: Column) -> Optional[Iterable[str]]:
+    """The strings ``csv.writer`` writes for the cells of
+    ``format_column(col)`` when it quotes none of them: NULL as "", a
+    float through ``repr``, anything else through ``str``. ``None`` when
+    a cell holds a character the writer quotes, found by one scan of
+    the column's joined text. A column of numbers, never quoted, is
+    rendered lazily as the caller iterates it, so a caller that meets a
+    ``None`` in a later column has rendered no number."""
+    types = column_classes(col)
+    if types <= NUMBERS:  # an exact int's repr is its str
+        if None in col:
+            return ("" if v is None else repr(v) for v in col)
+        return map(repr, col)
+    if types <= TEXT:
+        text = ["" if v is None else v for v in col] if None in col else col
+    elif types <= _PLAIN:  # text mixed with numbers: as the writer renders each
+        text = [format_cell(v) for v in col]
+    else:  # BOOLEAN, DATE/TIMESTAMP, subclasses: already text, NULL as ""
+        text = format_column(col)
+    joined = "".join(text)
+    if any(c in joined for c in _QUOTED):
+        return None
+    return text
 
 
 def to_sql_column(col: Column) -> Column:
@@ -166,8 +220,10 @@ __all__ = [
     "column_classes",
     "checked_column",
     "parse_column",
+    "parsed_column",
     "format_cell",
     "format_column",
+    "text_column",
     "to_sql_column",
     "from_sql_column",
 ]

@@ -198,7 +198,7 @@ class Transformer(Stage):
             try:
                 for name, fn in var_fns:
                     anon[name] = fn(env)
-            except Exception as exc:
+            except Exception as exc:  # any row error; errors.record takes only a data error
                 if not handling:
                     raise
                 errors.record(index, row, exc)

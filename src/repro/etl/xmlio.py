@@ -174,12 +174,12 @@ def _normalize_config(config):
 
 
 def write_job(job: Job, path: str) -> None:
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(job_to_xml(job))
 
 
 def read_job(path: str) -> Job:
-    with open(path, "r") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         return job_from_xml(handle.read())
 
 

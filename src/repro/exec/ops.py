@@ -77,7 +77,7 @@ def columnar_or_rows(
         result = columnar()
     except _NEVER_RERUN:
         raise
-    except Exception as exc:
+    except Exception as exc:  # any columnar failure; the row body words or absorbs it
         taken = 0 if errors is None else errors.recorded
         result = rows()
         clean = errors is None or errors.recorded == taken

@@ -383,7 +383,7 @@ class CrashingTarget(TableTarget):
                     data, trusted=trusted, errors=errors
                 )
                 text = dataset_to_csv_text(result)
-                with open(path, "w", newline="") as handle:
+                with open(path, "w", newline="", encoding="utf-8") as handle:
                     handle.write(text[: max(1, len(text) // 2)])
             raise InjectedCrash("injected crash mid target write (torn file)")
         result = self._inner.load(data, trusted=trusted, errors=errors)

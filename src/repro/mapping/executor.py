@@ -188,7 +188,7 @@ class MappingExecutor(OhmExecutor):
             try:
                 if evaluate_predicate(mapping.where, env, registry):
                     satisfying.append(env)
-            except Exception as exc:
+            except Exception as exc:  # any row error; absorb takes only a data error
                 if absorb is None:
                     raise
                 absorb(index, env, exc)

@@ -121,12 +121,12 @@ def mappings_from_json(text: str) -> MappingSet:
 
 
 def write_mappings(mappings: MappingSet, path: str) -> None:
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(mappings_to_json(mappings))
 
 
 def read_mappings(path: str) -> MappingSet:
-    with open(path, "r") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         return mappings_from_json(handle.read())
 
 

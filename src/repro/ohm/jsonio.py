@@ -230,12 +230,12 @@ def graph_from_json(text: str) -> OhmGraph:
 
 
 def write_graph(graph: OhmGraph, path: str) -> None:
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(graph_to_json(graph))
 
 
 def read_graph(path: str) -> OhmGraph:
-    with open(path, "r") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         return graph_from_json(handle.read())
 
 

@@ -176,7 +176,7 @@ class CheckpointStore:
         record = {"checksum": _checksum(body), "payload": payload}
         path = os.path.join(job_dir, self._stage_file(stage_uid))
         tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
+        with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(record, handle)
             handle.flush()
             os.fsync(handle.fileno())
@@ -200,7 +200,7 @@ class CheckpointStore:
                 continue
             path = os.path.join(job_dir, entry)
             try:
-                with open(path, "r") as handle:
+                with open(path, "r", encoding="utf-8") as handle:
                     record = json.load(handle)
                 payload = record["payload"]
                 body = json.dumps(payload, sort_keys=True)

@@ -127,7 +127,7 @@ class CircuitBreaker:
             result = fn()
         except BreakerOpen:
             raise
-        except Exception:
+        except Exception:  # any endpoint failure counts, then propagates
             self._record_failure(key, obs)
             raise
         else:

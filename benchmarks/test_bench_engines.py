@@ -13,10 +13,8 @@ import pytest
 
 from repro.compile import compile_job
 from repro.deploy import plan_pushdown
-from repro.etl import run_job
 from repro.etl.engine import EtlEngine
-from repro.mapping import execute_mappings, ohm_to_mappings
-from repro.ohm import execute
+from repro.mapping import MappingExecutor, ohm_to_mappings
 from repro.ohm.engine import OhmExecutor
 from repro.workloads import (
     build_example_job,
@@ -34,7 +32,7 @@ SIZES = [100, 300]
 def test_bench_engine_etl(benchmark, n_customers):
     job = build_example_job()
     instance = generate_instance(n_customers)
-    benchmark(run_job, job, instance)
+    benchmark(EtlEngine().execute, job, instance)
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
@@ -57,14 +55,14 @@ def test_bench_engine_ohm_kitchen_sink(benchmark, compiled):
 def test_bench_engine_ohm(benchmark, n_customers):
     graph = compile_job(build_example_job())
     instance = generate_instance(n_customers)
-    benchmark(execute, graph, instance)
+    benchmark(OhmExecutor().execute, graph, instance)
 
 
 @pytest.mark.parametrize("n_customers", [100])
 def test_bench_engine_mappings(benchmark, n_customers):
     mappings = ohm_to_mappings(compile_job(build_example_job()))
     instance = generate_instance(n_customers)
-    benchmark(execute_mappings, mappings, instance)
+    benchmark(MappingExecutor().execute, mappings, instance)
 
 
 @pytest.mark.parametrize("n_customers", SIZES)
@@ -86,13 +84,13 @@ def test_bench_engine_report(benchmark):
             n_input = sum(len(d) for d in instance)
             timings = {}
             started = time.perf_counter()
-            baseline = run_job(job, instance)
+            baseline = EtlEngine().execute(job, instance)
             timings["ETL engine"] = time.perf_counter() - started
             started = time.perf_counter()
-            ohm_result = execute(graph, instance)
+            ohm_result = OhmExecutor().execute(graph, instance)
             timings["OHM engine"] = time.perf_counter() - started
             started = time.perf_counter()
-            mapping_result = execute_mappings(mappings, instance)
+            mapping_result = MappingExecutor().execute(mappings, instance)
             timings["mapping exec"] = time.perf_counter() - started
             started = time.perf_counter()
             hybrid_result = hybrid.execute(instance)

@@ -10,7 +10,7 @@ with GROUP). The benchmark times planning + job construction.
 
 from repro.compile import compile_job
 from repro.deploy import deploy_to_job
-from repro.etl import run_job
+from repro.etl import EtlEngine
 from repro.workloads import build_example_job, generate_instance
 
 from _artifacts import record
@@ -35,8 +35,8 @@ def test_bench_fig10_deploy(benchmark):
     assert merged and merged[0].chosen.name == "Filter"
 
     instance = generate_instance(100)
-    assert run_job(job, instance).same_bags(
-        run_job(build_example_job(), instance)
+    assert EtlEngine().execute(job, instance).same_bags(
+        EtlEngine().execute(build_example_job(), instance)
     )
 
     lines = ["Figure 10 — deployment planning:", ""]

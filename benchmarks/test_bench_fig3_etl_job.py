@@ -22,17 +22,17 @@ def test_bench_fig3_run_example_job(benchmark):
     def run():
         return engine.run(job, instance)
 
-    targets, links = benchmark(run)
+    targets, _rejected, links, _edges = benchmark(run)
 
     big = targets.dataset("BigCustomers")
     other = targets.dataset("OtherCustomers")
-    assert len(big) + len(other) == len(links["DSLink10"])
+    assert len(big) + len(other) == links["DSLink10"]
     assert all(r["totalBalance"] > 100000 for r in big)
 
     lines = [f"Figure 3 job on {N_CUSTOMERS} synthetic customers:"]
     lines.append(f"  stages: {[s.name for s in job.topological_order()]}")
     for name in sorted(links, key=lambda n: int(n.replace("DSLink", ""))):
-        lines.append(f"  {name:<9} {len(links[name]):>6} rows")
+        lines.append(f"  {name:<9} {links[name]:>6} rows")
     lines.append(f"  BigCustomers:   {len(big):>6} rows")
     lines.append(f"  OtherCustomers: {len(other):>6} rows")
     record("FIG3", "\n".join(lines))

@@ -11,8 +11,8 @@ compute the same instance as the job.
 """
 
 from repro.compile import compile_job
-from repro.etl import run_job
-from repro.mapping import execute_mappings, ohm_to_mappings
+from repro.etl import EtlEngine
+from repro.mapping import MappingExecutor, ohm_to_mappings
 from repro.workloads import build_example_job, generate_instance
 
 from _artifacts import record
@@ -30,8 +30,8 @@ def test_bench_fig8_extract_mappings(benchmark):
     assert dict(m1.derivations)["totalBalance"].to_sql() == "SUM(a.balance)"
 
     instance = generate_instance(120)
-    assert execute_mappings(mappings, instance).same_bags(
-        run_job(build_example_job(), instance)
+    assert MappingExecutor().execute(mappings, instance).same_bags(
+        EtlEngine().execute(build_example_job(), instance)
     )
 
     lines = ["Figures 7/8 — extracted mappings (query notation):", ""]

@@ -10,10 +10,10 @@ pipeline.
 """
 
 from repro.compile import compile_job
-from repro.etl import run_job
+from repro.etl import EtlEngine
 from repro.mapping import MappingSet, ohm_to_mappings
 from repro.mapping.to_ohm import mappings_to_ohm
-from repro.ohm import execute
+from repro.ohm import OhmExecutor
 from repro.workloads import build_example_job, generate_instance
 
 from _artifacts import record
@@ -31,8 +31,8 @@ def test_bench_fig9_mappings_to_ohm(benchmark):
 
     assert sorted(shape(backward)) == sorted(shape(forward))
     instance = generate_instance(100)
-    assert execute(backward, instance).same_bags(
-        run_job(build_example_job(), instance)
+    assert OhmExecutor().execute(backward, instance).same_bags(
+        EtlEngine().execute(build_example_job(), instance)
     )
 
     # M2 alone prunes the template down to FILTER -> BASIC PROJECT

@@ -7,11 +7,11 @@ coverage plus the per-path equivalence checks.
 
 from repro.compile import compile_job
 from repro.deploy import deploy_to_job
-from repro.etl import run_job
-from repro.mapping import execute_mappings, ohm_to_mappings
+from repro.etl import EtlEngine
+from repro.mapping import MappingExecutor, ohm_to_mappings
 from repro.mapping.to_ohm import mappings_to_ohm
 from repro.obs import Observability
-from repro.ohm import execute
+from repro.ohm import OhmExecutor
 from repro.workloads import (
     build_kitchen_sink_job,
     generate_kitchen_sink_instance,
@@ -33,11 +33,11 @@ def test_bench_sink_full_translation_chain(benchmark):
     job, graph, mappings, back, redeployed = benchmark(full_chain)
 
     instance = generate_kitchen_sink_instance(150)
-    baseline = run_job(job, instance)
-    assert execute(graph, instance).same_bags(baseline)
-    assert execute_mappings(mappings, instance).same_bags(baseline)
-    assert execute(back, instance).same_bags(baseline)
-    assert run_job(redeployed, instance).same_bags(baseline)
+    baseline = EtlEngine().execute(job, instance)
+    assert OhmExecutor().execute(graph, instance).same_bags(baseline)
+    assert MappingExecutor().execute(mappings, instance).same_bags(baseline)
+    assert OhmExecutor().execute(back, instance).same_bags(baseline)
+    assert EtlEngine().execute(redeployed, instance).same_bags(baseline)
 
     stage_types = sorted({s.STAGE_TYPE for s in job.stages})
     operator_kinds = sorted(
@@ -64,6 +64,6 @@ def test_bench_sink_full_translation_chain(benchmark):
     # placement, and per-operator/per-link row counts on the 150-order run
     obs = Observability(stats=True)
     _job, igraph, *_rest = full_chain(obs=obs)
-    execute(igraph, instance, obs=obs)
-    run_job(job, instance, obs=obs)
+    OhmExecutor(obs=obs).execute(igraph, instance)
+    EtlEngine(obs=obs).execute(job, instance)
     record_metrics("SINK", obs.metrics)

@@ -22,7 +22,7 @@ from repro.etl import (
     Transformer,
 )
 from repro.etl.stages.transform import OutputLink
-from repro.ohm import execute, execute_with_edges
+from repro.ohm import OhmExecutor
 from repro.rewrite import optimize
 from repro.schema import relation
 from repro.workloads import generate_chain_instance
@@ -76,16 +76,15 @@ def build_late_filter_job() -> Job:
 def project_input_rows(graph, instance):
     """Rows flowing into the PROJECT operator — the work the expensive
     derivations actually perform."""
-    _targets, edges = execute_with_edges(graph, instance)
     (project,) = graph.operators_of_kind("PROJECT")
     (in_edge,) = graph.in_edges(project.uid)
-    return len(edges[in_edge.name])
+    return OhmExecutor().run(graph, instance).rows[in_edge.name]
 
 
 def test_bench_opt_unoptimized_execution(benchmark):
     graph = compile_job(build_late_filter_job())
     instance = generate_chain_instance(N_ROWS)
-    result = benchmark(execute, graph, instance)
+    result = benchmark(OhmExecutor().execute, graph, instance)
     assert "Out" in result.names
 
 
@@ -93,7 +92,7 @@ def test_bench_opt_optimized_execution(benchmark):
     graph = compile_job(build_late_filter_job())
     optimize(graph)
     instance = generate_chain_instance(N_ROWS)
-    result = benchmark(execute, graph, instance)
+    result = benchmark(OhmExecutor().execute, graph, instance)
     assert "Out" in result.names
 
 
@@ -107,10 +106,10 @@ def test_bench_opt_report(benchmark):
         rows_plain = project_input_rows(plain, instance)
         rows_optimized = project_input_rows(optimized, instance)
         started = time.perf_counter()
-        baseline = execute(plain, instance)
+        baseline = OhmExecutor().execute(plain, instance)
         plain_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        improved = execute(optimized, instance)
+        improved = OhmExecutor().execute(optimized, instance)
         optimized_seconds = time.perf_counter() - started
         assert improved.same_bags(baseline)
         kinds_plain = [

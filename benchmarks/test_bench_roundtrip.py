@@ -6,7 +6,7 @@ on data and (b) regenerated mappings are stable (a second round trip is a
 fixpoint).
 """
 
-from repro.etl import run_job
+from repro.etl import EtlEngine
 from repro.fasttrack import Orchid
 from repro.workloads import build_example_job, generate_instance
 
@@ -32,7 +32,9 @@ def test_bench_rt_etl_mappings_etl(benchmark):
     regenerated, mappings = benchmark(orchid.round_trip_etl, job)
 
     instance = generate_instance(80)
-    assert run_job(regenerated, instance).same_bags(run_job(job, instance))
+    assert EtlEngine().execute(regenerated, instance).same_bags(
+        EtlEngine().execute(job, instance)
+    )
 
     lines = [
         "Round trip job -> mappings -> job:",

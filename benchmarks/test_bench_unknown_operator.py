@@ -9,8 +9,8 @@ their boundaries.
 """
 
 from repro.compile import compile_job
-from repro.etl import run_job
-from repro.mapping import execute_mappings, ohm_to_mappings
+from repro.etl import EtlEngine
+from repro.mapping import MappingExecutor, ohm_to_mappings
 from repro.workloads import build_example_job, generate_instance
 
 from _artifacts import record
@@ -30,8 +30,8 @@ def test_bench_unknown_operator_extraction(benchmark):
     assert grouping.target.name == "DSLink10"
 
     instance = generate_instance(80)
-    assert execute_mappings(mappings, instance).same_bags(
-        run_job(build_example_job(custom_after_join=True), instance)
+    assert MappingExecutor().execute(mappings, instance).same_bags(
+        EtlEngine().execute(build_example_job(custom_after_join=True), instance)
     )
 
     lines = [

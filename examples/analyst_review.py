@@ -16,8 +16,8 @@ Run:  python examples/analyst_review.py
 """
 
 from repro import Orchid
-from repro.etl import run_job
-from repro.mapping import execute_mappings
+from repro.etl import EtlEngine
+from repro.mapping import MappingExecutor
 from repro.workloads import build_example_job, generate_instance
 
 
@@ -49,8 +49,8 @@ def main() -> None:
     # because the compiler carried the stage behaviour along, the mapping
     # set is still executable end-to-end for verification
     instance = generate_instance(120)
-    baseline = run_job(job, instance)
-    reviewed = execute_mappings(mappings, instance)
+    baseline = EtlEngine().execute(job, instance)
+    reviewed = MappingExecutor().execute(mappings, instance)
     print(
         "\nsemantics preserved through review:",
         "OK" if reviewed.same_bags(baseline) else "MISMATCH",

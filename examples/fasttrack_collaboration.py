@@ -20,7 +20,7 @@ Run:  python examples/fasttrack_collaboration.py
 
 from repro import Mapping, MappingSet, Orchid, SourceBinding, relation
 from repro.data import Dataset, Instance
-from repro.etl import run_job
+from repro.etl import EtlEngine
 
 
 def main() -> None:
@@ -104,7 +104,7 @@ def main() -> None:
             ]),
         ]
     )
-    result = run_job(skeleton, instance)
+    result = EtlEngine().execute(skeleton, instance)
     print("\n  refined job output:")
     print("  " + result.dataset("Exposure").to_table().replace("\n", "\n  "))
 

@@ -24,13 +24,13 @@ from repro.data import Dataset, Instance
 from repro.etl import (
     CombineRecords,
     CustomStage,
+    EtlEngine,
     Job,
     PromoteSubrecord,
     TableSource,
     TableTarget,
-    run_job,
 )
-from repro.mapping import execute_mappings
+from repro.mapping import MappingExecutor
 from repro.schema import relation
 from repro.schema.model import Attribute, Relation
 from repro.schema.types import FLOAT, INTEGER, RecordType, SetType
@@ -119,7 +119,7 @@ def main() -> None:
     for stage in job.topological_order():
         print(f"  [{stage.STAGE_TYPE}] {stage.name}")
 
-    baseline = run_job(job, instance)
+    baseline = EtlEngine().execute(job, instance)
     print("\nScoredAccounts:")
     print("  " + baseline.dataset("ScoredAccounts").to_table()
           .replace("\n", "\n  "))
@@ -137,7 +137,7 @@ def main() -> None:
         sources = ", ".join(mapping.source_relation_names)
         print(f"  {mapping.name}: {sources} -> {mapping.target.name}{marker}")
 
-    reviewed = execute_mappings(mappings, instance)
+    reviewed = MappingExecutor().execute(mappings, instance)
     print(
         "\nNF² operators reviewed as (executable) empty mappings; "
         "semantics preserved:",

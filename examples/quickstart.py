@@ -30,9 +30,9 @@ import sys
 from repro import Orchid, config
 from repro.etl import EtlEngine
 from repro.errors import RunCancelled
-from repro.mapping import execute_mappings
+from repro.mapping import MappingExecutor
 from repro.obs import Observability
-from repro.ohm import execute
+from repro.ohm import OhmExecutor
 from repro.workloads import build_example_job, generate_instance
 
 
@@ -176,8 +176,8 @@ def _run_demo(args, orchid, obs, out) -> None:
     engine = EtlEngine(obs=obs)
     baseline = engine.execute(job, instance)
     checks = {
-        "OHM engine": execute(graph, instance, obs=obs),
-        "mapping executor": execute_mappings(mappings, instance),
+        "OHM engine": OhmExecutor(obs=obs).execute(graph, instance),
+        "mapping executor": MappingExecutor().execute(mappings, instance),
         "regenerated job": EtlEngine(obs=obs).execute(regenerated, instance),
     }
     print("\n=== Semantic checks (200 customers) ===", file=out)
@@ -194,21 +194,19 @@ def _run_demo(args, orchid, obs, out) -> None:
     if args.explain:
         from repro.cost import (
             CardinalityEstimator,
-            actuals_from_edges,
             actuals_from_metrics,
             catalog_for,
             explain_graph,
         )
-        from repro.ohm import OhmExecutor
 
         catalog = catalog_for(instance)
         estimator = CardinalityEstimator(catalog)
         estimate = estimator.estimate_graph(graph)
         explain_obs = Observability(stats=True)
         explained = OhmExecutor(obs=explain_obs, catalog=catalog)
-        _targets, edge_data = explained.run(graph, instance)
+        rows = explained.run(graph, instance).rows
         actuals = actuals_from_metrics(explain_obs.metrics)
-        actuals.update(actuals_from_edges(edge_data))
+        actuals.update(rows)
         print("\n=== Cost plan (estimated vs actual) ===", file=out)
         print(explain_graph(graph, estimate=estimate, actuals=actuals), file=out)
 
@@ -222,9 +220,7 @@ def _run_demo(args, orchid, obs, out) -> None:
             n=100, seed=7, poison=args.poison or 5
         )
         faulty_engine = EtlEngine(obs=obs, on_error=policy)
-        delivered, _links = faulty_engine.run(
-            build_faulty_job(), faulty_instance
-        )
+        delivered = faulty_engine.execute(build_faulty_job(), faulty_instance)
         run = faulty_engine.last_run
         print(
             f"\n=== Fault-tolerant run (policy={policy}) ===", file=out

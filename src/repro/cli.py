@@ -358,7 +358,6 @@ def _dispatch(args: argparse.Namespace, orchid: Orchid) -> int:
     if args.command == "explain":
         from repro.cost import (
             CardinalityEstimator,
-            actuals_from_edges,
             actuals_from_metrics,
             catalog_for,
             explain_graph,
@@ -375,9 +374,9 @@ def _dispatch(args: argparse.Namespace, orchid: Orchid) -> int:
         estimate = CardinalityEstimator(catalog).estimate_graph(graph)
         run_obs = _Obs(stats=True)
         executor = OhmExecutor(obs=run_obs, catalog=catalog)
-        _targets, edge_data = executor.run(graph, instance)
+        rows = executor.run(graph, instance).rows
         actuals = actuals_from_metrics(run_obs.metrics)
-        actuals.update(actuals_from_edges(edge_data))
+        actuals.update(rows)
         _write(
             explain_graph(graph, estimate=estimate, actuals=actuals), None
         )

@@ -35,11 +35,7 @@ from repro.cost.estimate import (
     GraphEstimate,
     OperatorEstimate,
 )
-from repro.cost.explain import (
-    actuals_from_edges,
-    actuals_from_metrics,
-    explain_graph,
-)
+from repro.cost.explain import actuals_from_metrics, explain_graph
 from repro.cost.model import DEFAULT_MODEL, CostModel
 
 
@@ -52,7 +48,6 @@ __all__ = [
     "OperatorEstimate",
     "StatisticsCatalog",
     "TableStats",
-    "actuals_from_edges",
     "actuals_from_metrics",
     "catalog_for",
     "explain_graph",

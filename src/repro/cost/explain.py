@@ -30,11 +30,6 @@ def actuals_from_metrics(metrics) -> Dict[str, float]:
     return actuals
 
 
-def actuals_from_edges(edge_data) -> Dict[str, float]:
-    """Per-edge actual row counts from an executor's edge datasets."""
-    return {name: float(len(dataset)) for name, dataset in edge_data.items()}
-
-
 def _fmt_rows(value: Optional[float]) -> str:
     if value is None:
         return "-"
@@ -52,8 +47,9 @@ def explain_graph(
     modelled ETL costs for ``graph``.
 
     ``actuals`` maps operator uids and/or edge names to observed row
-    counts (see :func:`actuals_from_metrics` /
-    :func:`actuals_from_edges`); operators without one show ``-``.
+    counts (see :func:`actuals_from_metrics`, or a run's
+    :attr:`~repro.exec.run.RunResult.rows`); operators without one show
+    ``-``.
     """
     model = model or DEFAULT_MODEL
     if estimate is None:
@@ -104,4 +100,4 @@ def explain_graph(
     return "\n".join(out)
 
 
-__all__ = ["actuals_from_edges", "actuals_from_metrics", "explain_graph"]
+__all__ = ["actuals_from_metrics", "explain_graph"]

@@ -52,7 +52,7 @@ from repro.deploy.sql import (
     mappings_to_select,
 )
 from repro.errors import BreakerOpen, DeploymentError
-from repro.etl.engine import run_job
+from repro.etl.engine import EtlEngine
 from repro.etl.model import Job
 from repro.expr.ast import ColumnRef
 from repro.mapping.from_ohm import ohm_to_mappings
@@ -232,7 +232,7 @@ class HybridPlan:
         run: the answer arrives slower, not at all wrong."""
         obs = obs or NULL_OBS
         if not self.statements:
-            return run_job(self.job, instance)
+            return EtlEngine().execute(self.job, instance)
         try:
             runner = SqliteRunner(instance, retry=retry, breaker=breaker)
             try:
@@ -243,7 +243,7 @@ class HybridPlan:
                     enriched.put(
                         runner.query(sql, self.frontier_schemas[name])
                     )
-                return run_job(self.job, enriched)
+                return EtlEngine().execute(self.job, enriched)
             finally:
                 runner.close()
         except BreakerOpen:
@@ -256,7 +256,7 @@ class HybridPlan:
                 name=f"{self.graph.name}_local",
                 obs=obs,
             )
-            return run_job(local_job, instance)
+            return EtlEngine().execute(local_job, instance)
 
     def describe(self) -> str:
         lines = ["hybrid SQL + ETL deployment:"]

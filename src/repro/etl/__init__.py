@@ -6,12 +6,7 @@ runtime engine, and the XML external exchange format Orchid's
 Intermediate layer imports from.
 """
 
-from repro.etl.engine import (
-    EtlEngine,
-    EtlRunStats,
-    run_job,
-    run_job_with_links,
-)
+from repro.etl.engine import EtlEngine, EtlRunStats
 from repro.etl.model import Job, Stage, next_link_name
 from repro.etl.stages import (
     AGG_FUNCTIONS,
@@ -45,8 +40,6 @@ from repro.etl.xmlio import job_from_xml, job_to_xml, read_job, write_job
 __all__ = [
     "EtlEngine",
     "EtlRunStats",
-    "run_job",
-    "run_job_with_links",
     "Job",
     "Stage",
     "next_link_name",

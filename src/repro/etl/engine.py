@@ -27,19 +27,31 @@ obs, errors)``. What is the ETL runtime's own lives here
   stage, so an interrupted run resumes from the last good frontier;
 * the reject channel: rows rejected under a stage's row policy flow onto
   its dedicated reject link when one is declared
-  (:meth:`Job.reject_link`), otherwise into :attr:`EtlRunStats.rejected`.
+  (:meth:`Job.reject_link`), otherwise into :attr:`EtlRunStats.rejected`
+  and the run result's reject dataset.
+
+:meth:`EtlEngine.run` returns a :class:`~repro.exec.run.RunResult`. A
+run lets go of a link's dataset once the link's one consumer has taken
+it, unless the link is named in ``keep``; the checkpoint of a stage is
+written when the stage is booked, so a resumable run holds nothing
+longer.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from repro.data.dataset import Dataset, Instance
 from repro.errors import ExecutionError
 from repro.etl.model import Job
 from repro.etl.stages.access import TableSource, TableTarget
-from repro.exec.run import Runtime, run_nodes, start_run
+from repro.exec.run import (
+    RunResult,
+    Runtime,
+    check_keep,
+    run_nodes,
+    start_run,
+)
 from repro.obs import Observability
 from repro.resilience import ErrorContext, RejectedRow, rejects_dataset
 
@@ -110,22 +122,6 @@ class EtlEngine(Runtime):
         #: statistics of the most recently *completed* run.
         self.last_run: EtlRunStats = EtlRunStats()
 
-    @property
-    def link_counts(self) -> Dict[str, int]:
-        """Deprecated: per-link row counts of the most recent run.
-
-        Use :attr:`last_run` (an :class:`EtlRunStats`) or the metrics
-        registry (``etl.link.<name>.rows``) instead; this shim returns a
-        copy, so mutating it no longer corrupts engine state."""
-        warnings.warn(
-            "EtlEngine.link_counts is deprecated; read "
-            "EtlEngine.last_run.link_counts or the 'etl.link.<name>.rows' "
-            "metrics instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return dict(self.last_run.link_counts)
-
     def _endpoint(self, fn, name: str):
         """Run a source extract / target load: retry absorbs transients
         *inside* the breaker, so only an exhausted retry budget counts
@@ -141,33 +137,36 @@ class EtlEngine(Runtime):
         return call()
 
     def run(
-        self, job: Job, instance: Optional[Instance] = None
-    ) -> Tuple[Instance, Dict[str, Dataset]]:
-        """Run ``job`` against ``instance``.
-
-        Returns ``(targets, link_data)``: datasets delivered to each
-        target stage (keyed by target relation name) and the dataset that
-        flowed over every link (keyed by link name)."""
+        self,
+        job: Job,
+        instance: Optional[Instance] = None,
+        *,
+        keep: Collection[str] = (),
+    ) -> RunResult:
+        """Run ``job`` against ``instance``: the datasets delivered to
+        each target stage (by target relation name), the rejected rows
+        no reject link took, every link's row count, and the datasets of
+        the links named in ``keep``."""
         instance = instance or Instance()
         planner = start_run(self.options, job, job.registry)
         job.propagate_schemas()
-        run = _JobRun(self, job, instance, planner)
+        keep = check_keep(keep, [e.name for e in job.edges])
+        run = _JobRun(self, job, instance, planner, keep)
         with self._obs.tracer.span("etl.run", job=job.name):
             run_nodes(job.topological_order(), run, self.options)
         if self.checkpoint is not None:
             self.checkpoint.clear(job)
+        stats = run.stats
         if self.catalog is not None:
             # close the feedback loop: the next estimate_graph over the
             # same link names re-plans from these actuals
             self.catalog.observe_instance(instance)
-            self.catalog.observe_link_counts(run.stats.link_counts)
-        self.last_run = run.stats
-        return run.targets, run.link_data
-
-    def execute(self, job: Job, instance: Optional[Instance] = None) -> Instance:
-        """Run and return only the target datasets."""
-        targets, _links = self.run(job, instance)
-        return targets
+            self.catalog.observe_link_counts(stats.link_counts)
+        self.last_run = stats
+        return RunResult(
+            run.targets, rejects_dataset(stats.rejected), stats.link_counts,
+            run.edges,
+        )
 
 
 class _StageState:
@@ -193,18 +192,24 @@ class _StageState:
 class _JobRun:
     """One run of one job: its stages as the loop's nodes
     (:class:`repro.exec.run.Nodes`), plus the run-scoped state their
-    bookkeeping fills — never the engine's."""
+    bookkeeping fills — never the engine's.
 
-    def __init__(self, engine: EtlEngine, job: Job, instance: Instance, planner):
+    A link's dataset is held from its producer's booking until its one
+    consumer takes it as input (every output port feeds exactly one
+    link), and in :attr:`edges` past the run only when it is kept."""
+
+    def __init__(self, engine: EtlEngine, job: Job, instance: Instance,
+                 planner, keep):
         self.engine = engine
         self.job = job
         self.instance = instance
         self.planner = planner
+        self.keep = keep
         self.obs = engine.options.obs
         self.stats = EtlRunStats()
         self.targets = Instance()
         self.by_port: Dict[Tuple[str, int], Dataset] = {}
-        self.link_data: Dict[str, Dataset] = {}
+        self.edges: Dict[str, Dataset] = {}
         checkpoint = engine.checkpoint
         self.frontier = checkpoint.load_frontier(job) if checkpoint else {}
 
@@ -213,11 +218,11 @@ class _JobRun:
 
     def prepare(self, stage):
         inputs = [
-            self.by_port[(e.src, e.src_port)]
+            self.by_port.pop((e.src, e.src_port))
             for e in self.job.in_edges(stage.uid)
         ]
         out_edges = self.job.out_edges(stage.uid)
-        restored = self.frontier.get(stage.uid)
+        restored = self.frontier.pop(stage.uid, None)
         if restored is not None and all(
             e.name in restored[0] for e in out_edges
         ):
@@ -282,8 +287,9 @@ class _JobRun:
         metrics = self.obs.metrics
         for edge, dataset in zip(state.out_edges, outputs):
             self.by_port[(edge.src, edge.src_port)] = dataset
-            self.link_data[edge.name] = dataset
             self.stats.link_counts[edge.name] = len(dataset)
+            if edge.name in self.keep:
+                self.edges[edge.name] = dataset
             if result is not None:
                 metrics.count(f"etl.link.{edge.name}.rows", len(dataset))
 
@@ -335,25 +341,4 @@ class _JobRun:
             self.obs.metrics.count("exec.checkpoint.saved")
 
 
-def run_job(
-    job: Job,
-    instance: Optional[Instance] = None,
-    obs: Optional[Observability] = None,
-    **options,
-) -> Instance:
-    """Convenience: run ``job`` and return the target datasets
-    (``options`` are :class:`EtlEngine`'s keywords)."""
-    return EtlEngine(obs, **options).execute(job, instance)
-
-
-def run_job_with_links(
-    job: Job,
-    instance: Optional[Instance] = None,
-    obs: Optional[Observability] = None,
-    **options,
-) -> Tuple[Instance, Dict[str, Dataset]]:
-    """Run ``job`` returning targets plus every link's dataset."""
-    return EtlEngine(obs, **options).run(job, instance)
-
-
-__all__ = ["EtlEngine", "EtlRunStats", "run_job", "run_job_with_links"]
+__all__ = ["EtlEngine", "EtlRunStats"]

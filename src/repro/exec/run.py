@@ -10,7 +10,8 @@ about a run is written here once:
   through :mod:`repro.config`;
 * :func:`start_run` and :func:`run_nodes` — the pre-run check, the
   run's one planner, supervision and the topological loop over the
-  :class:`Nodes` protocol.
+  :class:`Nodes` protocol;
+* :class:`RunResult` — what every runtime's ``run`` returns.
 
 There is no retry at this level: the one fallback at run time is
 inside an operator, a columnar body rerunning on its own row body
@@ -29,6 +30,9 @@ from time import perf_counter
 from typing import (
     Any,
     Callable,
+    Collection,
+    Dict,
+    FrozenSet,
     NamedTuple,
     Optional,
     Protocol,
@@ -37,6 +41,7 @@ from typing import (
 )
 
 from repro import config
+from repro.data.dataset import Dataset, Instance
 from repro.exec import ExpressionPlanner
 from repro.expr.functions import FunctionRegistry
 from repro.obs import NULL_OBS, Observability
@@ -142,17 +147,56 @@ class RunOptions(NamedTuple):
         return ExpressionPlanner(registry, self.compiled)
 
 
+class RunResult(NamedTuple):
+    """What one run of a plan returns, on every runtime.
+
+    A run releases each edge's dataset once the edge's one consumer has
+    run; only the names passed as ``keep`` survive into :attr:`edges`."""
+
+    #: the delivered datasets, by target relation name.
+    targets: Instance
+    #: the rows rejected under the ``reject`` policy and not routed onto
+    #: an in-job reject link, as a dataset of the standard reject
+    #: relation (:data:`~repro.resilience.REJECT_COLUMNS`).
+    rejected: Dataset
+    #: edge / link / intermediate relation name -> rows it carried, for
+    #: every one of them.
+    rows: Dict[str, int]
+    #: the datasets of the kept names only.
+    edges: Dict[str, Dataset]
+
+
+def check_keep(keep: Collection[str], names: Collection[str]) -> FrozenSet[str]:
+    """``keep`` as a set, once every name in it is one of the plan's
+    ``names``; a name the plan lacks is a ``KeyError`` before row one."""
+    kept = frozenset(keep)
+    unknown = kept.difference(names)
+    if unknown:
+        raise KeyError(
+            f"cannot keep {sorted(unknown)}: no such edge, link or "
+            "intermediate relation in the plan"
+        )
+    return kept
+
+
 class Runtime:
     """Base of the three runtimes: holds the resolved :class:`RunOptions`
     and exposes each one as a read-only attribute (``engine.compiled``,
     ``engine.checkpoint``, …) with its constructor-time meaning — a run
-    never writes engine state it would have to undo."""
+    never writes engine state it would have to undo.
+
+    Each runtime defines ``run(plan, instance, *, keep=()) ->``
+    :class:`RunResult`; :meth:`execute` is its targets."""
 
     options: RunOptions
 
     def __init__(self, endpoints: bool, **options: Any) -> None:
         self.options = RunOptions.resolve(endpoints, **options)
         self._obs = self.options.obs
+
+    def execute(self, plan: Any, instance: Optional[Instance] = None) -> Instance:
+        """Run ``plan`` over ``instance``; the delivered datasets."""
+        return self.run(plan, instance).targets
 
     def __getattr__(self, name: str) -> Any:
         # reached only when normal lookup fails; no options yet means an
@@ -246,7 +290,9 @@ __all__ = [
     "Nodes",
     "RETIRED_KEYWORDS",
     "RunOptions",
+    "RunResult",
     "Runtime",
+    "check_keep",
     "run_nodes",
     "start_run",
 ]

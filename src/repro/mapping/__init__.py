@@ -1,7 +1,7 @@
 """The Clio-like schema mapping system and the OHM<->mapping translations."""
 
 from repro.mapping.compose import can_compose, compose_all, compose_mappings
-from repro.mapping.executor import MappingExecutor, execute_mappings
+from repro.mapping.executor import MappingExecutor
 from repro.mapping.jsonio import (
     mappings_from_json,
     mappings_to_json,
@@ -17,7 +17,6 @@ __all__ = [
     "compose_all",
     "compose_mappings",
     "MappingExecutor",
-    "execute_mappings",
     "PartialMapping",
     "ohm_to_mappings",
     "mappings_to_ohm",

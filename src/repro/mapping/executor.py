@@ -6,10 +6,13 @@ OHM instance by the Figure 9 template and only then deployed — or run.
 it with :func:`~repro.mapping.to_ohm.mappings_to_ohm` and runs the
 graph as the :class:`~repro.ohm.engine.OhmExecutor` it is — same
 options (resolved once), tiers, hash joins, fallback, supervisor, spill.
-Results map back by name: targets by relation, intermediates from the
-edges named after the intermediate relations, rejects as the graph run
-recorded them (``stage`` is the lowered operator's uid, ``M1.filter2``;
-``docs/robustness.md``). Mappings sharing a target bag-union (VI-A).
+:meth:`MappingExecutor.run` returns the graph run's
+:class:`~repro.exec.run.RunResult`, mapped back by name: targets by
+relation; ``rows`` and the kept ``edges`` are the intermediate
+relations', read from the edges named after them; rejects as the graph
+run recorded them (``stage`` is the lowered operator's uid,
+``M1.filter2``; ``docs/robustness.md``). Mappings sharing a target
+bag-union (VI-A).
 
 ``compiled=False`` is the *reference reading* of a mapping formula and
 shares nothing with the lowering: the product of the source bindings,
@@ -28,12 +31,12 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Optional
 
 from repro.data.dataset import Dataset, Instance, Row
 from repro.errors import ExecutionError
 from repro.exec import kernels
-from repro.exec.run import start_run
+from repro.exec.run import RunResult, check_keep, start_run
 from repro.expr.algebra import transform
 from repro.expr.ast import AggregateCall, Expr, Literal
 from repro.expr.evaluator import (
@@ -42,10 +45,8 @@ from repro.expr.evaluator import (
     evaluate_aggregate,
     evaluate_predicate,
 )
-from repro.expr.functions import FunctionRegistry
 from repro.mapping.model import Mapping, MappingSet
 from repro.mapping.to_ohm import mappings_to_ohm
-from repro.obs import Observability
 from repro.ohm.engine import OhmExecutor
 from repro.resilience import ErrorContext, RejectedRow, rejects_dataset
 
@@ -66,52 +67,43 @@ class MappingExecutor(OhmExecutor):
     Keywords are :class:`~repro.ohm.engine.OhmExecutor`'s, each readable
     back as an attribute; an executor carries no run-scoped state."""
 
-    def execute_mapping(self, mapping: Mapping, instance: Instance) -> Dataset:
-        """Evaluate one mapping; returns the dataset it asserts into its
-        target relation."""
-        return self.execute(MappingSet([mapping]), instance).dataset(
-            mapping.target.name
-        )
-
-    def execute(self, mappings: MappingSet, instance: Instance) -> Instance:
-        """Evaluate a mapping set; returns the final target datasets
-        (the intermediate relations stay internal)."""
-        return self.run(mappings, instance)[0]
-
-    def run(self, mappings: MappingSet, instance: Instance):
-        """Like :meth:`execute` but also returns the intermediate
-        relations' datasets keyed by name."""
-        return self._run_impl(mappings, instance)[:2]
-
-    def run_with_rejects(self, mappings: MappingSet, instance: Instance):
-        """Like :meth:`run`, additionally returning the rows rejected
-        under the ``reject`` policy as a dataset of the standard reject
-        relation (:data:`~repro.resilience.REJECT_COLUMNS`)."""
-        targets, intermediates, rejected = self._run_impl(mappings, instance)
-        return targets, intermediates, rejects_dataset(rejected)
-
-    def _run_impl(self, mappings: MappingSet, instance: Instance):
+    def run(
+        self,
+        mappings: MappingSet,
+        instance: Optional[Instance] = None,
+        *,
+        keep: Collection[str] = (),
+    ) -> RunResult:
+        """Evaluate a mapping set: the final target datasets, the
+        rejected rows, every intermediate relation's row count, and the
+        datasets of the intermediate relations named in ``keep``."""
         # the analyzer vets the mapping set itself, before the lowering
         # can object to it and before row one
         planner = start_run(self.options, mappings, self.registry)
+        intermediate = mappings.intermediate_relation_names()
+        keep = check_keep(keep, intermediate)
+        instance = instance or Instance()
         if not self.compiled:
-            return self._run_reference(mappings, instance)
+            return self._run_reference(mappings, instance, keep)
         # every intermediate relation is an edge of the uncleaned graph
         graph = mappings_to_ohm(mappings, cleanup=False)
-        targets, edge_data, rejected = self._run_graph(graph, instance, planner)
-        intermediates = {
-            name: edge_data[name]
-            for name in mappings.intermediate_relation_names()
-        }
+        run = self._run_graph(graph, instance, planner, keep)
         # compiled TARGET delivery is trusted; a mapping's is validated
         # against the declared target relation, as the reference's is
-        targets = Instance(d.with_relation(d.relation) for d in targets)
+        targets = Instance(d.with_relation(d.relation) for d in run.targets)
         sum(range(_HOP_BRAKE))  # not semantics: see _HOP_BRAKE
-        return targets, intermediates, rejected
+        return RunResult(
+            targets,
+            rejects_dataset(run.rejected),
+            {name: run.rows[name] for name in intermediate},
+            run.edges,
+        )
 
     # -- the reference reading (compiled=False) ----------------------------------
 
-    def _run_reference(self, mappings: MappingSet, instance: Instance):
+    def _run_reference(
+        self, mappings: MappingSet, instance: Instance, keep
+    ) -> RunResult:
         supervisor = self.options.supervisor
         metrics = self._obs.metrics
         working = Instance(instance)  # plus every relation produced so far
@@ -134,19 +126,25 @@ class MappingExecutor(OhmExecutor):
             if supervisor is not None:
                 supervisor.committed(mapping.name)
         targets = Instance()
-        intermediates: Dict[str, Dataset] = {}
+        rows: Dict[str, int] = {}
         final_names = set(mappings.final_target_names())
         for name, dataset in produced.items():
             if name in final_names:
                 # validate against the declared target relation
                 targets.put(dataset.with_relation(dataset.relation))
             else:
-                intermediates[name] = dataset
+                rows[name] = len(dataset)
         if self.catalog is not None:  # actuals for the next estimate
             self.catalog.observe_instance(instance)
-            for name, dataset in produced.items():
-                self.catalog.observe_link(name, len(dataset))
-        return targets, intermediates, rejected
+            self.catalog.observe_link_counts(
+                {name: len(dataset) for name, dataset in produced.items()}
+            )
+        return RunResult(
+            targets,
+            rejects_dataset(rejected),
+            rows,
+            {name: produced[name] for name in keep},
+        )
 
     def _read(
         self, mapping: Mapping, instance: Instance, ctx: ErrorContext
@@ -253,16 +251,4 @@ class MappingExecutor(OhmExecutor):
         return Dataset(mapping.target, rows, validate=False)
 
 
-def execute_mappings(
-    mappings: MappingSet,
-    instance: Instance,
-    registry: Optional[FunctionRegistry] = None,
-    obs: Optional[Observability] = None,
-    **options,
-) -> Instance:
-    """Convenience wrapper over :class:`MappingExecutor` (``options``
-    are its keywords)."""
-    return MappingExecutor(registry, obs, **options).execute(mappings, instance)
-
-
-__all__ = ["MappingExecutor", "execute_mappings"]
+__all__ = ["MappingExecutor"]

@@ -128,7 +128,8 @@ def _operator_executor(op: Operator, in_edge_names: List[str], out_index: int):
     UNKNOWN it runs as adopts its block and the edge stays columnar."""
 
     def run(inputs):
-        from repro.ohm.engine import OhmExecutor
+        from repro.exec import ExpressionPlanner
+        from repro.ohm.engine import operator_outputs
 
         renamed = [
             dataset.renamed(name)
@@ -140,7 +141,9 @@ def _operator_executor(op: Operator, in_edge_names: List[str], out_index: int):
             for i in range(max(out_index + 1, op.min_outputs))
         ]
         out_relations = op.output_relations(input_relations, out_names)
-        outputs = OhmExecutor().run_operator(op, renamed, out_relations)
+        outputs = operator_outputs(
+            op, renamed, out_relations, None, ExpressionPlanner()
+        )
         return outputs[out_index]
 
     return run

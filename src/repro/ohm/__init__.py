@@ -8,7 +8,7 @@ with schema-annotated edges, and a reference execution engine used to
 verify semantics preservation.
 """
 
-from repro.ohm.engine import OhmExecutor, execute, execute_with_edges
+from repro.ohm.engine import OhmExecutor
 from repro.ohm.graph import Edge, OhmGraph
 from repro.ohm.jsonio import graph_from_json, graph_to_json, read_graph, write_graph
 from repro.ohm.operators import (
@@ -35,8 +35,6 @@ from repro.ohm.subtypes import (
 
 __all__ = [
     "OhmExecutor",
-    "execute",
-    "execute_with_edges",
     "Edge",
     "OhmGraph",
     "graph_from_json",

@@ -40,25 +40,34 @@ the per-kernel ``exec.kernel.*`` / ``exec.block.*`` row counts.
 The executor is an adapter over the shared run harness
 (:mod:`repro.exec.run`: option resolution, the pre-run check,
 supervised topological loop — ``docs/execution-model.md``); what it
-owns is the per-operator dispatch below. An ``on_error`` policy
-(``docs/robustness.md``) absorbs row-level expression errors in FILTER,
-PROJECT, JOIN, GROUP's aggregate arguments and TARGET delivery, on
-both tiers;
-:meth:`OhmExecutor.run_with_rejects`
-additionally returns the rejected rows as a reject
-:class:`~repro.data.dataset.Dataset`.
+owns is the per-operator dispatch, :func:`operator_outputs`. An
+``on_error`` policy (``docs/robustness.md``) absorbs row-level
+expression errors in FILTER, PROJECT, JOIN, GROUP's aggregate arguments
+and TARGET delivery, on both tiers.
+
+:meth:`OhmExecutor.run` returns a :class:`~repro.exec.run.RunResult`:
+the targets, the rejected rows as a reject
+:class:`~repro.data.dataset.Dataset`, every edge's row count, and the
+datasets of the edges named in ``keep``. A run lets go of an edge's
+dataset once the edge's one consumer has taken it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from repro.data.dataset import Dataset, Instance
 from repro.errors import ExecutionError, SchemaError
 from repro.exec import ExpressionPlanner, ops
-from repro.exec.run import Runtime, run_nodes, start_run
+from repro.exec.run import (
+    RunResult,
+    Runtime,
+    check_keep,
+    run_nodes,
+    start_run,
+)
 from repro.expr.functions import DEFAULT_REGISTRY, FunctionRegistry
-from repro.obs import Observability
+from repro.obs import NULL_OBS, Observability
 from repro.ohm.graph import OhmGraph
 from repro.ohm.operators import (
     Filter,
@@ -98,176 +107,149 @@ class OhmExecutor(Runtime):
         self.registry = registry or DEFAULT_REGISTRY
 
     def run(
-        self, graph: OhmGraph, instance: Instance
-    ) -> Tuple[Instance, Dict[str, Dataset]]:
-        """Execute ``graph`` against ``instance``.
-
-        Returns ``(targets, edge_data)``: the datasets delivered to each
-        TARGET operator (named by target relation), and every intermediate
-        edge's dataset keyed by edge name (useful to inspect
-        materialization points such as ``DSLink10``)."""
-        targets, edge_data, _rejected = self._run_impl(graph, instance)
-        return targets, edge_data
-
-    def run_with_rejects(
-        self, graph: OhmGraph, instance: Instance
-    ) -> Tuple[Instance, Dict[str, Dataset], Dataset]:
-        """Like :meth:`run`, additionally returning the rows rejected
-        under the ``reject`` policy as a dataset of the standard reject
-        relation (:data:`~repro.resilience.REJECT_COLUMNS`)."""
-        targets, edge_data, rejected = self._run_impl(graph, instance)
-        return targets, edge_data, rejects_dataset(rejected)
-
-    def execute(self, graph: OhmGraph, instance: Instance) -> Instance:
-        """Execute and return only the target datasets."""
-        targets, _edges = self.run(graph, instance)
-        return targets
-
-    def run_operator(
         self,
-        op: Operator,
-        inputs: List[Dataset],
-        out_relations: List[Relation],
-        instance: Optional[Instance] = None,
-    ) -> List[Dataset]:
-        """One operator's reference semantics outside any graph run:
-        its output datasets, one per relation of ``out_relations``."""
-        return self._run_operator(
-            op, inputs, out_relations, instance,
-            planner=self.options.planner(self.registry),
-        )
-
-    # -- per-operator semantics ----------------------------------------------
-
-    def _run_operator(
-        self,
-        op: Operator,
-        inputs: List[Dataset],
-        out_relations: List[Relation],
+        graph: OhmGraph,
         instance: Optional[Instance] = None,
         *,
-        planner: ExpressionPlanner,
-        errors: Optional[ErrorContext] = None,
-    ) -> List[Dataset]:
-        if isinstance(op, Source):
-            return [
-                self._run_source(op, out, instance) for out in out_relations
-            ]
-        obs = self._obs
-        if isinstance(op, Filter):
-            return ops.route(
-                inputs[0], [(op.condition, None)], out_relations, False,
-                planner, obs, errors,
-            )
-        if isinstance(op, Project):  # covers all PROJECT subtypes
-            return [
-                ops.derive(
-                    inputs[0], op.derivations, out_relations[0], planner,
-                    obs, errors,
-                )
-            ]
-        if isinstance(op, Join):
-            left, right = inputs
-            plan = [
-                (attr.name, side, source)
-                for attr, side, source in Join.joined_attributes(
-                    left.relation, right.relation
-                )
-            ]
-            return [
-                ops.join(
-                    left, right, op.condition, op.kind, plan,
-                    out_relations[0], planner, obs, errors,
-                )
-            ]
-        if isinstance(op, Union):
-            return [
-                ops.union(inputs, out_relations[0], op.distinct, planner, obs)
-            ]
-        if isinstance(op, Group):
-            return [
-                ops.group(
-                    inputs[0], op.keys, op.aggregates, out_relations[0],
-                    planner, obs, errors,
-                )
-            ]
-        if isinstance(op, Split):
-            return ops.fan_out(inputs[0], out_relations, planner, obs)
-        if isinstance(op, Nest):
-            return [
-                ops.nest(
-                    inputs[0], op.keys, op.nested, op.into, out_relations[0],
-                    planner, obs,
-                )
-            ]
-        if isinstance(op, Unnest):
-            return [
-                ops.unnest(inputs[0], op.attr, out_relations[0], planner, obs)
-            ]
-        if isinstance(op, Unknown):
-            return self._run_unknown(op, inputs, out_relations)
-        raise ExecutionError(
-            f"no execution semantics for {op.KIND} {op.uid}", stage=op.uid
-        )
-
-    def _run_source(
-        self, op: Source, out: Relation, instance: Optional[Instance]
-    ) -> Dataset:
-        if instance is None or op.relation.name not in instance:
-            if op.provider is not None:
-                return op.provider().renamed(out.name)
-            raise ExecutionError(
-                f"source relation {op.relation.name!r} not present in instance",
-                stage=op.uid,
-            )
-        dataset = instance.dataset(op.relation.name)
-        checked = dataset.with_relation(op.relation)  # validates types
-        return checked.renamed(out.name)
-
-    def _run_unknown(
-        self, op: Unknown, inputs: List[Dataset], out_relations: List[Relation]
-    ) -> List[Dataset]:
-        if op.executor is None:
-            raise ExecutionError(
-                f"UNKNOWN operator {op.reference!r} carries no executable "
-                "behaviour; cannot run this graph directly",
-                stage=op.uid,
-            )
-        outputs = op.executor(inputs)
-        if len(outputs) != len(out_relations):
-            raise ExecutionError(
-                f"UNKNOWN {op.reference!r} produced {len(outputs)} outputs, "
-                f"expected {len(out_relations)}",
-                stage=op.uid,
-            )
-        return [
-            _adopt_output(op, out, produced)
-            for out, produced in zip(out_relations, outputs)
-        ]
-
-    def _run_impl(
-        self, graph: OhmGraph, instance: Instance
-    ) -> Tuple[Instance, Dict[str, Dataset], List[RejectedRow]]:
+        keep: Collection[str] = (),
+    ) -> RunResult:
+        """Execute ``graph`` against ``instance``: the datasets delivered
+        to each TARGET operator (by target relation), the rejected rows,
+        every edge's row count, and the datasets of the edges named in
+        ``keep`` (e.g. a materialization point such as ``DSLink10``)."""
         planner = start_run(self.options, graph, self.registry)
         graph.propagate_schemas()
-        return self._run_graph(graph, instance, planner)
+        run = self._run_graph(graph, instance, planner, keep)
+        return RunResult(
+            run.targets, rejects_dataset(run.rejected), run.rows, run.edges
+        )
 
     def _run_graph(
-        self, graph: OhmGraph, instance: Instance, planner: ExpressionPlanner
-    ) -> Tuple[Instance, Dict[str, Dataset], List[RejectedRow]]:
+        self,
+        graph: OhmGraph,
+        instance: Optional[Instance],
+        planner: ExpressionPlanner,
+        keep: Collection[str],
+    ) -> "_GraphRun":
         """The run proper, of a schema-propagated graph after
         :func:`~repro.exec.run.start_run` (the mapping runtime starts its
         runs on the mapping set, then runs the lowered graph here)."""
-        run = _GraphRun(self, graph, instance, planner)
+        keep = check_keep(keep, [e.name for e in graph.edges])
+        run = _GraphRun(self, graph, instance, planner, keep)
         with self._obs.tracer.span("ohm.run", graph=graph.name):
             run_nodes(graph.topological_order(), run, self.options)
         if self.catalog is not None:
             # close the feedback loop: the next estimate_graph over the
             # same edge names re-plans from these actuals
             self.catalog.observe_instance(instance)
-            for name, dataset in run.edge_data.items():
-                self.catalog.observe_link(name, len(dataset))
-        return run.targets, run.edge_data, run.rejected
+            self.catalog.observe_link_counts(run.rows)
+        return run
+
+
+# -- per-operator semantics ----------------------------------------------------
+
+
+def operator_outputs(
+    op: Operator,
+    inputs: List[Dataset],
+    out_relations: List[Relation],
+    instance: Optional[Instance],
+    planner: ExpressionPlanner,
+    obs: Observability = NULL_OBS,
+    errors: Optional[ErrorContext] = None,
+) -> List[Dataset]:
+    """One operator's reference semantics: its output datasets, one per
+    relation of ``out_relations``."""
+    if isinstance(op, Source):
+        return [_source_output(op, out, instance) for out in out_relations]
+    if isinstance(op, Filter):
+        return ops.route(
+            inputs[0], [(op.condition, None)], out_relations, False,
+            planner, obs, errors,
+        )
+    if isinstance(op, Project):  # covers all PROJECT subtypes
+        return [
+            ops.derive(
+                inputs[0], op.derivations, out_relations[0], planner,
+                obs, errors,
+            )
+        ]
+    if isinstance(op, Join):
+        left, right = inputs
+        plan = [
+            (attr.name, side, source)
+            for attr, side, source in Join.joined_attributes(
+                left.relation, right.relation
+            )
+        ]
+        return [
+            ops.join(
+                left, right, op.condition, op.kind, plan,
+                out_relations[0], planner, obs, errors,
+            )
+        ]
+    if isinstance(op, Union):
+        return [ops.union(inputs, out_relations[0], op.distinct, planner, obs)]
+    if isinstance(op, Group):
+        return [
+            ops.group(
+                inputs[0], op.keys, op.aggregates, out_relations[0],
+                planner, obs, errors,
+            )
+        ]
+    if isinstance(op, Split):
+        return ops.fan_out(inputs[0], out_relations, planner, obs)
+    if isinstance(op, Nest):
+        return [
+            ops.nest(
+                inputs[0], op.keys, op.nested, op.into, out_relations[0],
+                planner, obs,
+            )
+        ]
+    if isinstance(op, Unnest):
+        return [ops.unnest(inputs[0], op.attr, out_relations[0], planner, obs)]
+    if isinstance(op, Unknown):
+        return _unknown_outputs(op, inputs, out_relations)
+    raise ExecutionError(
+        f"no execution semantics for {op.KIND} {op.uid}", stage=op.uid
+    )
+
+
+def _source_output(
+    op: Source, out: Relation, instance: Optional[Instance]
+) -> Dataset:
+    if instance is None or op.relation.name not in instance:
+        if op.provider is not None:
+            return op.provider().renamed(out.name)
+        raise ExecutionError(
+            f"source relation {op.relation.name!r} not present in instance",
+            stage=op.uid,
+        )
+    dataset = instance.dataset(op.relation.name)
+    checked = dataset.with_relation(op.relation)  # validates types
+    return checked.renamed(out.name)
+
+
+def _unknown_outputs(
+    op: Unknown, inputs: List[Dataset], out_relations: List[Relation]
+) -> List[Dataset]:
+    if op.executor is None:
+        raise ExecutionError(
+            f"UNKNOWN operator {op.reference!r} carries no executable "
+            "behaviour; cannot run this graph directly",
+            stage=op.uid,
+        )
+    outputs = op.executor(inputs)
+    if len(outputs) != len(out_relations):
+        raise ExecutionError(
+            f"UNKNOWN {op.reference!r} produced {len(outputs)} outputs, "
+            f"expected {len(out_relations)}",
+            stage=op.uid,
+        )
+    return [
+        _adopt_output(op, out, produced)
+        for out, produced in zip(out_relations, outputs)
+    ]
 
 
 def _adopt_output(op: Unknown, out: Relation, produced) -> Dataset:
@@ -290,17 +272,24 @@ def _adopt_output(op: Unknown, out: Relation, produced) -> Dataset:
 class _GraphRun:
     """One run of one graph: its operators as the loop's nodes
     (:class:`repro.exec.run.Nodes`), plus the run-scoped state their
-    bookkeeping fills — never the executor's."""
+    bookkeeping fills — never the executor's.
 
-    def __init__(self, executor: OhmExecutor, graph: OhmGraph, instance, planner):
+    An edge's dataset is held from its producer's booking until its one
+    consumer takes it as input (every output port feeds exactly one
+    edge), and in :attr:`edges` past the run only when it is kept."""
+
+    def __init__(self, executor: OhmExecutor, graph: OhmGraph, instance,
+                 planner, keep):
         self.executor = executor
         self.graph = graph
         self.instance = instance
         self.planner = planner
+        self.keep = keep
         self.obs = executor.options.obs
         self.targets = Instance()
         self.by_edge: Dict[Tuple[str, int], Dataset] = {}
-        self.edge_data: Dict[str, Dataset] = {}
+        self.rows: Dict[str, int] = {}
+        self.edges: Dict[str, Dataset] = {}
         self.rejected: List[RejectedRow] = []
 
     def name(self, op):
@@ -308,7 +297,7 @@ class _GraphRun:
 
     def prepare(self, op):
         inputs = [
-            self.by_edge[(e.src, e.src_port)]
+            self.by_edge.pop((e.src, e.src_port))
             for e in self.graph.in_edges(op.uid)
         ]
         ctx = ErrorContext(
@@ -321,12 +310,13 @@ class _GraphRun:
         falls back inside :mod:`repro.exec.ops`; SOURCE, UNKNOWN and
         TARGET have none, so each runs once."""
         inputs, out_edges, ctx = state
-        executor = self.executor
         if isinstance(op, Target):
-            return [ops.deliver(inputs[0], op.relation, executor.compiled, ctx)]
-        outputs = executor._run_operator(
+            return [
+                ops.deliver(inputs[0], op.relation, self.executor.compiled, ctx)
+            ]
+        outputs = operator_outputs(
             op, inputs, [e.schema for e in out_edges], self.instance,
-            planner=self.planner, errors=ctx,
+            self.planner, self.obs, ctx,
         )
         if len(outputs) != len(out_edges):
             raise ExecutionError(
@@ -356,30 +346,9 @@ class _GraphRun:
             if not isinstance(op, Target):
                 for edge, dataset in zip(out_edges, outputs):
                     self.by_edge[(edge.src, edge.src_port)] = dataset
-                    self.edge_data[edge.name] = dataset
+                    self.rows[edge.name] = len(dataset)
+                    if edge.name in self.keep:
+                        self.edges[edge.name] = dataset
 
 
-def execute(
-    graph: OhmGraph,
-    instance: Instance,
-    registry: Optional[FunctionRegistry] = None,
-    obs: Optional[Observability] = None,
-    **options,
-) -> Instance:
-    """Execute ``graph`` over ``instance``; returns the target datasets
-    (``options`` are :class:`OhmExecutor`'s keywords)."""
-    return OhmExecutor(registry, obs, **options).execute(graph, instance)
-
-
-def execute_with_edges(
-    graph: OhmGraph,
-    instance: Instance,
-    registry: Optional[FunctionRegistry] = None,
-    obs: Optional[Observability] = None,
-    **options,
-) -> Tuple[Instance, Dict[str, Dataset]]:
-    """Execute and also return every intermediate edge's data by name."""
-    return OhmExecutor(registry, obs, **options).run(graph, instance)
-
-
-__all__ = ["OhmExecutor", "execute", "execute_with_edges"]
+__all__ = ["OhmExecutor", "operator_outputs"]

@@ -9,7 +9,7 @@ from repro.analysis import analyze_graph, analyze_job
 from repro.compile import compile_job
 from repro.data.dataset import Instance
 from repro.errors import ValidationError
-from repro.etl import EtlEngine, run_job, run_job_with_links
+from repro.etl import EtlEngine
 from repro.etl.model import Job
 from repro.etl.stages import (
     FilterOutput,
@@ -81,7 +81,7 @@ class TestCleanLintPredictsCleanRun:
         ohm_report = analyze_graph(compile_job(build()))
         assert ohm_report.ok, ohm_report.to_text()
         # and the run the lint predicted is indeed clean
-        targets = run_job(build(), data(job))
+        targets = EtlEngine().execute(build(), data(job))
         assert sum(len(d) for d in targets) > 0
 
 
@@ -207,11 +207,11 @@ class TestDefectsCaughtBeforeRowOne:
     def test_dangling_link_rejected_statically(self):
         self.run_counting(self.dangling_job())
 
-    @pytest.mark.parametrize("wrapper", [run_job, run_job_with_links])
-    def test_wrappers_forward_check(self, wrapper):
-        # every run is checked, through either wrapper
+    @pytest.mark.parametrize("entry", ["execute", "run"])
+    def test_every_entry_point_checks(self, entry):
+        # every run is checked, through either entry point
         with pytest.raises(ValidationError, match="static analysis"):
-            wrapper(self.bad_type_job(), Instance())
+            getattr(EtlEngine(), entry)(self.bad_type_job(), Instance())
 
     def test_dead_column_is_a_warning_not_a_rejection(self):
         job = Job("dead")
@@ -230,7 +230,7 @@ class TestDefectsCaughtBeforeRowOne:
         assert [d.code for d in report] == ["ORC020"]
         # warnings never block a run
         data = synthesize_instance([REL], 10)
-        targets = run_job(job, data)
+        targets = EtlEngine().execute(job, data)
         assert len(targets.dataset("R")) == 10
 
     def test_ohm_executor_checks_before_running(self):
@@ -277,9 +277,9 @@ class TestCheckIsTransparent:
     def test_results_identical(self, name, build, data, request):
         job = build()
         instance = data(job)
-        with_check = run_job(build(), instance)
+        with_check = EtlEngine().execute(build(), instance)
         request.getfixturevalue("unchecked")
-        without = run_job(build(), instance)
+        without = EtlEngine().execute(build(), instance)
         assert with_check.same_bags(without)
 
     def test_ohm_check_transparent(self, request):
@@ -326,10 +326,10 @@ class TestKnobTriad:
         # a leftover REPRO_CHECK=0 turns nothing off
         monkeypatch.setenv("REPRO_CHECK", "0")
         with pytest.raises(ValidationError, match="static analysis"):
-            run_job(bad_type_job(), Instance())
+            EtlEngine().execute(bad_type_job(), Instance())
 
     def test_env_rejected_run(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECK", raising=False)
-        for run in (run_job, run_job_with_links):
+        for run in (EtlEngine().execute, EtlEngine().run):
             with pytest.raises(ValidationError, match="static analysis"):
                 run(bad_type_job(), Instance())

@@ -28,7 +28,7 @@ REL = relation(
 @pytest.fixture
 def clean_xml(tmp_path):
     path = tmp_path / "clean.xml"
-    path.write_text(job_to_xml(build_example_job()))
+    path.write_text(job_to_xml(build_example_job()), encoding="utf-8")
     return str(path)
 
 
@@ -40,7 +40,7 @@ def bad_type_xml(tmp_path):
     t = job.add(TableTarget(REL))
     job.chain(s, f, t, names=["a", "b"])
     path = tmp_path / "bad.xml"
-    path.write_text(job_to_xml(job))
+    path.write_text(job_to_xml(job), encoding="utf-8")
     return str(path)
 
 
@@ -59,7 +59,7 @@ def warn_xml(tmp_path):
     t = job.add(TableTarget(REL))
     job.chain(s, tr, t, names=["a", "b"])
     path = tmp_path / "warn.xml"
-    path.write_text(job_to_xml(job))
+    path.write_text(job_to_xml(job), encoding="utf-8")
     return str(path)
 
 
@@ -96,7 +96,7 @@ class TestTextOutput:
         path = tmp_path / "mangled.xml"
         path.write_text(job_to_xml(build_example_job()).replace(
             "&lt;&gt;", "&lt;&gt;&gt;*", 1
-        ))
+        ), encoding="utf-8")
         assert main(["lint", str(path)]) == 1
         assert "ORC001 error" in capsys.readouterr().out
 

@@ -17,7 +17,7 @@ def codes_in(text: str) -> set:
 
 
 def test_every_catalogue_code_is_documented():
-    documented = codes_in(DOC.read_text())
+    documented = codes_in(DOC.read_text(encoding="utf-8"))
     assert set(CODES) <= documented, (
         f"codes missing from docs/analysis.md: "
         f"{sorted(set(CODES) - documented)}"
@@ -25,7 +25,7 @@ def test_every_catalogue_code_is_documented():
 
 
 def test_docs_mention_no_unknown_codes():
-    documented = codes_in(DOC.read_text())
+    documented = codes_in(DOC.read_text(encoding="utf-8"))
     assert documented <= set(CODES), (
         f"docs/analysis.md documents codes absent from the catalogue: "
         f"{sorted(documented - set(CODES))}"
@@ -37,8 +37,8 @@ def test_every_documented_code_has_a_test():
     for path in TESTS.glob("test_*.py"):
         if path.name == Path(__file__).name:
             continue
-        tested |= codes_in(path.read_text())
-    untested = codes_in(DOC.read_text()) - tested
+        tested |= codes_in(path.read_text(encoding="utf-8"))
+    untested = codes_in(DOC.read_text(encoding="utf-8")) - tested
     assert not untested, (
         f"codes documented in docs/analysis.md but exercised by no test "
         f"under tests/analysis/: {sorted(untested)}"

@@ -25,6 +25,7 @@ from repro.mapping.executor import MappingExecutor
 from repro.mapping.model import Mapping, MappingSet, SourceBinding
 from repro.ohm import Filter, OhmGraph, Source, Target
 from repro.obs import Observability
+from repro.ohm import engine as ohm_engine
 from repro.ohm.engine import OhmExecutor
 from repro.resilience import ErrorContext
 from repro.schema import relation
@@ -107,7 +108,7 @@ def spy_on_bodies(monkeypatch, columnar_error):
 class TestLaddersNeverRetryStaticErrors:
     """A plan defect fails identically on both bodies of an operator,
     so a columnar body's plan defect is raised at once, never rerun on
-    the row body. (The engines patched at ``_run_operator`` show no
+    the row body. (The engines patched at ``operator_outputs`` show no
     runtime retries one either.)"""
 
     def test_etl_ladder(self, monkeypatch):
@@ -122,20 +123,20 @@ class TestLaddersNeverRetryStaticErrors:
         calls = spy_on_bodies(monkeypatch, ValueError("kernel breakage"))
         instance = synthesize_instance([REL], 5)
         obs = Observability(stats=True)
-        targets, _ = EtlEngine(obs=obs, compiled=True).run(make_job(), instance)
+        targets = EtlEngine(obs=obs, compiled=True).execute(make_job(), instance)
         assert calls == ["columnar", "rows"]
-        oracle, _ = EtlEngine(compiled=False).run(make_job(), instance)
+        oracle = EtlEngine(compiled=False).execute(make_job(), instance)
         assert targets.same_bags(oracle)
         assert obs.metrics.counter("exec.degrade.columnar_to_rows") == 1
 
     def test_ohm_ladder(self, monkeypatch):
         calls = []
 
-        def boom(self, op, inputs, out_relations, instance, **kwargs):
+        def boom(op, inputs, out_relations, instance, *args):
             calls.append(1)
             raise SchemaError("planted plan defect")
 
-        monkeypatch.setattr(OhmExecutor, "_run_operator", boom)
+        monkeypatch.setattr(ohm_engine, "operator_outputs", boom)
         with pytest.raises(SchemaError, match="planted"):
             OhmExecutor(compiled=True).run(
                 make_graph(), synthesize_instance([REL], 5)
@@ -145,12 +146,12 @@ class TestLaddersNeverRetryStaticErrors:
     def test_mapping_ladder(self, monkeypatch):
         calls = []
 
-        def boom(self, op, inputs, out_relations, instance, **kwargs):
+        def boom(op, inputs, out_relations, instance, *args):
             calls.append(1)
             raise TypeCheckError("planted plan defect")
 
         # a mapping run is a run of the lowered graph
-        monkeypatch.setattr(OhmExecutor, "_run_operator", boom)
+        monkeypatch.setattr(ohm_engine, "operator_outputs", boom)
         with pytest.raises(TypeCheckError, match="planted"):
             MappingExecutor(compiled=True).execute(
                 make_mappings(), synthesize_instance([REL], 5)

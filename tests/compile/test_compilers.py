@@ -10,6 +10,7 @@ from repro.etl import (
     AggregatorStage,
     CopyStage,
     CustomStage,
+    EtlEngine,
     FilterOutput,
     FilterStage,
     FunnelStage,
@@ -26,10 +27,9 @@ from repro.etl import (
     TableSource,
     TableTarget,
     Transformer,
-    run_job,
 )
 from repro.etl.stages.transform import OutputLink
-from repro.ohm import execute, reset_keygen_sequences
+from repro.ohm import OhmExecutor, reset_keygen_sequences
 from repro.schema import relation
 
 
@@ -82,7 +82,9 @@ def assert_equivalent(job, instance, raw_kinds=None, clean_kinds=None):
             k for k in graph.kinds_in_order() if k not in ("SOURCE", "TARGET")
         ]
         assert processing == clean_kinds
-    assert execute(graph, instance).same_bags(run_job(job, instance))
+    assert OhmExecutor().execute(graph, instance).same_bags(
+        EtlEngine().execute(job, instance)
+    )
     return graph
 
 
@@ -236,7 +238,9 @@ class TestJoinCompilers:
         kinds = [k for k in raw.kinds_in_order()
                  if k not in ("SOURCE", "TARGET")]
         assert kinds == ["JOIN", "BASIC PROJECT"]
-        assert execute(raw, instance).same_bags(run_job(job, instance))
+        assert OhmExecutor().execute(raw, instance).same_bags(
+            EtlEngine().execute(job, instance)
+        )
 
     def test_left_join(self):
         out = relation("O", ("id", "int"), ("v", "float"), ("w", "float"))
@@ -322,9 +326,9 @@ class TestColumnSurgeryCompilers:
         graph = compile_job(job)
         assert "KEYGEN" in graph.kinds_in_order()
         reset_keygen_sequences()
-        etl_result = run_job(job, instance)
+        etl_result = EtlEngine().execute(job, instance)
         reset_keygen_sequences()
-        ohm_result = execute(graph, instance)
+        ohm_result = OhmExecutor().execute(graph, instance)
         assert ohm_result.same_bags(etl_result)
 
 
@@ -353,7 +357,9 @@ class TestGeneratedAndOpaque:
         graph = compile_job(job)
         (source,) = graph.sources()
         assert source.provider is not None
-        assert execute(graph, Instance()).same_bags(run_job(job, Instance()))
+        assert OhmExecutor().execute(graph, Instance()).same_bags(
+            EtlEngine().execute(job, Instance())
+        )
 
     def test_custom_stage_becomes_unknown(self, rel, instance):
         def implementation(inputs):

@@ -137,8 +137,10 @@ class TestExtension:
         assert "PROJECT" in graph.kinds_in_order()
 
         from repro.data.dataset import Dataset, Instance
-        from repro.etl import run_job
-        from repro.ohm import execute
+        from repro.etl import EtlEngine
+        from repro.ohm import OhmExecutor
 
         instance = Instance([Dataset(rel, [{"id": 1, "name": "ada"}])])
-        assert execute(graph, instance).same_bags(run_job(job, instance))
+        assert OhmExecutor().execute(graph, instance).same_bags(
+            EtlEngine().execute(job, instance)
+        )

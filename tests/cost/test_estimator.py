@@ -10,9 +10,9 @@ from repro.cost.estimate import RANGE_SELECTIVITY_FLOOR
 from repro.data.dataset import Dataset, Instance
 from repro.expr.parser import parse
 from repro.ohm import (
-    Filter, Group, Join, OhmGraph, Project, Source, Target, Union,
+    Filter, Group, Join, OhmExecutor, OhmGraph, Project, Source, Target,
+    Union,
 )
-from repro.ohm import execute_with_edges
 from repro.schema import relation
 from repro.workloads import (
     build_example_job,
@@ -156,10 +156,8 @@ class TestParity:
         graph = compile_job(build())
         catalog = catalog_for(instance)
         estimate = CardinalityEstimator(catalog).estimate_graph(graph)
-        _targets, edges = execute_with_edges(graph, instance)
         ratios = []
-        for name, dataset in edges.items():
-            actual = len(dataset)
+        for name, actual in OhmExecutor().run(graph, instance).rows.items():
             guessed = estimate.edge_rows(name)
             assert guessed > 0, f"edge {name} has no estimate"
             if actual == 0:
@@ -183,22 +181,20 @@ class TestFeedbackLoop:
         before = estimator.estimate_graph(graph)
 
         from repro.obs import Observability
-        from repro.ohm import OhmExecutor
 
         obs = Observability(stats=True)
-        OhmExecutor(obs=obs, catalog=catalog).run(graph, instance)
+        rows = OhmExecutor(obs=obs, catalog=catalog).run(graph, instance).rows
         after = estimator.estimate_graph(graph)
 
-        _targets, edges = execute_with_edges(graph, instance)
         pinned = 0
-        for name, dataset in edges.items():
+        for name, count in rows.items():
             if catalog.observed(name) is not None:
-                assert after.edge_rows(name) == float(len(dataset))
+                assert after.edge_rows(name) == float(count)
                 pinned += 1
         assert pinned > 0
         # re-planning with feedback is at least as accurate everywhere
-        for name, dataset in edges.items():
-            actual = float(len(dataset))
+        for name, count in rows.items():
+            actual = float(count)
             err_after = abs(after.edge_rows(name) - actual)
             err_before = abs(before.edge_rows(name) - actual)
             assert err_after <= err_before + 1e-9

@@ -3,7 +3,6 @@
 from repro.compile import compile_job
 from repro.cost import (
     CardinalityEstimator,
-    actuals_from_edges,
     actuals_from_metrics,
     catalog_for,
     explain_graph,
@@ -37,9 +36,9 @@ class TestExplainGraph:
         graph = compile_job(build_example_job())
         catalog = catalog_for(instance)
         obs = Observability(stats=True)
-        _targets, edges = OhmExecutor(obs=obs).run(graph, instance)
+        rows = OhmExecutor(obs=obs).run(graph, instance).rows
         actuals = actuals_from_metrics(obs.metrics)
-        actuals.update(actuals_from_edges(edges))
+        actuals.update(rows)
         text = explain_graph(
             graph,
             estimator=CardinalityEstimator(catalog),
@@ -60,10 +59,9 @@ class TestActualExtraction:
         })
         assert actuals == {"op3": 17.0, "op4": 0.0}
 
-    def test_actuals_from_edges_measures_datasets(self):
+    def test_run_rows_count_every_edge(self):
         instance = generate_instance(30)
         graph = compile_job(build_example_job())
-        _targets, edges = OhmExecutor().run(graph, instance)
-        actuals = actuals_from_edges(edges)
-        assert actuals["DSLink10"] >= 0
-        assert all(isinstance(v, float) for v in actuals.values())
+        rows = OhmExecutor().run(graph, instance).rows
+        assert set(rows) == {e.name for e in graph.edges}
+        assert rows["DSLink10"] >= 0

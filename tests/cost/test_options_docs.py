@@ -16,7 +16,7 @@ COLUMNS = ("option", "keyword", "flag", "env", "default", "accepts")
 
 
 def options_section() -> str:
-    text = DOC.read_text()
+    text = DOC.read_text(encoding="utf-8")
     section = text[text.index("## Options"):]
     return section[: section.index("\n## ", 1)]
 

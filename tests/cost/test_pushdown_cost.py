@@ -6,7 +6,7 @@ from repro.compile import compile_job
 from repro.cost import CostModel, StatisticsCatalog, catalog_for
 from repro.data.dataset import Dataset, Instance
 from repro.deploy import plan_pushdown
-from repro.etl import run_job
+from repro.etl import EtlEngine
 from repro.obs import Observability
 from repro.ohm import Join, OhmGraph, Project, Source, Target, Union
 from repro.schema import relation
@@ -118,7 +118,7 @@ class TestSqlWins:
         hybrid = plan_pushdown(compile_job(job), catalog=catalog)
         assert hybrid.statements
         instance = generate_star_instance(12, 300)
-        assert hybrid.execute(instance).same_bags(run_job(job, instance))
+        assert hybrid.execute(instance).same_bags(EtlEngine().execute(job, instance))
 
 
 class TestEngineKeepsTheExample:
@@ -149,7 +149,7 @@ class TestEngineKeepsTheExample:
     def test_hybrid_matches_pure_etl(self, catalog):
         hybrid = plan_pushdown(compile_job(build_example_job()), catalog=catalog)
         instance = generate_instance(80)
-        pure = run_job(build_example_job(), instance)
+        pure = EtlEngine().execute(build_example_job(), instance)
         assert hybrid.execute(instance).same_bags(pure)
 
     def test_pass_through_projection_stays_in_the_engine(self):

@@ -25,7 +25,7 @@ from repro.data.csvio import (
 from repro.data.dataset import Dataset, Instance
 from repro.deploy.sql import SqliteRunner
 from repro.errors import SchemaError
-from repro.etl import run_job
+from repro.etl import EtlEngine
 from repro.exec.block import RowBlock
 from repro.schema.model import Attribute, Relation
 from repro.schema.types import (
@@ -335,7 +335,7 @@ def test_empty_string_and_null_are_the_same_cell_on_disk():
 
 def test_csv_bytes_are_the_seeds_for_the_figure_3_instance_and_targets():
     sources = generate_instance(60, seed=7)
-    targets = run_job(build_example_job(), sources)
+    targets = EtlEngine().execute(build_example_job(), sources)
     for data in [*sources, *targets]:
         assert len(data) > 0
         assert dataset_to_csv_text(data) == _seed_csv_text(data), data.name

@@ -146,7 +146,7 @@ class TestRoundTrip:
 
     def test_no_header_positional(self, rel, tmp_path):
         path = str(tmp_path / "data.csv")
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write("5,ada,1.0,2008-01-01,false\n")
         data = read_csv(path, rel, has_header=False)
         assert data.rows[0]["id"] == 5
@@ -169,13 +169,13 @@ class TestTransactionalWrite:
 
         path = str(tmp_path / "data.csv")
         write_csv(Dataset(rel, [{"id": 1, "name": "old"}]), path)
-        before = open(path).read()
+        before = open(path, encoding="utf-8").read()
         bad = Dataset.adopt(
             rel, [{"id": 2, "name": "new"}, {"id": 3, "name": Unprintable()}]
         )
         with pytest.raises(RuntimeError, match="no text form"):
             write_csv(bad, path)
-        assert open(path).read() == before
+        assert open(path, encoding="utf-8").read() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
     def test_successful_write_leaves_no_temp_file(self, rel, tmp_path):

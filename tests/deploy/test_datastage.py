@@ -8,7 +8,7 @@ from repro.deploy.datastage import AggregatorRp, FilterRp, JoinRp, TransformerRp
 from repro.deploy.shapes import analyze_box
 from repro.errors import DeploymentError
 from repro.data.dataset import Dataset, Instance
-from repro.etl import run_job
+from repro.etl import EtlEngine
 from repro.ohm import (
     BasicProject,
     Filter,
@@ -18,7 +18,6 @@ from repro.ohm import (
     Split,
     Target,
     Union,
-    execute,
 )
 from repro.schema import relation
 from repro.workloads import (
@@ -127,7 +126,9 @@ class TestRedeployment:
         redeployed, plan = deploy_to_job(graph)
         assert redeployed.kinds_in_order() == job.kinds_in_order()
         instance = generate_instance(50)
-        assert run_job(redeployed, instance).same_bags(run_job(job, instance))
+        assert EtlEngine().execute(redeployed, instance).same_bags(
+            EtlEngine().execute(job, instance)
+        )
 
     @pytest.mark.parametrize(
         "builder,instance_builder",
@@ -143,7 +144,9 @@ class TestRedeployment:
         graph = compile_job(job)
         redeployed, _plan = deploy_to_job(graph)
         instance = instance_builder()
-        assert run_job(redeployed, instance).same_bags(run_job(job, instance))
+        assert EtlEngine().execute(redeployed, instance).same_bags(
+            EtlEngine().execute(job, instance)
+        )
 
     def test_custom_stage_round_trips_with_behaviour(self):
         job = build_example_job(custom_after_join=True)
@@ -152,7 +155,9 @@ class TestRedeployment:
         custom_stages = redeployed.stages_of_type("Custom")
         assert len(custom_stages) == 1
         instance = generate_instance(40)
-        assert run_job(redeployed, instance).same_bags(run_job(job, instance))
+        assert EtlEngine().execute(redeployed, instance).same_bags(
+            EtlEngine().execute(job, instance)
+        )
 
     def test_input_graph_not_modified(self):
         graph = compile_job(build_example_job())
@@ -177,7 +182,7 @@ class TestRedeployment:
         assert "RemoveDuplicates" in types
         rows = [{"id": 1, "v": 1.0}]
         instance = Instance([Dataset(rel, rows), Dataset(other, rows)])
-        assert len(run_job(job, instance).dataset("Out")) == 1
+        assert len(EtlEngine().execute(job, instance).dataset("Out")) == 1
 
     def test_keygen_deploys_as_surrogate_key(self):
         from repro.ohm import KeyGen, reset_keygen_sequences

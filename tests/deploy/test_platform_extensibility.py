@@ -19,7 +19,7 @@ from repro.deploy import (
 )
 from repro.deploy.datastage import AggregatorRp, CustomRp, JoinRp, TransformerRp
 from repro.errors import DeploymentError
-from repro.etl import run_job
+from repro.etl import EtlEngine
 from repro.workloads import (
     build_example_job,
     build_fanout_job,
@@ -41,14 +41,16 @@ class TestMinimalPlatform:
         ds_job, _ = deploy_to_job(graph, DATASTAGE)
         min_job, _ = deploy_to_job(graph, build_minimal_platform())
         instance = generate_instance(40)
-        assert run_job(min_job, instance).same_bags(run_job(ds_job, instance))
+        assert EtlEngine().execute(min_job, instance).same_bags(
+            EtlEngine().execute(ds_job, instance)
+        )
 
     def test_fanout_on_minimal_platform(self):
         graph = compile_job(build_fanout_job(3))
         job, _ = deploy_to_job(graph, build_minimal_platform())
         instance = generate_chain_instance(50)
-        assert run_job(job, instance).same_bags(
-            run_job(build_fanout_job(3), instance)
+        assert EtlEngine().execute(job, instance).same_bags(
+            EtlEngine().execute(build_fanout_job(3), instance)
         )
 
     def test_choice_step_changes_with_repertoire(self):
@@ -79,8 +81,8 @@ class TestMergeAblation:
         graph = compile_job(build_example_job())
         unmerged, _ = deploy_to_job(graph, merge=False)
         instance = generate_instance(40)
-        assert run_job(unmerged, instance).same_bags(
-            run_job(build_example_job(), instance)
+        assert EtlEngine().execute(unmerged, instance).same_bags(
+            EtlEngine().execute(build_example_job(), instance)
         )
 
 
@@ -100,6 +102,6 @@ class TestCustomPlatformRegistration:
         graph = compile_job(build_example_job())
         job, _ = deploy_to_job(graph, enough)
         instance = generate_instance(30)
-        assert run_job(job, instance).same_bags(
-            run_job(build_example_job(), instance)
+        assert EtlEngine().execute(job, instance).same_bags(
+            EtlEngine().execute(build_example_job(), instance)
         )

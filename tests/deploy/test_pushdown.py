@@ -5,7 +5,7 @@ import pytest
 from repro.compile import compile_job
 from repro.deploy import plan_pushdown
 from repro.errors import DeploymentError
-from repro.etl import run_job
+from repro.etl import EtlEngine
 from repro.ohm import Filter, OhmGraph, Project, Source, Target
 from repro.schema import relation
 from repro.workloads import (
@@ -52,7 +52,7 @@ class TestExampleScenario:
 
     def test_hybrid_execution_matches_pure_etl(self, hybrid):
         instance = generate_instance(60)
-        pure = run_job(build_example_job(), instance)
+        pure = EtlEngine().execute(build_example_job(), instance)
         assert hybrid.execute(instance).same_bags(pure)
 
     def test_describe_shows_sql_and_job(self, hybrid):
@@ -123,4 +123,4 @@ class TestHybridEquivalence:
         graph = compile_job(job)
         hybrid = plan_pushdown(graph)
         instance = instance_builder()
-        assert hybrid.execute(instance).same_bags(run_job(job, instance))
+        assert hybrid.execute(instance).same_bags(EtlEngine().execute(job, instance))

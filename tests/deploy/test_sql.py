@@ -19,6 +19,7 @@ from repro.expr.parser import parse
 from repro.mapping import (
     Mapping,
     MappingExecutor,
+    MappingSet,
     SourceBinding,
     ohm_to_mappings,
 )
@@ -147,7 +148,9 @@ class TestSqliteExecution:
             group_by=["a.customerID"],
         )
         via_sql = run_mapping_as_sql(mapping, instance)
-        direct = MappingExecutor().execute_mapping(mapping, instance)
+        direct = MappingExecutor().execute(
+            MappingSet([mapping]), instance
+        ).dataset(mapping.target.name)
         assert via_sql.same_bag(direct)
 
     def test_dates_round_trip_through_sqlite(self, accounts, instance):
@@ -175,7 +178,9 @@ class TestSqliteExecution:
             where="a.opened IS NOT NULL",
         )
         via_sql = run_mapping_as_sql(mapping, instance)
-        direct = MappingExecutor().execute_mapping(mapping, instance)
+        direct = MappingExecutor().execute(
+            MappingSet([mapping]), instance
+        ).dataset(mapping.target.name)
         assert via_sql.same_bag(direct)
 
     def test_bad_sql_raises_execution_error(self, instance, accounts):
@@ -195,5 +200,7 @@ class TestSqliteExecution:
         m1 = mappings.by_name("M1")
         instance = generate_instance(40)
         via_sql = run_mapping_as_sql(m1, instance)
-        direct = MappingExecutor().execute_mapping(m1, instance)
+        direct = MappingExecutor().execute(
+            MappingSet([m1]), instance
+        ).dataset(m1.target.name)
         assert via_sql.same_bag(direct)

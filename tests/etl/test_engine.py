@@ -12,8 +12,6 @@ from repro.etl import (
     TableSource,
     TableTarget,
     Transformer,
-    run_job,
-    run_job_with_links,
 )
 from repro.schema import relation
 from repro.workloads import build_example_job, generate_instance
@@ -40,7 +38,7 @@ class TestExecution:
         instance = Instance(
             [Dataset(rel, [{"id": 1, "v": 5.0}, {"id": 2, "v": 15.0}])]
         )
-        result = run_job(job, instance)
+        result = EtlEngine().execute(job, instance)
         assert result.dataset("Out").column("id") == [2]
 
     def test_link_data_and_counts(self, rel):
@@ -49,19 +47,20 @@ class TestExecution:
             [Dataset(rel, [{"id": 1, "v": 5.0}, {"id": 2, "v": 15.0}])]
         )
         engine = EtlEngine()
-        _targets, links = engine.run(job, instance)
-        assert len(links["DSLink1"]) == 2
-        assert len(links["DSLink2"]) == 1
+        result = engine.run(job, instance, keep=["DSLink1", "DSLink2"])
+        assert len(result.edges["DSLink1"]) == 2
+        assert len(result.edges["DSLink2"]) == 1
+        assert result.rows == {"DSLink1": 2, "DSLink2": 1}
         assert engine.last_run.link_counts == {"DSLink1": 2, "DSLink2": 1}
-        with pytest.warns(DeprecationWarning):
-            assert engine.link_counts == {"DSLink1": 2, "DSLink2": 1}
 
-    def test_run_job_with_links_helper(self, rel):
+    def test_run_keeps_only_the_named_links(self, rel):
         job = simple_job(rel)
         instance = Instance([Dataset(rel, [{"id": 1, "v": 50.0}])])
-        targets, links = run_job_with_links(job, instance)
-        assert "DSLink2" in links
-        assert len(targets.dataset("Out")) == 1
+        result = EtlEngine().run(job, instance, keep=["DSLink2"])
+        assert list(result.edges) == ["DSLink2"]
+        assert result.rows == {"DSLink1": 1, "DSLink2": 1}
+        assert len(result.targets.dataset("Out")) == 1
+        assert len(result.rejected) == 0
 
     def test_multi_path_job(self):
         # diamond: source splits via a 2-output filter, rejoins via a join
@@ -82,7 +81,7 @@ class TestExecution:
         job.link(split, join, src_port=1, dst_port=1)
         job.link(join, tgt)
         instance = Instance([Dataset(rel, [{"id": 1, "v": 3.0}])])
-        result = run_job(job, instance)
+        result = EtlEngine().execute(job, instance)
         assert result.dataset("Out").rows == [{"id": 1, "v": 3.0}]
 
 
@@ -90,25 +89,25 @@ class TestPaperExampleJob:
     def test_partitions_customers(self):
         job = build_example_job()
         instance = generate_instance(80)
-        targets, links = run_job_with_links(job, instance)
+        targets, _rejected, rows, _edges = EtlEngine().run(job, instance)
         big = targets.dataset("BigCustomers")
         other = targets.dataset("OtherCustomers")
         # the final filter partitions DSLink10 exactly
-        assert len(big) + len(other) == len(links["DSLink10"])
+        assert len(big) + len(other) == rows["DSLink10"]
         assert all(r["totalBalance"] > 100000 for r in big)
         assert all(r["totalBalance"] <= 100000 for r in other)
 
     def test_loan_accounts_excluded(self):
         job = build_example_job()
         instance = generate_instance(80)
-        _targets, links = run_job_with_links(job, instance)
+        rows = EtlEngine().run(job, instance).rows
         accounts = instance.dataset("Accounts")
         non_loans = [r for r in accounts if r["type"] != "L"]
-        assert len(links["DSLink4"]) == len(non_loans)
+        assert rows["DSLink4"] == len(non_loans)
 
     def test_derived_columns_populated(self):
         job = build_example_job()
-        targets = run_job(job, generate_instance(30))
+        targets = EtlEngine().execute(job, generate_instance(30))
         for dataset in targets:
             for row in dataset:
                 assert row["agegroup"] in ("young", "adult", "senior")

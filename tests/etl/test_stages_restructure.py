@@ -6,11 +6,11 @@ from repro.data.dataset import Dataset, Instance
 from repro.errors import ValidationError
 from repro.etl import (
     CombineRecords,
+    EtlEngine,
     Job,
     PromoteSubrecord,
     TableSource,
     TableTarget,
-    run_job,
 )
 from repro.schema import relation
 from repro.schema.model import Attribute, Relation
@@ -120,7 +120,7 @@ class TestEndToEnd:
     def test_nest_unnest_is_identity(self, accounts):
         job = self.build_job(accounts)
         instance = Instance([Dataset(accounts, ROWS)])
-        result = run_job(job, instance)
+        result = EtlEngine().execute(job, instance)
         assert result.dataset("Out").same_bag(Dataset(accounts, ROWS))
 
     def test_compiles_to_nest_unnest(self, accounts):
@@ -141,15 +141,15 @@ class TestEndToEnd:
         assert "CombineRecords" in types
         assert "PromoteSubrecord" in types
         instance = Instance([Dataset(accounts, ROWS)])
-        assert run_job(job, instance).same_bags(
-            run_job(self.build_job(accounts), instance)
+        assert EtlEngine().execute(job, instance).same_bags(
+            EtlEngine().execute(self.build_job(accounts), instance)
         )
 
     def test_mapping_extraction_treats_nf2_as_opaque_but_executable(
         self, accounts
     ):
         from repro.compile import compile_job
-        from repro.mapping import execute_mappings, ohm_to_mappings
+        from repro.mapping import MappingExecutor, ohm_to_mappings
 
         job = self.build_job(accounts)
         graph = compile_job(job)
@@ -158,8 +158,8 @@ class TestEndToEnd:
             "NEST", "UNNEST",
         ))
         instance = Instance([Dataset(accounts, ROWS)])
-        assert execute_mappings(mappings, instance).same_bags(
-            run_job(job, instance)
+        assert MappingExecutor().execute(mappings, instance).same_bags(
+            EtlEngine().execute(job, instance)
         )
 
     def test_xml_roundtrip(self, accounts):
@@ -168,4 +168,6 @@ class TestEndToEnd:
         job = self.build_job(accounts)
         restored = job_from_xml(job_to_xml(job))
         instance = Instance([Dataset(accounts, ROWS)])
-        assert run_job(restored, instance).same_bags(run_job(job, instance))
+        assert EtlEngine().execute(restored, instance).same_bags(
+            EtlEngine().execute(job, instance)
+        )

@@ -5,13 +5,13 @@ import pytest
 
 from repro.errors import SerializationError
 from repro.etl import (
+    EtlEngine,
     Job,
     TableSource,
     TableTarget,
     job_from_xml,
     job_to_xml,
     read_job,
-    run_job,
     write_job,
 )
 from repro.schema import relation
@@ -42,7 +42,9 @@ class TestRoundTrip:
         job = build_example_job()
         restored = job_from_xml(job_to_xml(job))
         instance = generate_instance(40)
-        assert run_job(restored, instance).same_bags(run_job(job, instance))
+        assert EtlEngine().execute(restored, instance).same_bags(
+            EtlEngine().execute(job, instance)
+        )
 
     @pytest.mark.parametrize(
         "builder,instance_builder",
@@ -57,7 +59,9 @@ class TestRoundTrip:
         job = builder()
         restored = job_from_xml(job_to_xml(job))
         instance = instance_builder()
-        assert run_job(restored, instance).same_bags(run_job(job, instance))
+        assert EtlEngine().execute(restored, instance).same_bags(
+            EtlEngine().execute(job, instance)
+        )
 
     def test_annotations_survive(self):
         rel = relation("R", ("id", "int"))

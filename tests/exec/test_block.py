@@ -21,7 +21,7 @@ from repro.exec.compile_block import (
 from repro.expr.ast import AggregateCall, ColumnRef
 from repro.expr.parser import parse
 from repro.obs import Observability
-from repro.ohm import OhmExecutor
+from repro.ohm.engine import operator_outputs
 from repro.ohm.operators import Filter, Project
 from repro.schema.model import Attribute, Relation
 from repro.schema.types import INTEGER, STRING
@@ -69,8 +69,9 @@ def block_tier_operator(op, out_relation=T_REL):
     """``op`` over ROWS at the compiled tier; the input block and the
     output chain, gathered."""
     data = Dataset.adopt_block(T_REL, make_block())
-    executor = OhmExecutor(compiled=True)
-    (out,) = executor.run_operator(op, [data], [out_relation])
+    (out,) = operator_outputs(
+        op, [data], [out_relation], None, ExpressionPlanner(compiled=True)
+    )
     assert out.peek_fused() is not None
     return data.peek_block(), out.as_block()
 

@@ -333,17 +333,17 @@ def program_job(derived, predicate):
 def accepted_and_rejected(runtime, job, instance, **options):
     if runtime == "etl":
         engine = EtlEngine(on_error="reject", **options)
-        targets, _ = engine.run(job, instance)
+        targets = engine.execute(job, instance)
         rejected = Counter(format_row(r.row) for r in engine.last_run.rejected)
     elif runtime == "ohm":
-        targets, _edges, rejects = OhmExecutor(
+        targets, rejects, _rows, _edges = OhmExecutor(
             on_error="reject", **options
-        ).run_with_rejects(compile_job(job), instance)
+        ).run(compile_job(job), instance)
         rejected = Counter(r["row"] for r in rejects.rows)
     else:
-        targets, _inter, rejects = MappingExecutor(
+        targets, rejects, _rows, _edges = MappingExecutor(
             on_error="reject", **options
-        ).run_with_rejects(ohm_to_mappings(compile_job(job)), instance)
+        ).run(ohm_to_mappings(compile_job(job)), instance)
         rejected = Counter(r["row"] for r in rejects.rows)
     return Counter(format_row(r) for r in targets.dataset("Out").rows), rejected
 
@@ -439,7 +439,7 @@ def single_stage_job(stage, out_relation, sources=(IDS,)):
 
 
 def run_tier(job, tier):
-    targets, _ = EtlEngine(**TIERS[tier]).run(job, ids_instance())
+    targets = EtlEngine(**TIERS[tier]).execute(job, ids_instance())
     (out,) = list(targets)
     return out.rows
 

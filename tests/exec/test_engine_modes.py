@@ -10,10 +10,10 @@ import pytest
 
 from repro.cost import StatisticsCatalog
 from repro.data.dataset import Dataset, Instance
-from repro.etl.engine import EtlEngine, run_job, run_job_with_links
+from repro.etl.engine import EtlEngine
 from repro.fasttrack.orchid import Orchid
-from repro.mapping.executor import MappingExecutor, execute_mappings
-from repro.ohm.engine import OhmExecutor, execute, execute_with_edges
+from repro.mapping.executor import MappingExecutor
+from repro.ohm.engine import OhmExecutor
 from repro.ohm.graph import OhmGraph
 from repro.ohm.operators import Filter, Source, Target, Unknown
 from repro.schema.model import Attribute, Relation
@@ -107,33 +107,35 @@ def test_ohm_executor_keeps_no_run_state():
 
 
 def test_wrappers_forward_every_engine_option():
-    """The five convenience wrappers pass ``**options`` straight to
-    their engine, so none can fall behind its constructor again."""
+    """``run`` and ``execute`` on each of the three runtimes honour every
+    option given at construction, and an unknown keyword is refused."""
     job = build_example_job()
     instance = generate_instance(n_customers=40)
     orchid = Orchid()
     graph = orchid.import_etl(job)
     mappings = orchid.to_mappings(graph)
     baseline = EtlEngine(compiled=False).execute(job, instance)
-    for wrapper, plan, first_result in (
-        (run_job, job, lambda out: out),
-        (run_job_with_links, job, lambda out: out[0]),
-        (execute, graph, lambda out: out),
-        (execute_with_edges, graph, lambda out: out[0]),
-        (execute_mappings, mappings, lambda out: out),
+    for runtime, plan in (
+        (EtlEngine, job),
+        (OhmExecutor, graph),
+        (MappingExecutor, mappings),
     ):
-        catalog = StatisticsCatalog()
-        supervisor = RunSupervisor()
-        out = wrapper(
-            plan, instance, catalog=catalog, supervisor=supervisor,
-            compiled=True, deadline=60,
-            memory_budget=10**6,
-        )
-        assert first_result(out).same_bags(baseline), wrapper.__name__
-        assert supervisor.frontier, wrapper.__name__  # it supervised the run
-        assert catalog.has_table("Customers"), wrapper.__name__  # fed back
+        for entry in ("run", "execute"):
+            catalog = StatisticsCatalog()
+            supervisor = RunSupervisor()
+            engine = runtime(
+                catalog=catalog, supervisor=supervisor,
+                compiled=True, deadline=60,
+                memory_budget=10**6,
+            )
+            out = getattr(engine, entry)(plan, instance)
+            targets = out.targets if entry == "run" else out
+            label = f"{runtime.__name__}.{entry}"
+            assert targets.same_bags(baseline), label
+            assert supervisor.frontier, label  # it supervised the run
+            assert catalog.has_table("Customers"), label  # fed back
         with pytest.raises(TypeError, match="turbo"):
-            wrapper(plan, instance, turbo=True)
+            runtime(turbo=True)
 
 
 @pytest.mark.parametrize("executor", [OhmExecutor, MappingExecutor])

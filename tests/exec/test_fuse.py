@@ -57,7 +57,7 @@ from repro.workloads import (
 
 def run_etl(instance, policy, **tier):
     engine = EtlEngine(on_error=policy, **tier)
-    targets, _ = engine.run(build_faulty_job(), instance)
+    targets = engine.execute(build_faulty_job(), instance)
     accepted = Counter(format_row(r) for r in targets.dataset("Premium").rows)
     rejected = Counter(format_row(r.row) for r in engine.last_run.rejected)
     return accepted, rejected
@@ -66,7 +66,7 @@ def run_etl(instance, policy, **tier):
 def run_ohm(instance, policy, **tier):
     graph = compile_job(build_faulty_job())
     executor = OhmExecutor(on_error=policy, **tier)
-    targets, _edges, rejects = executor.run_with_rejects(graph, instance)
+    targets, rejects, _rows, _edges = executor.run(graph, instance)
     accepted = Counter(format_row(r) for r in targets.dataset("Premium").rows)
     rejected = Counter(r["row"] for r in rejects.rows)
     return accepted, rejected
@@ -75,7 +75,7 @@ def run_ohm(instance, policy, **tier):
 def run_mapping(instance, policy, **tier):
     mappings = ohm_to_mappings(compile_job(build_faulty_job()))
     executor = MappingExecutor(on_error=policy, **tier)
-    targets, _inter, rejects = executor.run_with_rejects(mappings, instance)
+    targets, rejects, _rows, _edges = executor.run(mappings, instance)
     accepted = Counter(format_row(r) for r in targets.dataset("Premium").rows)
     rejected = Counter(r["row"] for r in rejects.rows)
     return accepted, rejected
@@ -123,17 +123,20 @@ def run_tier(runtime, job, instance, **tier):
     reset_keygen_sequences()
     if runtime == "etl":
         engine = EtlEngine(obs=obs, on_error="reject", **tier)
-        targets, links = engine.run(job, instance)
+        result = engine.run(job, instance, keep=[e.name for e in job.edges])
+        targets, links = result.targets, result.edges
         rejected = Counter(format_row(r.row) for r in engine.last_run.rejected)
     else:
         graph = compile_job(job)
         if runtime == "ohm":
             executor, plan = OhmExecutor, graph
+            keep = [e.name for e in graph.edges]
         else:
             executor, plan = MappingExecutor, ohm_to_mappings(graph)
-        targets, links, rejects = executor(
+            keep = plan.intermediate_relation_names()
+        targets, rejects, _rows, links = executor(
             obs=obs, on_error="reject", **tier
-        ).run_with_rejects(plan, instance)
+        ).run(plan, instance, keep=keep)
         rejected = Counter(r["row"] for r in rejects.rows)
     accepted = {
         name: Counter(format_row(r) for r in targets.dataset(name).rows)
@@ -356,7 +359,7 @@ class TestRandomizedChains:
 
         def run(compiled):
             engine = EtlEngine(compiled=compiled, on_error=policy)
-            targets, _ = engine.run(job, instance)
+            targets = engine.execute(job, instance)
             rejected = Counter(
                 format_row(r.row) for r in engine.last_run.rejected
             )
@@ -391,12 +394,12 @@ class TestFusedDegradation:
     def test_fused_fault_falls_back_to_oracle(self):
         instance, _plan = generate_faulty_instance(n=40, seed=31)
         baseline_engine = EtlEngine(compiled=False)
-        baseline, _ = baseline_engine.run(build_faulty_job(), instance)
+        baseline = baseline_engine.execute(build_faulty_job(), instance)
         plan = FaultPlan(seed=31).fault_kernels(tier="block", first=1)
         obs = Observability(stats=True)
         engine = EtlEngine(obs=obs, compiled=True)
         with plan.injected():
-            targets, _ = engine.run(build_faulty_job(), instance)
+            targets = engine.execute(build_faulty_job(), instance)
         assert plan.kernel_faults_fired.get("block", 0) == 1
         assert sorted(
             map(format_row, targets.dataset("Premium").rows)

@@ -20,8 +20,8 @@ from repro.etl.stages import RemoveDuplicatesStage, TableSource, TableTarget
 from repro.exec import ExpressionPlanner, block, kernels
 from repro.exec.block import RowBlock, relation_resolver
 from repro.expr.ast import AggregateCall, ColumnRef
-from repro.mapping import execute_mappings, ohm_to_mappings
-from repro.ohm import execute
+from repro.mapping import MappingExecutor, ohm_to_mappings
+from repro.ohm import OhmExecutor
 from repro.schema import relation
 from repro.supervision import MemoryBudget, governed
 
@@ -198,8 +198,8 @@ def test_dedup_equals_lowered_group_on_every_runtime(retain, keys, compiled):
     instance = orders_instance()
     with config.overriding(compiled=compiled):
         etl = EtlEngine().execute(job, instance).dataset("Out").rows
-        ohm = execute(graph, instance).dataset("Out").rows
-        mapped = execute_mappings(ohm_to_mappings(graph), instance)
+        ohm = OhmExecutor().execute(graph, instance).dataset("Out").rows
+        mapped = MappingExecutor().execute(ohm_to_mappings(graph), instance)
     picked = {}
     for row in instance.dataset("Orders").rows:
         key = tuple(row[k] for k in keys)

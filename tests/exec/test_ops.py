@@ -22,7 +22,7 @@ from repro.etl.stages import (
 from repro.exec import ExpressionPlanner, ops
 from repro.expr.ast import AggregateCall, ColumnRef
 from repro.expr.parser import parse
-from repro.ohm import OhmExecutor
+from repro.ohm.engine import operator_outputs
 from repro.ohm.operators import Filter, Group, Join, Nest, Project, Union, Unnest
 from repro.resilience import ErrorContext
 from repro.schema.model import Attribute, Relation
@@ -324,7 +324,7 @@ def stage_and_operator(stage, op, inputs, **tier):
     op_out = op.output_relations(relations, ["Out"])
     planner = ExpressionPlanner(**tier)
     (from_stage,) = stage.execute(inputs, stage_out, planner)
-    (from_op,) = OhmExecutor(**tier).run_operator(op, inputs, op_out)
+    (from_op,) = operator_outputs(op, inputs, op_out, None, planner)
     return from_stage.rows, from_op.rows
 
 

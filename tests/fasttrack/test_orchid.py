@@ -3,8 +3,8 @@
 import pytest
 
 from repro.fasttrack import Orchid
-from repro.etl import job_to_xml, run_job
-from repro.mapping import Mapping, MappingSet, SourceBinding, execute_mappings
+from repro.etl import EtlEngine, job_to_xml
+from repro.mapping import Mapping, MappingExecutor, MappingSet, SourceBinding
 from repro.schema import relation
 from repro.workloads import build_example_job, generate_instance
 
@@ -40,8 +40,8 @@ class TestAnalystReviewDirection:
         job = build_example_job()
         mappings = orchid.etl_to_mappings(job)
         instance = generate_instance(40)
-        assert execute_mappings(mappings, instance).same_bags(
-            run_job(job, instance)
+        assert MappingExecutor().execute(mappings, instance).same_bags(
+            EtlEngine().execute(job, instance)
         )
 
 
@@ -51,8 +51,8 @@ class TestProgrammerDirection:
         job, plan = orchid.mappings_to_etl(mappings)
         assert len(plan.boxes) >= 4
         instance = generate_instance(40)
-        assert run_job(job, instance).same_bags(
-            run_job(build_example_job(), instance)
+        assert EtlEngine().execute(job, instance).same_bags(
+            EtlEngine().execute(build_example_job(), instance)
         )
 
     def test_incomplete_mapping_yields_skeleton(self, orchid):
@@ -98,7 +98,7 @@ class TestProgrammerDirection:
             Dataset(a, [{"id": 1, "x": 1.0}]),
             Dataset(b, [{"id": 1, "y": 2.0}]),
         ])
-        result = run_job(skeleton, instance)
+        result = EtlEngine().execute(skeleton, instance)
         assert result.dataset("T").rows == [{"id": 1, "x": 1.0, "y": 2.0}]
 
 
@@ -107,7 +107,9 @@ class TestRoundTrips:
         job = build_example_job()
         regenerated, mappings = orchid.round_trip_etl(job)
         instance = generate_instance(40)
-        assert run_job(regenerated, instance).same_bags(run_job(job, instance))
+        assert EtlEngine().execute(regenerated, instance).same_bags(
+            EtlEngine().execute(job, instance)
+        )
         assert len(mappings) == 3
 
     def test_round_trip_mappings_stable(self, orchid):
@@ -133,10 +135,10 @@ class TestRoundTrips:
         report = orchid.optimize(graph)
         assert report.total >= 0
         instance = generate_instance(30)
-        from repro.ohm import execute
+        from repro.ohm import OhmExecutor
 
-        assert execute(graph, instance).same_bags(
-            run_job(build_example_job(), instance)
+        assert OhmExecutor().execute(graph, instance).same_bags(
+            EtlEngine().execute(build_example_job(), instance)
         )
 
     def test_hybrid_deployment(self, orchid):
@@ -144,5 +146,5 @@ class TestRoundTrips:
         hybrid = orchid.to_hybrid(graph)
         instance = generate_instance(30)
         assert hybrid.execute(instance).same_bags(
-            run_job(build_example_job(), instance)
+            EtlEngine().execute(build_example_job(), instance)
         )

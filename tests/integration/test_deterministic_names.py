@@ -37,7 +37,7 @@ def _stage_names(hash_seed: str):
     )
     result = subprocess.run(
         [sys.executable, "-c", ROUND_TRIP],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, encoding="utf-8", env=env, check=True,
     )
     return json.loads(result.stdout)
 

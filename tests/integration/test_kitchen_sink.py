@@ -5,18 +5,18 @@ import pytest
 
 from repro.compile import compile_job
 from repro.deploy import build_minimal_platform, deploy_to_job, plan_pushdown
-from repro.etl import job_from_xml, job_to_xml, run_job
+from repro.etl import EtlEngine, job_from_xml, job_to_xml
 from repro.exec.block import RowBlock
 from repro.mapping import (
-    execute_mappings,
+    MappingExecutor,
     mappings_from_json,
     mappings_to_json,
     ohm_to_mappings,
 )
 from repro.mapping.to_ohm import mappings_to_ohm
 from repro.ohm import (
+    OhmExecutor,
     engine,
-    execute,
     graph_from_json,
     graph_to_json,
     reset_keygen_sequences,
@@ -37,7 +37,7 @@ def instance():
 @pytest.fixture(scope="module")
 def baseline(instance):
     reset_keygen_sequences()
-    return run_job(build_kitchen_sink_job(), instance)
+    return EtlEngine().execute(build_kitchen_sink_job(), instance)
 
 
 class TestStageCoverage:
@@ -75,24 +75,24 @@ class TestOrderPreservingPaths:
     def test_ohm_engine(self, instance, baseline):
         graph = compile_job(build_kitchen_sink_job())
         reset_keygen_sequences()
-        assert execute(graph, instance).same_bags(baseline)
+        assert OhmExecutor().execute(graph, instance).same_bags(baseline)
 
     def test_redeployed_job(self, instance, baseline):
         graph = compile_job(build_kitchen_sink_job())
         job, _plan = deploy_to_job(graph)
         reset_keygen_sequences()
-        assert run_job(job, instance).same_bags(baseline)
+        assert EtlEngine().execute(job, instance).same_bags(baseline)
 
     def test_xml_round_trip(self, instance, baseline):
         job = job_from_xml(job_to_xml(build_kitchen_sink_job()))
         reset_keygen_sequences()
-        assert run_job(job, instance).same_bags(baseline)
+        assert EtlEngine().execute(job, instance).same_bags(baseline)
 
     def test_ohm_json_round_trip(self, instance, baseline):
         graph = compile_job(build_kitchen_sink_job())
         restored = graph_from_json(graph_to_json(graph))
         reset_keygen_sequences()
-        assert execute(restored, instance).same_bags(baseline)
+        assert OhmExecutor().execute(restored, instance).same_bags(baseline)
 
 
 class TestMappingPaths:
@@ -102,7 +102,7 @@ class TestMappingPaths:
 
     @pytest.fixture(scope="class")
     def nk_baseline(self, instance):
-        return run_job(build_kitchen_sink_job(with_surrogate_key=False),
+        return EtlEngine().execute(build_kitchen_sink_job(with_surrogate_key=False),
                        instance)
 
     def test_extracted_mappings_execute(self, instance, nk_baseline):
@@ -110,7 +110,7 @@ class TestMappingPaths:
         mappings = ohm_to_mappings(graph)
         # the outer-join Lookup becomes an opaque mapping that still runs
         assert any(m.is_opaque for m in mappings)
-        assert execute_mappings(mappings, instance).same_bags(nk_baseline)
+        assert MappingExecutor().execute(mappings, instance).same_bags(nk_baseline)
 
     def test_opaque_output_edge_stays_columnar(
         self, instance, nk_baseline, monkeypatch
@@ -137,24 +137,26 @@ class TestMappingPaths:
         graph = compile_job(build_kitchen_sink_job(with_surrogate_key=False))
         # the lowered run: under REPRO_COMPILED=0 the mapping executor
         # would read the formulas and lower nothing
-        assert execute_mappings(
-            ohm_to_mappings(graph), instance, compiled=True
-        ).same_bags(nk_baseline)
+        assert MappingExecutor(compiled=True).execute(ohm_to_mappings(graph), instance).same_bags(
+            nk_baseline
+        )
         assert handed and all(b is not None for b in handed)
         assert not any(b is c for b in handed for c in converted)
 
     def test_custom_stage_returning_rows_still_runs(self):
         job = build_example_job(custom_after_join=True)
         data = generate_instance(40)
-        expected = run_job(job, data)
+        expected = EtlEngine().execute(job, data)
         graph = compile_job(job)
-        assert execute(graph, data).same_bags(expected)
-        assert execute_mappings(ohm_to_mappings(graph), data).same_bags(expected)
+        assert OhmExecutor().execute(graph, data).same_bags(expected)
+        assert MappingExecutor().execute(ohm_to_mappings(graph), data).same_bags(
+            expected
+        )
 
     def test_mappings_to_ohm_round_trip(self, instance, nk_baseline):
         graph = compile_job(build_kitchen_sink_job(with_surrogate_key=False))
         back = mappings_to_ohm(ohm_to_mappings(graph))
-        assert execute(back, instance).same_bags(nk_baseline)
+        assert OhmExecutor().execute(back, instance).same_bags(nk_baseline)
 
     def test_mapping_json_round_trip_structure(self):
         graph = compile_job(build_kitchen_sink_job(with_surrogate_key=False))
@@ -170,4 +172,4 @@ class TestMappingPaths:
     def test_minimal_platform_deployment(self, instance, nk_baseline):
         graph = compile_job(build_kitchen_sink_job(with_surrogate_key=False))
         job, _plan = deploy_to_job(graph, build_minimal_platform())
-        assert run_job(job, instance).same_bags(nk_baseline)
+        assert EtlEngine().execute(job, instance).same_bags(nk_baseline)

@@ -9,10 +9,10 @@ import pytest
 
 from repro.compile import compile_job
 from repro.deploy import DATASTAGE, deploy_to_job, plan_deployment, plan_pushdown
-from repro.etl import run_job, run_job_with_links
-from repro.mapping import execute_mappings, ohm_to_mappings
+from repro.etl import EtlEngine
+from repro.mapping import MappingExecutor, ohm_to_mappings
 from repro.mapping.to_ohm import mappings_to_ohm
-from repro.ohm import execute, execute_with_edges
+from repro.ohm import OhmExecutor
 from repro.workloads import build_example_job, generate_instance
 
 
@@ -23,7 +23,7 @@ def instance():
 
 @pytest.fixture(scope="module")
 def etl_result(instance):
-    return run_job(build_example_job(), instance)
+    return EtlEngine().execute(build_example_job(), instance)
 
 
 class TestFigure3ExampleJob:
@@ -94,7 +94,7 @@ class TestFigure5OhmInstance:
         assert in_edge.name == "DSLink10"
 
     def test_compiled_graph_semantics(self, graph, instance, etl_result):
-        assert execute(graph, instance).same_bags(etl_result)
+        assert OhmExecutor().execute(graph, instance).same_bags(etl_result)
 
 
 class TestFigures7And8Mappings:
@@ -137,16 +137,16 @@ class TestFigures7And8Mappings:
         assert other.where.to_sql() == "(d2.totalBalance <= 100000)"
 
     def test_mappings_execute_like_the_job(self, mappings, instance, etl_result):
-        assert execute_mappings(mappings, instance).same_bags(etl_result)
+        assert MappingExecutor().execute(mappings, instance).same_bags(etl_result)
 
     def test_dslink10_contents_match_the_link(self, mappings, instance):
         # the intermediate relation is exactly the data on the ETL link
-        from repro.mapping import MappingExecutor
-
-        _targets, intermediates = MappingExecutor().run(mappings, instance)
-        _etl_targets, links = run_job_with_links(
-            build_example_job(), instance
-        )
+        intermediates = MappingExecutor().run(
+            mappings, instance, keep=["DSLink10"]
+        ).edges
+        links = EtlEngine().run(
+            build_example_job(), instance, keep=["DSLink10"]
+        ).edges
         assert intermediates["DSLink10"].same_bag(links["DSLink10"])
 
 
@@ -187,8 +187,8 @@ class TestUnknownOperatorScenario:
 
     def test_executable_because_behaviour_was_carried(self, mappings, instance):
         job = build_example_job(custom_after_join=True)
-        assert execute_mappings(mappings, instance).same_bags(
-            run_job(job, instance)
+        assert MappingExecutor().execute(mappings, instance).same_bags(
+            EtlEngine().execute(job, instance)
         )
 
 
@@ -204,7 +204,7 @@ class TestFigure9ReverseDirection:
             )
 
         assert shape(backward) == shape(forward)
-        assert execute(backward, instance).same_bags(etl_result)
+        assert OhmExecutor().execute(backward, instance).same_bags(etl_result)
 
     def test_m2_compiles_to_filter_basic_project(self):
         # "resulting in the simple DSLink10 -> FILTER -> BASIC PROJECT ->
@@ -230,7 +230,7 @@ class TestFigure10Deployment:
             "TableSource", "TableSource", "Transformer", "Filter", "Join",
             "Aggregator", "Filter", "TableTarget", "TableTarget",
         ])
-        assert run_job(job, instance).same_bags(etl_result)
+        assert EtlEngine().execute(job, instance).same_bags(etl_result)
 
     def test_filter_chosen_over_transformer(self):
         # "In both cases, a Filter stage would be the natural choice"
@@ -261,12 +261,12 @@ class TestRoundTripping:
         from repro.fasttrack import Orchid
 
         regenerated, _mappings = Orchid().round_trip_etl(build_example_job())
-        assert run_job(regenerated, instance).same_bags(etl_result)
+        assert EtlEngine().execute(regenerated, instance).same_bags(etl_result)
 
     def test_intermediate_edge_data_matches_at_dslink10(self, instance):
         graph = compile_job(build_example_job())
-        _targets, edges = execute_with_edges(graph, instance)
-        _etl_targets, links = run_job_with_links(
-            build_example_job(), instance
-        )
+        edges = OhmExecutor().run(graph, instance, keep=["DSLink10"]).edges
+        links = EtlEngine().run(
+            build_example_job(), instance, keep=["DSLink10"]
+        ).edges
         assert edges["DSLink10"].same_bag(links["DSLink10"])

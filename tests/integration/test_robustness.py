@@ -20,6 +20,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.etl import (
+    EtlEngine,
     FilterOutput,
     FilterStage,
     Job,
@@ -28,15 +29,14 @@ from repro.etl import (
     Transformer,
     job_from_xml,
     job_to_xml,
-    run_job,
 )
 from repro.mapping import (
-    execute_mappings,
+    MappingExecutor,
     mappings_from_json,
     mappings_to_json,
     ohm_to_mappings,
 )
-from repro.ohm import execute
+from repro.ohm import OhmExecutor
 from repro.schema import relation
 
 HOSTILE_STRINGS = [
@@ -95,23 +95,23 @@ class TestHostileData:
     def test_hostile_strings_survive_every_path(self):
         job, rel = hostile_job()
         instance = self.make_instance(rel, HOSTILE_STRINGS)
-        baseline = run_job(job, instance)
+        baseline = EtlEngine().execute(job, instance)
         graph = compile_job(job)
-        assert execute(graph, instance).same_bags(baseline)
+        assert OhmExecutor().execute(graph, instance).same_bags(baseline)
         mappings = ohm_to_mappings(graph)
-        assert execute_mappings(mappings, instance).same_bags(baseline)
+        assert MappingExecutor().execute(mappings, instance).same_bags(baseline)
         hybrid = plan_pushdown(graph)
         assert hybrid.execute(instance).same_bags(baseline)
 
     def test_hostile_strings_survive_external_formats(self):
         job, rel = hostile_job()
         instance = self.make_instance(rel, HOSTILE_STRINGS)
-        baseline = run_job(job, instance)
+        baseline = EtlEngine().execute(job, instance)
         via_xml = job_from_xml(job_to_xml(job))
-        assert run_job(via_xml, instance).same_bags(baseline)
+        assert EtlEngine().execute(via_xml, instance).same_bags(baseline)
         mappings = ohm_to_mappings(compile_job(job))
         via_json = mappings_from_json(mappings_to_json(mappings))
-        assert execute_mappings(via_json, instance).same_bags(baseline)
+        assert MappingExecutor().execute(via_json, instance).same_bags(baseline)
 
     @given(
         texts=st.lists(
@@ -127,7 +127,7 @@ class TestHostileData:
         # because the csv-ish XML layer is not under test here
         job, rel = hostile_job()
         instance = self.make_instance(rel, texts)
-        baseline = run_job(job, instance)
+        baseline = EtlEngine().execute(job, instance)
         hybrid = plan_pushdown(compile_job(job))
         assert hybrid.execute(instance).same_bags(baseline)
 
@@ -146,20 +146,20 @@ class TestHostileLiteralsInExpressions:
                 {"id": 1, "text": "O'Brien"}, {"id": 2, "text": "Smith"},
             ])
         ])
-        baseline = run_job(job, instance)
+        baseline = EtlEngine().execute(job, instance)
         assert baseline.dataset("Out").column("id") == [1]
         graph = compile_job(job)
         mappings = ohm_to_mappings(graph)
-        assert execute_mappings(mappings, instance).same_bags(baseline)
+        assert MappingExecutor().execute(mappings, instance).same_bags(baseline)
         # ... and through SQL generation on sqlite
         hybrid = plan_pushdown(graph)
         assert hybrid.execute(instance).same_bags(baseline)
         # ... and through both external formats
-        assert run_job(
+        assert EtlEngine().execute(
             job_from_xml(job_to_xml(job)), instance
         ).same_bags(baseline)
         restored = mappings_from_json(mappings_to_json(mappings))
-        assert execute_mappings(restored, instance).same_bags(baseline)
+        assert MappingExecutor().execute(restored, instance).same_bags(baseline)
 
 
 class TestFailLoudly:

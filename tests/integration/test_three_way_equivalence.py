@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compile import compile_job
 from repro.deploy import deploy_to_job, plan_pushdown
-from repro.etl import run_job
-from repro.mapping import execute_mappings, ohm_to_mappings
+from repro.etl import EtlEngine
+from repro.mapping import MappingExecutor, ohm_to_mappings
 from repro.mapping.to_ohm import mappings_to_ohm
-from repro.ohm import execute
+from repro.ohm import OhmExecutor
 from repro.rewrite import optimize
 from repro.workloads import (
     build_chain_job,
@@ -31,23 +31,27 @@ from repro.workloads import (
 
 
 def all_paths_agree(job, instance):
-    baseline = run_job(job, instance)
+    baseline = EtlEngine().execute(job, instance)
     graph = compile_job(job)
-    assert execute(graph, instance).same_bags(baseline), "OHM engine diverged"
+    assert OhmExecutor().execute(graph, instance).same_bags(
+        baseline
+    ), "OHM engine diverged"
     mappings = ohm_to_mappings(graph)
-    assert execute_mappings(mappings, instance).same_bags(
+    assert MappingExecutor().execute(mappings, instance).same_bags(
         baseline
     ), "mapping executor diverged"
     back = mappings_to_ohm(mappings)
-    assert execute(back, instance).same_bags(
+    assert OhmExecutor().execute(back, instance).same_bags(
         baseline
     ), "mappings→OHM round trip diverged"
     redeployed, _plan = deploy_to_job(graph)
-    assert run_job(redeployed, instance).same_bags(
+    assert EtlEngine().execute(redeployed, instance).same_bags(
         baseline
     ), "redeployed job diverged"
     optimize(graph)
-    assert execute(graph, instance).same_bags(baseline), "optimizer diverged"
+    assert OhmExecutor().execute(graph, instance).same_bags(
+        baseline
+    ), "optimizer diverged"
     hybrid = plan_pushdown(compile_job(job))
     assert hybrid.execute(instance).same_bags(baseline), "hybrid diverged"
 
@@ -109,12 +113,12 @@ class TestPaperExample:
         # black box behaviour
         job = build_example_job(custom_after_join=True)
         instance = generate_instance(30, seed=seed)
-        baseline = run_job(job, instance)
+        baseline = EtlEngine().execute(job, instance)
         graph = compile_job(job)
-        assert execute(graph, instance).same_bags(baseline)
+        assert OhmExecutor().execute(graph, instance).same_bags(baseline)
         mappings = ohm_to_mappings(graph)
-        assert execute_mappings(mappings, instance).same_bags(baseline)
+        assert MappingExecutor().execute(mappings, instance).same_bags(baseline)
         back = mappings_to_ohm(mappings)
-        assert execute(back, instance).same_bags(baseline)
+        assert OhmExecutor().execute(back, instance).same_bags(baseline)
         hybrid = plan_pushdown(graph)
         assert hybrid.execute(instance).same_bags(baseline)

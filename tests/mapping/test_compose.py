@@ -14,7 +14,6 @@ from repro.mapping import (
     can_compose,
     compose_all,
     compose_mappings,
-    execute_mappings,
     ohm_to_mappings,
 )
 from repro.schema import relation
@@ -76,8 +75,10 @@ class TestBasicComposition:
         first, second = m_first(a_rel, mid), m_second(mid, target)
         composed = compose_mappings(first, second)
         instance = Instance([a_data(a_rel, [2, 60, 0.5, 49.5])])
-        sequential = execute_mappings(MappingSet([first, second]), instance)
-        direct = MappingExecutor().execute_mapping(composed, instance)
+        sequential = MappingExecutor().execute(MappingSet([first, second]), instance)
+        direct = MappingExecutor().execute(
+            MappingSet([composed]), instance
+        ).dataset(composed.target.name)
         assert direct.same_bag(sequential.dataset("T"))
 
     @given(
@@ -95,8 +96,10 @@ class TestBasicComposition:
         first, second = m_first(a_rel, mid), m_second(mid, target)
         composed = compose_mappings(first, second)
         instance = Instance([a_data(a_rel, [round(v, 3) for v in values])])
-        sequential = execute_mappings(MappingSet([first, second]), instance)
-        direct = MappingExecutor().execute_mapping(composed, instance)
+        sequential = MappingExecutor().execute(MappingSet([first, second]), instance)
+        direct = MappingExecutor().execute(
+            MappingSet([composed]), instance
+        ).dataset(composed.target.name)
         assert direct.same_bag(sequential.dataset("T"))
 
     def test_second_mapping_with_extra_sources(self, a_rel, b_rel, mid, target):
@@ -115,10 +118,12 @@ class TestBasicComposition:
             a_data(a_rel, [2, 60]),
             Dataset(b_rel, [{"id": 0, "u": 7.0}, {"id": 1, "u": 8.0}]),
         ])
-        sequential = execute_mappings(
+        sequential = MappingExecutor().execute(
             MappingSet([m_first(a_rel, mid), second]), instance
         )
-        direct = MappingExecutor().execute_mapping(composed, instance)
+        direct = MappingExecutor().execute(
+            MappingSet([composed]), instance
+        ).dataset(composed.target.name)
         assert direct.same_bag(sequential.dataset("W"))
 
     def test_variable_collision_renamed(self, a_rel, mid, target):
@@ -164,10 +169,12 @@ class TestGroupingRestriction:
         assert composed.is_grouping
         assert dict(composed.derivations)["total"].to_sql() == "SUM(a.v)"
         instance = Instance([a_data(a_rel, [1, 2, 3])])
-        sequential = execute_mappings(
+        sequential = MappingExecutor().execute(
             MappingSet([self.grouping_mapping(a_rel, mid), second]), instance
         )
-        direct = MappingExecutor().execute_mapping(composed, instance)
+        direct = MappingExecutor().execute(
+            MappingSet([composed]), instance
+        ).dataset(composed.target.name)
         assert direct.same_bag(sequential.dataset("R"))
 
     def test_grouping_in_outer_mapping_is_fine(self, a_rel, mid):
@@ -233,6 +240,6 @@ class TestComposeAll:
         # M1 groups: M2/M3 cannot fold into it
         assert len(folded) == 3
         instance = generate_instance(30)
-        assert execute_mappings(folded, instance).same_bags(
-            execute_mappings(mappings, instance)
+        assert MappingExecutor().execute(folded, instance).same_bags(
+            MappingExecutor().execute(mappings, instance)
         )

@@ -14,7 +14,6 @@ from repro.mapping import (
     MappingExecutor,
     MappingSet,
     SourceBinding,
-    execute_mappings,
     ohm_to_mappings,
 )
 from repro.obs import Observability
@@ -33,6 +32,13 @@ from repro.workloads import (
     generate_kitchen_sink_instance,
     generate_star_instance,
 )
+
+
+def run_one(mapping, instance):
+    """The dataset ``mapping`` alone asserts into its target."""
+    return MappingExecutor().execute(MappingSet([mapping]), instance).dataset(
+        mapping.target.name
+    )
 
 
 @pytest.fixture
@@ -74,7 +80,7 @@ class TestSingleMapping:
         mapping = Mapping(
             [SourceBinding("c", customers)], target, [("name", "c.name")]
         )
-        result = MappingExecutor().execute_mapping(mapping, instance)
+        result = run_one(mapping, instance)
         assert sorted(result.column("name")) == ["ada", "ben", "cleo"]
 
     def test_filtered_join_mapping(self, customers, accounts, instance):
@@ -85,7 +91,7 @@ class TestSingleMapping:
             [("name", "c.name"), ("balance", "a.balance")],
             where="c.customerID = a.customerID AND a.type = 'S'",
         )
-        result = MappingExecutor().execute_mapping(mapping, instance)
+        result = run_one(mapping, instance)
         assert sorted(
             (r["name"], r["balance"]) for r in result
         ) == [("ada", 10.0), ("ben", 30.0)]
@@ -101,7 +107,7 @@ class TestSingleMapping:
             where="c.customerID = a.customerID",
             group_by=["c.name"],
         )
-        result = MappingExecutor().execute_mapping(mapping, instance)
+        result = run_one(mapping, instance)
         rows = {r["name"]: r for r in result}
         assert rows["ada"]["total"] == 30.0 and rows["ada"]["n"] == 2
         assert rows["ben"]["total"] == 30.0 and rows["ben"]["n"] == 1
@@ -116,7 +122,7 @@ class TestSingleMapping:
              ("scaled", "SUM(a.balance) / 10")],
             group_by=["a.customerID"],
         )
-        result = MappingExecutor().execute_mapping(mapping, instance)
+        result = run_one(mapping, instance)
         rows = {r["customerID"]: r["scaled"] for r in result}
         assert rows[1] == 3.0
 
@@ -125,7 +131,7 @@ class TestSingleMapping:
         mapping = Mapping(
             [SourceBinding("c", customers)], target, [("name", "c.name")]
         )
-        result = MappingExecutor().execute_mapping(mapping, instance)
+        result = run_one(mapping, instance)
         assert all(r["extra"] is None for r in result)
 
     def test_missing_source_relation_raises(self, customers):
@@ -134,7 +140,7 @@ class TestSingleMapping:
             [SourceBinding("c", customers)], target, [("name", "c.name")]
         )
         with pytest.raises(ExecutionError):
-            MappingExecutor().execute_mapping(mapping, Instance())
+            run_one(mapping, Instance())
 
 
 class TestOpaqueMappings:
@@ -147,7 +153,7 @@ class TestOpaqueMappings:
                 {"name": r["name"].upper()} for r in inputs[0]
             ],
         )
-        result = MappingExecutor().execute_mapping(mapping, instance)
+        result = run_one(mapping, instance)
         assert sorted(result.column("name")) == ["ADA", "BEN", "CLEO"]
 
     def test_opaque_without_executor_raises(self, customers, instance):
@@ -156,7 +162,7 @@ class TestOpaqueMappings:
             [SourceBinding("c", customers)], target, [], reference="box"
         )
         with pytest.raises(ExecutionError):
-            MappingExecutor().execute_mapping(mapping, instance)
+            run_one(mapping, instance)
 
 
 class TestMappingSets:
@@ -173,11 +179,12 @@ class TestMappingSets:
             [("customerID", "d.customerID"), ("total", "d.total")],
             where="d.total > 25", name="M2",
         )
-        targets, intermediates = MappingExecutor().run(
-            MappingSet([first, second]), instance
+        targets, _rejected, rows, kept = MappingExecutor().run(
+            MappingSet([first, second]), instance, keep=["Mid"]
         )
         assert sorted(targets.dataset("Big").column("customerID")) == [1, 2]
-        assert list(intermediates) == ["Mid"]
+        assert list(rows) == ["Mid"]
+        assert list(kept) == ["Mid"]
         assert targets.names == ["Big"]
 
     def test_shared_target_unions(self, customers, instance):
@@ -186,7 +193,7 @@ class TestMappingSets:
                     [("name", "c.name")], where="c.customerID = 1", name="A")
         b = Mapping([SourceBinding("c", customers)], target,
                     [("name", "c.name")], where="c.customerID = 2", name="B")
-        result = execute_mappings(MappingSet([a, b]), instance)
+        result = MappingExecutor().execute(MappingSet([a, b]), instance)
         assert sorted(result.dataset("T").column("name")) == ["ada", "ben"]
 
     def test_self_join(self, customers, instance):
@@ -199,7 +206,7 @@ class TestMappingSets:
             [("left", "c1.name"), ("right", "c2.name")],
             where="c1.customerID < c2.customerID",
         )
-        result = MappingExecutor().execute_mapping(mapping, instance)
+        result = run_one(mapping, instance)
         assert len(result) == 3
 
 
@@ -241,9 +248,9 @@ RETIRED_WARNING = "ignore:.*execution tier that is gone:DeprecationWarning"
 
 def _accepted_and_rejected(mappings, instance, **options):
     reset_keygen_sequences()
-    targets, _inter, rejects = MappingExecutor(
+    targets, rejects, _rows, _edges = MappingExecutor(
         on_error="reject", **options
-    ).run_with_rejects(mappings, instance)
+    ).run(mappings, instance)
     return targets, Counter((r["error_code"], r["row"]) for r in rejects)
 
 

@@ -5,20 +5,20 @@ import pytest
 
 from repro.compile import compile_job
 from repro.data.dataset import Dataset, Instance
-from repro.etl import run_job
-from repro.mapping import execute_mappings, ohm_to_mappings
+from repro.etl import EtlEngine
+from repro.mapping import MappingExecutor, ohm_to_mappings
 from repro.ohm import (
     BasicProject,
     Filter,
     Group,
     Join,
+    OhmExecutor,
     OhmGraph,
     Project,
     Source,
     Split,
     Target,
     Union,
-    execute,
 )
 from repro.schema import relation
 from repro.workloads import build_example_job, generate_instance
@@ -39,8 +39,8 @@ def rel_instance(rel, n=6):
 
 def check_equivalence(graph, instance):
     mappings = ohm_to_mappings(graph)
-    assert execute_mappings(mappings, instance).same_bags(
-        execute(graph, instance)
+    assert MappingExecutor().execute(mappings, instance).same_bags(
+        OhmExecutor().execute(graph, instance)
     )
     return mappings
 
@@ -96,8 +96,8 @@ class TestComposition:
             Dataset(left, [{"id": 1, "v": 5.0}]),
             Dataset(right, [{"id": 1, "w": 7.0}, {"id": 1, "w": 0.5}]),
         ])
-        assert execute_mappings(mappings, instance).same_bags(
-            execute(g, instance)
+        assert MappingExecutor().execute(mappings, instance).same_bags(
+            OhmExecutor().execute(g, instance)
         )
 
 
@@ -194,8 +194,8 @@ class TestUnions:
             Dataset(rel, [{"id": 1, "v": 1.0, "kind": "a"}]),
             Dataset(other, [{"id": 2, "v": 2.0, "kind": "b"}]),
         ])
-        assert execute_mappings(mappings, instance).same_bags(
-            execute(g, instance)
+        assert MappingExecutor().execute(mappings, instance).same_bags(
+            OhmExecutor().execute(g, instance)
         )
 
 
@@ -240,6 +240,6 @@ class TestPaperScenarios:
         graph = compile_job(job)
         mappings = ohm_to_mappings(graph)
         instance = generate_instance(60)
-        etl = run_job(job, instance)
-        assert execute(graph, instance).same_bags(etl)
-        assert execute_mappings(mappings, instance).same_bags(etl)
+        etl = EtlEngine().execute(job, instance)
+        assert OhmExecutor().execute(graph, instance).same_bags(etl)
+        assert MappingExecutor().execute(mappings, instance).same_bags(etl)

@@ -174,7 +174,9 @@ def test_rows_come_out_in_product_order(shape, seed, tier):
     sources, where, derivations, options = SHAPES[shape]
     mapping = mapping_of(sources, where, derivations)
     instance = random_instance(seed, **options)
-    result = MappingExecutor(**TIERS[tier]).execute_mapping(mapping, instance)
+    result = MappingExecutor(**TIERS[tier]).execute(
+        MappingSet([mapping]), instance
+    ).dataset(mapping.target.name)
     assert result.rows == reference(mapping, instance)
 
 
@@ -205,7 +207,9 @@ def test_grouping_with_first_and_sum_over_the_joined_rows(seed, tier):
             "n": len(members),
             "mean": total / len(members),
         })
-    result = MappingExecutor(**TIERS[tier]).execute_mapping(mapping, instance)
+    result = MappingExecutor(**TIERS[tier]).execute(
+        MappingSet([mapping]), instance
+    ).dataset(mapping.target.name)
     assert result.rows == expected
 
 
@@ -230,7 +234,7 @@ def test_agrees_with_the_figure_9_ohm_graph_as_bags():
 def _run(mapping, instance, **options):
     """``(accepted rows, reject rows, metrics)`` of one mapping."""
     obs = Observability(stats=True)
-    targets, _inter, rejects = MappingExecutor(obs=obs, **options).run_with_rejects(
+    targets, rejects, _rows, _edges = MappingExecutor(obs=obs, **options).run(
         MappingSet([mapping]), instance
     )
     return targets.dataset("T").rows, rejects.rows, obs.metrics
@@ -389,7 +393,7 @@ def test_non_data_errors_from_a_join_conjunct_are_not_mistaken_for_bad_rows(erro
     set_kernel_fault_hook(hook)
     try:
         with pytest.raises(type(error)):
-            executor.run_with_rejects(MappingSet([mapping]), random_instance(1))
+            executor.run(MappingSet([mapping]), random_instance(1))
     finally:
         set_kernel_fault_hook(None)
     assert len(calls) == 1
@@ -403,7 +407,7 @@ def test_injected_key_fault_degrades_the_tier_instead_of_enumerating_the_product
     obs = Observability(stats=True)
     executor = MappingExecutor(obs=obs, compiled=True, on_error="reject")
     with plan.injected():
-        targets, _i, rejects = executor.run_with_rejects(
+        targets, rejects, _rows, _edges = executor.run(
             MappingSet([mapping]), instance
         )
     assert targets.dataset("T").rows == reference(mapping, instance)
@@ -424,7 +428,9 @@ def test_figure_3_join_filters_key_matches_not_the_cross_product():
     )
     # the compiled tier's block kernels book the bound
     obs = Observability(stats=True)
-    MappingExecutor(obs=obs, compiled=True).execute_mapping(m1, instance)
+    MappingExecutor(obs=obs, compiled=True).execute(
+        MappingSet([m1]), instance
+    ).dataset(m1.target.name)
     counters = obs.metrics.snapshot()["counters"]
     assert counters["exec.block.join.rows_in"] <= 300 + 660
     assert 0 < counters["exec.block.join.rows_out"] <= 660

@@ -6,9 +6,9 @@ from repro.compile import compile_job
 from repro.errors import SerializationError
 from repro.mapping import (
     Mapping,
+    MappingExecutor,
     MappingSet,
     SourceBinding,
-    execute_mappings,
     mappings_from_json,
     mappings_to_json,
     ohm_to_mappings,
@@ -40,8 +40,8 @@ class TestRoundTrip:
         mappings = example_mappings()
         restored = mappings_from_json(mappings_to_json(mappings))
         instance = generate_instance(40)
-        assert execute_mappings(restored, instance).same_bags(
-            execute_mappings(mappings, instance)
+        assert MappingExecutor().execute(restored, instance).same_bags(
+            MappingExecutor().execute(mappings, instance)
         )
 
     def test_rendering_survives(self):

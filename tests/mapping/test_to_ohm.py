@@ -7,17 +7,17 @@ from repro.compile import compile_job
 from repro.data.dataset import Dataset, Instance
 from repro.deploy import deploy_to_job
 from repro.errors import MappingError
-from repro.etl import run_job
+from repro.etl import EtlEngine
 from repro.expr.ast import TRUE
 from repro.mapping import (
     Mapping,
+    MappingExecutor,
     MappingSet,
     SourceBinding,
-    execute_mappings,
     ohm_to_mappings,
 )
 from repro.mapping.to_ohm import mappings_to_ohm
-from repro.ohm import execute
+from repro.ohm import OhmExecutor
 from repro.schema import relation
 from repro.workloads import build_example_job, generate_instance
 
@@ -63,9 +63,9 @@ def check(mappings, instance):
     """The lowered graph computes what the reference reading of the
     mappings does (``compiled=False`` never sees the graph)."""
     graph = mappings_to_ohm(mappings)
-    expected = execute_mappings(mappings, instance, compiled=False)
+    expected = MappingExecutor(compiled=False).execute(mappings, instance)
     assert sum(len(d) for d in expected) > 0
-    assert execute(graph, instance).same_bags(expected)
+    assert OhmExecutor().execute(graph, instance).same_bags(expected)
     return graph
 
 
@@ -164,7 +164,7 @@ class TestTotalOverWhatTheReferenceReads:
         # the assembling PROJECT emits the NULL: no extra operator
         assert processing_kinds(graph) == ["PROJECT"]
         job, _plan = deploy_to_job(graph)
-        rows = run_job(job, instance).dataset("Out").rows
+        rows = EtlEngine().execute(job, instance).dataset("Out").rows
         assert sorted(r["name"] for r in rows) == ["ada", "ben"]
         assert all(r["extra"] is None for r in rows)
 
@@ -190,7 +190,9 @@ class TestTotalOverWhatTheReferenceReads:
             "__agg1", "__agg2", "n",
         ]
         job, _plan = deploy_to_job(graph)
-        assert run_job(job, instance).same_bags(execute(graph, instance))
+        assert EtlEngine().execute(job, instance).same_bags(
+            OhmExecutor().execute(graph, instance)
+        )
 
     def test_a_column_neither_grouped_nor_aggregated_is_refused(self, accounts):
         mapping = Mapping(
@@ -210,7 +212,7 @@ class TestTotalOverWhatTheReferenceReads:
             group_by=["a.customerID"],
         )
         graph = check(MappingSet([mapping]), instance)
-        assert len(execute(graph, instance).dataset("Out")) == 2
+        assert len(OhmExecutor().execute(graph, instance).dataset("Out")) == 2
         assert processing_kinds(graph) == [
             "BASIC PROJECT", "GROUP", "BASIC PROJECT",
         ]
@@ -335,4 +337,6 @@ class TestRoundTripShape:
             processing_kinds(forward)
         )
         instance = generate_instance(40)
-        assert execute(backward, instance).same_bags(run_job(job, instance))
+        assert OhmExecutor().execute(backward, instance).same_bags(
+            EtlEngine().execute(job, instance)
+        )

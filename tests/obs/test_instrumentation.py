@@ -17,7 +17,7 @@ import pytest
 from repro import Orchid
 from repro.etl import EtlEngine
 from repro.obs import Observability
-from repro.ohm import execute
+from repro.ohm import OhmExecutor
 from repro.workloads import build_example_job, generate_instance
 
 
@@ -78,7 +78,7 @@ class TestOhmExecutionMetrics:
         orchid = Orchid(obs=obs)
         graph = orchid.import_etl(build_example_job())
         instance = generate_instance(n_customers=60)
-        execute(graph, instance, obs=obs)
+        OhmExecutor(obs=obs).execute(graph, instance)
         for source in graph.sources():
             rows_out = obs.metrics.counter(
                 f"ohm.operator.{source.uid}.rows_out"
@@ -99,7 +99,7 @@ class TestOhmExecutionMetrics:
 
     def test_filter_never_grows_its_input(self, obs):
         graph = Orchid(obs=obs).import_etl(build_example_job())
-        execute(graph, generate_instance(n_customers=40), obs=obs)
+        OhmExecutor(obs=obs).execute(graph, generate_instance(n_customers=40))
         for span in obs.tracer.walk():
             if span.name == "ohm.op.FILTER":
                 assert span.attrs["rows_out"] <= span.attrs["rows_in"]
@@ -110,7 +110,7 @@ class TestEtlEngineStats:
         job = build_example_job()
         instance = generate_instance(n_customers=30)
         engine = EtlEngine(obs=obs)
-        _targets, links = engine.run(job, instance)
+        links = engine.run(job, instance, keep=[e.name for e in job.edges]).edges
         for name, dataset in links.items():
             assert engine.last_run.link_counts[name] == len(dataset)
             assert obs.metrics.counter(f"etl.link.{name}.rows") == len(dataset)
@@ -130,14 +130,6 @@ class TestEtlEngineStats:
         assert engine.last_run is not first
         assert first.link_counts == first_counts  # untouched by run #2
         assert engine.last_run.link_counts["DSLink1"] == 80
-
-    def test_link_counts_shim_warns_and_copies(self):
-        engine = EtlEngine()
-        engine.run(build_example_job(), generate_instance(n_customers=10))
-        with pytest.warns(DeprecationWarning):
-            counts = engine.link_counts
-        counts["DSLink1"] = -1  # mutating the copy must not corrupt state
-        assert engine.last_run.link_counts["DSLink1"] == 10
 
 
 class TestDeploymentMetrics:
@@ -173,7 +165,7 @@ class TestDisabledDefault:
         obs = Observability()  # both disabled
         orchid = Orchid(obs=obs)
         graph = orchid.import_etl(build_example_job())
-        execute(graph, generate_instance(n_customers=10), obs=obs)
+        OhmExecutor(obs=obs).execute(graph, generate_instance(n_customers=10))
         assert obs.tracer.spans == []
         assert obs.metrics.snapshot() == {
             "counters": {},
@@ -197,7 +189,7 @@ class TestQuickstartStatsJson:
                 "json",
             ],
             capture_output=True,
-            text=True,
+            text=True, encoding="utf-8",
             env=env,
             check=True,
         )

@@ -20,7 +20,7 @@ def emitted(helper):
     """The kernel names passed to ``helper(obs, "<kernel>", …)``."""
     call = re.compile(rf"\b{helper}\(\s*obs,\s*\"(\w+)\"")
     return {
-        name for path in EXEC.glob("*.py") for name in call.findall(path.read_text())
+        name for path in EXEC.glob("*.py") for name in call.findall(path.read_text(encoding="utf-8"))
     }
 
 
@@ -29,7 +29,7 @@ def documented(prefix):
     ``<prefix>.<kernel>.rows_in`` row's meaning."""
     (row,) = [
         line
-        for line in DOC.read_text().splitlines()
+        for line in DOC.read_text(encoding="utf-8").splitlines()
         if line.startswith(f"| `{prefix}.<kernel>.rows_in`")
     ]
     meaning = row.split("|")[3]
@@ -52,7 +52,7 @@ def documented_degrade_counters():
     """Every name of the ``exec.degrade.*`` rows: the first cell's
     backticked names, a ``.suffix`` one a sibling of the name before."""
     names = set()
-    for line in DOC.read_text().splitlines():
+    for line in DOC.read_text(encoding="utf-8").splitlines():
         if not line.startswith("| `exec.degrade."):
             continue
         parent = None

@@ -9,6 +9,7 @@ from repro.ohm import (
     Filter,
     Group,
     Join,
+    OhmExecutor,
     OhmGraph,
     Project,
     Source,
@@ -16,8 +17,6 @@ from repro.ohm import (
     Target,
     Union,
     Unknown,
-    execute,
-    execute_with_edges,
 )
 from repro.schema import relation
 
@@ -47,7 +46,7 @@ def people_data(people):
 
 
 def run(graph, *datasets):
-    return execute(graph, Instance(list(datasets)))
+    return OhmExecutor().execute(graph, Instance(list(datasets)))
 
 
 class TestFilterExecution:
@@ -209,7 +208,10 @@ class TestUnknownExecution:
         u = g.add(Unknown([people.renamed("u")], "identity", executor=lambda ins: [data]))
         t = g.add(Target(people.renamed("Out")))
         g.chain(s, u, t)
-        _targets, edges = execute_with_edges(g, Instance([people_data(people)]))
+        (edge_name,) = [e.name for e in g.edges if e.src == u.uid]
+        edges = OhmExecutor().run(
+            g, Instance([people_data(people)]), keep=[edge_name]
+        ).edges
         (edge,) = [d for d in edges.values() if d.peek_block() is handed]
         assert edge.rows == data.rows
 
@@ -246,7 +248,7 @@ class TestEngineInterface:
         t = g.add(Target(people.renamed("Out")))
         g.chain(s, t)
         with pytest.raises(ExecutionError):
-            execute(g, Instance())
+            OhmExecutor().execute(g, Instance())
 
     def test_source_provider_fallback(self, people):
         provided = people_data(people)
@@ -254,7 +256,7 @@ class TestEngineInterface:
         s = g.add(Source(people, provider=lambda: provided))
         t = g.add(Target(people.renamed("Out")))
         g.chain(s, t)
-        result = execute(g, Instance()).dataset("Out")
+        result = OhmExecutor().execute(g, Instance()).dataset("Out")
         assert len(result) == 4
 
     def test_edge_data_exposed(self, people):
@@ -263,11 +265,12 @@ class TestEngineInterface:
         f = g.add(Filter("salary > 90"))
         t = g.add(Target(people.renamed("Out")))
         g.chain(s, f, t, names=["in_link", "filtered"])
-        _targets, edges = execute_with_edges(
-            g, Instance([people_data(people)])
+        result = OhmExecutor().run(
+            g, Instance([people_data(people)]), keep=["filtered"]
         )
-        assert len(edges["in_link"]) == 4
-        assert len(edges["filtered"]) == 2
+        assert result.rows == {"in_link": 4, "filtered": 2}
+        assert list(result.edges) == ["filtered"]
+        assert len(result.edges["filtered"]) == 2
 
     def test_source_data_is_type_checked(self, people):
         g = OhmGraph()
@@ -277,4 +280,4 @@ class TestEngineInterface:
         bad = Dataset(people, validate=False)
         bad.append({"id": "not-an-int", "dept": 1, "salary": "x"}, validate=False)
         with pytest.raises(Exception):
-            execute(g, Instance([bad]))
+            OhmExecutor().execute(g, Instance([bad]))

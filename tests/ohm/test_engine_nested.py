@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data.dataset import Dataset, Instance
-from repro.ohm import Nest, OhmGraph, Source, Target, Unnest, execute_with_edges
+from repro.ohm import Nest, OhmExecutor, OhmGraph, Source, Target, Unnest
 from repro.schema import relation
 from repro.schema.model import Attribute, Relation
 from repro.schema.types import FLOAT, INTEGER, RecordType, SetType
@@ -48,7 +48,7 @@ class TestNest:
         )
         t = g.add(Target(nested_relation()))
         g.chain(s, n, t)
-        result, _ = execute_with_edges(
+        result = OhmExecutor().execute(
             g, Instance([Dataset(accounts, ROWS)])
         )
         rows = {r["customerID"]: r for r in result.dataset("Nested")}
@@ -76,7 +76,7 @@ class TestUnnest:
             {"customerID": 3, "accounts": []},
         ]
         data = Dataset(nested, nested_rows)
-        result, _ = execute_with_edges(g, Instance([data]))
+        result = OhmExecutor().execute(g, Instance([data]))
         flat_rows = result.dataset("Flat").rows
         assert len(flat_rows) == 2  # the empty set produces no rows
         assert all(r["customerID"] == 1 for r in flat_rows)
@@ -120,7 +120,7 @@ class TestNestUnnestRoundTrip:
         )
         t = g.add(Target(flat))
         g.chain(s, n, u, t)
-        result, _ = execute_with_edges(
+        result = OhmExecutor().execute(
             g, Instance([Dataset(accounts, rows)])
         )
         original = Dataset(flat, rows)

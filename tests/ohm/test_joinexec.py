@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.dataset import Dataset, Instance
 from repro.expr.parser import parse
-from repro.ohm import BasicProject, Join, OhmGraph, Source, Target, execute
+from repro.ohm import BasicProject, Join, OhmExecutor, OhmGraph, Source, Target
 from repro.exec.kernels import split_equi_condition
 from repro.schema import relation
 
@@ -91,7 +91,7 @@ def run_join(condition, kind, left_rows, right_rows):
     instance = Instance([
         Dataset(left_rel, left_rows), Dataset(right_rel, right_rows),
     ])
-    return execute(g, instance).dataset("Out")
+    return OhmExecutor().execute(g, instance).dataset("Out")
 
 
 row_lists = st.lists(
@@ -169,4 +169,4 @@ class TestNullSemantics:
             Dataset(left_rel, [{"k": 2.0}]),
             Dataset(right_rel, [{"k": 2}]),
         ])
-        assert len(execute(g, instance).dataset("Out")) == 1
+        assert len(OhmExecutor().execute(g, instance).dataset("Out")) == 1

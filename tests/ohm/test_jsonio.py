@@ -4,19 +4,19 @@ import pytest
 
 from repro.compile import compile_job
 from repro.errors import SerializationError
-from repro.etl import run_job
+from repro.etl import EtlEngine
 from repro.mapping import ohm_to_mappings
 from repro.ohm import (
     ColumnMerge,
     ColumnSplit,
     KeyGen,
     Nest,
+    OhmExecutor,
     OhmGraph,
     Source,
     Target,
     Union,
     Unnest,
-    execute,
     graph_from_json,
     graph_to_json,
     read_graph,
@@ -42,8 +42,8 @@ class TestRoundTrip:
         graph = compile_job(build_example_job())
         restored = graph_from_json(graph_to_json(graph))
         instance = generate_instance(40)
-        assert execute(restored, instance).same_bags(
-            run_job(build_example_job(), instance)
+        assert OhmExecutor().execute(restored, instance).same_bags(
+            EtlEngine().execute(build_example_job(), instance)
         )
 
     def test_extracted_mappings_survive(self):

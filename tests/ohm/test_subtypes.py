@@ -17,11 +17,11 @@ from repro.ohm import (
     ColumnMerge,
     ColumnSplit,
     KeyGen,
+    OhmExecutor,
     OhmGraph,
     Project,
     Source,
     Target,
-    execute,
     reset_keygen_sequences,
 )
 from repro.schema import relation
@@ -41,7 +41,7 @@ def run_project(project_op, rel, rows, out_attrs):
     target = graph.add(Target(relation("Out", *out_attrs)))
     graph.chain(source, project_op, target)
     instance = Instance([Dataset(rel, rows)])
-    return execute(graph, instance).dataset("Out")
+    return OhmExecutor().execute(graph, instance).dataset("Out")
 
 
 class TestBasicProject:

@@ -94,7 +94,7 @@ class TestCheckpointStore:
         store.save_stage(job, "ComputeUnit", [("units", self._dataset())])
         job_dir = os.path.join(str(tmp_path), store.fingerprint(job))
         (entry,) = os.listdir(job_dir)
-        with open(os.path.join(job_dir, entry), "w") as handle:
+        with open(os.path.join(job_dir, entry), "w", encoding="utf-8") as handle:
             handle.write("{not json")
         assert store.load_frontier(job) == {}
 
@@ -125,7 +125,7 @@ class TestEngineResume:
     def test_resume_equals_fresh_after_target_crash(self, tmp_path, monkeypatch):
         instance, _ = generate_faulty_instance(n=40, seed=11, poison=3)
         job = build_faulty_job()
-        fresh, _ = EtlEngine(on_error="skip").run(
+        fresh = EtlEngine(on_error="skip").execute(
             build_faulty_job(), instance
         )
 
@@ -147,7 +147,7 @@ class TestEngineResume:
         resumed_engine = EtlEngine(
             obs=obs, on_error="skip", checkpoint=str(tmp_path)
         )
-        resumed, _ = resumed_engine.run(job, instance)
+        resumed = resumed_engine.execute(job, instance)
         assert sorted(map(format_row, resumed.dataset("Premium").rows)) == \
             sorted(map(format_row, fresh.dataset("Premium").rows))
         assert "src_Orders" in resumed_engine.last_run.restored_stages
@@ -223,10 +223,10 @@ class TestTornWriteHardening:
         job = build_faulty_job()
         store.save_stage(job, "ComputeUnit", [("units", self._dataset())])
         path = self._snapshot_path(store, job, tmp_path)
-        with open(path, "r") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
         # tear the file mid-write: keep only the first half of the bytes
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text[: len(text) // 2])
         assert store.load_frontier(job) == {}
 
@@ -237,11 +237,11 @@ class TestTornWriteHardening:
         job = build_faulty_job()
         store.save_stage(job, "ComputeUnit", [("units", self._dataset())])
         path = self._snapshot_path(store, job, tmp_path)
-        with open(path, "r") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             record = jsonlib.load(handle)
         # valid JSON, wrong content: flip a value under the checksum
         record["payload"]["outputs"][0]["rows"][0]["id"] = 999
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             jsonlib.dump(record, handle)
         assert store.load_frontier(job) == {}
 
@@ -250,7 +250,7 @@ class TestTornWriteHardening:
         job = build_faulty_job()
         store.save_stage(job, "ComputeUnit", [("units", self._dataset())])
         path = self._snapshot_path(store, job, tmp_path)
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write('["not", "a", "snapshot"]')
         assert store.load_frontier(job) == {}
 

@@ -81,7 +81,7 @@ def instance():
 
 @pytest.fixture
 def baseline(instance):
-    targets, _ = EtlEngine().run(build_faulty_job(), instance)
+    targets = EtlEngine().execute(build_faulty_job(), instance)
     return _premium_rows(targets)
 
 
@@ -95,19 +95,19 @@ def baseline(instance):
 
 def run_etl(job, instance, **options):
     engine = EtlEngine(**options)
-    targets, _ = engine.run(job, instance)
+    targets = engine.execute(job, instance)
     return targets, sorted(format_row(r.row) for r in engine.last_run.rejected)
 
 
 def run_ohm(job, instance, **options):
-    targets, _edges, rejects = OhmExecutor(**options).run_with_rejects(
+    targets, rejects, _rows, _edges = OhmExecutor(**options).run(
         compile_job(job), instance
     )
     return targets, sorted(r["row"] for r in rejects.rows)
 
 
 def run_mapping(job, instance, **options):
-    targets, _inter, rejects = MappingExecutor(**options).run_with_rejects(
+    targets, rejects, _rows, _edges = MappingExecutor(**options).run(
         ohm_to_mappings(compile_job(job)), instance
     )
     return targets, sorted(r["row"] for r in rejects.rows)
@@ -338,14 +338,14 @@ class TestInfrastructureErrorsAreNotAbsorbed:
     def test_kernel_faults_do_not_leak_onto_the_reject_channel(self):
         poisoned, plan = generate_faulty_instance(n=40, seed=15, poison=4)
         clean_engine = EtlEngine(compiled=False, on_error="reject")
-        clean, _ = clean_engine.run(build_faulty_job(), poisoned)
+        clean = clean_engine.execute(build_faulty_job(), poisoned)
         clean_rejects = sorted(
             format_row(r.row) for r in clean_engine.last_run.rejected
         )
         block = FaultPlan(seed=15).fault_kernels(tier="block", rate=0.5)
         engine = EtlEngine(compiled=True, on_error="reject")
         with block.injected():
-            targets, _ = engine.run(build_faulty_job(), poisoned)
+            targets = engine.execute(build_faulty_job(), poisoned)
         assert _premium_rows(targets) == _premium_rows(clean)
         rejects = engine.last_run.rejected
         assert sorted(format_row(r.row) for r in rejects) == clean_rejects
@@ -365,7 +365,7 @@ class TestOhmAndMappingDegrade:
         obs = Observability(stats=True)
         executor = OhmExecutor(obs=obs, compiled=True)
         with plan.injected():
-            targets, _ = executor.run(graph, instance)
+            targets = executor.execute(graph, instance)
         assert _premium_rows(targets) == baseline
         assert degraded(obs) == {"exec.degrade.columnar_to_rows": 1}
 
@@ -504,7 +504,7 @@ class TestGroupAggregatesAbsorbRowErrors:
         runner = OhmExecutor if runtime == "ohm" else MappingExecutor
         instance = Instance([Dataset(orders_schema(), rows)])
         obs = obs or Observability(stats=True)
-        targets, _edges, rejects = runner(obs=obs, **options).run_with_rejects(
+        targets, rejects, _rows, _edges = runner(obs=obs, **options).run(
             self.plan(runtime), instance
         )
         rejected = Counter((r["error_code"], r["row"]) for r in rejects.rows)

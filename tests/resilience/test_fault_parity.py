@@ -10,11 +10,20 @@ from collections import Counter
 import pytest
 
 from repro.compile import compile_job
-from repro.etl import EtlEngine
+from repro.data.dataset import Dataset, Instance
+from repro.etl import (
+    EtlEngine,
+    Job,
+    OutputLink,
+    TableSource,
+    TableTarget,
+    Transformer,
+)
 from repro.faults import FaultPlan
 from repro.mapping import MappingExecutor, ohm_to_mappings
 from repro.ohm import OhmExecutor
 from repro.resilience import format_row
+from repro.schema import relation
 from repro.workloads import build_faulty_job, generate_faulty_instance
 
 #: (tier name, compiled)
@@ -23,7 +32,7 @@ MODES = [("interpreted", False), ("compiled", True)]
 
 def run_etl(instance, compiled, policy):
     engine = EtlEngine(compiled=compiled, on_error=policy)
-    targets, _ = engine.run(build_faulty_job(), instance)
+    targets = engine.execute(build_faulty_job(), instance)
     accepted = Counter(
         format_row(r) for r in targets.dataset("Premium").rows
     )
@@ -36,7 +45,7 @@ def run_etl(instance, compiled, policy):
 def run_ohm(instance, compiled, policy):
     graph = compile_job(build_faulty_job())
     executor = OhmExecutor(compiled=compiled, on_error=policy)
-    targets, _edges, rejects = executor.run_with_rejects(graph, instance)
+    targets, rejects, _rows, _edges = executor.run(graph, instance)
     accepted = Counter(
         format_row(r) for r in targets.dataset("Premium").rows
     )
@@ -47,7 +56,7 @@ def run_ohm(instance, compiled, policy):
 def run_mapping(instance, compiled, policy):
     mappings = ohm_to_mappings(compile_job(build_faulty_job()))
     executor = MappingExecutor(compiled=compiled, on_error=policy)
-    targets, _inter, rejects = executor.run_with_rejects(mappings, instance)
+    targets, rejects, _rows, _edges = executor.run(mappings, instance)
     accepted = Counter(
         format_row(r) for r in targets.dataset("Premium").rows
     )
@@ -105,6 +114,47 @@ class TestParityMatrix:
         with plan.injected():
             degraded = run_etl(instance, True, "reject")
         assert degraded == clean
+
+
+def stage_variable_job():
+    """A Transformer whose stage variable ``v = 10 % b`` feeds two
+    constrained links, ``a > 0`` and ``a > 1``."""
+    source_rel = relation("R", ("a", "int", False), ("b", "int", False))
+    job = Job("stage_variable_rejects")
+    source = job.add(TableSource(source_rel))
+    links = [
+        OutputLink([("a", "a"), ("w", "v")], constraint)
+        for constraint in ("a > 0", "a > 1")
+    ]
+    xf = job.add(Transformer(links, stage_variables=[("v", "10 % b")], name="xf"))
+    for port, name in enumerate(("O1", "O2")):
+        out = job.add(TableTarget(relation(name, ("a", "int", False), ("w", "int"))))
+        job.link(xf, out, src_port=port)
+    job.link(source, xf)
+    rows = [{"a": 1, "b": 1}, {"a": 2, "b": 0}, {"a": 3, "b": 1}, {"a": -1, "b": 0}]
+    return job, Instance([Dataset(source_rel, rows)])
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["interpreted", "compiled"])
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3(ii): the compiler substitutes a stage variable "
+    "into each constrained link, so the OHM graph rejects a row once per "
+    "branch that computes it, where the job rejects it once per row",
+)
+def test_stage_variable_rejects_once_per_row_on_every_runtime(compiled):
+    job, instance = stage_variable_job()
+    etl = EtlEngine(compiled=compiled, on_error="reject").run(job, instance)
+    ohm = OhmExecutor(compiled=compiled, on_error="reject").run(
+        compile_job(job), instance
+    )
+    assert etl.targets.same_bags(ohm.targets)
+    assert Counter(r["row"] for r in etl.rejected.rows) == Counter(
+        {"{a: 2, b: 0}": 1, "{a: -1, b: 0}": 1}
+    )
+    assert Counter(r["row"] for r in ohm.rejected.rows) == Counter(
+        r["row"] for r in etl.rejected.rows
+    )
 
 
 @pytest.mark.skipif(

@@ -173,14 +173,14 @@ class TestEnginePolicies:
     def test_skip_drops_poisoned_rows(self):
         instance, plan = generate_faulty_instance(n=40, seed=5, poison=4)
         engine = EtlEngine(on_error="skip")
-        targets, _links = engine.run(build_faulty_job(), instance)
+        targets = engine.execute(build_faulty_job(), instance)
         run = engine.last_run
         assert run.skip_counts.get("ComputeUnit") == 4
         assert run.rejected == []
         # the survivors still flow: delivered = filtered non-poisoned rows
         clean_engine = EtlEngine()
         clean_instance, _ = generate_faulty_instance(n=40, seed=5, poison=0)
-        clean, _ = clean_engine.run(build_faulty_job(), clean_instance)
+        clean = clean_engine.execute(build_faulty_job(), clean_instance)
         poisoned_ids = {
             clean_instance.dataset("Orders").rows[i]["orderID"]
             for i in plan.poisoned["Orders"]
@@ -224,9 +224,9 @@ class TestEnginePolicies:
     def test_results_match_across_policies_on_survivors(self):
         instance, _ = generate_faulty_instance(n=50, seed=8, poison=6)
         skip_engine = EtlEngine(on_error="skip")
-        skipped, _ = skip_engine.run(build_faulty_job(), instance)
+        skipped = skip_engine.execute(build_faulty_job(), instance)
         reject_engine = EtlEngine(on_error="reject")
-        rejected, _ = reject_engine.run(build_faulty_job(), instance)
+        rejected = reject_engine.execute(build_faulty_job(), instance)
         assert sorted(map(format_row, skipped.dataset("Premium").rows)) == \
             sorted(map(format_row, rejected.dataset("Premium").rows))
 
@@ -235,7 +235,7 @@ class TestRejectLink:
     def test_reject_link_delivers_rows_in_band(self):
         instance, plan = generate_faulty_instance(n=40, seed=9, poison=4)
         engine = EtlEngine()  # fail_fast run level; the link carries policy
-        targets, links = engine.run(
+        targets, _rejected, links, _edges = engine.run(
             build_faulty_job(with_reject_link=True), instance
         )
         # rows land on the dedicated link/target, not the run-level list
@@ -255,7 +255,7 @@ class TestRejectLink:
         # output even though a second (reject) link hangs off it
         job = build_faulty_job(with_reject_link=True)
         instance, _ = generate_faulty_instance(n=10, seed=1, poison=0)
-        targets, _ = EtlEngine().run(job, instance)
+        targets = EtlEngine().execute(job, instance)
         assert len(targets.dataset("Rejects")) == 0
 
 
@@ -317,8 +317,8 @@ class TestXmlRoundTrip:
         job = build_faulty_job(with_reject_link=True)
         parsed = job_from_xml(job_to_xml(job))
         instance, _ = generate_faulty_instance(n=30, seed=4, poison=3)
-        original, _ = EtlEngine().run(job, instance)
-        reparsed, _ = EtlEngine().run(parsed, instance)
+        original = EtlEngine().execute(job, instance)
+        reparsed = EtlEngine().execute(parsed, instance)
         for name in ("Premium", "Rejects"):
             assert sorted(map(format_row, original.dataset(name).rows)) == \
                 sorted(map(format_row, reparsed.dataset(name).rows))
@@ -366,11 +366,11 @@ class TestJoinStageHonoursPolicies:
     @pytest.mark.parametrize("policy", ["skip", "reject"])
     def test_etl_and_ohm_take_the_same_rows(self, policy, compiled):
         engine = EtlEngine(on_error=policy, compiled=compiled)
-        etl, _ = engine.run(self.job(), self.instance())
+        etl = engine.execute(self.job(), self.instance())
         etl_rejects = sorted(format_row(r.row) for r in engine.last_run.rejected)
-        ohm, _edges, rejects = OhmExecutor(
+        ohm, rejects, _rows, _edges = OhmExecutor(
             on_error=policy, compiled=compiled
-        ).run_with_rejects(compile_job(self.job()), self.instance())
+        ).run(compile_job(self.job()), self.instance())
         assert etl.same_bags(ohm)
         assert len(etl.dataset("Out")) == 4
         assert etl_rejects == sorted(r["row"] for r in rejects.rows)

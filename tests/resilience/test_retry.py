@@ -166,7 +166,7 @@ class TestEngineRetry:
             retry=RetryPolicy(max_retries=3, clock=clock, sleep=clock.sleep),
         )
         instance, _ = generate_faulty_instance(n=20, seed=1)
-        targets, _ = engine.run(_passthrough_job(source), instance)
+        targets = engine.execute(_passthrough_job(source), instance)
         assert len(targets.dataset("Copied")) == 20
         assert clock.sleeps == [0.05, 0.1]
         assert obs.metrics.counter("exec.retry.src_Orders.recovered") == 1
@@ -208,7 +208,7 @@ class TestEngineRetry:
             retry=RetryPolicy(max_retries=2, clock=clock, sleep=clock.sleep),
         )
         instance, _ = generate_faulty_instance(n=8, seed=2)
-        targets, _ = engine.run(job, instance)
+        targets = engine.execute(job, instance)
         assert len(targets.dataset("Copied")) == 8
         assert obs.metrics.counter("exec.retry.tgt_Copied.recovered") == 1
 

@@ -4,7 +4,7 @@ on whole compiled jobs."""
 import pytest
 
 from repro.compile import compile_job
-from repro.ohm import execute
+from repro.ohm import OhmExecutor
 from repro.rewrite import CLEANUP_RULES, Optimizer, cleanup, optimize
 from repro.workloads import (
     build_chain_job,
@@ -14,7 +14,7 @@ from repro.workloads import (
     generate_instance,
     generate_star_instance,
 )
-from repro.etl import run_job
+from repro.etl import EtlEngine
 
 
 class TestDriver:
@@ -49,26 +49,26 @@ class TestSemanticPreservation:
     def test_chain_jobs(self, n_stages):
         job = build_chain_job(n_stages)
         instance = generate_chain_instance(120)
-        baseline = run_job(job, instance)
+        baseline = EtlEngine().execute(job, instance)
         graph = compile_job(job, cleanup=False)
         optimize(graph)
-        assert execute(graph, instance).same_bags(baseline)
+        assert OhmExecutor().execute(graph, instance).same_bags(baseline)
 
     def test_example_job(self):
         job = build_example_job()
         instance = generate_instance(50)
-        baseline = run_job(job, instance)
+        baseline = EtlEngine().execute(job, instance)
         graph = compile_job(job)
         optimize(graph)
-        assert execute(graph, instance).same_bags(baseline)
+        assert OhmExecutor().execute(graph, instance).same_bags(baseline)
 
     def test_star_join(self):
         job = build_star_join_job(3)
         instance = generate_star_instance(3, 150)
-        baseline = run_job(job, instance)
+        baseline = EtlEngine().execute(job, instance)
         graph = compile_job(job)
         optimize(graph)
-        assert execute(graph, instance).same_bags(baseline)
+        assert OhmExecutor().execute(graph, instance).same_bags(baseline)
 
 
 class TestOptimizationEffect:

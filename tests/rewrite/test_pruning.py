@@ -4,19 +4,18 @@ import pytest
 
 from repro.compile import compile_job
 from repro.data.dataset import Dataset, Instance
-from repro.etl import run_job
 from repro.ohm import (
     BasicProject,
     Filter,
     Group,
     Join,
+    OhmExecutor,
     OhmGraph,
     Project,
     Source,
     Split,
     Target,
     Union,
-    execute,
 )
 from repro.rewrite import prune_unused_columns, required_columns
 from repro.schema import relation
@@ -126,7 +125,9 @@ class TestPruning:
         prune_unused_columns(pruned)
         plain = build()
         instance = Instance([data(rel)])
-        assert execute(pruned, instance).same_bags(execute(plain, instance))
+        assert OhmExecutor().execute(pruned, instance).same_bags(
+            OhmExecutor().execute(plain, instance)
+        )
 
     def test_idempotent(self, rel):
         g = OhmGraph()
@@ -150,7 +151,7 @@ class TestPruning:
         (project,) = g.operators_of_kind("BASIC PROJECT")
         assert len(project.derivations) >= 1
         instance = Instance([data(rel)])
-        result = execute(g, instance)
+        result = OhmExecutor().execute(g, instance)
         assert result.dataset("Out").rows == [{"n": 2}]
 
     def test_basic_project_columns_stay_consistent(self, rel):
@@ -177,7 +178,7 @@ class TestPruning:
         assert dict(project.derivations).keys() == {"id", "x"}
         instance = Instance([data(rel)])
         assert sorted(
-            r["id"] for r in execute(g, instance).dataset("Out")
+            r["id"] for r in OhmExecutor().execute(g, instance).dataset("Out")
         ) == [1, 2]  # x = 4 and 10, both above the threshold
 
     def test_example_job_has_no_dead_columns(self):
@@ -218,4 +219,4 @@ class TestPruning:
         prune_unused_columns(g)
         g.propagate_schemas()  # union compatibility still holds
         instance = Instance([data(rel), Dataset(other, data(rel).rows)])
-        assert len(execute(g, instance).dataset("Out")) == 4
+        assert len(OhmExecutor().execute(g, instance).dataset("Out")) == 4

@@ -7,12 +7,12 @@ from repro.ohm import (
     BasicProject,
     Filter,
     Join,
+    OhmExecutor,
     OhmGraph,
     Project,
     Source,
     Split,
     Target,
-    execute,
 )
 from repro.rewrite.rules import (
     MergeAdjacentFilters,
@@ -44,7 +44,7 @@ def data(rel):
 
 
 def run(graph, rel):
-    return execute(graph, Instance([data(rel)]))
+    return OhmExecutor().execute(graph, Instance([data(rel)]))
 
 
 class TestRemoveIdentityProject:
@@ -231,4 +231,6 @@ class TestPushFilterThroughJoin:
         pushed, left, right = self._build(True)
         plain, *_ = self._build(False)
         instance = self._instance(left, right)
-        assert execute(pushed, instance).same_bags(execute(plain, instance))
+        assert OhmExecutor().execute(pushed, instance).same_bags(
+            OhmExecutor().execute(plain, instance)
+        )

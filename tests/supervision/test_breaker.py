@@ -271,7 +271,7 @@ class TestEtlEndpointBreaker:
         healthy = self._passthrough_job(
             TableSource(orders_schema(), name="src_Orders_healthy")
         )
-        targets, _ = EtlEngine(breaker=breaker).run(healthy, instance)
+        targets = EtlEngine(breaker=breaker).execute(healthy, instance)
         assert len(targets.dataset("Copied")) == 10
 
 

@@ -18,7 +18,7 @@ from repro.etl.stages import SequentialFileTarget, TableSource
 from repro.exec import set_kernel_fault_hook
 from repro.faults import CrashingStore, CrashingTarget
 from repro.mapping import MappingExecutor
-from repro.ohm import execute
+from repro.ohm import OhmExecutor
 from repro.resilience import CheckpointStore, RetryPolicy, format_row
 from repro.schema.model import relation
 from repro.workloads import (
@@ -48,7 +48,7 @@ def workload():
     """A poisoned instance and the uninterrupted run's accepted AND
     rejected outputs (the reject link makes rejects a target table)."""
     instance, _ = generate_faulty_instance(n=40, seed=11, poison=3)
-    targets, _ = EtlEngine().run(
+    targets = EtlEngine().execute(
         build_faulty_job(with_reject_link=True), instance
     )
     return instance, _snapshot(targets)
@@ -87,7 +87,7 @@ class TestCrashAtEverySaveBoundary:
                 EtlEngine(checkpoint=store, **flags).run(job, instance)
             assert store.crashed
             # same wrapped store, crash spent: the resumed run finishes
-            resumed, _ = EtlEngine(checkpoint=store, **flags).run(
+            resumed = EtlEngine(checkpoint=store, **flags).execute(
                 build_faulty_job(with_reject_link=True), instance
             )
             assert _snapshot(resumed) == expected, (
@@ -136,7 +136,7 @@ class TestTransactionalFileTarget:
         if crash_mode == "torn":
             # the simulated non-atomic writer really left a torn file
             assert out.read_bytes() != expected_bytes
-        targets, _ = EtlEngine(checkpoint=store, **flags).run(job, instance)
+        targets = EtlEngine(checkpoint=store, **flags).execute(job, instance)
         assert out.read_bytes() == expected_bytes
         assert len(targets.dataset("Orders")) == 25
 
@@ -228,7 +228,7 @@ class TestCrashPropagation:
         set_kernel_fault_hook(self._crash_hook)
         try:
             with pytest.raises(InjectedCrash):
-                execute(graph, instance, on_error="skip")
+                OhmExecutor(on_error="skip").execute(graph, instance)
         finally:
             set_kernel_fault_hook(None)
 

@@ -12,9 +12,8 @@ from repro.etl import EtlEngine
 from repro.exec import ExpressionPlanner, block, kernels
 from repro.exec.block import RowBlock
 from repro.expr.parser import parse
-from repro.mapping import execute_mappings
 from repro.obs import Observability
-from repro.ohm import execute
+from repro.ohm import OhmExecutor
 from repro.schema.model import Attribute, Relation
 from repro.schema.types import INTEGER, STRING
 from repro.supervision import (
@@ -255,7 +254,7 @@ class TestEngineParity:
         instance, expected = baseline
         graph = Orchid().import_etl(build_example_job())
         obs = Observability(stats=True)
-        got = execute(graph, instance, obs=obs, memory_budget=16)
+        got = OhmExecutor(obs=obs, memory_budget=16).execute(graph, instance)
         assert got.same_bags(expected)
         assert obs.metrics.counter("exec.spill.runs") > 0
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.etl import job_from_xml, job_to_xml, run_job
+from repro.etl import EtlEngine, job_from_xml, job_to_xml
 from repro.workloads import (
     build_chain_job,
     build_example_job,
@@ -52,8 +52,8 @@ class TestMappingsToEtl:
         ) == 0
         regenerated = job_from_xml(job_out.read_text())
         instance = generate_instance(30)
-        assert run_job(regenerated, instance).same_bags(
-            run_job(build_example_job(), instance)
+        assert EtlEngine().execute(regenerated, instance).same_bags(
+            EtlEngine().execute(build_example_job(), instance)
         )
 
     def test_plan_flag_prints_boxes(self, job_xml_path, tmp_path, capsys):
@@ -145,8 +145,8 @@ class TestOptimize:
         assert "OptimizationReport" in capsys.readouterr().err
         optimized = job_from_xml(out.read_text())
         instance = generate_instance(30)
-        assert run_job(optimized, instance).same_bags(
-            run_job(build_example_job(), instance)
+        assert EtlEngine().execute(optimized, instance).same_bags(
+            EtlEngine().execute(build_example_job(), instance)
         )
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.etl import run_job
+from repro.etl import EtlEngine
 from repro.workloads import (
     BIG_BALANCE_THRESHOLD,
     build_chain_job,
@@ -31,7 +31,7 @@ class TestPaperExample:
 
     def test_some_customers_cross_the_threshold(self):
         instance = generate_instance(200)
-        targets = run_job(build_example_job(), instance)
+        targets = EtlEngine().execute(build_example_job(), instance)
         assert len(targets.dataset("BigCustomers")) > 0
         assert len(targets.dataset("OtherCustomers")) > 0
         for row in targets.dataset("BigCustomers"):
@@ -50,7 +50,7 @@ class TestGeneratedJobs:
 
     def test_chain_job_runs(self):
         job = build_chain_job(12)
-        result = run_job(job, generate_chain_instance(100))
+        result = EtlEngine().execute(job, generate_chain_instance(100))
         assert "Out" in result.names
 
     def test_chain_is_deterministic(self):
@@ -63,13 +63,13 @@ class TestGeneratedJobs:
     @pytest.mark.parametrize("branches", [2, 5])
     def test_fanout_job(self, branches):
         job = build_fanout_job(branches)
-        result = run_job(job, generate_chain_instance(50))
+        result = EtlEngine().execute(job, generate_chain_instance(50))
         assert len(result.names) == branches
 
     @pytest.mark.parametrize("dims", [1, 3])
     def test_star_join_job(self, dims):
         job = build_star_join_job(dims)
-        result = run_job(job, generate_star_instance(dims, 100))
+        result = EtlEngine().execute(job, generate_star_instance(dims, 100))
         rollup = result.dataset("Rollup")
         assert len(rollup) > 0
         total = sum(r["total"] for r in rollup)

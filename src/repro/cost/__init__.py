@@ -18,8 +18,8 @@ consults three pieces:
 (:func:`repro.cost.explain.explain_graph`); ``docs/planning.md`` is the
 handbook.
 
-``plan_pushdown(cost=False)``, or planning without a catalog, keeps the
-paper's pushability-only maximal pushdown.
+Planning without a catalog keeps the paper's pushability-only maximal
+pushdown.
 """
 
 from __future__ import annotations

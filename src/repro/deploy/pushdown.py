@@ -13,25 +13,26 @@ single-block SELECT (or a UNION ALL of them). The *frontier* edges — the
 cuts between the pushed region and the residual ETL job — become SQL
 statements; the residual graph deploys to the ETL platform as usual.
 
-Pushability says what *can* move; since the cost-based planning layer
-(:mod:`repro.cost`) it no longer says what *should*. When
-``plan_pushdown`` is given a :class:`~repro.cost.StatisticsCatalog`
-covering the pushable sources (and ``cost`` is left on), it starts from
-the maximal pushable region and greedily *peels* operators back onto the
-ETL side while the modelled total cost improves, pricing each operator
-at the measured rate of its kind on its platform
-(:mod:`repro.cost.model`). Sources that start in memory must first be
-loaded into the DBMS, so a region pays off only when sqlite's
-evaluation saves more than that load and the transfer back — a star of
-many joins does, the paper's job and a join that expands rows do not.
-The all-ETL plan is a legal outcome — an empty pushed region skips the
-DBMS entirely. ``cost=False`` (or no catalog) keeps the paper's
-pushability-only maximal pushdown exactly.
+Pushability says what *can* move; the cost-based planning layer
+(:mod:`repro.cost`) says what *should*. Given a
+:class:`~repro.cost.StatisticsCatalog` covering the pushable sources,
+``plan_pushdown`` splits the maximal pushable region into *parts* —
+operators joined by edges inside the region — and prices each part once
+on both platforms at the measured rates of :mod:`repro.cost.model`:
+pushed, loading its own sources into the DBMS, evaluating it in SQL and
+transferring its frontier relations back; kept, its operators in the
+engine. Each part goes to the cheaper side. :meth:`HybridPlan.execute`
+loads only the pushed parts' sources, so the parts' costs add up and
+the per-part choice is the model's best plan among those that push each
+part whole or not at all. A star of many joins pays off; the paper's
+job and a join that expands rows do not, and an empty pushed region
+skips the DBMS entirely. Without a catalog the paper's pushability-only
+maximal pushdown is kept exactly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set
 
 from repro.cost import (
     CardinalityEstimator,
@@ -62,7 +63,6 @@ from repro.ohm.operators import (
     Filter,
     Group,
     Join,
-    Operator,
     Project,
     Source,
     Target,
@@ -89,7 +89,10 @@ def _classify(
     for op in graph.topological_order():
         inputs = [states[e.src] for e in graph.in_edges(op.uid)]
         if isinstance(op, Source):
-            states[op.uid] = _PushState(op.provider is None)
+            # a DBMS table holds scalars: nested columns stay in the engine
+            states[op.uid] = _PushState(
+                op.provider is None and op.relation.is_flat()
+            )
             continue
         if isinstance(op, Target) or not inputs:
             states[op.uid] = _PushState(False)
@@ -143,7 +146,7 @@ def _classify(
     return states
 
 
-class FragmentDecision:
+class FragmentDecision(NamedTuple):
     """Why one fragment of a hybrid plan landed where it did.
 
     :ivar name: the frontier relation (SQL fragments) or residual job
@@ -151,26 +154,18 @@ class FragmentDecision:
     :ivar placement: ``"sql"`` or ``"etl"``.
     :ivar rows: estimated rows the fragment produces (None without a
         catalog — pushability-only mode plans blind).
-    :ivar cost: estimated cost of the fragment in row-units, including
-        the transfer of its output for SQL fragments.
+    :ivar cost: estimated cost in row-units: for a SQL fragment, its
+        part pushed (loading the part's sources, evaluating it, and
+        transferring its frontier relations back); for the ETL
+        fragment, the residual job in the engine.
     :ivar reason: one human-readable sentence.
     """
 
-    __slots__ = ("name", "placement", "rows", "cost", "reason")
-
-    def __init__(
-        self,
-        name: str,
-        placement: str,
-        rows: Optional[float] = None,
-        cost: Optional[float] = None,
-        reason: str = "",
-    ):
-        self.name = name
-        self.placement = placement
-        self.rows = rows
-        self.cost = cost
-        self.reason = reason
+    name: str
+    placement: str
+    rows: Optional[float] = None
+    cost: Optional[float] = None
+    reason: str = ""
 
     def __repr__(self) -> str:
         return f"FragmentDecision({self.name!r} -> {self.placement})"
@@ -189,6 +184,8 @@ class HybridPlan:
     :ivar decisions: per-fragment :class:`FragmentDecision` records.
     :ivar estimate: the :class:`~repro.cost.GraphEstimate` the placement
         was costed from (None in pushability-only mode).
+    :ivar loaded: the source relations the statements read — all that
+        :meth:`execute` loads into the DBMS.
     """
 
     def __init__(
@@ -202,6 +199,7 @@ class HybridPlan:
         estimate: Optional[GraphEstimate] = None,
         graph: Optional[OhmGraph] = None,
         platform: Optional[RuntimePlatform] = None,
+        loaded: Sequence[str] = (),
     ):
         self.statements = statements
         self.frontier_schemas = frontier_schemas
@@ -214,14 +212,16 @@ class HybridPlan:
         #: circuit breaker can degrade to a fully-local deployment
         self.graph = graph
         self.platform = platform
+        self.loaded = tuple(loaded)
 
     def execute(
         self, instance: Instance, retry=None, breaker=None, obs=None
     ) -> Instance:
         """Run the hybrid: SQL on the (sqlite) DBMS holding the source
-        data, then the residual ETL job over the query results plus any
-        base relations the residual job still reads directly. A plan
-        with nothing pushed skips the DBMS entirely.
+        relations the statements read, then the residual ETL job over
+        the query results plus any base relations the residual job still
+        reads directly. A plan with nothing pushed skips the DBMS
+        entirely.
 
         ``retry`` / ``breaker`` guard the DBMS endpoint (see
         :class:`~repro.deploy.sql.SqliteRunner`). When the breaker is
@@ -234,11 +234,12 @@ class HybridPlan:
         if not self.statements:
             return EtlEngine().execute(self.job, instance)
         try:
-            runner = SqliteRunner(instance, retry=retry, breaker=breaker)
+            runner = SqliteRunner(
+                Instance(instance.dataset(name) for name in self.loaded),
+                retry=retry, breaker=breaker,
+            )
             try:
-                enriched = Instance()
-                for dataset in instance:
-                    enriched.put(dataset)
+                enriched = Instance(instance)
                 for name, sql in self.statements.items():
                     enriched.put(
                         runner.query(sql, self.frontier_schemas[name])
@@ -298,115 +299,104 @@ def plan_pushdown(
     platform: Optional[RuntimePlatform] = None,
     dialect: Optional[SqliteDialect] = None,
     obs: Optional[Observability] = None,
-    cost: bool = True,
     catalog: Optional[StatisticsCatalog] = None,
     model: Optional[CostModel] = None,
     estimator: Optional[CardinalityEstimator] = None,
 ) -> HybridPlan:
     """Compute the pushdown plan for an OHM instance.
 
-    Without a ``catalog`` (or with ``cost=False``) this is the paper's
-    maximal pushdown: everything pushable is pushed. With a catalog
-    covering the pushable sources, placement is cost-based — see the
-    module docstring.
+    Without a ``catalog`` this is the paper's maximal pushdown:
+    everything pushable is pushed. With a catalog covering the pushable
+    sources, placement is cost-based — see the module docstring.
 
     With an :class:`~repro.obs.Observability`, records the pushdown
     decisions: ``deploy.pushdown.pushable`` / ``.not_pushable`` per
     classified operator, ``deploy.pushdown.pushed_operators`` /
     ``.frontier_edges`` for the chosen cut, and (cost mode)
-    ``deploy.pushdown.cost_candidates`` / ``.peeled`` for the search,
-    under a ``deploy.pushdown`` span."""
+    ``deploy.pushdown.cost_candidates`` (two per priced part) /
+    ``.peeled`` (pushable operators left in the engine), under a
+    ``deploy.pushdown`` span."""
     obs = obs or NULL_OBS
     with obs.tracer.span("deploy.pushdown", graph=graph.name) as span:
-        plan = _plan_pushdown_impl(
-            graph, platform, dialect, obs, cost, catalog, model, estimator
+        dialect = dialect or DEFAULT_DIALECT
+        work = graph.shallow_copy()
+        work.propagate_schemas()
+        states = _classify(work, dialect)
+        pushable = {uid for uid, s in states.items() if s.pushable}
+        if obs.enabled:
+            obs.metrics.count("deploy.pushdown.pushable", len(pushable))
+            obs.metrics.count(
+                "deploy.pushdown.not_pushable", len(states) - len(pushable)
+            )
+        # a pushable operator that feeds no frontier edge does no work
+        maximal = _upstream(
+            work, pushable, (e.src for e in _frontier_of(work, pushable))
+        )
+        if not maximal:
+            raise DeploymentError("nothing can be pushed down in this graph")
+        sources = {
+            op.uid: op.relation.name
+            for op in work.operators
+            if isinstance(op, Source) and op.uid in maximal
+        }
+        estimate: Optional[GraphEstimate] = None
+        decisions: List[FragmentDecision] = []
+        pushed = maximal
+        if catalog is not None and catalog.covers(sources.values()):
+            model = model or DEFAULT_MODEL
+            estimator = estimator or CardinalityEstimator(catalog)
+            estimate = estimator.estimate_graph(work)
+            parts = _priced_parts(work, maximal, estimate, model)
+            pushed = {uid for p in parts if p.pushes for uid in p.uids}
+            if obs.enabled:
+                obs.metrics.count(
+                    "deploy.pushdown.cost_candidates", 2 * len(parts)
+                )
+                obs.metrics.count(
+                    "deploy.pushdown.peeled", len(maximal) - len(pushed)
+                )
+            decisions = _decisions(
+                work, parts, pushed, estimate, model, f"{graph.name}_residual"
+            )
+
+        frontier = _frontier_of(work, pushed)
+        statements: Dict[str, str] = {}
+        frontier_schemas: Dict[str, Relation] = {}
+        for edge in frontier:
+            sub = _pushed_subgraph(work, pushed, edge)
+            # a UNION feeding the frontier materializes under the
+            # frontier's own name; its copy onto itself is no part of the
+            # statement
+            producers = [
+                m for m in ohm_to_mappings(sub).mappings
+                if edge.name not in m.source_relation_names
+            ]
+            if not producers or any(
+                m.target.name != edge.name for m in producers
+            ):
+                raise DeploymentError(
+                    f"pushed region at {edge.name} did not compose into a "
+                    "single SQL block; this is a bug in the pushability rules"
+                )
+            statements[edge.name] = mappings_to_select(producers, dialect)
+            frontier_schemas[edge.name] = _schema(edge)
+
+        if obs.enabled:
+            obs.metrics.count("deploy.pushdown.pushed_operators", len(pushed))
+            obs.metrics.count("deploy.pushdown.frontier_edges", len(frontier))
+        residual = _residual_graph(work, pushed, frontier)
+        job, plan = deploy_to_job(
+            residual, platform, name=f"{graph.name}_residual", obs=obs
         )
         if obs.enabled:
             span.set(
-                pushed_operators=len(plan.pushed_operator_uids),
-                frontier_edges=len(plan.statements),
+                pushed_operators=len(pushed), frontier_edges=len(statements)
             )
-    return plan
-
-
-def _plan_pushdown_impl(
-    graph: OhmGraph,
-    platform: Optional[RuntimePlatform],
-    dialect: Optional[SqliteDialect],
-    obs: Observability,
-    cost: bool,
-    catalog: Optional[StatisticsCatalog],
-    model: Optional[CostModel],
-    estimator: Optional[CardinalityEstimator],
-) -> HybridPlan:
-    dialect = dialect or DEFAULT_DIALECT
-    work = graph.shallow_copy()
-    work.propagate_schemas()
-    states = _classify(work, dialect)
-    pushable = {uid for uid, s in states.items() if s.pushable}
-    if obs.enabled:
-        obs.metrics.count("deploy.pushdown.pushable", len(pushable))
-        obs.metrics.count(
-            "deploy.pushdown.not_pushable", len(states) - len(pushable)
-        )
-    maximal = _feeding_set(work, pushable)
-    if not maximal:
-        raise DeploymentError("nothing can be pushed down in this graph")
-
-    estimate: Optional[GraphEstimate] = None
-    decisions: List[FragmentDecision] = []
-    pushed = maximal
-    if cost and catalog is not None and catalog.covers(
-        op.relation.name
-        for op in work.operators
-        if isinstance(op, Source) and op.uid in maximal
-    ):
-        model = model or DEFAULT_MODEL
-        estimator = estimator or CardinalityEstimator(catalog)
-        estimate = estimator.estimate_graph(work)
-        pushed, chosen_cost, candidates = _choose_pushed(
-            work, maximal, estimate, model
-        )
-        if obs.enabled:
-            obs.metrics.count("deploy.pushdown.cost_candidates", candidates)
-            obs.metrics.count(
-                "deploy.pushdown.peeled", len(maximal) - len(pushed)
-            )
-        decisions = _fragment_decisions(
-            work, pushed, maximal, estimate, model, chosen_cost,
-            f"{graph.name}_residual",
-        )
-
-    frontier = [e for e in work.edges if e.src in pushed and e.dst not in pushed]
-    statements: Dict[str, str] = {}
-    frontier_schemas: Dict[str, Relation] = {}
-    for edge in frontier:
-        sub = _pushed_subgraph(work, pushed, edge)
-        # a UNION feeding the frontier materializes under the frontier's
-        # own name; its copy onto itself is no part of the statement
-        producers = [
-            m for m in ohm_to_mappings(sub).mappings
-            if edge.name not in m.source_relation_names
-        ]
-        if not producers or any(m.target.name != edge.name for m in producers):
-            raise DeploymentError(
-                f"pushed region at {edge.name} did not compose into a "
-                "single SQL block; this is a bug in the pushability rules"
-            )
-        statements[edge.name] = mappings_to_select(producers, dialect)
-        frontier_schemas[edge.name] = _schema(edge)
-
-    if obs.enabled:
-        obs.metrics.count("deploy.pushdown.pushed_operators", len(pushed))
-        obs.metrics.count("deploy.pushdown.frontier_edges", len(frontier))
-    residual = _residual_graph(work, pushed, frontier)
-    job, plan = deploy_to_job(
-        residual, platform, name=f"{graph.name}_residual", obs=obs
-    )
     return HybridPlan(
         statements, frontier_schemas, job, pushed, plan,
         decisions=decisions, estimate=estimate,
         graph=graph, platform=platform,
+        loaded=sorted({sources[uid] for uid in pushed if uid in sources}),
     )
 
 
@@ -414,26 +404,24 @@ def _plan_pushdown_impl(
 
 
 def _frontier_of(graph: OhmGraph, pushed: Set[str]) -> List[Edge]:
-    return [
-        e for e in graph.edges if e.src in pushed and e.dst not in pushed
-    ]
+    return [e for e in graph.edges if e.src in pushed and e.dst not in pushed]
 
 
-def _feeding_set(graph: OhmGraph, pushed: Set[str]) -> Set[str]:
-    """The subset of ``pushed`` that actually feeds a frontier edge —
-    operators whose whole cone of consumers is inside the region do no
-    useful work and drop out."""
-    feeding: Set[str] = set()
-    to_visit = [e.src for e in _frontier_of(graph, pushed)]
+def _upstream(
+    graph: OhmGraph, region: Set[str], starts: Iterable[str]
+) -> Set[str]:
+    """The operators of ``region`` that feed ``starts`` (themselves
+    included) over edges inside the region."""
+    cone: Set[str] = set()
+    to_visit = list(starts)
     while to_visit:
         uid = to_visit.pop()
-        if uid in feeding:
-            continue
-        feeding.add(uid)
-        to_visit.extend(
-            e.src for e in graph.in_edges(uid) if e.src in pushed
-        )
-    return feeding
+        if uid not in cone:
+            cone.add(uid)
+            to_visit.extend(
+                e.src for e in graph.in_edges(uid) if e.src in region
+            )
+    return cone
 
 
 def _width(relation: Relation) -> int:
@@ -447,164 +435,129 @@ def _schema(edge: Edge) -> Relation:
     return edge.schema
 
 
-def _plan_terms(
-    graph: OhmGraph,
-    pushed: Set[str],
-    estimate: GraphEstimate,
-    model: CostModel,
-) -> Dict[str, float]:
-    """The modelled cost of the hybrid with region ``pushed`` on the
-    DBMS, by term: ``load`` (every table source goes into the DBMS once
-    anything is pushed, as :meth:`HybridPlan.execute` does),
-    ``evaluation`` (the pushed operators in SQL), ``transfer`` (each
-    frontier relation back out) and ``etl`` (everything else on the ETL
-    engine)."""
-    terms = dict.fromkeys(("load", "evaluation", "transfer", "etl"), 0.0)
-    for op in graph.operators:
-        op_estimate = estimate.operators.get(op.uid)
-        if op_estimate is None:
-            continue
-        if isinstance(op, Source) and pushed and op.provider is None:
-            terms["load"] += model.sql_load(
-                op_estimate.rows_out, _width(op.relation)
-            )
-        if op.uid in pushed:
-            terms["evaluation"] += model.sql_operator_cost(
-                op.KIND, op_estimate.rows_in, op_estimate.rows_out
-            )
-        else:
-            terms["etl"] += model.etl_operator_cost(
-                op.KIND, op_estimate.rows_in, op_estimate.rows_out,
-                output_width(graph, op),
-            )
-    for edge in _frontier_of(graph, pushed):
-        terms["transfer"] += model.sql_transfer(
-            estimate.edge_rows(edge.name, estimate.rows_out(edge.src)),
-            _width(_schema(edge)),
-        )
-    return terms
+class _Part(NamedTuple):
+    """One connected part of the maximal pushable region, priced once
+    on each platform: ``push`` by term — ``load`` (its own sources),
+    ``evaluation`` (its operators in SQL) and ``transfer`` (its frontier
+    relations back out) — and ``keep``, its operators in the engine."""
+
+    uids: Set[str]
+    push: Dict[str, float]
+    keep: float
+
+    @property
+    def pushes(self) -> bool:
+        return sum(self.push.values()) <= self.keep
 
 
-def _plan_cost(
-    graph: OhmGraph,
-    pushed: Set[str],
-    estimate: GraphEstimate,
-    model: CostModel,
+def _etl_cost(
+    graph: OhmGraph, uid: str, estimate: GraphEstimate, model: CostModel
 ) -> float:
-    """Total modelled cost of the hybrid with region ``pushed``."""
-    return sum(_plan_terms(graph, pushed, estimate, model).values())
-
-
-def _peelable(graph: OhmGraph, pushed: Set[str]) -> List[str]:
-    """Operators at the top of the pushed region: every consumer is
-    already outside, so removing one keeps the region frontier-closed."""
-    return sorted(
-        uid for uid in pushed
-        if all(e.dst not in pushed for e in graph.out_edges(uid))
+    op, op_estimate = graph.operator(uid), estimate.operators[uid]
+    return model.etl_operator_cost(
+        op.KIND, op_estimate.rows_in, op_estimate.rows_out,
+        output_width(graph, op),
     )
 
 
-def _choose_pushed(
+def _priced_parts(
     graph: OhmGraph,
-    maximal: Set[str],
+    region: Set[str],
     estimate: GraphEstimate,
     model: CostModel,
-) -> Tuple[Set[str], float, int]:
-    """Greedy peel: start from the maximal pushable region and move
-    top operators back to the ETL side while the total modelled cost
-    improves. Returns (chosen region, its cost, candidates costed).
-    Reaches the empty region — pure ETL — when nothing pushed is worth
-    the transfer."""
-    best = set(maximal)
-    best_cost = _plan_cost(graph, best, estimate, model)
-    candidates = 1
-    improved = True
-    while improved and best:
-        improved = False
-        for uid in _peelable(graph, best):
-            trial = set(best)
-            trial.discard(uid)
-            trial = _feeding_set(graph, trial)
-            trial_cost = _plan_cost(graph, trial, estimate, model)
-            candidates += 1
-            if trial_cost < best_cost - 1e-9:
-                best, best_cost = trial, trial_cost
-                improved = True
-                break
-    # the all-ETL plan is always a candidate: every table source is
-    # loaded once anything is pushed, so no single peel saves the load,
-    # and when moving data dominates every intermediate cut can be worse
-    # than the maximal push even though pushing nothing beats both —
-    # greedy peeling alone would never reach it
-    if best:
-        etl_cost = _plan_cost(graph, set(), estimate, model)
-        candidates += 1
-        if etl_cost < best_cost - 1e-9:
-            best, best_cost = set(), etl_cost
-    return best, best_cost, candidates
+) -> List[_Part]:
+    """The connected components of ``region`` over the edges inside it,
+    in topological order, each priced pushed and kept."""
+    neighbours: Dict[str, List[str]] = {uid: [] for uid in region}
+    for e in graph.edges:
+        if e.src in region and e.dst in region:
+            neighbours[e.src].append(e.dst)
+            neighbours[e.dst].append(e.src)
+    components: List[Set[str]] = []
+    for first in graph.topological_order():
+        if first.uid not in region or any(first.uid in c for c in components):
+            continue
+        uids: Set[str] = set()
+        to_visit = [first.uid]
+        while to_visit:
+            uid = to_visit.pop()
+            if uid not in uids:
+                uids.add(uid)
+                to_visit.extend(neighbours[uid])
+        components.append(uids)
+    parts: List[_Part] = []
+    for uids in components:
+        push = dict.fromkeys(("load", "evaluation", "transfer"), 0.0)
+        for op in (graph.operator(uid) for uid in uids):
+            rows_in = estimate.operators[op.uid].rows_in
+            rows_out = estimate.operators[op.uid].rows_out
+            if isinstance(op, Source):
+                push["load"] += model.sql_load(rows_out, _width(op.relation))
+            push["evaluation"] += model.sql_operator_cost(
+                op.KIND, rows_in, rows_out
+            )
+        for edge in _frontier_of(graph, uids):
+            push["transfer"] += model.sql_transfer(
+                estimate.edge_rows(edge.name), _width(_schema(edge))
+            )
+        keep = sum(_etl_cost(graph, uid, estimate, model) for uid in uids)
+        parts.append(_Part(uids, push, keep))
+    return parts
 
 
-def _fragment_decisions(
+def _decisions(
     graph: OhmGraph,
+    parts: List[_Part],
     pushed: Set[str],
-    maximal: Set[str],
     estimate: GraphEstimate,
     model: CostModel,
-    chosen_cost: float,
     residual_name: str,
 ) -> List[FragmentDecision]:
-    """Per-fragment records of the placement: one per frontier SQL
-    statement, one for the residual ETL job."""
-    etl_cost = _plan_cost(graph, set(), estimate, model)
+    """Per-fragment records of the placement, from the numbers the
+    per-part choice compared: one per frontier SQL statement, one for
+    the residual ETL job."""
     decisions: List[FragmentDecision] = []
-    frontier = _frontier_of(graph, pushed)
-    for edge in frontier:
-        cone = _cone_of(graph, pushed, edge)
-        rows = estimate.edge_rows(edge.name, estimate.rows_out(edge.src))
-        sources = [
-            op for op in graph.operators
-            if isinstance(op, Source) and op.uid in cone
-        ]
-        source_rows = sum(estimate.rows_out(op.uid) for op in sources)
-        sql_cost = sum(
-            model.sql_load(estimate.rows_out(op.uid), _width(op.relation))
-            for op in sources
-        ) + sum(
-            model.sql_operator_cost(
-                graph.operator(uid).KIND,
-                estimate.operators[uid].rows_in,
-                estimate.operators[uid].rows_out,
-            )
-            for uid in cone
-            if uid in estimate.operators
-        ) + model.sql_transfer(rows, _width(_schema(edge)))
-        decisions.append(FragmentDecision(
-            edge.name, "sql", rows, sql_cost,
-            f"SQL reduces ~{source_rows:.0f} source rows to ~{rows:.0f} "
-            f"before transfer; hybrid {chosen_cost:.0f} vs pure-ETL "
-            f"{etl_cost:.0f} row-units",
-        ))
+    for part in (p for p in parts if p.pushes):
+        push = sum(part.push.values())
+        source_rows = sum(
+            estimate.rows_out(uid) for uid in part.uids
+            if isinstance(graph.operator(uid), Source)
+        )
+        for edge in _frontier_of(graph, part.uids):
+            rows = estimate.edge_rows(edge.name)
+            decisions.append(FragmentDecision(
+                edge.name, "sql", rows, push,
+                f"SQL reduces ~{source_rows:.0f} source rows to "
+                f"~{rows:.0f} before transfer; its part costs {push:.0f} "
+                f"row-units pushed vs {part.keep:.0f} in the ETL engine",
+            ))
+    residual = [op for op in graph.operators if op.uid not in pushed]
     residual_rows = sum(
-        estimate.edge_rows(e.name, estimate.rows_out(e.src))
-        for e in frontier
-    ) if frontier else sum(
-        estimate.rows_out(op.uid)
-        for op in graph.operators
-        if isinstance(op, Source)
+        estimate.edge_rows(e.name) for e in _frontier_of(graph, pushed)
+    ) + sum(
+        estimate.rows_out(op.uid) for op in residual if isinstance(op, Source)
     )
-    residual_cost = _plan_terms(graph, pushed, estimate, model)["etl"]
+    residual_cost = sum(
+        _etl_cost(graph, op.uid, estimate, model) for op in residual
+    )
     if pushed:
+        region = sum(len(p.uids) for p in parts)
         reason = (
-            f"{len(pushed)} of {len(maximal)} pushable operators placed on "
-            f"the DBMS; the rest run cheaper in the ETL engine"
+            f"{len(pushed)} of {region} pushable operators placed on the "
+            f"DBMS; the rest run cheaper in the ETL engine"
         )
     else:
-        terms = _plan_terms(graph, maximal, estimate, model)
-        dominant = max(("load", "evaluation", "transfer"), key=terms.__getitem__)
+        terms = {
+            term: sum(p.push[term] for p in parts)
+            for term in ("load", "evaluation", "transfer")
+        }
+        maximal_cost = (
+            residual_cost - sum(p.keep for p in parts) + sum(terms.values())
+        )
         reason = (
-            f"nothing pushed: pure ETL costs {etl_cost:.0f} row-units vs "
-            f"{sum(terms.values()):.0f} for the maximal pushdown "
-            f"({dominant} dominates)"
+            f"nothing pushed: pure ETL costs {residual_cost:.0f} row-units "
+            f"vs {maximal_cost:.0f} for the maximal pushdown "
+            f"({max(terms, key=terms.__getitem__)} dominates)"
         )
     decisions.append(FragmentDecision(
         residual_name, "etl", residual_rows, residual_cost, reason
@@ -612,27 +565,12 @@ def _fragment_decisions(
     return decisions
 
 
-def _cone_of(graph: OhmGraph, pushed: Set[str], edge: Edge) -> Set[str]:
-    """The pushed operators upstream of one frontier edge."""
-    cone: Set[str] = set()
-    to_visit = [edge.src]
-    while to_visit:
-        uid = to_visit.pop()
-        if uid in cone:
-            continue
-        cone.add(uid)
-        to_visit.extend(
-            e.src for e in graph.in_edges(uid) if e.src in pushed
-        )
-    return cone
-
-
 def _pushed_subgraph(
     graph: OhmGraph, pushed: Set[str], frontier_edge: Edge
 ) -> OhmGraph:
     """The cone of pushed operators feeding one frontier edge, terminated
     by a TARGET carrying the frontier relation."""
-    cone = _cone_of(graph, pushed, frontier_edge)
+    cone = _upstream(graph, pushed, [frontier_edge.src])
     sub = OhmGraph(f"pushed:{frontier_edge.name}")
     for uid in cone:
         sub.add(graph.operator(uid))

@@ -94,12 +94,13 @@ class Orchid:
         """OHM → an ETL job on the configured platform (section VI-B)."""
         return deploy_to_job(graph, self.platform, obs=self.obs)
 
-    def to_hybrid(self, graph: OhmGraph, cost: bool = True) -> HybridPlan:
-        """OHM → combined SQL + ETL deployment via pushdown analysis
-        (cost-based when the facade carries a statistics catalog)."""
+    def to_hybrid(self, graph: OhmGraph) -> HybridPlan:
+        """OHM → combined SQL + ETL deployment via pushdown analysis:
+        cost-based, part by part, when the facade carries a statistics
+        catalog covering the pushable sources; the paper's maximal
+        pushdown otherwise."""
         return plan_pushdown(
-            graph, self.platform, obs=self.obs, cost=cost,
-            catalog=self.catalog,
+            graph, self.platform, obs=self.obs, catalog=self.catalog
         )
 
     # -- one-hop conveniences ----------------------------------------------------------

@@ -5,10 +5,13 @@ import pytest
 from repro.compile import compile_job
 from repro.cost import CostModel, StatisticsCatalog, catalog_for
 from repro.data.dataset import Dataset, Instance
-from repro.deploy import plan_pushdown
+from repro.deploy import plan_pushdown, pushdown
+from repro.deploy.sql import SqliteRunner
 from repro.etl import EtlEngine
 from repro.obs import Observability
-from repro.ohm import Join, OhmGraph, Project, Source, Target, Union
+from repro.ohm import (
+    Filter, Join, OhmExecutor, OhmGraph, Project, Source, Target, Union,
+)
 from repro.schema import relation
 from repro.workloads import (
     build_example_job,
@@ -197,8 +200,10 @@ class TestEtlWins:
             expected, key=key
         )
 
-    def test_cost_false_restores_maximal_pushdown(self, catalog):
-        hybrid = plan_pushdown(_fan_out_graph(), catalog=catalog, cost=False)
+    def test_cost_false_restores_maximal_pushdown(self):
+        """Planned without a catalog, the same join is pushed whole: the
+        paper's maximal pushdown."""
+        hybrid = plan_pushdown(_fan_out_graph())
         assert list(hybrid.statements) == ["expanded"]
 
 
@@ -292,3 +297,66 @@ class TestAdaptiveReplanning:
         catalog.observe_link("expanded", 20000)  # reality: fan-out
         after = plan_pushdown(g, catalog=catalog, model=model)
         assert after.statements == {}
+
+
+_SELECTIVE = relation("R", ("id", "int", False), ("v", "int", False))
+
+
+class TestEachPartDecidesAlone:
+    """The fan-out join beside a selective filter: two parts of the
+    pushable region, priced apart on a model where the rows handed back
+    are all that matter. The filter hands back a hundredth of its input
+    and goes to the DBMS; the join hands back 25x its input and stays in
+    the engine."""
+
+    @pytest.fixture
+    def graph(self):
+        g = _fan_out_graph()
+        g.chain(
+            g.add(Source(_SELECTIVE)), g.add(Filter("v < 10")),
+            g.add(Target(_SELECTIVE.renamed("Few"))), names=["r", "few"],
+        )
+        return g
+
+    @pytest.fixture
+    def obs(self):
+        return Observability(stats=True)
+
+    @pytest.fixture
+    def hybrid(self, graph, obs):
+        catalog = catalog_for(Instance([
+            *_fan_out_instance(400, 400),
+            Dataset(_SELECTIVE, [{"id": i, "v": i} for i in range(1000)]),
+        ]))
+        catalog.observe_link("expanded", 20000)
+        return plan_pushdown(
+            graph, catalog=catalog, model=_MovingRowsDecides(), obs=obs
+        )
+
+    def test_only_the_filter_part_is_pushed(self, graph, hybrid, obs):
+        assert list(hybrid.statements) == ["few"]
+        assert sorted(
+            graph.operator(uid).KIND for uid in hybrid.pushed_operator_uids
+        ) == ["FILTER", "SOURCE"]
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["deploy.pushdown.cost_candidates"] == 4  # two parts
+        assert counters["deploy.pushdown.peeled"] == 3  # the join's part
+
+    def test_only_its_relation_reaches_the_dbms(
+        self, graph, hybrid, monkeypatch
+    ):
+        loaded = []
+
+        class Recording(SqliteRunner):
+            def __init__(self, instance, **kwargs):
+                loaded.extend(instance.names)
+                super().__init__(instance, **kwargs)
+
+        monkeypatch.setattr(pushdown, "SqliteRunner", Recording)
+        instance = Instance([
+            *_fan_out_instance(40, 4),
+            Dataset(_SELECTIVE, [{"id": i, "v": i % 20} for i in range(60)]),
+        ])
+        result = hybrid.execute(instance)
+        assert loaded == ["R"]
+        assert result.same_bags(OhmExecutor().execute(graph, instance))

@@ -3,11 +3,16 @@
 import pytest
 
 from repro.compile import compile_job
+from repro.data.dataset import Dataset, Instance
 from repro.deploy import plan_pushdown
 from repro.errors import DeploymentError
 from repro.etl import EtlEngine
-from repro.ohm import Filter, OhmGraph, Project, Source, Target
+from repro.ohm import (
+    Filter, OhmExecutor, OhmGraph, Project, Source, Target, Unnest,
+)
 from repro.schema import relation
+from repro.schema.model import Attribute, Relation
+from repro.schema.types import INTEGER, RecordType, SetType
 from repro.workloads import (
     build_chain_job,
     build_example_job,
@@ -95,6 +100,43 @@ class TestPushabilityRules:
         assert sorted(s.STAGE_TYPE for s in hybrid.job.stages) == [
             "TableSource", "TableTarget",
         ]
+
+    def test_nested_source_stays_in_the_engine(self):
+        """A DBMS table holds scalars: a source with a set-valued column
+        is not pushed, and the flat branch beside it still is."""
+        flat = relation("R", ("id", "int", False), ("v", "int", False))
+        nested = Relation("N", [
+            Attribute("oid", INTEGER, nullable=False),
+            Attribute("items", SetType(RecordType(
+                [("sku", INTEGER), ("qty", INTEGER)]
+            )), nullable=False),
+        ])
+        g = OhmGraph()
+        g.chain(
+            g.add(Source(flat)), g.add(Filter("v > 1")),
+            g.add(Target(flat.renamed("Out"))), names=["r", "kept"],
+        )
+        g.chain(
+            g.add(Source(nested)), g.add(Unnest("items")),
+            g.add(Target(relation(
+                "Lines", ("oid", "int"), ("sku", "int"), ("qty", "int")
+            ))),
+            names=["n", "lines"],
+        )
+        hybrid = plan_pushdown(g)
+        assert list(hybrid.statements) == ["kept"]
+        assert hybrid.loaded == ("R",)
+        instance = Instance([
+            Dataset(flat, [{"id": i, "v": i} for i in range(4)]),
+            Dataset(nested, [
+                {"oid": 1, "items": [{"sku": 7, "qty": 2},
+                                     {"sku": 8, "qty": 1}]},
+                {"oid": 2, "items": []},
+            ]),
+        ])
+        assert hybrid.execute(instance).same_bags(
+            OhmExecutor().execute(g, instance)
+        )
 
     def test_nothing_pushable_raises(self):
         rel = relation("R", ("id", "int", False))

@@ -13,6 +13,8 @@ from repro.compile import compile_job
 from repro.data.dataset import Dataset, Instance
 from repro.etl import (
     EtlEngine,
+    FilterOutput,
+    FilterStage,
     Job,
     OutputLink,
     TableSource,
@@ -152,6 +154,63 @@ def test_stage_variable_rejects_once_per_row_on_every_runtime(compiled):
     assert Counter(r["row"] for r in etl.rejected.rows) == Counter(
         {"{a: 2, b: 0}": 1, "{a: -1, b: 0}": 1}
     )
+    assert Counter(r["row"] for r in ohm.rejected.rows) == Counter(
+        r["row"] for r in etl.rejected.rows
+    )
+
+
+def _routing_job(name, make_stage):
+    """``R(a, b)`` through one routing stage onto ``O1`` (rows where
+    ``10 / b > 1``) and ``O2`` (every other row); ``b = 0`` makes the
+    predicate fail on the second row."""
+    source_rel = relation("R", ("a", "int", False), ("b", "int", False))
+    job = Job(name)
+    source = job.add(TableSource(source_rel))
+    stage = job.add(make_stage())
+    for port, target in enumerate(("O1", "O2")):
+        out = job.add(TableTarget(source_rel.renamed(target)))
+        job.link(stage, out, src_port=port)
+    job.link(source, stage)
+    rows = [{"a": 1, "b": 1}, {"a": 2, "b": 0}, {"a": 3, "b": 20}]
+    return job, Instance([Dataset(source_rel, rows)])
+
+
+def otherwise_job():
+    """A Transformer with a ``10 / b > 1`` link and an otherwise link."""
+    columns = [("a", "a"), ("b", "b")]
+    return _routing_job("otherwise_rejects", lambda: Transformer(
+        [OutputLink(columns, "10 / b > 1"),
+         OutputLink(columns, otherwise=True)],
+        name="xf",
+    ))
+
+
+def filter_reject_job():
+    """A Filter with a ``10 / b > 1`` output and a reject output."""
+    return _routing_job("filter_rejects", lambda: FilterStage(
+        [FilterOutput("10 / b > 1"), FilterOutput(reject=True)],
+        name="split",
+    ))
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["interpreted", "compiled"])
+@pytest.mark.parametrize(
+    "build", [otherwise_job, filter_reject_job], ids=["otherwise", "filter-reject"]
+)
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3(ii): the compiler gives each branch of a SPLIT "
+    "its own FILTER over the constraint the branches share, so the OHM "
+    "graph rejects a failing row once per branch, where the job routes "
+    "or rejects it once",
+)
+def test_routing_stage_rejects_once_per_row_on_every_runtime(build, compiled):
+    job, instance = build()
+    etl = EtlEngine(compiled=compiled, on_error="reject").run(job, instance)
+    ohm = OhmExecutor(compiled=compiled, on_error="reject").run(
+        compile_job(job), instance
+    )
+    assert etl.targets.same_bags(ohm.targets)
     assert Counter(r["row"] for r in ohm.rejected.rows) == Counter(
         r["row"] for r in etl.rejected.rows
     )

@@ -18,7 +18,7 @@ def record(experiment_id: str, text: str) -> str:
     """Write (and print) the regenerated artifact for an experiment."""
     os.makedirs(ARTIFACT_DIR, exist_ok=True)
     path = os.path.join(ARTIFACT_DIR, f"{experiment_id}.txt")
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
         if not text.endswith("\n"):
             handle.write("\n")
@@ -32,7 +32,7 @@ def record_baseline(name: str, payload: dict) -> str:
     ``BENCH_<name>.json`` so future PRs can regress-check against the
     recorded numbers (ops/sec, rows/sec, speedups)."""
     path = os.path.join(REPO_ROOT, f"BENCH_{name}.json")
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"\n--- BENCH_{name}.json ---")
@@ -45,7 +45,7 @@ def record_metrics(experiment_id: str, metrics) -> str:
     experiment's text artifact, as ``<experiment>.metrics.json``."""
     os.makedirs(ARTIFACT_DIR, exist_ok=True)
     path = os.path.join(ARTIFACT_DIR, f"{experiment_id}.metrics.json")
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(metrics.to_json())
         handle.write("\n")
     return path

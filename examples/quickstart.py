@@ -104,7 +104,7 @@ def main(argv=None) -> None:
     if args.export_job is not None:
         from repro.etl import job_to_xml
 
-        with open(args.export_job, "w") as handle:
+        with open(args.export_job, "w", encoding="utf-8") as handle:
             handle.write(job_to_xml(build_example_job()))
         print(f"wrote {args.export_job}", file=sys.stderr)
         return

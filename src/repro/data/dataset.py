@@ -234,14 +234,30 @@ class Dataset:
         the block when there is one: the validated block, or ``None`` on
         any defect."""
         names = relation.attribute_names
-        if self._rows is not None:
-            known = frozenset(names)
-            if not all(map(known.issuperset, self._rows)):
+        rows = self._rows
+        if rows is not None:
+            # one length sweep: a row with more keys than the relation
+            # names holds one it lacks; rows of exactly that many keys
+            # hold them all unless a name is missing (a KeyError)
+            lengths = set(map(len, rows))
+            if lengths and max(lengths) > len(names):
                 return None
+            if lengths <= {len(names)}:
+                try:
+                    cols = [list(map(itemgetter(n), rows)) for n in names]
+                except KeyError:
+                    return None
+            else:
+                known = frozenset(names)
+                if not all(map(known.issuperset, rows)):
+                    return None
+                cols = self.columns(names)
         elif len(self) and not set(self._relation.attribute_names) <= set(names):
             return None
+        else:
+            cols = self.columns(names)
         columns = {}
-        for attr, col in zip(relation, self.columns(names)):
+        for attr, col in zip(relation, cols):
             col = checked_column(attr.dtype, attr.nullable, col)
             if col is None:
                 return None

@@ -15,8 +15,9 @@ same operator semantics, executed over *columns*:
   gathers per-column accumulators — or, for FIRST / LAST, picks one
   cell a group, and with only picks keeps one row index a key
   (:func:`group_picks`, which dedup shares) instead of member lists —
-  and the hash join builds/probes over key columns and emits index
-  vectors;
+  and the hash join indexes row numbers by key (a row a key when one
+  side's keys are unique, a row list a key only when both sides repeat
+  one) and emits index vectors;
 * columns are **immutable by convention**: kernels may alias an input
   column into an output block, and nothing may mutate a column list in
   place. Fresh lists are built wherever rows are reordered or selected.
@@ -33,6 +34,7 @@ Kernels report ``exec.block.<name>.blocks_in/.blocks_out/.rows_in/
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import compress, filterfalse, repeat
 from typing import (
     Any,
     Callable,
@@ -454,17 +456,20 @@ def hash_join_block(
     the row path (no equi-conjuncts, residual conjuncts, or a key
     expression the block compiler cannot lower).
 
-    Build/probe hash the :func:`_row_keys` of the key columns — a
+    Both sides hash the :func:`_row_keys` of their key columns — a
     single key column's cells as they stand, tuples only for two or
-    more — and produce paired index vectors (``-1`` = outer padding).
-    A NULL key never matches: when the build side holds one, the
-    index's NULL keys are dropped once after the build, so a probe key
-    with a NULL misses. Only a right or full join tracks which build
-    rows matched. Output columns are gathered straight from the
-    ``(output name, side, source column)`` plan, with a per-cell
-    padding test only for an index vector that holds a ``-1``.
-    Emission order matches the row kernel: matches in probe order with
-    left paddings inline, right paddings last."""
+    more — into paired index vectors (``-1`` = outer padding). The
+    smaller side's keys are tested for uniqueness first, then the other
+    side's, each side once; a unique side's ``key → row`` dict is the
+    index (:func:`_pairs_unique_build`, :func:`_pairs_unique_probe`),
+    and only when both sides repeat a key is a row list built per build
+    key (:func:`_pairs_by_lists`). A NULL key never matches: the
+    indexed side's NULL keys are dropped once, when its column holds
+    one. Output columns are gathered straight from the ``(output name,
+    side, source column)`` plan, with a per-cell padding test only for
+    an index vector that holds a ``-1``. Every path emits the row
+    kernel's order: matches in probe order (build order within a probe
+    row) with left paddings inline, right paddings last."""
     pairs, residual = split_equi_condition(
         condition, left_relation, right_relation
     )
@@ -482,38 +487,34 @@ def hash_join_block(
     if any(fn is None for fn in left_key_fns + right_key_fns):
         return None
 
-    index: Dict[Any, List[int]] = defaultdict(list)
     build_cols = [fn(right) for fn in right_key_fns]
-    for j, key in enumerate(_row_keys(build_cols, right.length)):
-        index[key].append(j)
-    if any(None in col for col in build_cols):
-        # a key with a NULL component matches nothing: unindex it, so a
-        # probe key with a NULL misses too
-        single = len(build_cols) == 1
-        for key in [k for k in index if (k is None if single else None in k)]:
-            del index[key]
-
-    pad_left = kind in ("left", "full")
-    matched_right = [False] * right.length if kind in ("right", "full") else None
-    left_idx: List[int] = []
-    right_idx: List[int] = []
     probe_cols = [fn(left) for fn in left_key_fns]
-    for i, key in enumerate(_row_keys(probe_cols, left.length)):
-        hits = index.get(key)
-        if hits:
-            left_idx += [i] * len(hits)
-            right_idx += hits
-            if matched_right is not None:
-                for j in hits:
-                    matched_right[j] = True
-        elif pad_left:
-            left_idx.append(i)
-            right_idx.append(-1)
-    if matched_right is not None:
-        for j, was_matched in enumerate(matched_right):
-            if not was_matched:
-                left_idx.append(-1)
-                right_idx.append(j)
+    build_keys = _key_list(build_cols, right.length)
+    probe_keys = _key_list(probe_cols, left.length)
+    build_nulls = any(None in col for col in build_cols)
+    probe_nulls = any(None in col for col in probe_cols)
+    single = len(pairs) == 1
+    # the smaller side first: a side that fails the test built its dict
+    # for nothing, and no side is tested twice
+    tests = [(True, build_keys, build_nulls), (False, probe_keys, probe_nulls)]
+    if left.length < right.length:
+        tests.reverse()
+    for build_unique, keys, nulls in tests:
+        unique = _unique_index(keys, nulls, single)
+        if unique is not None:
+            break
+    if unique is None:
+        left_idx, right_idx = _pairs_by_lists(
+            build_keys, build_nulls, single, probe_keys, kind
+        )
+    elif build_unique:
+        left_idx, right_idx = _pairs_unique_build(
+            unique, probe_keys, right.length, kind
+        )
+    else:
+        left_idx, right_idx = _pairs_unique_probe(
+            unique, build_keys, left.length, kind
+        )
 
     sides = {
         "left": (left.columns, left_idx, -1 in left_idx),
@@ -530,6 +531,123 @@ def hash_join_block(
     out = RowBlock(columns, len(left_idx))
     _observe_block(obs, "join", 2, 1, left.length + right.length, out.length)
     return out
+
+
+def _key_list(cols: Sequence[List[Any]], length: int) -> List[Any]:
+    """The join keys of one side as a list (a side may be read twice):
+    the key column itself for one column, tuples for several."""
+    keys = _row_keys(cols, length)
+    return keys if len(cols) == 1 else list(keys)
+
+
+def _drop_null_keys(index: Dict[Any, Any], single: bool) -> None:
+    """Unindex every key with a NULL component: it matches nothing, so
+    a key with a NULL on the other side misses too."""
+    if single:
+        index.pop(None, None)
+        return
+    for key in [k for k in index if None in k]:
+        del index[key]
+
+
+def _unique_index(
+    keys: List[Any], nulls: bool, single: bool
+) -> Optional[Dict[Any, int]]:
+    """key → row of a side whose keys are pairwise distinct (one C pass),
+    NULL keys unindexed; ``None`` when a key repeats, the dict released."""
+    index = dict(zip(keys, range(len(keys))))
+    if len(index) != len(keys):
+        return None
+    if nulls:
+        _drop_null_keys(index, single)
+    return index
+
+
+def _pairs_unique_build(
+    index: Dict[Any, int], probe_keys: List[Any], n_build: int, kind: str
+) -> Tuple[List[int], List[int]]:
+    """Index vectors when each build key names one row: a ``dict.get``
+    per probe key, ``compress`` for an inner or right join, the ``-1``
+    misses kept as left paddings otherwise; right paddings last."""
+    hits = list(map(index.get, probe_keys, repeat(-1)))
+    if kind in ("left", "full"):
+        left_idx = list(range(len(probe_keys)))
+        right_idx = hits
+    else:
+        found = list(map((-1).__ne__, hits))
+        left_idx = list(compress(range(len(probe_keys)), found))
+        right_idx = list(compress(hits, found))
+    if kind in ("right", "full"):
+        unmatched = list(filterfalse(set(hits).__contains__, range(n_build)))
+        left_idx += [-1] * len(unmatched)
+        right_idx += unmatched
+    return left_idx, right_idx
+
+
+def _pairs_unique_probe(
+    index: Dict[Any, int], build_keys: List[Any], n_probe: int, kind: str
+) -> Tuple[List[int], List[int]]:
+    """Index vectors when each probe key names one row: each build row
+    is mapped to its probe row and the hits are stable-sorted by it —
+    matches in probe order, build order within a probe row, as the
+    list-per-key loop emits them. Unmatched probe rows are sorted in as
+    left paddings (each is its own sort key); right paddings last."""
+    owner = list(map(index.get, build_keys, repeat(-1)))
+    right_idx = list(compress(range(len(owner)), map((-1).__ne__, owner)))
+    right_idx.sort(key=owner.__getitem__)
+    left_idx = list(map(owner.__getitem__, right_idx))
+    if kind in ("left", "full"):
+        lone = list(filterfalse(set(left_idx).__contains__, range(n_probe)))
+        if lone:
+            left_idx += lone
+            right_idx += [-1] * len(lone)
+            order = sorted(range(len(left_idx)), key=left_idx.__getitem__)
+            left_idx = list(map(left_idx.__getitem__, order))
+            right_idx = list(map(right_idx.__getitem__, order))
+    if kind in ("right", "full"):
+        unmatched = list(compress(range(len(owner)), map((-1).__eq__, owner)))
+        left_idx += [-1] * len(unmatched)
+        right_idx += unmatched
+    return left_idx, right_idx
+
+
+def _pairs_by_lists(
+    build_keys: List[Any],
+    build_nulls: bool,
+    single: bool,
+    probe_keys: List[Any],
+    kind: str,
+) -> Tuple[List[int], List[int]]:
+    """Index vectors when a key repeats on both sides: one row list per
+    build key, probed row by row."""
+    index: Dict[Any, List[int]] = defaultdict(list)
+    for j, key in enumerate(build_keys):
+        index[key].append(j)
+    if build_nulls:
+        _drop_null_keys(index, single)
+    pad_left = kind in ("left", "full")
+    matched_right = (
+        [False] * len(build_keys) if kind in ("right", "full") else None
+    )
+    left_idx: List[int] = []
+    right_idx: List[int] = []
+    for i, key in enumerate(probe_keys):
+        hits = index.get(key)
+        if hits:
+            left_idx += [i] * len(hits)
+            right_idx += hits
+            if matched_right is not None:
+                for j in hits:
+                    matched_right[j] = True
+        elif pad_left:
+            left_idx.append(i)
+            right_idx.append(-1)
+    if matched_right is not None:
+        for j, was_matched in enumerate(matched_right):
+            if not was_matched:
+                left_idx.append(-1)
+                right_idx.append(j)
+    return left_idx, right_idx
 
 
 def lookup_block(

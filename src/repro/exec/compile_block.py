@@ -474,7 +474,8 @@ def _compile_call(
 ) -> _Compiled:
     function = registry.lookup(expr.name)
     function.check_arity(len(expr.args))
-    args = [_compile(a, registry, resolve)[0] for a in expr.args]
+    compiled = [_compile(a, registry, resolve) for a in expr.args]
+    args = [fn for fn, _const in compiled]
     if not args:
         # zero-arg functions may be impure: call once per row
         return (
@@ -509,6 +510,24 @@ def _compile_call(
                 None if any(v is None for v in values) else impl(*values)
                 for values in zip(*[a(block) for a in args])
             ]
+
+    literals = [const for _fn, const in compiled[1:]]
+    if (
+        function.column is not None
+        and function.null_propagating
+        and literals
+        and all(c is not _MISSING and c is not None for c in literals)
+    ):
+        # every later argument a literal: the function's column form
+        # binds them once; cells it cannot take run ``impl`` per cell
+        column_form, first = function.column, args[0]
+
+        def loop(block):
+            cells = first(block)
+            out = column_form(cells, *literals)
+            if out is None:
+                out = [None if v is None else impl(v, *literals) for v in cells]
+            return out
 
     def call(block):
         # ``impl`` itself, one ``try`` a column: what the wrapper would

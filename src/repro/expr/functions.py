@@ -47,6 +47,11 @@ class ScalarFunction:
     :ivar null_propagating: when True (default) the evaluator returns NULL
         if any argument is NULL without calling ``impl``.
     :ivar sql_name: spelling to use when generating SQL (defaults to name).
+    :ivar column: internal, for built-ins only: ``column(cells, *literals)``
+        computes the function over a column of first arguments with every
+        later argument a non-NULL literal, binding the literals once a
+        call — the block compiler's form; it returns ``None`` when the
+        cells need ``impl`` cell by cell.
     """
 
     def __init__(
@@ -57,6 +62,7 @@ class ScalarFunction:
         arity=None,
         null_propagating: bool = True,
         sql_name: Optional[str] = None,
+        column: Optional[Callable] = None,
     ):
         self.name = name.upper()
         self.impl = impl
@@ -64,6 +70,7 @@ class ScalarFunction:
         self.arity = arity
         self.null_propagating = null_propagating
         self.sql_name = (sql_name or name).upper()
+        self.column = column
 
     def check_arity(self, n_args: int) -> None:
         if self.arity is None:
@@ -150,10 +157,11 @@ def register(
     null_propagating: bool = True,
     sql_name: Optional[str] = None,
     registry: Optional[FunctionRegistry] = None,
+    column: Optional[Callable] = None,
 ) -> ScalarFunction:
     """Register a scalar function (in :data:`DEFAULT_REGISTRY` by default)."""
     function = ScalarFunction(
-        name, impl, return_type, arity, null_propagating, sql_name
+        name, impl, return_type, arity, null_propagating, sql_name, column
     )
     (registry or DEFAULT_REGISTRY).register(function)
     return function
@@ -294,11 +302,29 @@ register(
     INTEGER,
     2,
 )
+
+_DATE_CELLS = frozenset((datetime.date, type(None)))
+
+
+def _add_days_column(cells, days):
+    """ADD_DAYS over a column of exact dates (and NULLs) and a literal
+    day count: one ``timedelta`` a call, built only once a non-NULL cell
+    needs it, so it raises what ``impl`` raises on that cell."""
+    classes = set(map(type, cells))
+    if not classes <= _DATE_CELLS:
+        return None
+    if datetime.date not in classes:
+        return [None] * len(cells)
+    shift = datetime.timedelta(days=days)
+    return [None if d is None else d + shift for d in cells]
+
+
 register(
     "ADD_DAYS",
     lambda d, n: d + datetime.timedelta(days=n),
     DATE,
     2,
+    column=_add_days_column,
 )
 
 

@@ -214,6 +214,26 @@ def test_unknown_key_is_refused_and_missing_key_reads_null():
                .with_relation(narrow)) == 0
 
 
+def test_the_length_sweep_refuses_what_the_superset_test_refused():
+    """Rows of as many keys as the relation has names are extracted
+    strictly, so a row that trades a name for a stray key is a defect;
+    a longer row is one without a look at its keys; a shorter row still
+    reads NULL where it is ragged."""
+    rel = Relation("T", [Attribute("id", INTEGER), Attribute("extra", STRING)])
+    swapped = [{"id": 1, "extra": "x"}, {"id": 2, "stray": "y"}]
+    got = _assert_agrees(rel, swapped, rel)
+    assert got == (SchemaError, "row has columns ['stray'] not in relation 'T'")
+    longer = [{"id": 1, "extra": "x"}, {"id": 2, "extra": "y", "more": 0}]
+    got = _assert_agrees(rel, longer, rel)
+    assert got == (SchemaError, "row has columns ['more'] not in relation 'T'")
+    shorter = [{"id": 1, "extra": "x"}, {"id": 2}]
+    got = _assert_agrees(rel, shorter, rel)
+    assert got["extra"] == [(str, "x"), (type(None), None)]
+    # a shorter row beside a swapped one: the superset test refuses it
+    got = _assert_agrees(rel, shorter + [{"id": 3, "stray": "z"}], rel)
+    assert got == (SchemaError, "row has columns ['stray'] not in relation 'T'")
+
+
 def test_of_two_defects_the_first_in_row_order_is_reported():
     rows = _rows(random.Random(2))
     rows[9]["integer"] = "late, but in the first column"
